@@ -42,8 +42,8 @@ from .io import (
     write_immersion_csv,
     write_report,
 )
-from .nkspace import verify
-from .surface import almost_complex_residual, analyze, interior, partials
+from .nkspace import validate_tol_scale, verify
+from .surface import almost_complex_residual, analyze, interior
 
 VERSION_STRING = "nks3 " + __version__
 
@@ -80,7 +80,7 @@ def _build_parser():
     )
     ap.add_argument(
         "--tol-scale", type=float, default=1.0,
-        help="multiplier on certificate and verification tolerances",
+        help="multiplier on certificate and verification tolerances (finite, > 0)",
     )
     ap.add_argument(
         "--fixture", choices=FIXTURE_NAMES, help="fixture name (fixture command)"
@@ -155,7 +155,7 @@ def cmd_fixture(args):
         kind = "immersion"
         self_check = {
             "almost_complex_max": float(
-                interior(almost_complex_residual(partials(obj))).max()
+                interior(almost_complex_residual(obj.partials)).max()
             )
         }
     report = {
@@ -235,6 +235,7 @@ _HANDLERS = {
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
+        validate_tol_scale(args.tol_scale)
         env_seed = os.environ.get("NKS3_SEED")
         if env_seed is not None:
             args.seed = int(env_seed)

@@ -10,13 +10,13 @@ provided as a negative control for gate tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hsystem import HSurfaceGrid, h_equation_residual, h_surface_grid
+from .hsystem import h_surface_grid
 from .nkspace import SQRT3
-from .surface import ImmersionGrid, immersion_grid, interior
+from .surface import immersion_grid
 
 __all__ = [
     "FIXTURE_NAMES",
@@ -131,69 +131,46 @@ def example2_grid(spec):
     return immersion_grid(spec.u0, spec.v0, spec.du, spec.dv, p, q)
 
 
-def _pick_orientation(spec, builder):
-    """Build both parameter orientations and keep the one that satisfies the
-    quadratic second-order equation the solution surfaces must obey."""
-    best = None
-    best_res = np.inf
-    for swap in (False, True):
-        try:
-            eps = builder(spec, swap)
-        except ValueError:
-            continue
-        hs = HSurfaceGrid(spec.u0, spec.v0, spec.du, spec.dv, eps)
-        res = float(interior(h_equation_residual(hs)).max())
-        if res < best_res:
-            best, best_res = hs, res
-    if best is None:
-        raise ValueError(f"no valid orientation for fixture window {spec}")
-    return h_surface_grid(best.u0, best.v0, best.du, best.dv, best.eps)
-
-
 def cmc_sphere_epsilon(spec):
-    """Round sphere of radius sqrt3/2 in conformal coordinates."""
+    """Round sphere of radius sqrt3/2 in conformal coordinates: u is the
+    longitude, v the Mercator coordinate (the mirrored orientation does not
+    solve the equation); the conformal factor must stay above `pole_margin`."""
     r = SPHERE_RADIUS
-
-    def build(spec, swap):
-        u = spec.u_vals()[:, None]
-        v = spec.v_vals()[None, :]
-        lon, mer = (v, u) if swap else (u, v)
-        sech = 1.0 / np.cosh(mer)
-        if float(sech.min()) < spec.pole_margin:
-            raise ValueError(
-                f"conformal factor {sech.min():.3f} below pole margin "
-                f"{spec.pole_margin}"
-            )
-        return np.stack(
-            [
-                r * sech * np.cos(lon) + 0.0 * (lon + mer),
-                r * sech * np.sin(lon) + 0.0 * (lon + mer),
-                r * np.tanh(mer) + 0.0 * (lon + mer),
-            ],
-            axis=-1,
+    lon = spec.u_vals()[:, None]
+    mer = spec.v_vals()[None, :]
+    sech = 1.0 / np.cosh(mer)
+    if float(sech.min()) < spec.pole_margin:
+        raise ValueError(
+            f"conformal factor {sech.min():.3f} below pole margin "
+            f"{spec.pole_margin}"
         )
-
-    return _pick_orientation(spec, build)
+    eps = np.stack(
+        [
+            r * sech * np.cos(lon) + 0.0 * (lon + mer),
+            r * sech * np.sin(lon) + 0.0 * (lon + mer),
+            r * np.tanh(mer) + 0.0 * (lon + mer),
+        ],
+        axis=-1,
+    )
+    return h_surface_grid(spec.u0, spec.v0, spec.du, spec.dv, eps)
 
 
 def cmc_cylinder_epsilon(spec):
-    """Circular cylinder of radius sqrt3/4 in arclength coordinates."""
+    """Circular cylinder of radius sqrt3/4 in arclength coordinates: u wraps
+    around the axis and v runs along it (the mirrored orientation does not
+    solve the equation)."""
     r = CYLINDER_RADIUS
-
-    def build(spec, swap):
-        u = spec.u_vals()[:, None]
-        v = spec.v_vals()[None, :]
-        wrap, axis = (v, u) if swap else (u, v)
-        return np.stack(
-            [
-                r * np.cos(wrap / r) + 0.0 * axis,
-                r * np.sin(wrap / r) + 0.0 * axis,
-                axis + 0.0 * wrap,
-            ],
-            axis=-1,
-        )
-
-    return _pick_orientation(spec, build)
+    wrap = spec.u_vals()[:, None]
+    axis = spec.v_vals()[None, :]
+    eps = np.stack(
+        [
+            r * np.cos(wrap / r) + 0.0 * axis,
+            r * np.sin(wrap / r) + 0.0 * axis,
+            axis + 0.0 * wrap,
+        ],
+        axis=-1,
+    )
+    return h_surface_grid(spec.u0, spec.v0, spec.du, spec.dv, eps)
 
 
 def non_adapted_grid(spec):
@@ -204,9 +181,7 @@ def non_adapted_grid(spec):
     p = _circle(u + 0.0 * v)
     zero = np.zeros((spec.nu, spec.nv))
     q = np.stack([np.cos(v) + 0.0 * u, zero, np.sin(v) + 0.0 * u, zero], axis=-1)
-    return immersion_grid(
-        spec.u0, spec.v0, spec.du, spec.dv, p, q, adapted=False
-    )
+    return immersion_grid(spec.u0, spec.v0, spec.du, spec.dv, p, q)
 
 
 def make_fixture(spec):

@@ -21,15 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .nkspace import SQRT3
+from .nkspace import SQRT3, validate_tol_scale
 from .surface import (
     almost_complex_residual,
     extract_coefficients,
     immersion_grid,
-    induced_metric,
     interior,
     lambda_field,
-    partials,
+    require_adapted,
     rotate_pair_back,
     second_derivative,
 )
@@ -137,14 +136,18 @@ def epsilon_from_surface(grid, cf=None, tol_scale=1.0):
     differentiation amplifies by the inverse squared step).
 
     The primary integration runs u-first then v; the certificate compares
-    against the v-first path (a closedness check) and evaluates the
-    second-order equation on the result.  Raises CertificateError when the
-    paths disagree beyond the discretization-order tolerance.
+    against the v-first path (a closedness check), evaluates the
+    second-order equation on the result and records the input's adaptedness
+    defect.  Raises ValueError for a bad `tol_scale` or a grid that is not
+    adapted (`surface.require_adapted`), CertificateError when the paths
+    disagree beyond the discretization-order tolerance.
     """
+    tol_scale = validate_tol_scale(tol_scale)
     if grid.nu < 7 or grid.nv < 7:
         raise ValueError(
             f"need at least a 7x7 grid to integrate, got {grid.nu}x{grid.nv}"
         )
+    ac_max = require_adapted(grid, tol_scale)
     if cf is None:
         cf = extract_coefficients(grid)
     a, b = cf.alpha[1:-1, 1:-1], cf.beta[1:-1, 1:-1]
@@ -155,6 +158,7 @@ def epsilon_from_surface(grid, cf=None, tol_scale=1.0):
         grid.u0 + grid.du, grid.v0 + grid.dv, grid.du, grid.dv, eps_uv
     )
     cert = {
+        "almost_complex_max": ac_max,
         "loop_max": loop,
         "h_equation_max": float(interior(h_equation_residual(hs)).max()),
     }
@@ -224,9 +228,10 @@ def surface_from_epsilon(hs, p0=None, q0=None, tol_scale=1.0):
     the largest disagreement between the two path orderings of the
     quaternion integration, the per-step unit-norm drift before
     renormalization, and the adaptedness defect of the output.  Raises
-    CertificateError when the input fails the equation residual gate or the
-    orderings disagree beyond tolerance.
+    ValueError for a bad `tol_scale`, CertificateError when the input fails
+    the equation residual gate or the orderings disagree beyond tolerance.
     """
+    tol_scale = validate_tol_scale(tol_scale)
     if hs.nu < 7 or hs.nv < 7:
         raise ValueError(
             f"need at least a 7x7 grid to integrate, got {hs.nu}x{hs.nv}"
@@ -257,12 +262,13 @@ def surface_from_epsilon(hs, p0=None, q0=None, tol_scale=1.0):
     grid = immersion_grid(
         hs.u0 + hs.du, hs.v0 + hs.dv, hs.du, hs.dv, p_u, q_u
     )
-    gp = partials(grid)
     cert = {
         "h_equation_max": eq_res,
         "compat_max": compat,
         "drift_max": max(drift_p, drift_q),
-        "almost_complex_max": float(interior(almost_complex_residual(gp)).max()),
+        "almost_complex_max": float(
+            interior(almost_complex_residual(grid.partials)).max()
+        ),
     }
     return grid, cert
 
@@ -345,12 +351,12 @@ def metric_factor_check(grid, hs, lambda_tol=1e-4):
     """
     if abs(grid.du - hs.du) > 1e-12 or abs(grid.dv - hs.dv) > 1e-12:
         raise ValueError("grid steps differ between the surface and the potential")
-    gp = partials(grid)
+    gp = grid.partials
     lam_max = float(interior(np.abs(lambda_field(gp))).max())
     if lam_max > lambda_tol:
         return {"status": "not_applicable", "lambda_max_abs": lam_max}
     eu, _ = _eps_partials(hs)
-    E, _, _ = induced_metric(gp)
+    E, _, _ = gp.first_form
     g_slice, h_slice = window_overlap(
         grid.u0, grid.v0, grid.nu, grid.nv,
         hs.u0, hs.v0, hs.nu, hs.nv, grid.du, grid.dv,

@@ -57,8 +57,10 @@ __all__ = [
     "random_isometry",
     "identity_report",
     "default_thresholds",
+    "validate_tol_scale",
     "verify",
     "EPSILON3",
+    "FLIP",
     "CONN",
     "G_TABLE",
     "H_TABLE",
@@ -163,21 +165,21 @@ def _check_same_base(Z, W, tol=1e-12):
 
 # frame coefficient <-> imaginary-part sign pattern: the third frame field of
 # each factor is the right translate of -k
-_FLIP = np.array([1.0, 1.0, -1.0])
+FLIP = np.array([1.0, 1.0, -1.0])
 
 
 def frame_coords(Z):
     """Coefficients of a tangent vector in the global frame (..., 6)."""
-    a = quat.imag(quat.qmul(quat.qconj(Z.base.p), Z.u)) * _FLIP
-    b = quat.imag(quat.qmul(quat.qconj(Z.base.q), Z.v)) * _FLIP
+    a = quat.imag(quat.qmul(quat.qconj(Z.base.p), Z.u)) * FLIP
+    b = quat.imag(quat.qmul(quat.qconj(Z.base.q), Z.v)) * FLIP
     return np.concatenate([a, b], axis=-1)
 
 
 def from_frame_coords(base, coeffs):
     """Tangent vector with the given frame coefficients (..., 6) at `base`."""
     coeffs = np.asarray(coeffs, dtype=float)
-    u = quat.qmul(base.p, quat.embed(coeffs[..., :3] * _FLIP))
-    v = quat.qmul(base.q, quat.embed(coeffs[..., 3:] * _FLIP))
+    u = quat.qmul(base.p, quat.embed(coeffs[..., :3] * FLIP))
+    v = quat.qmul(base.q, quat.embed(coeffs[..., 3:] * FLIP))
     return Tangent(base, u, v)
 
 
@@ -375,9 +377,7 @@ def _mat(m, c):
 
 def curvature_coeff(x, y, w, j_mat=J_MAT):
     """Closed-form curvature on frame coefficient vectors (position free)."""
-    def g(a, b):
-        return np.einsum("...a,ab,...b->...", a, GRAM, b)
-
+    g = gram_product
     jx, jy, jw = _mat(j_mat, x), _mat(j_mat, y), _mat(j_mat, w)
     px, py = _mat(P_MAT, x), _mat(P_MAT, y)
     jpx, jpy = _mat(j_mat, px), _mat(j_mat, py)
@@ -512,10 +512,6 @@ def _bar_derivative_coeff(a, w, j_mat):
     lc = np.einsum("b,bm->m", w, CONN[a])
     corr = 0.5 * np.einsum("b,bm->m", _mat(j_mat, w), G_TABLE[a])
     return lc + corr
-
-
-def _coeff_gnorm(c):
-    return np.sqrt(np.maximum(np.einsum("...a,ab,...b->...", c, GRAM, c), 0.0))
 
 
 def identity_report(samples=1000, seed=42, j_scale=1.0):
@@ -727,12 +723,23 @@ def default_thresholds(report):
     }
 
 
+def validate_tol_scale(tol_scale):
+    """`tol_scale` as a float; raises ValueError unless it is finite and
+    positive, so no tolerance multiplier can switch a gate off."""
+    value = float(tol_scale)
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"tol_scale must be finite and positive, got {tol_scale!r}")
+    return value
+
+
 def verify(samples=1000, seed=42, tol_scale=1.0, j_scale=1.0):
     """Run the identity suite against thresholds.
 
     Returns (report, thresholds, ok); ok is True when every residual stays
-    within tol_scale times its threshold.
+    within tol_scale times its threshold.  Raises ValueError when
+    `tol_scale` is not finite and positive.
     """
+    tol_scale = validate_tol_scale(tol_scale)
     report = identity_report(samples=samples, seed=seed, j_scale=j_scale)
     thresholds = {k: tol_scale * v for k, v in default_thresholds(report).items()}
     ok = all(report[k] <= thresholds[k] for k in report)

@@ -9,6 +9,11 @@ property rather than trusting it.  The pipeline is
     fields -> residuals, holomorphic quadratic coefficient, induced metric,
     Gaussian curvature, second fundamental form, alignment classification.
 
+Tangent vectors are (..., 6) coefficient arrays in the global frame of
+`nkspace`, where g(a, b) is `gram_product(a, b)`, J a is `a @ J_MAT.T` and
+P a is `a @ P_MAT.T`.  The partials' coefficients and the first fundamental
+form are computed once per grid (`ImmersionGrid.partials`).
+
 Derivatives are second-order finite differences throughout; every residual
 statistic is taken on the grid interior (two-cell margin) because one-sided
 edge stencils degrade the order.
@@ -17,21 +22,13 @@ edge stencils degrade the order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import quat
 from .nkspace import (
-    CONN,
-    SQRT3,
-    Point,
-    Tangent,
-    apply_J,
-    apply_P,
-    frame_coords,
-    from_frame_coords,
-    gnorm,
-    metric,
+    CONN, FLIP, J_MAT, P_MAT, SQRT3, Point, gram_product, validate_tol_scale,
 )
 
 __all__ = [
@@ -44,6 +41,7 @@ __all__ = [
     "interior",
     "partials",
     "almost_complex_residual",
+    "require_adapted",
     "span_defect",
     "extract_coefficients",
     "rotate_pair",
@@ -74,8 +72,6 @@ class ImmersionGrid:
     """Regular (u, v) parameter grid of points on the product manifold.
 
     `p` and `q` have shape (nu, nv, 4); axis 0 walks u, axis 1 walks v.
-    `adapted` records the intent that the v-derivative equals J applied to
-    the u-derivative; analysis code measures the actual defect.
     """
 
     u0: float
@@ -84,7 +80,6 @@ class ImmersionGrid:
     dv: float
     p: np.ndarray
     q: np.ndarray
-    adapted: bool = True
 
     @property
     def nu(self):
@@ -106,8 +101,13 @@ class ImmersionGrid:
     def base(self):
         return Point(self.p, self.q)
 
+    @cached_property
+    def partials(self):
+        """The grid's one read-only `GridPartials`, computed on first use."""
+        return partials(self)
 
-def immersion_grid(u0, v0, du, dv, p, q, adapted=True, unit_tol=1e-6):
+
+def immersion_grid(u0, v0, du, dv, p, q, unit_tol=1e-6):
     """Validated grid constructor.
 
     Checks shapes, grid size (at least 5x5), positive steps, unit norms
@@ -124,13 +124,11 @@ def immersion_grid(u0, v0, du, dv, p, q, adapted=True, unit_tol=1e-6):
         raise ValueError(f"grid steps must be positive, got du={du}, dv={dv}")
     grid = ImmersionGrid(
         float(u0), float(v0), float(du), float(dv),
-        quat.unit(p, tol=unit_tol), quat.unit(q, tol=unit_tol), adapted,
+        quat.unit(p, tol=unit_tol), quat.unit(q, tol=unit_tol),
     )
-    gp = partials(grid)
-    slow = min(
-        float(interior(gnorm(gp.phi_u)).min()), float(interior(gnorm(gp.phi_v)).min())
-    )
-    if slow < 1e-8:
+    E, _, G = grid.partials.first_form
+    slow = np.sqrt(max(min(interior(E).min(), interior(G).min()), 0.0))
+    if not slow >= 1e-8:
         raise ValueError(f"grid is not an immersion (derivative norm {slow:.3e})")
     return grid
 
@@ -144,47 +142,80 @@ def interior(field, margin=2):
 class GridPartials:
     """Finite-difference coordinate derivatives of an immersion grid.
 
-    The raw derivatives are projected to exact tangency (the component along
-    the base point is removed); `projection_max` records the largest removed
-    component over the grid interior, which doubles as the real-part defect
-    of the logarithmic derivatives.
+    `cu` and `cv` (shape (nu, nv, 6)) are the frame coefficients of phi_u
+    and phi_v: the imaginary parts of p^-1 dp and q^-1 dq, sign-flipped as
+    in `nkspace.frame_coords`.  Dropping the real parts projects the raw
+    derivatives to exact tangency; `projection_max` records the largest
+    dropped real part over the grid interior.
     """
 
     grid: ImmersionGrid
-    phi_u: Tangent
-    phi_v: Tangent
+    cu: np.ndarray
+    cv: np.ndarray
     projection_max: float
 
-
-def _project_tangent(base_q, deriv):
-    radial = quat.dot(deriv, base_q)
-    return deriv - radial[..., None] * base_q, float(interior(np.abs(radial)).max())
+    @cached_property
+    def first_form(self):
+        """(E, F, G), computed on first use."""
+        return induced_metric(self)
 
 
 def partials(grid):
-    """Central-difference partial derivatives, one-sided at the edges."""
-    base = grid.base
+    """Central-difference partial derivatives, one-sided at the edges, as
+    frame coefficients."""
     worst = 0.0
     comps = []
     for arr in (grid.p, grid.q):
+        conj = quat.qconj(arr)
         for axis, step in ((0, grid.du), (1, grid.dv)):
-            raw = np.gradient(arr, step, axis=axis, edge_order=2)
-            tan, dev = _project_tangent(arr, raw)
-            comps.append(tan)
-            worst = max(worst, dev)
+            log = quat.qmul(conj, np.gradient(arr, step, axis=axis, edge_order=2))
+            worst = max(worst, float(interior(np.abs(log[..., 0])).max()))
+            comps.append(quat.imag(log) * FLIP)
     pu, pv, qu, qv = comps
-    return GridPartials(
-        grid,
-        Tangent(base, pu, qu),
-        Tangent(base, pv, qv),
-        worst,
-    )
+    cu = np.concatenate([pu, qu], axis=-1)
+    cv = np.concatenate([pv, qv], axis=-1)
+    cu.flags.writeable = cv.flags.writeable = False
+    return GridPartials(grid, cu, cv, worst)
+
+
+def _norm(c):
+    """Metric norm of frame coefficients."""
+    return np.sqrt(np.maximum(gram_product(c, c), 0.0))
+
+
+def _normal_part(gp, w):
+    """Component of the coefficient field `w` normal to span{phi_u, phi_v}:
+    the 2x2 normal equations solved on the stored (E, F, G)."""
+    E, F, G = gp.first_form
+    det = E * G - F * F
+    a = gram_product(w, gp.cu)
+    b = gram_product(w, gp.cv)
+    lam = (G * a - F * b) / det
+    mu = (E * b - F * a) / det
+    return w - lam[..., None] * gp.cu - mu[..., None] * gp.cv
 
 
 def almost_complex_residual(gp):
     """Pointwise metric norm of phi_v minus J phi_u, relative to |phi_u|."""
-    defect = gp.phi_v - apply_J(gp.phi_u)
-    return gnorm(defect) / gnorm(gp.phi_u)
+    return _norm(gp.cv - gp.cu @ J_MAT.T) / np.sqrt(gp.first_form[0])
+
+
+def require_adapted(grid, tol_scale=1.0, gate=0.05):
+    """Largest interior almost-complex defect of the grid.
+
+    Raises ValueError unless it stays below `gate * tol_scale`; a NaN
+    defect or limit fails the gate.
+    """
+    gp = grid.partials
+    ac_max = float(interior(almost_complex_residual(gp)).max())
+    limit = gate * tol_scale
+    if not ac_max <= limit:
+        raise ValueError(
+            "grid is not adapted: relative almost-complex defect "
+            f"{ac_max:.3e} exceeds {limit:.1e} "
+            f"(real-part residual {gp.projection_max:.3e})"
+        )
+    return ac_max
 
 
 def span_defect(gp):
@@ -193,10 +224,7 @@ def span_defect(gp):
     Coordinate-free counterpart of `almost_complex_residual`: zero whenever
     the tangent plane is J-invariant, however the patch is parametrized.
     """
-    target = apply_J(gp.phi_u)
-    lam, mu = _tangential_coefficients(gp, target)
-    rest = target - lam * gp.phi_u - mu * gp.phi_v
-    return gnorm(rest) / gnorm(gp.phi_u)
+    return _norm(_normal_part(gp, gp.cu @ J_MAT.T)) / np.sqrt(gp.first_form[0])
 
 
 def rotate_pair(alpha_t, beta_t):
@@ -218,8 +246,9 @@ class CoefficientFields:
     """Logarithmic-derivative coefficient fields of an adapted immersion.
 
     alpha_t, beta_t, gamma_t, delta_t are the imaginary parts of
-    p^-1 p_u, p^-1 p_v, q^-1 q_u, q^-1 q_v on the grid; (alpha, beta) is the
-    pair (alpha_t, beta_t) rotated by `theta`.  `real_part_max` records the
+    p^-1 p_u, p^-1 p_v, q^-1 q_u, q^-1 q_v on the grid (the frame
+    coefficients, sign flip undone); (alpha, beta) is the pair
+    (alpha_t, beta_t) rotated by `theta`.  `real_part_max` records the
     largest real part seen before discarding (a finite-difference defect).
     """
 
@@ -233,24 +262,23 @@ class CoefficientFields:
     real_part_max: float
 
 
-def extract_coefficients(grid, gp=None, max_real_part=1e-4):
+def extract_coefficients(grid, max_real_part=1e-4):
     """Coefficient fields of an adapted grid.
 
     Raises ValueError when the real-part defect of the logarithmic
     derivatives exceeds `max_real_part`; that signals a grid that is not a
     smooth unit-quaternion immersion sampled finely enough.
     """
-    if gp is None:
-        gp = partials(grid)
+    gp = grid.partials
     if gp.projection_max > max_real_part:
         raise ValueError(
             "logarithmic derivatives are far from imaginary "
             f"(real-part residual {gp.projection_max:.3e} > {max_real_part:.1e})"
         )
-    alpha_t = quat.imag(quat.qmul(quat.qconj(grid.p), gp.phi_u.u))
-    beta_t = quat.imag(quat.qmul(quat.qconj(grid.p), gp.phi_v.u))
-    gamma_t = quat.imag(quat.qmul(quat.qconj(grid.q), gp.phi_u.v))
-    delta_t = quat.imag(quat.qmul(quat.qconj(grid.q), gp.phi_v.v))
+    alpha_t = gp.cu[..., :3] * FLIP
+    beta_t = gp.cv[..., :3] * FLIP
+    gamma_t = gp.cu[..., 3:] * FLIP
+    delta_t = gp.cv[..., 3:] * FLIP
     alpha, beta = rotate_pair(alpha_t, beta_t)
     return CoefficientFields(
         alpha_t, beta_t, gamma_t, delta_t, alpha, beta, THETA, gp.projection_max
@@ -306,9 +334,9 @@ def lambda_quadratic(x, y):
 def lambda_field(gp):
     """Holomorphic quadratic coefficient from the metric-level definition:
     twice its value is g(P phi_u, phi_u) - i g(P phi_u, J phi_u)."""
-    pu = apply_P(gp.phi_u)
-    re = metric(pu, gp.phi_u)
-    im = -metric(pu, apply_J(gp.phi_u))
+    pu = gp.cu @ P_MAT.T
+    re = gram_product(pu, gp.cu)
+    im = -gram_product(pu, gp.cu @ J_MAT.T)
     return 0.5 * (re + 1j * im)
 
 
@@ -328,11 +356,13 @@ def cr_residuals(cf, du, dv, margin=2):
 
 
 def induced_metric(gp):
-    """First fundamental form fields (E, F, G) of the immersion."""
-    E = metric(gp.phi_u, gp.phi_u)
-    F = metric(gp.phi_u, gp.phi_v)
-    G = metric(gp.phi_v, gp.phi_v)
-    return E, F, G
+    """First fundamental form fields (E, F, G), read-only; analysis code
+    reads the copy cached as `gp.first_form`."""
+    cu, cv = gp.cu, gp.cv
+    efg = gram_product(cu, cu), gram_product(cu, cv), gram_product(cv, cv)
+    for a in efg:
+        a.flags.writeable = False
+    return efg
 
 
 def second_derivative(f, h, axis):
@@ -389,22 +419,10 @@ def brioschi_curvature(E, F, G, du, dv):
 
 def gaussian_curvature(gp):
     """Gaussian curvature field of the induced metric."""
-    E, F, G = induced_metric(gp)
-    return brioschi_curvature(E, F, G, gp.grid.du, gp.grid.dv)
+    return brioschi_curvature(*gp.first_form, gp.grid.du, gp.grid.dv)
 
 
-def _tangential_coefficients(gp, W):
-    """Solve the 2x2 normal equations projecting W onto span{phi_u, phi_v}."""
-    E, F, G = induced_metric(gp)
-    det = E * G - F * F
-    a = metric(W, gp.phi_u)
-    b = metric(W, gp.phi_v)
-    lam = (G * a - F * b) / det
-    mu = (-F * a + E * b) / det
-    return lam, mu
-
-
-def _grid_covariant(grid, x_coeff, field_coeff, step, axis):
+def _grid_covariant(x_coeff, field_coeff, step, axis):
     """Frame coefficients of the ambient covariant derivative of a grid
     tangent field along one coordinate direction.
 
@@ -422,48 +440,39 @@ def _grid_covariant(grid, x_coeff, field_coeff, step, axis):
 class SecondFundamentalForm:
     """Normal-valued second derivatives of the immersion on the grid.
 
-    huu, huv, hvv are the normal projections of the ambient covariant
-    derivatives of phi_u, phi_v along the coordinate directions; `unit_norm`
-    is the largest of their metric norms after normalizing both slots to
-    unit vectors, and `trace_norm` the norm of the metric trace (twice the
-    mean curvature vector).
+    huu, huv, hvv are the frame coefficients (shape (nu, nv, 6)) of the
+    normal projections of the ambient covariant derivatives of phi_u, phi_v
+    along the coordinate directions; `unit_norm` is the largest of their
+    metric norms after normalizing both slots to unit vectors, and
+    `trace_norm` the norm of the metric trace (twice the mean curvature
+    vector).
     """
 
-    huu: Tangent
-    huv: Tangent
-    hvv: Tangent
+    huu: np.ndarray
+    huv: np.ndarray
+    hvv: np.ndarray
     unit_norm: np.ndarray
     trace_norm: np.ndarray
 
 
-def second_fundamental_form(grid, gp=None):
-    if gp is None:
-        gp = partials(grid)
-    base = grid.base
-    cu = frame_coords(gp.phi_u)
-    cv = frame_coords(gp.phi_v)
-    duu = _grid_covariant(grid, cu, cu, grid.du, 0)
-    duv = _grid_covariant(grid, cu, cv, grid.du, 0)
-    dvv = _grid_covariant(grid, cv, cv, grid.dv, 1)
-    E, F, G = induced_metric(gp)
+def second_fundamental_form(grid):
+    gp = grid.partials
+    cu, cv = gp.cu, gp.cv
+    huu = _normal_part(gp, _grid_covariant(cu, cu, grid.du, 0))
+    huv = _normal_part(gp, _grid_covariant(cu, cv, grid.du, 0))
+    hvv = _normal_part(gp, _grid_covariant(cv, cv, grid.dv, 1))
+    E, F, G = gp.first_form
     det = E * G - F * F
-    out = []
-    for dc in (duu, duv, dvv):
-        D = from_frame_coords(base, dc)
-        lam, mu = _tangential_coefficients(gp, D)
-        out.append(D - lam * gp.phi_u - mu * gp.phi_v)
-    huu, huv, hvv = out
     unit_norm = np.maximum(
-        gnorm(huu) / E, np.maximum(gnorm(huv) / np.sqrt(E * G), gnorm(hvv) / G)
+        _norm(huu) / E, np.maximum(_norm(huv) / np.sqrt(E * G), _norm(hvv) / G)
     )
-    trace = (G[..., None] * np.stack([huu.u, huu.v], 0)
-             - 2.0 * F[..., None] * np.stack([huv.u, huv.v], 0)
-             + E[..., None] * np.stack([hvv.u, hvv.v], 0)) / det[..., None]
-    trace_t = Tangent(base, trace[0], trace[1])
-    return SecondFundamentalForm(huu, huv, hvv, unit_norm, gnorm(trace_t))
+    trace = (
+        G[..., None] * huu - 2.0 * F[..., None] * huv + E[..., None] * hvv
+    ) / det[..., None]
+    return SecondFundamentalForm(huu, huv, hvv, unit_norm, _norm(trace))
 
 
-def classify_P_alignment(grid, gp=None, tol=None):
+def classify_P_alignment(grid, tol=None):
     """Alignment of the almost product structure with the tangent plane.
 
     Returns "normal" when P maps the tangent plane into the normal space
@@ -471,18 +480,15 @@ def classify_P_alignment(grid, gp=None, tol=None):
     "mixed" otherwise.  The default tolerance scales with the squared grid
     step, matching the finite-difference error floor.
     """
-    if gp is None:
-        gp = partials(grid)
+    gp = grid.partials
     if tol is None:
         tol = max(1e-8, 100.0 * max(grid.du, grid.dv) ** 2)
-    pu = apply_P(gp.phi_u)
-    scale = gnorm(pu) * gnorm(gp.phi_u)
-    a = np.abs(metric(pu, gp.phi_u)) / scale
-    b = np.abs(metric(pu, gp.phi_v)) / scale
+    pu = gp.cu @ P_MAT.T
+    scale = _norm(pu) * np.sqrt(gp.first_form[0])
+    a = np.abs(gram_product(pu, gp.cu)) / scale
+    b = np.abs(gram_product(pu, gp.cv)) / scale
     normal_dev = float(interior(np.maximum(a, b)).max())
-    lam, mu = _tangential_coefficients(gp, pu)
-    rest = pu - lam * gp.phi_u - mu * gp.phi_v
-    tangent_dev = float(interior(gnorm(rest) / gnorm(pu)).max())
+    tangent_dev = float(interior(_norm(_normal_part(gp, pu)) / _norm(pu)).max())
     if normal_dev < tol:
         return "normal"
     if tangent_dev < tol:
@@ -494,25 +500,19 @@ def analyze(grid, seed=0, tol_scale=1.0, adapted_gate=0.05):
     """Full summary report of an adapted immersion grid.
 
     The report dict uses a fixed key schema (see the CLI docs).  Raises
-    ValueError when the grid is not adapted: the relative almost-complex
-    defect must stay below `adapted_gate`.
+    ValueError when `tol_scale` is not finite and positive, and when the
+    grid is not adapted (`require_adapted` with `adapted_gate`).
     """
-    gp = partials(grid)
-    ac = almost_complex_residual(gp)
-    ac_max = float(interior(ac).max())
-    if ac_max > adapted_gate * tol_scale:
-        raise ValueError(
-            "grid is not adapted: relative almost-complex defect "
-            f"{ac_max:.3e} exceeds {adapted_gate * tol_scale:.1e} "
-            f"(real-part residual {gp.projection_max:.3e})"
-        )
-    cf = extract_coefficients(grid, gp)
+    tol_scale = validate_tol_scale(tol_scale)
+    ac_max = require_adapted(grid, tol_scale, adapted_gate)
+    gp = grid.partials
+    cf = extract_coefficients(grid)
     r21, r22, r23 = integrability_residuals(cf, grid.du, grid.dv)
     cr = cr_residuals(cf, grid.du, grid.dv)
     lam = lambda_field(gp)
     K = gaussian_curvature(gp)
     K_int = interior(K)
-    sff = second_fundamental_form(grid, gp)
+    sff = second_fundamental_form(grid)
     return {
         "almost_complex_max": ac_max,
         "integrability_21_max": r21,
@@ -523,7 +523,7 @@ def analyze(grid, seed=0, tol_scale=1.0, adapted_gate=0.05):
         "K_mean": float(K_int.mean()),
         "K_max_dev": float(np.abs(K_int - K_int.mean()).max()),
         "h_norm_max": float(interior(sff.unit_norm).max()),
-        "classification": classify_P_alignment(grid, gp),
+        "classification": classify_P_alignment(grid),
         "grid": {
             "u0": grid.u0,
             "v0": grid.v0,

@@ -249,23 +249,27 @@ def test_criterion_09_surface_from_sphere_potential(sphere_runs):
 
 def _cylinder_form_checks(grid):
     gp = sf.partials(grid)
-    sff = sf.second_fundamental_form(grid, gp)
+    sff = sf.second_fundamental_form(grid)
     E, F, G = sf.induced_metric(gp)
-    sq_u = (nk.gnorm(sff.huu) / E) ** 2
-    sq_v = (nk.gnorm(sff.hvv) / G) ** 2
+    base = grid.base
+    huu, huv, hvv = (
+        nk.from_frame_coords(base, h) for h in (sff.huu, sff.huv, sff.hvv)
+    )
+    sq_u = (nk.gnorm(huu) / E) ** 2
+    sq_v = (nk.gnorm(hvv) / G) ** 2
     unit_dev = max(
         float(sf.interior(np.abs(sq_u - 1.0 / 3.0)).max()),
         float(sf.interior(np.abs(sq_v - 1.0 / 3.0)).max()),
     )
     trace = float(sf.interior(sff.trace_norm).max())
     j_res = float(
-        sf.interior(nk.gnorm(sff.huv - nk.apply_J(sff.huu)) / E).max()
+        sf.interior(nk.gnorm(huv - nk.apply_J(huu)) / E).max()
     )
-    pu = nk.apply_P(gp.phi_u)
+    pu = nk.apply_P(nk.from_frame_coords(base, gp.cu))
     scale = E**1.5
     p_res = max(
         float(sf.interior(np.abs(nk.metric(h, pu)) / scale).max())
-        for h in (sff.huu, sff.huv, sff.hvv)
+        for h in (huu, huv, hvv)
     )
     return unit_dev, trace, j_res, p_res
 

@@ -166,3 +166,35 @@ def test_console_entry_point(tmp_path):
     assert r.returncode == 0
     assert json.loads(out.read_text())["ok"] is True
     assert json.loads(r.stdout) == json.loads(out.read_text())
+
+
+def _probe_csv(tmp_path):
+    # the 41x41 non-adapted control grid on [0, 1]^2
+    grid = fixtures.non_adapted_grid(
+        fixtures.default_spec("example1", nu=41, nv=41, du=0.025, dv=0.025)
+    )
+    csv = tmp_path / "bad.csv"
+    io.write_immersion_csv(csv, grid)
+    return csv
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, value):
+    csv = _probe_csv(tmp_path)
+    for argv in (
+        ("--command", "analyze", "--input", str(csv)),
+        ("--command", "verify", "--samples", "10"),
+    ):
+        code, rep, err = run(capsys, *argv, "--tol-scale", value)
+        assert code == 3 and rep is None
+        assert "tol_scale must be finite and positive" in err
+
+
+def test_to_h_rejects_non_adapted(tmp_path, capsys):
+    csv = _probe_csv(tmp_path)
+    out = tmp_path / "eps.csv"
+    code, rep, err = run(capsys, "--command", "to-h", "--input", str(csv),
+                         "--output", str(out))
+    assert code == 3 and rep is None
+    assert "not adapted" in err
+    assert not out.exists()

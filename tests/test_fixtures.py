@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nks3 import fixtures, hsystem, quat
+from nks3 import cli, fixtures, hsystem, quat
 from nks3 import surface as sf
 from nks3.nkspace import SQRT3
 
@@ -89,7 +89,6 @@ def test_non_adapted_control():
     grid = fixtures.non_adapted_grid(
         fixtures.default_spec("example1", nu=15, nv=15, du=5e-2, dv=5e-2)
     )
-    assert not grid.adapted
     res = sf.interior(sf.almost_complex_residual(sf.partials(grid)))
     assert res.max() > 0.3
 
@@ -114,3 +113,15 @@ def test_grids_are_unit_quaternions():
         grid = fixtures.make_fixture(fixtures.default_spec(name, nu=15, nv=15))
         assert np.abs(quat.norm(grid.p) - 1.0).max() < 1e-12
         assert np.abs(quat.norm(grid.q) - 1.0).max() < 1e-12
+
+
+def test_cmc_sphere_wide_window_hits_pole_margin(tmp_path):
+    # the mirrored orientation would fit this window but does not solve the
+    # equation; the fixture must refuse instead
+    spec = fixtures.default_spec("cmc_sphere", nu=15, nv=61, du=0.1, dv=0.1)
+    with pytest.raises(ValueError, match="pole margin"):
+        fixtures.cmc_sphere_epsilon(spec)
+    out = tmp_path / "s.csv"
+    code = cli.main(["--command", "fixture", "--fixture", "cmc_sphere",
+                     "--nu", "201", "--nv", "801", "--output", str(out)])
+    assert code == 3 and not out.exists()

@@ -194,3 +194,27 @@ def test_metric_factor_not_applicable_example1():
     out = hsys.metric_factor_check(grid, hs)
     assert out["status"] == "not_applicable"
     assert out["lambda_max_abs"] > 0.5
+
+
+def test_to_potential_refuses_non_adapted_grid():
+    grid = fixtures.non_adapted_grid(
+        fixtures.default_spec("example1", nu=41, nv=41, du=0.025, dv=0.025)
+    )
+    with pytest.raises(ValueError, match="not adapted"):
+        hsys.epsilon_from_surface(grid)
+    adapted = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
+    _, cert = hsys.epsilon_from_surface(adapted)
+    assert cert["almost_complex_max"] < 2e-5
+
+
+@pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
+def test_epsilon_from_surface_rejects_bad_tol_scale(tol_scale):
+    grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
+    with pytest.raises(ValueError, match="tol_scale"):
+        hsys.epsilon_from_surface(grid, tol_scale=tol_scale)
+
+
+@pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
+def test_surface_from_epsilon_rejects_bad_tol_scale(tol_scale):
+    with pytest.raises(ValueError, match="tol_scale"):
+        hsys.surface_from_epsilon(sphere_hs(15), tol_scale=tol_scale)

@@ -253,3 +253,9 @@ def test_identity_report_flags_scaled_J():
 
 def test_identity_report_empty_for_zero_samples():
     assert nk.identity_report(samples=0) == {}
+
+
+@pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
+def test_verify_rejects_bad_tol_scale(tol_scale):
+    with pytest.raises(ValueError, match="tol_scale"):
+        nk.verify(samples=10, tol_scale=tol_scale)

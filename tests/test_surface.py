@@ -35,11 +35,13 @@ def test_partials_match_analytic_derivative():
     spec = small_spec("example1")
     grid = fixtures.example1_grid(spec)
     gp = sf.partials(grid)
+    phi_u = nk.from_frame_coords(grid.base, gp.cu)
+    phi_v = nk.from_frame_coords(grid.base, gp.cv)
     # p = exp(i(u - v/sqrt3)): p_u = p i, p_v = -p i / sqrt3
     pu_exact = quat.qmul(grid.p, quat.QI)
     pv_exact = -pu_exact / SQ3
-    assert np.abs(sf.interior(gp.phi_u.u - pu_exact)).max() < 2e-5
-    assert np.abs(sf.interior(gp.phi_v.u - pv_exact)).max() < 2e-5
+    assert np.abs(sf.interior(phi_u.u - pu_exact)).max() < 2e-5
+    assert np.abs(sf.interior(phi_v.u - pv_exact)).max() < 2e-5
     assert gp.projection_max < 1e-10
 
 
@@ -205,10 +207,14 @@ def test_second_fundamental_form_symmetry_example2():
     grid = fixtures.example2_grid(small_spec("example2", n=31))
     sff = sf.second_fundamental_form(grid)
     gp = sf.partials(grid)
+    base = grid.base
+    phi_u = nk.from_frame_coords(base, gp.cu)
+    phi_v = nk.from_frame_coords(base, gp.cv)
     # h is normal-valued: residual inner products with the tangent plane
-    for hh in (sff.huu, sff.huv, sff.hvv):
-        a = np.abs(nk.metric(hh, gp.phi_u))
-        b = np.abs(nk.metric(hh, gp.phi_v))
+    for hc in (sff.huu, sff.huv, sff.hvv):
+        hh = nk.from_frame_coords(base, hc)
+        a = np.abs(nk.metric(hh, phi_u))
+        b = np.abs(nk.metric(hh, phi_v))
         assert sf.interior(np.maximum(a, b)).max() < 1e-10
 
 
@@ -235,3 +241,68 @@ def test_analyze_report_schema_and_values():
     assert abs(rep["K_mean"]) < 1e-8
     assert abs(rep["lambda_max_abs"] - 2.0 / 3.0) < 1e-4
     assert rep["grid"]["nu"] == 31 and rep["grid"]["du"] == 1e-2
+
+
+@pytest.mark.parametrize("name", ["example2", "example1"])
+def test_frame_kernel_matches_ambient_operators(name):
+    # coefficient results against the ambient quaternion operators, on a
+    # random isometry image of a fixture grid (general position); lambda
+    # vanishes on the round sphere, so the flat torus checks it too
+    spec = small_spec(name, n=31)
+    fixture = fixtures.make_fixture(spec)
+    moved = nk.random_isometry(np.random.default_rng(5)).apply_point(fixture.base)
+    grid = sf.immersion_grid(spec.u0, spec.v0, spec.du, spec.dv, moved.p, moved.q)
+    base = grid.base
+    gp = grid.partials
+
+    def ambient_partial(axis, step):
+        comps = []
+        for arr in (grid.p, grid.q):
+            raw = np.gradient(arr, step, axis=axis, edge_order=2)
+            comps.append(raw - quat.dot(raw, arr)[..., None] * arr)
+        return nk.tangent(base, *comps)
+
+    phi_u = ambient_partial(0, spec.du)
+    phi_v = ambient_partial(1, spec.dv)
+    assert np.abs(nk.frame_coords(phi_u) - gp.cu).max() < 1e-12
+    assert np.abs(nk.frame_coords(phi_v) - gp.cv).max() < 1e-12
+
+    E, F, G = nk.metric(phi_u, phi_u), nk.metric(phi_u, phi_v), nk.metric(phi_v, phi_v)
+    for got, want in zip(gp.first_form, (E, F, G)):
+        assert np.abs(got - want).max() < 1e-12
+
+    j_u = nk.apply_J(phi_u)
+    ac = nk.gnorm(phi_v - j_u) / nk.gnorm(phi_u)
+    assert np.abs(sf.almost_complex_residual(gp) - ac).max() < 1e-12
+    p_u = nk.apply_P(phi_u)
+    lam = 0.5 * (nk.metric(p_u, phi_u) - 1j * nk.metric(p_u, j_u))
+    assert np.abs(sf.lambda_field(gp) - lam).max() < 1e-12
+
+    def normal_part(W):
+        a, b = nk.metric(W, phi_u), nk.metric(W, phi_v)
+        det = E * G - F * F
+        return W - ((G * a - F * b) / det) * phi_u - ((E * b - F * a) / det) * phi_v
+
+    span = nk.gnorm(normal_part(j_u)) / nk.gnorm(phi_u)
+    assert np.abs(sf.span_defect(gp) - span).max() < 1e-12
+    sff = sf.second_fundamental_form(grid)
+    for hc in (sff.huu, sff.huv, sff.hvv):
+        normal = normal_part(nk.from_frame_coords(base, hc))
+        assert np.abs(nk.frame_coords(normal) - hc).max() < 1e-12
+
+
+def test_grid_partials_computed_once_and_read_only():
+    grid = fixtures.example2_grid(small_spec("example2"))
+    gp = grid.partials
+    assert grid.partials is gp
+    assert gp.first_form is gp.first_form
+    for arr in (gp.cu, gp.cv) + gp.first_form:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
+def test_analyze_rejects_bad_tol_scale(tol_scale):
+    grid = fixtures.example1_grid(small_spec("example1"))
+    with pytest.raises(ValueError, match="tol_scale"):
+        sf.analyze(grid, tol_scale=tol_scale)
