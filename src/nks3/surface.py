@@ -33,6 +33,7 @@ from .nkspace import (
 
 __all__ = [
     "THETA",
+    "ADAPTED_GATE",
     "ImmersionGrid",
     "immersion_grid",
     "GridPartials",
@@ -65,6 +66,10 @@ __all__ = [
 THETA = 2.0 * np.pi / 3.0
 _COS_T = float(np.cos(THETA))
 _SIN_T = float(np.sin(THETA))
+
+# an adapted grid keeps its relative almost-complex defect below this,
+# times the caller's tol_scale
+ADAPTED_GATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -146,18 +151,15 @@ class GridPartials:
     and phi_v: the imaginary parts of p^-1 dp and q^-1 dq, sign-flipped as
     in `nkspace.frame_coords`.  Dropping the real parts projects the raw
     derivatives to exact tangency; `projection_max` records the largest
-    dropped real part over the grid interior.
+    dropped real part over the grid interior.  `first_form` is the
+    read-only (E, F, G) computed from them.
     """
 
     grid: ImmersionGrid
     cu: np.ndarray
     cv: np.ndarray
     projection_max: float
-
-    @cached_property
-    def first_form(self):
-        """(E, F, G), computed on first use."""
-        return induced_metric(self)
+    first_form: tuple
 
 
 def partials(grid):
@@ -175,7 +177,7 @@ def partials(grid):
     cu = np.concatenate([pu, qu], axis=-1)
     cv = np.concatenate([pv, qv], axis=-1)
     cu.flags.writeable = cv.flags.writeable = False
-    return GridPartials(grid, cu, cv, worst)
+    return GridPartials(grid, cu, cv, worst, induced_metric(cu, cv))
 
 
 def _norm(c):
@@ -200,15 +202,16 @@ def almost_complex_residual(gp):
     return _norm(gp.cv - gp.cu @ J_MAT.T) / np.sqrt(gp.first_form[0])
 
 
-def require_adapted(grid, tol_scale=1.0, gate=0.05):
+def require_adapted(grid, tol_scale):
     """Largest interior almost-complex defect of the grid.
 
-    Raises ValueError unless it stays below `gate * tol_scale`; a NaN
-    defect or limit fails the gate.
+    Raises ValueError when `tol_scale` is not finite and positive, and
+    unless the defect stays below `ADAPTED_GATE * tol_scale`; a NaN defect
+    fails the gate.
     """
+    limit = ADAPTED_GATE * validate_tol_scale(tol_scale)
     gp = grid.partials
     ac_max = float(interior(almost_complex_residual(gp)).max())
-    limit = gate * tol_scale
     if not ac_max <= limit:
         raise ValueError(
             "grid is not adapted: relative almost-complex defect "
@@ -355,10 +358,10 @@ def cr_residuals(cf, du, dv, margin=2):
     return float(interior(stack, margin).max())
 
 
-def induced_metric(gp):
-    """First fundamental form fields (E, F, G), read-only; analysis code
-    reads the copy cached as `gp.first_form`."""
-    cu, cv = gp.cu, gp.cv
+def induced_metric(cu, cv):
+    """First fundamental form fields (E, F, G) of the coefficient fields
+    `cu`, `cv`, read-only; analysis code reads the copy stored as
+    `GridPartials.first_form`."""
     efg = gram_product(cu, cu), gram_product(cu, cv), gram_product(cv, cv)
     for a in efg:
         a.flags.writeable = False
@@ -496,15 +499,14 @@ def classify_P_alignment(grid, tol=None):
     return "mixed"
 
 
-def analyze(grid, seed=0, tol_scale=1.0, adapted_gate=0.05):
+def analyze(grid, seed=0, tol_scale=1.0):
     """Full summary report of an adapted immersion grid.
 
     The report dict uses a fixed key schema (see the CLI docs).  Raises
     ValueError when `tol_scale` is not finite and positive, and when the
-    grid is not adapted (`require_adapted` with `adapted_gate`).
+    grid is not adapted (`require_adapted`).
     """
-    tol_scale = validate_tol_scale(tol_scale)
-    ac_max = require_adapted(grid, tol_scale, adapted_gate)
+    ac_max = require_adapted(grid, tol_scale)
     gp = grid.partials
     cf = extract_coefficients(grid)
     r21, r22, r23 = integrability_residuals(cf, grid.du, grid.dv)

@@ -250,7 +250,7 @@ def test_criterion_09_surface_from_sphere_potential(sphere_runs):
 def _cylinder_form_checks(grid):
     gp = sf.partials(grid)
     sff = sf.second_fundamental_form(grid)
-    E, F, G = sf.induced_metric(gp)
+    E, F, G = sf.induced_metric(gp.cu, gp.cv)
     base = grid.base
     huu, huv, hvv = (
         nk.from_frame_coords(base, h) for h in (sff.huu, sff.huv, sff.hvv)

@@ -155,7 +155,8 @@ def test_cr_residuals_example1_exact():
 
 def test_induced_metric_example1():
     grid = fixtures.example1_grid(small_spec("example1"))
-    E, F, G = sf.induced_metric(sf.partials(grid))
+    gp = sf.partials(grid)
+    E, F, G = sf.induced_metric(gp.cu, gp.cv)
     # alpha_t=(1,0,0), gamma_t=0: E = g((pi,0),(pi,0)) = 4/3; adapted grids
     # are conformal (phi_v = J phi_u), so F = g(phi_u, J phi_u) = 0 and G = E
     assert np.abs(sf.interior(E) - 4.0 / 3.0).max() < 1e-4
@@ -299,6 +300,14 @@ def test_grid_partials_computed_once_and_read_only():
     for arr in (gp.cu, gp.cv) + gp.first_form:
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
+def test_require_adapted_rejects_bad_tol_scale(tol_scale):
+    # the non-adapted control would pass an infinite limit
+    grid = fixtures.non_adapted_grid(small_spec("example2"))
+    with pytest.raises(ValueError, match="tol_scale"):
+        sf.require_adapted(grid, tol_scale)
 
 
 @pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
