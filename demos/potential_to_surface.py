@@ -34,10 +34,7 @@ def gram(h):
     )
 
 
-sa, sb = hsystem.window_overlap(
-    hs.u0, hs.v0, hs.nu, hs.nv,
-    hs_back.u0, hs_back.v0, hs_back.nu, hs_back.nv, hs.du, hs.dv,
-)
+sa, sb = hs.overlap(hs_back)
 dev = np.abs(sf.interior(gram(hs)[sa] - gram(hs_back)[sb])).max()
 print("round trip surface -> potential -> surface -> potential:")
 print("  potential gram agreement:", dev, " (second order in the step)")

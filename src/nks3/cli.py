@@ -89,21 +89,7 @@ def _build_parser():
 
 
 def _config_dict(args, **overrides):
-    cfg = {
-        "command": args.command,
-        "input": args.input,
-        "output": args.output,
-        "nu": args.nu,
-        "nv": args.nv,
-        "du": args.du,
-        "dv": args.dv,
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol_scale": args.tol_scale,
-        "fixture": args.fixture,
-    }
-    cfg.update(overrides)
-    return cfg
+    return {**vars(args), **overrides}
 
 
 def _emit(report, args, sidecar_for=None):
@@ -127,9 +113,9 @@ def cmd_verify(args):
         samples=args.samples, seed=args.seed,
         tol_scale=args.tol_scale, j_scale=j_scale,
     )
-    flagged = sorted(k for k in residuals if residuals[k] > thresholds[k])
+    flagged = sorted(k for k in residuals if not residuals[k] <= thresholds[k])
     report = {
-        "config": _config_dict(args),
+        "config": _config_dict(args, j_scale=j_scale),
         "version": VERSION_STRING,
         "ok": bool(ok),
         "flagged": flagged,

@@ -16,11 +16,12 @@ import numpy as np
 
 from .hsystem import h_surface_grid
 from .nkspace import SQRT3
-from .surface import immersion_grid
+from .surface import Lattice, immersion_grid, lattice
 
 __all__ = [
     "FIXTURE_NAMES",
     "FixtureSpec",
+    "POLE_MARGIN",
     "default_spec",
     "example1_grid",
     "example2_grid",
@@ -32,55 +33,33 @@ __all__ = [
     "CYLINDER_RADIUS",
 ]
 
-FIXTURE_NAMES = ("example1", "example2", "cmc_sphere", "cmc_cylinder")
-
 SPHERE_RADIUS = SQRT3 / 2.0
 CYLINDER_RADIUS = SQRT3 / 4.0
 
 
+# the sphere fixtures keep their conformal factor above this, off the poles
+POLE_MARGIN = 0.2
+
+
 @dataclass(frozen=True)
-class FixtureSpec:
-    """Window, steps and counts for one named fixture grid."""
+class FixtureSpec(Lattice):
+    """The `Lattice` of one named fixture grid."""
 
     name: str
-    u0: float
-    v0: float
-    du: float
-    dv: float
-    nu: int
-    nv: int
-    pole_margin: float = 0.2
-
-    def u_vals(self):
-        return self.u0 + self.du * np.arange(self.nu)
-
-    def v_vals(self):
-        return self.v0 + self.dv * np.arange(self.nv)
 
 
 def default_spec(name, nu=None, nv=None, du=None, dv=None):
     """Per-fixture default windows, centered where the geometry wants it."""
-    if name not in FIXTURE_NAMES:
+    if name not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r}, expected one of {FIXTURE_NAMES}")
-    defaults = {
-        "example1": dict(du=1e-2, dv=1e-2, nu=101, nv=101),
-        "example2": dict(du=5e-3, dv=5e-3, nu=201, nv=201),
-        "cmc_sphere": dict(du=6e-3, dv=6e-3, nu=201, nv=201),
-        "cmc_cylinder": dict(du=6e-3, dv=6e-3, nu=201, nv=201),
-    }[name]
-    du = defaults["du"] if du is None else float(du)
-    dv = defaults["dv"] if dv is None else float(dv)
-    nu = defaults["nu"] if nu is None else int(nu)
-    nv = defaults["nv"] if nv is None else int(nv)
-    u0, v0 = 0.0, 0.0
-    if name == "example2":
-        # center the conformal coordinate so the window stays off the poles
-        u0 = -0.5 * (nu - 1) * du
-    elif name == "cmc_sphere":
-        v0 = -0.5 * (nv - 1) * dv
-    elif name == "cmc_cylinder":
-        v0 = -0.5 * (nv - 1) * dv
-    return FixtureSpec(name, u0, v0, du, dv, nu, nv)
+    _, step, count, centred = _FIXTURES[name]
+    du = step if du is None else float(du)
+    dv = step if dv is None else float(dv)
+    nu = count if nu is None else int(nu)
+    nv = count if nv is None else int(nv)
+    u0 = -0.5 * (nu - 1) * du if centred == 0 else 0.0
+    v0 = -0.5 * (nv - 1) * dv if centred == 1 else 0.0
+    return FixtureSpec(**lattice(u0, v0, du, dv, nu, nv).window(), name=name)
 
 
 def _circle(angle):
@@ -96,8 +75,8 @@ def example1_grid(spec):
     fixed linear change from the natural per-factor angles, chosen so the
     v-derivative is J applied to the u-derivative identically.
     """
-    u = spec.u_vals()[:, None]
-    v = spec.v_vals()[None, :]
+    u = spec.u_vals[:, None]
+    v = spec.v_vals[None, :]
     s = u - v / SQRT3
     t = -2.0 * v / SQRT3 + 0.0 * u
     return immersion_grid(spec.u0, spec.v0, spec.du, spec.dv, _circle(s), _circle(t))
@@ -110,17 +89,17 @@ def example2_grid(spec):
     (c - s x, c + s x) with c = 1/2 and s = sqrt3/2 (real part c, imaginary
     part along x).  Spherical coordinates are conformally reparametrized in
     the polar angle so the grid is adapted; the window must keep the
-    conformal factor above `pole_margin`.
+    conformal factor above `POLE_MARGIN`.
     """
-    a = spec.u_vals()
+    a = spec.u_vals
     sin_u = 1.0 / np.cosh(a)
-    if float(sin_u.min()) < spec.pole_margin:
+    if float(sin_u.min()) < POLE_MARGIN:
         raise ValueError(
             f"window reaches a conformal factor {sin_u.min():.3f}, below the "
-            f"pole margin {spec.pole_margin}"
+            f"pole margin {POLE_MARGIN}"
         )
     cos_u = -np.tanh(a)
-    v = spec.v_vals()
+    v = spec.v_vals
     x = np.empty((spec.nu, spec.nv, 3))
     x[..., 0] = sin_u[:, None] * np.cos(v)[None, :]
     x[..., 1] = sin_u[:, None] * np.sin(v)[None, :]
@@ -134,15 +113,15 @@ def example2_grid(spec):
 def cmc_sphere_epsilon(spec):
     """Round sphere of radius sqrt3/2 in conformal coordinates: u is the
     longitude, v the Mercator coordinate (the mirrored orientation does not
-    solve the equation); the conformal factor must stay above `pole_margin`."""
+    solve the equation); the conformal factor must stay above `POLE_MARGIN`."""
     r = SPHERE_RADIUS
-    lon = spec.u_vals()[:, None]
-    mer = spec.v_vals()[None, :]
+    lon = spec.u_vals[:, None]
+    mer = spec.v_vals[None, :]
     sech = 1.0 / np.cosh(mer)
-    if float(sech.min()) < spec.pole_margin:
+    if float(sech.min()) < POLE_MARGIN:
         raise ValueError(
             f"conformal factor {sech.min():.3f} below pole margin "
-            f"{spec.pole_margin}"
+            f"{POLE_MARGIN}"
         )
     eps = np.stack(
         [
@@ -160,8 +139,8 @@ def cmc_cylinder_epsilon(spec):
     around the axis and v runs along it (the mirrored orientation does not
     solve the equation)."""
     r = CYLINDER_RADIUS
-    wrap = spec.u_vals()[:, None]
-    axis = spec.v_vals()[None, :]
+    wrap = spec.u_vals[:, None]
+    axis = spec.v_vals[None, :]
     eps = np.stack(
         [
             r * np.cos(wrap / r) + 0.0 * axis,
@@ -176,23 +155,28 @@ def cmc_cylinder_epsilon(spec):
 def non_adapted_grid(spec):
     """Negative control: a smooth immersion whose tangent planes are not
     J-invariant (independent circle factors along different axes)."""
-    u = spec.u_vals()[:, None]
-    v = spec.v_vals()[None, :]
+    u = spec.u_vals[:, None]
+    v = spec.v_vals[None, :]
     p = _circle(u + 0.0 * v)
     zero = np.zeros((spec.nu, spec.nv))
     q = np.stack([np.cos(v) + 0.0 * u, zero, np.sin(v) + 0.0 * u, zero], axis=-1)
     return immersion_grid(spec.u0, spec.v0, spec.du, spec.dv, p, q)
 
 
+# name -> (builder, default step, default point count, centred axis); the
+# centred axis keeps a conformal coordinate symmetric about its equator
+_FIXTURES = {
+    "example1": (example1_grid, 1e-2, 101, None),
+    "example2": (example2_grid, 5e-3, 201, 0),
+    "cmc_sphere": (cmc_sphere_epsilon, 6e-3, 201, 1),
+    "cmc_cylinder": (cmc_cylinder_epsilon, 6e-3, 201, 1),
+}
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
 def make_fixture(spec):
     """Dispatch a FixtureSpec to its generator; immersion grids and solution
     surfaces are distinguished by the fixture name."""
-    builders = {
-        "example1": example1_grid,
-        "example2": example2_grid,
-        "cmc_sphere": cmc_sphere_epsilon,
-        "cmc_cylinder": cmc_cylinder_epsilon,
-    }
-    if spec.name not in builders:
+    if spec.name not in _FIXTURES:
         raise ValueError(f"unknown fixture {spec.name!r}")
-    return builders[spec.name](spec)
+    return _FIXTURES[spec.name][0](spec)

@@ -12,6 +12,10 @@ discretized here; each emits a certificate (path-independence or
 cross-ordering compatibility residual) that callers must treat as the
 correctness signal, because sampled inputs only satisfy the compatibility
 conditions to discretization error.
+
+Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
+`surface.Lattice`; each integrator's output covers its input window inset
+by one cell.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ import numpy as np
 from . import quat
 from .nkspace import SQRT3, validate_tol_scale
 from .surface import (
+    Lattice,
     almost_complex_residual,
     extract_coefficients,
     immersion_grid,
     interior,
     lambda_field,
+    lattice,
     require_adapted,
     rotate_pair_back,
     second_derivative,
@@ -42,7 +48,6 @@ __all__ = [
     "surface_from_epsilon",
     "mean_curvature",
     "metric_factor_check",
-    "window_overlap",
     "sphere_fit",
 ]
 
@@ -52,47 +57,31 @@ class CertificateError(RuntimeError):
     compatibility conditions to the expected discretization order."""
 
 
+# the metric factor check applies where |lambda| stays below this
+_LAMBDA_TOL = 1e-4
+
+
 @dataclass(frozen=True)
-class HSurfaceGrid:
-    """Regular grid of values of a map eps: R^2 -> R^3 (shape (nu, nv, 3))."""
+class HSurfaceGrid(Lattice):
+    """Values of a map eps: R^2 -> R^3 over a `Lattice` (shape (nu, nv, 3))."""
 
-    u0: float
-    v0: float
-    du: float
-    dv: float
     eps: np.ndarray
-
-    @property
-    def nu(self):
-        return self.eps.shape[0]
-
-    @property
-    def nv(self):
-        return self.eps.shape[1]
-
-    @property
-    def u_vals(self):
-        return self.u0 + self.du * np.arange(self.nu)
-
-    @property
-    def v_vals(self):
-        return self.v0 + self.dv * np.arange(self.nv)
 
 
 def h_surface_grid(u0, v0, du, dv, eps):
-    """Validated constructor: checks shape, size, steps, and that the
-    first derivatives do not vanish on the interior."""
+    """Validated constructor: checks shape, the window (`lattice`), that
+    every value is finite, and that the first derivatives do not vanish on
+    the interior."""
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 3 or eps.shape[-1] != 3:
         raise ValueError(f"expected an (nu, nv, 3) array, got {eps.shape}")
-    if eps.shape[0] < 5 or eps.shape[1] < 5:
-        raise ValueError(f"grid must be at least 5x5, got {eps.shape[:2]}")
-    if not (du > 0 and dv > 0):
-        raise ValueError(f"grid steps must be positive, got du={du}, dv={dv}")
-    hs = HSurfaceGrid(float(u0), float(v0), float(du), float(dv), eps)
+    window = lattice(u0, v0, du, dv, *eps.shape[:2]).window()
+    if not np.isfinite(eps).all():
+        raise ValueError("potential grid has non-finite values")
+    hs = HSurfaceGrid(**window, eps=eps)
     eu, ev = _eps_partials(hs)
     speed = np.sum(eu * eu, axis=-1) + np.sum(ev * ev, axis=-1)
-    if float(interior(speed).min()) < 1e-10:
+    if not float(interior(speed).min()) >= 1e-10:
         raise ValueError("derivatives vanish on the interior; not a solution surface")
     return hs
 
@@ -103,13 +92,16 @@ def _eps_partials(hs):
     return eu, ev
 
 
+def _laplacian(hs):
+    return second_derivative(hs.eps, hs.du, axis=0) + second_derivative(
+        hs.eps, hs.dv, axis=1
+    )
+
+
 def h_equation_residual(hs):
     """Pointwise norm of the defect of the quadratic second-order equation."""
     eu, ev = _eps_partials(hs)
-    lap = second_derivative(hs.eps, hs.du, axis=0) + second_derivative(
-        hs.eps, hs.dv, axis=1
-    )
-    defect = lap + (4.0 / SQRT3) * np.cross(eu, ev)
+    defect = _laplacian(hs) + (4.0 / SQRT3) * np.cross(eu, ev)
     return np.linalg.norm(defect, axis=-1)
 
 
@@ -143,10 +135,7 @@ def epsilon_from_surface(grid, cf=None, tol_scale=1.0):
     disagree beyond the discretization-order tolerance.
     """
     tol_scale = validate_tol_scale(tol_scale)
-    if grid.nu < 7 or grid.nv < 7:
-        raise ValueError(
-            f"need at least a 7x7 grid to integrate, got {grid.nu}x{grid.nv}"
-        )
+    out = grid.inset(1)
     ac_max = require_adapted(grid, tol_scale)
     if cf is None:
         cf = extract_coefficients(grid)
@@ -154,16 +143,14 @@ def epsilon_from_surface(grid, cf=None, tol_scale=1.0):
     eps_uv = _cumtrapz(a[:, :1], grid.du, axis=0) + _cumtrapz(b, grid.dv, axis=1)
     eps_vu = _cumtrapz(b[:1, :], grid.dv, axis=1) + _cumtrapz(a, grid.du, axis=0)
     loop = float(np.linalg.norm(eps_uv - eps_vu, axis=-1).max())
-    hs = HSurfaceGrid(
-        grid.u0 + grid.du, grid.v0 + grid.dv, grid.du, grid.dv, eps_uv
-    )
+    hs = HSurfaceGrid(**out.window(), eps=eps_uv)
     cert = {
         "almost_complex_max": ac_max,
         "loop_max": loop,
         "h_equation_max": float(interior(h_equation_residual(hs)).max()),
     }
     tol = _default_cert_tol(grid.du, grid.dv, tol_scale)
-    if loop > tol:
+    if not loop <= tol:
         raise CertificateError(
             f"path-ordering residual {loop:.3e} exceeds {tol:.1e}; "
             "the coefficient one-form is not closed to discretization order"
@@ -232,15 +219,12 @@ def surface_from_epsilon(hs, p0=None, q0=None, tol_scale=1.0):
     the equation residual gate or the orderings disagree beyond tolerance.
     """
     tol_scale = validate_tol_scale(tol_scale)
-    if hs.nu < 7 or hs.nv < 7:
-        raise ValueError(
-            f"need at least a 7x7 grid to integrate, got {hs.nu}x{hs.nv}"
-        )
+    out = hs.inset(1)
     p0 = quat.ONE if p0 is None else quat.unit(p0)
     q0 = quat.ONE if q0 is None else quat.unit(q0)
     tol = _default_cert_tol(hs.du, hs.dv, tol_scale)
     eq_res = float(interior(h_equation_residual(hs)).max())
-    if eq_res > tol:
+    if not eq_res <= tol:
         raise CertificateError(
             f"second-order equation residual {eq_res:.3e} exceeds {tol:.1e}; "
             "input is not a solution surface"
@@ -255,13 +239,11 @@ def surface_from_epsilon(hs, p0=None, q0=None, tol_scale=1.0):
     p_u, p_v, drift_p = _integrate_pair(at, bt, hs.du, hs.dv, p0)
     q_u, q_v, drift_q = _integrate_pair(gt, dt, hs.du, hs.dv, q0)
     compat = max(float(np.abs(p_u - p_v).max()), float(np.abs(q_u - q_v).max()))
-    if compat > tol:
+    if not compat <= tol:
         raise CertificateError(
             f"path-ordering disagreement {compat:.3e} exceeds {tol:.1e}"
         )
-    grid = immersion_grid(
-        hs.u0 + hs.du, hs.v0 + hs.dv, hs.du, hs.dv, p_u, q_u
-    )
+    grid = immersion_grid(out.u0, out.v0, out.du, out.dv, p_u, q_u)
     cert = {
         "h_equation_max": eq_res,
         "compat_max": compat,
@@ -273,16 +255,15 @@ def surface_from_epsilon(hs, p0=None, q0=None, tol_scale=1.0):
     return grid, cert
 
 
-def mean_curvature(hs, iso_tol=None):
+def mean_curvature(hs):
     """Mean curvature field of a solution grid in conformal coordinates.
 
     Requires the parametrization to be conformal (equal-speed orthogonal
-    derivatives) within `iso_tol` relative deviation on the interior; raises
-    ValueError otherwise, since the formula divides by the common speed.
-    The default tolerance scales with the squared grid step.
+    derivatives) to a relative deviation on the interior that scales with
+    the squared grid step; raises ValueError otherwise, since the formula
+    divides by the common speed.
     """
-    if iso_tol is None:
-        iso_tol = max(1e-8, 100.0 * max(hs.du, hs.dv) ** 2)
+    iso_tol = max(1e-8, 100.0 * max(hs.du, hs.dv) ** 2)
     eu, ev = _eps_partials(hs)
     e2 = np.sum(eu * eu, axis=-1)
     g2 = np.sum(ev * ev, axis=-1)
@@ -293,12 +274,9 @@ def mean_curvature(hs, iso_tol=None):
         raise ValueError(
             f"coordinates are not conformal (relative deviation {worst:.3e})"
         )
-    lap = second_derivative(hs.eps, hs.du, axis=0) + second_derivative(
-        hs.eps, hs.dv, axis=1
-    )
     n = np.cross(eu, ev)
     n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-    return np.sum(lap * n, axis=-1) / (2.0 * e2)
+    return np.sum(_laplacian(hs) * n, axis=-1) / (2.0 * e2)
 
 
 def sphere_fit(points):
@@ -319,48 +297,22 @@ def sphere_fit(points):
     return center, radius, float(np.abs(dist - radius).max())
 
 
-def window_overlap(au0, av0, anu, anv, bu0, bv0, bnu, bnv, du, dv):
-    """Index slices of the common (u, v) window of two grids sharing steps."""
-
-    def offset(b0, a0, h):
-        k = (b0 - a0) / h
-        ki = int(round(k))
-        if abs(k - ki) > 1e-6:
-            raise ValueError("grids are not aligned to a common lattice")
-        return ki
-
-    ou = offset(bu0, au0, du)
-    ov = offset(bv0, av0, dv)
-    lo_u, lo_v = max(0, ou), max(0, ov)
-    hi_u = min(anu, ou + bnu)
-    hi_v = min(anv, ov + bnv)
-    if hi_u - lo_u < 5 or hi_v - lo_v < 5:
-        raise ValueError("grids overlap on fewer than 5x5 cells")
-    a_slice = (slice(lo_u, hi_u), slice(lo_v, hi_v))
-    b_slice = (slice(lo_u - ou, hi_u - ou), slice(lo_v - ov, hi_v - ov))
-    return a_slice, b_slice
-
-
-def metric_factor_check(grid, hs, lambda_tol=1e-4):
+def metric_factor_check(grid, hs):
     """Pointwise ratio of the surface metric to the flat-potential metric.
 
     Only meaningful when the holomorphic quadratic coefficient vanishes;
     returns a dict with status "not_applicable" otherwise.  On applicable
     pairs the ratio field must be the constant 2.  The two grids may cover
-    offset windows of the same lattice; the ratio is taken on the overlap.
+    offset windows of the same lattice; the ratio is taken on the overlap
+    (`Lattice.overlap`, which raises ValueError when the steps differ).
     """
-    if abs(grid.du - hs.du) > 1e-12 or abs(grid.dv - hs.dv) > 1e-12:
-        raise ValueError("grid steps differ between the surface and the potential")
+    g_slice, h_slice = grid.overlap(hs)
     gp = grid.partials
     lam_max = float(interior(np.abs(lambda_field(gp))).max())
-    if lam_max > lambda_tol:
+    if lam_max > _LAMBDA_TOL:
         return {"status": "not_applicable", "lambda_max_abs": lam_max}
     eu, _ = _eps_partials(hs)
     E, _, _ = gp.first_form
-    g_slice, h_slice = window_overlap(
-        grid.u0, grid.v0, grid.nu, grid.nv,
-        hs.u0, hs.v0, hs.nu, hs.nv, grid.du, grid.dv,
-    )
     ratio = E[g_slice] / np.sum(eu * eu, axis=-1)[h_slice]
     ratio_int = interior(ratio)
     return {

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .hsystem import h_surface_grid
-from .surface import immersion_grid
+from .surface import immersion_grid, lattice
 
 __all__ = [
     "IMMERSION_HEADER",
@@ -33,13 +33,13 @@ _FMT = "%.17g"
 _JITTER = 1e-9
 
 
-def _write_rows(path, header, u_vals, v_vals, blocks):
-    """Write one CSV with v-major rows: for each v, all u in order."""
-    nu, nv = len(u_vals), len(v_vals)
+def _write_rows(path, header, lat, blocks):
+    """Write one CSV over the `Lattice` `lat` with v-major rows: for each v,
+    all u in order."""
     width = 2 + sum(b.shape[-1] for b in blocks)
-    rows = np.empty((nv, nu, width))
-    rows[..., 0] = u_vals[None, :]
-    rows[..., 1] = v_vals[:, None]
+    rows = np.empty((lat.nv, lat.nu, width))
+    rows[..., 0] = lat.u_vals[None, :]
+    rows[..., 1] = lat.v_vals[:, None]
     at = 2
     for b in blocks:
         w = b.shape[-1]
@@ -47,17 +47,17 @@ def _write_rows(path, header, u_vals, v_vals, blocks):
         rows[..., at : at + w] = np.swapaxes(b, 0, 1)
         at += w
     np.savetxt(
-        path, rows.reshape(nv * nu, width), fmt=_FMT, delimiter=",",
+        path, rows.reshape(-1, width), fmt=_FMT, delimiter=",",
         header=header, comments="",
     )
 
 
 def write_immersion_csv(path, grid):
-    _write_rows(path, IMMERSION_HEADER, grid.u_vals, grid.v_vals, [grid.p, grid.q])
+    _write_rows(path, IMMERSION_HEADER, grid, [grid.p, grid.q])
 
 
 def write_epsilon_csv(path, hs):
-    _write_rows(path, EPSILON_HEADER, hs.u_vals, hs.v_vals, [hs.eps])
+    _write_rows(path, EPSILON_HEADER, hs, [hs.eps])
 
 
 def _recover_axis(raw, label):
@@ -76,6 +76,7 @@ def _recover_axis(raw, label):
 
 
 def _read_rows(path, header, ncols):
+    """The recovered `Lattice` and the payload binned onto it (nu, nv, ncols - 2)."""
     with open(path) as fh:
         first = fh.readline().strip()
         if first != header:
@@ -98,17 +99,19 @@ def _read_rows(path, header, ncols):
     payload[i, j] = data[:, 2:]
     if not np.isfinite(payload).all():
         raise ValueError("grid has missing or duplicated (u, v) cells")
-    return float(u_vals[0]), float(v_vals[0]), du, dv, payload
+    return lattice(u_vals[0], v_vals[0], du, dv, nu, nv), payload
 
 
 def read_immersion_csv(path):
-    u0, v0, du, dv, payload = _read_rows(path, IMMERSION_HEADER, 10)
-    return immersion_grid(u0, v0, du, dv, payload[..., :4], payload[..., 4:])
+    lat, payload = _read_rows(path, IMMERSION_HEADER, 10)
+    return immersion_grid(
+        lat.u0, lat.v0, lat.du, lat.dv, payload[..., :4], payload[..., 4:]
+    )
 
 
 def read_epsilon_csv(path):
-    u0, v0, du, dv, payload = _read_rows(path, EPSILON_HEADER, 5)
-    return h_surface_grid(u0, v0, du, dv, payload)
+    lat, payload = _read_rows(path, EPSILON_HEADER, 5)
+    return h_surface_grid(lat.u0, lat.v0, lat.du, lat.dv, payload)
 
 
 def _to_plain(obj):

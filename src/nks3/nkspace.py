@@ -506,12 +506,10 @@ def random_isometry(rng):
 # ---------------------------------------------------------------------------
 
 
-def _bar_derivative_coeff(a, w, j_mat):
-    """Hermitian-connection derivative along frame field `a` of the constant-
-    coefficient field `w`, as a coefficient vector."""
-    lc = np.einsum("b,bm->m", w, CONN[a])
-    corr = 0.5 * np.einsum("b,bm->m", _mat(j_mat, w), G_TABLE[a])
-    return lc + corr
+def _commutator(m, table):
+    """[M, D] on a derivative table: entry (a, b) is D_a(M e_b) - M D_a(e_b),
+    where D_a(e_b) is the coefficient vector `table[a, b]`."""
+    return np.einsum("kb,akm->abm", m, table) - np.einsum("mk,abk->abm", m, table)
 
 
 def identity_report(samples=1000, seed=42, j_scale=1.0):
@@ -643,61 +641,35 @@ def identity_report(samples=1000, seed=42, j_scale=1.0):
 
     # Leibniz consistency of the J- and P-derivative tables with the
     # connection table and the constant frame representations
-    dev_g = 0.0
-    dev_h = 0.0
-    for a in range(6):
-        for b in range(6):
-            dj = np.einsum("k,km->m", _mat(jm, eye[b]), CONN[a]) - _mat(
-                jm, CONN[a, b]
-            )
-            dev_g = max(dev_g, float(np.abs(dj - G_TABLE[a, b]).max()))
-            dp = np.einsum("k,km->m", _mat(P_MAT, eye[b]), CONN[a]) - _mat(
-                P_MAT, CONN[a, b]
-            )
-            dev_h = max(dev_h, float(np.abs(dp - H_TABLE[a, b]).max()))
-    res["j_derivative_table"] = dev_g
-    res["p_derivative_table"] = dev_h
+    res["j_derivative_table"] = float(np.abs(_commutator(jm, CONN) - G_TABLE).max())
+    res["p_derivative_table"] = float(np.abs(_commutator(P_MAT, CONN) - H_TABLE).max())
 
-    # Hermitian connection parallelism of J and P
-    dev_j = 0.0
-    dev_p = 0.0
-    for a in range(6):
-        for b in range(6):
-            bj = _bar_derivative_coeff(a, _mat(jm, eye[b]), jm) - _mat(
-                jm, _bar_derivative_coeff(a, eye[b], jm)
-            )
-            dev_j = max(dev_j, float(np.abs(bj).max()))
-            bp = _bar_derivative_coeff(a, _mat(P_MAT, eye[b]), jm) - _mat(
-                P_MAT, _bar_derivative_coeff(a, eye[b], jm)
-            )
-            dev_p = max(dev_p, float(np.abs(bp).max()))
-    res["hermitian_j_parallel"] = dev_j
-    res["hermitian_p_parallel"] = dev_p
+    # Hermitian connection parallelism of J and P: its frame table is the
+    # connection table plus half the J-derivative table applied to J e_b
+    bar = CONN + 0.5 * np.einsum("kb,akm->abm", jm, G_TABLE)
+    res["hermitian_j_parallel"] = float(np.abs(_commutator(jm, bar)).max())
+    res["hermitian_p_parallel"] = float(np.abs(_commutator(P_MAT, bar)).max())
 
     # covariant derivative of the J-derivative tensor (frame triples)
-    dev = 0.0
-    for a in range(6):
-        for b in range(6):
-            for c in range(6):
-                lhs_c = np.einsum("k,km->m", G_TABLE[b, c], CONN[a])
-                lhs_c = lhs_c - np.einsum("km,k->m", G_TABLE[:, c], CONN[a, b])
-                lhs_c = lhs_c - np.einsum("km,k->m", G_TABLE[b, :], CONN[a, c])
-                rhs_c = (1.0 / 3.0) * (
-                    GRAM[a, c] * _mat(jm, eye[b])
-                    - GRAM[a, b] * _mat(jm, eye[c])
-                    - float(_mat(jm, eye[b]) @ GRAM @ eye[c]) * eye[a]
-                )
-                dev = max(dev, float(np.abs(lhs_c - rhs_c).max()))
-    res["g_tensor_derivative"] = dev
+    lhs = (
+        np.einsum("bck,akm->abcm", G_TABLE, CONN)
+        - np.einsum("kcm,abk->abcm", G_TABLE, CONN)
+        - np.einsum("bkm,ack->abcm", G_TABLE, CONN)
+    )
+    rhs = (1.0 / 3.0) * (
+        np.einsum("ac,mb->abcm", GRAM, jm)
+        - np.einsum("ab,mc->abcm", GRAM, jm)
+        - np.einsum("kb,kc,am->abcm", jm, GRAM, eye)
+    )
+    res["g_tensor_derivative"] = float(np.abs(lhs - rhs).max())
 
     # curvature: closed form against the structure-constant oracle
-    oracle = curvature_oracle_table()
-    formula = np.zeros_like(oracle)
-    for a in range(6):
-        for b in range(6):
-            for c in range(6):
-                formula[a, b, c] = curvature_coeff(eye[a], eye[b], eye[c], j_mat=jm)
-    res["curvature_vs_oracle"] = float(np.abs(formula - oracle).max())
+    formula = curvature_coeff(
+        eye[:, None, None], eye[None, :, None], eye[None, None, :], j_mat=jm
+    )
+    res["curvature_vs_oracle"] = float(
+        np.abs(formula - curvature_oracle_table()).max()
+    )
 
     return res
 

@@ -14,6 +14,9 @@ Tangent vectors are (..., 6) coefficient arrays in the global frame of
 P a is `a @ P_MAT.T`.  The partials' coefficients and the first fundamental
 form are computed once per grid (`ImmersionGrid.partials`).
 
+Every grid window, here and in `hsystem` and `fixtures`, is one `Lattice`:
+origin, steps and point counts, validated once by `lattice`.
+
 Derivatives are second-order finite differences throughout; every residual
 statistic is taken on the grid interior (two-cell margin) because one-sided
 edge stencils degrade the order.
@@ -21,7 +24,7 @@ edge stencils degrade the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +37,8 @@ from .nkspace import (
 __all__ = [
     "THETA",
     "ADAPTED_GATE",
+    "Lattice",
+    "lattice",
     "ImmersionGrid",
     "immersion_grid",
     "GridPartials",
@@ -72,27 +77,26 @@ _SIN_T = float(np.sin(THETA))
 ADAPTED_GATE = 0.05
 
 
-@dataclass(frozen=True)
-class ImmersionGrid:
-    """Regular (u, v) parameter grid of points on the product manifold.
+# residual statistics skip this many cells at each grid edge
+_MARGIN = 2
+# extract_coefficients accepts real parts of p^-1 dp, q^-1 dq up to this
+_MAX_REAL_PART = 1e-4
 
-    `p` and `q` have shape (nu, nv, 4); axis 0 walks u, axis 1 walks v.
+
+@dataclass(frozen=True)
+class Lattice:
+    """Regular (u, v) window: origin, steps and point counts.
+
+    Axis 0 of every grid array walks u, axis 1 walks v.  Build it with
+    `lattice`, which validates it; grids extend it with their arrays.
     """
 
     u0: float
     v0: float
     du: float
     dv: float
-    p: np.ndarray
-    q: np.ndarray
-
-    @property
-    def nu(self):
-        return self.p.shape[0]
-
-    @property
-    def nv(self):
-        return self.p.shape[1]
+    nu: int
+    nv: int
 
     @property
     def u_vals(self):
@@ -101,6 +105,63 @@ class ImmersionGrid:
     @property
     def v_vals(self):
         return self.v0 + self.dv * np.arange(self.nv)
+
+    def window(self):
+        """The six lattice fields as a dict, without a grid's arrays."""
+        return {f.name: getattr(self, f.name) for f in fields(Lattice)}
+
+    def inset(self, k):
+        """The window shrunk by `k` cells on each side; at least 5x5 must
+        remain."""
+        n = 2 * k + 5
+        if self.nu < n or self.nv < n:
+            raise ValueError(f"need at least a {n}x{n} grid, got {self.nu}x{self.nv}")
+        return lattice(
+            self.u0 + k * self.du, self.v0 + k * self.dv, self.du, self.dv,
+            self.nu - 2 * k, self.nv - 2 * k,
+        )
+
+    def overlap(self, other):
+        """Index slices (into self, into other) of the common window.
+
+        Raises ValueError unless both lattices have the same steps, their
+        points align, and they share at least 5x5 points.
+        """
+        if abs(self.du - other.du) > 1e-12 or abs(self.dv - other.dv) > 1e-12:
+            raise ValueError("grid steps differ between the two lattices")
+        k = np.array([other.u0 - self.u0, other.v0 - self.v0]) / [self.du, self.dv]
+        off = np.rint(k).astype(int)
+        if np.abs(k - off).max() > 1e-6:
+            raise ValueError("grids are not aligned to a common lattice")
+        lo = np.maximum(off, 0)
+        hi = np.minimum([self.nu, self.nv], off + [other.nu, other.nv])
+        if (hi - lo).min() < 5:
+            raise ValueError("grids overlap on fewer than 5x5 cells")
+        return tuple(map(slice, lo, hi)), tuple(map(slice, lo - off, hi - off))
+
+
+def lattice(u0, v0, du, dv, nu, nv):
+    """Validated `Lattice`: a finite origin, finite steps > 0 and at least
+    5x5 points; raises ValueError otherwise."""
+    u0, v0, du, dv = float(u0), float(v0), float(du), float(dv)
+    if not (0.0 < du < np.inf and 0.0 < dv < np.inf):
+        raise ValueError(
+            f"grid steps must be finite and positive, got du={du}, dv={dv}"
+        )
+    if not (np.isfinite(u0) and np.isfinite(v0)):
+        raise ValueError(f"grid origin must be finite, got u0={u0}, v0={v0}")
+    if nu < 5 or nv < 5:
+        raise ValueError(f"grid must be at least 5x5, got {(nu, nv)}")
+    return Lattice(u0, v0, du, dv, int(nu), int(nv))
+
+
+@dataclass(frozen=True)
+class ImmersionGrid(Lattice):
+    """Points on the product manifold over a `Lattice`: `p` and `q` have
+    shape (nu, nv, 4)."""
+
+    p: np.ndarray
+    q: np.ndarray
 
     @property
     def base(self):
@@ -112,25 +173,19 @@ class ImmersionGrid:
         return partials(self)
 
 
-def immersion_grid(u0, v0, du, dv, p, q, unit_tol=1e-6):
+def immersion_grid(u0, v0, du, dv, p, q):
     """Validated grid constructor.
 
-    Checks shapes, grid size (at least 5x5), positive steps, unit norms
-    (renormalizing within `unit_tol`), and that the finite-difference
-    derivatives are nonzero in the metric (immersion check).
+    Checks shapes, the window (`lattice`), unit norms (renormalizing within
+    `quat.unit`'s tolerance), and that the finite-difference derivatives are
+    nonzero in the metric (immersion check).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 3 or p.shape[-1] != 4:
         raise ValueError(f"expected matching (nu, nv, 4) arrays, got {p.shape} and {q.shape}")
-    if p.shape[0] < 5 or p.shape[1] < 5:
-        raise ValueError(f"grid must be at least 5x5, got {p.shape[:2]}")
-    if not (du > 0 and dv > 0 and np.isfinite(du) and np.isfinite(dv)):
-        raise ValueError(f"grid steps must be positive, got du={du}, dv={dv}")
-    grid = ImmersionGrid(
-        float(u0), float(v0), float(du), float(dv),
-        quat.unit(p, tol=unit_tol), quat.unit(q, tol=unit_tol),
-    )
+    window = lattice(u0, v0, du, dv, *p.shape[:2]).window()
+    grid = ImmersionGrid(**window, p=quat.unit(p), q=quat.unit(q))
     E, _, G = grid.partials.first_form
     slow = np.sqrt(max(min(interior(E).min(), interior(G).min()), 0.0))
     if not slow >= 1e-8:
@@ -138,9 +193,9 @@ def immersion_grid(u0, v0, du, dv, p, q, unit_tol=1e-6):
     return grid
 
 
-def interior(field, margin=2):
-    """Trim `margin` cells from each grid edge of the leading two axes."""
-    return field[margin:-margin, margin:-margin]
+def interior(field):
+    """Trim the edge margin from the leading two axes."""
+    return field[_MARGIN:-_MARGIN, _MARGIN:-_MARGIN]
 
 
 @dataclass(frozen=True)
@@ -265,18 +320,18 @@ class CoefficientFields:
     real_part_max: float
 
 
-def extract_coefficients(grid, max_real_part=1e-4):
+def extract_coefficients(grid):
     """Coefficient fields of an adapted grid.
 
     Raises ValueError when the real-part defect of the logarithmic
-    derivatives exceeds `max_real_part`; that signals a grid that is not a
+    derivatives exceeds `_MAX_REAL_PART`; that signals a grid that is not a
     smooth unit-quaternion immersion sampled finely enough.
     """
     gp = grid.partials
-    if gp.projection_max > max_real_part:
+    if gp.projection_max > _MAX_REAL_PART:
         raise ValueError(
             "logarithmic derivatives are far from imaginary "
-            f"(real-part residual {gp.projection_max:.3e} > {max_real_part:.1e})"
+            f"(real-part residual {gp.projection_max:.3e} > {_MAX_REAL_PART:.1e})"
         )
     alpha_t = gp.cu[..., :3] * FLIP
     beta_t = gp.cv[..., :3] * FLIP
@@ -298,7 +353,7 @@ def adapted_relation_residuals(cf):
     return float(interior(rg).max()), float(interior(rd).max())
 
 
-def integrability_residuals(cf, du, dv, margin=2):
+def integrability_residuals(cf, du, dv):
     """Max-norm residuals of the three first-order compatibility equations.
 
     Returns (tilde_curl, closure, divergence): the cross-product curl
@@ -319,7 +374,7 @@ def integrability_residuals(cf, du, dv, margin=2):
     r3 = a_u + b_v + (4.0 / SQRT3) * np.cross(cf.alpha, cf.beta)
 
     def stat(r):
-        return float(interior(np.linalg.norm(r, axis=-1), margin).max())
+        return float(interior(np.linalg.norm(r, axis=-1)).max())
 
     return stat(r1), stat(r2), stat(r3)
 
@@ -343,7 +398,7 @@ def lambda_field(gp):
     return 0.5 * (re + 1j * im)
 
 
-def cr_residuals(cf, du, dv, margin=2):
+def cr_residuals(cf, du, dv):
     """Max residual of the two Cauchy-Riemann equations coupling the dot
     products of the rotated pair; second-order small on genuine surfaces."""
     dot_ab = np.sum(cf.alpha * cf.beta, axis=-1)
@@ -355,7 +410,7 @@ def cr_residuals(cf, du, dv, margin=2):
         diff, du, axis=0, edge_order=2
     )
     stack = np.maximum(np.abs(r1), np.abs(r2))
-    return float(interior(stack, margin).max())
+    return float(interior(stack).max())
 
 
 def induced_metric(cu, cv):
@@ -526,13 +581,6 @@ def analyze(grid, seed=0, tol_scale=1.0):
         "K_max_dev": float(np.abs(K_int - K_int.mean()).max()),
         "h_norm_max": float(interior(sff.unit_norm).max()),
         "classification": classify_P_alignment(grid),
-        "grid": {
-            "u0": grid.u0,
-            "v0": grid.v0,
-            "du": grid.du,
-            "dv": grid.dv,
-            "nu": grid.nu,
-            "nv": grid.nv,
-        },
+        "grid": grid.window(),
         "seed": int(seed),
     }

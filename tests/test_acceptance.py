@@ -299,11 +299,7 @@ def _round_trip_gram_dev(grid):
     hs, _ = hsystem.epsilon_from_surface(grid)
     back, _ = hsystem.surface_from_epsilon(hs)
     hs_back, _ = hsystem.epsilon_from_surface(back)
-    sa, sb = hsystem.window_overlap(
-        hs.u0, hs.v0, hs.nu, hs.nv,
-        hs_back.u0, hs_back.v0, hs_back.nu, hs_back.nv,
-        hs.du, hs.dv,
-    )
+    sa, sb = hs.overlap(hs_back)
     diff = _potential_gram(hs)[sa] - _potential_gram(hs_back)[sb]
     return float(np.abs(sf.interior(diff)).max())
 

@@ -49,6 +49,23 @@ def test_verify_perturbed_structure_flagged(capsys, monkeypatch):
     assert "pj_anticommute" not in rep["flagged"]
 
 
+def test_verify_config_records_j_scale(capsys, monkeypatch):
+    code, rep, _ = run(capsys, "--command", "verify", "--samples", "10")
+    assert code == 0 and rep["config"]["j_scale"] == 1.0
+    monkeypatch.setenv("NKS3_J_SCALE", "1.000001")
+    code, rep, _ = run(capsys, "--command", "verify", "--samples", "10")
+    assert code == 2 and rep["config"]["j_scale"] == 1.000001
+
+
+def test_verify_nan_j_scale_flags_nan_entries(capsys, monkeypatch):
+    monkeypatch.setenv("NKS3_J_SCALE", "nan")
+    code, rep, _ = run(capsys, "--command", "verify", "--samples", "10")
+    assert code == 2 and rep["ok"] is False
+    nan_keys = {k for k, v in rep["residual_max"].items() if np.isnan(v)}
+    assert {"j_squared", "curvature_vs_oracle"} <= nan_keys
+    assert nan_keys <= set(rep["flagged"])
+
+
 def test_fixture_writes_deterministic_csv(tmp_path, capsys):
     out = tmp_path / "ex1.csv"
     args = ("--command", "fixture", "--fixture", "example1",

@@ -12,7 +12,7 @@ def test_default_specs():
     s2 = fixtures.default_spec("example2")
     assert (s2.nu, s2.nv) == (201, 201)
     # centered window: conformal coordinate symmetric about the equator
-    assert abs(s2.u0 + s2.u_vals()[-1]) < 1e-12
+    assert abs(s2.u0 + s2.u_vals[-1]) < 1e-12
     with pytest.raises(ValueError):
         fixtures.default_spec("nosuch")
     s3 = fixtures.default_spec("cmc_sphere", nu=31, nv=31, du=1e-3, dv=1e-3)
@@ -52,7 +52,7 @@ def test_example2_on_sphere_product():
 def test_example2_pole_margin_gate():
     with pytest.raises(ValueError, match="pole margin"):
         fixtures.example2_grid(
-            fixtures.FixtureSpec("example2", 0.0, 0.0, 0.1, 0.1, 31, 31)
+            fixtures.FixtureSpec(0.0, 0.0, 0.1, 0.1, 31, 31, "example2")
         )
 
 
@@ -78,7 +78,7 @@ def test_orientation_pick_rejects_mirror():
     spec = fixtures.default_spec("cmc_sphere", nu=15, nv=15)
     hs = fixtures.cmc_sphere_epsilon(spec)
     swapped = hsystem.HSurfaceGrid(
-        spec.u0, spec.v0, spec.du, spec.dv, np.swapaxes(hs.eps, 0, 1)
+        **spec.window(), eps=np.swapaxes(hs.eps, 0, 1)
     )
     good = sf.interior(hsystem.h_equation_residual(hs)).max()
     bad = sf.interior(hsystem.h_equation_residual(swapped)).max()
@@ -104,7 +104,7 @@ def test_make_fixture_dispatch():
         assert obj.nu == obj.nv == 15
     with pytest.raises(ValueError):
         fixtures.make_fixture(
-            fixtures.FixtureSpec("bogus", 0, 0, 1e-2, 1e-2, 15, 15)
+            fixtures.FixtureSpec(0, 0, 1e-2, 1e-2, 15, 15, "bogus")
         )
 
 
@@ -124,4 +124,15 @@ def test_cmc_sphere_wide_window_hits_pole_margin(tmp_path):
     out = tmp_path / "s.csv"
     code = cli.main(["--command", "fixture", "--fixture", "cmc_sphere",
                      "--nu", "201", "--nv", "801", "--output", str(out)])
+    assert code == 3 and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["cmc_cylinder", "cmc_sphere"])
+@pytest.mark.parametrize("step", ["inf", "nan", "0", "-1"])
+def test_fixture_rejects_bad_step(tmp_path, name, step):
+    with pytest.raises(ValueError, match="steps must be finite and positive"):
+        fixtures.default_spec(name, nu=9, nv=9, du=float(step))
+    out = tmp_path / "x.csv"
+    code = cli.main(["--command", "fixture", "--fixture", name, "--nu", "9",
+                     "--nv", "9", "--du", step, "--output", str(out)])
     assert code == 3 and not out.exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,12 +27,32 @@ def test_h_surface_grid_validation():
         hsys.h_surface_grid(0, 0, 1e-2, 1e-2, np.zeros((9, 9, 3)))
 
 
+def test_h_surface_grid_rejects_non_finite():
+    hs = sphere_hs(15)
+    eps = hs.eps.copy()
+    eps[7, 7, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        hsys.h_surface_grid(hs.u0, hs.v0, hs.du, hs.dv, eps)
+    for step in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="steps"):
+            hsys.h_surface_grid(hs.u0, hs.v0, step, hs.dv, hs.eps)
+
+
+def test_from_potential_nan_cell_fails_equation_gate():
+    # built directly, so the constructor's finiteness check is bypassed
+    hs = sphere_hs(15)
+    eps = hs.eps.copy()
+    eps[7, 7, 0] = np.nan
+    with pytest.raises(hsys.CertificateError, match="not a solution"):
+        hsys.surface_from_epsilon(hsys.HSurfaceGrid(**hs.window(), eps=eps))
+
+
 def test_equation_residual_line_is_zero():
     # a straight line traversed affinely: laplacian and cross product vanish
     u = np.arange(11) * 0.1
     v = np.arange(11) * 0.1
     eps = (u[:, None] + 2.0 * v[None, :])[..., None] * np.array([1.0, 2.0, 2.0])
-    hs = hsys.HSurfaceGrid(0.0, 0.0, 0.1, 0.1, eps)
+    hs = hsys.HSurfaceGrid(0.0, 0.0, 0.1, 0.1, 11, 11, eps)
     assert sf.interior(hsys.h_equation_residual(hs)).max() < 1e-11
 
 
@@ -40,7 +62,7 @@ def test_equation_residual_flags_plane():
     eps = np.zeros((11, 11, 3))
     eps[..., 0] = u[:, None]
     eps[..., 1] = v[None, :]
-    hs = hsys.HSurfaceGrid(0.0, 0.0, 0.1, 0.1, eps)
+    hs = hsys.HSurfaceGrid(0.0, 0.0, 0.1, 0.1, 11, 11, eps)
     res = sf.interior(hsys.h_equation_residual(hs))
     assert np.abs(res - 4.0 / SQRT3).max() < 1e-9
 
@@ -89,6 +111,15 @@ def test_to_potential_certificate_failure():
         hsys.epsilon_from_surface(grid, cf=bad)
 
 
+def test_to_potential_nan_coefficients_fail_closedness_gate():
+    grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
+    cf = sf.extract_coefficients(grid)
+    alpha = cf.alpha.copy()
+    alpha[7, 7, 0] = np.nan
+    with pytest.raises(hsys.CertificateError, match="not closed"):
+        hsys.epsilon_from_surface(grid, cf=dataclasses.replace(cf, alpha=alpha))
+
+
 def test_integrators_reject_tiny_grids():
     grid = fixtures.example1_grid(
         fixtures.default_spec("example1", nu=5, nv=5)
@@ -96,7 +127,7 @@ def test_integrators_reject_tiny_grids():
     with pytest.raises(ValueError, match="7x7"):
         hsys.epsilon_from_surface(grid)
     hs = sphere_hs(15)
-    small = hsys.HSurfaceGrid(0, 0, hs.du, hs.dv, hs.eps[:5, :5])
+    small = hsys.HSurfaceGrid(0, 0, hs.du, hs.dv, 5, 5, hs.eps[:5, :5])
     with pytest.raises(ValueError, match="7x7"):
         hsys.surface_from_epsilon(small)
 
@@ -129,7 +160,7 @@ def test_from_potential_rejects_plane():
     eps = np.zeros((15, 15, 3))
     eps[..., 0] = u[:, None]
     eps[..., 1] = u[None, :]
-    hs = hsys.HSurfaceGrid(0.0, 0.0, 0.05, 0.05, eps)
+    hs = hsys.HSurfaceGrid(0.0, 0.0, 0.05, 0.05, 15, 15, eps)
     with pytest.raises(hsys.CertificateError, match="not a solution"):
         hsys.surface_from_epsilon(hs)
 
@@ -147,7 +178,7 @@ def test_mean_curvature_values():
 def test_mean_curvature_requires_conformal():
     hs = sphere_hs(15)
     stretched = hsys.HSurfaceGrid(
-        hs.u0, hs.v0, hs.du, hs.dv, hs.eps * np.array([1.0, 1.0, 3.0])
+        **hs.window(), eps=hs.eps * np.array([1.0, 1.0, 3.0])
     )
     with pytest.raises(ValueError, match="conformal"):
         hsys.mean_curvature(stretched)
@@ -170,13 +201,16 @@ def test_sphere_fit_exact():
 
 
 def test_window_overlap():
-    a = hsys.window_overlap(0.0, 0.0, 10, 10, 0.02, 0.02, 8, 8, 1e-2, 1e-2)
-    assert a[0] == (slice(2, 10), slice(2, 10))
-    assert a[1] == (slice(0, 8), slice(0, 8))
+    a = sf.lattice(0.0, 0.0, 1e-2, 1e-2, 10, 10)
+    sa, sb = a.overlap(sf.lattice(0.02, 0.02, 1e-2, 1e-2, 8, 8))
+    assert sa == (slice(2, 10), slice(2, 10))
+    assert sb == (slice(0, 8), slice(0, 8))
     with pytest.raises(ValueError, match="lattice"):
-        hsys.window_overlap(0.0, 0.0, 10, 10, 0.005, 0.0, 8, 8, 1e-2, 1e-2)
+        a.overlap(sf.lattice(0.005, 0.0, 1e-2, 1e-2, 8, 8))
     with pytest.raises(ValueError, match="overlap"):
-        hsys.window_overlap(0.0, 0.0, 10, 10, 1.0, 0.0, 8, 8, 1e-2, 1e-2)
+        a.overlap(sf.lattice(1.0, 0.0, 1e-2, 1e-2, 8, 8))
+    with pytest.raises(ValueError, match="steps differ"):
+        a.overlap(sf.lattice(0.0, 0.0, 1e-2, 2e-2, 8, 8))
 
 
 def test_metric_factor_example2_round_trip():
@@ -186,6 +220,13 @@ def test_metric_factor_example2_round_trip():
     assert out["status"] == "ok"
     assert abs(out["ratio_mean"] - 2.0) < 1e-3
     assert out["ratio_max_dev"] < 1e-3
+
+
+def test_metric_factor_rejects_step_mismatch():
+    grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
+    hs = sphere_hs(15)  # step 6e-3 against the surface's 1e-2
+    with pytest.raises(ValueError, match="steps differ"):
+        hsys.metric_factor_check(grid, hs)
 
 
 def test_metric_factor_not_applicable_example1():

@@ -251,6 +251,31 @@ def test_identity_report_flags_scaled_J():
     assert report["pj_anticommute"] < 1e-12
 
 
+def test_identity_tables_fire_under_scaled_J():
+    # reference values from a per-entry loop over the tables; a wrong einsum
+    # index moves them
+    expected = {
+        "j_derivative_table": 0.0769800358919502,
+        "hermitian_j_parallel": 0.0846780394811452,
+        "hermitian_p_parallel": 0.0666666666666668,
+        "g_tensor_derivative": 0.0513200239279668,
+        "curvature_vs_oracle": 0.0933333333333335,
+    }
+    report = nk.identity_report(samples=10, seed=1, j_scale=1.1)
+    for key, value in expected.items():
+        assert abs(report[key] - value) <= 1e-9 * value, key
+
+
+def test_p_derivative_table_fires_on_perturbed_table(monkeypatch):
+    # the P-derivative table does not involve J, so perturb the table itself
+    bad = nk.H_TABLE.copy()
+    bad[0, 4, 2] += 1e-6
+    monkeypatch.setattr(nk, "H_TABLE", bad)
+    report, _, ok = nk.verify(samples=10, seed=1)
+    assert not ok
+    assert abs(report["p_derivative_table"] - 1e-6) < 1e-12
+
+
 def test_identity_report_empty_for_zero_samples():
     assert nk.identity_report(samples=0) == {}
 

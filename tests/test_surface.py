@@ -315,3 +315,37 @@ def test_analyze_rejects_bad_tol_scale(tol_scale):
     grid = fixtures.example1_grid(small_spec("example1"))
     with pytest.raises(ValueError, match="tol_scale"):
         sf.analyze(grid, tol_scale=tol_scale)
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
+def test_lattice_rejects_bad_steps(step):
+    with pytest.raises(ValueError, match="steps must be finite and positive"):
+        sf.lattice(0.0, 0.0, step, 1e-2, 9, 9)
+    with pytest.raises(ValueError, match="steps must be finite and positive"):
+        sf.lattice(0.0, 0.0, 1e-2, step, 9, 9)
+
+
+def test_lattice_window_validation_and_methods():
+    with pytest.raises(ValueError, match="5x5"):
+        sf.lattice(0.0, 0.0, 1e-2, 1e-2, 4, 9)
+    with pytest.raises(ValueError, match="5x5"):
+        sf.lattice(0.0, 0.0, 1e-2, 1e-2, 9, 4)
+    with pytest.raises(ValueError, match="origin"):
+        sf.lattice(np.nan, 0.0, 1e-2, 1e-2, 9, 9)
+    with pytest.raises(ValueError, match="origin"):
+        sf.lattice(0.0, np.inf, 1e-2, 1e-2, 9, 9)
+    lat = sf.lattice(1, 2, 1e-2, 1e-2, np.int64(9), 10)
+    assert type(lat.u0) is float and type(lat.nu) is int
+    assert np.abs(lat.v_vals - (2.0 + 1e-2 * np.arange(10))).max() < 1e-15
+    inner = lat.inset(2)
+    assert (inner.nu, inner.nv) == (5, 6)
+    assert abs(inner.u0 - 1.02) < 1e-15 and abs(inner.v0 - 2.02) < 1e-15
+    with pytest.raises(ValueError, match="11x11"):
+        lat.inset(3)
+    # a grid's window holds the lattice fields only, not its arrays or its
+    # cached partials
+    grid = fixtures.example1_grid(small_spec("example1"))
+    assert grid.partials is not None
+    assert grid.window() == {
+        "u0": 0.0, "v0": 0.0, "du": 1e-2, "dv": 1e-2, "nu": 21, "nv": 21,
+    }
