@@ -132,8 +132,8 @@ def tangent(base, u, v, tol=1e-10):
     v = np.asarray(v, dtype=float)
     ru = np.abs(quat.dot(u, base.p))
     rv = np.abs(quat.dot(v, base.q))
-    worst = float(max(ru.max(), rv.max())) if ru.size else 0.0
-    if worst > tol:
+    worst = float(np.maximum(ru.max(), rv.max())) if ru.size else 0.0
+    if not worst <= tol:
         raise ValueError(
             f"tangent components not orthogonal to base point (residual {worst:.3e})"
         )
@@ -151,11 +151,11 @@ def random_tangent(rng, base):
 def _check_same_base(Z, W, tol=1e-12):
     if Z.base is W.base:
         return
-    dp = np.abs(Z.base.p - W.base.p).max()
-    dq = np.abs(Z.base.q - W.base.q).max()
-    if max(dp, dq) > tol:
+    worst = float(np.maximum(np.abs(Z.base.p - W.base.p).max(),
+                             np.abs(Z.base.q - W.base.q).max()))
+    if not worst <= tol:
         raise ValueError(
-            f"tangent vectors live at different base points (deviation {max(dp, dq):.3e})"
+            f"tangent vectors live at different base points (deviation {worst:.3e})"
         )
 
 
@@ -199,50 +199,27 @@ def _levi_civita():
 EPSILON3 = _levi_civita()
 
 
-def _build_tables():
-    conn = np.zeros((6, 6, 6))
-    gt = np.zeros((6, 6, 6))
-    ht = np.zeros((6, 6, 6))
-    br = np.zeros((6, 6, 6))
-    cg = 2.0 / (3.0 * SQRT3)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                s = EPSILON3[i, j, k]
-                if s == 0.0:
-                    continue
-                # Levi-Civita connection on frame pairs
-                conn[i, j, k] = -s
-                conn[i, 3 + j, k] = s / 3.0
-                conn[i, 3 + j, 3 + k] = -s / 3.0
-                conn[3 + i, j, 3 + k] = s / 3.0
-                conn[3 + i, j, k] = -s / 3.0
-                conn[3 + i, 3 + j, 3 + k] = -s
-                # covariant derivative of J
-                gt[i, j, k] = -cg * s
-                gt[i, j, 3 + k] = -2.0 * cg * s
-                gt[i, 3 + j, k] = -cg * s
-                gt[i, 3 + j, 3 + k] = cg * s
-                gt[3 + i, j, k] = -cg * s
-                gt[3 + i, j, 3 + k] = cg * s
-                gt[3 + i, 3 + j, k] = 2.0 * cg * s
-                gt[3 + i, 3 + j, 3 + k] = cg * s
-                # covariant derivative of P
-                ht[i, j, k] = s / 3.0
-                ht[i, j, 3 + k] = 2.0 * s / 3.0
-                ht[i, 3 + j, k] = -2.0 * s / 3.0
-                ht[i, 3 + j, 3 + k] = -s / 3.0
-                ht[3 + i, j, k] = -s / 3.0
-                ht[3 + i, j, 3 + k] = -2.0 * s / 3.0
-                ht[3 + i, 3 + j, k] = 2.0 * s / 3.0
-                ht[3 + i, 3 + j, 3 + k] = s / 3.0
-                # frame brackets (each factor separately, mixed brackets vanish)
-                br[i, j, k] = -2.0 * s
-                br[3 + i, 3 + j, 3 + k] = -2.0 * s
-    return conn, gt, ht, br
+def _block_table(blocks):
+    """A (6, 6, 6) frame table whose entry (3a + i, 3b + j, 3c + k) is
+    blocks[a][b][c] * eps_ijk: a 2x2x2 pattern over the two factors."""
+    return np.einsum("abc,ijk->aibjck", np.asarray(blocks), EPSILON3).reshape(6, 6, 6)
 
 
-CONN, G_TABLE, H_TABLE, BRACKET = _build_tables()
+_CG = 2.0 / (3.0 * SQRT3)
+# Levi-Civita connection on frame pairs
+CONN = _block_table(
+    [[[-1.0, 0.0], [1.0 / 3.0, -1.0 / 3.0]], [[-1.0 / 3.0, 1.0 / 3.0], [0.0, -1.0]]]
+)
+# covariant derivative of J
+G_TABLE = _block_table(
+    [[[-_CG, -2.0 * _CG], [-_CG, _CG]], [[-_CG, _CG], [2.0 * _CG, _CG]]]
+)
+# covariant derivative of P
+H_TABLE = _block_table(
+    np.array([[[1.0, 2.0], [-2.0, -1.0]], [[-1.0, -2.0], [2.0, 1.0]]]) / 3.0
+)
+# frame brackets (each factor separately, mixed brackets vanish)
+BRACKET = _block_table([[[-2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -2.0]]])
 
 _I3 = np.eye(3)
 J_MAT = np.block(
@@ -521,11 +498,11 @@ def identity_report(samples=1000, seed=42, j_scale=1.0):
     suite applies it (a deliberate-inconsistency hook for negative controls;
     1.0 means the genuine structure).
 
-    Returns a dict mapping identity names to max residuals.  samples=0
-    returns an empty dict.
+    Returns a dict mapping identity names to max residuals.  Raises
+    ValueError when `samples` is below 1.
     """
-    if samples == 0:
-        return {}
+    if not samples >= 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     jm = j_scale * J_MAT
 

@@ -109,7 +109,7 @@ def qinv(q, tol=1e-9):
     q = np.asarray(q, dtype=float)
     dev = np.abs(norm(q) - 1.0)
     worst = float(dev.max()) if dev.size else 0.0
-    if worst > tol:
+    if not worst <= tol:
         raise ValueError(
             f"qinv needs unit input; norm deviates by {worst:.3e} (tolerance {tol:.1e})"
         )

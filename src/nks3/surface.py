@@ -58,6 +58,7 @@ __all__ = [
     "cr_residuals",
     "induced_metric",
     "second_derivative",
+    "adapted_second_pair",
     "adapted_relation_residuals",
     "brioschi_curvature",
     "gaussian_curvature",
@@ -343,11 +344,17 @@ def extract_coefficients(grid):
     )
 
 
+def adapted_second_pair(alpha_t, beta_t):
+    """The second-factor pair (gamma_t, delta_t) that adapted coordinates force."""
+    gamma_t = (SQRT3 / 2.0) * beta_t + 0.5 * alpha_t
+    delta_t = 0.5 * beta_t - (SQRT3 / 2.0) * alpha_t
+    return gamma_t, delta_t
+
+
 def adapted_relation_residuals(cf):
     """Max deviation of the second-factor coefficients from the first-factor
-    pair under the fixed linear relation that adapted coordinates force."""
-    gamma_pred = (SQRT3 / 2.0) * cf.beta_t + 0.5 * cf.alpha_t
-    delta_pred = 0.5 * cf.beta_t - (SQRT3 / 2.0) * cf.alpha_t
+    pair under the relation of `adapted_second_pair`."""
+    gamma_pred, delta_pred = adapted_second_pair(cf.alpha_t, cf.beta_t)
     rg = np.linalg.norm(cf.gamma_t - gamma_pred, axis=-1)
     rd = np.linalg.norm(cf.delta_t - delta_pred, axis=-1)
     return float(interior(rg).max()), float(interior(rd).max())

@@ -25,9 +25,20 @@ def test_verify_default(capsys):
 
 
 def test_verify_zero_samples(capsys):
-    code, rep, _ = run(capsys, "--command", "verify", "--samples", "0")
-    assert code == 0
-    assert rep["ok"] is True and rep["residual_max"] == {}
+    code, rep, err = run(capsys, "--command", "verify", "--samples", "0")
+    assert code == 3 and rep is None
+    assert "samples must be at least 1" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_zero_samples_refused_under_perturbed_structure(
+    capsys, monkeypatch, samples
+):
+    # with no samples the perturbed structure must not slip through as "ok"
+    monkeypatch.setenv("NKS3_J_SCALE", "1.1")
+    code, rep, err = run(capsys, "--command", "verify", "--samples", samples)
+    assert code == 3 and rep is None
+    assert "samples must be at least 1" in err
 
 
 def test_verify_seed_env_override(capsys, monkeypatch):

@@ -184,6 +184,15 @@ def test_mean_curvature_requires_conformal():
         hsys.mean_curvature(stretched)
 
 
+def test_mean_curvature_rejects_nan_cell():
+    hs = sphere_hs(15)
+    eps = hs.eps.copy()
+    eps[7, 7, 0] = np.nan
+    bad = hsys.HSurfaceGrid(**hs.window(), eps=eps)
+    with pytest.raises(ValueError, match="conformal"):
+        hsys.mean_curvature(bad)
+
+
 def test_sphere_fit_exact():
     rng = np.random.default_rng(4)
     center = np.array([0.3, -1.2, 0.7])
@@ -259,3 +268,30 @@ def test_epsilon_from_surface_rejects_bad_tol_scale(tol_scale):
 def test_surface_from_epsilon_rejects_bad_tol_scale(tol_scale):
     with pytest.raises(ValueError, match="tol_scale"):
         hsys.surface_from_epsilon(sphere_hs(15), tol_scale=tol_scale)
+
+
+def _chain_end(n, a, b):
+    """End value of p' = p * (a + b t) on [0, 1], p(0) = 1, after n steps."""
+    t = np.linspace(0.0, 1.0, n + 1)[:, None]
+    return hsys._integrate_chain(quat.ONE, a + b * t, 1.0 / n, axis=0)[-1]
+
+
+def test_chain_step_converges_at_fourth_order():
+    # a and b are not parallel, so the coefficient values do not commute
+    # and the commutator term of the step decides the order
+    a = np.array([0.3, -0.7, 0.5])
+    b = np.array([1.1, 0.4, -0.9])
+    ref = _chain_end(8192, a, b)
+    errs = [np.abs(_chain_end(n, a, b) - ref).max() for n in (16, 32, 64)]
+    ratios = [errs[0] / errs[1], errs[1] / errs[2]]
+    assert min(ratios) >= 12.0, ratios
+    assert abs(quat.norm(ref) - 1.0) < 1e-13
+
+
+def test_drift_stays_at_roundoff_on_long_strip():
+    # the longest chain the benchmark integrates: 4001 rows of a cylinder strip
+    hs = fixtures.cmc_cylinder_epsilon(
+        fixtures.default_spec("cmc_cylinder", nu=4001, nv=11, du=6e-3, dv=6e-3)
+    )
+    _, cert = hsys.surface_from_epsilon(hs)
+    assert cert["drift_max"] < 1e-12

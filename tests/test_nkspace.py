@@ -41,6 +41,15 @@ def test_tangent_validation():
         nk.tangent(base, quat.ONE, quat.QJ)
 
 
+@pytest.mark.parametrize(
+    "u, v",
+    [([np.nan, 0.0, 0.0, 0.0], 0.0), (quat.QI, [0.0, 0.0, np.nan, 0.0])],
+)
+def test_tangent_rejects_nan(u, v):
+    with pytest.raises(ValueError, match="not orthogonal"):
+        nk.tangent(origin(), np.asarray(u), np.asarray(v))
+
+
 def test_tangent_arithmetic():
     rng = np.random.default_rng(4)
     base = nk.random_point(rng, (7,))
@@ -84,6 +93,21 @@ def test_metric_rejects_mixed_bases():
     W = nk.random_tangent(rng, b2)
     with pytest.raises(ValueError):
         nk.metric(Z, W)
+
+
+@pytest.mark.parametrize("factor", ["p", "q"])
+def test_metric_rejects_nan_base(factor):
+    # a base built without `point` can carry NaN; comparing it must not pass
+    base = origin()
+    bad = nk.Point(
+        np.array([np.nan, 0.0, 0.0, 0.0]) if factor == "p" else base.p,
+        np.array([np.nan, 0.0, 0.0, 0.0]) if factor == "q" else base.q,
+    )
+    Z = nk.Tangent(bad, quat.QI, np.zeros(4))
+    W = nk.tangent(base, quat.QI, np.zeros(4))
+    for a, b in ((Z, W), (W, Z)):
+        with pytest.raises(ValueError, match="different base points"):
+            nk.metric(a, b)
 
 
 def test_connection_frozen_values():
@@ -277,7 +301,8 @@ def test_p_derivative_table_fires_on_perturbed_table(monkeypatch):
 
 
 def test_identity_report_empty_for_zero_samples():
-    assert nk.identity_report(samples=0) == {}
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        nk.identity_report(samples=0)
 
 
 @pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])

@@ -58,6 +58,11 @@ def test_qinv_rejects_far_from_unit():
         quat.qinv(np.array([2.0, 0.0, 0.0, 0.0]))
 
 
+def test_qinv_rejects_nan():
+    with pytest.raises(ValueError, match="qinv needs unit input"):
+        quat.qinv(np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
 def test_unit_renormalizes():
     q = np.array([1.0 + 3e-7, 0.0, 0.0, 0.0])
     out = quat.unit(q)
