@@ -1,34 +1,3 @@
 """Numerical differential geometry of the nearly Kähler product of two 3-spheres."""
 
-from . import quat
-from .nkspace import (
-    SQRT3,
-    Point,
-    Tangent,
-    point,
-    tangent,
-    random_point,
-    random_tangent,
-    frame,
-    frame_coords,
-    from_frame_coords,
-    apply_J,
-    apply_P,
-    apply_Q,
-    metric,
-    usual_inner,
-    gnorm,
-    conn_frame,
-    covariant_derivative,
-    hermitian_connection,
-    tensor_G,
-    tensor_H,
-    curvature,
-    sectional_curvature,
-    Isometry,
-    random_isometry,
-    identity_report,
-    verify,
-)
-
 __version__ = "0.1.0"

@@ -160,7 +160,8 @@ def cmd_fixture(args):
 def cmd_analyze(args):
     _require(args, "input")
     grid = read_immersion_csv(args.input)
-    report = analyze(grid, seed=args.seed, tol_scale=args.tol_scale)
+    report = analyze(grid, tol_scale=args.tol_scale)
+    report["seed"] = args.seed
     report["config"] = _config_dict(args)
     report["version"] = VERSION_STRING
     _emit(report, args)
@@ -201,7 +202,8 @@ def cmd_from_h(args):
     hs = read_epsilon_csv(args.input)
     grid, cert = surface_from_epsilon(hs, tol_scale=args.tol_scale)
     write_immersion_csv(args.output, grid)
-    report = analyze(grid, seed=args.seed, tol_scale=args.tol_scale)
+    report = analyze(grid, tol_scale=args.tol_scale)
+    report["seed"] = args.seed
     report["certificate"] = cert
     report["config"] = _config_dict(args)
     report["version"] = VERSION_STRING

@@ -119,8 +119,9 @@ def _default_cert_tol(du, dv, tol_scale):
     return tol_scale * 200.0 * max(du, dv) ** 2
 
 
-def epsilon_from_surface(grid, cf=None, tol_scale=1.0):
-    """Integrate the rotated coefficient pair to the potential map.
+def epsilon_from_surface(grid, tol_scale=1.0):
+    """Integrate the grid's rotated coefficient pair (`extract_coefficients`)
+    to the potential map.
 
     Returns (HSurfaceGrid, certificate dict).  The output grid covers the
     input window shrunk by one cell on each side, so only centrally
@@ -139,8 +140,7 @@ def epsilon_from_surface(grid, cf=None, tol_scale=1.0):
     tol_scale = validate_tol_scale(tol_scale)
     out = grid.inset(1)
     ac_max = require_adapted(grid, tol_scale)
-    if cf is None:
-        cf = extract_coefficients(grid)
+    cf = extract_coefficients(grid)
     a, b = cf.alpha[1:-1, 1:-1], cf.beta[1:-1, 1:-1]
     eps_uv = _cumtrapz(a[:, :1], grid.du, axis=0) + _cumtrapz(b, grid.dv, axis=1)
     eps_vu = _cumtrapz(b[:1, :], grid.dv, axis=1) + _cumtrapz(a, grid.du, axis=0)
@@ -162,7 +162,8 @@ def epsilon_from_surface(grid, cf=None, tol_scale=1.0):
 
 def _integrate_chain(start, coeff, h, axis):
     """Integrate p' = p * coeff along `axis`, starting from the slice value
-    `start` at index 0 of that axis; `start` carries the remaining axes.
+    `start` at index 0 of that axis; `start` carries the remaining axes,
+    trailing ones included (the two factors integrate side by side).
 
     Each segment multiplies by the exponential of the two-term Magnus
     expansion for a coefficient interpolated linearly across the segment,
@@ -182,8 +183,11 @@ def _integrate_chain(start, coeff, h, axis):
 
 
 def _integrate_pair(c_u, c_v, du, dv, start):
-    """Integrate a quaternion grid with both coordinate derivatives given,
-    along the two path orderings (u-spine then v, v-spine then u)."""
+    """Integrate quaternion grids with both coordinate derivatives given,
+    along the two path orderings (u-spine then v, v-spine then u).
+
+    `c_u`, `c_v` have shape (nu, nv, k, 3) and `start` (k, 4): all k grids
+    share each chain's sequential products."""
     ufirst = _integrate_chain(_integrate_chain(start, c_u[:, 0], du, 0), c_v, dv, 1)
     vfirst = _integrate_chain(_integrate_chain(start, c_v[0], dv, 0), c_u, du, 0)
     return ufirst, vfirst
@@ -223,15 +227,19 @@ def surface_from_epsilon(hs, p0=None, q0=None, tol_scale=1.0):
     at, bt = rotate_pair_back(eu[1:-1, 1:-1], ev[1:-1, 1:-1])
     gt, dt = adapted_second_pair(at, bt)
 
-    p_u, p_v = _integrate_pair(at, bt, hs.du, hs.dv, p0)
-    q_u, q_v = _integrate_pair(gt, dt, hs.du, hs.dv, q0)
-    compat = max(float(np.abs(p_u - p_v).max()), float(np.abs(q_u - q_v).max()))
+    ufirst, vfirst = _integrate_pair(
+        np.stack([at, gt], axis=-2), np.stack([bt, dt], axis=-2),
+        hs.du, hs.dv, np.stack([p0, q0]),
+    )
+    compat = float(np.abs(ufirst - vfirst).max())
     if not compat <= tol:
         raise CertificateError(
             f"path-ordering disagreement {compat:.3e} exceeds {tol:.1e}"
         )
-    drift = max(float(np.abs(quat.norm(x) - 1.0).max()) for x in (p_u, p_v, q_u, q_v))
-    grid = immersion_grid(out.u0, out.v0, out.du, out.dv, p_u, q_u)
+    drift = float(np.abs(quat.norm([ufirst, vfirst]) - 1.0).max())
+    grid = immersion_grid(
+        out.u0, out.v0, out.du, out.dv, ufirst[..., 0, :], ufirst[..., 1, :]
+    )
     cert = {
         "h_equation_max": eq_res,
         "compat_max": compat,

@@ -44,7 +44,6 @@ __all__ = [
     "metric",
     "usual_inner",
     "gnorm",
-    "conn_frame",
     "covariant_derivative",
     "hermitian_connection",
     "tensor_G",
@@ -230,27 +229,6 @@ Q_MAT = np.block([[-_I3, 0.0 * _I3], [0.0 * _I3, _I3]])
 GRAM = np.block(
     [[4.0 * _I3 / 3.0, -2.0 * _I3 / 3.0], [-2.0 * _I3 / 3.0, 4.0 * _I3 / 3.0]]
 )
-
-_KINDS = {"EE": (0, 0), "EF": (0, 3), "FE": (3, 0), "FF": (3, 3)}
-
-
-def conn_frame(i, j, kind):
-    """Connection coefficients of one frame pair.
-
-    Args:
-        i, j: frame indices in 1..3.
-        kind: which blocks the two fields come from, one of EE, EF, FE, FF.
-
-    Returns:
-        The (6,) coefficient vector of the derivative of field j along field i.
-    """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {sorted(_KINDS)}, got {kind!r}")
-    if not (1 <= i <= 3 and 1 <= j <= 3):
-        raise ValueError("frame indices must lie in 1..3")
-    oi, oj = _KINDS[kind]
-    return CONN[oi + i - 1, oj + j - 1].copy()
-
 
 def gram_product(c1, c2):
     """Metric value from frame coefficients (constant Gram matrix)."""
@@ -466,10 +444,6 @@ class Isometry:
             quat.qmul(quat.qmul(self.a, Z.u), ci),
             quat.qmul(quat.qmul(self.b, Z.v), ci),
         )
-
-
-def isometry(a, b, c, tol=1e-6):
-    return Isometry(quat.unit(a, tol=tol), quat.unit(b, tol=tol), quat.unit(c, tol=tol))
 
 
 def random_isometry(rng):

@@ -25,7 +25,6 @@ __all__ = [
     "qinv",
     "embed",
     "imag",
-    "im_split",
     "qexp",
     "dot",
     "random_unit",
@@ -126,17 +125,6 @@ def embed(v):
 def imag(q):
     """Imaginary part of a quaternion as an R^3 vector."""
     return np.asarray(q, dtype=float)[..., 1:]
-
-
-def im_split(x, y):
-    """Dot/cross decomposition of a product of imaginary quaternions.
-
-    For x, y in R^3 the quaternion product of their embeddings is
-    -(x . y) + x cross y; this returns the pair (x . y, x cross y).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.sum(x * y, axis=-1), np.cross(x, y)
 
 
 def qexp(v):

@@ -220,20 +220,20 @@ class GridPartials:
 
 def partials(grid):
     """Central-difference partial derivatives, one-sided at the edges, as
-    frame coefficients."""
-    worst = 0.0
+    frame coefficients.  A NaN on the interior makes `projection_max` NaN."""
+    reals = []
     comps = []
     for arr in (grid.p, grid.q):
         conj = quat.qconj(arr)
         for axis, step in ((0, grid.du), (1, grid.dv)):
             log = quat.qmul(conj, np.gradient(arr, step, axis=axis, edge_order=2))
-            worst = max(worst, float(interior(np.abs(log[..., 0])).max()))
+            reals.append(interior(np.abs(log[..., 0])).max())
             comps.append(quat.imag(log) * FLIP)
     pu, pv, qu, qv = comps
     cu = np.concatenate([pu, qu], axis=-1)
     cv = np.concatenate([pv, qv], axis=-1)
     cu.flags.writeable = cv.flags.writeable = False
-    return GridPartials(grid, cu, cv, worst, induced_metric(cu, cv))
+    return GridPartials(grid, cu, cv, float(np.max(reals)), induced_metric(cu, cv))
 
 
 def _norm(c):
@@ -304,44 +304,35 @@ def rotate_pair_back(alpha, beta):
 class CoefficientFields:
     """Logarithmic-derivative coefficient fields of an adapted immersion.
 
-    alpha_t, beta_t, gamma_t, delta_t are the imaginary parts of
-    p^-1 p_u, p^-1 p_v, q^-1 q_u, q^-1 q_v on the grid (the frame
-    coefficients, sign flip undone); (alpha, beta) is the pair
-    (alpha_t, beta_t) rotated by `theta`.  `real_part_max` records the
-    largest real part seen before discarding (a finite-difference defect).
+    alpha_t, beta_t are the imaginary parts of p^-1 p_u, p^-1 p_v on the
+    grid (the first-factor frame coefficients, sign flip undone); (alpha,
+    beta) is that pair rotated by `THETA`.  `GridPartials.projection_max`
+    records the largest real part dropped.
     """
 
     alpha_t: np.ndarray
     beta_t: np.ndarray
-    gamma_t: np.ndarray
-    delta_t: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    theta: float
-    real_part_max: float
 
 
 def extract_coefficients(grid):
     """Coefficient fields of an adapted grid.
 
-    Raises ValueError when the real-part defect of the logarithmic
-    derivatives exceeds `_MAX_REAL_PART`; that signals a grid that is not a
-    smooth unit-quaternion immersion sampled finely enough.
+    Raises ValueError unless the real-part defect of the logarithmic
+    derivatives stays within `_MAX_REAL_PART` (a NaN defect fails); a larger
+    one signals a grid that is not a smooth unit-quaternion immersion
+    sampled finely enough.
     """
     gp = grid.partials
-    if gp.projection_max > _MAX_REAL_PART:
+    if not gp.projection_max <= _MAX_REAL_PART:
         raise ValueError(
             "logarithmic derivatives are far from imaginary "
             f"(real-part residual {gp.projection_max:.3e} > {_MAX_REAL_PART:.1e})"
         )
     alpha_t = gp.cu[..., :3] * FLIP
     beta_t = gp.cv[..., :3] * FLIP
-    gamma_t = gp.cu[..., 3:] * FLIP
-    delta_t = gp.cv[..., 3:] * FLIP
-    alpha, beta = rotate_pair(alpha_t, beta_t)
-    return CoefficientFields(
-        alpha_t, beta_t, gamma_t, delta_t, alpha, beta, THETA, gp.projection_max
-    )
+    return CoefficientFields(alpha_t, beta_t, *rotate_pair(alpha_t, beta_t))
 
 
 def adapted_second_pair(alpha_t, beta_t):
@@ -351,12 +342,13 @@ def adapted_second_pair(alpha_t, beta_t):
     return gamma_t, delta_t
 
 
-def adapted_relation_residuals(cf):
-    """Max deviation of the second-factor coefficients from the first-factor
-    pair under the relation of `adapted_second_pair`."""
-    gamma_pred, delta_pred = adapted_second_pair(cf.alpha_t, cf.beta_t)
-    rg = np.linalg.norm(cf.gamma_t - gamma_pred, axis=-1)
-    rd = np.linalg.norm(cf.delta_t - delta_pred, axis=-1)
+def adapted_relation_residuals(grid):
+    """Max deviation of the grid's second-factor coefficients from the
+    first-factor pair under the relation of `adapted_second_pair`."""
+    cu, cv = grid.partials.cu, grid.partials.cv
+    gamma_pred, delta_pred = adapted_second_pair(cu[..., :3] * FLIP, cv[..., :3] * FLIP)
+    rg = np.linalg.norm(cu[..., 3:] * FLIP - gamma_pred, axis=-1)
+    rd = np.linalg.norm(cv[..., 3:] * FLIP - delta_pred, axis=-1)
     return float(interior(rg).max()), float(interior(rd).max())
 
 
@@ -449,7 +441,7 @@ def brioschi_curvature(E, F, G, du, dv):
     finite differences; intrinsic, so it needs only (E, F, G).
     """
     det = E * G - F * F
-    if float(np.min(det)) < 1e-10:
+    if not float(np.min(det)) >= 1e-10:
         raise ValueError(f"metric is degenerate (min EG - F^2 = {np.min(det):.3e})")
     Eu = np.gradient(E, du, axis=0, edge_order=2)
     Ev = np.gradient(E, dv, axis=1, edge_order=2)
@@ -537,17 +529,16 @@ def second_fundamental_form(grid):
     return SecondFundamentalForm(huu, huv, hvv, unit_norm, _norm(trace))
 
 
-def classify_P_alignment(grid, tol=None):
+def classify_P_alignment(grid):
     """Alignment of the almost product structure with the tangent plane.
 
     Returns "normal" when P maps the tangent plane into the normal space
     everywhere, "tangent" when P preserves the tangent plane everywhere,
-    "mixed" otherwise.  The default tolerance scales with the squared grid
-    step, matching the finite-difference error floor.
+    "mixed" otherwise.  The tolerance scales with the squared grid step,
+    matching the finite-difference error floor.
     """
     gp = grid.partials
-    if tol is None:
-        tol = max(1e-8, 100.0 * max(grid.du, grid.dv) ** 2)
+    tol = max(1e-8, 100.0 * max(grid.du, grid.dv) ** 2)
     pu = gp.cu @ P_MAT.T
     scale = _norm(pu) * np.sqrt(gp.first_form[0])
     a = np.abs(gram_product(pu, gp.cu)) / scale
@@ -561,7 +552,7 @@ def classify_P_alignment(grid, tol=None):
     return "mixed"
 
 
-def analyze(grid, seed=0, tol_scale=1.0):
+def analyze(grid, tol_scale=1.0):
     """Full summary report of an adapted immersion grid.
 
     The report dict uses a fixed key schema (see the CLI docs).  Raises
@@ -589,5 +580,4 @@ def analyze(grid, seed=0, tol_scale=1.0):
         "h_norm_max": float(interior(sff.unit_norm).max()),
         "classification": classify_P_alignment(grid),
         "grid": grid.window(),
-        "seed": int(seed),
     }

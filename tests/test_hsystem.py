@@ -98,26 +98,31 @@ def test_to_potential_example1_degenerate_line():
 
 
 def test_to_potential_certificate_failure():
-    # a coefficient pair that is not closed: alpha depends on v only
-    grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
-    cf = sf.extract_coefficients(grid)
-    v = grid.v_vals[None, :, None] * np.ones((grid.nu, 1, 3))
-    bad = sf.CoefficientFields(
-        cf.alpha_t, cf.beta_t, cf.gamma_t, cf.delta_t,
-        np.stack([np.ones_like(v[..., 0]) + 5.0 * v[..., 0]] * 3, axis=-1),
-        np.zeros_like(cf.beta), cf.theta, cf.real_part_max,
+    # example2 with p left-multiplied by exp(0.005 * bump * i): the grid
+    # stays adapted (defect ~0.019 against the 0.05 gate), but its
+    # coefficient one-form is not closed (path-ordering residual ~0.018
+    # against 200 h^2 = 5e-3)
+    grid = fixtures.example2_grid(
+        fixtures.default_spec("example2", nu=81, nv=81, du=5e-3, dv=5e-3)
     )
+    u = grid.u_vals[:, None] - grid.u_vals.mean()
+    v = grid.v_vals[None, :] - grid.v_vals.mean()
+    bump = np.exp(-(u * u + v * v) / (2.0 * 0.15**2))
+    twist = quat.qexp(5e-3 * bump[..., None] * [1.0, 0.0, 0.0])
+    bent = sf.immersion_grid(
+        grid.u0, grid.v0, grid.du, grid.dv, quat.qmul(twist, grid.p), grid.q
+    )
+    assert sf.require_adapted(bent, 1.0) < 0.5 * sf.ADAPTED_GATE
     with pytest.raises(hsys.CertificateError, match="not closed"):
-        hsys.epsilon_from_surface(grid, cf=bad)
+        hsys.epsilon_from_surface(bent)
 
 
-def test_to_potential_nan_coefficients_fail_closedness_gate():
+def test_to_potential_rejects_nan_cell():
     grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
-    cf = sf.extract_coefficients(grid)
-    alpha = cf.alpha.copy()
-    alpha[7, 7, 0] = np.nan
-    with pytest.raises(hsys.CertificateError, match="not closed"):
-        hsys.epsilon_from_surface(grid, cf=dataclasses.replace(cf, alpha=alpha))
+    p = grid.p.copy()
+    p[7, 7, 0] = np.nan
+    with pytest.raises(ValueError, match="not adapted"):
+        hsys.epsilon_from_surface(dataclasses.replace(grid, p=p))
 
 
 def test_integrators_reject_tiny_grids():

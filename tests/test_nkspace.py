@@ -112,19 +112,12 @@ def test_metric_rejects_nan_base(factor):
 
 def test_connection_frozen_values():
     # derivative of the second frame field along the first, per factor
-    c = nk.conn_frame(1, 2, "EE")
-    assert np.allclose(c, [0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
-    c = nk.conn_frame(1, 2, "FF")
-    assert np.allclose(c, [0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
-    c = nk.conn_frame(1, 2, "EF")
-    assert np.allclose(c, [0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, -1.0 / 3.0])
-    c = nk.conn_frame(1, 2, "FE")
-    assert np.allclose(c, [0.0, 0.0, -1.0 / 3.0, 0.0, 0.0, 1.0 / 3.0])
-    assert np.allclose(nk.conn_frame(1, 1, "EE"), 0.0)
-    with pytest.raises(ValueError):
-        nk.conn_frame(1, 2, "GE")
-    with pytest.raises(ValueError):
-        nk.conn_frame(0, 2, "EE")
+    # (E1, E2), (F1, F2), (E1, F2), (F1, E2) in frame indices
+    assert np.allclose(nk.CONN[0, 1], [0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(nk.CONN[3, 4], [0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
+    assert np.allclose(nk.CONN[0, 4], [0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, -1.0 / 3.0])
+    assert np.allclose(nk.CONN[3, 1], [0.0, 0.0, -1.0 / 3.0, 0.0, 0.0, 1.0 / 3.0])
+    assert np.allclose(nk.CONN[0, 0], 0.0)
 
 
 def test_structure_tensor_frozen_values():

@@ -72,6 +72,16 @@ def test_non_adapted_grid_flagged():
         sf.analyze(grid)
 
 
+def test_nan_cell_fails_real_part_gate():
+    grid = fixtures.example1_grid(small_spec("example1", n=15))
+    p = grid.p.copy()
+    p[7, 7, 0] = np.nan
+    bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
+    assert np.isnan(bad.partials.projection_max)
+    with pytest.raises(ValueError, match="far from imaginary"):
+        sf.extract_coefficients(bad)
+
+
 def test_extract_coefficients_example1_constants():
     # central stencils scale each exact coefficient by sin(ch)/(ch), so the
     # constants are recovered to O(h^2), not exactly
@@ -81,11 +91,13 @@ def test_extract_coefficients_example1_constants():
     assert (
         np.abs(sf.interior(cf.beta_t) - np.array([-1 / SQ3, 0, 0])).max() < 1e-5
     )
-    assert np.abs(sf.interior(cf.gamma_t)).max() < 1e-12
+    gp = grid.partials
+    gamma_t, delta_t = gp.cu[..., 3:] * nk.FLIP, gp.cv[..., 3:] * nk.FLIP
+    assert np.abs(sf.interior(gamma_t)).max() < 1e-12
     assert (
-        np.abs(sf.interior(cf.delta_t) - np.array([-2 / SQ3, 0, 0])).max() < 5e-5
+        np.abs(sf.interior(delta_t) - np.array([-2 / SQ3, 0, 0])).max() < 5e-5
     )
-    rg, rd = sf.adapted_relation_residuals(cf)
+    rg, rd = sf.adapted_relation_residuals(grid)
     assert max(rg, rd) < 5e-5
 
 
@@ -186,6 +198,9 @@ def test_brioschi_round_sphere():
     assert np.abs(sf.interior(K) - 1.0).max() < 1e-5
     with pytest.raises(ValueError):
         sf.brioschi_curvature(E, E, E, h, h)  # EG - F^2 = 0
+    E[20, 20] = np.nan
+    with pytest.raises(ValueError, match="degenerate"):
+        sf.brioschi_curvature(E, F, G, h, h)
 
 
 def test_gaussian_curvature_fixture_values():
@@ -224,20 +239,19 @@ def test_classify_alignment():
     assert sf.classify_P_alignment(g1) == "tangent"
     g2 = fixtures.example2_grid(small_spec("example2", n=31))
     assert sf.classify_P_alignment(g2) == "normal"
-    # an unreachable tolerance forces the fallback label
-    assert sf.classify_P_alignment(g1, tol=1e-18) == "mixed"
+    g3 = fixtures.non_adapted_grid(small_spec("example1", n=15, h=5e-2))
+    assert sf.classify_P_alignment(g3) == "mixed"
 
 
 def test_analyze_report_schema_and_values():
     grid = fixtures.example1_grid(small_spec("example1", n=31))
-    rep = sf.analyze(grid, seed=5)
+    rep = sf.analyze(grid)
     keys = {
         "almost_complex_max", "integrability_21_max", "integrability_22_max",
         "integrability_23_max", "cr_max", "lambda_max_abs", "K_mean",
-        "K_max_dev", "h_norm_max", "classification", "grid", "seed",
+        "K_max_dev", "h_norm_max", "classification", "grid",
     }
-    assert keys <= set(rep)
-    assert rep["seed"] == 5
+    assert keys == set(rep)
     assert rep["classification"] == "tangent"
     assert abs(rep["K_mean"]) < 1e-8
     assert abs(rep["lambda_max_abs"] - 2.0 / 3.0) < 1e-4
