@@ -18,7 +18,6 @@ outputs.  Exit codes: 0 success, 2 certificate or verification failure,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -76,7 +75,7 @@ def _build_parser():
     )
     ap.add_argument(
         "--seed", type=int, default=42,
-        help="RNG seed, recorded in every report (env NKS3_SEED overrides)",
+        help="RNG seed (verify), recorded in every report's config",
     )
     ap.add_argument(
         "--tol-scale", type=float, default=1.0,
@@ -108,14 +107,12 @@ def _require(args, *names):
 
 
 def cmd_verify(args):
-    j_scale = float(os.environ.get("NKS3_J_SCALE", "1.0"))
     residuals, thresholds, ok = verify(
-        samples=args.samples, seed=args.seed,
-        tol_scale=args.tol_scale, j_scale=j_scale,
+        samples=args.samples, seed=args.seed, tol_scale=args.tol_scale
     )
     flagged = sorted(k for k in residuals if not residuals[k] <= thresholds[k])
     report = {
-        "config": _config_dict(args, j_scale=j_scale),
+        "config": _config_dict(args),
         "version": VERSION_STRING,
         "ok": bool(ok),
         "flagged": flagged,
@@ -161,7 +158,6 @@ def cmd_analyze(args):
     _require(args, "input")
     grid = read_immersion_csv(args.input)
     report = analyze(grid, tol_scale=args.tol_scale)
-    report["seed"] = args.seed
     report["config"] = _config_dict(args)
     report["version"] = VERSION_STRING
     _emit(report, args)
@@ -185,7 +181,6 @@ def cmd_to_h(args):
     _require(args, "input", "output")
     grid = read_immersion_csv(args.input)
     hs, cert = epsilon_from_surface(grid, tol_scale=args.tol_scale)
-    write_epsilon_csv(args.output, hs)
     report = {
         "config": _config_dict(args),
         "version": VERSION_STRING,
@@ -193,6 +188,7 @@ def cmd_to_h(args):
         "mean_curvature": _mean_curvature_stats(hs),
         "metric_factor": metric_factor_check(grid, hs),
     }
+    write_epsilon_csv(args.output, hs)
     _emit(report, args, sidecar_for=args.output)
     return 0
 
@@ -201,12 +197,11 @@ def cmd_from_h(args):
     _require(args, "input", "output")
     hs = read_epsilon_csv(args.input)
     grid, cert = surface_from_epsilon(hs, tol_scale=args.tol_scale)
-    write_immersion_csv(args.output, grid)
     report = analyze(grid, tol_scale=args.tol_scale)
-    report["seed"] = args.seed
     report["certificate"] = cert
     report["config"] = _config_dict(args)
     report["version"] = VERSION_STRING
+    write_immersion_csv(args.output, grid)
     _emit(report, args, sidecar_for=args.output)
     return 0
 
@@ -224,9 +219,6 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         validate_tol_scale(args.tol_scale)
-        env_seed = os.environ.get("NKS3_SEED")
-        if env_seed is not None:
-            args.seed = int(env_seed)
         return _HANDLERS[args.command](args)
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)

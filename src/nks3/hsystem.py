@@ -34,7 +34,6 @@ from .surface import (
     extract_coefficients,
     immersion_grid,
     interior,
-    lambda_field,
     lattice,
     require_adapted,
     rotate_pair_back,
@@ -57,10 +56,6 @@ __all__ = [
 class CertificateError(RuntimeError):
     """An integration self-check failed: the input does not satisfy the
     compatibility conditions to the expected discretization order."""
-
-
-# the metric factor check applies where |lambda| stays below this
-_LAMBDA_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -193,9 +188,9 @@ def _integrate_pair(c_u, c_v, du, dv, start):
     return ufirst, vfirst
 
 
-def surface_from_epsilon(hs, p0=None, q0=None, tol_scale=1.0):
+def surface_from_epsilon(hs, tol_scale=1.0):
     """Integrate a solution grid of the quadratic equation back to an
-    adapted immersion with initial point (p0, q0) at the grid origin.
+    adapted immersion that starts at (1, 1) at the output grid's origin.
 
     Returns (ImmersionGrid, certificate dict).  The output grid covers the
     input window shrunk by one cell on each side: the derivative stencils
@@ -214,8 +209,6 @@ def surface_from_epsilon(hs, p0=None, q0=None, tol_scale=1.0):
     """
     tol_scale = validate_tol_scale(tol_scale)
     out = hs.inset(1)
-    p0 = quat.ONE if p0 is None else quat.unit(p0)
-    q0 = quat.ONE if q0 is None else quat.unit(q0)
     tol = _default_cert_tol(hs.du, hs.dv, tol_scale)
     eq_res = float(interior(h_equation_residual(hs)).max())
     if not eq_res <= tol:
@@ -229,7 +222,7 @@ def surface_from_epsilon(hs, p0=None, q0=None, tol_scale=1.0):
 
     ufirst, vfirst = _integrate_pair(
         np.stack([at, gt], axis=-2), np.stack([bt, dt], axis=-2),
-        hs.du, hs.dv, np.stack([p0, q0]),
+        hs.du, hs.dv, np.stack([quat.ONE, quat.ONE]),
     )
     compat = float(np.abs(ufirst - vfirst).max())
     if not compat <= tol:
@@ -294,26 +287,21 @@ def sphere_fit(points):
 
 
 def metric_factor_check(grid, hs):
-    """Pointwise ratio of the surface metric to the flat-potential metric.
+    """Pointwise ratio 2E / (|eps_u|^2 + |eps_v|^2) of the surface metric
+    to the flat-potential metric.
 
-    Only meaningful when the holomorphic quadratic coefficient vanishes;
-    returns a dict with status "not_applicable" otherwise.  On applicable
-    pairs the ratio field must be the constant 2.  The two grids may cover
-    offset windows of the same lattice; the ratio is taken on the overlap
+    The correspondence makes E = G = |eps_u|^2 + |eps_v|^2 for every
+    potential, so the ratio field must be the constant 2 whatever the
+    holomorphic quadratic coefficient.  The two grids may cover offset
+    windows of the same lattice; the ratio is taken on the overlap
     (`Lattice.overlap`, which raises ValueError when the steps differ).
     """
     g_slice, h_slice = grid.overlap(hs)
-    gp = grid.partials
-    lam_max = float(interior(np.abs(lambda_field(gp))).max())
-    if lam_max > _LAMBDA_TOL:
-        return {"status": "not_applicable", "lambda_max_abs": lam_max}
-    eu, _ = _eps_partials(hs)
-    E, _, _ = gp.first_form
-    ratio = E[g_slice] / np.sum(eu * eu, axis=-1)[h_slice]
-    ratio_int = interior(ratio)
+    eu, ev = _eps_partials(hs)
+    E, _, _ = grid.partials.first_form
+    speed = np.sum(eu * eu, axis=-1) + np.sum(ev * ev, axis=-1)
+    ratio_int = interior(2.0 * E[g_slice] / speed[h_slice])
     return {
-        "status": "ok",
-        "lambda_max_abs": lam_max,
         "ratio_mean": float(ratio_int.mean()),
         "ratio_max_dev": float(np.abs(ratio_int - 2.0).max()),
     }

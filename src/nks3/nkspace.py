@@ -30,7 +30,6 @@ __all__ = [
     "SQRT3",
     "Point",
     "Tangent",
-    "point",
     "tangent",
     "random_point",
     "random_tangent",
@@ -44,8 +43,6 @@ __all__ = [
     "metric",
     "usual_inner",
     "gnorm",
-    "covariant_derivative",
-    "hermitian_connection",
     "tensor_G",
     "tensor_H",
     "curvature",
@@ -84,11 +81,6 @@ class Point:
 
     p: np.ndarray
     q: np.ndarray
-
-
-def point(p, q, tol=1e-6):
-    """Validated constructor: renormalizes both factors onto the unit sphere."""
-    return Point(quat.unit(p, tol=tol), quat.unit(q, tol=tol))
 
 
 def random_point(rng, shape=()):
@@ -330,12 +322,12 @@ def _mat(m, c):
     return np.einsum("ab,...b->...a", m, c)
 
 
-def curvature_coeff(x, y, w, j_mat=J_MAT):
+def curvature_coeff(x, y, w):
     """Closed-form curvature on frame coefficient vectors (position free)."""
     g = gram_product
-    jx, jy, jw = _mat(j_mat, x), _mat(j_mat, y), _mat(j_mat, w)
+    jx, jy, jw = _mat(J_MAT, x), _mat(J_MAT, y), _mat(J_MAT, w)
     px, py = _mat(P_MAT, x), _mat(P_MAT, y)
-    jpx, jpy = _mat(j_mat, px), _mat(j_mat, py)
+    jpx, jpy = _mat(J_MAT, px), _mat(J_MAT, py)
 
     def sc(s, c):
         return s[..., None] * c
@@ -371,50 +363,6 @@ def sectional_curvature(X, Y):
     num = metric(curvature(X, Y, Y), X)
     den = metric(X, X) * metric(Y, Y) - metric(X, Y) ** 2
     return num / den
-
-
-# ---------------------------------------------------------------------------
-# derivatives of vector fields
-# ---------------------------------------------------------------------------
-
-
-def covariant_derivative(field, X, step=1e-4):
-    """Levi-Civita derivative of a vector field along X at X's base point.
-
-    The field's frame coefficients are differentiated along the geodesic-like
-    curve t -> (p exp(t a), q exp(t b)) with initial velocity X, by a central
-    difference of width `step`; the frame's own derivative comes from the
-    constant connection table.  Second-order accurate in `step`.
-
-    Args:
-        field: callable Point -> Tangent, defined near the base point.
-        X: direction (Tangent); the evaluation point is X.base.
-        step: finite-difference half-width.
-    """
-    base = X.base
-    a = quat.imag(quat.qmul(quat.qconj(base.p), X.u))
-    b = quat.imag(quat.qmul(quat.qconj(base.q), X.v))
-
-    def shifted(t):
-        return Point(
-            quat.qmul(base.p, quat.qexp(t * a)), quat.qmul(base.q, quat.qexp(t * b))
-        )
-
-    cp = frame_coords(field(shifted(step)))
-    cm = frame_coords(field(shifted(-step)))
-    dc = (cp - cm) / (2.0 * step)
-    c0 = frame_coords(field(base))
-    x = frame_coords(X)
-    conn_term = np.einsum("abk,...a,...b->...k", CONN, x, c0)
-    return from_frame_coords(base, dc + conn_term)
-
-
-def hermitian_connection(field, X, step=1e-4):
-    """Canonical Hermitian connection: the Levi-Civita derivative plus half
-    the J-derivative tensor applied to (X, J field)."""
-    lc = covariant_derivative(field, X, step=step)
-    corr = tensor_G(X, apply_J(field(X.base)))
-    return lc + 0.5 * corr
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +411,12 @@ def _commutator(m, table):
     return np.einsum("kb,akm->abm", m, table) - np.einsum("mk,abk->abm", m, table)
 
 
-def identity_report(samples=1000, seed=42, j_scale=1.0):
+def identity_report(samples=1000, seed=42):
     """Max residuals of the structural identities of the geometry.
 
     Frame-exact identities are evaluated on the constant tables; sampled
     identities draw `samples` random points with one or two random tangents
-    each.  `j_scale` multiplies the almost complex structure everywhere the
-    suite applies it (a deliberate-inconsistency hook for negative controls;
-    1.0 means the genuine structure).
+    each.  A NaN residual stays NaN.
 
     Returns a dict mapping identity names to max residuals.  Raises
     ValueError when `samples` is below 1.
@@ -478,11 +424,6 @@ def identity_report(samples=1000, seed=42, j_scale=1.0):
     if not samples >= 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     rng = np.random.default_rng(seed)
-    jm = j_scale * J_MAT
-
-    def aj(Z):
-        return j_scale * apply_J(Z)
-
     res = {}
     eye = np.eye(6)
 
@@ -494,29 +435,27 @@ def identity_report(samples=1000, seed=42, j_scale=1.0):
     W = random_tangent(rng, pts)
 
     fr = frame(pts)
-    gram_dev = 0.0
-    for aa in range(6):
-        for bb in range(6):
-            gram_dev = max(
-                gram_dev,
-                float(np.abs(metric(fr[aa], fr[bb]) - GRAM[aa, bb]).max()),
-            )
-    res["frame_metric"] = gram_dev
+    res["frame_metric"] = float(np.max([
+        np.abs(metric(fr[aa], fr[bb]) - GRAM[aa, bb]).max()
+        for aa in range(6) for bb in range(6)
+    ]))
 
-    two_form = 0.5 * (usual_inner(X, Y) + usual_inner(aj(X), aj(Y)))
+    two_form = 0.5 * (usual_inner(X, Y) + usual_inner(apply_J(X), apply_J(Y)))
     res["metric_two_forms"] = float(np.abs(two_form - metric(X, Y)).max())
 
-    res["j_squared"] = float(np.abs(frame_coords(aj(aj(X)) + X)).max())
+    res["j_squared"] = float(np.abs(frame_coords(apply_J(apply_J(X)) + X)).max())
     res["p_squared"] = float(np.abs(frame_coords(apply_P(apply_P(X)) - X)).max())
     res["q_squared"] = float(np.abs(frame_coords(apply_Q(apply_Q(X)) - X)).max())
     res["pj_anticommute"] = float(
-        np.abs(frame_coords(apply_P(aj(X)) + aj(apply_P(X)))).max()
+        np.abs(frame_coords(apply_P(apply_J(X)) + apply_J(apply_P(X)))).max()
     )
-    res["g_j_invariant"] = float(np.abs(metric(aj(X), aj(Y)) - metric(X, Y)).max())
+    res["g_j_invariant"] = float(
+        np.abs(metric(apply_J(X), apply_J(Y)) - metric(X, Y)).max()
+    )
     res["g_p_invariant"] = float(
         np.abs(metric(apply_P(X), apply_P(Y)) - metric(X, Y)).max()
     )
-    qj = apply_Q(aj(X))
+    qj = apply_Q(apply_J(X))
     flip = (1.0 / SQRT3) * ((-2.0) * apply_P(X) + X)
     res["q_j_product_flip"] = float(np.abs(frame_coords(qj - flip)).max())
     res["usual_metric_recovery"] = float(
@@ -528,15 +467,11 @@ def identity_report(samples=1000, seed=42, j_scale=1.0):
     )
 
     # frame representations of J, P, Q agree with the ambient operators
-    rep_dev = 0.0
-    for bb in range(6):
-        rep_dev = max(
-            rep_dev,
-            float(np.abs(frame_coords(apply_J(fr[bb])) - J_MAT[:, bb]).max()),
-            float(np.abs(frame_coords(apply_P(fr[bb])) - P_MAT[:, bb]).max()),
-            float(np.abs(frame_coords(apply_Q(fr[bb])) - Q_MAT[:, bb]).max()),
-        )
-    res["frame_representation"] = rep_dev
+    res["frame_representation"] = float(np.max([
+        np.abs(frame_coords(op(fr[bb])) - mat[:, bb]).max()
+        for op, mat in ((apply_J, J_MAT), (apply_P, P_MAT), (apply_Q, Q_MAT))
+        for bb in range(6)
+    ]))
 
     # --- J-derivative tensor properties ---------------------------------
     gxy = tensor_G(X, Y)
@@ -544,7 +479,7 @@ def identity_report(samples=1000, seed=42, j_scale=1.0):
         np.abs(frame_coords(gxy + tensor_G(Y, X))).max()
     )
     res["g_tensor_j_mix"] = float(
-        np.abs(frame_coords(tensor_G(X, aj(Y)) + aj(gxy))).max()
+        np.abs(frame_coords(tensor_G(X, apply_J(Y)) + apply_J(gxy))).max()
     )
     res["g_tensor_metric_skew"] = float(
         np.abs(metric(gxy, Z) + metric(tensor_G(X, Z), Y)).max()
@@ -557,11 +492,13 @@ def identity_report(samples=1000, seed=42, j_scale=1.0):
         ).max()
     )
     res["h_j_mix"] = float(
-        np.abs(frame_coords(tensor_H(X, aj(Y)) - aj(hxy))).max()
+        np.abs(frame_coords(tensor_H(X, apply_J(Y)) - apply_J(hxy))).max()
     )
     res["g_p_mix"] = float(
         np.abs(
-            frame_coords(tensor_G(X, apply_P(Y)) + apply_P(gxy) + 2.0 * aj(hxy))
+            frame_coords(
+                tensor_G(X, apply_P(Y)) + apply_P(gxy) + 2.0 * apply_J(hxy)
+            )
         ).max()
     )
     res["h_p_mix"] = float(
@@ -576,8 +513,8 @@ def identity_report(samples=1000, seed=42, j_scale=1.0):
     rhs = (1.0 / 3.0) * (
         metric(X, Z) * metric(Y, W)
         - metric(X, W) * metric(Y, Z)
-        + metric(aj(X), Z) * metric(aj(W), Y)
-        - metric(aj(X), W) * metric(aj(Z), Y)
+        + metric(apply_J(X), Z) * metric(apply_J(W), Y)
+        - metric(apply_J(X), W) * metric(apply_J(Z), Y)
     )
     res["g_tensor_pair_product"] = float(np.abs(lhs - rhs).max())
 
@@ -592,13 +529,13 @@ def identity_report(samples=1000, seed=42, j_scale=1.0):
 
     # Leibniz consistency of the J- and P-derivative tables with the
     # connection table and the constant frame representations
-    res["j_derivative_table"] = float(np.abs(_commutator(jm, CONN) - G_TABLE).max())
+    res["j_derivative_table"] = float(np.abs(_commutator(J_MAT, CONN) - G_TABLE).max())
     res["p_derivative_table"] = float(np.abs(_commutator(P_MAT, CONN) - H_TABLE).max())
 
     # Hermitian connection parallelism of J and P: its frame table is the
     # connection table plus half the J-derivative table applied to J e_b
-    bar = CONN + 0.5 * np.einsum("kb,akm->abm", jm, G_TABLE)
-    res["hermitian_j_parallel"] = float(np.abs(_commutator(jm, bar)).max())
+    bar = CONN + 0.5 * np.einsum("kb,akm->abm", J_MAT, G_TABLE)
+    res["hermitian_j_parallel"] = float(np.abs(_commutator(J_MAT, bar)).max())
     res["hermitian_p_parallel"] = float(np.abs(_commutator(P_MAT, bar)).max())
 
     # covariant derivative of the J-derivative tensor (frame triples)
@@ -608,15 +545,15 @@ def identity_report(samples=1000, seed=42, j_scale=1.0):
         - np.einsum("bkm,ack->abcm", G_TABLE, CONN)
     )
     rhs = (1.0 / 3.0) * (
-        np.einsum("ac,mb->abcm", GRAM, jm)
-        - np.einsum("ab,mc->abcm", GRAM, jm)
-        - np.einsum("kb,kc,am->abcm", jm, GRAM, eye)
+        np.einsum("ac,mb->abcm", GRAM, J_MAT)
+        - np.einsum("ab,mc->abcm", GRAM, J_MAT)
+        - np.einsum("kb,kc,am->abcm", J_MAT, GRAM, eye)
     )
     res["g_tensor_derivative"] = float(np.abs(lhs - rhs).max())
 
     # curvature: closed form against the structure-constant oracle
     formula = curvature_coeff(
-        eye[:, None, None], eye[None, :, None], eye[None, None, :], j_mat=jm
+        eye[:, None, None], eye[None, :, None], eye[None, None, :]
     )
     res["curvature_vs_oracle"] = float(
         np.abs(formula - curvature_oracle_table()).max()
@@ -655,7 +592,7 @@ def validate_tol_scale(tol_scale):
     return value
 
 
-def verify(samples=1000, seed=42, tol_scale=1.0, j_scale=1.0):
+def verify(samples=1000, seed=42, tol_scale=1.0):
     """Run the identity suite against thresholds.
 
     Returns (report, thresholds, ok); ok is True when every residual stays
@@ -663,7 +600,7 @@ def verify(samples=1000, seed=42, tol_scale=1.0, j_scale=1.0):
     `tol_scale` is not finite and positive.
     """
     tol_scale = validate_tol_scale(tol_scale)
-    report = identity_report(samples=samples, seed=seed, j_scale=j_scale)
+    report = identity_report(samples=samples, seed=seed)
     thresholds = {k: tol_scale * v for k, v in default_thresholds(report).items()}
     ok = all(report[k] <= thresholds[k] for k in report)
     return report, thresholds, ok

@@ -22,7 +22,6 @@ __all__ = [
     "norm",
     "normalize",
     "unit",
-    "qinv",
     "embed",
     "imag",
     "qexp",
@@ -97,22 +96,6 @@ def unit(q, tol=1e-6):
             f"quaternion norm deviates from 1 by {worst:.3e} (tolerance {tol:.1e})"
         )
     return q / n[..., None]
-
-
-def qinv(q, tol=1e-9):
-    """Inverse of a unit quaternion (its conjugate).
-
-    Rejects input whose norm deviates from 1 by more than `tol`; this keeps
-    the conjugate-equals-inverse shortcut honest.
-    """
-    q = np.asarray(q, dtype=float)
-    dev = np.abs(norm(q) - 1.0)
-    worst = float(dev.max()) if dev.size else 0.0
-    if not worst <= tol:
-        raise ValueError(
-            f"qinv needs unit input; norm deviates by {worst:.3e} (tolerance {tol:.1e})"
-        )
-    return qconj(q)
 
 
 def embed(v):

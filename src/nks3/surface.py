@@ -48,18 +48,15 @@ __all__ = [
     "partials",
     "almost_complex_residual",
     "require_adapted",
-    "span_defect",
     "extract_coefficients",
     "rotate_pair",
     "rotate_pair_back",
     "integrability_residuals",
     "lambda_field",
-    "lambda_quadratic",
     "cr_residuals",
     "induced_metric",
     "second_derivative",
     "adapted_second_pair",
-    "adapted_relation_residuals",
     "brioschi_curvature",
     "gaussian_curvature",
     "second_fundamental_form",
@@ -277,15 +274,6 @@ def require_adapted(grid, tol_scale):
     return ac_max
 
 
-def span_defect(gp):
-    """Component of J phi_u outside span{phi_u, phi_v}, relative to |phi_u|.
-
-    Coordinate-free counterpart of `almost_complex_residual`: zero whenever
-    the tangent plane is J-invariant, however the patch is parametrized.
-    """
-    return _norm(_normal_part(gp, gp.cu @ J_MAT.T)) / np.sqrt(gp.first_form[0])
-
-
 def rotate_pair(alpha_t, beta_t):
     """Forward rotation of the coefficient pair by the fixed angle."""
     a = _COS_T * alpha_t + _SIN_T * beta_t
@@ -342,16 +330,6 @@ def adapted_second_pair(alpha_t, beta_t):
     return gamma_t, delta_t
 
 
-def adapted_relation_residuals(grid):
-    """Max deviation of the grid's second-factor coefficients from the
-    first-factor pair under the relation of `adapted_second_pair`."""
-    cu, cv = grid.partials.cu, grid.partials.cv
-    gamma_pred, delta_pred = adapted_second_pair(cu[..., :3] * FLIP, cv[..., :3] * FLIP)
-    rg = np.linalg.norm(cu[..., 3:] * FLIP - gamma_pred, axis=-1)
-    rd = np.linalg.norm(cv[..., 3:] * FLIP - delta_pred, axis=-1)
-    return float(interior(rg).max()), float(interior(rd).max())
-
-
 def integrability_residuals(cf, du, dv):
     """Max-norm residuals of the three first-order compatibility equations.
 
@@ -376,16 +354,6 @@ def integrability_residuals(cf, du, dv):
         return float(interior(np.linalg.norm(r, axis=-1)).max())
 
     return stat(r1), stat(r2), stat(r3)
-
-
-def lambda_quadratic(x, y):
-    """The holomorphic quadratic coefficient as a quadratic form on a
-    coefficient pair: (1 + i sqrt3)/4 times the complex square of x - iy."""
-    a = np.sum(x * x, axis=-1) - np.sum(y * y, axis=-1)
-    b = np.sum(x * y, axis=-1)
-    re = 0.25 * a + (SQRT3 / 2.0) * b
-    im = (SQRT3 / 4.0) * a - 0.5 * b
-    return re + 1j * im
 
 
 def lambda_field(gp):

@@ -1,3 +1,7 @@
+import pytest
+
+from nks3 import nkspace as nk
+
 ACCEPTANCE_LINES = []
 
 
@@ -10,3 +14,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def scale_J(monkeypatch):
+    """Negative-control hook: `scale_J(s)` multiplies the almost complex
+    structure by `s` in both of its forms in `nkspace`, the frame matrix
+    `J_MAT` and the ambient operator `apply_J`, for the rest of the test."""
+    apply_J = nk.apply_J
+
+    def scale(s):
+        monkeypatch.setattr(nk, "J_MAT", s * nk.J_MAT)
+        monkeypatch.setattr(nk, "apply_J", lambda Z: s * apply_J(Z))
+
+    return scale

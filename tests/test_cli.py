@@ -1,4 +1,7 @@
 import json
+import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -6,6 +9,9 @@ import numpy as np
 import pytest
 
 from nks3 import cli, fixtures, io
+from nks3 import nkspace as nk
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -32,26 +38,38 @@ def test_verify_zero_samples(capsys):
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_zero_samples_refused_under_perturbed_structure(
-    capsys, monkeypatch, samples
+    capsys, scale_J, samples
 ):
     # with no samples the perturbed structure must not slip through as "ok"
-    monkeypatch.setenv("NKS3_J_SCALE", "1.1")
+    scale_J(1.1)
     code, rep, err = run(capsys, "--command", "verify", "--samples", samples)
     assert code == 3 and rep is None
     assert "samples must be at least 1" in err
 
 
-def test_verify_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("NKS3_SEED", "7")
-    code, rep, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "1")
-    assert code == 0 and rep["config"]["seed"] == 7
-    monkeypatch.setenv("NKS3_SEED", "notanint")
-    code, rep, err = run(capsys, "--command", "verify", "--samples", "10")
-    assert code == 3 and "input error" in err
+def test_no_environment_knobs():
+    # every input is a flag recorded in config: no module reads the
+    # environment, and former override variables change nothing
+    for path in (SRC / "nks3").glob("*.py"):
+        assert not re.search(r"\benviron\b|getenv", path.read_text()), path.name
+    argv = [sys.executable, "-m", "nks3.cli", "--command", "verify", "--samples", "50"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    plain = subprocess.run(argv, capture_output=True, env=env, check=True)
+    env.update(NKS3_SEED="7", NKS3_J_SCALE="1.1")
+    knobs = subprocess.run(argv, capture_output=True, env=env, check=True)
+    assert knobs.stdout == plain.stdout
 
 
-def test_verify_perturbed_structure_flagged(capsys, monkeypatch):
-    monkeypatch.setenv("NKS3_J_SCALE", "1.000001")
+def test_verify_tiny_tol_scale_flagged(capsys):
+    code, rep, _ = run(capsys, "--command", "verify", "--samples", "50",
+                       "--tol-scale", "1e-6")
+    assert code == 2 and rep["ok"] is False
+    assert len(rep["flagged"]) == 25 and len(rep["residual_max"]) == 28
+    assert rep["config"]["tol_scale"] == 1e-6
+
+
+def test_verify_perturbed_structure_flagged(capsys, scale_J):
+    scale_J(1.000001)
     code, rep, _ = run(capsys, "--command", "verify", "--samples", "50")
     assert code == 2
     assert "j_squared" in rep["flagged"]
@@ -60,21 +78,37 @@ def test_verify_perturbed_structure_flagged(capsys, monkeypatch):
     assert "pj_anticommute" not in rep["flagged"]
 
 
-def test_verify_config_records_j_scale(capsys, monkeypatch):
-    code, rep, _ = run(capsys, "--command", "verify", "--samples", "10")
-    assert code == 0 and rep["config"]["j_scale"] == 1.0
-    monkeypatch.setenv("NKS3_J_SCALE", "1.000001")
-    code, rep, _ = run(capsys, "--command", "verify", "--samples", "10")
-    assert code == 2 and rep["config"]["j_scale"] == 1.000001
+def test_verify_config_records_every_flag(capsys):
+    code, rep, _ = run(capsys, "--command", "verify", "--samples", "10",
+                       "--seed", "3")
+    assert code == 0
+    assert rep["config"] == {
+        "command": "verify", "input": None, "output": None, "nu": None,
+        "nv": None, "du": None, "dv": None, "samples": 10, "seed": 3,
+        "tol_scale": 1.0, "fixture": None,
+    }
 
 
-def test_verify_nan_j_scale_flags_nan_entries(capsys, monkeypatch):
-    monkeypatch.setenv("NKS3_J_SCALE", "nan")
+def test_verify_nan_j_scale_flags_nan_entries(capsys, scale_J):
+    scale_J(np.nan)
     code, rep, _ = run(capsys, "--command", "verify", "--samples", "10")
     assert code == 2 and rep["ok"] is False
     nan_keys = {k for k, v in rep["residual_max"].items() if np.isnan(v)}
     assert {"j_squared", "curvature_vs_oracle"} <= nan_keys
     assert nan_keys <= set(rep["flagged"])
+
+
+def test_verify_nan_frame_representation_flagged(capsys, monkeypatch):
+    # the per-frame maximum must keep a NaN; Python's max(0.0, nan) drops it
+    def nan_J(Z):
+        nan = np.full_like(Z.u, np.nan)
+        return nk.Tangent(Z.base, nan, nan)
+
+    monkeypatch.setattr(nk, "apply_J", nan_J)
+    code, rep, _ = run(capsys, "--command", "verify", "--samples", "10")
+    assert code == 2
+    assert np.isnan(rep["residual_max"]["frame_representation"])
+    assert "frame_representation" in rep["flagged"]
 
 
 def test_fixture_writes_deterministic_csv(tmp_path, capsys):
@@ -121,7 +155,7 @@ def test_analyze_fixture(tmp_path, capsys):
     assert code == 0
     assert rep["classification"] == "tangent"
     assert abs(rep["K_mean"]) < 1e-6
-    assert rep["seed"] == 5
+    assert rep["config"]["seed"] == 5 and "seed" not in rep
     assert json.loads(report_path.read_text()) == rep
 
 
@@ -153,7 +187,8 @@ def test_round_trip_via_cli(tmp_path, capsys):
     assert rep["certificate"]["loop_max"] < 1e-4
     assert rep["mean_curvature"]["status"] == "ok"
     assert abs(rep["mean_curvature"]["H_mean"] + 2 / np.sqrt(3)) < 1e-3
-    assert rep["metric_factor"]["status"] == "ok"
+    assert abs(rep["metric_factor"]["ratio_mean"] - 2.0) < 1e-3
+    assert rep["metric_factor"]["ratio_max_dev"] < 1e-3
     code, rep, _ = run(capsys, "--command", "from-h", "--input", str(eps),
                        "--output", str(back))
     assert code == 0
@@ -226,3 +261,19 @@ def test_to_h_rejects_non_adapted(tmp_path, capsys):
     assert code == 3 and rep is None
     assert "not adapted" in err
     assert not out.exists()
+
+
+def test_from_h_writes_nothing_on_input_error(tmp_path, capsys):
+    # a coarse potential passes from-h's certificates but the recovered
+    # surface fails analyze's real-part gate; no partial output may remain
+    eps = tmp_path / "eps.csv"
+    back = tmp_path / "back.csv"
+    code, _, _ = run(capsys, "--command", "fixture", "--fixture", "cmc_sphere",
+                     "--nu", "21", "--nv", "21", "--du", "0.05", "--dv", "0.05",
+                     "--output", str(eps))
+    assert code == 0
+    code, rep, err = run(capsys, "--command", "from-h", "--input", str(eps),
+                         "--output", str(back))
+    assert code == 3 and rep is None and "real-part residual" in err
+    assert not back.exists()
+    assert not (tmp_path / "back.csv.report.json").exists()

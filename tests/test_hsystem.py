@@ -151,13 +151,9 @@ def test_from_potential_sphere():
 
 
 def test_from_potential_initial_point():
-    rng = np.random.default_rng(11)
-    p0 = quat.random_unit(rng)
-    q0 = quat.random_unit(rng)
-    hs = sphere_hs(15)
-    grid, _ = hsys.surface_from_epsilon(hs, p0=p0, q0=q0)
-    assert np.abs(grid.p[0, 0] - p0).max() < 1e-14
-    assert np.abs(grid.q[0, 0] - q0).max() < 1e-14
+    grid, _ = hsys.surface_from_epsilon(sphere_hs(15))
+    assert np.abs(grid.p[0, 0] - quat.ONE).max() < 1e-14
+    assert np.abs(grid.q[0, 0] - quat.ONE).max() < 1e-14
 
 
 def test_from_potential_rejects_plane():
@@ -231,7 +227,7 @@ def test_metric_factor_example2_round_trip():
     grid = fixtures.example2_grid(fixtures.default_spec("example2", nu=41, nv=41))
     hs, _ = hsys.epsilon_from_surface(grid)
     out = hsys.metric_factor_check(grid, hs)
-    assert out["status"] == "ok"
+    assert set(out) == {"ratio_mean", "ratio_max_dev"}
     assert abs(out["ratio_mean"] - 2.0) < 1e-3
     assert out["ratio_max_dev"] < 1e-3
 
@@ -243,12 +239,14 @@ def test_metric_factor_rejects_step_mismatch():
         hsys.metric_factor_check(grid, hs)
 
 
-def test_metric_factor_not_applicable_example1():
+def test_metric_factor_example1_nonzero_lambda():
+    # the ratio is 2 for every potential, not only where lambda vanishes
     grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
+    assert sf.interior(np.abs(sf.lambda_field(grid.partials))).min() > 0.5
     hs, _ = hsys.epsilon_from_surface(grid)
     out = hsys.metric_factor_check(grid, hs)
-    assert out["status"] == "not_applicable"
-    assert out["lambda_max_abs"] > 0.5
+    assert abs(out["ratio_mean"] - 2.0) < 1e-3
+    assert out["ratio_max_dev"] < 1e-3
 
 
 def test_to_potential_refuses_non_adapted_grid():

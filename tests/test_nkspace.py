@@ -171,72 +171,6 @@ def test_curvature_symmetries_random():
     assert np.abs(nk.frame_coords(bianchi)).max() < 1e-12
 
 
-def _varying_field(c4, d4):
-    def field(pt):
-        w = np.zeros(np.shape(pt.p)[:-1] + (6,))
-        w[..., 0] = np.sin(quat.dot(pt.p, c4))
-        w[..., 4] = np.cos(quat.dot(pt.q, d4))
-        return nk.from_frame_coords(pt, w)
-
-    return field
-
-
-def test_covariant_derivative_converges_to_exact():
-    rng = np.random.default_rng(33)
-    c4 = rng.standard_normal(4)
-    d4 = rng.standard_normal(4)
-    field = _varying_field(c4, d4)
-    base = nk.random_point(rng)
-    X = nk.random_tangent(rng, base)
-
-    # exact value: differentiate the coefficients analytically, then add the
-    # connection term on the constant part of the frame expansion
-    w0 = nk.frame_coords(field(base))
-    dw = np.zeros(6)
-    dw[0] = np.cos(quat.dot(base.p, c4)) * quat.dot(X.u, c4)
-    dw[4] = -np.sin(quat.dot(base.q, d4)) * quat.dot(X.v, d4)
-    x = nk.frame_coords(X)
-    exact = dw + np.einsum("abk,a,b->k", nk.CONN, x, w0)
-
-    err = {}
-    for h in (2e-3, 1e-3):
-        got = nk.frame_coords(nk.covariant_derivative(field, X, step=h))
-        err[h] = np.abs(got - exact).max()
-    assert err[1e-3] < 2e-6
-    # halving the step should cut the error by about four
-    assert 3.5 < err[2e-3] / err[1e-3] < 4.5
-
-
-def test_covariant_derivative_frame_field_is_exact():
-    # constant-coefficient fields have no finite-difference part at all
-    rng = np.random.default_rng(35)
-    base = nk.random_point(rng)
-    X = nk.random_tangent(rng, base)
-
-    def field(pt):
-        return nk.from_frame_coords(pt, np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
-
-    got = nk.frame_coords(nk.covariant_derivative(field, X, step=1e-3))
-    want = np.einsum("bk,b->k", nk.CONN[:, 1], nk.frame_coords(X))
-    assert np.abs(got - want).max() < 1e-12
-
-
-def test_hermitian_connection_parallel_J():
-    rng = np.random.default_rng(37)
-    c4 = rng.standard_normal(4)
-    d4 = rng.standard_normal(4)
-    field = _varying_field(c4, d4)
-
-    def j_field(pt):
-        return nk.apply_J(field(pt))
-
-    base = nk.random_point(rng)
-    X = nk.random_tangent(rng, base)
-    lhs = nk.hermitian_connection(j_field, X, step=1e-4)
-    rhs = nk.apply_J(nk.hermitian_connection(field, X, step=1e-4))
-    assert np.abs(nk.frame_coords(lhs - rhs)).max() < 1e-6
-
-
 def test_isometry_equivariance():
     rng = np.random.default_rng(41)
     iso = nk.random_isometry(rng)
@@ -258,8 +192,9 @@ def test_identity_report_within_thresholds():
     assert ok, {k: v for k, v in report.items() if v > thresholds[k]}
 
 
-def test_identity_report_flags_scaled_J():
-    report, thresholds, ok = nk.verify(samples=100, seed=5, j_scale=1.1)
+def test_identity_report_flags_scaled_J(scale_J):
+    scale_J(1.1)
+    report, thresholds, ok = nk.verify(samples=100, seed=5)
     assert not ok
     assert report["j_squared"] > 0.1
     assert report["curvature_vs_oracle"] > 1e-3
@@ -268,7 +203,7 @@ def test_identity_report_flags_scaled_J():
     assert report["pj_anticommute"] < 1e-12
 
 
-def test_identity_tables_fire_under_scaled_J():
+def test_identity_tables_fire_under_scaled_J(scale_J):
     # reference values from a per-entry loop over the tables; a wrong einsum
     # index moves them
     expected = {
@@ -278,7 +213,8 @@ def test_identity_tables_fire_under_scaled_J():
         "g_tensor_derivative": 0.0513200239279668,
         "curvature_vs_oracle": 0.0933333333333335,
     }
-    report = nk.identity_report(samples=10, seed=1, j_scale=1.1)
+    scale_J(1.1)
+    report = nk.identity_report(samples=10, seed=1)
     for key, value in expected.items():
         assert abs(report[key] - value) <= 1e-9 * value, key
 
