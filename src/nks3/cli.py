@@ -8,11 +8,13 @@ One executable, five commands selected by --command:
     to-h      immersion CSV -> flat potential CSV + certificate report
     from-h    potential CSV -> immersion CSV + certificate and surface report
 
-Reports are canonical JSON (sorted keys) printed to stdout; commands whose
-primary output is a CSV also write the report next to it as
-``<output>.report.json``.  Identical configurations produce byte-identical
-outputs.  Exit codes: 0 success, 2 certificate or verification failure,
-3 input error.
+Each command reads only the flags listed for it in `_COMMANDS`; any other
+flag, and a missing required one, is an input error.  Reports are canonical
+JSON (sorted keys) printed to stdout, with a ``config`` holding the command
+and exactly the flags it reads; commands whose primary output is a CSV also
+write the report next to it as ``<output>.report.json``.  Identical
+configurations produce byte-identical outputs.  Exit codes: 0 success,
+2 certificate or verification failure, 3 input error.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .io import (
     write_immersion_csv,
     write_report,
 )
-from .nkspace import validate_tol_scale, verify
+from .nkspace import verify
 from .surface import almost_complex_residual, analyze, interior
 
 VERSION_STRING = "nks3 " + __version__
@@ -57,13 +59,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    # no flag has a default: an unset flag is None and `_parse` fills in
+    # the defaults of the chosen command
     ap = _Parser(prog="nks3", description=__doc__.splitlines()[0])
-    ap.add_argument(
-        "--command",
-        required=True,
-        choices=("verify", "fixture", "analyze", "to-h", "from-h"),
-        help="operation to run",
-    )
+    ap.add_argument("--command", required=True, choices=tuple(_COMMANDS),
+                    help="operation to run")
     ap.add_argument("--input", help="input CSV path (analyze, to-h, from-h)")
     ap.add_argument("--output", help="output path (CSV, or JSON report)")
     ap.add_argument("--nu", type=int, help="grid point count along u (fixture)")
@@ -71,97 +71,54 @@ def _build_parser():
     ap.add_argument("--du", type=float, help="grid step along u (fixture)")
     ap.add_argument("--dv", type=float, help="grid step along v (fixture)")
     ap.add_argument(
-        "--samples", type=int, default=1000, help="random sample count (verify)"
+        "--samples", type=int, help="random sample count (verify; default 1000)"
     )
-    ap.add_argument(
-        "--seed", type=int, default=42,
-        help="RNG seed (verify), recorded in every report's config",
-    )
-    ap.add_argument(
-        "--tol-scale", type=float, default=1.0,
-        help="multiplier on certificate and verification tolerances (finite, > 0)",
-    )
+    ap.add_argument("--seed", type=int, help="RNG seed (verify; default 42)")
+    ap.add_argument("--tol-scale", type=float, help="tolerance multiplier, finite "
+                    "and > 0 (verify, analyze, to-h, from-h; default 1.0)")
     ap.add_argument(
         "--fixture", choices=FIXTURE_NAMES, help="fixture name (fixture command)"
     )
     return ap
 
 
-def _config_dict(args, **overrides):
-    return {**vars(args), **overrides}
-
-
-def _emit(report, args, sidecar_for=None):
-    """Print the report; write it to --output or next to a CSV output."""
-    sys.stdout.write(dump_report(report))
-    if sidecar_for is not None:
-        write_report(sidecar_for + ".report.json", report)
-    elif args.output:
-        write_report(args.output, report)
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name} is required for --command {args.command}")
-
-
-def cmd_verify(args):
+def cmd_verify(config):
     residuals, thresholds, ok = verify(
-        samples=args.samples, seed=args.seed, tol_scale=args.tol_scale
+        config["samples"], config["seed"], config["tol_scale"]
     )
     flagged = sorted(k for k in residuals if not residuals[k] <= thresholds[k])
-    report = {
-        "config": _config_dict(args),
-        "version": VERSION_STRING,
-        "ok": bool(ok),
-        "flagged": flagged,
-        "residual_max": residuals,
-        "thresholds": thresholds,
-    }
-    _emit(report, args)
-    return 0 if ok else 2
+    report = {"ok": bool(ok), "flagged": flagged, "residual_max": residuals,
+              "thresholds": thresholds}
+    return report, None, 0 if ok else 2
 
 
-def cmd_fixture(args):
-    _require(args, "fixture", "output")
-    spec = default_spec(args.fixture, args.nu, args.nv, args.du, args.dv)
+def cmd_fixture(config):
+    spec = default_spec(
+        config["fixture"], config["nu"], config["nv"], config["du"], config["dv"]
+    )
+    config.update(nu=spec.nu, nv=spec.nv, du=spec.du, dv=spec.dv)
     obj = make_fixture(spec)
     if isinstance(obj, HSurfaceGrid):
-        write_epsilon_csv(args.output, obj)
+        write_epsilon_csv(config["output"], obj)
         kind = "epsilon"
         self_check = {
             "h_equation_max": float(interior(h_equation_residual(obj)).max())
         }
     else:
-        write_immersion_csv(args.output, obj)
+        write_immersion_csv(config["output"], obj)
         kind = "immersion"
         self_check = {
             "almost_complex_max": float(
                 interior(almost_complex_residual(obj.partials)).max()
             )
         }
-    report = {
-        "config": _config_dict(
-            args, nu=spec.nu, nv=spec.nv, du=spec.du, dv=spec.dv
-        ),
-        "version": VERSION_STRING,
-        "kind": kind,
-        "rows": int(obj.nu * obj.nv),
-        "self_check": self_check,
-    }
-    _emit(report, args, sidecar_for=args.output)
-    return 0
+    report = {"kind": kind, "rows": int(obj.nu * obj.nv), "self_check": self_check}
+    return report, config["output"], 0
 
 
-def cmd_analyze(args):
-    _require(args, "input")
-    grid = read_immersion_csv(args.input)
-    report = analyze(grid, tol_scale=args.tol_scale)
-    report["config"] = _config_dict(args)
-    report["version"] = VERSION_STRING
-    _emit(report, args)
-    return 0
+def cmd_analyze(config):
+    grid = read_immersion_csv(config["input"])
+    return analyze(grid, tol_scale=config["tol_scale"]), None, 0
 
 
 def _mean_curvature_stats(hs):
@@ -177,49 +134,75 @@ def _mean_curvature_stats(hs):
     }
 
 
-def cmd_to_h(args):
-    _require(args, "input", "output")
-    grid = read_immersion_csv(args.input)
-    hs, cert = epsilon_from_surface(grid, tol_scale=args.tol_scale)
+def cmd_to_h(config):
+    grid = read_immersion_csv(config["input"])
+    hs, cert = epsilon_from_surface(grid, tol_scale=config["tol_scale"])
     report = {
-        "config": _config_dict(args),
-        "version": VERSION_STRING,
         "certificate": cert,
         "mean_curvature": _mean_curvature_stats(hs),
         "metric_factor": metric_factor_check(grid, hs),
     }
-    write_epsilon_csv(args.output, hs)
-    _emit(report, args, sidecar_for=args.output)
-    return 0
+    write_epsilon_csv(config["output"], hs)
+    return report, config["output"], 0
 
 
-def cmd_from_h(args):
-    _require(args, "input", "output")
-    hs = read_epsilon_csv(args.input)
-    grid, cert = surface_from_epsilon(hs, tol_scale=args.tol_scale)
-    report = analyze(grid, tol_scale=args.tol_scale)
+def cmd_from_h(config):
+    hs = read_epsilon_csv(config["input"])
+    grid, cert = surface_from_epsilon(hs, tol_scale=config["tol_scale"])
+    report = analyze(grid, tol_scale=config["tol_scale"])
     report["certificate"] = cert
-    report["config"] = _config_dict(args)
-    report["version"] = VERSION_STRING
-    write_immersion_csv(args.output, grid)
-    _emit(report, args, sidecar_for=args.output)
-    return 0
+    write_immersion_csv(config["output"], grid)
+    return report, config["output"], 0
 
 
-_HANDLERS = {
-    "verify": cmd_verify,
-    "fixture": cmd_fixture,
-    "analyze": cmd_analyze,
-    "to-h": cmd_to_h,
-    "from-h": cmd_from_h,
+# marks a flag that has no default and must be given
+_REQUIRED = object()
+
+# command -> (handler, {flag: default}); a command reads exactly these flags
+_COMMANDS = {
+    "verify": (cmd_verify, {"samples": 1000, "seed": 42, "tol_scale": 1.0, "output": None}),
+    "fixture": (cmd_fixture, {"fixture": _REQUIRED, "output": _REQUIRED,
+                              "nu": None, "nv": None, "du": None, "dv": None}),
+    "analyze": (cmd_analyze, {"input": _REQUIRED, "output": None, "tol_scale": 1.0}),
+    "to-h": (cmd_to_h, {"input": _REQUIRED, "output": _REQUIRED, "tol_scale": 1.0}),
+    "from-h": (cmd_from_h, {"input": _REQUIRED, "output": _REQUIRED, "tol_scale": 1.0}),
 }
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _parse(argv):
+    """The handler and `config` of the chosen command: the command name plus
+    each flag it reads, given or defaulted.  Raises ValueError for a flag
+    the command does not read and for a missing required flag."""
+    given = vars(_build_parser().parse_args(argv))
+    command = given.pop("command")
+    handler, flags = _COMMANDS[command]
+    unread = [_flag(k) for k, v in given.items() if v is not None and k not in flags]
+    if unread:
+        raise ValueError(f"{', '.join(unread)} not read by --command {command}")
+    config = {"command": command}
+    for name, default in flags.items():
+        config[name] = default if given[name] is None else given[name]
+        if config[name] is _REQUIRED:
+            raise ValueError(f"{_flag(name)} is required for --command {command}")
+    return handler, config
 
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
-        validate_tol_scale(args.tol_scale)
-        return _HANDLERS[args.command](args)
+        handler, config = _parse(argv)
+        report, sidecar_for, code = handler(config)
+        report["config"] = config
+        report["version"] = VERSION_STRING
+        sys.stdout.write(dump_report(report))
+        if sidecar_for is not None:
+            write_report(sidecar_for + ".report.json", report)
+        elif config.get("output"):
+            write_report(config["output"], report)
+        return code
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 2

@@ -252,14 +252,13 @@ def mean_curvature(hs):
     the squared grid step; raises ValueError otherwise, since the formula
     divides by the common speed.
     """
-    iso_tol = max(1e-8, 100.0 * max(hs.du, hs.dv) ** 2)
     eu, ev = _eps_partials(hs)
     e2 = np.sum(eu * eu, axis=-1)
     g2 = np.sum(ev * ev, axis=-1)
     f = np.sum(eu * ev, axis=-1)
     dev = np.maximum(np.abs(e2 - g2), np.abs(f)) / np.maximum(e2, g2)
     worst = float(interior(dev).max())
-    if not worst <= iso_tol:
+    if not worst <= hs.fd_floor():
         raise ValueError(
             f"coordinates are not conformal (relative deviation {worst:.3e})"
         )

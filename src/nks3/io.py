@@ -114,23 +114,10 @@ def read_epsilon_csv(path):
     return h_surface_grid(lat.u0, lat.v0, lat.du, lat.dv, payload)
 
 
-def _to_plain(obj):
-    if isinstance(obj, dict):
-        return {k: _to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
-
-
 def dump_report(report):
-    """Canonical JSON text for a report dict (sorted keys, trailing newline)."""
-    return json.dumps(_to_plain(report), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text (sorted keys, trailing newline) for a report of
+    plain Python values; a numpy integer, bool or array raises TypeError."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def write_report(path, report):

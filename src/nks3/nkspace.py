@@ -113,18 +113,22 @@ class Tangent:
         return Tangent(self.base, s * self.u, s * self.v)
 
 
-def tangent(base, u, v, tol=1e-10):
+_TANGENT_TOL = 1e-10
+_SAME_BASE_TOL = 1e-12
+
+
+def tangent(base, u, v):
     """Validated constructor: checks orthogonality to the base point.
 
-    Raises ValueError when <U, p> or <V, q> exceeds `tol`; this is the same
-    condition as the quaternion p^-1 U being imaginary.
+    Raises ValueError when <U, p> or <V, q> exceeds `_TANGENT_TOL`; this is
+    the same condition as the quaternion p^-1 U being imaginary.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     ru = np.abs(quat.dot(u, base.p))
     rv = np.abs(quat.dot(v, base.q))
     worst = float(np.maximum(ru.max(), rv.max())) if ru.size else 0.0
-    if not worst <= tol:
+    if not worst <= _TANGENT_TOL:
         raise ValueError(
             f"tangent components not orthogonal to base point (residual {worst:.3e})"
         )
@@ -139,12 +143,12 @@ def random_tangent(rng, base):
     return Tangent(base, quat.qmul(base.p, a), quat.qmul(base.q, b))
 
 
-def _check_same_base(Z, W, tol=1e-12):
+def _check_same_base(Z, W):
     if Z.base is W.base:
         return
     worst = float(np.maximum(np.abs(Z.base.p - W.base.p).max(),
                              np.abs(Z.base.q - W.base.q).max()))
-    if not worst <= tol:
+    if not worst <= _SAME_BASE_TOL:
         raise ValueError(
             f"tangent vectors live at different base points (deviation {worst:.3e})"
         )
@@ -301,21 +305,12 @@ def tensor_H(X, Y):
 
 
 def curvature(X, Y, W):
-    """Riemann curvature R(X, Y)W of the metric, in closed form."""
+    """Riemann curvature R(X, Y)W of the metric: `curvature_coeff` on the
+    frame coefficients."""
     _check_same_base(X, Y)
     _check_same_base(X, W)
-    jx, jy, jw = apply_J(X), apply_J(Y), apply_J(W)
-    px, py = apply_P(X), apply_P(Y)
-    jpx, jpy = apply_J(px), apply_J(py)
-    g = metric
-    out = (5.0 / 12.0) * (g(Y, W) * X - g(X, W) * Y)
-    out = out + (1.0 / 12.0) * (
-        g(jy, W) * jx - g(jx, W) * jy - 2.0 * g(jx, Y) * jw
-    )
-    out = out + (1.0 / 3.0) * (
-        g(py, W) * px - g(px, W) * py + g(jpy, W) * jpx - g(jpx, W) * jpy
-    )
-    return out
+    c = curvature_coeff(frame_coords(X), frame_coords(Y), frame_coords(W))
+    return from_frame_coords(X.base, c)
 
 
 def _mat(m, c):

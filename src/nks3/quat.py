@@ -35,6 +35,8 @@ QI = np.array([0.0, 1.0, 0.0, 0.0])
 QJ = np.array([0.0, 0.0, 1.0, 0.0])
 QK = np.array([0.0, 0.0, 0.0, 1.0])
 
+_UNIT_TOL = 1e-6
+
 
 def qmul(a, b):
     """Hamilton product of two quaternion arrays (broadcasting)."""
@@ -70,18 +72,17 @@ def normalize(q):
     return q / norm(q)[..., None]
 
 
-def unit(q, tol=1e-6):
+def unit(q):
     """Validated unit quaternion: renormalizes, rejecting larger deviations.
 
     Args:
         q: quaternion array.
-        tol: largest tolerated pre-normalization deviation of the norm from 1.
 
     Returns:
         The renormalized array (norm exactly 1 up to roundoff).
 
     Raises:
-        ValueError: non-finite input or norm off by more than `tol`.
+        ValueError: non-finite input or norm off by more than `_UNIT_TOL`.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != 4:
@@ -91,9 +92,9 @@ def unit(q, tol=1e-6):
     n = norm(q)
     dev = np.abs(n - 1.0)
     worst = float(dev.max()) if dev.size else 0.0
-    if worst > tol:
+    if worst > _UNIT_TOL:
         raise ValueError(
-            f"quaternion norm deviates from 1 by {worst:.3e} (tolerance {tol:.1e})"
+            f"quaternion norm deviates from 1 by {worst:.3e} (tolerance {_UNIT_TOL:.1e})"
         )
     return q / n[..., None]
 

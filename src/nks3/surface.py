@@ -137,6 +137,10 @@ class Lattice:
             raise ValueError("grids overlap on fewer than 5x5 cells")
         return tuple(map(slice, lo, hi)), tuple(map(slice, lo - off, hi - off))
 
+    def fd_floor(self):
+        """Finite-difference error floor max(1e-8, 100 h^2), h the larger step."""
+        return max(1e-8, 100.0 * max(self.du, self.dv) ** 2)
+
 
 def lattice(u0, v0, du, dv, nu, nv):
     """Validated `Lattice`: a finite origin, finite steps > 0 and at least
@@ -506,7 +510,7 @@ def classify_P_alignment(grid):
     matching the finite-difference error floor.
     """
     gp = grid.partials
-    tol = max(1e-8, 100.0 * max(grid.du, grid.dv) ** 2)
+    tol = grid.fd_floor()
     pu = gp.cu @ P_MAT.T
     scale = _norm(pu) * np.sqrt(gp.first_form[0])
     a = np.abs(gram_product(pu, gp.cu)) / scale

@@ -78,15 +78,92 @@ def test_verify_perturbed_structure_flagged(capsys, scale_J):
     assert "pj_anticommute" not in rep["flagged"]
 
 
-def test_verify_config_records_every_flag(capsys):
+def test_config_records_exactly_the_flags_read(tmp_path, capsys):
+    surf, eps, back = (str(tmp_path / n) for n in ("s.csv", "e.csv", "b.csv"))
     code, rep, _ = run(capsys, "--command", "verify", "--samples", "10",
                        "--seed", "3")
     assert code == 0
     assert rep["config"] == {
-        "command": "verify", "input": None, "output": None, "nu": None,
-        "nv": None, "du": None, "dv": None, "samples": 10, "seed": 3,
-        "tol_scale": 1.0, "fixture": None,
+        "command": "verify", "output": None, "samples": 10, "seed": 3,
+        "tol_scale": 1.0,
     }
+    code, rep, _ = run(capsys, "--command", "fixture", "--fixture", "example2",
+                       "--nu", "41", "--nv", "41", "--output", surf)
+    assert code == 0
+    assert rep["config"] == {
+        "command": "fixture", "fixture": "example2", "output": surf,
+        "nu": 41, "nv": 41, "du": 5e-3, "dv": 5e-3,
+    }
+    code, rep, _ = run(capsys, "--command", "analyze", "--input", surf)
+    assert code == 0
+    assert rep["config"] == {
+        "command": "analyze", "input": surf, "output": None, "tol_scale": 1.0,
+    }
+    for command, src, dst in (("to-h", surf, eps), ("from-h", eps, back)):
+        code, rep, _ = run(capsys, "--command", command, "--input", src,
+                           "--output", dst, "--tol-scale", "2")
+        assert code == 0
+        assert rep["config"] == {
+            "command": command, "input": src, "output": dst, "tol_scale": 2.0,
+        }
+
+
+_FLAG_VALUES = {
+    "input": "{surf}", "output": "{out}", "nu": "15", "nv": "15", "du": "0.05",
+    "dv": "0.05", "samples": "10", "seed": "5", "tol_scale": "2",
+    "fixture": "example1",
+}
+_VALID_ARGS = {
+    "verify": ("--output", "{out}"),
+    "fixture": ("--fixture", "example1", "--output", "{out}"),
+    "analyze": ("--input", "{surf}", "--output", "{out}"),
+    "to-h": ("--input", "{surf}", "--output", "{out}"),
+    "from-h": ("--input", "{eps}", "--output", "{out}"),
+}
+_READS = {
+    "verify": {"samples", "seed", "tol_scale", "output"},
+    "fixture": {"fixture", "output", "nu", "nv", "du", "dv"},
+    "analyze": {"input", "output", "tol_scale"},
+    "to-h": {"input", "output", "tol_scale"},
+    "from-h": {"input", "output", "tol_scale"},
+}
+_UNREAD = [
+    (command, flag)
+    for command, reads in _READS.items()
+    for flag in _FLAG_VALUES
+    if flag not in reads
+]
+
+
+def test_parser_flags_match_command_table():
+    # a flag the parser accepts but no command reads could never be used
+    flags = {a.dest for a in cli._build_parser()._actions} - {"help", "command"}
+    assert flags == set().union(*(table for _, table in cli._COMMANDS.values()))
+    assert {c: set(t) for c, (_, t) in cli._COMMANDS.items()} == _READS
+    assert sum(map(len, _READS.values())) == 19 and len(_UNREAD) == 31
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    # inputs each command accepts, so only the unread flag can refuse it
+    root = tmp_path_factory.mktemp("inputs")
+    surf, eps = root / "surf.csv", root / "eps.csv"
+    io.write_immersion_csv(surf, fixtures.make_fixture(
+        fixtures.default_spec("example2", nu=41, nv=41)))
+    assert cli.main(["--command", "to-h", "--input", str(surf),
+                     "--output", str(eps)]) == 0
+    return {"surf": str(surf), "eps": str(eps)}
+
+
+@pytest.mark.parametrize(("command", "flag"), _UNREAD)
+def test_unread_flag_refused(tmp_path, capsys, valid_inputs, command, flag):
+    paths = {**valid_inputs, "out": str(tmp_path / "out.csv")}
+    name = "--" + flag.replace("_", "-")
+    argv = [a.format(**paths) for a in (*_VALID_ARGS[command], name, _FLAG_VALUES[flag])]
+    code, rep, err = run(capsys, "--command", command, *argv)
+    assert code == 3 and rep is None
+    assert f"{name} not read by --command {command}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_nan_j_scale_flags_nan_entries(capsys, scale_J):
@@ -151,11 +228,11 @@ def test_analyze_fixture(tmp_path, capsys):
         "--nu", "31", "--nv", "31", "--output", str(csv))
     report_path = tmp_path / "rep.json"
     code, rep, _ = run(capsys, "--command", "analyze", "--input", str(csv),
-                       "--output", str(report_path), "--seed", "5")
+                       "--output", str(report_path))
     assert code == 0
     assert rep["classification"] == "tangent"
     assert abs(rep["K_mean"]) < 1e-6
-    assert rep["config"]["seed"] == 5 and "seed" not in rep
+    assert "seed" not in rep["config"] and "seed" not in rep
     assert json.loads(report_path.read_text()) == rep
 
 
@@ -244,13 +321,20 @@ def _probe_csv(tmp_path):
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, value):
     csv = _probe_csv(tmp_path)
+    eps = tmp_path / "eps.csv"
+    io.write_epsilon_csv(eps, fixtures.make_fixture(
+        fixtures.default_spec("cmc_sphere", nu=21, nv=21)))
+    out = tmp_path / "out.csv"
     for argv in (
         ("--command", "analyze", "--input", str(csv)),
         ("--command", "verify", "--samples", "10"),
+        ("--command", "to-h", "--input", str(csv), "--output", str(out)),
+        ("--command", "from-h", "--input", str(eps), "--output", str(out)),
     ):
         code, rep, err = run(capsys, *argv, "--tol-scale", value)
         assert code == 3 and rep is None
         assert "tol_scale must be finite and positive" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "eps.csv"]
 
 
 def test_to_h_rejects_non_adapted(tmp_path, capsys):

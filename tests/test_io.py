@@ -88,7 +88,13 @@ def test_reader_rejects_bad_input(tmp_path):
 
 
 def test_dump_report_canonical():
-    rep = {"b": np.float64(1.5), "a": {"z": np.int64(3), "y": [np.float64(0.25)]}}
+    # np.float64 subclasses float and serializes as one
+    rep = {"b": np.float64(1.5), "a": {"z": 3, "y": [0.25], "x": True}}
     text = io.dump_report(rep)
-    assert text == '{\n  "a": {\n    "y": [\n      0.25\n    ],\n    "z": 3\n  },\n  "b": 1.5\n}\n'
+    assert text == (
+        '{\n  "a": {\n    "x": true,\n    "y": [\n      0.25\n    ],\n'
+        '    "z": 3\n  },\n  "b": 1.5\n}\n'
+    )
     assert io.dump_report(rep) == text
+    with pytest.raises(TypeError):
+        io.dump_report({"z": np.int64(3)})
