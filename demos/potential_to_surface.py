@@ -8,7 +8,7 @@ from nks3 import fixtures, hsystem
 from nks3 import surface as sf
 
 for name in ("cmc_sphere", "cmc_cylinder"):
-    hs = fixtures.make_fixture(fixtures.default_spec(name))
+    hs = fixtures.make_fixture(name)
     grid, cert = hsystem.surface_from_epsilon(hs)
     report = sf.analyze(grid)
     print(f"{name}: potential {hs.nu} x {hs.nv} -> surface "
@@ -20,7 +20,7 @@ for name in ("cmc_sphere", "cmc_cylinder"):
     print("  classification:", report["classification"])
     print()
 
-grid = fixtures.make_fixture(fixtures.default_spec("example2"))
+grid = fixtures.make_fixture("example2")
 hs, _ = hsystem.epsilon_from_surface(grid)
 back, _ = hsystem.surface_from_epsilon(hs)
 hs_back, _ = hsystem.epsilon_from_surface(back)

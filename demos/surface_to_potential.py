@@ -8,7 +8,7 @@ import numpy as np
 from nks3 import fixtures, hsystem, io
 from nks3 import surface as sf
 
-grid = fixtures.make_fixture(fixtures.default_spec("example2"))
+grid = fixtures.make_fixture("example2")
 print(f"input surface grid {grid.nu} x {grid.nv}, step {grid.du:g}")
 report = sf.analyze(grid)
 print("Gaussian curvature mean:", report["K_mean"], " (exact 2/3)")

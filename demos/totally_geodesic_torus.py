@@ -7,7 +7,7 @@ import numpy as np
 from nks3 import fixtures, hsystem
 from nks3 import surface as sf
 
-grid = fixtures.make_fixture(fixtures.default_spec("example1"))
+grid = fixtures.make_fixture("example1")
 report = sf.analyze(grid)
 
 print(f"grid {grid.nu} x {grid.nv}, step {grid.du:g}")

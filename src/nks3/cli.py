@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fixtures import FIXTURE_NAMES, default_spec, make_fixture
+from .fixtures import FIXTURE_NAMES, make_fixture
 from .hsystem import (
     CertificateError,
     HSurfaceGrid,
@@ -93,11 +93,10 @@ def cmd_verify(config):
 
 
 def cmd_fixture(config):
-    spec = default_spec(
+    obj = make_fixture(
         config["fixture"], config["nu"], config["nv"], config["du"], config["dv"]
     )
-    config.update(nu=spec.nu, nv=spec.nv, du=spec.du, dv=spec.dv)
-    obj = make_fixture(spec)
+    config.update(nu=obj.nu, nv=obj.nv, du=obj.du, dv=obj.dv)
     if isinstance(obj, HSurfaceGrid):
         write_epsilon_csv(config["output"], obj)
         kind = "epsilon"

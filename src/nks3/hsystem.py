@@ -132,9 +132,8 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     adapted (`surface.require_adapted`), CertificateError when the paths
     disagree beyond the discretization-order tolerance.
     """
-    tol_scale = validate_tol_scale(tol_scale)
-    out = grid.inset(1)
     ac_max = require_adapted(grid, tol_scale)
+    out = grid.inset(1)
     cf = extract_coefficients(grid)
     a, b = cf.alpha[1:-1, 1:-1], cf.beta[1:-1, 1:-1]
     eps_uv = _cumtrapz(a[:, :1], grid.du, axis=0) + _cumtrapz(b, grid.dv, axis=1)

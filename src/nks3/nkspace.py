@@ -37,6 +37,7 @@ __all__ = [
     "frame_coords",
     "from_frame_coords",
     "gram_product",
+    "table_product",
     "apply_J",
     "apply_P",
     "apply_Q",
@@ -231,6 +232,11 @@ def gram_product(c1, c2):
     return np.einsum("...a,ab,...b->...", c1, GRAM, c2)
 
 
+def table_product(table, x, y):
+    """The bilinear map of a constant frame table: table[a, b, k] x_a y_b."""
+    return np.einsum("abk,...a,...b->...k", table, x, y)
+
+
 # ---------------------------------------------------------------------------
 # structure tensors, metric, curvature
 # ---------------------------------------------------------------------------
@@ -289,18 +295,14 @@ def gnorm(Z):
 def tensor_G(X, Y):
     """The covariant derivative of J as a 2-tensor, via the constant frame table."""
     _check_same_base(X, Y)
-    c = np.einsum(
-        "abk,...a,...b->...k", G_TABLE, frame_coords(X), frame_coords(Y)
-    )
+    c = table_product(G_TABLE, frame_coords(X), frame_coords(Y))
     return from_frame_coords(X.base, c)
 
 
 def tensor_H(X, Y):
     """The covariant derivative of P as a 2-tensor, via the constant frame table."""
     _check_same_base(X, Y)
-    c = np.einsum(
-        "abk,...a,...b->...k", H_TABLE, frame_coords(X), frame_coords(Y)
-    )
+    c = table_product(H_TABLE, frame_coords(X), frame_coords(Y))
     return from_frame_coords(X.base, c)
 
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import quat
 from .nkspace import (
-    CONN, FLIP, J_MAT, P_MAT, SQRT3, Point, gram_product, validate_tol_scale,
+    CONN, FLIP, J_MAT, P_MAT, SQRT3, Point, gram_product, table_product,
+    validate_tol_scale,
 )
 
 __all__ = [
@@ -77,8 +78,6 @@ ADAPTED_GATE = 0.05
 
 # residual statistics skip this many cells at each grid edge
 _MARGIN = 2
-# extract_coefficients accepts real parts of p^-1 dp, q^-1 dq up to this
-_MAX_REAL_PART = 1e-4
 
 
 @dataclass(frozen=True)
@@ -312,15 +311,16 @@ def extract_coefficients(grid):
     """Coefficient fields of an adapted grid.
 
     Raises ValueError unless the real-part defect of the logarithmic
-    derivatives stays within `_MAX_REAL_PART` (a NaN defect fails); a larger
-    one signals a grid that is not a smooth unit-quaternion immersion
-    sampled finely enough.
+    derivatives stays within the grid's `Lattice.fd_floor` (a NaN defect
+    fails): on a smooth unit-quaternion immersion it is O(h^2), so a larger
+    one signals a grid that is not one, or is not sampled finely enough.
     """
     gp = grid.partials
-    if not gp.projection_max <= _MAX_REAL_PART:
+    limit = grid.fd_floor()
+    if not gp.projection_max <= limit:
         raise ValueError(
             "logarithmic derivatives are far from imaginary "
-            f"(real-part residual {gp.projection_max:.3e} > {_MAX_REAL_PART:.1e})"
+            f"(real-part residual {gp.projection_max:.3e} > {limit:.1e})"
         )
     alpha_t = gp.cu[..., :3] * FLIP
     beta_t = gp.cv[..., :3] * FLIP
@@ -461,8 +461,7 @@ def _grid_covariant(x_coeff, field_coeff, step, axis):
     the constant connection table.
     """
     dc = np.gradient(field_coeff, step, axis=axis, edge_order=2)
-    corr = np.einsum("abk,...a,...b->...k", CONN, x_coeff, field_coeff)
-    return dc + corr
+    return dc + table_product(CONN, x_coeff, field_coeff)
 
 
 @dataclass(frozen=True)
@@ -532,24 +531,25 @@ def analyze(grid, tol_scale=1.0):
     grid is not adapted (`require_adapted`).
     """
     ac_max = require_adapted(grid, tol_scale)
-    gp = grid.partials
     cf = extract_coefficients(grid)
     r21, r22, r23 = integrability_residuals(cf, grid.du, grid.dv)
     cr = cr_residuals(cf, grid.du, grid.dv)
-    lam = lambda_field(gp)
-    K = gaussian_curvature(gp)
-    K_int = interior(K)
-    sff = second_fundamental_form(grid)
+    del cf  # each stage keeps only its report values, so none holds a field
+    lam_max = float(interior(np.abs(lambda_field(grid.partials))).max())
+    K = interior(gaussian_curvature(grid.partials))
+    K_mean, K_max_dev = float(K.mean()), float(np.abs(K - K.mean()).max())
+    del K
+    h_max = float(interior(second_fundamental_form(grid).unit_norm).max())
     return {
         "almost_complex_max": ac_max,
         "integrability_21_max": r21,
         "integrability_22_max": r22,
         "integrability_23_max": r23,
         "cr_max": cr,
-        "lambda_max_abs": float(interior(np.abs(lam)).max()),
-        "K_mean": float(K_int.mean()),
-        "K_max_dev": float(np.abs(K_int - K_int.mean()).max()),
-        "h_norm_max": float(interior(sff.unit_norm).max()),
+        "lambda_max_abs": lam_max,
+        "K_mean": K_mean,
+        "K_max_dev": K_max_dev,
+        "h_norm_max": h_max,
         "classification": classify_P_alignment(grid),
         "grid": grid.window(),
     }

@@ -28,28 +28,24 @@ def _order(coarse, fine):
     return float(np.log2(coarse / fine))
 
 
-def _fixture_grid(name, **kw):
-    return fixtures.make_fixture(fixtures.default_spec(name, **kw))
-
-
 @pytest.fixture(scope="module")
 def ex1():
-    return _fixture_grid("example1")
+    return fixtures.make_fixture("example1")
 
 
 @pytest.fixture(scope="module")
 def ex2():
-    return _fixture_grid("example2")
+    return fixtures.make_fixture("example2")
 
 
 @pytest.fixture(scope="module")
 def ex2_half():
-    return _fixture_grid("example2", nu=101, nv=101, du=1e-2, dv=1e-2)
+    return fixtures.make_fixture("example2", nu=101, nv=101, du=1e-2, dv=1e-2)
 
 
 @pytest.fixture(scope="module")
 def ex2_quarter():
-    return _fixture_grid("example2", nu=51, nv=51, du=2e-2, dv=2e-2)
+    return fixtures.make_fixture("example2", nu=51, nv=51, du=2e-2, dv=2e-2)
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +55,10 @@ def ex2_potential(ex2):
 
 @pytest.fixture(scope="module")
 def sphere_runs():
-    fine_eps = _fixture_grid("cmc_sphere")
-    coarse_eps = _fixture_grid("cmc_sphere", nu=101, nv=101, du=1.2e-2, dv=1.2e-2)
+    fine_eps = fixtures.make_fixture("cmc_sphere")
+    coarse_eps = fixtures.make_fixture(
+        "cmc_sphere", nu=101, nv=101, du=1.2e-2, dv=1.2e-2
+    )
     fine = hsystem.surface_from_epsilon(fine_eps)
     coarse = hsystem.surface_from_epsilon(coarse_eps)
     return {"fine_eps": fine_eps, "fine": fine, "coarse": coarse}
@@ -68,8 +66,10 @@ def sphere_runs():
 
 @pytest.fixture(scope="module")
 def cylinder_runs():
-    fine_eps = _fixture_grid("cmc_cylinder")
-    coarse_eps = _fixture_grid("cmc_cylinder", nu=101, nv=101, du=1.2e-2, dv=1.2e-2)
+    fine_eps = fixtures.make_fixture("cmc_cylinder")
+    coarse_eps = fixtures.make_fixture(
+        "cmc_cylinder", nu=101, nv=101, du=1.2e-2, dv=1.2e-2
+    )
     fine = hsystem.surface_from_epsilon(fine_eps)
     coarse = hsystem.surface_from_epsilon(coarse_eps)
     return {"fine": fine, "coarse": coarse}
@@ -160,7 +160,7 @@ def test_criterion_05_flat_torus_fixture(ex1):
         report["classification"] == "tangent",
         f"classified {report['classification']!r}",
     )
-    fine = _fixture_grid("example1", nu=41, nv=41, du=1e-4, dv=1e-4)
+    fine = fixtures.make_fixture("example1", nu=41, nv=41, du=1e-4, dv=1e-4)
     lam = sf.lambda_field(sf.partials(fine))
     ldev = float(sf.interior(np.abs(lam - (-1.0 / 3.0 + 1j / SQ3))).max())
     _need(failures, ldev < 1e-8, f"lambda dev {ldev:.3e}")
@@ -337,7 +337,7 @@ def test_criterion_13_cauchy_riemann(
         cf = sf.extract_coefficients(grid)
         return sf.cr_residuals(cf, grid.du, grid.dv)
 
-    ex1_coarse = _fixture_grid("example1", nu=51, nv=51, du=2e-2, dv=2e-2)
+    ex1_coarse = fixtures.make_fixture("example1", nu=51, nv=51, du=2e-2, dv=2e-2)
     exact = max(cr_of(ex1_coarse), cr_of(ex1))
     _need(failures, exact < 1e-10, f"flat torus residual {exact:.3e}")
     halved = {

@@ -10,6 +10,7 @@ import pytest
 
 from nks3 import cli, fixtures, io
 from nks3 import nkspace as nk
+from nks3 import surface as sf
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -148,8 +149,7 @@ def valid_inputs(tmp_path_factory):
     # inputs each command accepts, so only the unread flag can refuse it
     root = tmp_path_factory.mktemp("inputs")
     surf, eps = root / "surf.csv", root / "eps.csv"
-    io.write_immersion_csv(surf, fixtures.make_fixture(
-        fixtures.default_spec("example2", nu=41, nv=41)))
+    io.write_immersion_csv(surf, fixtures.make_fixture("example2", nu=41, nv=41))
     assert cli.main(["--command", "to-h", "--input", str(surf),
                      "--output", str(eps)]) == 0
     return {"surf": str(surf), "eps": str(eps)}
@@ -215,6 +215,25 @@ def test_fixture_epsilon_self_check(tmp_path, capsys):
     assert rep["self_check"]["h_equation_max"] < 1e-4
 
 
+@pytest.mark.parametrize(("name", "window", "expected"), [
+    ("example1", (), (101, 101, 1e-2, 1e-2)),
+    ("cmc_sphere", (), (201, 201, 6e-3, 6e-3)),
+    ("example2", ("--nu", "31", "--du", "0.004"), (31, 201, 4e-3, 5e-3)),
+    ("cmc_cylinder", ("--nu", "31", "--du", "0.004"), (31, 201, 4e-3, 6e-3)),
+])
+def test_fixture_config_records_written_window(tmp_path, capsys, name, window,
+                                               expected):
+    out = tmp_path / "f.csv"
+    code, rep, _ = run(capsys, "--command", "fixture", "--fixture", name,
+                       *window, "--output", str(out))
+    assert code == 0
+    config = {k: rep["config"][k] for k in ("nu", "nv", "du", "dv")}
+    assert config == dict(zip(("nu", "nv", "du", "dv"), expected))
+    read = io.read_epsilon_csv if rep["kind"] == "epsilon" else io.read_immersion_csv
+    written = read(str(out)).window()
+    assert config == {k: pytest.approx(written[k], abs=1e-15) for k in config}
+
+
 def test_fixture_requires_name_and_output(tmp_path, capsys):
     code, _, err = run(capsys, "--command", "fixture", "--output", str(tmp_path / "x.csv"))
     assert code == 3 and "--fixture" in err
@@ -237,9 +256,7 @@ def test_analyze_fixture(tmp_path, capsys):
 
 
 def test_analyze_rejects_non_adapted(tmp_path, capsys):
-    grid = fixtures.non_adapted_grid(
-        fixtures.default_spec("example1", nu=15, nv=15, du=5e-2, dv=5e-2)
-    )
+    grid = fixtures.non_adapted_grid(sf.lattice(0.0, 0.0, 5e-2, 5e-2, 15, 15))
     csv = tmp_path / "bad.csv"
     io.write_immersion_csv(csv, grid)
     code, _, err = run(capsys, "--command", "analyze", "--input", str(csv))
@@ -310,9 +327,7 @@ def test_console_entry_point(tmp_path):
 
 def _probe_csv(tmp_path):
     # the 41x41 non-adapted control grid on [0, 1]^2
-    grid = fixtures.non_adapted_grid(
-        fixtures.default_spec("example1", nu=41, nv=41, du=0.025, dv=0.025)
-    )
+    grid = fixtures.non_adapted_grid(sf.lattice(0.0, 0.0, 0.025, 0.025, 41, 41))
     csv = tmp_path / "bad.csv"
     io.write_immersion_csv(csv, grid)
     return csv
@@ -322,8 +337,7 @@ def _probe_csv(tmp_path):
 def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, value):
     csv = _probe_csv(tmp_path)
     eps = tmp_path / "eps.csv"
-    io.write_epsilon_csv(eps, fixtures.make_fixture(
-        fixtures.default_spec("cmc_sphere", nu=21, nv=21)))
+    io.write_epsilon_csv(eps, fixtures.make_fixture("cmc_sphere", nu=21, nv=21))
     out = tmp_path / "out.csv"
     for argv in (
         ("--command", "analyze", "--input", str(csv)),
@@ -348,8 +362,10 @@ def test_to_h_rejects_non_adapted(tmp_path, capsys):
 
 
 def test_from_h_writes_nothing_on_input_error(tmp_path, capsys):
-    # a coarse potential passes from-h's certificates but the recovered
-    # surface fails analyze's real-part gate; no partial output may remain
+    # at tol_scale 0.01 a coarse potential passes from-h's certificates
+    # (residuals up to 1.1e-3 against 200 h^2 * 0.01 = 5e-3), but the
+    # recovered surface's adaptedness defect 6.9e-4 fails analyze's gate
+    # 0.05 * 0.01; no partial output may remain
     eps = tmp_path / "eps.csv"
     back = tmp_path / "back.csv"
     code, _, _ = run(capsys, "--command", "fixture", "--fixture", "cmc_sphere",
@@ -357,7 +373,7 @@ def test_from_h_writes_nothing_on_input_error(tmp_path, capsys):
                      "--output", str(eps))
     assert code == 0
     code, rep, err = run(capsys, "--command", "from-h", "--input", str(eps),
-                         "--output", str(back))
-    assert code == 3 and rep is None and "real-part residual" in err
+                         "--output", str(back), "--tol-scale", "0.01")
+    assert code == 3 and rep is None and "not adapted" in err
     assert not back.exists()
     assert not (tmp_path / "back.csv.report.json").exists()

@@ -9,9 +9,7 @@ from nks3.nkspace import SQRT3
 
 
 def sphere_hs(n=31, h=6e-3):
-    return fixtures.cmc_sphere_epsilon(
-        fixtures.default_spec("cmc_sphere", nu=n, nv=n, du=h, dv=h)
-    )
+    return fixtures.make_fixture("cmc_sphere", nu=n, nv=n, du=h, dv=h)
 
 
 def test_h_surface_grid_validation():
@@ -74,7 +72,7 @@ def test_equation_residual_halving_on_sphere():
 
 
 def test_to_potential_example2():
-    grid = fixtures.example2_grid(fixtures.default_spec("example2", nu=41, nv=41))
+    grid = fixtures.make_fixture("example2", nu=41, nv=41)
     hs, cert = hsys.epsilon_from_surface(grid)
     # window shrinks one cell per side
     assert hs.nu == grid.nu - 2 and hs.nv == grid.nv - 2
@@ -88,7 +86,7 @@ def test_to_potential_example2():
 
 
 def test_to_potential_example1_degenerate_line():
-    grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=21, nv=21))
+    grid = fixtures.make_fixture("example1", nu=21, nv=21)
     hs, cert = hsys.epsilon_from_surface(grid)
     assert cert["loop_max"] < 1e-12
     assert cert["h_equation_max"] < 1e-9
@@ -102,9 +100,7 @@ def test_to_potential_certificate_failure():
     # stays adapted (defect ~0.019 against the 0.05 gate), but its
     # coefficient one-form is not closed (path-ordering residual ~0.018
     # against 200 h^2 = 5e-3)
-    grid = fixtures.example2_grid(
-        fixtures.default_spec("example2", nu=81, nv=81, du=5e-3, dv=5e-3)
-    )
+    grid = fixtures.make_fixture("example2", nu=81, nv=81, du=5e-3, dv=5e-3)
     u = grid.u_vals[:, None] - grid.u_vals.mean()
     v = grid.v_vals[None, :] - grid.v_vals.mean()
     bump = np.exp(-(u * u + v * v) / (2.0 * 0.15**2))
@@ -118,7 +114,7 @@ def test_to_potential_certificate_failure():
 
 
 def test_to_potential_rejects_nan_cell():
-    grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
+    grid = fixtures.make_fixture("example1", nu=15, nv=15)
     p = grid.p.copy()
     p[7, 7, 0] = np.nan
     with pytest.raises(ValueError, match="not adapted"):
@@ -126,9 +122,7 @@ def test_to_potential_rejects_nan_cell():
 
 
 def test_integrators_reject_tiny_grids():
-    grid = fixtures.example1_grid(
-        fixtures.default_spec("example1", nu=5, nv=5)
-    )
+    grid = fixtures.make_fixture("example1", nu=5, nv=5)
     with pytest.raises(ValueError, match="7x7"):
         hsys.epsilon_from_surface(grid)
     hs = sphere_hs(15)
@@ -166,12 +160,26 @@ def test_from_potential_rejects_plane():
         hsys.surface_from_epsilon(hs)
 
 
+def test_reparametrised_cylinder_passes_real_part_gate():
+    # the cylinder potential composed with the conformal map z + z^2 / 2
+    # solves the same equation; the surface it integrates to has a real
+    # part of about 0.9 h^2 in its logarithmic derivatives, above a fixed
+    # 1e-4 but far inside the step-scaled floor 100 h^2
+    n, h = 51, 0.6 / 50
+    z = (0.2 + h * np.arange(n))[:, None] + 1j * (-0.3 + h * np.arange(n))[None, :]
+    w = z + z * z / 2.0
+    r = fixtures.CYLINDER_RADIUS
+    eps = np.stack([r * np.cos(w.real / r), r * np.sin(w.real / r), w.imag], axis=-1)
+    grid, _ = hsys.surface_from_epsilon(hsys.h_surface_grid(0.2, -0.3, h, h, eps))
+    assert 1e-4 < grid.partials.projection_max < 0.01 * grid.fd_floor()
+    report = sf.analyze(grid)
+    assert report["almost_complex_max"] < 1e-3
+
+
 def test_mean_curvature_values():
     H_s = sf.interior(hsys.mean_curvature(sphere_hs(31)))
     assert np.abs(H_s + 2.0 / SQRT3).max() < 1e-4
-    cyl = fixtures.cmc_cylinder_epsilon(
-        fixtures.default_spec("cmc_cylinder", nu=31, nv=31)
-    )
+    cyl = fixtures.make_fixture("cmc_cylinder", nu=31, nv=31)
     H_c = sf.interior(hsys.mean_curvature(cyl))
     assert np.abs(H_c + 2.0 / SQRT3).max() < 1e-4
 
@@ -224,7 +232,7 @@ def test_window_overlap():
 
 
 def test_metric_factor_example2_round_trip():
-    grid = fixtures.example2_grid(fixtures.default_spec("example2", nu=41, nv=41))
+    grid = fixtures.make_fixture("example2", nu=41, nv=41)
     hs, _ = hsys.epsilon_from_surface(grid)
     out = hsys.metric_factor_check(grid, hs)
     assert set(out) == {"ratio_mean", "ratio_max_dev"}
@@ -233,7 +241,7 @@ def test_metric_factor_example2_round_trip():
 
 
 def test_metric_factor_rejects_step_mismatch():
-    grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
+    grid = fixtures.make_fixture("example1", nu=15, nv=15)
     hs = sphere_hs(15)  # step 6e-3 against the surface's 1e-2
     with pytest.raises(ValueError, match="steps differ"):
         hsys.metric_factor_check(grid, hs)
@@ -241,7 +249,7 @@ def test_metric_factor_rejects_step_mismatch():
 
 def test_metric_factor_example1_nonzero_lambda():
     # the ratio is 2 for every potential, not only where lambda vanishes
-    grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
+    grid = fixtures.make_fixture("example1", nu=15, nv=15)
     assert sf.interior(np.abs(sf.lambda_field(grid.partials))).min() > 0.5
     hs, _ = hsys.epsilon_from_surface(grid)
     out = hsys.metric_factor_check(grid, hs)
@@ -250,19 +258,17 @@ def test_metric_factor_example1_nonzero_lambda():
 
 
 def test_to_potential_refuses_non_adapted_grid():
-    grid = fixtures.non_adapted_grid(
-        fixtures.default_spec("example1", nu=41, nv=41, du=0.025, dv=0.025)
-    )
+    grid = fixtures.non_adapted_grid(sf.lattice(0.0, 0.0, 0.025, 0.025, 41, 41))
     with pytest.raises(ValueError, match="not adapted"):
         hsys.epsilon_from_surface(grid)
-    adapted = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
+    adapted = fixtures.make_fixture("example1", nu=15, nv=15)
     _, cert = hsys.epsilon_from_surface(adapted)
     assert cert["almost_complex_max"] < 2e-5
 
 
 @pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
 def test_epsilon_from_surface_rejects_bad_tol_scale(tol_scale):
-    grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=15, nv=15))
+    grid = fixtures.make_fixture("example1", nu=15, nv=15)
     with pytest.raises(ValueError, match="tol_scale"):
         hsys.epsilon_from_surface(grid, tol_scale=tol_scale)
 
@@ -293,8 +299,6 @@ def test_chain_step_converges_at_fourth_order():
 
 def test_drift_stays_at_roundoff_on_long_strip():
     # the longest chain the benchmark integrates: 4001 rows of a cylinder strip
-    hs = fixtures.cmc_cylinder_epsilon(
-        fixtures.default_spec("cmc_cylinder", nu=4001, nv=11, du=6e-3, dv=6e-3)
-    )
+    hs = fixtures.make_fixture("cmc_cylinder", nu=4001, nv=11, du=6e-3, dv=6e-3)
     _, cert = hsys.surface_from_epsilon(hs)
     assert cert["drift_max"] < 1e-12

@@ -5,7 +5,7 @@ from nks3 import fixtures, io
 
 
 def test_immersion_csv_round_trip(tmp_path):
-    grid = fixtures.example2_grid(fixtures.default_spec("example2", nu=9, nv=7))
+    grid = fixtures.make_fixture("example2", nu=9, nv=7)
     path = tmp_path / "g.csv"
     io.write_immersion_csv(path, grid)
     back = io.read_immersion_csv(path)
@@ -20,7 +20,7 @@ def test_immersion_csv_round_trip(tmp_path):
 
 
 def test_immersion_csv_layout(tmp_path):
-    grid = fixtures.example1_grid(fixtures.default_spec("example1", nu=5, nv=6))
+    grid = fixtures.make_fixture("example1", nu=5, nv=6)
     path = tmp_path / "g.csv"
     io.write_immersion_csv(path, grid)
     lines = path.read_text().splitlines()
@@ -33,9 +33,7 @@ def test_immersion_csv_layout(tmp_path):
 
 
 def test_epsilon_csv_round_trip(tmp_path):
-    hs = fixtures.cmc_sphere_epsilon(
-        fixtures.default_spec("cmc_sphere", nu=9, nv=9)
-    )
+    hs = fixtures.make_fixture("cmc_sphere", nu=9, nv=9)
     path = tmp_path / "e.csv"
     io.write_epsilon_csv(path, hs)
     assert path.read_text().splitlines()[0] == "u,v,x,y,z"
@@ -45,9 +43,7 @@ def test_epsilon_csv_round_trip(tmp_path):
 
 
 def test_reader_accepts_shuffled_rows(tmp_path):
-    hs = fixtures.cmc_cylinder_epsilon(
-        fixtures.default_spec("cmc_cylinder", nu=7, nv=7)
-    )
+    hs = fixtures.make_fixture("cmc_cylinder", nu=7, nv=7)
     path = tmp_path / "e.csv"
     io.write_epsilon_csv(path, hs)
     lines = path.read_text().splitlines()
@@ -59,9 +55,7 @@ def test_reader_accepts_shuffled_rows(tmp_path):
 
 
 def test_reader_rejects_bad_input(tmp_path):
-    hs = fixtures.cmc_sphere_epsilon(
-        fixtures.default_spec("cmc_sphere", nu=7, nv=7)
-    )
+    hs = fixtures.make_fixture("cmc_sphere", nu=7, nv=7)
     path = tmp_path / "e.csv"
 
     io.write_epsilon_csv(path, hs)

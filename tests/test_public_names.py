@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import nks3
+from nks3 import fixtures
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(nks3.__path__))
 
@@ -19,3 +20,11 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"nks3.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert module.__all__ and not missing
+
+
+def test_fixtures_public_names():
+    # named fixtures are built only through make_fixture
+    assert fixtures.__all__ == [
+        "FIXTURE_NAMES", "POLE_MARGIN", "make_fixture", "non_adapted_grid",
+        "SPHERE_RADIUS", "CYLINDER_RADIUS",
+    ]

@@ -8,14 +8,12 @@ from nks3 import surface as sf
 SQ3 = nk.SQRT3
 
 
-def small_spec(name, n=21, h=None):
-    h = {"example1": 1e-2, "example2": 5e-3}.get(name, 6e-3) if h is None else h
-    return fixtures.default_spec(name, nu=n, nv=n, du=h, dv=h)
+def small_fixture(name, n=21, h=None):
+    return fixtures.make_fixture(name, nu=n, nv=n, du=h, dv=h)
 
 
 def test_grid_constructor_validation():
-    spec = small_spec("example1")
-    grid = fixtures.example1_grid(spec)
+    grid = small_fixture("example1")
     assert grid.nu == grid.nv == 21
     assert np.allclose(grid.u_vals[1] - grid.u_vals[0], 1e-2)
     with pytest.raises(ValueError):
@@ -32,8 +30,7 @@ def test_grid_constructor_validation():
 
 
 def test_partials_match_analytic_derivative():
-    spec = small_spec("example1")
-    grid = fixtures.example1_grid(spec)
+    grid = small_fixture("example1")
     gp = sf.partials(grid)
     phi_u = nk.from_frame_coords(grid.base, gp.cu)
     phi_v = nk.from_frame_coords(grid.base, gp.cv)
@@ -50,21 +47,21 @@ def test_partials_halving_is_second_order():
     # so halving the step must shrink it by about 4
     errs = {}
     for h in (2e-2, 1e-2):
-        grid = fixtures.example2_grid(small_spec("example2", n=15, h=h))
+        grid = small_fixture("example2", n=15, h=h)
         res = sf.almost_complex_residual(sf.partials(grid))
         errs[h] = float(sf.interior(res).max())
     assert errs[2e-2] / errs[1e-2] > 3.5
 
 
 def test_almost_complex_residual_example1_small():
-    grid = fixtures.example1_grid(small_spec("example1"))
+    grid = small_fixture("example1")
     gp = sf.partials(grid)
     res = sf.interior(sf.almost_complex_residual(gp))
     assert res.max() < 2e-5
 
 
 def test_non_adapted_grid_flagged():
-    grid = fixtures.non_adapted_grid(small_spec("example1", n=15, h=5e-2))
+    grid = fixtures.non_adapted_grid(sf.lattice(0.0, 0.0, 5e-2, 5e-2, 15, 15))
     gp = sf.partials(grid)
     assert sf.interior(sf.almost_complex_residual(gp)).max() > 0.3
     with pytest.raises(ValueError, match="real-part residual"):
@@ -72,7 +69,7 @@ def test_non_adapted_grid_flagged():
 
 
 def test_nan_cell_fails_real_part_gate():
-    grid = fixtures.example1_grid(small_spec("example1", n=15))
+    grid = small_fixture("example1", n=15)
     p = grid.p.copy()
     p[7, 7, 0] = np.nan
     bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
@@ -81,10 +78,24 @@ def test_nan_cell_fails_real_part_gate():
         sf.extract_coefficients(bad)
 
 
+def test_finite_real_part_defect_fails_gate():
+    # example2 with every other u-row of p turned by exp(0.05 i): the rows
+    # stay on the unit sphere and the grid passes the adaptedness gate, but
+    # the logarithmic derivatives gain a real part far above the O(h^2) floor
+    grid = small_fixture("example2", n=41)
+    p = grid.p.copy()
+    p[::2] = quat.qmul(quat.qexp(np.array([0.05, 0.0, 0.0])), p[::2])
+    bad = sf.immersion_grid(grid.u0, grid.v0, grid.du, grid.dv, p, grid.q)
+    assert sf.require_adapted(bad, 1.0) < sf.ADAPTED_GATE
+    assert bad.partials.projection_max > 3.0 * bad.fd_floor()
+    with pytest.raises(ValueError, match="far from imaginary"):
+        sf.analyze(bad)
+
+
 def test_extract_coefficients_example1_constants():
     # central stencils scale each exact coefficient by sin(ch)/(ch), so the
     # constants are recovered to O(h^2), not exactly
-    grid = fixtures.example1_grid(small_spec("example1"))
+    grid = small_fixture("example1")
     cf = sf.extract_coefficients(grid)
     assert np.abs(sf.interior(cf.alpha_t) - np.array([1.0, 0, 0])).max() < 2e-5
     assert (
@@ -104,7 +115,7 @@ def test_extract_coefficients_example1_constants():
 
 
 def test_rotated_pair_example1():
-    grid = fixtures.example1_grid(small_spec("example1"))
+    grid = small_fixture("example1")
     cf = sf.extract_coefficients(grid)
     # rotating (1,0,0), (-1/sqrt3,0,0) by 2pi/3 gives (-1,0,0), (-1/sqrt3,0,0)
     assert np.abs(sf.interior(cf.alpha) - np.array([-1.0, 0, 0])).max() < 2e-5
@@ -117,24 +128,22 @@ def test_rotated_pair_example1():
 
 def test_integrability_residuals_small_on_fixtures():
     for name, bound in (("example1", 1e-8), ("example2", 2e-5)):
-        spec = small_spec(name, n=31)
-        grid = fixtures.make_fixture(spec)
+        grid = small_fixture(name, n=31)
         cf = sf.extract_coefficients(grid)
-        r21, r22, r23 = sf.integrability_residuals(cf, spec.du, spec.dv)
+        r21, r22, r23 = sf.integrability_residuals(cf, grid.du, grid.dv)
         assert max(r21, r22, r23) < bound, name
 
 
 def test_integrability_halving_example2():
     res = {}
     for h in (1e-2, 5e-3):
-        spec = small_spec("example2", n=21, h=h)
-        cf = sf.extract_coefficients(fixtures.example2_grid(spec))
+        cf = sf.extract_coefficients(small_fixture("example2", h=h))
         res[h] = max(sf.integrability_residuals(cf, h, h))
     assert res[1e-2] / res[5e-3] > 3.5
 
 
 def test_lambda_field_example1_value():
-    grid = fixtures.example1_grid(small_spec("example1"))
+    grid = small_fixture("example1")
     lam = sf.interior(sf.lambda_field(sf.partials(grid)))
     target = -1.0 / 3.0 + 1j / SQ3
     assert np.abs(lam - target).max() < 1e-4
@@ -148,13 +157,13 @@ def test_lambda_field_example1_value():
 
 
 def test_cr_residuals_example1_exact():
-    grid = fixtures.example1_grid(small_spec("example1"))
+    grid = small_fixture("example1")
     cf = sf.extract_coefficients(grid)
     assert sf.cr_residuals(cf, grid.du, grid.dv) < 1e-10
 
 
 def test_induced_metric_example1():
-    grid = fixtures.example1_grid(small_spec("example1"))
+    grid = small_fixture("example1")
     gp = sf.partials(grid)
     E, F, G = sf.induced_metric(gp.cu, gp.cv)
     # alpha_t=(1,0,0), gamma_t=0: E = g((pi,0),(pi,0)) = 4/3; adapted grids
@@ -192,23 +201,23 @@ def test_brioschi_round_sphere():
 
 
 def test_gaussian_curvature_fixture_values():
-    g1 = fixtures.example1_grid(small_spec("example1", n=31))
+    g1 = small_fixture("example1", n=31)
     K1 = sf.interior(sf.gaussian_curvature(sf.partials(g1)))
     assert np.abs(K1).max() < 1e-8
-    g2 = fixtures.example2_grid(small_spec("example2", n=31))
+    g2 = small_fixture("example2", n=31)
     K2 = sf.interior(sf.gaussian_curvature(sf.partials(g2)))
     assert np.abs(K2 - 2.0 / 3.0).max() < 1e-4
 
 
 def test_second_fundamental_form_example1_vanishes():
-    grid = fixtures.example1_grid(small_spec("example1"))
+    grid = small_fixture("example1")
     sff = sf.second_fundamental_form(grid)
     assert sf.interior(sff.unit_norm).max() < 1e-10
     assert sf.interior(sff.trace_norm).max() < 1e-10
 
 
 def test_second_fundamental_form_symmetry_example2():
-    grid = fixtures.example2_grid(small_spec("example2", n=31))
+    grid = small_fixture("example2", n=31)
     sff = sf.second_fundamental_form(grid)
     gp = sf.partials(grid)
     base = grid.base
@@ -223,16 +232,16 @@ def test_second_fundamental_form_symmetry_example2():
 
 
 def test_classify_alignment():
-    g1 = fixtures.example1_grid(small_spec("example1"))
+    g1 = small_fixture("example1")
     assert sf.classify_P_alignment(g1) == "tangent"
-    g2 = fixtures.example2_grid(small_spec("example2", n=31))
+    g2 = small_fixture("example2", n=31)
     assert sf.classify_P_alignment(g2) == "normal"
-    g3 = fixtures.non_adapted_grid(small_spec("example1", n=15, h=5e-2))
+    g3 = fixtures.non_adapted_grid(sf.lattice(0.0, 0.0, 5e-2, 5e-2, 15, 15))
     assert sf.classify_P_alignment(g3) == "mixed"
 
 
 def test_analyze_report_schema_and_values():
-    grid = fixtures.example1_grid(small_spec("example1", n=31))
+    grid = small_fixture("example1", n=31)
     rep = sf.analyze(grid)
     keys = {
         "almost_complex_max", "integrability_21_max", "integrability_22_max",
@@ -251,10 +260,11 @@ def test_frame_kernel_matches_ambient_operators(name):
     # coefficient results against the ambient quaternion operators, on a
     # random isometry image of a fixture grid (general position); lambda
     # vanishes on the round sphere, so the flat torus checks it too
-    spec = small_spec(name, n=31)
-    fixture = fixtures.make_fixture(spec)
+    fixture = small_fixture(name, n=31)
     moved = nk.random_isometry(np.random.default_rng(5)).apply_point(fixture.base)
-    grid = sf.immersion_grid(spec.u0, spec.v0, spec.du, spec.dv, moved.p, moved.q)
+    grid = sf.immersion_grid(
+        fixture.u0, fixture.v0, fixture.du, fixture.dv, moved.p, moved.q
+    )
     base = grid.base
     gp = grid.partials
 
@@ -265,8 +275,8 @@ def test_frame_kernel_matches_ambient_operators(name):
             comps.append(raw - quat.dot(raw, arr)[..., None] * arr)
         return nk.tangent(base, *comps)
 
-    phi_u = ambient_partial(0, spec.du)
-    phi_v = ambient_partial(1, spec.dv)
+    phi_u = ambient_partial(0, grid.du)
+    phi_v = ambient_partial(1, grid.dv)
     assert np.abs(nk.frame_coords(phi_u) - gp.cu).max() < 1e-12
     assert np.abs(nk.frame_coords(phi_v) - gp.cv).max() < 1e-12
 
@@ -293,7 +303,7 @@ def test_frame_kernel_matches_ambient_operators(name):
 
 
 def test_grid_partials_computed_once_and_read_only():
-    grid = fixtures.example2_grid(small_spec("example2"))
+    grid = small_fixture("example2")
     gp = grid.partials
     assert grid.partials is gp
     assert gp.first_form is gp.first_form
@@ -305,14 +315,14 @@ def test_grid_partials_computed_once_and_read_only():
 @pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
 def test_require_adapted_rejects_bad_tol_scale(tol_scale):
     # the non-adapted control would pass an infinite limit
-    grid = fixtures.non_adapted_grid(small_spec("example2"))
+    grid = fixtures.non_adapted_grid(sf.lattice(-0.05, 0.0, 5e-3, 5e-3, 21, 21))
     with pytest.raises(ValueError, match="tol_scale"):
         sf.require_adapted(grid, tol_scale)
 
 
 @pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
 def test_analyze_rejects_bad_tol_scale(tol_scale):
-    grid = fixtures.example1_grid(small_spec("example1"))
+    grid = small_fixture("example1")
     with pytest.raises(ValueError, match="tol_scale"):
         sf.analyze(grid, tol_scale=tol_scale)
 
@@ -344,7 +354,7 @@ def test_lattice_window_validation_and_methods():
         lat.inset(3)
     # a grid's window holds the lattice fields only, not its arrays or its
     # cached partials
-    grid = fixtures.example1_grid(small_spec("example1"))
+    grid = small_fixture("example1")
     assert grid.partials is not None
     assert grid.window() == {
         "u0": 0.0, "v0": 0.0, "du": 1e-2, "dv": 1e-2, "nu": 21, "nv": 21,
