@@ -2,7 +2,8 @@
 
 CSV layouts are row-major in v then u (the v index varies slowest), with
 17-significant-digit decimals so that write -> read -> write round-trips to
-identical bytes.  Readers accept any row order: rows carry their own (u, v)
+identical bytes.  Writers format each coordinate value once, not once per
+row it appears in.  Readers accept any row order: rows carry their own (u, v)
 coordinates and are re-binned onto the reconstructed axes.
 """
 
@@ -30,26 +31,30 @@ IMMERSION_HEADER = "u,v,p0,p1,p2,p3,q0,q1,q2,q3"
 EPSILON_HEADER = "u,v,x,y,z"
 
 _FMT = "%.17g"
+_CHUNK_ROWS = 512
 _JITTER = 1e-9
 
 
 def _write_rows(path, header, lat, blocks):
     """Write one CSV over the `Lattice` `lat` with v-major rows: for each v,
-    all u in order."""
-    width = 2 + sum(b.shape[-1] for b in blocks)
-    rows = np.empty((lat.nv, lat.nu, width))
-    rows[..., 0] = lat.u_vals[None, :]
-    rows[..., 1] = lat.v_vals[:, None]
-    at = 2
-    for b in blocks:
-        w = b.shape[-1]
-        # blocks are indexed [u, v, component]; rows are [v, u, column]
-        rows[..., at : at + w] = np.swapaxes(b, 0, 1)
-        at += w
-    np.savetxt(
-        path, rows.reshape(-1, width), fmt=_FMT, delimiter=",",
-        header=header, comments="",
-    )
+    all u in order; `blocks` are indexed [u, v, component].
+
+    The bytes are those of `np.savetxt(fmt=_FMT, delimiter=",")`.  Each u
+    and v coordinate is formatted once; the payload of at most
+    `_CHUNK_ROWS` rows of one v is formatted by one `%` over a template
+    that already holds their coordinates, and written out at once.
+    """
+    us = [_FMT % u for u in lat.u_vals.tolist()]
+    vs = [_FMT % v for v in lat.v_vals.tolist()]
+    row = ",".join([_FMT] * sum(b.shape[-1] for b in blocks)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for j, v in enumerate(vs):
+            for i in range(0, lat.nu, _CHUNK_ROWS):
+                rows = slice(i, i + _CHUNK_ROWS)
+                template = "".join([f"{u},{v},{row}" for u in us[rows]])
+                values = np.concatenate([b[rows, j] for b in blocks], axis=-1)
+                fh.write(template % tuple(values.ravel().tolist()))
 
 
 def write_immersion_csv(path, grid):
@@ -62,11 +67,18 @@ def write_epsilon_csv(path, hs):
 
 def _recover_axis(raw, label):
     """Sorted distinct coordinate values; rejects irregular spacing."""
-    vals = np.unique(raw)
+    # np.unique and np.median, written out: both import numpy.ma on first
+    # use.  Distinct values keep one NaN, sorted last; the median is the
+    # mean of the middle one or two sorted steps, NaN when any step is.
+    vals = np.sort(raw)
+    keep = np.ones(vals.shape, dtype=bool)
+    keep[1:] = (vals[1:] != vals[:-1]) & ~np.isnan(vals[:-1])
+    vals = vals[keep]
     if len(vals) < 5:
         raise ValueError(f"{label} axis has only {len(vals)} distinct values")
     steps = np.diff(vals)
-    step = float(np.median(steps))
+    mid = np.sort(steps)[(len(steps) - 1) // 2 : len(steps) // 2 + 1]
+    step = float("nan") if np.isnan(steps).any() else float(mid.mean())
     if step <= 0 or np.abs(steps - step).max() > _JITTER:
         raise ValueError(
             f"{label} axis spacing is irregular "

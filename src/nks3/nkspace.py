@@ -206,14 +206,17 @@ _CG = 2.0 / (3.0 * SQRT3)
 CONN = _block_table(
     [[[-1.0, 0.0], [1.0 / 3.0, -1.0 / 3.0]], [[-1.0 / 3.0, 1.0 / 3.0], [0.0, -1.0]]]
 )
-# covariant derivative of J
-G_TABLE = _block_table(
+# covariant derivatives of J and P as factor-block patterns, which
+# `tensor_G` and `tensor_H` contract, and as the frame tables they expand to.
+# The tensors read the patterns, not the tables, so `verify` reports a
+# perturbed table through its table identities instead of stopping in
+# `table_product`.
+_G_BLOCKS = np.array(
     [[[-_CG, -2.0 * _CG], [-_CG, _CG]], [[-_CG, _CG], [2.0 * _CG, _CG]]]
 )
-# covariant derivative of P
-H_TABLE = _block_table(
-    np.array([[[1.0, 2.0], [-2.0, -1.0]], [[-1.0, -2.0], [2.0, 1.0]]]) / 3.0
-)
+_H_BLOCKS = np.array([[[1.0, 2.0], [-2.0, -1.0]], [[-1.0, -2.0], [2.0, 1.0]]]) / 3.0
+G_TABLE = _block_table(_G_BLOCKS)
+H_TABLE = _block_table(_H_BLOCKS)
 # frame brackets (each factor separately, mixed brackets vanish)
 BRACKET = _block_table([[[-2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -2.0]]])
 
@@ -227,14 +230,50 @@ GRAM = np.block(
     [[4.0 * _I3 / 3.0, -2.0 * _I3 / 3.0], [-2.0 * _I3 / 3.0, 4.0 * _I3 / 3.0]]
 )
 
+
+def _dot(a, b):
+    return np.einsum("...i,...i->...", a, b)
+
+
 def gram_product(c1, c2):
-    """Metric value from frame coefficients (constant Gram matrix)."""
-    return np.einsum("...a,ab,...b->...", c1, GRAM, c2)
+    """Metric value from frame coefficients: GRAM is 4/3 the identity minus
+    2/3 the swap of the two factors, so three dot products give it."""
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    swap = _dot(c1[..., :3], c2[..., 3:]) + _dot(c1[..., 3:], c2[..., :3])
+    return (4.0 * _dot(c1, c2) - 2.0 * swap) / 3.0
+
+
+def _block_product(blocks, x, y):
+    """table[a, b, k] x_a y_b for table = `_block_table(blocks)`: factor
+    block (A, B) adds blocks[A, B, C] (x_A cross y_B) to output factor C."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (3,)
+    halves = (np.zeros(shape), np.zeros(shape))
+    for a, b in np.ndindex(2, 2):
+        w = blocks[a, b]
+        if w.any():
+            c = np.cross(x[..., 3 * a : 3 * a + 3], y[..., 3 * b : 3 * b + 3])
+            for half, wc in zip(halves, w):
+                if wc:
+                    half += wc * c
+    return np.concatenate(halves, axis=-1)
 
 
 def table_product(table, x, y):
-    """The bilinear map of a constant frame table: table[a, b, k] x_a y_b."""
-    return np.einsum("abk,...a,...b->...k", table, x, y)
+    """The bilinear map of a constant frame table: table[a, b, k] x_a y_b.
+
+    Raises ValueError unless `table` is exactly `_block_table` of its own
+    blocks table[0::3, 1::3, 2::3], the only form the product reads.
+    """
+    table = np.asarray(table, dtype=float)
+    blocks = table[0::3, 1::3, 2::3]
+    if not np.array_equal(_block_table(blocks), table):
+        raise ValueError(
+            "frame table is not a 2x2x2 factor-block pattern times eps_ijk"
+        )
+    return _block_product(blocks, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +332,16 @@ def gnorm(Z):
 
 
 def tensor_G(X, Y):
-    """The covariant derivative of J as a 2-tensor, via the constant frame table."""
+    """The covariant derivative of J as a 2-tensor, via its constant block pattern."""
     _check_same_base(X, Y)
-    c = table_product(G_TABLE, frame_coords(X), frame_coords(Y))
+    c = _block_product(_G_BLOCKS, frame_coords(X), frame_coords(Y))
     return from_frame_coords(X.base, c)
 
 
 def tensor_H(X, Y):
-    """The covariant derivative of P as a 2-tensor, via the constant frame table."""
+    """The covariant derivative of P as a 2-tensor, via its constant block pattern."""
     _check_same_base(X, Y)
-    c = table_product(H_TABLE, frame_coords(X), frame_coords(Y))
+    c = _block_product(_H_BLOCKS, frame_coords(X), frame_coords(Y))
     return from_frame_coords(X.base, c)
 
 

@@ -36,6 +36,7 @@ QJ = np.array([0.0, 0.0, 1.0, 0.0])
 QK = np.array([0.0, 0.0, 0.0, 1.0])
 
 _UNIT_TOL = 1e-6
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def qmul(a, b):
@@ -57,8 +58,7 @@ def qmul(a, b):
 
 def qconj(q):
     """Quaternion conjugate: negate the imaginary part."""
-    q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
+    return np.asarray(q, dtype=float) * _CONJ_SIGNS
 
 
 def norm(q):

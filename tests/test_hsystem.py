@@ -302,3 +302,25 @@ def test_drift_stays_at_roundoff_on_long_strip():
     hs = fixtures.make_fixture("cmc_cylinder", nu=4001, nv=11, du=6e-3, dv=6e-3)
     _, cert = hsys.surface_from_epsilon(hs)
     assert cert["drift_max"] < 1e-12
+
+
+def _chain_by_loop(start, coeff, h):
+    """The sequential product the scan replaces, out[k + 1] = out[k] step[k],
+    kept as the oracle of `_integrate_chain` along axis 0."""
+    c0, c1 = coeff[:-1], coeff[1:]
+    steps = quat.qexp(0.5 * h * (c0 + c1) + (h * h / 6.0) * np.cross(c0, c1))
+    out = np.empty(coeff.shape[:-1] + (4,))
+    out[0] = start
+    for k in range(len(steps)):
+        out[k + 1] = quat.qmul(out[k], steps[k])
+    return out
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_scan_chain_matches_sequential_products(axis):
+    rng = np.random.default_rng(11)
+    coeff = rng.standard_normal((4001, 3, 2, 3))
+    start = quat.random_unit(rng, (3, 2))
+    want = _chain_by_loop(start, coeff, 6e-3)
+    got = hsys._integrate_chain(start, np.moveaxis(coeff, 0, axis), 6e-3, axis)
+    assert np.abs(np.moveaxis(got, axis, 0) - want).max() <= 1e-13

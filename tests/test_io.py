@@ -1,7 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from nks3 import fixtures, io
+from nks3 import surface as sf
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_immersion_csv_round_trip(tmp_path):
@@ -92,3 +100,45 @@ def test_dump_report_canonical():
     assert io.dump_report(rep) == text
     with pytest.raises(TypeError):
         io.dump_report({"z": np.int64(3)})
+
+
+@pytest.mark.parametrize(
+    "nu, nv, widths", [(4001, 11, [3]), (513, 6, [4, 4]), (7, 5, [3])]
+)
+def test_write_rows_matches_savetxt(tmp_path, nu, nv, widths):
+    # the savetxt call the writer replaces, on the same v-major rows
+    lat = sf.lattice(-0.3, 1e-3, 1.0 / 3.0, 0.1, nu, nv)
+    rng = np.random.default_rng(nu)
+    blocks = [rng.standard_normal((nu, nv, w)) for w in widths]
+    blocks[0][0, 0, :3] = [-0.0, 1e-300, 1e17]
+    blocks[-1][-1, -1, -1] = 1.0 / 3.0
+    rows = np.concatenate(
+        [np.broadcast_to(lat.u_vals[None, :, None], (nv, nu, 1)),
+         np.broadcast_to(lat.v_vals[:, None, None], (nv, nu, 1))]
+        + [np.swapaxes(b, 0, 1) for b in blocks], axis=-1,
+    )
+    header = "u,v," + ",".join(f"c{k}" for k in range(sum(widths)))
+    want, got = tmp_path / "savetxt.csv", tmp_path / "rows.csv"
+    np.savetxt(
+        want, rows.reshape(nu * nv, -1), fmt="%.17g", delimiter=",",
+        header=header, comments="",
+    )
+    io._write_rows(got, header, lat, blocks)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_reader_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique and np.median import numpy.ma on first use, a cost every
+    # reading command would pay
+    path = tmp_path / "g.csv"
+    io.write_immersion_csv(path, fixtures.make_fixture("example2", nu=9, nv=7))
+    code = (
+        "import sys; from nks3 import io; io.read_immersion_csv(sys.argv[1]); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -229,6 +229,49 @@ def test_p_derivative_table_fires_on_perturbed_table(monkeypatch):
     assert abs(report["p_derivative_table"] - 1e-6) < 1e-12
 
 
+# x and y shapes: verify's sampled batches, the frame triples of
+# `curvature_coeff`, a grid against a line, one vector against a batch
+_PRODUCT_SHAPES = [
+    ((50, 6), (50, 6)),
+    ((6, 1, 1, 6), (1, 6, 1, 6)),
+    ((7, 1, 6), (1, 5, 6)),
+    ((6,), (4, 6)),
+]
+
+
+@pytest.mark.parametrize("name", ["CONN", "G_TABLE", "H_TABLE", "BRACKET"])
+@pytest.mark.parametrize("shapes", _PRODUCT_SHAPES)
+def test_table_product_matches_einsum(name, shapes):
+    rng = np.random.default_rng(5)
+    x, y = (rng.uniform(-1.0, 1.0, s) for s in shapes)
+    table = getattr(nk, name)
+    want = np.einsum("abk,...a,...b->...k", table, x, y)
+    got = nk.table_product(table, x, y)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("shapes", _PRODUCT_SHAPES)
+def test_gram_product_matches_einsum(shapes):
+    rng = np.random.default_rng(6)
+    x, y = (rng.uniform(-1.0, 1.0, s) for s in shapes)
+    want = np.einsum("...a,ab,...b->...", x, nk.GRAM, y)
+    got = nk.gram_product(x, y)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("entry", [(0, 4, 2), (1, 5, 0), (3, 3, 3)])
+def test_table_product_refuses_perturbed_table(entry):
+    # (0, 4, 2) is read as a block weight, (1, 5, 0) is a multiple of one
+    # that the product never reads, (3, 3, 3) must be zero
+    bad = nk.CONN.copy()
+    bad[entry] += 1e-6
+    x = np.ones((4, 6))
+    with pytest.raises(ValueError, match="factor-block pattern"):
+        nk.table_product(bad, x, x)
+
+
 def test_identity_report_empty_for_zero_samples():
     with pytest.raises(ValueError, match="samples must be at least 1"):
         nk.identity_report(samples=0)
