@@ -146,8 +146,10 @@ def cmd_to_h(config):
 
 
 def cmd_from_h(config):
-    hs = read_epsilon_csv(config["input"])
-    grid, cert = surface_from_epsilon(hs, tol_scale=config["tol_scale"])
+    # the potential grid is not held while the surface is analysed
+    grid, cert = surface_from_epsilon(
+        read_epsilon_csv(config["input"]), tol_scale=config["tol_scale"]
+    )
     report = analyze(grid, tol_scale=config["tol_scale"])
     report["certificate"] = cert
     write_immersion_csv(config["output"], grid)

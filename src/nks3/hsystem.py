@@ -15,7 +15,8 @@ conditions to discretization error.
 
 Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
 `surface.Lattice`; each integrator's output covers its input window inset
-by one cell.  The quaternion integrator multiplies unit step factors and
+by one cell.  The quaternion integrator takes the ordered products of unit
+step factors by a blocked scan (sequential inside fixed-size blocks) and
 never renormalizes; `drift_max` reports its roundoff off the unit sphere.
 """
 
@@ -98,7 +99,7 @@ def _laplacian(hs):
 def h_equation_residual(hs):
     """Pointwise norm of the defect of the quadratic second-order equation."""
     eu, ev = _eps_partials(hs)
-    defect = _laplacian(hs) + (4.0 / SQRT3) * np.cross(eu, ev)
+    defect = _laplacian(hs) + (4.0 / SQRT3) * quat.cross(eu, ev)
     return np.linalg.norm(defect, axis=-1)
 
 
@@ -130,7 +131,7 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     second-order equation on the result and records the input's adaptedness
     defect.  Raises ValueError for a bad `tol_scale` or a grid that is not
     adapted (`surface.require_adapted`), CertificateError when the paths
-    disagree beyond the discretization-order tolerance.
+    disagree or the potential misses the equation beyond discretization order.
     """
     ac_max = require_adapted(grid, tol_scale)
     out = grid.inset(1)
@@ -139,19 +140,39 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     eps_uv = _cumtrapz(a[:, :1], grid.du, axis=0) + _cumtrapz(b, grid.dv, axis=1)
     eps_vu = _cumtrapz(b[:1, :], grid.dv, axis=1) + _cumtrapz(a, grid.du, axis=0)
     loop = float(np.linalg.norm(eps_uv - eps_vu, axis=-1).max())
-    hs = HSurfaceGrid(**out.window(), eps=eps_uv)
-    cert = {
-        "almost_complex_max": ac_max,
-        "loop_max": loop,
-        "h_equation_max": float(interior(h_equation_residual(hs)).max()),
-    }
+    del cf, a, b, eps_vu
     tol = _default_cert_tol(grid.du, grid.dv, tol_scale)
     if not loop <= tol:
         raise CertificateError(
             f"path-ordering residual {loop:.3e} exceeds {tol:.1e}; "
             "the coefficient one-form is not closed to discretization order"
         )
-    return hs, cert
+    hs = HSurfaceGrid(**out.window(), eps=eps_uv)
+    eq_res = float(interior(h_equation_residual(hs)).max())
+    if not eq_res <= tol:
+        raise CertificateError(
+            f"second-order equation residual {eq_res:.3e} exceeds {tol:.1e}; "
+            "the integrated potential is not a solution surface"
+        )
+    return hs, {"almost_complex_max": ac_max, "loop_max": loop,
+                "h_equation_max": eq_res}
+
+
+_BLOCK = 8
+
+
+def _prefix_products(x):
+    """In place along axis 0, x[k] <- x[0] x[1] ... x[k], by a blocked scan:
+    sequential products inside blocks of `_BLOCK` entries, the block ends
+    scanned the same way, then one carry multiply per block position."""
+    for k in range(1, min(_BLOCK, len(x))):
+        x[k::_BLOCK] = quat.qmul(x[k - 1 :: _BLOCK][: len(x[k::_BLOCK])], x[k::_BLOCK])
+    if len(x) > _BLOCK:
+        ends = x[_BLOCK - 1 :: _BLOCK]
+        _prefix_products(ends)
+        for k in range(_BLOCK - 1):
+            rows = x[_BLOCK + k :: _BLOCK]
+            rows[...] = quat.qmul(ends[: len(rows)], rows)
 
 
 def _integrate_chain(start, coeff, h, axis):
@@ -162,25 +183,17 @@ def _integrate_chain(start, coeff, h, axis):
     Each segment multiplies by the exponential of the two-term Magnus
     expansion for a coefficient interpolated linearly across the segment,
     h (c0 + c1) / 2 + (h^2 / 12) [c0, c1], where [c0, c1] = 2 c0 x c1 for
-    imaginary quaternions.  A product of unit quaternions stays on the unit
-    sphere up to roundoff, so nothing renormalizes (`surface_from_epsilon`
-    reports the remaining drift).
-
-    The ordered step products are an inclusive Hillis-Steele scan: after
-    the pass with shift s, entry k holds the product of the (up to) 2s
-    steps that end at k, so ceil(log2(n)) vectorised passes replace n
-    sequential products.  Returns the grid.
+    imaginary quaternions.  The blocked scan `_prefix_products` multiplies the
+    unit steps in order; their products stay on the unit sphere up to roundoff,
+    so nothing renormalizes (`surface_from_epsilon` reports the drift).
     """
     coeff = np.moveaxis(coeff, axis, 0)
     c0, c1 = coeff[:-1], coeff[1:]
-    steps = quat.qexp(0.5 * h * (c0 + c1) + (h * h / 6.0) * np.cross(c0, c1))
-    s = 1
-    while s < len(steps):
-        steps[s:] = quat.qmul(steps[:-s], steps[s:])
-        s *= 2
-    out = np.empty(coeff.shape[:-1] + (4,))
+    arg = np.zeros(coeff.shape)
+    arg[1:] = 0.5 * h * (c0 + c1) + (h * h / 6.0) * quat.cross(c0, c1)
+    out = quat.qexp(arg)  # exp(0) = 1 at index 0, replaced by `start`
     out[0] = start
-    out[1:] = quat.qmul(start, steps)
+    _prefix_products(out)
     return np.moveaxis(out, 0, axis)
 
 
@@ -242,7 +255,8 @@ def surface_from_epsilon(hs, tol_scale=1.0):
         raise CertificateError(
             f"path-ordering disagreement {compat:.3e} exceeds {tol:.1e}"
         )
-    drift = float(np.abs(quat.norm([ufirst, vfirst]) - 1.0).max())
+    drift = max(float(np.abs(quat.norm(x) - 1.0).max()) for x in (ufirst, vfirst))
+    del vfirst
     grid = immersion_grid(
         out.u0, out.v0, out.du, out.dv, ufirst[..., 0, :], ufirst[..., 1, :]
     )
@@ -275,8 +289,9 @@ def mean_curvature(hs):
         raise ValueError(
             f"coordinates are not conformal (relative deviation {worst:.3e})"
         )
-    n = np.cross(eu, ev)
-    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    n = quat.cross(eu, ev)
+    del eu, ev
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
     return np.sum(_laplacian(hs) * n, axis=-1) / (2.0 * e2)
 
 

@@ -68,17 +68,16 @@ def write_epsilon_csv(path, hs):
 def _recover_axis(raw, label):
     """Sorted distinct coordinate values; rejects irregular spacing."""
     # np.unique and np.median, written out: both import numpy.ma on first
-    # use.  Distinct values keep one NaN, sorted last; the median is the
-    # mean of the middle one or two sorted steps, NaN when any step is.
+    # use.  The median is the mean of the middle one or two sorted steps.
     vals = np.sort(raw)
     keep = np.ones(vals.shape, dtype=bool)
-    keep[1:] = (vals[1:] != vals[:-1]) & ~np.isnan(vals[:-1])
+    keep[1:] = vals[1:] != vals[:-1]
     vals = vals[keep]
     if len(vals) < 5:
         raise ValueError(f"{label} axis has only {len(vals)} distinct values")
     steps = np.diff(vals)
     mid = np.sort(steps)[(len(steps) - 1) // 2 : len(steps) // 2 + 1]
-    step = float("nan") if np.isnan(steps).any() else float(mid.mean())
+    step = float(mid.mean())
     if step <= 0 or np.abs(steps - step).max() > _JITTER:
         raise ValueError(
             f"{label} axis spacing is irregular "
@@ -98,6 +97,9 @@ def _read_rows(path, header, ncols):
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.ndim != 2 or data.shape[1] != ncols:
         raise ValueError(f"expected {ncols} columns, got shape {data.shape}")
+    for column, finite in zip(header.split(","), np.isfinite(data).all(axis=0)):
+        if not finite:
+            raise ValueError(f"non-finite value in column {column!r}")
     u_vals, du = _recover_axis(data[:, 0], "u")
     v_vals, dv = _recover_axis(data[:, 1], "v")
     nu, nv = len(u_vals), len(v_vals)

@@ -246,19 +246,20 @@ def gram_product(c1, c2):
 
 def _block_product(blocks, x, y):
     """table[a, b, k] x_a y_b for table = `_block_table(blocks)`: factor
-    block (A, B) adds blocks[A, B, C] (x_A cross y_B) to output factor C."""
+    block (A, B) adds blocks[A, B, C] (x_A cross y_B) to output factor C,
+    one component at a time, so no temporary is wider than one component."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (3,)
-    halves = (np.zeros(shape), np.zeros(shape))
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (6,))
     for a, b in np.ndindex(2, 2):
         w = blocks[a, b]
-        if w.any():
-            c = np.cross(x[..., 3 * a : 3 * a + 3], y[..., 3 * b : 3 * b + 3])
-            for half, wc in zip(halves, w):
+        xa, yb = x[..., 3 * a : 3 * a + 3], y[..., 3 * b : 3 * b + 3]
+        for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            c = xa[..., j] * yb[..., l] - xa[..., l] * yb[..., j]  # as `quat.cross`
+            for k, wc in enumerate(w):
                 if wc:
-                    half += wc * c
-    return np.concatenate(halves, axis=-1)
+                    out[..., 3 * k + i] += wc * c
+    return out
 
 
 def table_product(table, x, y):

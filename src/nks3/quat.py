@@ -26,6 +26,7 @@ __all__ = [
     "imag",
     "qexp",
     "dot",
+    "cross",
     "random_unit",
     "random_vec3",
 ]
@@ -45,15 +46,12 @@ def qmul(a, b):
     b = np.asarray(b, dtype=float)
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
 
 
 def qconj(q):
@@ -125,6 +123,16 @@ def qexp(v):
 def dot(a, b):
     """Euclidean inner product over the trailing axis."""
     return np.sum(np.asarray(a, dtype=float) * np.asarray(b, dtype=float), axis=-1)
+
+
+def cross(a, b):
+    """Cross product of R^3 vectors over the trailing axis (broadcasting),
+    component by component as `np.cross` forms it, without its input copies."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        out[..., i] = a[..., j] * b[..., k] - a[..., k] * b[..., j]
+    return out
 
 
 def random_unit(rng, shape=()):

@@ -222,16 +222,14 @@ def partials(grid):
     """Central-difference partial derivatives, one-sided at the edges, as
     frame coefficients.  A NaN on the interior makes `projection_max` NaN."""
     reals = []
-    comps = []
-    for arr in (grid.p, grid.q):
+    cu = np.empty(grid.p.shape[:-1] + (6,))
+    cv = np.empty_like(cu)
+    for half, arr in ((slice(0, 3), grid.p), (slice(3, 6), grid.q)):
         conj = quat.qconj(arr)
-        for axis, step in ((0, grid.du), (1, grid.dv)):
+        for c, axis, step in ((cu, 0, grid.du), (cv, 1, grid.dv)):
             log = quat.qmul(conj, np.gradient(arr, step, axis=axis, edge_order=2))
             reals.append(interior(np.abs(log[..., 0])).max())
-            comps.append(quat.imag(log) * FLIP)
-    pu, pv, qu, qv = comps
-    cu = np.concatenate([pu, qu], axis=-1)
-    cv = np.concatenate([pv, qv], axis=-1)
+            np.multiply(quat.imag(log), FLIP, out=c[..., half])
     cu.flags.writeable = cv.flags.writeable = False
     return GridPartials(grid, cu, cv, float(np.max(reals)), induced_metric(cu, cv))
 
@@ -241,16 +239,16 @@ def _norm(c):
     return np.sqrt(np.maximum(gram_product(c, c), 0.0))
 
 
-def _normal_part(gp, w):
-    """Component of the coefficient field `w` normal to span{phi_u, phi_v}:
-    the 2x2 normal equations solved on the stored (E, F, G)."""
+def _normal_part(gp, w, a, b):
+    """Normal component of `w`, written over it, from a = g(w, phi_u) and
+    b = g(w, phi_v): the 2x2 normal equations solved on the stored (E, F, G)."""
     E, F, G = gp.first_form
     det = E * G - F * F
-    a = gram_product(w, gp.cu)
-    b = gram_product(w, gp.cv)
     lam = (G * a - F * b) / det
     mu = (E * b - F * a) / det
-    return w - lam[..., None] * gp.cu - mu[..., None] * gp.cv
+    w -= lam[..., None] * gp.cu
+    w -= mu[..., None] * gp.cv
+    return w
 
 
 def almost_complex_residual(gp):
@@ -340,24 +338,23 @@ def integrability_residuals(cf, du, dv):
     Returns (tilde_curl, closure, divergence): the cross-product curl
     equation on the unrotated pair, and the closure and divergence equations
     on the rotated pair.  All are second-order small on a genuine almost
-    complex surface.
+    complex surface; each residual is built in place and reduced in turn.
     """
-    at_v = np.gradient(cf.alpha_t, dv, axis=1, edge_order=2)
-    bt_u = np.gradient(cf.beta_t, du, axis=0, edge_order=2)
-    r1 = at_v - bt_u - 2.0 * np.cross(cf.alpha_t, cf.beta_t)
-
-    a_v = np.gradient(cf.alpha, dv, axis=1, edge_order=2)
-    b_u = np.gradient(cf.beta, du, axis=0, edge_order=2)
-    r2 = a_v - b_u
-
-    a_u = np.gradient(cf.alpha, du, axis=0, edge_order=2)
-    b_v = np.gradient(cf.beta, dv, axis=1, edge_order=2)
-    r3 = a_u + b_v + (4.0 / SQRT3) * np.cross(cf.alpha, cf.beta)
 
     def stat(r):
         return float(interior(np.linalg.norm(r, axis=-1)).max())
 
-    return stat(r1), stat(r2), stat(r3)
+    r = np.gradient(cf.alpha_t, dv, axis=1, edge_order=2)
+    r -= np.gradient(cf.beta_t, du, axis=0, edge_order=2)
+    r -= 2.0 * quat.cross(cf.alpha_t, cf.beta_t)
+    tilde_curl = stat(r)
+    r = np.gradient(cf.alpha, dv, axis=1, edge_order=2)
+    r -= np.gradient(cf.beta, du, axis=0, edge_order=2)
+    closure = stat(r)
+    r = np.gradient(cf.alpha, du, axis=0, edge_order=2)
+    r += np.gradient(cf.beta, dv, axis=1, edge_order=2)
+    r += (4.0 / SQRT3) * quat.cross(cf.alpha, cf.beta)
+    return tilde_curl, closure, stat(r)
 
 
 def lambda_field(gp):
@@ -425,24 +422,15 @@ def brioschi_curvature(E, F, G, du, dv):
     Guu = second_derivative(G, du, axis=0)
     Fuv = np.gradient(Fu, dv, axis=1, edge_order=2)
 
-    def det3(rows):
-        m = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-        return np.linalg.det(m)
+    def det3(a, b, c, d, e, f, g, h, i):
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
-    m1 = det3(
-        [
-            [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
-            [Fv - 0.5 * Gu, E, F],
-            [0.5 * Gv, F, G],
-        ]
-    )
-    m2 = det3(
-        [
-            [np.zeros_like(E), 0.5 * Ev, 0.5 * Gu],
-            [0.5 * Ev, E, F],
-            [0.5 * Gu, F, G],
-        ]
-    )
+    m1 = det3(-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev,
+              Fv - 0.5 * Gu, E, F,
+              0.5 * Gv, F, G)
+    m2 = det3(0.0, 0.5 * Ev, 0.5 * Gu,
+              0.5 * Ev, E, F,
+              0.5 * Gu, F, G)
     return (m1 - m2) / (det * det)
 
 
@@ -461,7 +449,8 @@ def _grid_covariant(x_coeff, field_coeff, step, axis):
     the constant connection table.
     """
     dc = np.gradient(field_coeff, step, axis=axis, edge_order=2)
-    return dc + table_product(CONN, x_coeff, field_coeff)
+    dc += table_product(CONN, x_coeff, field_coeff)
+    return dc
 
 
 @dataclass(frozen=True)
@@ -485,18 +474,22 @@ class SecondFundamentalForm:
 
 def second_fundamental_form(grid):
     gp = grid.partials
-    cu, cv = gp.cu, gp.cv
-    huu = _normal_part(gp, _grid_covariant(cu, cu, grid.du, 0))
-    huv = _normal_part(gp, _grid_covariant(cu, cv, grid.du, 0))
-    hvv = _normal_part(gp, _grid_covariant(cv, cv, grid.dv, 1))
+    cu, cv, du, dv = gp.cu, gp.cv, grid.du, grid.dv
+    h = []
+    for x, f, step, axis in ((cu, cu, du, 0), (cu, cv, du, 0), (cv, cv, dv, 1)):
+        w = _grid_covariant(x, f, step, axis)
+        h.append(_normal_part(gp, w, gram_product(w, cu), gram_product(w, cv)))
+    huu, huv, hvv = h
     E, F, G = gp.first_form
-    det = E * G - F * F
     unit_norm = np.maximum(
         _norm(huu) / E, np.maximum(_norm(huv) / np.sqrt(E * G), _norm(hvv) / G)
     )
-    trace = (
-        G[..., None] * huu - 2.0 * F[..., None] * huv + E[..., None] * hvv
-    ) / det[..., None]
+    # the metric trace, one component at a time: no second full-grid temporary
+    trace = G[..., None] * huu
+    for k in range(6):
+        trace[..., k] -= 2.0 * F * huv[..., k]
+        trace[..., k] += E * hvv[..., k]
+    trace /= (E * G - F * F)[..., None]
     return SecondFundamentalForm(huu, huv, hvv, unit_norm, _norm(trace))
 
 
@@ -511,11 +504,10 @@ def classify_P_alignment(grid):
     gp = grid.partials
     tol = grid.fd_floor()
     pu = gp.cu @ P_MAT.T
-    scale = _norm(pu) * np.sqrt(gp.first_form[0])
-    a = np.abs(gram_product(pu, gp.cu)) / scale
-    b = np.abs(gram_product(pu, gp.cv)) / scale
-    normal_dev = float(interior(np.maximum(a, b)).max())
-    tangent_dev = float(interior(_norm(_normal_part(gp, pu)) / _norm(pu)).max())
+    a, b, pu_norm = gram_product(pu, gp.cu), gram_product(pu, gp.cv), _norm(pu)
+    scale = pu_norm * np.sqrt(gp.first_form[0])
+    normal_dev = float(interior(np.maximum(np.abs(a), np.abs(b)) / scale).max())
+    tangent_dev = float(interior(_norm(_normal_part(gp, pu, a, b)) / pu_norm).max())
     if normal_dev < tol:
         return "normal"
     if tangent_dev < tol:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nks3 import cli, fixtures, io
+from nks3 import cli, fixtures, io, quat
 from nks3 import nkspace as nk
 from nks3 import surface as sf
 
@@ -359,6 +359,24 @@ def test_to_h_rejects_non_adapted(tmp_path, capsys):
     assert code == 3 and rep is None
     assert "not adapted" in err
     assert not out.exists()
+
+
+def test_to_h_refuses_potential_off_the_equation(tmp_path, capsys):
+    # example2 81^2, h = 5e-3, every other u-row of p turned by exp(5e-4 i):
+    # adapted and closed within their gates, but the potential's equation
+    # residual is four orders of magnitude above 200 h^2 = 5e-3
+    grid = fixtures.make_fixture("example2", nu=81, nv=81, du=5e-3, dv=5e-3)
+    p = grid.p.copy()
+    p[::2] = quat.qmul(quat.qexp(np.array([5e-4, 0.0, 0.0])), p[::2])
+    csv = tmp_path / "turned.csv"
+    io.write_immersion_csv(csv, sf.immersion_grid(
+        grid.u0, grid.v0, grid.du, grid.dv, p, grid.q))
+    out = tmp_path / "eps.csv"
+    code, rep, err = run(capsys, "--command", "to-h", "--input", str(csv),
+                         "--output", str(out))
+    assert code == 2 and rep is None
+    assert "certificate failure: second-order equation residual" in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["turned.csv"]
 
 
 def test_from_h_writes_nothing_on_input_error(tmp_path, capsys):

@@ -324,3 +324,38 @@ def test_scan_chain_matches_sequential_products(axis):
     want = _chain_by_loop(start, coeff, 6e-3)
     got = hsys._integrate_chain(start, np.moveaxis(coeff, 0, axis), 6e-3, axis)
     assert np.abs(np.moveaxis(got, axis, 0) - want).max() <= 1e-13
+
+
+# chain lengths around the scan's block size: one step, two steps, one full
+# block and one block plus the first entry of a second (a carry of one row)
+@pytest.mark.parametrize("n", [2, 3, hsys._BLOCK, hsys._BLOCK + 1])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_scan_matches_sequential_products_at_block_edges(n, axis):
+    rng = np.random.default_rng(n)
+    coeff = rng.standard_normal((n, 3, 2, 3))
+    start = quat.random_unit(rng, (3, 2))
+    want = _chain_by_loop(start, coeff, 6e-3)
+    got = hsys._integrate_chain(start, np.moveaxis(coeff, 0, axis), 6e-3, axis)
+    assert np.abs(np.moveaxis(got, axis, 0) - want).max() <= 1e-13
+
+
+def _row_rotated_example2(angle, n=81, h=5e-3):
+    """example2 with every other u-row of p left-multiplied by exp(angle i)."""
+    grid = fixtures.make_fixture("example2", nu=n, nv=n, du=h, dv=h)
+    p = grid.p.copy()
+    p[::2] = quat.qmul(quat.qexp(np.array([angle, 0.0, 0.0])), p[::2])
+    return grid, sf.immersion_grid(grid.u0, grid.v0, grid.du, grid.dv, p, grid.q)
+
+
+def test_epsilon_from_surface_gates_equation_residual():
+    # the turned rows stay adapted and the coefficient one-form stays closed
+    # within their gates, but the integrated potential misses the
+    # second-order equation by four orders of magnitude
+    clean, bad = _row_rotated_example2(5e-4)
+    _, cert = hsys.epsilon_from_surface(clean)
+    assert cert["h_equation_max"] < 1e-4
+    with pytest.raises(hsys.CertificateError, match="second-order equation residual"):
+        hsys.epsilon_from_surface(bad)
+    # the same bound as the inverse direction: 200 h^2 tol_scale
+    with pytest.raises(hsys.CertificateError, match=r"exceeds 5\.0e-03"):
+        hsys.epsilon_from_surface(bad)

@@ -89,6 +89,31 @@ def test_reader_rejects_bad_input(tmp_path):
         io.read_epsilon_csv(p)
 
 
+_DEFECT_MESSAGES = {
+    "nan_payload": "non-finite value in column 'x'",
+    "nan_u": "non-finite value in column 'u'",
+    "missing_cell": "row count 80 does not fill a 9 x 9 grid",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECT_MESSAGES))
+def test_reader_names_each_defect(tmp_path, defect):
+    hs = fixtures.make_fixture("cmc_sphere", nu=9, nv=9)
+    path = tmp_path / "e.csv"
+    io.write_epsilon_csv(path, hs)
+    header, *rows = path.read_text().splitlines()
+    cells = rows[40].split(",")
+    if defect == "missing_cell":
+        del rows[40]
+    else:
+        cells[2 if defect == "nan_payload" else 0] = "nan"
+        rows[40] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ValueError) as err:
+        io.read_epsilon_csv(path)
+    assert str(err.value) == _DEFECT_MESSAGES[defect]
+
+
 def test_dump_report_canonical():
     # np.float64 subclasses float and serializes as one
     rep = {"b": np.float64(1.5), "a": {"z": 3, "y": [0.25], "x": True}}

@@ -1,0 +1,52 @@
+"""Memory guard: the traced peak of each grid pipeline stays within a fixed
+number of full-grid fields.
+
+tracemalloc sees numpy's array buffers, so the peak above the start of a
+stage counts every temporary the kernels hold at once.  The unit is one
+(nu, nv, 6) float64 field, the size of one frame-coefficient partial.  Each
+bound is the measured peak plus about half a field of headroom; a kernel
+that keeps one more full-grid temporary alive fails here.
+"""
+import tracemalloc
+
+import pytest
+
+from nks3 import fixtures, io
+from nks3 import hsystem as hsys
+from nks3 import surface as sf
+
+N, H = 101, 0.01
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return fixtures.make_fixture("example2", nu=N, nv=N, du=H, dv=H)
+
+
+def peak_fields(stage):
+    """Traced peak of `stage()` above its start, in (N, N, 6) float64 fields."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stage()
+        return (tracemalloc.get_traced_memory()[1] - base) / (N * N * 6 * 8)
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_then_analyze_peak(grid, tmp_path):
+    path = tmp_path / "grid.csv"
+    io.write_immersion_csv(path, grid)
+    # measured 8.82 fields (12.02 before the in-place kernels)
+    assert peak_fields(lambda: sf.analyze(io.read_immersion_csv(path))) <= 9.3
+
+
+def test_epsilon_from_surface_peak(grid):
+    # measured 4.25 fields on top of the resident grid (6.02 before)
+    assert peak_fields(lambda: hsys.epsilon_from_surface(grid)) <= 4.75
+
+
+def test_surface_from_epsilon_then_analyze_peak(grid):
+    hs, _ = hsys.epsilon_from_surface(grid)
+    # measured 8.15 fields (11.36 before)
+    assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 8.65

@@ -251,6 +251,31 @@ def test_table_product_matches_einsum(name, shapes):
     assert np.abs(got - want).max() <= 1e-14
 
 
+def _block_product_by_np_cross(blocks, x, y):
+    """The factor-block product as `np.cross` of whole 3-vector blocks summed
+    into two halves, kept as the bitwise oracle of `_block_product`."""
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (3,)
+    halves = (np.zeros(shape), np.zeros(shape))
+    for a, b in np.ndindex(2, 2):
+        w = blocks[a, b]
+        if w.any():
+            c = np.cross(x[..., 3 * a : 3 * a + 3], y[..., 3 * b : 3 * b + 3])
+            for half, wc in zip(halves, w):
+                if wc:
+                    half += wc * c
+    return np.concatenate(halves, axis=-1)
+
+
+@pytest.mark.parametrize("name", ["CONN", "G_TABLE", "H_TABLE", "BRACKET"])
+@pytest.mark.parametrize("shapes", _PRODUCT_SHAPES)
+def test_block_product_bit_identical_to_np_cross_blocks(name, shapes):
+    rng = np.random.default_rng(7)
+    x, y = (rng.uniform(-1.0, 1.0, s) for s in shapes)
+    blocks = getattr(nk, name)[0::3, 1::3, 2::3]
+    got = nk._block_product(blocks, x, y)
+    assert np.array_equal(got, _block_product_by_np_cross(blocks, x, y))
+
+
 @pytest.mark.parametrize("shapes", _PRODUCT_SHAPES)
 def test_gram_product_matches_einsum(shapes):
     rng = np.random.default_rng(6)

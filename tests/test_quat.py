@@ -87,6 +87,14 @@ def test_imaginary_product_is_minus_dot_plus_cross():
     assert np.abs(quat.imag(prod) - np.cross(x, y)).max() < 1e-12
 
 
+def test_cross_is_np_cross_bitwise():
+    # same component formula, so the same bits, broadcasting included
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((40, 1, 3))
+    y = rng.standard_normal((1, 7, 3))
+    assert np.array_equal(quat.cross(x, y), np.cross(x, y))
+
+
 def test_qexp_known_values():
     half_pi_i = np.array([np.pi / 2.0, 0.0, 0.0])
     assert np.allclose(quat.qexp(half_pi_i), quat.QI, atol=1e-15)

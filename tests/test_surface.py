@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nks3 import fixtures, quat
+from nks3 import hsystem as hsys
 from nks3 import nkspace as nk
 from nks3 import surface as sf
 
@@ -183,6 +184,46 @@ def test_second_derivative_stencil():
         sf.second_derivative(f[:3], h, axis=0)
 
 
+def _brioschi_by_linalg_det(E, F, G, du, dv):
+    """The Brioschi formula with both determinants from `np.linalg.det` on
+    stacked 3x3 matrices, kept as the oracle of the cofactor expansion."""
+    grad = np.gradient
+    Eu, Ev = grad(E, du, axis=0, edge_order=2), grad(E, dv, axis=1, edge_order=2)
+    Gu, Gv = grad(G, du, axis=0, edge_order=2), grad(G, dv, axis=1, edge_order=2)
+    Fu, Fv = grad(F, du, axis=0, edge_order=2), grad(F, dv, axis=1, edge_order=2)
+    Evv = sf.second_derivative(E, dv, axis=1)
+    Guu = sf.second_derivative(G, du, axis=0)
+    Fuv = grad(Fu, dv, axis=1, edge_order=2)
+
+    def det3(rows):
+        return np.linalg.det(np.stack([np.stack(r, axis=-1) for r in rows], axis=-2))
+
+    m1 = det3([[-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
+               [Fv - 0.5 * Gu, E, F], [0.5 * Gv, F, G]])
+    m2 = det3([[np.zeros_like(E), 0.5 * Ev, 0.5 * Gu],
+               [0.5 * Ev, E, F], [0.5 * Gu, F, G]])
+    return (m1 - m2) / (E * G - F * F) ** 2
+
+
+def test_brioschi_cofactor_expansion_matches_linalg_det():
+    # smooth positive definite metrics with random coefficients: E and G
+    # stay above 1 and |F| below 0.5
+    rng = np.random.default_rng(3)
+    h = 1e-2
+    u, v = np.meshgrid(h * np.arange(41), h * np.arange(37), indexing="ij")
+
+    def wave():
+        a, b, c, d = rng.uniform(-2.0, 2.0, 4)
+        return np.sin(a * u + b * v + c) * np.cos(d * u * v)
+
+    for _ in range(5):
+        E, G = 1.5 + 0.4 * wave(), 1.2 + 0.2 * wave()
+        F = 0.5 * wave()
+        want = _brioschi_by_linalg_det(E, F, G, h, h)
+        got = sf.brioschi_curvature(E, F, G, h, h)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_brioschi_round_sphere():
     # metric of the unit round sphere: E = 1, F = 0, G = sin^2 u
     h = 2e-3
@@ -214,6 +255,19 @@ def test_second_fundamental_form_example1_vanishes():
     sff = sf.second_fundamental_form(grid)
     assert sf.interior(sff.unit_norm).max() < 1e-10
     assert sf.interior(sff.trace_norm).max() < 1e-10
+
+
+def test_second_fundamental_form_trace_is_the_metric_trace():
+    # a surface with h != 0 (the cmc_cylinder potential integrated back):
+    # the stored trace norm is that of (G huu - 2F huv + E hvv) / (EG - F^2)
+    hs = fixtures.make_fixture("cmc_cylinder", nu=41, nv=21, du=6e-3, dv=6e-3)
+    grid, _ = hsys.surface_from_epsilon(hs)
+    sff = sf.second_fundamental_form(grid)
+    E, F, G = (x[..., None] for x in grid.partials.first_form)
+    trace = (G * sff.huu - 2.0 * F * sff.huv + E * sff.hvv) / (E * G - F * F)
+    assert sf.interior(sff.unit_norm).min() > 0.1
+    want = np.sqrt(np.maximum(nk.gram_product(trace, trace), 0.0))
+    assert np.array_equal(sff.trace_norm, want)
 
 
 def test_second_fundamental_form_symmetry_example2():
