@@ -121,8 +121,20 @@ def qexp(v):
 
 
 def dot(a, b):
-    """Euclidean inner product over the trailing axis."""
-    return np.sum(np.asarray(a, dtype=float) * np.asarray(b, dtype=float), axis=-1)
+    """Euclidean inner product of quaternions over the trailing axis.
+
+    Sums the component products in order from 0.0, as
+    `np.sum(a * b, axis=-1)` does on a length-4 axis, so the two agree bit
+    for bit (the 0.0 start turns a sum of four -0.0 into +0.0) without the
+    reduction's overhead.  Operands broadcast before their components are
+    read, so a 0-d operand works.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = a[..., 0] * b[..., 0]
+    out += 0.0
+    for k in (1, 2, 3):
+        out += a[..., k] * b[..., k]
+    return out
 
 
 def cross(a, b):

@@ -1,11 +1,12 @@
 """Memory guard: the traced peak of each grid pipeline stays within a fixed
-number of full-grid fields.
+number of full-grid fields, and the identity suite's within a fixed number
+of sample batches.
 
 tracemalloc sees numpy's array buffers, so the peak above the start of a
-stage counts every temporary the kernels hold at once.  The unit is one
-(nu, nv, 6) float64 field, the size of one frame-coefficient partial.  Each
-bound is the measured peak plus about half a field of headroom; a kernel
-that keeps one more full-grid temporary alive fails here.
+stage counts every temporary the kernels hold at once.  The grid unit is
+one (nu, nv, 6) float64 field, the size of one frame-coefficient partial.
+Each grid bound is the measured peak plus about half a field of headroom; a
+kernel that keeps one more full-grid temporary alive fails here.
 """
 import tracemalloc
 
@@ -13,6 +14,7 @@ import pytest
 
 from nks3 import fixtures, io
 from nks3 import hsystem as hsys
+from nks3 import nkspace as nk
 from nks3 import surface as sf
 
 N, H = 101, 0.01
@@ -23,15 +25,20 @@ def grid():
     return fixtures.make_fixture("example2", nu=N, nv=N, du=H, dv=H)
 
 
-def peak_fields(stage):
-    """Traced peak of `stage()` above its start, in (N, N, 6) float64 fields."""
+def traced_peak(stage):
+    """Traced peak of `stage()` above its start, in bytes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         stage()
-        return (tracemalloc.get_traced_memory()[1] - base) / (N * N * 6 * 8)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def peak_fields(stage):
+    """Traced peak of `stage()` above its start, in (N, N, 6) float64 fields."""
+    return traced_peak(stage) / (N * N * 6 * 8)
 
 
 def test_read_then_analyze_peak(grid, tmp_path):
@@ -50,3 +57,13 @@ def test_surface_from_epsilon_then_analyze_peak(grid):
     hs, _ = hsys.epsilon_from_surface(grid)
     # measured 8.15 fields (11.36 before)
     assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 8.65
+
+
+def test_identity_report_peak():
+    samples = 10000
+    nk.identity_report(samples=10, seed=1)  # lazily built numpy state
+    peak = traced_peak(lambda: nk.identity_report(samples=samples, seed=1))
+    # in (samples, 4) float64 batches: measured 36.78 with each quaternion
+    # product formed once and every block's tangents dropped with it; the
+    # bound is the peak of the uncached formulas, 13.37 MB
+    assert peak / (samples * 4 * 8) <= 41.8

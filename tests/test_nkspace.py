@@ -229,6 +229,119 @@ def test_p_derivative_table_fires_on_perturbed_table(monkeypatch):
     assert abs(report["p_derivative_table"] - 1e-6) < 1e-12
 
 
+# residuals of the ambient formulas before any product was cached, as
+# float.hex; an identity that loses an operand or is evaluated on other
+# samples moves at least one of them
+_PINNED_REPORTS = {
+    (1000, 42): {
+        "curvature_vs_oracle": "0x1.5555555555555p-54",
+        "frame_metric": "0x1.0000000000000p-50",
+        "frame_representation": "0x1.0000000000000p-50",
+        "g_j_invariant": "0x1.0000000000000p-47",
+        "g_p_invariant": "0x1.0000000000000p-47",
+        "g_p_mix": "0x1.32be6bce083a8p-47",
+        "g_tensor_derivative": "0x1.0000000000000p-53",
+        "g_tensor_j_mix": "0x1.a1af643a9e69dp-48",
+        "g_tensor_metric_skew": "0x1.8000000000000p-47",
+        "g_tensor_pair_product": "0x1.4000000000000p-46",
+        "g_tensor_skew": "0x1.d9d43b5d7c590p-50",
+        "h_j_mix": "0x1.0ce216b4fbf22p-48",
+        "h_p_first_slot": "0x1.062f8310e30acp-48",
+        "h_p_mix": "0x1.eeb1f7f3d1c7fp-49",
+        "hermitian_j_parallel": "0x1.0000000000000p-53",
+        "hermitian_p_parallel": "0x1.0000000000000p-53",
+        "j_derivative_table": "0x1.0000000000000p-53",
+        "j_squared": "0x1.567a6986f7ea2p-48",
+        "metric_compatible": "0x0.0p+0",
+        "metric_two_forms": "0x1.8000000000000p-48",
+        "p_derivative_table": "0x1.0000000000000p-53",
+        "p_g_compat": "0x1.2910a9a25f77ep-48",
+        "p_squared": "0x1.8e29e80e57449p-49",
+        "pj_anticommute": "0x1.38db762f4f5e0p-50",
+        "q_j_product_flip": "0x1.81fc55f649cc4p-51",
+        "q_squared": "0x0.0p+0",
+        "torsion_free": "0x0.0p+0",
+        "usual_metric_recovery": "0x1.0000000000000p-47",
+    },
+    (10000, 1): {
+        "curvature_vs_oracle": "0x1.5555555555555p-54",
+        "frame_metric": "0x1.0000000000000p-50",
+        "frame_representation": "0x1.4000000000000p-50",
+        "g_j_invariant": "0x1.8000000000000p-47",
+        "g_p_invariant": "0x1.8000000000000p-47",
+        "g_p_mix": "0x1.618eab4417de8p-47",
+        "g_tensor_derivative": "0x1.0000000000000p-53",
+        "g_tensor_j_mix": "0x1.a999539d5381dp-48",
+        "g_tensor_metric_skew": "0x1.0000000000000p-46",
+        "g_tensor_pair_product": "0x1.4000000000000p-45",
+        "g_tensor_skew": "0x1.82017dd24294cp-49",
+        "h_j_mix": "0x1.53e859bb71a7bp-48",
+        "h_p_first_slot": "0x1.af68f51923c41p-48",
+        "h_p_mix": "0x1.40bed6f98e91ap-48",
+        "hermitian_j_parallel": "0x1.0000000000000p-53",
+        "hermitian_p_parallel": "0x1.0000000000000p-53",
+        "j_derivative_table": "0x1.0000000000000p-53",
+        "j_squared": "0x1.d171f37752b8fp-49",
+        "metric_compatible": "0x0.0p+0",
+        "metric_two_forms": "0x1.0000000000000p-47",
+        "p_derivative_table": "0x1.0000000000000p-53",
+        "p_g_compat": "0x1.5129201bdc63ep-48",
+        "p_squared": "0x1.5d5f694ea367dp-49",
+        "pj_anticommute": "0x1.988a57e78a9b1p-50",
+        "q_j_product_flip": "0x1.1a3f0add78251p-50",
+        "q_squared": "0x0.0p+0",
+        "torsion_free": "0x0.0p+0",
+        "usual_metric_recovery": "0x1.0000000000000p-48",
+    },
+}
+
+
+@pytest.mark.parametrize("samples, seed", sorted(_PINNED_REPORTS))
+def test_identity_report_pinned_bit_for_bit(samples, seed):
+    report = nk.identity_report(samples=samples, seed=seed)
+    assert {k: v.hex() for k, v in report.items()} == _PINNED_REPORTS[samples, seed]
+
+
+def test_frame_metric_fires_on_perturbed_gram(monkeypatch):
+    bad = nk.GRAM.copy()
+    bad[0, 3] += 1e-6
+    bad[3, 0] += 1e-6
+    monkeypatch.setattr(nk, "GRAM", bad)
+    report, thresholds, ok = nk.verify(samples=10, seed=1)
+    assert not ok
+    assert abs(report["frame_metric"] - 1e-6) <= 1e-12
+    assert report["metric_compatible"] > thresholds["metric_compatible"]
+
+
+def test_cached_products_are_fresh_products_and_read_only():
+    rng = np.random.default_rng(3)
+    base = nk.random_point(rng, (50,))
+    X = nk.random_tangent(rng, base)
+    pu, qv = X.at_identity
+    assert np.array_equal(pu, quat.qmul(quat.qconj(base.p), X.u))
+    assert np.array_equal(qv, quat.qmul(quat.qconj(base.q), X.v))
+    assert np.array_equal(base.pq, quat.qmul(base.p, quat.qconj(base.q)))
+    # formed once: a second read returns the same arrays
+    assert X.at_identity[0] is pu and base.pq is base.pq
+    for cached in (pu, qv, base.pq):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
+
+
+def test_tangent_arithmetic_forms_its_own_cache():
+    rng = np.random.default_rng(9)
+    base = nk.random_point(rng, (20,))
+    X = nk.random_tangent(rng, base)
+    Y = nk.random_tangent(rng, base)
+    s = rng.standard_normal(20)
+    X.at_identity, Y.at_identity  # the operands' caches exist first
+    for Z in (X + Y, s * X, X - Y, -X):
+        assert "at_identity" not in vars(Z)
+        pu, qv = Z.at_identity
+        assert np.array_equal(pu, quat.qmul(quat.qconj(base.p), Z.u))
+        assert np.array_equal(qv, quat.qmul(quat.qconj(base.q), Z.v))
+
+
 # x and y shapes: verify's sampled batches, the frame triples of
 # `curvature_coeff`, a grid against a line, one vector against a batch
 _PRODUCT_SHAPES = [

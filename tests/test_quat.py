@@ -95,6 +95,27 @@ def test_cross_is_np_cross_bitwise():
     assert np.array_equal(quat.cross(x, y), np.cross(x, y))
 
 
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((10000, 4), (10000, 4)), ((201, 201, 4), (201, 201, 4)),
+     ((7, 1, 4), (1, 5, 4)), ((), (30, 4))],
+)
+def test_dot_is_np_sum_bitwise(shape_a, shape_b):
+    # the reference is the reduction `dot` replaces; the draws include signed
+    # zeros, so an all -0.0 row must read +0.0 as np.sum's does
+    rng = np.random.default_rng(14)
+    values = np.array([-0.0, 0.0, 1e16, -1e16, 1.0, -3.0])
+    a = np.where(rng.random(shape_a) < 0.5, rng.standard_normal(shape_a),
+                 rng.choice(values, shape_a))
+    b = np.where(rng.random(shape_b) < 0.5, rng.standard_normal(shape_b),
+                 rng.choice(values, shape_b))
+    for x, y in ((a, b), (b, a)):
+        got = np.asarray(quat.dot(x, y))
+        want = np.asarray(np.sum(x * y, axis=-1))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_qexp_known_values():
     half_pi_i = np.array([np.pi / 2.0, 0.0, 0.0])
     assert np.allclose(quat.qexp(half_pi_i), quat.QI, atol=1e-15)
