@@ -43,7 +43,7 @@ from .io import (
     write_immersion_csv,
     write_report,
 )
-from .nkspace import verify
+from .nkspace import validate_tol_scale, verify
 from .surface import almost_complex_residual, analyze, interior
 
 VERSION_STRING = "nks3 " + __version__
@@ -177,13 +177,17 @@ def _flag(name):
 def _parse(argv):
     """The handler and `config` of the chosen command: the command name plus
     each flag it reads, given or defaulted.  Raises ValueError for a flag
-    the command does not read and for a missing required flag."""
+    the command does not read, for a `--tol-scale` that is not finite and
+    positive, and for a missing required flag, all before any input is
+    read."""
     given = vars(_build_parser().parse_args(argv))
     command = given.pop("command")
     handler, flags = _COMMANDS[command]
     unread = [_flag(k) for k, v in given.items() if v is not None and k not in flags]
     if unread:
         raise ValueError(f"{', '.join(unread)} not read by --command {command}")
+    if given["tol_scale"] is not None:
+        validate_tol_scale(given["tol_scale"])
     config = {"command": command}
     for name, default in flags.items():
         config[name] = default if given[name] is None else given[name]

@@ -351,6 +351,23 @@ def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, value):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "eps.csv"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "to-h", "from-h"])
+@pytest.mark.parametrize("given_input", [False, True])
+def test_tol_scale_checked_before_input_is_read(tmp_path, capsys, command,
+                                                given_input):
+    # the input is absent or names no file, so only a refusal of the
+    # tolerance before any input is read names tol_scale
+    argv = ["--command", command, "--tol-scale", "nan"]
+    if given_input:
+        argv += ["--input", str(tmp_path / "missing.csv")]
+    if command != "analyze":
+        argv += ["--output", str(tmp_path / "out.csv")]
+    code, rep, err = run(capsys, *argv)
+    assert code == 3 and rep is None
+    assert "tol_scale must be finite and positive" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_to_h_rejects_non_adapted(tmp_path, capsys):
     csv = _probe_csv(tmp_path)
     out = tmp_path / "eps.csv"

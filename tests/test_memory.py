@@ -67,3 +67,15 @@ def test_identity_report_peak():
     # product formed once and every block's tangents dropped with it; the
     # bound is the peak of the uncached formulas, 13.37 MB
     assert peak / (samples * 4 * 8) <= 41.8
+
+
+def test_identity_report_peak_grows_by_the_draws():
+    # the sampled identities run in fixed-size blocks, so doubling the
+    # samples adds only the 32 drawn floats per sample (5.12 MB); holding
+    # every sample at once added 23.5 MB
+    nk.identity_report(samples=10, seed=1)  # lazily built numpy state
+    small, large = (
+        traced_peak(lambda n=n: nk.identity_report(samples=n, seed=1))
+        for n in (20000, 40000)
+    )
+    assert large - small <= 1.1 * 20000 * 32 * 8

@@ -302,6 +302,49 @@ def test_identity_report_pinned_bit_for_bit(samples, seed):
     assert {k: v.hex() for k, v in report.items()} == _PINNED_REPORTS[samples, seed]
 
 
+def _nan_in_draw(monkeypatch, index):
+    """Make every tangent draw (`quat.random_vec3`) NaN at sample `index`
+    when the draw reaches that sample."""
+    draw = quat.random_vec3
+
+    def patched(rng, shape=()):
+        out = draw(rng, shape)
+        if len(out) > index:
+            out[index, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(quat, "random_vec3", patched)
+
+
+_B = nk._BLOCK
+
+
+@pytest.mark.parametrize("samples", [1, _B - 1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("nan_last", [False, True])
+def test_blocked_report_is_single_block_report(monkeypatch, samples, nan_last):
+    # the oracle runs every sample in one block; a NaN in the last sample's
+    # draw sits in the last block, which a NaN-dropping merge would lose
+    if nan_last:
+        _nan_in_draw(monkeypatch, samples - 1)
+    blocked = nk.identity_report(samples=samples, seed=7)
+    monkeypatch.setattr(nk, "_BLOCK", samples)
+    single = nk.identity_report(samples=samples, seed=7)
+    assert {k: v.hex() for k, v in blocked.items()} == {
+        k: v.hex() for k, v in single.items()
+    }
+    assert np.isnan(blocked["j_squared"]) == nan_last
+
+
+def test_nan_in_second_block_gives_nan_residual(monkeypatch):
+    _nan_in_draw(monkeypatch, _B)
+    report, thresholds, ok = nk.verify(samples=2 * _B, seed=3)
+    assert not ok
+    for key in ("j_squared", "g_tensor_skew", "g_tensor_pair_product"):
+        assert np.isnan(report[key]), key
+    # the frame identities read no tangent draw
+    assert report["frame_metric"] <= thresholds["frame_metric"]
+
+
 def test_frame_metric_fires_on_perturbed_gram(monkeypatch):
     bad = nk.GRAM.copy()
     bad[0, 3] += 1e-6
@@ -320,10 +363,18 @@ def test_cached_products_are_fresh_products_and_read_only():
     pu, qv = X.at_identity
     assert np.array_equal(pu, quat.qmul(quat.qconj(base.p), X.u))
     assert np.array_equal(qv, quat.qmul(quat.qconj(base.q), X.v))
-    assert np.array_equal(base.pq, quat.qmul(base.p, quat.qconj(base.q)))
-    # formed once: a second read returns the same arrays
-    assert X.at_identity[0] is pu and base.pq is base.pq
-    for cached in (pu, qv, base.pq):
+    fresh = {
+        "p_inv": quat.qconj(base.p),
+        "q_inv": quat.qconj(base.q),
+        "pq": quat.qmul(base.p, quat.qconj(base.q)),
+        "qp": quat.qconj(quat.qmul(base.p, quat.qconj(base.q))),
+    }
+    for name, product in fresh.items():
+        assert np.array_equal(getattr(base, name), product), name
+        # formed once: a second read returns the same array
+        assert getattr(base, name) is getattr(base, name), name
+    assert X.at_identity[0] is pu
+    for cached in (pu, qv, *(getattr(base, name) for name in fresh)):
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 1.0
 
