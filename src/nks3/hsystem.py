@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .nkspace import SQRT3, validate_tol_scale
+from .nkspace import SQRT3, gate, validate_tol_scale
 from .surface import (
     Lattice,
     adapted_second_pair,
@@ -115,6 +115,13 @@ def _default_cert_tol(du, dv, tol_scale):
     return tol_scale * 200.0 * max(du, dv) ** 2
 
 
+def _require_solution(hs, tol, why):
+    """The largest interior equation residual of `hs`; raises
+    CertificateError when it exceeds `tol`."""
+    return gate(interior(h_equation_residual(hs)).max(), tol,
+                "second-order equation residual", CertificateError, why)
+
+
 def epsilon_from_surface(grid, tol_scale=1.0):
     """Integrate the grid's rotated coefficient pair (`extract_coefficients`)
     to the potential map.
@@ -139,21 +146,14 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     a, b = cf.alpha[1:-1, 1:-1], cf.beta[1:-1, 1:-1]
     eps_uv = _cumtrapz(a[:, :1], grid.du, axis=0) + _cumtrapz(b, grid.dv, axis=1)
     eps_vu = _cumtrapz(b[:1, :], grid.dv, axis=1) + _cumtrapz(a, grid.du, axis=0)
-    loop = float(np.linalg.norm(eps_uv - eps_vu, axis=-1).max())
-    del cf, a, b, eps_vu
     tol = _default_cert_tol(grid.du, grid.dv, tol_scale)
-    if not loop <= tol:
-        raise CertificateError(
-            f"path-ordering residual {loop:.3e} exceeds {tol:.1e}; "
-            "the coefficient one-form is not closed to discretization order"
-        )
+    loop = gate(np.linalg.norm(eps_uv - eps_vu, axis=-1).max(), tol,
+                "path-ordering residual", CertificateError,
+                "; the coefficient one-form is not closed to discretization order")
+    del cf, a, b, eps_vu
     hs = HSurfaceGrid(**out.window(), eps=eps_uv)
-    eq_res = float(interior(h_equation_residual(hs)).max())
-    if not eq_res <= tol:
-        raise CertificateError(
-            f"second-order equation residual {eq_res:.3e} exceeds {tol:.1e}; "
-            "the integrated potential is not a solution surface"
-        )
+    eq_res = _require_solution(
+        hs, tol, "; the integrated potential is not a solution surface")
     return hs, {"almost_complex_max": ac_max, "loop_max": loop,
                 "h_equation_max": eq_res}
 
@@ -241,20 +241,12 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     tol_scale = validate_tol_scale(tol_scale)
     out = hs.inset(1)
     tol = _default_cert_tol(hs.du, hs.dv, tol_scale)
-    eq_res = float(interior(h_equation_residual(hs)).max())
-    if not eq_res <= tol:
-        raise CertificateError(
-            f"second-order equation residual {eq_res:.3e} exceeds {tol:.1e}; "
-            "input is not a solution surface"
-        )
+    eq_res = _require_solution(hs, tol, "; input is not a solution surface")
     ufirst, vfirst = _integrate_pair(
         *_stacked_pairs(hs), hs.du, hs.dv, np.stack([quat.ONE, quat.ONE])
     )
-    compat = float(np.abs(ufirst - vfirst).max())
-    if not compat <= tol:
-        raise CertificateError(
-            f"path-ordering disagreement {compat:.3e} exceeds {tol:.1e}"
-        )
+    compat = gate(np.abs(ufirst - vfirst).max(), tol,
+                  "path-ordering disagreement", CertificateError)
     drift = max(float(np.abs(quat.norm(x) - 1.0).max()) for x in (ufirst, vfirst))
     del vfirst
     grid = immersion_grid(
@@ -284,11 +276,8 @@ def mean_curvature(hs):
     g2 = np.sum(ev * ev, axis=-1)
     f = np.sum(eu * ev, axis=-1)
     dev = np.maximum(np.abs(e2 - g2), np.abs(f)) / np.maximum(e2, g2)
-    worst = float(interior(dev).max())
-    if not worst <= hs.fd_floor():
-        raise ValueError(
-            f"coordinates are not conformal (relative deviation {worst:.3e})"
-        )
+    gate(interior(dev).max(), hs.fd_floor(),
+         "coordinates are not conformal: relative deviation")
     n = quat.cross(eu, ev)
     del eu, ev
     n /= np.linalg.norm(n, axis=-1, keepdims=True)

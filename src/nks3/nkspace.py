@@ -62,6 +62,7 @@ __all__ = [
     "random_isometry",
     "identity_report",
     "default_thresholds",
+    "gate",
     "validate_tol_scale",
     "verify",
     "EPSILON3",
@@ -182,11 +183,9 @@ def tangent(base, u, v):
     v = np.asarray(v, dtype=float)
     ru = np.abs(quat.dot(u, base.p))
     rv = np.abs(quat.dot(v, base.q))
-    worst = float(np.maximum(ru.max(), rv.max())) if ru.size else 0.0
-    if not worst <= _TANGENT_TOL:
-        raise ValueError(
-            f"tangent components not orthogonal to base point (residual {worst:.3e})"
-        )
+    worst = np.maximum(ru.max(), rv.max()) if ru.size else 0.0
+    gate(worst, _TANGENT_TOL,
+         "tangent components not orthogonal to base point: residual")
     return Tangent(base, u, v)
 
 
@@ -208,12 +207,10 @@ def random_tangent(rng, base):
 def _check_same_base(Z, W):
     if Z.base is W.base:
         return
-    worst = float(np.maximum(np.abs(Z.base.p - W.base.p).max(),
-                             np.abs(Z.base.q - W.base.q).max()))
-    if not worst <= _SAME_BASE_TOL:
-        raise ValueError(
-            f"tangent vectors live at different base points (deviation {worst:.3e})"
-        )
+    worst = np.maximum(np.abs(Z.base.p - W.base.p).max(),
+                       np.abs(Z.base.q - W.base.q).max())
+    gate(worst, _SAME_BASE_TOL,
+         "tangent vectors live at different base points: deviation")
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +715,14 @@ def default_thresholds(report):
     return {
         k: (1e-12 if k in _EXACT_KEYS else 1e-10) for k in report
     }
+
+
+def gate(value, tol, what, error=ValueError, why=""):
+    """`value` as a float when it is at most `tol`; otherwise raises
+    `error("<what> <value> exceeds <tol><why>")`.  A NaN value fails."""
+    if not value <= tol:
+        raise error(f"{what} {value:.3e} exceeds {tol:.1e}{why}")
+    return float(value)
 
 
 def validate_tol_scale(tol_scale):

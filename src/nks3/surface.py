@@ -31,7 +31,7 @@ import numpy as np
 
 from . import quat
 from .nkspace import (
-    CONN, FLIP, J_MAT, P_MAT, SQRT3, Point, gram_product, table_product,
+    CONN, FLIP, J_MAT, P_MAT, SQRT3, Point, gate, gram_product, table_product,
     validate_tol_scale,
 )
 
@@ -265,14 +265,11 @@ def require_adapted(grid, tol_scale):
     """
     limit = ADAPTED_GATE * validate_tol_scale(tol_scale)
     gp = grid.partials
-    ac_max = float(interior(almost_complex_residual(gp)).max())
-    if not ac_max <= limit:
-        raise ValueError(
-            "grid is not adapted: relative almost-complex defect "
-            f"{ac_max:.3e} exceeds {limit:.1e} "
-            f"(real-part residual {gp.projection_max:.3e})"
-        )
-    return ac_max
+    return gate(
+        interior(almost_complex_residual(gp)).max(), limit,
+        "grid is not adapted: relative almost-complex defect",
+        why=f" (real-part residual {gp.projection_max:.3e})",
+    )
 
 
 def rotate_pair(alpha_t, beta_t):
@@ -314,12 +311,8 @@ def extract_coefficients(grid):
     one signals a grid that is not one, or is not sampled finely enough.
     """
     gp = grid.partials
-    limit = grid.fd_floor()
-    if not gp.projection_max <= limit:
-        raise ValueError(
-            "logarithmic derivatives are far from imaginary "
-            f"(real-part residual {gp.projection_max:.3e} > {limit:.1e})"
-        )
+    gate(gp.projection_max, grid.fd_floor(),
+         "logarithmic derivatives are far from imaginary: real-part residual")
     alpha_t = gp.cu[..., :3] * FLIP
     beta_t = gp.cv[..., :3] * FLIP
     return CoefficientFields(alpha_t, beta_t, *rotate_pair(alpha_t, beta_t))

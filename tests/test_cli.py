@@ -291,6 +291,22 @@ def test_round_trip_via_cli(tmp_path, capsys):
     assert rep["certificate"]["compat_max"] < 1e-3
 
 
+def test_to_h_reports_non_conformal_potential_with_its_tolerance(tmp_path, capsys):
+    # example1's potential is a valid solution in coordinates that are not
+    # conformal: to-h writes it, and says why it reports no mean curvature
+    surf = tmp_path / "ex1.csv"
+    run(capsys, "--command", "fixture", "--fixture", "example1",
+        "--nu", "41", "--nv", "41", "--output", str(surf))
+    code, rep, _ = run(capsys, "--command", "to-h", "--input", str(surf),
+                       "--output", str(tmp_path / "eps.csv"))
+    assert code == 0
+    assert rep["mean_curvature"] == {
+        "status": "not_conformal",
+        "detail": "coordinates are not conformal: "
+                  "relative deviation 6.667e-01 exceeds 1.0e-02",
+    }
+
+
 def test_from_h_rejects_plane(tmp_path, capsys):
     u = np.arange(15) * 0.05
     rows = []

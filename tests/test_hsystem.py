@@ -15,11 +15,11 @@ def sphere_hs(n=31, h=6e-3):
 def test_h_surface_grid_validation():
     hs = sphere_hs(15)
     assert hs.nu == hs.nv == 15
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"expected an \(nu, nv, 3\) array"):
         hsys.h_surface_grid(0, 0, 1e-2, 1e-2, hs.eps[..., :2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 5x5"):
         hsys.h_surface_grid(0, 0, 1e-2, 1e-2, hs.eps[:3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="steps must be finite"):
         hsys.h_surface_grid(0, 0, 0.0, 1e-2, hs.eps)
     with pytest.raises(ValueError, match="vanish"):
         hsys.h_surface_grid(0, 0, 1e-2, 1e-2, np.zeros((9, 9, 3)))
@@ -200,6 +200,26 @@ def test_mean_curvature_rejects_nan_cell():
     bad = hsys.HSurfaceGrid(**hs.window(), eps=eps)
     with pytest.raises(ValueError, match="conformal"):
         hsys.mean_curvature(bad)
+
+
+@pytest.mark.parametrize("skew", [2.0, np.nan])
+def test_surface_from_epsilon_gates_path_ordering(monkeypatch, skew):
+    # no natural input passes the equation gate and fails this one, so the
+    # v-first ordering is skewed by twice the tolerance 200 h^2, or by a NaN
+    hs = sphere_hs()
+    tol = 200.0 * hs.du**2
+    assert hsys.surface_from_epsilon(hs)[1]["compat_max"] < tol
+    integrate = hsys._integrate_pair
+
+    def skewed(*args):
+        ufirst, vfirst = integrate(*args)
+        vfirst[-1, -1, 0, 0] += skew * tol
+        return ufirst, vfirst
+
+    monkeypatch.setattr(hsys, "_integrate_pair", skewed)
+    with pytest.raises(hsys.CertificateError,
+                       match=r"^path-ordering disagreement \S+ exceeds 7\.2e-03$"):
+        hsys.surface_from_epsilon(hs)
 
 
 def test_sphere_fit_exact():

@@ -63,10 +63,11 @@ def test_identity_report_peak():
     samples = 10000
     nk.identity_report(samples=10, seed=1)  # lazily built numpy state
     peak = traced_peak(lambda: nk.identity_report(samples=samples, seed=1))
-    # in (samples, 4) float64 batches: measured 36.78 with each quaternion
-    # product formed once and every block's tangents dropped with it; the
-    # bound is the peak of the uncached formulas, 13.37 MB
-    assert peak / (samples * 4 * 8) <= 41.8
+    # in (samples, 4) float64 batches: measured 15.97 with the sampled
+    # identities run in blocks of `nk._BLOCK` samples and each block's
+    # tangents dropped after their last identity; holding them to the end
+    # of the block reads 19.4, and one block of all samples read 36.8
+    assert peak / (samples * 4 * 8) <= 17.5
 
 
 def test_identity_report_peak_grows_by_the_draws():

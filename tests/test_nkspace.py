@@ -37,7 +37,7 @@ def test_frame_coords_roundtrip():
 def test_tangent_validation():
     base = origin()
     nk.tangent(base, quat.QI, quat.QJ)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"residual 1\.000e\+00 exceeds 1\.0e-10"):
         nk.tangent(base, quat.ONE, quat.QJ)
 
 
@@ -470,3 +470,20 @@ def test_identity_report_empty_for_zero_samples():
 def test_verify_rejects_bad_tol_scale(tol_scale):
     with pytest.raises(ValueError, match="tol_scale"):
         nk.verify(samples=10, tol_scale=tol_scale)
+
+
+@pytest.mark.parametrize("value", [0.0, 2.5e-3, np.float64(5e-3)])
+def test_gate_passes_values_within_tolerance(value):
+    got = nk.gate(value, 5e-3, "defect")
+    assert type(got) is float and got == value
+
+
+class GateFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("value", [5.0000001e-3, 1.0, np.nan, np.inf])
+def test_gate_fails_above_tolerance_nan_and_inf(value):
+    with pytest.raises(GateFailure) as info:
+        nk.gate(value, 5e-3, "loop defect", GateFailure, "; not closed")
+    assert str(info.value) == f"loop defect {value:.3e} exceeds 5.0e-03; not closed"

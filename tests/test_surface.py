@@ -17,16 +17,16 @@ def test_grid_constructor_validation():
     grid = small_fixture("example1")
     assert grid.nu == grid.nv == 21
     assert np.allclose(grid.u_vals[1] - grid.u_vals[0], 1e-2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 5x5"):
         sf.immersion_grid(0, 0, 1e-2, 1e-2, grid.p[:3], grid.q[:3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="steps must be finite"):
         sf.immersion_grid(0, 0, -1e-2, 1e-2, grid.p, grid.q)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="norm deviates"):
         sf.immersion_grid(0, 0, 1e-2, 1e-2, 2.0 * grid.p, grid.q)
     # constant grid is not an immersion
     ones = np.zeros((8, 8, 4))
     ones[..., 0] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an immersion"):
         sf.immersion_grid(0, 0, 1e-2, 1e-2, ones, ones)
 
 
