@@ -42,7 +42,8 @@ print("  K(E1, F1) =", nk.sectional_curvature(fr[0], fr[3]), " (exact 0)")
 print("  K(E1, F2) =", nk.sectional_curvature(fr[0], fr[4]))
 print()
 
-report, thresholds, ok = nk.verify(samples=200, seed=7)
+result = nk.verify(samples=200, seed=7)
+report, ok = result["residual_max"], result["ok"]
 worst = max(report, key=report.get)
 print(f"identity suite on 200 random tangent pairs: ok={ok}")
 print(f"worst residual {report[worst]:.3e} ({worst})")

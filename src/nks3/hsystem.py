@@ -14,15 +14,17 @@ correctness signal, because sampled inputs only satisfy the compatibility
 conditions to discretization error.
 
 Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
-`surface.Lattice`; each integrator's output covers its input window inset
-by one cell.  The quaternion integrator takes the ordered products of unit
-step factors by a blocked scan (sequential inside fixed-size blocks) and
-never renormalizes; `drift_max` reports its roundoff off the unit sphere.
+`surface.Lattice`, and derive their fields once and cache them; each
+integrator's output covers its input window inset by one cell.  The
+quaternion integrator takes the ordered products of unit step factors by a
+blocked scan (sequential inside fixed-size blocks) and never renormalizes;
+`drift_max` reports its roundoff off the unit sphere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,9 +63,28 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True)
 class HSurfaceGrid(Lattice):
-    """Values of a map eps: R^2 -> R^3 over a `Lattice` (shape (nu, nv, 3))."""
+    """Values of a map eps: R^2 -> R^3 over a `Lattice` (shape (nu, nv, 3)).
+
+    `partials` and `laplacian` are computed on first use and cached, so
+    `eps` must not be mutated after construction."""
 
     eps: np.ndarray
+
+    @cached_property
+    def partials(self):
+        """(eps_u, eps_v), read-only."""
+        eu = np.gradient(self.eps, self.du, axis=0, edge_order=2)
+        ev = np.gradient(self.eps, self.dv, axis=1, edge_order=2)
+        eu.flags.writeable = ev.flags.writeable = False
+        return eu, ev
+
+    @cached_property
+    def laplacian(self):
+        """eps_uu + eps_vv, read-only."""
+        lap = second_derivative(self.eps, self.du, axis=0)
+        lap += second_derivative(self.eps, self.dv, axis=1)
+        lap.flags.writeable = False
+        return lap
 
 
 def h_surface_grid(u0, v0, du, dv, eps):
@@ -77,29 +98,17 @@ def h_surface_grid(u0, v0, du, dv, eps):
     if not np.isfinite(eps).all():
         raise ValueError("potential grid has non-finite values")
     hs = HSurfaceGrid(**window, eps=eps)
-    eu, ev = _eps_partials(hs)
+    eu, ev = hs.partials
     speed = np.sum(eu * eu, axis=-1) + np.sum(ev * ev, axis=-1)
     if not float(interior(speed).min()) >= 1e-10:
         raise ValueError("derivatives vanish on the interior; not a solution surface")
     return hs
 
 
-def _eps_partials(hs):
-    eu = np.gradient(hs.eps, hs.du, axis=0, edge_order=2)
-    ev = np.gradient(hs.eps, hs.dv, axis=1, edge_order=2)
-    return eu, ev
-
-
-def _laplacian(hs):
-    return second_derivative(hs.eps, hs.du, axis=0) + second_derivative(
-        hs.eps, hs.dv, axis=1
-    )
-
-
 def h_equation_residual(hs):
     """Pointwise norm of the defect of the quadratic second-order equation."""
-    eu, ev = _eps_partials(hs)
-    defect = _laplacian(hs) + (4.0 / SQRT3) * quat.cross(eu, ev)
+    defect = (4.0 / SQRT3) * quat.cross(*hs.partials)
+    defect += hs.laplacian
     return np.linalg.norm(defect, axis=-1)
 
 
@@ -210,10 +219,8 @@ def _integrate_pair(c_u, c_v, du, dv, start):
 
 def _stacked_pairs(hs):
     """The coefficient pairs of both quaternion factors on the inset window,
-    stacked to (nu - 2, nv - 2, 2, 3): the u pair, then the v pair.  The
-    partials and the unstacked pairs die with this frame, so none of them
-    is live while the integrator runs."""
-    eu, ev = _eps_partials(hs)
+    stacked to (nu - 2, nv - 2, 2, 3): the u pair, then the v pair."""
+    eu, ev = hs.partials
     at, bt = rotate_pair_back(eu[1:-1, 1:-1], ev[1:-1, 1:-1])
     gt, dt = adapted_second_pair(at, bt)
     return np.stack([at, gt], axis=-2), np.stack([bt, dt], axis=-2)
@@ -242,9 +249,10 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     out = hs.inset(1)
     tol = _default_cert_tol(hs.du, hs.dv, tol_scale)
     eq_res = _require_solution(hs, tol, "; input is not a solution surface")
-    ufirst, vfirst = _integrate_pair(
-        *_stacked_pairs(hs), hs.du, hs.dv, np.stack([quat.ONE, quat.ONE])
-    )
+    pairs = _stacked_pairs(hs)
+    del hs  # neither the potential nor its cached fields live through the scan
+    ufirst, vfirst = _integrate_pair(*pairs, out.du, out.dv, np.stack([quat.ONE, quat.ONE]))
+    del pairs
     compat = gate(np.abs(ufirst - vfirst).max(), tol,
                   "path-ordering disagreement", CertificateError)
     drift = max(float(np.abs(quat.norm(x) - 1.0).max()) for x in (ufirst, vfirst))
@@ -271,7 +279,7 @@ def mean_curvature(hs):
     the squared grid step; raises ValueError otherwise, since the formula
     divides by the common speed.
     """
-    eu, ev = _eps_partials(hs)
+    eu, ev = hs.partials
     e2 = np.sum(eu * eu, axis=-1)
     g2 = np.sum(ev * ev, axis=-1)
     f = np.sum(eu * ev, axis=-1)
@@ -279,9 +287,8 @@ def mean_curvature(hs):
     gate(interior(dev).max(), hs.fd_floor(),
          "coordinates are not conformal: relative deviation")
     n = quat.cross(eu, ev)
-    del eu, ev
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    return np.sum(_laplacian(hs) * n, axis=-1) / (2.0 * e2)
+    return np.sum(hs.laplacian * n, axis=-1) / (2.0 * e2)
 
 
 def sphere_fit(points):
@@ -313,7 +320,7 @@ def metric_factor_check(grid, hs):
     (`Lattice.overlap`, which raises ValueError when the steps differ).
     """
     g_slice, h_slice = grid.overlap(hs)
-    eu, ev = _eps_partials(hs)
+    eu, ev = hs.partials
     E, _, _ = grid.partials.first_form
     speed = np.sum(eu * eu, axis=-1) + np.sum(ev * ev, axis=-1)
     ratio_int = interior(2.0 * E[g_slice] / speed[h_slice])

@@ -61,7 +61,6 @@ __all__ = [
     "Isometry",
     "random_isometry",
     "identity_report",
-    "default_thresholds",
     "gate",
     "validate_tol_scale",
     "verify",
@@ -710,13 +709,6 @@ _EXACT_KEYS = (
 )
 
 
-def default_thresholds(report):
-    """Per-identity thresholds: 1e-12 for frame-exact entries, 1e-10 for sampled."""
-    return {
-        k: (1e-12 if k in _EXACT_KEYS else 1e-10) for k in report
-    }
-
-
 def gate(value, tol, what, error=ValueError, why=""):
     """`value` as a float when it is at most `tol`; otherwise raises
     `error("<what> <value> exceeds <tol><why>")`.  A NaN value fails."""
@@ -737,12 +729,15 @@ def validate_tol_scale(tol_scale):
 def verify(samples=1000, seed=42, tol_scale=1.0):
     """Run the identity suite against thresholds.
 
-    Returns (report, thresholds, ok); ok is True when every residual stays
-    within tol_scale times its threshold.  Raises ValueError when
-    `tol_scale` is not finite and positive.
+    Returns the report {ok, flagged, residual_max, thresholds}: each
+    threshold is tol_scale times 1e-12 for a frame-exact identity and 1e-10
+    for a sampled one, `flagged` lists the residuals above their threshold
+    (a NaN residual included), and ok is True when none is.  Raises
+    ValueError when `tol_scale` is not finite and positive.
     """
     tol_scale = validate_tol_scale(tol_scale)
-    report = identity_report(samples=samples, seed=seed)
-    thresholds = {k: tol_scale * v for k, v in default_thresholds(report).items()}
-    ok = all(report[k] <= thresholds[k] for k in report)
-    return report, thresholds, ok
+    residuals = identity_report(samples=samples, seed=seed)
+    thresholds = {k: tol_scale * (1e-12 if k in _EXACT_KEYS else 1e-10) for k in residuals}
+    flagged = sorted(k for k in residuals if not residuals[k] <= thresholds[k])
+    return {"ok": not flagged, "flagged": flagged, "residual_max": residuals,
+            "thresholds": thresholds}

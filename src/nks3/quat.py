@@ -14,9 +14,6 @@ import numpy as np
 
 __all__ = [
     "ONE",
-    "QI",
-    "QJ",
-    "QK",
     "qmul",
     "qconj",
     "norm",
@@ -32,9 +29,6 @@ __all__ = [
 ]
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
-QI = np.array([0.0, 1.0, 0.0, 0.0])
-QJ = np.array([0.0, 0.0, 1.0, 0.0])
-QK = np.array([0.0, 0.0, 0.0, 1.0])
 
 _UNIT_TOL = 1e-6
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])

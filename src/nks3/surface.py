@@ -11,8 +11,10 @@ property rather than trusting it.  The pipeline is
 
 Tangent vectors are (..., 6) coefficient arrays in the global frame of
 `nkspace`, where g(a, b) is `gram_product(a, b)`, J a is `a @ J_MAT.T` and
-P a is `a @ P_MAT.T`.  The partials' coefficients and the first fundamental
-form are computed once per grid (`ImmersionGrid.partials`).
+P a is `a @ P_MAT.T`.  Both grid types derive their fields once and cache
+them: a surface grid the partials' coefficients and the first fundamental
+form (`ImmersionGrid.partials`), a potential grid its partials and Laplacian
+(`hsystem.HSurfaceGrid`).
 
 Every grid window, here and in `hsystem` and `fixtures`, is one `Lattice`:
 origin, steps and point counts, validated once by `lattice`.
@@ -36,7 +38,6 @@ from .nkspace import (
 )
 
 __all__ = [
-    "THETA",
     "ADAPTED_GATE",
     "Lattice",
     "lattice",
@@ -50,7 +51,6 @@ __all__ = [
     "almost_complex_residual",
     "require_adapted",
     "extract_coefficients",
-    "rotate_pair",
     "rotate_pair_back",
     "integrability_residuals",
     "lambda_field",
@@ -67,9 +67,9 @@ __all__ = [
 
 # the coefficient pair used by the flat-potential construction is the
 # logarithmic-derivative pair rotated by this fixed angle
-THETA = 2.0 * np.pi / 3.0
-_COS_T = float(np.cos(THETA))
-_SIN_T = float(np.sin(THETA))
+_THETA = 2.0 * np.pi / 3.0
+_COS_T = float(np.cos(_THETA))
+_SIN_T = float(np.sin(_THETA))
 
 # an adapted grid keeps its relative almost-complex defect below this,
 # times the caller's tol_scale
@@ -211,7 +211,6 @@ class GridPartials:
     read-only (E, F, G) computed from them.
     """
 
-    grid: ImmersionGrid
     cu: np.ndarray
     cv: np.ndarray
     projection_max: float
@@ -231,7 +230,7 @@ def partials(grid):
             reals.append(interior(np.abs(log[..., 0])).max())
             np.multiply(quat.imag(log), FLIP, out=c[..., half])
     cu.flags.writeable = cv.flags.writeable = False
-    return GridPartials(grid, cu, cv, float(np.max(reals)), induced_metric(cu, cv))
+    return GridPartials(cu, cv, float(np.max(reals)), induced_metric(cu, cv))
 
 
 def _norm(c):
@@ -292,7 +291,7 @@ class CoefficientFields:
 
     alpha_t, beta_t are the imaginary parts of p^-1 p_u, p^-1 p_v on the
     grid (the first-factor frame coefficients, sign flip undone); (alpha,
-    beta) is that pair rotated by `THETA`.  `GridPartials.projection_max`
+    beta) is that pair rotated by `_THETA`.  `GridPartials.projection_max`
     records the largest real part dropped.
     """
 
@@ -427,9 +426,9 @@ def brioschi_curvature(E, F, G, du, dv):
     return (m1 - m2) / (det * det)
 
 
-def gaussian_curvature(gp):
-    """Gaussian curvature field of the induced metric."""
-    return brioschi_curvature(*gp.first_form, gp.grid.du, gp.grid.dv)
+def gaussian_curvature(grid):
+    """Gaussian curvature field of the grid's induced metric."""
+    return brioschi_curvature(*grid.partials.first_form, grid.du, grid.dv)
 
 
 def _grid_covariant(x_coeff, field_coeff, step, axis):
@@ -521,7 +520,7 @@ def analyze(grid, tol_scale=1.0):
     cr = cr_residuals(cf, grid.du, grid.dv)
     del cf  # each stage keeps only its report values, so none holds a field
     lam_max = float(interior(np.abs(lambda_field(grid.partials))).max())
-    K = interior(gaussian_curvature(grid.partials))
+    K = interior(gaussian_curvature(grid))
     K_mean, K_max_dev = float(K.mean()), float(np.abs(K - K.mean()).max())
     del K
     h_max = float(interior(second_fundamental_form(grid).unit_norm).max())

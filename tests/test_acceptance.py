@@ -119,7 +119,8 @@ def test_criterion_02_connection_tables():
 
 def test_criterion_03_identity_suite():
     failures = []
-    report, _, ok = nk.verify(samples=1000, seed=42)
+    result = nk.verify(samples=1000, seed=42)
+    report, ok = result["residual_max"], result["ok"]
     worst_key = max(report, key=report.get)
     worst = report[worst_key]
     _need(failures, ok, "verify flagged identities")

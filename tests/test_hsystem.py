@@ -1,9 +1,10 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
-from nks3 import fixtures, hsystem as hsys, quat
+from nks3 import cli, fixtures, hsystem as hsys, quat
 from nks3 import surface as sf
 from nks3.nkspace import SQRT3
 
@@ -43,6 +44,56 @@ def test_from_potential_nan_cell_fails_equation_gate():
     eps[7, 7, 0] = np.nan
     with pytest.raises(hsys.CertificateError, match="not a solution"):
         hsys.surface_from_epsilon(hsys.HSurfaceGrid(**hs.window(), eps=eps))
+
+
+def test_potential_fields_are_cached_and_read_only():
+    hs = sphere_hs(15)
+    eu, ev = hs.partials
+    assert hs.partials is hs.partials and hs.laplacian is hs.laplacian
+    assert np.array_equal(eu, np.gradient(hs.eps, hs.du, axis=0, edge_order=2))
+    assert np.array_equal(ev, np.gradient(hs.eps, hs.dv, axis=1, edge_order=2))
+    for field in (eu, ev, hs.laplacian):
+        with pytest.raises(ValueError, match="read-only"):
+            field[0, 0, 0] = 0.0
+
+
+class _CountingNumpy:
+    """Delegates to numpy and counts `gradient` calls."""
+
+    def __init__(self, counts):
+        self._counts = counts
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def gradient(self, *args, **kwargs):
+        self._counts["gradient"] += 1
+        return np.gradient(*args, **kwargs)
+
+
+@pytest.mark.parametrize("command, source", [
+    ("to-h", "example2"), ("from-h", "cmc_sphere"), ("fixture", "cmc_sphere"),
+])
+def test_each_command_derives_the_potential_once(monkeypatch, tmp_path, command, source):
+    # every stage reads the potential's partials and Laplacian from the
+    # grid's cache: two first and two second derivatives per command
+    argv = ["--command", "fixture", "--fixture", source, "--nu", "41", "--nv", "41",
+            "--output", str(tmp_path / "in.csv")]
+    if command != "fixture":
+        assert cli.main(argv) == 0
+        argv = ["--command", command, "--input", str(tmp_path / "in.csv"),
+                "--output", str(tmp_path / "out.csv")]
+    counts = collections.Counter()
+    second_derivative = hsys.second_derivative
+
+    def counted(*args, **kwargs):
+        counts["second_derivative"] += 1
+        return second_derivative(*args, **kwargs)
+
+    monkeypatch.setattr(hsys, "np", _CountingNumpy(counts))
+    monkeypatch.setattr(hsys, "second_derivative", counted)
+    assert cli.main(argv) == 0
+    assert counts == {"gradient": 2, "second_derivative": 2}
 
 
 def test_equation_residual_line_is_zero():
@@ -139,7 +190,7 @@ def test_from_potential_sphere():
     assert cert["compat_max"] < 1e-4
     assert cert["drift_max"] < 1e-12
     assert cert["almost_complex_max"] < 1e-4
-    K = sf.interior(sf.gaussian_curvature(sf.partials(grid)))
+    K = sf.interior(sf.gaussian_curvature(grid))
     assert np.abs(K - 2.0 / 3.0).max() < 1e-3
     assert sf.classify_P_alignment(grid) == "normal"
 

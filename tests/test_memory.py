@@ -59,6 +59,16 @@ def test_surface_from_epsilon_then_analyze_peak(grid):
     assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 8.65
 
 
+def test_read_then_surface_from_epsilon_peak(grid, tmp_path):
+    path = tmp_path / "potential.csv"
+    io.write_epsilon_csv(path, hsys.epsilon_from_surface(grid)[0])
+    # measured 7.24 fields, with the potential and its cached partials and
+    # Laplacian released before the scan; 9.16 when they are held through
+    # it, and 7.72 before the cache
+    peak = peak_fields(lambda: hsys.surface_from_epsilon(io.read_epsilon_csv(path)))
+    assert peak <= 7.7
+
+
 def test_identity_report_peak():
     samples = 10000
     nk.identity_report(samples=10, seed=1)  # lazily built numpy state

@@ -4,6 +4,8 @@ import pytest
 from nks3 import nkspace as nk
 from nks3 import quat
 
+QI, QJ, QK = np.eye(4)[1:]  # the imaginary units i, j, k
+
 SQ3 = nk.SQRT3
 
 
@@ -13,12 +15,12 @@ def origin():
 
 def test_frame_at_origin():
     e1, e2, e3, f1, f2, f3 = nk.frame(origin())
-    assert np.allclose(e1.u, quat.QI) and np.allclose(e1.v, 0.0)
-    assert np.allclose(e2.u, quat.QJ) and np.allclose(e2.v, 0.0)
-    assert np.allclose(e3.u, -quat.QK) and np.allclose(e3.v, 0.0)
-    assert np.allclose(f1.v, quat.QI) and np.allclose(f1.u, 0.0)
-    assert np.allclose(f2.v, quat.QJ) and np.allclose(f2.u, 0.0)
-    assert np.allclose(f3.v, -quat.QK) and np.allclose(f3.u, 0.0)
+    assert np.allclose(e1.u, QI) and np.allclose(e1.v, 0.0)
+    assert np.allclose(e2.u, QJ) and np.allclose(e2.v, 0.0)
+    assert np.allclose(e3.u, -QK) and np.allclose(e3.v, 0.0)
+    assert np.allclose(f1.v, QI) and np.allclose(f1.u, 0.0)
+    assert np.allclose(f2.v, QJ) and np.allclose(f2.u, 0.0)
+    assert np.allclose(f3.v, -QK) and np.allclose(f3.u, 0.0)
 
 
 def test_frame_coords_roundtrip():
@@ -36,14 +38,14 @@ def test_frame_coords_roundtrip():
 
 def test_tangent_validation():
     base = origin()
-    nk.tangent(base, quat.QI, quat.QJ)
+    nk.tangent(base, QI, QJ)
     with pytest.raises(ValueError, match=r"residual 1\.000e\+00 exceeds 1\.0e-10"):
-        nk.tangent(base, quat.ONE, quat.QJ)
+        nk.tangent(base, quat.ONE, QJ)
 
 
 @pytest.mark.parametrize(
     "u, v",
-    [([np.nan, 0.0, 0.0, 0.0], 0.0), (quat.QI, [0.0, 0.0, np.nan, 0.0])],
+    [([np.nan, 0.0, 0.0, 0.0], 0.0), (QI, [0.0, 0.0, np.nan, 0.0])],
 )
 def test_tangent_rejects_nan(u, v):
     with pytest.raises(ValueError, match="not orthogonal"):
@@ -62,24 +64,24 @@ def test_tangent_arithmetic():
 
 
 def test_J_at_origin():
-    Z = nk.tangent(origin(), quat.QI, np.zeros(4))
+    Z = nk.tangent(origin(), QI, np.zeros(4))
     JZ = nk.apply_J(Z)
-    assert np.allclose(JZ.u, -quat.QI / SQ3)
-    assert np.allclose(JZ.v, -2.0 * quat.QI / SQ3)
+    assert np.allclose(JZ.u, -QI / SQ3)
+    assert np.allclose(JZ.v, -2.0 * QI / SQ3)
 
 
 def test_P_and_Q_at_origin():
-    Z = nk.tangent(origin(), quat.QI, np.zeros(4))
+    Z = nk.tangent(origin(), QI, np.zeros(4))
     PZ = nk.apply_P(Z)
-    assert np.allclose(PZ.u, 0.0) and np.allclose(PZ.v, quat.QI)
+    assert np.allclose(PZ.u, 0.0) and np.allclose(PZ.v, QI)
     QZ = nk.apply_Q(Z)
-    assert np.allclose(QZ.u, -quat.QI) and np.allclose(QZ.v, 0.0)
+    assert np.allclose(QZ.u, -QI) and np.allclose(QZ.v, 0.0)
 
 
 def test_metric_frozen_values():
     base = origin()
-    e1 = nk.tangent(base, quat.QI, np.zeros(4))
-    f1 = nk.tangent(base, np.zeros(4), quat.QI)
+    e1 = nk.tangent(base, QI, np.zeros(4))
+    f1 = nk.tangent(base, np.zeros(4), QI)
     assert abs(nk.metric(e1, e1) - 4.0 / 3.0) < 1e-15
     assert abs(nk.metric(f1, f1) - 4.0 / 3.0) < 1e-15
     assert abs(nk.metric(e1, f1) + 2.0 / 3.0) < 1e-15
@@ -103,8 +105,8 @@ def test_metric_rejects_nan_base(factor):
         np.array([np.nan, 0.0, 0.0, 0.0]) if factor == "p" else base.p,
         np.array([np.nan, 0.0, 0.0, 0.0]) if factor == "q" else base.q,
     )
-    Z = nk.Tangent(bad, quat.QI, np.zeros(4))
-    W = nk.tangent(base, quat.QI, np.zeros(4))
+    Z = nk.Tangent(bad, QI, np.zeros(4))
+    W = nk.tangent(base, QI, np.zeros(4))
     for a, b in ((Z, W), (W, Z)):
         with pytest.raises(ValueError, match="different base points"):
             nk.metric(a, b)
@@ -188,13 +190,15 @@ def test_isometry_equivariance():
 
 
 def test_identity_report_within_thresholds():
-    report, thresholds, ok = nk.verify(samples=300, seed=5)
+    result = nk.verify(samples=300, seed=5)
+    report, thresholds, ok = result["residual_max"], result["thresholds"], result["ok"]
     assert ok, {k: v for k, v in report.items() if v > thresholds[k]}
 
 
 def test_identity_report_flags_scaled_J(scale_J):
     scale_J(1.1)
-    report, thresholds, ok = nk.verify(samples=100, seed=5)
+    result = nk.verify(samples=100, seed=5)
+    report, ok = result["residual_max"], result["ok"]
     assert not ok
     assert report["j_squared"] > 0.1
     assert report["curvature_vs_oracle"] > 1e-3
@@ -224,7 +228,8 @@ def test_p_derivative_table_fires_on_perturbed_table(monkeypatch):
     bad = nk.H_TABLE.copy()
     bad[0, 4, 2] += 1e-6
     monkeypatch.setattr(nk, "H_TABLE", bad)
-    report, _, ok = nk.verify(samples=10, seed=1)
+    result = nk.verify(samples=10, seed=1)
+    report, ok = result["residual_max"], result["ok"]
     assert not ok
     assert abs(report["p_derivative_table"] - 1e-6) < 1e-12
 
@@ -337,10 +342,12 @@ def test_blocked_report_is_single_block_report(monkeypatch, samples, nan_last):
 
 def test_nan_in_second_block_gives_nan_residual(monkeypatch):
     _nan_in_draw(monkeypatch, _B)
-    report, thresholds, ok = nk.verify(samples=2 * _B, seed=3)
+    result = nk.verify(samples=2 * _B, seed=3)
+    report, thresholds, ok = result["residual_max"], result["thresholds"], result["ok"]
     assert not ok
     for key in ("j_squared", "g_tensor_skew", "g_tensor_pair_product"):
         assert np.isnan(report[key]), key
+        assert key in result["flagged"], key
     # the frame identities read no tangent draw
     assert report["frame_metric"] <= thresholds["frame_metric"]
 
@@ -350,7 +357,8 @@ def test_frame_metric_fires_on_perturbed_gram(monkeypatch):
     bad[0, 3] += 1e-6
     bad[3, 0] += 1e-6
     monkeypatch.setattr(nk, "GRAM", bad)
-    report, thresholds, ok = nk.verify(samples=10, seed=1)
+    result = nk.verify(samples=10, seed=1)
+    report, thresholds, ok = result["residual_max"], result["thresholds"], result["ok"]
     assert not ok
     assert abs(report["frame_metric"] - 1e-6) <= 1e-12
     assert report["metric_compatible"] > thresholds["metric_compatible"]

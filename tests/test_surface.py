@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from nks3 import fixtures, quat
 from nks3 import hsystem as hsys
 from nks3 import nkspace as nk
 from nks3 import surface as sf
+
+QI, QJ, QK = np.eye(4)[1:]  # the imaginary units i, j, k
 
 SQ3 = nk.SQRT3
 
@@ -36,11 +41,25 @@ def test_partials_match_analytic_derivative():
     phi_u = nk.from_frame_coords(grid.base, gp.cu)
     phi_v = nk.from_frame_coords(grid.base, gp.cv)
     # p = exp(i(u - v/sqrt3)): p_u = p i, p_v = -p i / sqrt3
-    pu_exact = quat.qmul(grid.p, quat.QI)
+    pu_exact = quat.qmul(grid.p, QI)
     pv_exact = -pu_exact / SQ3
     assert np.abs(sf.interior(phi_u.u - pu_exact)).max() < 2e-5
     assert np.abs(sf.interior(phi_v.u - pv_exact)).max() < 2e-5
     assert gp.projection_max < 1e-10
+
+
+def test_grid_with_cached_partials_is_freed_by_refcount():
+    # the cached partials hold no reference back to the grid, so dropping
+    # the grid frees it without the cycle collector
+    grid = small_fixture("example2")
+    grid.partials
+    ref = weakref.ref(grid)
+    gc.disable()
+    try:
+        del grid
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_partials_halving_is_second_order():
@@ -243,10 +262,10 @@ def test_brioschi_round_sphere():
 
 def test_gaussian_curvature_fixture_values():
     g1 = small_fixture("example1", n=31)
-    K1 = sf.interior(sf.gaussian_curvature(sf.partials(g1)))
+    K1 = sf.interior(sf.gaussian_curvature(g1))
     assert np.abs(K1).max() < 1e-8
     g2 = small_fixture("example2", n=31)
-    K2 = sf.interior(sf.gaussian_curvature(sf.partials(g2)))
+    K2 = sf.interior(sf.gaussian_curvature(g2))
     assert np.abs(K2 - 2.0 / 3.0).max() < 1e-4
 
 
