@@ -27,8 +27,7 @@ hs_back, _ = hsystem.epsilon_from_surface(back)
 
 
 def gram(h):
-    gu = np.gradient(h.eps, h.du, axis=0, edge_order=2)
-    gv = np.gradient(h.eps, h.dv, axis=1, edge_order=2)
+    gu, gv = h.partials
     return np.stack(
         [np.sum(gu * gu, -1), np.sum(gu * gv, -1), np.sum(gv * gv, -1)], -1
     )

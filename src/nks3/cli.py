@@ -14,7 +14,7 @@ JSON (sorted keys) printed to stdout, with a ``config`` holding the command
 and exactly the flags it reads; commands whose primary output is a CSV also
 write the report next to it as ``<output>.report.json``.  Identical
 configurations produce byte-identical outputs.  Exit codes: 0 success,
-2 certificate or verification failure, 3 input error.
+2 certificate or verification failure, 3 input error or failed allocation.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def main(argv=None):
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
 

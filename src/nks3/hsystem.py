@@ -40,7 +40,6 @@ from .surface import (
     lattice,
     require_adapted,
     rotate_pair_back,
-    second_derivative,
 )
 
 __all__ = [
@@ -73,16 +72,15 @@ class HSurfaceGrid(Lattice):
     @cached_property
     def partials(self):
         """(eps_u, eps_v), read-only."""
-        eu = np.gradient(self.eps, self.du, axis=0, edge_order=2)
-        ev = np.gradient(self.eps, self.dv, axis=1, edge_order=2)
+        eu, ev = self.diff(self.eps, 0), self.diff(self.eps, 1)
         eu.flags.writeable = ev.flags.writeable = False
         return eu, ev
 
     @cached_property
     def laplacian(self):
         """eps_uu + eps_vv, read-only."""
-        lap = second_derivative(self.eps, self.du, axis=0)
-        lap += second_derivative(self.eps, self.dv, axis=1)
+        lap = self.diff2(self.eps, 0)
+        lap += self.diff2(self.eps, 1)
         lap.flags.writeable = False
         return lap
 
@@ -112,16 +110,8 @@ def h_equation_residual(hs):
     return np.linalg.norm(defect, axis=-1)
 
 
-def _cumtrapz(f, h, axis):
-    """Cumulative trapezoid integral along one axis, starting at zero."""
-    f = np.moveaxis(f, axis, 0)
-    steps = 0.5 * h * (f[1:] + f[:-1])
-    out = np.concatenate([np.zeros_like(f[:1]), np.cumsum(steps, axis=0)], axis=0)
-    return np.moveaxis(out, 0, axis)
-
-
-def _default_cert_tol(du, dv, tol_scale):
-    return tol_scale * 200.0 * max(du, dv) ** 2
+def _default_cert_tol(lat, tol_scale):
+    return tol_scale * 200.0 * max(lat.du, lat.dv) ** 2
 
 
 def _require_solution(hs, tol, why):
@@ -153,9 +143,9 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     out = grid.inset(1)
     cf = extract_coefficients(grid)
     a, b = cf.alpha[1:-1, 1:-1], cf.beta[1:-1, 1:-1]
-    eps_uv = _cumtrapz(a[:, :1], grid.du, axis=0) + _cumtrapz(b, grid.dv, axis=1)
-    eps_vu = _cumtrapz(b[:1, :], grid.dv, axis=1) + _cumtrapz(a, grid.du, axis=0)
-    tol = _default_cert_tol(grid.du, grid.dv, tol_scale)
+    eps_uv = grid.cumtrapz(a[:, :1], 0) + grid.cumtrapz(b, 1)
+    eps_vu = grid.cumtrapz(b[:1, :], 1) + grid.cumtrapz(a, 0)
+    tol = _default_cert_tol(grid, tol_scale)
     loop = gate(np.linalg.norm(eps_uv - eps_vu, axis=-1).max(), tol,
                 "path-ordering residual", CertificateError,
                 "; the coefficient one-form is not closed to discretization order")
@@ -184,9 +174,9 @@ def _prefix_products(x):
             rows[...] = quat.qmul(ends[: len(rows)], rows)
 
 
-def _integrate_chain(start, coeff, h, axis):
-    """Integrate p' = p * coeff along `axis`, starting from the slice value
-    `start` at index 0 of that axis; `start` carries the remaining axes,
+def _integrate_chain(start, coeff, lat, axis):
+    """Integrate p' = p * coeff along `axis` of `lat`, starting from the slice
+    value `start` at index 0 of that axis; `start` carries the remaining axes,
     trailing ones included (the two factors integrate side by side).
 
     Each segment multiplies by the exponential of the two-term Magnus
@@ -196,6 +186,7 @@ def _integrate_chain(start, coeff, h, axis):
     unit steps in order; their products stay on the unit sphere up to roundoff,
     so nothing renormalizes (`surface_from_epsilon` reports the drift).
     """
+    h = (lat.du, lat.dv)[axis]
     coeff = np.moveaxis(coeff, axis, 0)
     c0, c1 = coeff[:-1], coeff[1:]
     arg = np.zeros(coeff.shape)
@@ -206,15 +197,15 @@ def _integrate_chain(start, coeff, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _integrate_pair(c_u, c_v, du, dv, start):
-    """Integrate quaternion grids with both coordinate derivatives given,
-    along the two path orderings (u-spine then v, v-spine then u).
+def _integrate_pair(c_u, c_v, lat, start):
+    """Integrate quaternion grids over `lat` with both coordinate derivatives
+    given, along the two path orderings (u-spine then v, v-spine then u).
 
     `c_u`, `c_v` have shape (nu, nv, k, 3) and `start` (k, 4): all k grids
     share each chain's scan passes."""
-    ufirst = _integrate_chain(_integrate_chain(start, c_u[:, 0], du, 0), c_v, dv, 1)
-    vfirst = _integrate_chain(_integrate_chain(start, c_v[0], dv, 0), c_u, du, 0)
-    return ufirst, vfirst
+    u_spine = _integrate_chain(start, c_u[:, :1], lat, 0)[:, 0]
+    v_spine = _integrate_chain(start, c_v[:1], lat, 1)[0]
+    return _integrate_chain(u_spine, c_v, lat, 1), _integrate_chain(v_spine, c_u, lat, 0)
 
 
 def _stacked_pairs(hs):
@@ -247,11 +238,11 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     """
     tol_scale = validate_tol_scale(tol_scale)
     out = hs.inset(1)
-    tol = _default_cert_tol(hs.du, hs.dv, tol_scale)
+    tol = _default_cert_tol(hs, tol_scale)
     eq_res = _require_solution(hs, tol, "; input is not a solution surface")
     pairs = _stacked_pairs(hs)
     del hs  # neither the potential nor its cached fields live through the scan
-    ufirst, vfirst = _integrate_pair(*pairs, out.du, out.dv, np.stack([quat.ONE, quat.ONE]))
+    ufirst, vfirst = _integrate_pair(*pairs, out, np.stack([quat.ONE, quat.ONE]))
     del pairs
     compat = gate(np.abs(ufirst - vfirst).max(), tol,
                   "path-ordering disagreement", CertificateError)

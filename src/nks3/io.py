@@ -10,6 +10,7 @@ coordinates and are re-binned onto the reconstructed axes.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
@@ -94,7 +95,11 @@ def _read_rows(path, header, ncols):
             raise ValueError(
                 f"unexpected CSV header {first!r}, expected {header!r}"
             )
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # a header with no rows is refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not len(data):
+        raise ValueError("CSV has a header but no data rows")
     if data.ndim != 2 or data.shape[1] != ncols:
         raise ValueError(f"expected {ncols} columns, got shape {data.shape}")
     for column, finite in zip(header.split(","), np.isfinite(data).all(axis=0)):

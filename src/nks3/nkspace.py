@@ -45,7 +45,7 @@ __all__ = [
     "frame_coords",
     "from_frame_coords",
     "gram_product",
-    "table_product",
+    "connection_term",
     "apply_J",
     "apply_P",
     "apply_Q",
@@ -244,14 +244,8 @@ def frame(base):
     return [from_frame_coords(base, eye[k]) for k in range(6)]
 
 
-def _levi_civita():
-    e = np.zeros((3, 3, 3))
-    e[0, 1, 2] = e[1, 2, 0] = e[2, 0, 1] = 1.0
-    e[0, 2, 1] = e[2, 1, 0] = e[1, 0, 2] = -1.0
-    return e
-
-
-EPSILON3 = _levi_civita()
+# Levi-Civita symbol: eps_ijk is component k of e_i x e_j
+EPSILON3 = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
 def _block_table(blocks):
@@ -261,15 +255,16 @@ def _block_table(blocks):
 
 
 _CG = 2.0 / (3.0 * SQRT3)
-# Levi-Civita connection on frame pairs
-CONN = _block_table(
+# Levi-Civita connection on frame pairs, as a factor-block pattern (which
+# `connection_term` contracts) and as the frame table it expands to
+_CONN_BLOCKS = np.array(
     [[[-1.0, 0.0], [1.0 / 3.0, -1.0 / 3.0]], [[-1.0 / 3.0, 1.0 / 3.0], [0.0, -1.0]]]
 )
+CONN = _block_table(_CONN_BLOCKS)
 # covariant derivatives of J and P as factor-block patterns, which
 # `tensor_G` and `tensor_H` contract, and as the frame tables they expand to.
-# The tensors read the patterns, not the tables, so `verify` reports a
-# perturbed table through its table identities instead of stopping in
-# `table_product`.
+# Products read the patterns and `verify` checks the tables, so a table
+# rebuilt from perturbed blocks shows up in its table identities.
 _G_BLOCKS = np.array(
     [[[-_CG, -2.0 * _CG], [-_CG, _CG]], [[-_CG, _CG], [2.0 * _CG, _CG]]]
 )
@@ -321,19 +316,11 @@ def _block_product(blocks, x, y):
     return out
 
 
-def table_product(table, x, y):
-    """The bilinear map of a constant frame table: table[a, b, k] x_a y_b.
-
-    Raises ValueError unless `table` is exactly `_block_table` of its own
-    blocks table[0::3, 1::3, 2::3], the only form the product reads.
-    """
-    table = np.asarray(table, dtype=float)
-    blocks = table[0::3, 1::3, 2::3]
-    if not np.array_equal(_block_table(blocks), table):
-        raise ValueError(
-            "frame table is not a 2x2x2 factor-block pattern times eps_ijk"
-        )
-    return _block_product(blocks, x, y)
+def connection_term(x, y):
+    """CONN[a, b, k] x_a y_b: the frame coefficients of x_a y_b nabla_{e_a} e_b,
+    which a covariant derivative along x adds to the derivative of y's
+    coefficients."""
+    return _block_product(_CONN_BLOCKS, x, y)
 
 
 # ---------------------------------------------------------------------------

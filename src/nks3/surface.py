@@ -17,7 +17,9 @@ form (`ImmersionGrid.partials`), a potential grid its partials and Laplacian
 (`hsystem.HSurfaceGrid`).
 
 Every grid window, here and in `hsystem` and `fixtures`, is one `Lattice`:
-origin, steps and point counts, validated once by `lattice`.
+origin, steps and point counts, validated once by `lattice`.  It also owns
+the stencil and the trapezoid rule: `Lattice.diff`, `.diff2` and `.cumtrapz`
+read the step of the axis they act along, so no caller passes a step.
 
 Derivatives are second-order finite differences throughout; every residual
 statistic is taken on the grid interior (two-cell margin) because one-sided
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import quat
 from .nkspace import (
-    CONN, FLIP, J_MAT, P_MAT, SQRT3, Point, gate, gram_product, table_product,
+    FLIP, J_MAT, P_MAT, SQRT3, Point, connection_term, gate, gram_product,
     validate_tol_scale,
 )
 
@@ -56,7 +58,6 @@ __all__ = [
     "lambda_field",
     "cr_residuals",
     "induced_metric",
-    "second_derivative",
     "adapted_second_pair",
     "brioschi_curvature",
     "gaussian_curvature",
@@ -139,6 +140,30 @@ class Lattice:
     def fd_floor(self):
         """Finite-difference error floor max(1e-8, 100 h^2), h the larger step."""
         return max(1e-8, 100.0 * max(self.du, self.dv) ** 2)
+
+    def diff(self, f, axis):
+        """Central difference along `axis`, second-order one-sided at the edges."""
+        return np.gradient(f, (self.du, self.dv)[axis], axis=axis, edge_order=2)
+
+    def diff2(self, f, axis):
+        """Three-point second derivative along `axis`, one-sided at the edges."""
+        h = (self.du, self.dv)[axis]
+        f = np.moveaxis(f, axis, 0)
+        if f.shape[0] < 4:
+            raise ValueError("need at least 4 samples for a second derivative")
+        out = np.empty_like(f)
+        out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
+        out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
+        out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (h * h)
+        return np.moveaxis(out, 0, axis)
+
+    def cumtrapz(self, f, axis):
+        """Cumulative trapezoid integral along `axis`, starting at zero."""
+        h = (self.du, self.dv)[axis]
+        f = np.moveaxis(f, axis, 0)
+        steps = 0.5 * h * (f[1:] + f[:-1])
+        out = np.concatenate([np.zeros_like(f[:1]), np.cumsum(steps, axis=0)], axis=0)
+        return np.moveaxis(out, 0, axis)
 
 
 def lattice(u0, v0, du, dv, nu, nv):
@@ -225,8 +250,8 @@ def partials(grid):
     cv = np.empty_like(cu)
     for half, arr in ((slice(0, 3), grid.p), (slice(3, 6), grid.q)):
         conj = quat.qconj(arr)
-        for c, axis, step in ((cu, 0, grid.du), (cv, 1, grid.dv)):
-            log = quat.qmul(conj, np.gradient(arr, step, axis=axis, edge_order=2))
+        for c, axis in ((cu, 0), (cv, 1)):
+            log = quat.qmul(conj, grid.diff(arr, axis))
             reals.append(interior(np.abs(log[..., 0])).max())
             np.multiply(quat.imag(log), FLIP, out=c[..., half])
     cu.flags.writeable = cv.flags.writeable = False
@@ -324,7 +349,7 @@ def adapted_second_pair(alpha_t, beta_t):
     return gamma_t, delta_t
 
 
-def integrability_residuals(cf, du, dv):
+def integrability_residuals(cf, lat):
     """Max-norm residuals of the three first-order compatibility equations.
 
     Returns (tilde_curl, closure, divergence): the cross-product curl
@@ -336,15 +361,15 @@ def integrability_residuals(cf, du, dv):
     def stat(r):
         return float(interior(np.linalg.norm(r, axis=-1)).max())
 
-    r = np.gradient(cf.alpha_t, dv, axis=1, edge_order=2)
-    r -= np.gradient(cf.beta_t, du, axis=0, edge_order=2)
+    r = lat.diff(cf.alpha_t, 1)
+    r -= lat.diff(cf.beta_t, 0)
     r -= 2.0 * quat.cross(cf.alpha_t, cf.beta_t)
     tilde_curl = stat(r)
-    r = np.gradient(cf.alpha, dv, axis=1, edge_order=2)
-    r -= np.gradient(cf.beta, du, axis=0, edge_order=2)
+    r = lat.diff(cf.alpha, 1)
+    r -= lat.diff(cf.beta, 0)
     closure = stat(r)
-    r = np.gradient(cf.alpha, du, axis=0, edge_order=2)
-    r += np.gradient(cf.beta, dv, axis=1, edge_order=2)
+    r = lat.diff(cf.alpha, 0)
+    r += lat.diff(cf.beta, 1)
     r += (4.0 / SQRT3) * quat.cross(cf.alpha, cf.beta)
     return tilde_curl, closure, stat(r)
 
@@ -358,17 +383,13 @@ def lambda_field(gp):
     return 0.5 * (re + 1j * im)
 
 
-def cr_residuals(cf, du, dv):
+def cr_residuals(cf, lat):
     """Max residual of the two Cauchy-Riemann equations coupling the dot
     products of the rotated pair; second-order small on genuine surfaces."""
     dot_ab = np.sum(cf.alpha * cf.beta, axis=-1)
-    diff = np.sum(cf.alpha * cf.alpha, axis=-1) - np.sum(cf.beta * cf.beta, axis=-1)
-    r1 = np.gradient(dot_ab, du, axis=0, edge_order=2) - 0.5 * np.gradient(
-        diff, dv, axis=1, edge_order=2
-    )
-    r2 = np.gradient(dot_ab, dv, axis=1, edge_order=2) + 0.5 * np.gradient(
-        diff, du, axis=0, edge_order=2
-    )
+    gap = np.sum(cf.alpha * cf.alpha, axis=-1) - np.sum(cf.beta * cf.beta, axis=-1)
+    r1 = lat.diff(dot_ab, 0) - 0.5 * lat.diff(gap, 1)
+    r2 = lat.diff(dot_ab, 1) + 0.5 * lat.diff(gap, 0)
     stack = np.maximum(np.abs(r1), np.abs(r2))
     return float(interior(stack).max())
 
@@ -383,20 +404,8 @@ def induced_metric(cu, cv):
     return efg
 
 
-def second_derivative(f, h, axis):
-    """Three-point second derivative along one axis, one-sided at the edges."""
-    f = np.moveaxis(f, axis, 0)
-    if f.shape[0] < 4:
-        raise ValueError("need at least 4 samples for a second derivative")
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-    out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (h * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def brioschi_curvature(E, F, G, du, dv):
-    """Gaussian curvature of a metric given by coefficient fields.
+def brioschi_curvature(lat, E, F, G):
+    """Gaussian curvature of a metric given by coefficient fields over `lat`.
 
     Classical Brioschi determinant formula evaluated with second-order
     finite differences; intrinsic, so it needs only (E, F, G).
@@ -404,15 +413,10 @@ def brioschi_curvature(E, F, G, du, dv):
     det = E * G - F * F
     if not float(np.min(det)) >= 1e-10:
         raise ValueError(f"metric is degenerate (min EG - F^2 = {np.min(det):.3e})")
-    Eu = np.gradient(E, du, axis=0, edge_order=2)
-    Ev = np.gradient(E, dv, axis=1, edge_order=2)
-    Gu = np.gradient(G, du, axis=0, edge_order=2)
-    Gv = np.gradient(G, dv, axis=1, edge_order=2)
-    Fu = np.gradient(F, du, axis=0, edge_order=2)
-    Fv = np.gradient(F, dv, axis=1, edge_order=2)
-    Evv = second_derivative(E, dv, axis=1)
-    Guu = second_derivative(G, du, axis=0)
-    Fuv = np.gradient(Fu, dv, axis=1, edge_order=2)
+    Eu, Ev = lat.diff(E, 0), lat.diff(E, 1)
+    Gu, Gv = lat.diff(G, 0), lat.diff(G, 1)
+    Fu, Fv = lat.diff(F, 0), lat.diff(F, 1)
+    Evv, Guu, Fuv = lat.diff2(E, 1), lat.diff2(G, 0), lat.diff(Fu, 1)
 
     def det3(a, b, c, d, e, f, g, h, i):
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -428,20 +432,20 @@ def brioschi_curvature(E, F, G, du, dv):
 
 def gaussian_curvature(grid):
     """Gaussian curvature field of the grid's induced metric."""
-    return brioschi_curvature(*grid.partials.first_form, grid.du, grid.dv)
+    return brioschi_curvature(grid, *grid.partials.first_form)
 
 
-def _grid_covariant(x_coeff, field_coeff, step, axis):
+def _grid_covariant(lat, x_coeff, field_coeff, axis):
     """Frame coefficients of the ambient covariant derivative of a grid
-    tangent field along one coordinate direction.
+    tangent field along the coordinate direction `axis` of `lat`.
 
     `x_coeff` is the direction's own coefficient field (the flow of the
     coordinate line), `field_coeff` the differentiated field's coefficients;
     the coordinate derivative is a grid stencil and the frame correction is
     the constant connection table.
     """
-    dc = np.gradient(field_coeff, step, axis=axis, edge_order=2)
-    dc += table_product(CONN, x_coeff, field_coeff)
+    dc = lat.diff(field_coeff, axis)
+    dc += connection_term(x_coeff, field_coeff)
     return dc
 
 
@@ -466,10 +470,10 @@ class SecondFundamentalForm:
 
 def second_fundamental_form(grid):
     gp = grid.partials
-    cu, cv, du, dv = gp.cu, gp.cv, grid.du, grid.dv
+    cu, cv = gp.cu, gp.cv
     h = []
-    for x, f, step, axis in ((cu, cu, du, 0), (cu, cv, du, 0), (cv, cv, dv, 1)):
-        w = _grid_covariant(x, f, step, axis)
+    for x, f, axis in ((cu, cu, 0), (cu, cv, 0), (cv, cv, 1)):
+        w = _grid_covariant(grid, x, f, axis)
         h.append(_normal_part(gp, w, gram_product(w, cu), gram_product(w, cv)))
     huu, huv, hvv = h
     E, F, G = gp.first_form
@@ -516,8 +520,8 @@ def analyze(grid, tol_scale=1.0):
     """
     ac_max = require_adapted(grid, tol_scale)
     cf = extract_coefficients(grid)
-    r21, r22, r23 = integrability_residuals(cf, grid.du, grid.dv)
-    cr = cr_residuals(cf, grid.du, grid.dv)
+    r21, r22, r23 = integrability_residuals(cf, grid)
+    cr = cr_residuals(cf, grid)
     del cf  # each stage keeps only its report values, so none holds a field
     lam_max = float(interior(np.abs(lambda_field(grid.partials))).max())
     K = interior(gaussian_curvature(grid))

@@ -336,7 +336,7 @@ def test_criterion_13_cauchy_riemann(
 
     def cr_of(grid):
         cf = sf.extract_coefficients(grid)
-        return sf.cr_residuals(cf, grid.du, grid.dv)
+        return sf.cr_residuals(cf, grid)
 
     ex1_coarse = fixtures.make_fixture("example1", nu=51, nv=51, du=2e-2, dv=2e-2)
     exact = max(cr_of(ex1_coarse), cr_of(ex1))

@@ -269,6 +269,20 @@ def test_analyze_missing_file(capsys):
     assert code == 3 and "input error" in err
 
 
+def test_allocation_failure_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # raised, not provoked: a real oversized allocation is not attempted
+    message = "Unable to allocate 89.4 GiB for an array with shape (3000000000, 4)"
+
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "verify", exhausted)
+    out = tmp_path / "report.json"
+    code, rep, err = run(capsys, "--command", "verify", "--output", str(out))
+    assert (code, rep, err) == (3, None, f"input error: {message}\n")
+    assert not out.exists()
+
+
 def test_round_trip_via_cli(tmp_path, capsys):
     surf = tmp_path / "ex2.csv"
     eps = tmp_path / "eps.csv"

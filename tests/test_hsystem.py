@@ -57,20 +57,6 @@ def test_potential_fields_are_cached_and_read_only():
             field[0, 0, 0] = 0.0
 
 
-class _CountingNumpy:
-    """Delegates to numpy and counts `gradient` calls."""
-
-    def __init__(self, counts):
-        self._counts = counts
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def gradient(self, *args, **kwargs):
-        self._counts["gradient"] += 1
-        return np.gradient(*args, **kwargs)
-
-
 @pytest.mark.parametrize("command, source", [
     ("to-h", "example2"), ("from-h", "cmc_sphere"), ("fixture", "cmc_sphere"),
 ])
@@ -84,16 +70,19 @@ def test_each_command_derives_the_potential_once(monkeypatch, tmp_path, command,
         argv = ["--command", command, "--input", str(tmp_path / "in.csv"),
                 "--output", str(tmp_path / "out.csv")]
     counts = collections.Counter()
-    second_derivative = hsys.second_derivative
 
-    def counted(*args, **kwargs):
-        counts["second_derivative"] += 1
-        return second_derivative(*args, **kwargs)
+    def counting(name):
+        method = getattr(hsys.HSurfaceGrid, name)
 
-    monkeypatch.setattr(hsys, "np", _CountingNumpy(counts))
-    monkeypatch.setattr(hsys, "second_derivative", counted)
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+    for name in ("diff", "diff2"):
+        monkeypatch.setattr(hsys.HSurfaceGrid, name, counting(name))
     assert cli.main(argv) == 0
-    assert counts == {"gradient": 2, "second_derivative": 2}
+    assert counts == {"diff": 2, "diff2": 2}
 
 
 def test_equation_residual_line_is_zero():
@@ -353,7 +342,7 @@ def test_surface_from_epsilon_rejects_bad_tol_scale(tol_scale):
 def _chain_end(n, a, b):
     """End value of p' = p * (a + b t) on [0, 1], p(0) = 1, after n steps."""
     t = np.linspace(0.0, 1.0, n + 1)[:, None]
-    return hsys._integrate_chain(quat.ONE, a + b * t, 1.0 / n, axis=0)[-1]
+    return hsys._integrate_chain(quat.ONE, a + b * t, _steps(1.0 / n), axis=0)[-1]
 
 
 def test_chain_step_converges_at_fourth_order():
@@ -375,6 +364,11 @@ def test_drift_stays_at_roundoff_on_long_strip():
     assert cert["drift_max"] < 1e-12
 
 
+def _steps(h):
+    """A lattice with step h along both axes; the chain reads only its steps."""
+    return sf.lattice(0.0, 0.0, h, h, 5, 5)
+
+
 def _chain_by_loop(start, coeff, h):
     """The sequential product the scan replaces, out[k + 1] = out[k] step[k],
     kept as the oracle of `_integrate_chain` along axis 0."""
@@ -393,7 +387,7 @@ def test_scan_chain_matches_sequential_products(axis):
     coeff = rng.standard_normal((4001, 3, 2, 3))
     start = quat.random_unit(rng, (3, 2))
     want = _chain_by_loop(start, coeff, 6e-3)
-    got = hsys._integrate_chain(start, np.moveaxis(coeff, 0, axis), 6e-3, axis)
+    got = hsys._integrate_chain(start, np.moveaxis(coeff, 0, axis), _steps(6e-3), axis)
     assert np.abs(np.moveaxis(got, axis, 0) - want).max() <= 1e-13
 
 
@@ -406,7 +400,7 @@ def test_scan_matches_sequential_products_at_block_edges(n, axis):
     coeff = rng.standard_normal((n, 3, 2, 3))
     start = quat.random_unit(rng, (3, 2))
     want = _chain_by_loop(start, coeff, 6e-3)
-    got = hsys._integrate_chain(start, np.moveaxis(coeff, 0, axis), 6e-3, axis)
+    got = hsys._integrate_chain(start, np.moveaxis(coeff, 0, axis), _steps(6e-3), axis)
     assert np.abs(np.moveaxis(got, axis, 0) - want).max() <= 1e-13
 
 

@@ -93,6 +93,7 @@ _DEFECT_MESSAGES = {
     "nan_payload": "non-finite value in column 'x'",
     "nan_u": "non-finite value in column 'u'",
     "missing_cell": "row count 80 does not fill a 9 x 9 grid",
+    "no_rows": "CSV has a header but no data rows",
 }
 
 
@@ -103,7 +104,9 @@ def test_reader_names_each_defect(tmp_path, defect):
     io.write_epsilon_csv(path, hs)
     header, *rows = path.read_text().splitlines()
     cells = rows[40].split(",")
-    if defect == "missing_cell":
+    if defect == "no_rows":
+        rows = []
+    elif defect == "missing_cell":
         del rows[40]
     else:
         cells[2 if defect == "nan_payload" else 0] = "nan"

@@ -418,9 +418,11 @@ def test_table_product_matches_einsum(name, shapes):
     x, y = (rng.uniform(-1.0, 1.0, s) for s in shapes)
     table = getattr(nk, name)
     want = np.einsum("abk,...a,...b->...k", table, x, y)
-    got = nk.table_product(table, x, y)
+    got = nk._block_product(table[0::3, 1::3, 2::3], x, y)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14
+    if name == "CONN":
+        assert np.array_equal(nk.connection_term(x, y), got)
 
 
 def _block_product_by_np_cross(blocks, x, y):
@@ -458,15 +460,16 @@ def test_gram_product_matches_einsum(shapes):
     assert np.abs(got - want).max() <= 1e-14
 
 
-@pytest.mark.parametrize("entry", [(0, 4, 2), (1, 5, 0), (3, 3, 3)])
-def test_table_product_refuses_perturbed_table(entry):
-    # (0, 4, 2) is read as a block weight, (1, 5, 0) is a multiple of one
-    # that the product never reads, (3, 3, 3) must be zero
-    bad = nk.CONN.copy()
-    bad[entry] += 1e-6
-    x = np.ones((4, 6))
-    with pytest.raises(ValueError, match="factor-block pattern"):
-        nk.table_product(bad, x, x)
+@pytest.mark.parametrize("weight", list(np.ndindex(2, 2, 2)))
+def test_connection_table_fires_on_perturbed_block(monkeypatch, weight):
+    # CONN rebuilt from its blocks with one weight moved: the table stays a
+    # block pattern, and the frame-exact identities report it
+    blocks = nk._CONN_BLOCKS.copy()
+    blocks[weight] += 1e-6
+    monkeypatch.setattr(nk, "CONN", nk._block_table(blocks))
+    result = nk.verify(samples=10, seed=1)
+    assert not result["ok"]
+    assert {"torsion_free", "metric_compatible"} & set(result["flagged"])
 
 
 def test_identity_report_empty_for_zero_samples():

@@ -22,22 +22,52 @@ def test_certificates_fail_only_through_gate(path):
     assert calls == [], f"{path.name} calls CertificateError(...) on lines {calls}"
 
 
+def _parse(name):
+    path = SRC / name
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _inside(tree, *names):
+    """ids of every node in the class or function reached by `names`."""
+    node = tree
+    for name in names:
+        node = next(n for n in node.body if getattr(n, "name", None) == name)
+    return {id(n) for n in ast.walk(node)}
+
+
+def _calls(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+
+def _callee(call):
+    f = call.func
+    return getattr(f, "attr", getattr(f, "id", None))
+
+
+def test_stencil_is_written_only_in_lattice_diff():
+    # every first derivative goes through `Lattice.diff`, which picks the
+    # step of its axis, so no caller can pair an axis with the wrong step
+    trees = {path.name: _parse(path.name) for path in sorted(SRC.glob("*.py"))}
+    inside = _inside(trees["surface.py"], "Lattice", "diff")
+    gradients, stray = [], []
+    for name, tree in trees.items():
+        for call in _calls(tree):
+            gradient = _callee(call) == "gradient"
+            if gradient:
+                gradients.append(name)
+            if (gradient or any(k.arg == "edge_order" for k in call.keywords)) \
+                    and id(call) not in inside:
+                stray.append(f"{name}:{call.lineno}")
+    assert gradients == ["surface.py"]
+    assert stray == [], f"stencil written outside Lattice.diff at {stray}"
+
+
 def test_potential_is_derived_only_in_its_grid_class():
     # every other stage reads `HSurfaceGrid.partials` and `.laplacian`, so
     # no command differentiates a potential twice
-    path = SRC / "hsystem.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    cls = next(n for n in tree.body
-               if isinstance(n, ast.ClassDef) and n.name == "HSurfaceGrid")
-    inside = {id(n) for n in ast.walk(cls)}
-
-    def derives(node):
-        f = getattr(node, "func", None)
-        if isinstance(f, ast.Attribute):
-            return f.attr == "gradient" and getattr(f.value, "id", None) == "np"
-        return isinstance(f, ast.Name) and f.id == "second_derivative"
-
-    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and derives(n)]
+    tree = _parse("hsystem.py")
+    inside = _inside(tree, "HSurfaceGrid")
+    calls = [n for n in _calls(tree) if _callee(n) in ("diff", "diff2")]
     assert calls
     stray = [n.lineno for n in calls if id(n) not in inside]
     assert stray == [], f"hsystem.py derives a potential outside HSurfaceGrid on lines {stray}"

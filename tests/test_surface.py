@@ -150,15 +150,16 @@ def test_integrability_residuals_small_on_fixtures():
     for name, bound in (("example1", 1e-8), ("example2", 2e-5)):
         grid = small_fixture(name, n=31)
         cf = sf.extract_coefficients(grid)
-        r21, r22, r23 = sf.integrability_residuals(cf, grid.du, grid.dv)
+        r21, r22, r23 = sf.integrability_residuals(cf, grid)
         assert max(r21, r22, r23) < bound, name
 
 
 def test_integrability_halving_example2():
     res = {}
     for h in (1e-2, 5e-3):
-        cf = sf.extract_coefficients(small_fixture("example2", h=h))
-        res[h] = max(sf.integrability_residuals(cf, h, h))
+        grid = small_fixture("example2", h=h)
+        cf = sf.extract_coefficients(grid)
+        res[h] = max(sf.integrability_residuals(cf, grid))
     assert res[1e-2] / res[5e-3] > 3.5
 
 
@@ -179,7 +180,7 @@ def test_lambda_field_example1_value():
 def test_cr_residuals_example1_exact():
     grid = small_fixture("example1")
     cf = sf.extract_coefficients(grid)
-    assert sf.cr_residuals(cf, grid.du, grid.dv) < 1e-10
+    assert sf.cr_residuals(cf, grid) < 1e-10
 
 
 def test_induced_metric_example1():
@@ -193,25 +194,56 @@ def test_induced_metric_example1():
     assert np.abs(sf.interior(G) - 4.0 / 3.0).max() < 1e-4
 
 
-def test_second_derivative_stencil():
-    h = 1e-3
-    x = np.arange(64) * h
-    f = np.sin(x)[:, None] * np.ones((1, 5))
-    d2 = sf.second_derivative(f, h, axis=0)
-    assert np.abs(d2 + f)[2:-2].max() < 1e-6
-    with pytest.raises(ValueError):
-        sf.second_derivative(f[:3], h, axis=0)
+def test_lattice_stencils_read_each_axis_step():
+    # du != dv, so a stencil that read the other axis's step would fail;
+    # each method against the formula it stands for, bit for bit
+    lat = sf.lattice(0.0, 0.0, 1e-3, 3e-3, 64, 48)
+    u, v = np.meshgrid(lat.u_vals, lat.v_vals, indexing="ij")
+    f = np.stack([np.sin(u) * np.cos(2.0 * v), u * v], axis=-1)
+    for axis, h in ((0, lat.du), (1, lat.dv)):
+        want = np.gradient(f, h, axis=axis, edge_order=2)
+        assert np.array_equal(lat.diff(f, axis), want)
+        g = np.moveaxis(f, axis, 0)
+        d2 = np.empty_like(g)
+        d2[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (h * h)
+        d2[0] = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / (h * h)
+        d2[-1] = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / (h * h)
+        assert np.array_equal(lat.diff2(f, axis), np.moveaxis(d2, 0, axis))
+        trap = np.zeros_like(g)
+        trap[1:] = np.cumsum(0.5 * h * (g[1:] + g[:-1]), axis=0)
+        assert np.array_equal(lat.cumtrapz(f, axis), np.moveaxis(trap, 0, axis))
+    # the second derivatives of sin(u) cos(2v) are -f along u and -4f along v
+    wave = f[..., 0]
+    assert np.abs(lat.diff2(wave, 0) + wave)[2:-2].max() < 1e-6
+    assert np.abs(lat.diff2(wave, 1) + 4.0 * wave)[:, 2:-2].max() < 2e-5
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        lat.diff2(wave[:3], 0)
 
 
-def _brioschi_by_linalg_det(E, F, G, du, dv):
+def test_unequal_steps_end_to_end():
+    # example2 with du != dv through analysis and both integrators: every
+    # residual stays at the second-order level of the larger step
+    grid = fixtures.make_fixture("example2", nu=81, nv=61, du=5e-3, dv=8e-3)
+    bound = 8.0 * max(grid.du, grid.dv) ** 2
+    rep = sf.analyze(grid)
+    for key in ("almost_complex_max", "integrability_21_max", "integrability_22_max",
+                "integrability_23_max", "cr_max"):
+        assert rep[key] <= bound, key
+    assert abs(rep["K_mean"] - 2.0 / 3.0) <= bound
+    hs, _ = hsys.epsilon_from_surface(grid)
+    back, _ = hsys.surface_from_epsilon(hs)
+    assert abs(sf.analyze(back)["K_mean"] - 2.0 / 3.0) <= bound
+
+
+def _brioschi_by_linalg_det(lat, E, F, G):
     """The Brioschi formula with both determinants from `np.linalg.det` on
     stacked 3x3 matrices, kept as the oracle of the cofactor expansion."""
-    grad = np.gradient
+    grad, du, dv = np.gradient, lat.du, lat.dv
     Eu, Ev = grad(E, du, axis=0, edge_order=2), grad(E, dv, axis=1, edge_order=2)
     Gu, Gv = grad(G, du, axis=0, edge_order=2), grad(G, dv, axis=1, edge_order=2)
     Fu, Fv = grad(F, du, axis=0, edge_order=2), grad(F, dv, axis=1, edge_order=2)
-    Evv = sf.second_derivative(E, dv, axis=1)
-    Guu = sf.second_derivative(G, du, axis=0)
+    Evv = lat.diff2(E, 1)
+    Guu = lat.diff2(G, 0)
     Fuv = grad(Fu, dv, axis=1, edge_order=2)
 
     def det3(rows):
@@ -229,7 +261,8 @@ def test_brioschi_cofactor_expansion_matches_linalg_det():
     # stay above 1 and |F| below 0.5
     rng = np.random.default_rng(3)
     h = 1e-2
-    u, v = np.meshgrid(h * np.arange(41), h * np.arange(37), indexing="ij")
+    lat = sf.lattice(0.0, 0.0, h, h, 41, 37)
+    u, v = np.meshgrid(lat.u_vals, lat.v_vals, indexing="ij")
 
     def wave():
         a, b, c, d = rng.uniform(-2.0, 2.0, 4)
@@ -238,26 +271,25 @@ def test_brioschi_cofactor_expansion_matches_linalg_det():
     for _ in range(5):
         E, G = 1.5 + 0.4 * wave(), 1.2 + 0.2 * wave()
         F = 0.5 * wave()
-        want = _brioschi_by_linalg_det(E, F, G, h, h)
-        got = sf.brioschi_curvature(E, F, G, h, h)
+        want = _brioschi_by_linalg_det(lat, E, F, G)
+        got = sf.brioschi_curvature(lat, E, F, G)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_brioschi_round_sphere():
     # metric of the unit round sphere: E = 1, F = 0, G = sin^2 u
-    h = 2e-3
-    u = 1.0 + h * np.arange(41)
-    v = h * np.arange(41)
+    lat = sf.lattice(1.0, 0.0, 2e-3, 2e-3, 41, 41)
+    u = lat.u_vals
     E = np.ones((41, 41))
     F = np.zeros((41, 41))
     G = (np.sin(u)[:, None] ** 2) * np.ones((1, 41))
-    K = sf.brioschi_curvature(E, F, G, h, h)
+    K = sf.brioschi_curvature(lat, E, F, G)
     assert np.abs(sf.interior(K) - 1.0).max() < 1e-5
     with pytest.raises(ValueError):
-        sf.brioschi_curvature(E, E, E, h, h)  # EG - F^2 = 0
+        sf.brioschi_curvature(lat, E, E, E)  # EG - F^2 = 0
     E[20, 20] = np.nan
     with pytest.raises(ValueError, match="degenerate"):
-        sf.brioschi_curvature(E, F, G, h, h)
+        sf.brioschi_curvature(lat, E, F, G)
 
 
 def test_gaussian_curvature_fixture_values():
