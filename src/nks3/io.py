@@ -100,7 +100,7 @@ def _read_rows(path, header, ncols):
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if not len(data):
         raise ValueError("CSV has a header but no data rows")
-    if data.ndim != 2 or data.shape[1] != ncols:
+    if data.shape[1] != ncols:
         raise ValueError(f"expected {ncols} columns, got shape {data.shape}")
     for column, finite in zip(header.split(","), np.isfinite(data).all(axis=0)):
         if not finite:

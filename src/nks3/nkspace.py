@@ -27,6 +27,7 @@ against the constant tables stays independent.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -607,16 +608,37 @@ def _sampled_identities(pts, parts):
 _BLOCK = 2048
 
 
+def _block_sizes(samples):
+    return [min(_BLOCK, samples - i) for i in range(0, samples, _BLOCK)]
+
+
+def _draw_streams(rng, samples):
+    """One generator per draw (p, q, X.a, X.b, ..., W.b: the order
+    `random_point` and `random_tangent` draw in), each at the state where
+    its draw starts in the one stream of `rng`.  The pass keeps no values:
+    normal draws read the stream in order, so drawing a draw's rows block
+    by block takes the same numbers as drawing them at once.  The last
+    draw reads `rng` itself."""
+    streams = []
+    for width in (4, 4) + (3,) * 7:
+        streams.append(copy.deepcopy(rng))
+        for n in _block_sizes(samples):
+            rng.standard_normal((n, width))
+    return streams + [rng]
+
+
 def identity_report(samples=1000, seed=42):
     """Max residuals of the structural identities of the geometry.
 
     Frame-exact identities are evaluated once on the constant tables.
     Sampled identities draw `samples` random points with up to four random
-    tangents each; every random number is drawn first, and the identities
-    then run on blocks of `_BLOCK` (2048) samples.  Memory grows by the 32
-    drawn floats per sample plus one block's working set, and each residual
-    is the NaN-propagating max over the blocks, so it equals the residual
-    of a single block over all samples bit for bit, and a NaN stays NaN.
+    tangents each and run on blocks of `_BLOCK` (2048) samples.  Each of
+    the ten draws (p, q and the eight imaginary parts) reads its own
+    generator, started where that draw starts in the one stream, so
+    a block draws only its own rows and memory stays one block's working
+    set whatever `samples` is.  Each residual is the NaN-propagating max
+    over the blocks, so it equals the residual of a single block over all
+    samples bit for bit, and a NaN stays NaN.
 
     Returns a dict mapping identity names to max residuals.  Raises
     ValueError when `samples` is below 1.
@@ -627,16 +649,14 @@ def identity_report(samples=1000, seed=42):
     eye = np.eye(6)
 
     # --- sampled ambient identities -------------------------------------
-    # the point, then the imaginary parts of X, Y, Z and W, each factor in
-    # turn: the order `random_point` and `random_tangent` draw in
-    p = quat.random_unit(rng, (samples,))
-    q = quat.random_unit(rng, (samples,))
-    parts = [quat.random_vec3(rng, (samples,)) for _ in range(8)]
-    blocks = [
-        _sampled_identities(Point(p[s], q[s]), [a[s] for a in parts])
-        for s in (slice(i, i + _BLOCK) for i in range(0, samples, _BLOCK))
-    ]
-    res = {k: float(np.max([b[k] for b in blocks])) for k in blocks[0]}
+    gp, gq, *gparts = _draw_streams(rng, samples)
+    res = {}
+    for n in _block_sizes(samples):
+        block = _sampled_identities(
+            Point(quat.random_unit(gp, (n,)), quat.random_unit(gq, (n,))),
+            [quat.random_vec3(g, (n,)) for g in gparts],
+        )
+        res = {k: float(np.maximum(res.get(k, -np.inf), v)) for k, v in block.items()}
 
     # --- frame-exact table identities -----------------------------------
     res["torsion_free"] = float(

@@ -398,6 +398,16 @@ def test_tol_scale_checked_before_input_is_read(tmp_path, capsys, command,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_analyze_refuses_rows_short_of_a_column(tmp_path, capsys):
+    # the immersion header over rows of 9 values: one q coordinate dropped
+    csv = _probe_csv(tmp_path)
+    header, *rows = csv.read_text().splitlines()
+    csv.write_text("\n".join([header] + [r.rsplit(",", 1)[0] for r in rows]) + "\n")
+    code, rep, err = run(capsys, "--command", "analyze", "--input", str(csv))
+    assert code == 3 and rep is None
+    assert "expected 10 columns, got shape (1681, 9)" in err
+
+
 def test_to_h_rejects_non_adapted(tmp_path, capsys):
     csv = _probe_csv(tmp_path)
     out = tmp_path / "eps.csv"

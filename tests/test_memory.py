@@ -1,6 +1,6 @@
 """Memory guard: the traced peak of each grid pipeline stays within a fixed
 number of full-grid fields, and the identity suite's within a fixed number
-of sample batches.
+of sample batches, and does not grow with the sample count.
 
 tracemalloc sees numpy's array buffers, so the peak above the start of a
 stage counts every temporary the kernels hold at once.  The grid unit is
@@ -73,20 +73,19 @@ def test_identity_report_peak():
     samples = 10000
     nk.identity_report(samples=10, seed=1)  # lazily built numpy state
     peak = traced_peak(lambda: nk.identity_report(samples=samples, seed=1))
-    # in (samples, 4) float64 batches: measured 15.97 with the sampled
-    # identities run in blocks of `nk._BLOCK` samples and each block's
-    # tangents dropped after their last identity; holding them to the end
-    # of the block reads 19.4, and one block of all samples read 36.8
-    assert peak / (samples * 4 * 8) <= 17.5
+    # in (samples, 4) float64 batches: measured 9.64 with each block drawing
+    # only its own rows; 15.97 with every sample drawn before the first
+    # block, and one block of all samples read 36.8
+    assert peak / (samples * 4 * 8) <= 10.1
 
 
-def test_identity_report_peak_grows_by_the_draws():
-    # the sampled identities run in fixed-size blocks, so doubling the
-    # samples adds only the 32 drawn floats per sample (5.12 MB); holding
-    # every sample at once added 23.5 MB
+def test_identity_report_peak_does_not_grow_with_samples():
+    # every block draws its own rows and the residuals are merged as the
+    # blocks run, so doubling the samples measured about 10 KB more; drawing
+    # every sample first added the 32 drawn floats per sample (5.12 MB)
     nk.identity_report(samples=10, seed=1)  # lazily built numpy state
     small, large = (
         traced_peak(lambda n=n: nk.identity_report(samples=n, seed=1))
         for n in (20000, 40000)
     )
-    assert large - small <= 1.1 * 20000 * 32 * 8
+    assert large - small <= 40_000

@@ -309,13 +309,22 @@ def test_identity_report_pinned_bit_for_bit(samples, seed):
 
 def _nan_in_draw(monkeypatch, index):
     """Make every tangent draw (`quat.random_vec3`) NaN at sample `index`
-    when the draw reaches that sample."""
+    when the draw reaches that sample.
+
+    A draw may come in several calls on one generator, one block each, so
+    the rows each generator has returned so far are counted and the NaN
+    lands in the same sample however the draw is split."""
     draw = quat.random_vec3
+    # rows returned so far, keyed by the generator itself: a freed
+    # generator's id may come back for another
+    rows_before = {}
 
     def patched(rng, shape=()):
         out = draw(rng, shape)
-        if len(out) > index:
-            out[index, 0] = np.nan
+        start = rows_before.get(rng, 0)
+        rows_before[rng] = start + len(out)
+        if start <= index < start + len(out):
+            out[index - start, 0] = np.nan
         return out
 
     monkeypatch.setattr(quat, "random_vec3", patched)
