@@ -63,7 +63,7 @@ def _example1_grid(lat):
     v = lat.v_vals[None, :]
     s = u - v / SQRT3
     t = -2.0 * v / SQRT3 + 0.0 * u
-    return immersion_grid(lat.u0, lat.v0, lat.du, lat.dv, _circle(s), _circle(t))
+    return immersion_grid(lat, _circle(s), _circle(t))
 
 
 def _example2_grid(lat):
@@ -84,7 +84,7 @@ def _example2_grid(lat):
     half = np.full(x.shape[:-1] + (1,), 0.5)
     p = np.concatenate([half, -(SQRT3 / 2.0) * x], axis=-1)
     q = np.concatenate([half, (SQRT3 / 2.0) * x], axis=-1)
-    return immersion_grid(lat.u0, lat.v0, lat.du, lat.dv, p, q)
+    return immersion_grid(lat, p, q)
 
 
 def _cmc_sphere_epsilon(lat):
@@ -103,7 +103,7 @@ def _cmc_sphere_epsilon(lat):
         ],
         axis=-1,
     )
-    return h_surface_grid(lat.u0, lat.v0, lat.du, lat.dv, eps)
+    return h_surface_grid(lat, eps)
 
 
 def _cmc_cylinder_epsilon(lat):
@@ -121,7 +121,7 @@ def _cmc_cylinder_epsilon(lat):
         ],
         axis=-1,
     )
-    return h_surface_grid(lat.u0, lat.v0, lat.du, lat.dv, eps)
+    return h_surface_grid(lat, eps)
 
 
 def non_adapted_grid(lat):
@@ -132,7 +132,7 @@ def non_adapted_grid(lat):
     p = _circle(u + 0.0 * v)
     zero = np.zeros((lat.nu, lat.nv))
     q = np.stack([np.cos(v) + 0.0 * u, zero, np.sin(v) + 0.0 * u, zero], axis=-1)
-    return immersion_grid(lat.u0, lat.v0, lat.du, lat.dv, p, q)
+    return immersion_grid(lat, p, q)
 
 
 # name -> (builder, default step, default point count, centred axis); the

@@ -14,8 +14,9 @@ correctness signal, because sampled inputs only satisfy the compatibility
 conditions to discretization error.
 
 Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
-`surface.Lattice`, and derive their fields once and cache them; each
-integrator's output covers its input window inset by one cell.  The
+`surface.Lattice`, are built over one (`h_surface_grid(lat, eps)`), and
+derive their fields once and cache them; each integrator's output covers
+its input window inset by one cell.  The
 quaternion integrator takes the ordered products of unit step factors by a
 blocked scan (sequential inside fixed-size blocks) and never renormalizes;
 `drift_max` reports its roundoff off the unit sphere.
@@ -37,7 +38,6 @@ from .surface import (
     extract_coefficients,
     immersion_grid,
     interior,
-    lattice,
     require_adapted,
     rotate_pair_back,
 )
@@ -85,17 +85,17 @@ class HSurfaceGrid(Lattice):
         return lap
 
 
-def h_surface_grid(u0, v0, du, dv, eps):
-    """Validated constructor: checks shape, the window (`lattice`), that
-    every value is finite, and that the first derivatives do not vanish on
-    the interior."""
+def h_surface_grid(lat, eps):
+    """Validated potential grid over the `Lattice` `lat`: checks that `eps`
+    has shape (lat.nu, lat.nv, 3), that every value is finite, and that the
+    first derivatives do not vanish on the interior."""
     eps = np.asarray(eps, dtype=float)
-    if eps.ndim != 3 or eps.shape[-1] != 3:
-        raise ValueError(f"expected an (nu, nv, 3) array, got {eps.shape}")
-    window = lattice(u0, v0, du, dv, *eps.shape[:2]).window()
+    shape = (lat.nu, lat.nv, 3)
+    if eps.shape != shape:
+        raise ValueError(f"expected an {shape} array, got {eps.shape}")
     if not np.isfinite(eps).all():
         raise ValueError("potential grid has non-finite values")
-    hs = HSurfaceGrid(**window, eps=eps)
+    hs = HSurfaceGrid(**lat.window(), eps=eps)
     eu, ev = hs.partials
     speed = np.sum(eu * eu, axis=-1) + np.sum(ev * ev, axis=-1)
     if not float(interior(speed).min()) >= 1e-10:
@@ -248,9 +248,7 @@ def surface_from_epsilon(hs, tol_scale=1.0):
                   "path-ordering disagreement", CertificateError)
     drift = max(float(np.abs(quat.norm(x) - 1.0).max()) for x in (ufirst, vfirst))
     del vfirst
-    grid = immersion_grid(
-        out.u0, out.v0, out.du, out.dv, ufirst[..., 0, :], ufirst[..., 1, :]
-    )
+    grid = immersion_grid(out, ufirst[..., 0, :], ufirst[..., 1, :])
     cert = {
         "h_equation_max": eq_res,
         "compat_max": compat,

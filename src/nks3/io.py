@@ -4,7 +4,8 @@ CSV layouts are row-major in v then u (the v index varies slowest), with
 17-significant-digit decimals so that write -> read -> write round-trips to
 identical bytes.  Writers format each coordinate value once, not once per
 row it appears in.  Readers accept any row order: rows carry their own (u, v)
-coordinates and are re-binned onto the reconstructed axes.
+coordinates and are re-binned onto the recovered `Lattice`, which is
+validated once and which the grid is built over.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import warnings
 import numpy as np
 
 from .hsystem import h_surface_grid
+from .nkspace import gate
 from .surface import immersion_grid, lattice
 
 __all__ = [
@@ -33,7 +35,7 @@ EPSILON_HEADER = "u,v,x,y,z"
 
 _FMT = "%.17g"
 _CHUNK_ROWS = 512
-_JITTER = 1e-9
+_JITTER = 1e-6  # largest deviation of an axis step from the median, relative to it
 
 
 def _write_rows(path, header, lat, blocks):
@@ -67,7 +69,8 @@ def write_epsilon_csv(path, hs):
 
 
 def _recover_axis(raw, label):
-    """Sorted distinct coordinate values; rejects irregular spacing."""
+    """Sorted distinct coordinate values and their median step; rejects a
+    step that deviates from the median by more than `_JITTER` of it."""
     # np.unique and np.median, written out: both import numpy.ma on first
     # use.  The median is the mean of the middle one or two sorted steps.
     vals = np.sort(raw)
@@ -79,11 +82,9 @@ def _recover_axis(raw, label):
     steps = np.diff(vals)
     mid = np.sort(steps)[(len(steps) - 1) // 2 : len(steps) // 2 + 1]
     step = float(mid.mean())
-    if step <= 0 or np.abs(steps - step).max() > _JITTER:
-        raise ValueError(
-            f"{label} axis spacing is irregular "
-            f"(max jitter {np.abs(steps - step).max():.3e} > {_JITTER:.0e})"
-        )
+    gate(np.abs(steps - step).max(), _JITTER * step,
+         f"{label} axis spacing is irregular: max jitter",
+         why=f" ({_JITTER:.0e} of the step {step:.6g})")
     return vals, step
 
 
@@ -123,14 +124,12 @@ def _read_rows(path, header, ncols):
 
 def read_immersion_csv(path):
     lat, payload = _read_rows(path, IMMERSION_HEADER, 10)
-    return immersion_grid(
-        lat.u0, lat.v0, lat.du, lat.dv, payload[..., :4], payload[..., 4:]
-    )
+    return immersion_grid(lat, payload[..., :4], payload[..., 4:])
 
 
 def read_epsilon_csv(path):
     lat, payload = _read_rows(path, EPSILON_HEADER, 5)
-    return h_surface_grid(lat.u0, lat.v0, lat.du, lat.dv, payload)
+    return h_surface_grid(lat, payload)
 
 
 def dump_report(report):

@@ -16,9 +16,9 @@ them: a surface grid the partials' coefficients and the first fundamental
 form (`ImmersionGrid.partials`), a potential grid its partials and Laplacian
 (`hsystem.HSurfaceGrid`).
 
-Every grid window, here and in `hsystem` and `fixtures`, is one `Lattice`:
-origin, steps and point counts, validated once by `lattice`.  It also owns
-the stencil and the trapezoid rule: `Lattice.diff`, `.diff2` and `.cumtrapz`
+Every grid window, here and in `hsystem` and `fixtures`, is one `Lattice`,
+validated once by `lattice`; grids are built over it.  It also owns the
+stencil and the trapezoid rule: `Lattice.diff`, `.diff2` and `.cumtrapz`
 read the step of the axis they act along, so no caller passes a step.
 
 Derivatives are second-order finite differences throughout; every residual
@@ -86,7 +86,8 @@ class Lattice:
     """Regular (u, v) window: origin, steps and point counts.
 
     Axis 0 of every grid array walks u, axis 1 walks v.  Build it with
-    `lattice`, which validates it; grids extend it with their arrays.
+    `lattice`, which validates it; grids extend it with their arrays
+    (`immersion_grid(lat, p, q)`, `hsystem.h_surface_grid(lat, eps)`).
     """
 
     u0: float
@@ -199,19 +200,19 @@ class ImmersionGrid(Lattice):
         return partials(self)
 
 
-def immersion_grid(u0, v0, du, dv, p, q):
-    """Validated grid constructor.
+def immersion_grid(lat, p, q):
+    """Validated grid over the `Lattice` `lat` (a grid is one too).
 
-    Checks shapes, the window (`lattice`), unit norms (renormalizing within
-    `quat.unit`'s tolerance), and that the finite-difference derivatives are
-    nonzero in the metric (immersion check).
+    Checks that `p` and `q` have shape (lat.nu, lat.nv, 4), unit norms
+    (renormalizing within `quat.unit`'s tolerance), and that the
+    finite-difference derivatives are nonzero in the metric (immersion check).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 3 or p.shape[-1] != 4:
-        raise ValueError(f"expected matching (nu, nv, 4) arrays, got {p.shape} and {q.shape}")
-    window = lattice(u0, v0, du, dv, *p.shape[:2]).window()
-    grid = ImmersionGrid(**window, p=quat.unit(p), q=quat.unit(q))
+    shape = (lat.nu, lat.nv, 4)
+    if p.shape != shape or q.shape != shape:
+        raise ValueError(f"expected two {shape} arrays, got {p.shape} and {q.shape}")
+    grid = ImmersionGrid(**lat.window(), p=quat.unit(p), q=quat.unit(q))
     E, _, G = grid.partials.first_form
     slow = np.sqrt(max(min(interior(E).min(), interior(G).min()), 0.0))
     if not slow >= 1e-8:

@@ -319,9 +319,7 @@ def test_criterion_12_isometry_equivariance(ex2_half):
     rng = np.random.default_rng(42)
     iso = nk.random_isometry(rng)
     moved = iso.apply_point(nk.Point(ex2_half.p, ex2_half.q))
-    grid_iso = sf.immersion_grid(
-        ex2_half.u0, ex2_half.v0, ex2_half.du, ex2_half.dv, moved.p, moved.q
-    )
+    grid_iso = sf.immersion_grid(ex2_half, moved.p, moved.q)
     hs_a, _ = hsystem.epsilon_from_surface(ex2_half)
     hs_b, _ = hsystem.epsilon_from_surface(grid_iso)
     dev = float(np.abs(_potential_gram(hs_a) - _potential_gram(hs_b)).max())

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nks3 import cli, fixtures, io, quat
+from nks3 import cli, fixtures, hsystem, io, quat
 from nks3 import nkspace as nk
 from nks3 import surface as sf
 
@@ -241,6 +241,34 @@ def test_fixture_requires_name_and_output(tmp_path, capsys):
     assert code == 3 and "--output" in err
 
 
+@pytest.mark.parametrize("command, source, calls", [
+    ("fixture", "example2", 1), ("analyze", "example2", 1),
+    ("to-h", "example2", 2), ("from-h", "cmc_sphere", 2),
+])
+def test_each_command_validates_each_window_once(monkeypatch, tmp_path, command,
+                                                 source, calls):
+    # the input window is validated where it is first known (`make_fixture`
+    # or the CSV reader) and an integrator's output window by
+    # `Lattice.inset`; every grid is then built over a validated window
+    argv = ["--command", "fixture", "--fixture", source, "--nu", "41", "--nv", "41",
+            "--output", str(tmp_path / "in.csv")]
+    if command != "fixture":
+        assert cli.main(argv) == 0
+        argv = ["--command", command, "--input", str(tmp_path / "in.csv"),
+                "--output", str(tmp_path / "out.csv")]
+    lattice, windows = sf.lattice, []
+
+    def counted(*args):
+        windows.append(args)
+        return lattice(*args)
+
+    for module in (cli, fixtures, hsystem, io, sf):
+        if getattr(module, "lattice", None) is lattice:
+            monkeypatch.setattr(module, "lattice", counted)
+    assert cli.main(argv) == 0
+    assert len(windows) == calls
+
+
 def test_analyze_fixture(tmp_path, capsys):
     csv = tmp_path / "ex1.csv"
     run(capsys, "--command", "fixture", "--fixture", "example1",
@@ -426,8 +454,7 @@ def test_to_h_refuses_potential_off_the_equation(tmp_path, capsys):
     p = grid.p.copy()
     p[::2] = quat.qmul(quat.qexp(np.array([5e-4, 0.0, 0.0])), p[::2])
     csv = tmp_path / "turned.csv"
-    io.write_immersion_csv(csv, sf.immersion_grid(
-        grid.u0, grid.v0, grid.du, grid.dv, p, grid.q))
+    io.write_immersion_csv(csv, sf.immersion_grid(grid, p, grid.q))
     out = tmp_path / "eps.csv"
     code, rep, err = run(capsys, "--command", "to-h", "--input", str(csv),
                          "--output", str(out))

@@ -16,14 +16,16 @@ def sphere_hs(n=31, h=6e-3):
 def test_h_surface_grid_validation():
     hs = sphere_hs(15)
     assert hs.nu == hs.nv == 15
-    with pytest.raises(ValueError, match=r"expected an \(nu, nv, 3\) array"):
-        hsys.h_surface_grid(0, 0, 1e-2, 1e-2, hs.eps[..., :2])
-    with pytest.raises(ValueError, match="at least 5x5"):
-        hsys.h_surface_grid(0, 0, 1e-2, 1e-2, hs.eps[:3])
-    with pytest.raises(ValueError, match="steps must be finite"):
-        hsys.h_surface_grid(0, 0, 0.0, 1e-2, hs.eps)
+    # the window itself is checked by `lattice` (test_lattice_rejects_bad_steps,
+    # test_lattice_window_validation_and_methods); the constructor checks
+    # that the array fits it
+    expected = r"expected an \(15, 15, 3\) array"
+    with pytest.raises(ValueError, match=expected):
+        hsys.h_surface_grid(hs, hs.eps[..., :2])  # two components
+    with pytest.raises(ValueError, match=expected):
+        hsys.h_surface_grid(hs, sphere_hs(11).eps)  # shaped for another window
     with pytest.raises(ValueError, match="vanish"):
-        hsys.h_surface_grid(0, 0, 1e-2, 1e-2, np.zeros((9, 9, 3)))
+        hsys.h_surface_grid(sf.lattice(0, 0, 1e-2, 1e-2, 9, 9), np.zeros((9, 9, 3)))
 
 
 def test_h_surface_grid_rejects_non_finite():
@@ -31,10 +33,7 @@ def test_h_surface_grid_rejects_non_finite():
     eps = hs.eps.copy()
     eps[7, 7, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        hsys.h_surface_grid(hs.u0, hs.v0, hs.du, hs.dv, eps)
-    for step in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="steps"):
-            hsys.h_surface_grid(hs.u0, hs.v0, step, hs.dv, hs.eps)
+        hsys.h_surface_grid(hs, eps)
 
 
 def test_from_potential_nan_cell_fails_equation_gate():
@@ -145,9 +144,7 @@ def test_to_potential_certificate_failure():
     v = grid.v_vals[None, :] - grid.v_vals.mean()
     bump = np.exp(-(u * u + v * v) / (2.0 * 0.15**2))
     twist = quat.qexp(5e-3 * bump[..., None] * [1.0, 0.0, 0.0])
-    bent = sf.immersion_grid(
-        grid.u0, grid.v0, grid.du, grid.dv, quat.qmul(twist, grid.p), grid.q
-    )
+    bent = sf.immersion_grid(grid, quat.qmul(twist, grid.p), grid.q)
     assert sf.require_adapted(bent, 1.0) < 0.5 * sf.ADAPTED_GATE
     with pytest.raises(hsys.CertificateError, match="not closed"):
         hsys.epsilon_from_surface(bent)
@@ -210,7 +207,8 @@ def test_reparametrised_cylinder_passes_real_part_gate():
     w = z + z * z / 2.0
     r = fixtures.CYLINDER_RADIUS
     eps = np.stack([r * np.cos(w.real / r), r * np.sin(w.real / r), w.imag], axis=-1)
-    grid, _ = hsys.surface_from_epsilon(hsys.h_surface_grid(0.2, -0.3, h, h, eps))
+    lat = sf.lattice(0.2, -0.3, h, h, n, n)
+    grid, _ = hsys.surface_from_epsilon(hsys.h_surface_grid(lat, eps))
     assert 1e-4 < grid.partials.projection_max < 0.01 * grid.fd_floor()
     report = sf.analyze(grid)
     assert report["almost_complex_max"] < 1e-3
@@ -409,7 +407,7 @@ def _row_rotated_example2(angle, n=81, h=5e-3):
     grid = fixtures.make_fixture("example2", nu=n, nv=n, du=h, dv=h)
     p = grid.p.copy()
     p[::2] = quat.qmul(quat.qexp(np.array([angle, 0.0, 0.0])), p[::2])
-    return grid, sf.immersion_grid(grid.u0, grid.v0, grid.du, grid.dv, p, grid.q)
+    return grid, sf.immersion_grid(grid, p, grid.q)
 
 
 def test_epsilon_from_surface_gates_equation_residual():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -87,6 +88,31 @@ def test_reader_rejects_bad_input(tmp_path):
         parts[0] = repr(float(parts[0]) + 1e-7)  # jitter one u coordinate
         p.write_text("\n".join(lines[: 1 + 3] + [",".join(parts)] + lines[2 + 3:]) + "\n")
         io.read_epsilon_csv(p)
+
+
+def test_reader_refuses_a_missing_column_at_a_tiny_step(tmp_path):
+    # u axis (0, 1, 2, 3, 5, ..., 9) x 1e-10: the gap left by the missing
+    # column is a whole step of jitter, however small the step itself is
+    u = (np.delete(np.arange(10), 4) * 1e-10).tolist()
+    v = (0.1 * np.arange(9)).tolist()
+    path = tmp_path / "e.csv"
+    rows = [f"{a!r},{b!r},{a * 1e10!r},{b!r},0.0" for b in v for a in u]
+    path.write_text("\n".join([io.EPSILON_HEADER, *rows]) + "\n")
+    with pytest.raises(ValueError, match=r"u axis spacing is irregular: max jitter "
+                       r"1\.000e-10 exceeds 1\.0e-16"):
+        io.read_epsilon_csv(path)
+
+
+def test_reader_reads_its_own_output_far_from_the_origin(tmp_path):
+    # at u = 1e7 neighbouring doubles are 1.9e-9 apart, so the written axis
+    # jitters by that much over 21 points; it stays far inside 1e-6 of the step 6e-3
+    hs = fixtures.make_fixture("cmc_cylinder", nu=21, nv=9)
+    path = tmp_path / "e.csv"
+    io.write_epsilon_csv(path, dataclasses.replace(hs, u0=1e7))
+    back = io.read_epsilon_csv(path)
+    assert back.u0 == 1e7 and (back.nu, back.nv) == (21, 9)
+    assert abs(back.du - hs.du) < 1e-6 * hs.du and abs(back.dv - hs.dv) < 1e-15
+    assert np.array_equal(back.eps, hs.eps)
 
 
 _DEFECT_MESSAGES = {

@@ -44,6 +44,43 @@ def _callee(call):
     return getattr(f, "attr", getattr(f, "id", None))
 
 
+def _scoped_callees(tree):
+    """(scope, callee) of every call in `tree`; the scope is the dotted name
+    of the innermost enclosing class or function, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                found.append((scope, _callee(child)))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+# callee -> the only places in src/nks3 that call it
+_CONSTRUCTION_SITES = {
+    "lattice": {"surface.py:Lattice.inset", "io.py:_read_rows", "fixtures.py:make_fixture"},
+    "ImmersionGrid": {"surface.py:immersion_grid"},
+    "HSurfaceGrid": {"hsystem.py:h_surface_grid", "hsystem.py:epsilon_from_surface"},
+}
+
+
+def test_windows_and_grids_are_built_only_at_their_sites():
+    # a window is validated once, where it is first known, and every grid is
+    # built over a `Lattice` its caller already holds
+    sites = {callee: set() for callee in _CONSTRUCTION_SITES}
+    for path in sorted(SRC.glob("*.py")):
+        for scope, callee in _scoped_callees(_parse(path.name)):
+            if callee in sites:
+                sites[callee].add(f"{path.name}:{scope}")
+    assert sites == _CONSTRUCTION_SITES
+
+
 def test_stencil_is_written_only_in_lattice_diff():
     # every first derivative goes through `Lattice.diff`, which picks the
     # step of its axis, so no caller can pair an axis with the wrong step

@@ -22,17 +22,24 @@ def test_grid_constructor_validation():
     grid = small_fixture("example1")
     assert grid.nu == grid.nv == 21
     assert np.allclose(grid.u_vals[1] - grid.u_vals[0], 1e-2)
-    with pytest.raises(ValueError, match="at least 5x5"):
-        sf.immersion_grid(0, 0, 1e-2, 1e-2, grid.p[:3], grid.q[:3])
-    with pytest.raises(ValueError, match="steps must be finite"):
-        sf.immersion_grid(0, 0, -1e-2, 1e-2, grid.p, grid.q)
+    # the window itself is checked by `lattice` (test_lattice_rejects_bad_steps,
+    # test_lattice_window_validation_and_methods); the constructor checks
+    # that both arrays fit it
+    other = small_fixture("example1", n=15)
+    expected = r"expected two \(21, 21, 4\) arrays"
+    with pytest.raises(ValueError, match=expected):
+        sf.immersion_grid(grid, other.p, other.q)  # shaped for another window
+    with pytest.raises(ValueError, match=expected):
+        sf.immersion_grid(grid, grid.p, other.q)  # p and q of different shapes
+    with pytest.raises(ValueError, match=expected):
+        sf.immersion_grid(grid, grid.p[..., :3], grid.q)
     with pytest.raises(ValueError, match="norm deviates"):
-        sf.immersion_grid(0, 0, 1e-2, 1e-2, 2.0 * grid.p, grid.q)
+        sf.immersion_grid(grid, 2.0 * grid.p, grid.q)
     # constant grid is not an immersion
     ones = np.zeros((8, 8, 4))
     ones[..., 0] = 1.0
     with pytest.raises(ValueError, match="not an immersion"):
-        sf.immersion_grid(0, 0, 1e-2, 1e-2, ones, ones)
+        sf.immersion_grid(sf.lattice(0, 0, 1e-2, 1e-2, 8, 8), ones, ones)
 
 
 def test_partials_match_analytic_derivative():
@@ -105,7 +112,7 @@ def test_finite_real_part_defect_fails_gate():
     grid = small_fixture("example2", n=41)
     p = grid.p.copy()
     p[::2] = quat.qmul(quat.qexp(np.array([0.05, 0.0, 0.0])), p[::2])
-    bad = sf.immersion_grid(grid.u0, grid.v0, grid.du, grid.dv, p, grid.q)
+    bad = sf.immersion_grid(grid, p, grid.q)
     assert sf.require_adapted(bad, 1.0) < sf.ADAPTED_GATE
     assert bad.partials.projection_max > 3.0 * bad.fd_floor()
     with pytest.raises(ValueError, match="far from imaginary"):
@@ -367,9 +374,7 @@ def test_frame_kernel_matches_ambient_operators(name):
     # vanishes on the round sphere, so the flat torus checks it too
     fixture = small_fixture(name, n=31)
     moved = nk.random_isometry(np.random.default_rng(5)).apply_point(fixture.base)
-    grid = sf.immersion_grid(
-        fixture.u0, fixture.v0, fixture.du, fixture.dv, moved.p, moved.q
-    )
+    grid = sf.immersion_grid(fixture, moved.p, moved.q)
     base = grid.base
     gp = grid.partials
 
