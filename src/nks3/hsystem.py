@@ -15,8 +15,9 @@ conditions to discretization error.
 
 Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
 `surface.Lattice`, are built over one (`h_surface_grid(lat, eps)`), and
-derive their fields once and cache them; each integrator's output covers
-its input window inset by one cell.  The
+derive their fields and their gated defect once and cache them (here
+`HSurfaceGrid.h_equation_max`, which `_require_solution` gates); each
+integrator's output covers its input window inset by one cell.  The
 quaternion integrator takes the ordered products of unit step factors by a
 blocked scan (sequential inside fixed-size blocks) and never renormalizes;
 `drift_max` reports its roundoff off the unit sphere.
@@ -34,7 +35,6 @@ from .nkspace import SQRT3, gate, validate_tol_scale
 from .surface import (
     Lattice,
     adapted_second_pair,
-    almost_complex_residual,
     extract_coefficients,
     immersion_grid,
     interior,
@@ -84,6 +84,11 @@ class HSurfaceGrid(Lattice):
         lap.flags.writeable = False
         return lap
 
+    @cached_property
+    def h_equation_max(self):
+        """Largest interior `h_equation_residual`, computed on first use."""
+        return float(interior(h_equation_residual(self)).max())
+
 
 def h_surface_grid(lat, eps):
     """Validated potential grid over the `Lattice` `lat`: checks that `eps`
@@ -115,9 +120,8 @@ def _default_cert_tol(lat, tol_scale):
 
 
 def _require_solution(hs, tol, why):
-    """The largest interior equation residual of `hs`; raises
-    CertificateError when it exceeds `tol`."""
-    return gate(interior(h_equation_residual(hs)).max(), tol,
+    """`hs.h_equation_max`; raises CertificateError when it exceeds `tol`."""
+    return gate(hs.h_equation_max, tol,
                 "second-order equation residual", CertificateError, why)
 
 
@@ -249,15 +253,8 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     drift = max(float(np.abs(quat.norm(x) - 1.0).max()) for x in (ufirst, vfirst))
     del vfirst
     grid = immersion_grid(out, ufirst[..., 0, :], ufirst[..., 1, :])
-    cert = {
-        "h_equation_max": eq_res,
-        "compat_max": compat,
-        "drift_max": drift,
-        "almost_complex_max": float(
-            interior(almost_complex_residual(grid.partials)).max()
-        ),
-    }
-    return grid, cert
+    return grid, {"h_equation_max": eq_res, "compat_max": compat,
+                  "drift_max": drift, "almost_complex_max": grid.almost_complex_max}
 
 
 def mean_curvature(hs):

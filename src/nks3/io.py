@@ -17,7 +17,7 @@ import numpy as np
 
 from .hsystem import h_surface_grid
 from .nkspace import gate
-from .surface import immersion_grid, lattice
+from .surface import STEP_RTOL, immersion_grid, lattice
 
 __all__ = [
     "IMMERSION_HEADER",
@@ -35,7 +35,6 @@ EPSILON_HEADER = "u,v,x,y,z"
 
 _FMT = "%.17g"
 _CHUNK_ROWS = 512
-_JITTER = 1e-6  # largest deviation of an axis step from the median, relative to it
 
 
 def _write_rows(path, header, lat, blocks):
@@ -70,7 +69,7 @@ def write_epsilon_csv(path, hs):
 
 def _recover_axis(raw, label):
     """Sorted distinct coordinate values and their median step; rejects a
-    step that deviates from the median by more than `_JITTER` of it."""
+    step that deviates from the median by more than `surface.STEP_RTOL` of it."""
     # np.unique and np.median, written out: both import numpy.ma on first
     # use.  The median is the mean of the middle one or two sorted steps.
     vals = np.sort(raw)
@@ -82,9 +81,9 @@ def _recover_axis(raw, label):
     steps = np.diff(vals)
     mid = np.sort(steps)[(len(steps) - 1) // 2 : len(steps) // 2 + 1]
     step = float(mid.mean())
-    gate(np.abs(steps - step).max(), _JITTER * step,
+    gate(np.abs(steps - step).max(), STEP_RTOL * step,
          f"{label} axis spacing is irregular: max jitter",
-         why=f" ({_JITTER:.0e} of the step {step:.6g})")
+         why=f" ({STEP_RTOL:.0e} of the step {step:.6g})")
     return vals, step
 
 

@@ -11,10 +11,11 @@ property rather than trusting it.  The pipeline is
 
 Tangent vectors are (..., 6) coefficient arrays in the global frame of
 `nkspace`, where g(a, b) is `gram_product(a, b)`, J a is `a @ J_MAT.T` and
-P a is `a @ P_MAT.T`.  Both grid types derive their fields once and cache
-them: a surface grid the partials' coefficients and the first fundamental
-form (`ImmersionGrid.partials`), a potential grid its partials and Laplacian
-(`hsystem.HSurfaceGrid`).
+P a is `a @ P_MAT.T`.  Both grid types derive their fields and their gated
+defect once and cache them: a surface grid the partials' coefficients and
+the first fundamental form (`ImmersionGrid.partials`) and its largest
+almost-complex defect (`.almost_complex_max`), a potential grid its
+partials, Laplacian and largest equation residual (`hsystem.HSurfaceGrid`).
 
 Every grid window, here and in `hsystem` and `fixtures`, is one `Lattice`,
 validated once by `lattice`; grids are built over it.  It also owns the
@@ -41,6 +42,7 @@ from .nkspace import (
 
 __all__ = [
     "ADAPTED_GATE",
+    "STEP_RTOL",
     "Lattice",
     "lattice",
     "ImmersionGrid",
@@ -75,6 +77,10 @@ _SIN_T = float(np.sin(_THETA))
 # an adapted grid keeps its relative almost-complex defect below this,
 # times the caller's tol_scale
 ADAPTED_GATE = 0.05
+
+# two steps of one lattice agree to this fraction of the step: a CSV axis
+# written far from the origin jitters by the spacing of doubles there
+STEP_RTOL = 1e-6
 
 
 # residual statistics skip this many cells at each grid edge
@@ -123,12 +129,13 @@ class Lattice:
     def overlap(self, other):
         """Index slices (into self, into other) of the common window.
 
-        Raises ValueError unless both lattices have the same steps, their
-        points align, and they share at least 5x5 points.
+        Raises ValueError unless both lattices have equal steps (to `STEP_RTOL`),
+        their points align, and they share at least 5x5 points.
         """
-        if abs(self.du - other.du) > 1e-12 or abs(self.dv - other.dv) > 1e-12:
+        h = np.array([self.du, self.dv])
+        if (np.abs(h - [other.du, other.dv]) > STEP_RTOL * h).any():
             raise ValueError("grid steps differ between the two lattices")
-        k = np.array([other.u0 - self.u0, other.v0 - self.v0]) / [self.du, self.dv]
+        k = np.array([other.u0 - self.u0, other.v0 - self.v0]) / h
         off = np.rint(k).astype(int)
         if np.abs(k - off).max() > 1e-6:
             raise ValueError("grids are not aligned to a common lattice")
@@ -198,6 +205,11 @@ class ImmersionGrid(Lattice):
     def partials(self):
         """The grid's one read-only `GridPartials`, computed on first use."""
         return partials(self)
+
+    @cached_property
+    def almost_complex_max(self):
+        """Largest interior `almost_complex_residual`, computed on first use."""
+        return float(interior(almost_complex_residual(self.partials)).max())
 
 
 def immersion_grid(lat, p, q):
@@ -282,18 +294,17 @@ def almost_complex_residual(gp):
 
 
 def require_adapted(grid, tol_scale):
-    """Largest interior almost-complex defect of the grid.
+    """The grid's `ImmersionGrid.almost_complex_max`, gated.
 
     Raises ValueError when `tol_scale` is not finite and positive, and
     unless the defect stays below `ADAPTED_GATE * tol_scale`; a NaN defect
     fails the gate.
     """
     limit = ADAPTED_GATE * validate_tol_scale(tol_scale)
-    gp = grid.partials
     return gate(
-        interior(almost_complex_residual(gp)).max(), limit,
+        grid.almost_complex_max, limit,
         "grid is not adapted: relative almost-complex defect",
-        why=f" (real-part residual {gp.projection_max:.3e})",
+        why=f" (real-part residual {grid.partials.projection_max:.3e})",
     )
 
 

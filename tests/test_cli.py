@@ -241,6 +241,18 @@ def test_fixture_requires_name_and_output(tmp_path, capsys):
     assert code == 3 and "--output" in err
 
 
+def _command_argv(tmp_path, command, source):
+    """argv of `command` at 41x41 on the fixture `source`, whose CSV is
+    written first unless `command` is the fixture itself."""
+    argv = ["--command", "fixture", "--fixture", source, "--nu", "41", "--nv", "41",
+            "--output", str(tmp_path / "in.csv")]
+    if command == "fixture":
+        return argv
+    assert cli.main(argv) == 0
+    return ["--command", command, "--input", str(tmp_path / "in.csv"),
+            "--output", str(tmp_path / "out.csv")]
+
+
 @pytest.mark.parametrize("command, source, calls", [
     ("fixture", "example2", 1), ("analyze", "example2", 1),
     ("to-h", "example2", 2), ("from-h", "cmc_sphere", 2),
@@ -250,12 +262,7 @@ def test_each_command_validates_each_window_once(monkeypatch, tmp_path, command,
     # the input window is validated where it is first known (`make_fixture`
     # or the CSV reader) and an integrator's output window by
     # `Lattice.inset`; every grid is then built over a validated window
-    argv = ["--command", "fixture", "--fixture", source, "--nu", "41", "--nv", "41",
-            "--output", str(tmp_path / "in.csv")]
-    if command != "fixture":
-        assert cli.main(argv) == 0
-        argv = ["--command", command, "--input", str(tmp_path / "in.csv"),
-                "--output", str(tmp_path / "out.csv")]
+    argv = _command_argv(tmp_path, command, source)
     lattice, windows = sf.lattice, []
 
     def counted(*args):
@@ -267,6 +274,37 @@ def test_each_command_validates_each_window_once(monkeypatch, tmp_path, command,
             monkeypatch.setattr(module, "lattice", counted)
     assert cli.main(argv) == 0
     assert len(windows) == calls
+
+
+_AC, _EQ = "almost_complex_residual", "h_equation_residual"
+
+
+@pytest.mark.parametrize("command, source, ac, eq", [
+    ("fixture", "example2", 1, 0), ("analyze", "example2", 1, 0),
+    ("to-h", "example2", 1, 1), ("from-h", "cmc_sphere", 1, 1),
+    ("fixture", "cmc_sphere", 0, 1),
+])
+def test_each_command_reduces_each_gated_defect_once(monkeypatch, tmp_path, command,
+                                                     source, ac, eq):
+    # every reader takes `ImmersionGrid.almost_complex_max` and
+    # `HSurfaceGrid.h_equation_max` from the grid's cache, so `from-h`'s
+    # certificate and its `analyze` share one adaptedness pass
+    argv = _command_argv(tmp_path, command, source)
+    counts = {}
+
+    def counting(name, residual):
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return residual(*args)
+        return counted
+
+    for name, owner in ((_AC, sf), (_EQ, hsystem)):
+        residual = getattr(owner, name)
+        for module in (cli, fixtures, hsystem, io, sf):
+            if getattr(module, name, None) is residual:
+                monkeypatch.setattr(module, name, counting(name, residual))
+    assert cli.main(argv) == 0
+    assert counts == {k: n for k, n in ((_AC, ac), (_EQ, eq)) if n}
 
 
 def test_analyze_fixture(tmp_path, capsys):
@@ -376,7 +414,7 @@ def test_console_entry_point(tmp_path):
     r = subprocess.run(
         [sys.executable, "-m", "nks3.cli", "--command", "verify",
          "--samples", "20", "--output", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert r.returncode == 0
     assert json.loads(out.read_text())["ok"] is True

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nks3 import cli, fixtures, hsystem as hsys, quat
+from nks3 import cli, fixtures, hsystem as hsys, io, quat
 from nks3 import surface as sf
 from nks3.nkspace import SQRT3
 
@@ -287,6 +287,22 @@ def test_window_overlap():
         a.overlap(sf.lattice(1.0, 0.0, 1e-2, 1e-2, 8, 8))
     with pytest.raises(ValueError, match="steps differ"):
         a.overlap(sf.lattice(0.0, 0.0, 1e-2, 2e-2, 8, 8))
+
+
+def test_window_overlap_far_from_the_origin(tmp_path):
+    # at u0 = 1e7 the CSV reader recovers du to within 1e-6 of the step, not
+    # exactly; the read-back window is still the written one
+    hs = fixtures.make_fixture("cmc_cylinder", nu=21, nv=9)
+    moved = dataclasses.replace(hs, u0=1e7)
+    path = tmp_path / "e.csv"
+    io.write_epsilon_csv(path, moved)
+    back = io.read_epsilon_csv(path)
+    assert back.du != moved.du
+    assert moved.overlap(back) == ((slice(0, 21), slice(0, 9)),) * 2
+    a = sf.lattice(0.0, 0.0, 1e-2, 1e-2, 10, 10)
+    assert a.overlap(sf.lattice(0.0, 0.0, 1e-2 * (1 + 5e-7), 1e-2, 8, 8))
+    with pytest.raises(ValueError, match="steps differ"):
+        a.overlap(sf.lattice(0.0, 0.0, 1e-2, 1e-2 * (1 + 2e-6), 8, 8))
 
 
 def test_metric_factor_example2_round_trip():

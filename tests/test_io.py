@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from nks3 import fixtures, io
+from nks3 import cli, fixtures, io
 from nks3 import surface as sf
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -113,6 +113,20 @@ def test_reader_reads_its_own_output_far_from_the_origin(tmp_path):
     assert back.u0 == 1e7 and (back.nu, back.nv) == (21, 9)
     assert abs(back.du - hs.du) < 1e-6 * hs.du and abs(back.dv - hs.dv) < 1e-15
     assert np.array_equal(back.eps, hs.eps)
+
+
+def test_reader_refuses_an_axis_of_four_values(tmp_path, capsys):
+    u, v = (0.1 * np.arange(4)).tolist(), (0.1 * np.arange(9)).tolist()
+    path, out = tmp_path / "e.csv", tmp_path / "out.csv"
+    rows = [f"{a!r},{b!r},{a!r},{b!r},0.0" for b in v for a in u]
+    path.write_text("\n".join([io.EPSILON_HEADER, *rows]) + "\n")
+    with pytest.raises(ValueError) as err:
+        io.read_epsilon_csv(path)
+    assert str(err.value) == "u axis has only 4 distinct values"
+    argv = ["--command", "from-h", "--input", str(path), "--output", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "input error: u axis has only 4 distinct values\n"
+    assert not out.exists()
 
 
 _DEFECT_MESSAGES = {

@@ -70,15 +70,33 @@ _CONSTRUCTION_SITES = {
 }
 
 
-def test_windows_and_grids_are_built_only_at_their_sites():
-    # a window is validated once, where it is first known, and every grid is
-    # built over a `Lattice` its caller already holds
-    sites = {callee: set() for callee in _CONSTRUCTION_SITES}
+def _call_sites(callees):
+    """callee -> every "<file>:<scope>" in src/nks3 that calls it."""
+    sites = {callee: set() for callee in callees}
     for path in sorted(SRC.glob("*.py")):
         for scope, callee in _scoped_callees(_parse(path.name)):
             if callee in sites:
                 sites[callee].add(f"{path.name}:{scope}")
-    assert sites == _CONSTRUCTION_SITES
+    return sites
+
+
+def test_windows_and_grids_are_built_only_at_their_sites():
+    # a window is validated once, where it is first known, and every grid is
+    # built over a `Lattice` its caller already holds
+    assert _call_sites(_CONSTRUCTION_SITES) == _CONSTRUCTION_SITES
+
+
+# residual -> the one grid property that reduces it
+_REDUCTION_SITES = {
+    "almost_complex_residual": {"surface.py:ImmersionGrid.almost_complex_max"},
+    "h_equation_residual": {"hsystem.py:HSurfaceGrid.h_equation_max"},
+}
+
+
+def test_gated_defects_are_reduced_only_in_their_grid_property():
+    # every gate, certificate and self-check reads the cached maximum, so no
+    # command reduces a defect field twice
+    assert _call_sites(_REDUCTION_SITES) == _REDUCTION_SITES
 
 
 def test_stencil_is_written_only_in_lattice_diff():
