@@ -20,7 +20,10 @@ derive their fields and their gated defect once and cache them (here
 integrator's output covers its input window inset by one cell.  The
 quaternion integrator takes the ordered products of unit step factors by a
 blocked scan (sequential inside fixed-size blocks) and never renormalizes;
-`drift_max` reports its roundoff off the unit sphere.
+`drift_max` reports its roundoff off the unit sphere.  Each of its field
+chains runs over the `surface.Lattice.slabs` of the other axis, slabs of at
+least `surface._POINTS` grid points: a fixed constant, not a setting, that
+changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ def h_surface_grid(lat, eps):
 
 def h_equation_residual(hs):
     """Pointwise norm of the defect of the quadratic second-order equation."""
-    defect = (4.0 / SQRT3) * quat.cross(*hs.partials)
+    defect = quat.cross(*hs.partials)
+    defect *= 4.0 / SQRT3
     defect += hs.laplacian
     return np.linalg.norm(defect, axis=-1)
 
@@ -147,13 +151,15 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     out = grid.inset(1)
     cf = extract_coefficients(grid)
     a, b = cf.alpha[1:-1, 1:-1], cf.beta[1:-1, 1:-1]
+    del cf  # alpha_t and beta_t go before integrating; the views keep alpha, beta
     eps_uv = grid.cumtrapz(a[:, :1], 0) + grid.cumtrapz(b, 1)
     eps_vu = grid.cumtrapz(b[:1, :], 1) + grid.cumtrapz(a, 0)
     tol = _default_cert_tol(grid, tol_scale)
-    loop = gate(np.linalg.norm(eps_uv - eps_vu, axis=-1).max(), tol,
+    gap = np.subtract(eps_uv, eps_vu, out=eps_vu)
+    loop = gate(np.linalg.norm(gap, axis=-1).max(), tol,
                 "path-ordering residual", CertificateError,
                 "; the coefficient one-form is not closed to discretization order")
-    del cf, a, b, eps_vu
+    del a, b, eps_vu, gap
     hs = HSurfaceGrid(**out.window(), eps=eps_uv)
     eq_res = _require_solution(
         hs, tol, "; the integrated potential is not a solution surface")
@@ -193,8 +199,11 @@ def _integrate_chain(start, coeff, lat, axis):
     h = (lat.du, lat.dv)[axis]
     coeff = np.moveaxis(coeff, axis, 0)
     c0, c1 = coeff[:-1], coeff[1:]
-    arg = np.zeros(coeff.shape)
-    arg[1:] = 0.5 * h * (c0 + c1) + (h * h / 6.0) * quat.cross(c0, c1)
+    arg = np.empty(coeff.shape)
+    arg[0] = 0.0
+    step = np.add(c0, c1, out=arg[1:])
+    step *= 0.5 * h
+    step += quat.cross(c0, c1) * (h * h / 6.0)
     out = quat.qexp(arg)  # exp(0) = 1 at index 0, replaced by `start`
     out[0] = start
     _prefix_products(out)
@@ -206,10 +215,18 @@ def _integrate_pair(c_u, c_v, lat, start):
     given, along the two path orderings (u-spine then v, v-spine then u).
 
     `c_u`, `c_v` have shape (nu, nv, k, 3) and `start` (k, 4): all k grids
-    share each chain's scan passes."""
+    share each chain's scan passes.  Each field chain runs over the
+    `Lattice.slabs` of the other axis and writes into its preallocated
+    output, so the chain's temporaries stay one slab wide."""
     u_spine = _integrate_chain(start, c_u[:, :1], lat, 0)[:, 0]
     v_spine = _integrate_chain(start, c_v[:1], lat, 1)[0]
-    return _integrate_chain(u_spine, c_v, lat, 1), _integrate_chain(v_spine, c_u, lat, 0)
+    ufirst = np.empty(c_u.shape[:-1] + (4,))
+    vfirst = np.empty_like(ufirst)
+    for s in lat.slabs(0):
+        ufirst[s] = _integrate_chain(u_spine[s], c_v[s], lat, 1)
+    for s in lat.slabs(1):
+        vfirst[:, s] = _integrate_chain(v_spine[s], c_u[:, s], lat, 0)
+    return ufirst, vfirst
 
 
 def _stacked_pairs(hs):
@@ -253,6 +270,7 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     drift = max(float(np.abs(quat.norm(x) - 1.0).max()) for x in (ufirst, vfirst))
     del vfirst
     grid = immersion_grid(out, ufirst[..., 0, :], ufirst[..., 1, :])
+    del ufirst  # the grid holds normalized copies
     return grid, {"h_equation_max": eq_res, "compat_max": compat,
                   "drift_max": drift, "almost_complex_max": grid.almost_complex_max}
 
@@ -272,9 +290,11 @@ def mean_curvature(hs):
     dev = np.maximum(np.abs(e2 - g2), np.abs(f)) / np.maximum(e2, g2)
     gate(interior(dev).max(), hs.fd_floor(),
          "coordinates are not conformal: relative deviation")
+    del g2, f, dev
     n = quat.cross(eu, ev)
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    return np.sum(hs.laplacian * n, axis=-1) / (2.0 * e2)
+    n *= hs.laplacian
+    return np.sum(n, axis=-1) / (2.0 * e2)
 
 
 def sphere_fit(points):

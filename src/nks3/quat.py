@@ -111,7 +111,11 @@ def qexp(v):
     """
     v = np.asarray(v, dtype=float)
     t = np.linalg.norm(v, axis=-1, keepdims=True)
-    return np.concatenate([np.cos(t), np.sinc(t / np.pi) * v], axis=-1)
+    scale = np.sinc(t / np.pi)
+    out = np.empty(v.shape[:-1] + (4,))
+    np.cos(t, out=out[..., :1])
+    np.multiply(scale, v, out=out[..., 1:])
+    return out
 
 
 def dot(a, b):

@@ -22,6 +22,13 @@ validated once by `lattice`; grids are built over it.  It also owns the
 stencil and the trapezoid rule: `Lattice.diff`, `.diff2` and `.cumtrapz`
 read the step of the axis they act along, so no caller passes a step.
 
+Kernels that would build several throwaway full-grid temporaries at once
+(`partials` here, the quaternion integrator in `hsystem`) run over the
+slabs of `Lattice.slabs`: blocks of whole grid lines of at least `_POINTS`
+points, so each temporary stays one slab wide.  `_POINTS` is a fixed
+module constant, not a setting: every result is the same bits for any slab
+size, and no flag, parameter or environment variable reaches it.
+
 Derivatives are second-order finite differences throughout; every residual
 statistic is taken on the grid interior (two-cell margin) because one-sided
 edge stencils degrade the order.
@@ -85,6 +92,10 @@ STEP_RTOL = 1e-6
 
 # residual statistics skip this many cells at each grid edge
 _MARGIN = 2
+
+# the least number of grid points in one slab of `Lattice.slabs`; a slab of
+# a few rows of a long strip would run the kernels per row, far slower
+_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -160,7 +171,10 @@ class Lattice:
         if f.shape[0] < 4:
             raise ValueError("need at least 4 samples for a second derivative")
         out = np.empty_like(f)
-        out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
+        mid = np.multiply(f[1:-1], 2.0, out=out[1:-1])
+        np.subtract(f[2:], mid, out=mid)
+        mid += f[:-2]
+        mid /= h * h
         out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
         out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (h * h)
         return np.moveaxis(out, 0, axis)
@@ -169,9 +183,20 @@ class Lattice:
         """Cumulative trapezoid integral along `axis`, starting at zero."""
         h = (self.du, self.dv)[axis]
         f = np.moveaxis(f, axis, 0)
-        steps = 0.5 * h * (f[1:] + f[:-1])
-        out = np.concatenate([np.zeros_like(f[:1]), np.cumsum(steps, axis=0)], axis=0)
+        out = np.empty_like(f)
+        out[0] = 0.0
+        steps = np.add(f[1:], f[:-1], out=out[1:])
+        steps *= 0.5 * h
+        np.cumsum(steps, axis=0, out=steps)
         return np.moveaxis(out, 0, axis)
+
+    def slabs(self, axis):
+        """Index slices along `axis` that cut the grid into slabs of whole
+        lines across the other axis, each of at least `_POINTS` points
+        (the last may hold fewer), in order."""
+        n, line = (self.nu, self.nv)[axis], (self.nv, self.nu)[axis]
+        rows = -(-_POINTS // line)
+        return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def lattice(u0, v0, du, dv, nu, nv):
@@ -257,16 +282,25 @@ class GridPartials:
 
 def partials(grid):
     """Central-difference partial derivatives, one-sided at the edges, as
-    frame coefficients.  A NaN on the interior makes `projection_max` NaN."""
+    frame coefficients.  A NaN on the interior makes `projection_max` NaN.
+
+    Each derivative is taken over the whole grid, one at a time; the
+    logarithmic derivatives built from it run over `Lattice.slabs` of
+    u-rows, and each slab reports the real part on its interior rows."""
     reals = []
     cu = np.empty(grid.p.shape[:-1] + (6,))
     cv = np.empty_like(cu)
     for half, arr in ((slice(0, 3), grid.p), (slice(3, 6), grid.q)):
-        conj = quat.qconj(arr)
         for c, axis in ((cu, 0), (cv, 1)):
-            log = quat.qmul(conj, grid.diff(arr, axis))
-            reals.append(interior(np.abs(log[..., 0])).max())
-            np.multiply(quat.imag(log), FLIP, out=c[..., half])
+            d = grid.diff(arr, axis)
+            for s in grid.slabs(0):
+                log = quat.qmul(quat.qconj(arr[s]), d[s])
+                lo, hi = max(s.start, _MARGIN), min(s.stop, grid.nu - _MARGIN)
+                if lo < hi:
+                    inner = log[lo - s.start : hi - s.start, _MARGIN:-_MARGIN, 0]
+                    reals.append(np.abs(inner).max())
+                np.multiply(quat.imag(log), FLIP, out=c[s, :, half])
+            del d  # one derivative alive at a time
     cu.flags.writeable = cv.flags.writeable = False
     return GridPartials(cu, cv, float(np.max(reals)), induced_metric(cu, cv))
 
@@ -480,25 +514,37 @@ class SecondFundamentalForm:
     trace_norm: np.ndarray
 
 
-def second_fundamental_form(grid):
+def _second_form_part(grid, k):
+    """h_uu, h_uv or h_vv for k = 0, 1, 2: the normal part of the ambient
+    covariant derivative of phi_u, phi_v, phi_v along u, u, v."""
     gp = grid.partials
-    cu, cv = gp.cu, gp.cv
-    h = []
-    for x, f, axis in ((cu, cu, 0), (cu, cv, 0), (cv, cv, 1)):
-        w = _grid_covariant(grid, x, f, axis)
-        h.append(_normal_part(gp, w, gram_product(w, cu), gram_product(w, cv)))
-    huu, huv, hvv = h
-    E, F, G = gp.first_form
-    unit_norm = np.maximum(
-        _norm(huu) / E, np.maximum(_norm(huv) / np.sqrt(E * G), _norm(hvv) / G)
-    )
+    x, f, axis = ((gp.cu, gp.cu, 0), (gp.cu, gp.cv, 0), (gp.cv, gp.cv, 1))[k]
+    w = _grid_covariant(grid, x, f, axis)
+    return _normal_part(gp, w, gram_product(w, gp.cu), gram_product(w, gp.cv))
+
+
+def _unit_norm(gp, parts):
+    """Pointwise largest metric norm of h_uu, h_uv, h_vv (the iterable
+    `parts`) with both slots normalized to unit vectors; each part is
+    reduced to its norm before the next is read."""
+    E, _, G = gp.first_form
+    parts, unit = iter(parts), None
+    for scale in (E, np.sqrt(E * G), G):
+        n = _norm(next(parts)) / scale
+        unit = n if unit is None else np.maximum(unit, n, out=unit)
+    return unit
+
+
+def second_fundamental_form(grid):
+    huu, huv, hvv = h = [_second_form_part(grid, k) for k in range(3)]
+    E, F, G = grid.partials.first_form
     # the metric trace, one component at a time: no second full-grid temporary
     trace = G[..., None] * huu
     for k in range(6):
         trace[..., k] -= 2.0 * F * huv[..., k]
         trace[..., k] += E * hvv[..., k]
     trace /= (E * G - F * F)[..., None]
-    return SecondFundamentalForm(huu, huv, hvv, unit_norm, _norm(trace))
+    return SecondFundamentalForm(huu, huv, hvv, _unit_norm(grid.partials, h), _norm(trace))
 
 
 def classify_P_alignment(grid):
@@ -539,7 +585,8 @@ def analyze(grid, tol_scale=1.0):
     K = interior(gaussian_curvature(grid))
     K_mean, K_max_dev = float(K.mean()), float(np.abs(K - K.mean()).max())
     del K
-    h_max = float(interior(second_fundamental_form(grid).unit_norm).max())
+    parts = (_second_form_part(grid, k) for k in range(3))
+    h_max = float(interior(_unit_norm(grid.partials, parts)).max())
     return {
         "almost_complex_max": ac_max,
         "integrability_21_max": r21,

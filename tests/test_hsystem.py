@@ -438,3 +438,21 @@ def test_epsilon_from_surface_gates_equation_residual():
     # the same bound as the inverse direction: 200 h^2 tol_scale
     with pytest.raises(hsys.CertificateError, match=r"exceeds 5\.0e-03"):
         hsys.epsilon_from_surface(bad)
+
+
+@pytest.mark.parametrize("shape", [(101, 101), (203, 9)])
+def test_integrate_pair_slabs_match_the_whole_grid(monkeypatch, shape):
+    # both field chains over slabs of 300 points (the last slab of each axis
+    # shorter), and over one slab, against each chain over the whole grid
+    rng = np.random.default_rng(23)
+    c_u, c_v = (0.5 * rng.standard_normal(shape + (2, 3)) for _ in range(2))
+    lat = sf.lattice(0.0, 0.0, 6e-3, 6e-3, *shape)
+    start = np.stack([quat.ONE, quat.ONE])
+    u_spine = hsys._integrate_chain(start, c_u[:, :1], lat, 0)[:, 0]
+    v_spine = hsys._integrate_chain(start, c_v[:1], lat, 1)[0]
+    whole = (hsys._integrate_chain(u_spine, c_v, lat, 1),
+             hsys._integrate_chain(v_spine, c_u, lat, 0))
+    for points, count in ((300, 5), (shape[0] * shape[1], 1)):
+        monkeypatch.setattr(sf, "_POINTS", points)
+        assert min(len(lat.slabs(0)), len(lat.slabs(1))) >= count
+        assert all(map(np.array_equal, hsys._integrate_pair(c_u, c_v, lat, start), whole))

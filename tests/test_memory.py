@@ -6,13 +6,16 @@ tracemalloc sees numpy's array buffers, so the peak above the start of a
 stage counts every temporary the kernels hold at once.  The grid unit is
 one (nu, nv, 6) float64 field, the size of one frame-coefficient partial.
 Each grid bound is the measured peak plus about half a field of headroom; a
-kernel that keeps one more full-grid temporary alive fails here.
+kernel that keeps one more full-grid temporary alive fails here.  A slab of
+`surface._POINTS` points is most of a 101^2 grid and all of the 1001x11
+strip's integrator, so these bounds guard the kernels' temporaries; the slab
+loops themselves are checked bit for bit in test_surface and test_hsystem.
 """
 import tracemalloc
 
 import pytest
 
-from nks3 import fixtures, io
+from nks3 import cli, fixtures, io
 from nks3 import hsystem as hsys
 from nks3 import nkspace as nk
 from nks3 import surface as sf
@@ -44,29 +47,62 @@ def peak_fields(stage):
 def test_read_then_analyze_peak(grid, tmp_path):
     path = tmp_path / "grid.csv"
     io.write_immersion_csv(path, grid)
-    # measured 8.82 fields (12.02 before the in-place kernels)
-    assert peak_fields(lambda: sf.analyze(io.read_immersion_csv(path))) <= 9.3
+    # measured 7.83 fields with the second fundamental form reduced one
+    # component at a time and no trace; 8.82 before, 12.02 before the
+    # in-place kernels
+    assert peak_fields(lambda: sf.analyze(io.read_immersion_csv(path))) <= 8.3
 
 
 def test_epsilon_from_surface_peak(grid):
-    # measured 4.25 fields on top of the resident grid (6.02 before)
-    assert peak_fields(lambda: hsys.epsilon_from_surface(grid)) <= 4.75
+    # measured 3.29 fields on top of the resident grid, with alpha_t and
+    # beta_t dropped before integrating; 4.25 before, 6.02 before that
+    assert peak_fields(lambda: hsys.epsilon_from_surface(grid)) <= 3.8
 
 
 def test_surface_from_epsilon_then_analyze_peak(grid):
     hs, _ = hsys.epsilon_from_surface(grid)
-    # measured 8.15 fields (11.36 before)
-    assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 8.65
+    # measured 7.22 fields (8.15 before, 11.36 before that)
+    assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 7.7
 
 
 def test_read_then_surface_from_epsilon_peak(grid, tmp_path):
     path = tmp_path / "potential.csv"
     io.write_epsilon_csv(path, hsys.epsilon_from_surface(grid)[0])
-    # measured 7.24 fields, with the potential and its cached partials and
-    # Laplacian released before the scan; 9.16 when they are held through
-    # it, and 7.72 before the cache
+    # measured 7.04 fields, with the potential and its cached partials and
+    # Laplacian released before the scan; 7.24 before the slab integrator,
+    # 9.16 when they are held through the scan, and 7.72 before the cache
     peak = peak_fields(lambda: hsys.surface_from_epsilon(io.read_epsilon_csv(path)))
-    assert peak <= 7.7
+    assert peak <= 7.5
+
+
+def test_to_h_pipeline_peak(grid, tmp_path):
+    path = tmp_path / "grid.csv"
+    io.write_immersion_csv(path, grid)
+
+    def to_h():
+        read = io.read_immersion_csv(path)
+        hs, _ = hsys.epsilon_from_surface(read)
+        assert cli._mean_curvature_stats(hs)["status"] == "ok"
+        hsys.metric_factor_check(read, hs)
+
+    # measured 7.21 fields (8.09 before)
+    assert peak_fields(to_h) <= 7.7
+
+
+def test_strip_from_h_then_analyze_peak(tmp_path):
+    nu, nv = 1001, 11
+    path = tmp_path / "strip.csv"
+    hs = fixtures.make_fixture("cmc_cylinder", nu=nu, nv=nv, du=6e-3, dv=6e-3)
+    io.write_epsilon_csv(path, hs)
+    del hs
+
+    def from_h():
+        grid, _ = hsys.surface_from_epsilon(io.read_epsilon_csv(path))
+        sf.analyze(grid)
+
+    # in (nu, nv, 6) float64 fields of the strip: measured 6.64 (7.22
+    # before the slab kernels)
+    assert traced_peak(from_h) / (nu * nv * 6 * 8) <= 7.1
 
 
 def test_identity_report_peak():

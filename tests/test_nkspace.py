@@ -98,6 +98,24 @@ def test_metric_rejects_mixed_bases():
 
 
 @pytest.mark.parametrize("factor", ["p", "q"])
+def test_same_base_gate_near_its_tolerance(factor):
+    # base points 5e-12 apart, 5x the 1e-12 tolerance, are refused, so a
+    # tenfold looser tolerance fails here; 5e-13 apart (0.5x) pass
+    base = origin()
+    for shift, ok in ((5e-13, True), (5e-12, False)):
+        moved = quat.ONE + shift * QJ
+        other = nk.Point(moved if factor == "p" else base.p,
+                         moved if factor == "q" else base.q)
+        Z = nk.tangent(base, QI, np.zeros(4))
+        W = nk.tangent(other, QI, np.zeros(4))
+        if ok:
+            assert nk.metric(Z, W) == 4.0 / 3.0
+            continue
+        with pytest.raises(ValueError, match=r"deviation 5\.000e-12 exceeds 1\.0e-12$"):
+            nk.metric(Z, W)
+
+
+@pytest.mark.parametrize("factor", ["p", "q"])
 def test_metric_rejects_nan_base(factor):
     # a base built without `point` can carry NaN; comparing it must not pass
     base = origin()

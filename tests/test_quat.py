@@ -65,6 +65,10 @@ def test_unit_renormalizes():
 def test_unit_rejects_bad_input():
     with pytest.raises(ValueError):
         quat.unit(np.array([1.0, 1.0, 0.0]))
+    # a unit-norm vector of three components passes the norm check, so only
+    # the trailing-shape check refuses it
+    with pytest.raises(ValueError, match=r"4 trailing components, got shape \(3,\)"):
+        quat.unit(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         quat.unit(np.array([1.0, 0.5, 0.0, 0.0]))
     with pytest.raises(ValueError):
@@ -122,6 +126,18 @@ def test_qexp_known_values():
     half_pi_i = np.array([np.pi / 2.0, 0.0, 0.0])
     assert np.allclose(quat.qexp(half_pi_i), QI, atol=1e-15)
     assert np.allclose(quat.qexp(np.zeros(3)), quat.ONE)
+
+
+def test_qexp_is_cos_and_cardinal_sine_bit_for_bit():
+    # the closed form written with concatenate, zero vectors and a 1-d
+    # argument included
+    rng = np.random.default_rng(19)
+    v = rng.standard_normal((7, 5, 3))
+    v[0, 0] = 0.0
+    for x in (v, v[3, 2]):
+        t = np.linalg.norm(x, axis=-1, keepdims=True)
+        want = np.concatenate([np.cos(t), np.sinc(t / np.pi) * x], axis=-1)
+        assert np.array_equal(quat.qexp(x), want)
 
 
 def test_qexp_is_unit_and_matches_series():

@@ -126,3 +126,45 @@ def test_potential_is_derived_only_in_its_grid_class():
     assert calls
     stray = [n.lineno for n in calls if id(n) not in inside]
     assert stray == [], f"hsystem.py derives a potential outside HSurfaceGrid on lines {stray}"
+
+
+def test_slab_size_is_read_only_from_its_constant():
+    # the slab size is no knob: `surface._POINTS` is bound once, at module
+    # level, to an integer literal and read only inside `Lattice.slabs`,
+    # which takes nothing but the axis and passes the size to no call; so no
+    # function parameter, CLI flag or environment variable can reach it
+    trees = {path.name: _parse(path.name) for path in sorted(SRC.glob("*.py"))}
+    surface = trees["surface.py"]
+    binds = [
+        n for n in surface.body
+        if isinstance(n, ast.Assign)
+        and [getattr(t, "id", None) for t in n.targets] == ["_POINTS"]
+    ]
+    assert len(binds) == 1
+    assert isinstance(binds[0].value, ast.Constant) and type(binds[0].value.value) is int
+    inside = _inside(surface, "Lattice", "slabs")
+    stray = [
+        f"{name}:{n.lineno}"
+        for name, tree in trees.items() for n in ast.walk(tree)
+        if (getattr(n, "id", None) or getattr(n, "attr", None)) == "_POINTS"
+        and n is not binds[0].targets[0]
+        and not (isinstance(n.ctx, ast.Load) and id(n) in inside)
+    ]
+    assert stray == [], f"_POINTS bound or read outside Lattice.slabs at {stray}"
+    slabs = next(n for n in ast.walk(surface)
+                 if isinstance(n, ast.FunctionDef) and n.name == "slabs")
+    a = slabs.args
+    assert [x.arg for x in a.posonlyargs + a.args] == ["self", "axis"]
+    assert not (a.defaults or a.kwonlyargs or a.vararg or a.kwarg)
+    passed = [
+        x for call in _calls(slabs)
+        for arg in [*call.args, *(k.value for k in call.keywords)]
+        for x in ast.walk(arg) if getattr(x, "id", None) == "_POINTS"
+    ]
+    assert passed == []
+    # every caller names the axis as a literal 0 or 1 and nothing else
+    callers = [c for tree in trees.values() for c in _calls(tree) if _callee(c) == "slabs"]
+    assert callers
+    for call in callers:
+        assert not call.keywords and len(call.args) == 1
+        assert isinstance(call.args[0], ast.Constant) and call.args[0].value in (0, 1)

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from nks3 import fixtures, quat
+from nks3 import cli, fixtures, quat
 from nks3 import hsystem as hsys
 from nks3 import nkspace as nk
 from nks3 import surface as sf
@@ -469,3 +469,77 @@ def test_lattice_window_validation_and_methods():
     assert grid.window() == {
         "u0": 0.0, "v0": 0.0, "du": 1e-2, "dv": 1e-2, "nu": 21, "nv": 21,
     }
+
+
+# the slab kernels against one slab of the whole grid: a forced slab of 300
+# points cuts a 101^2 grid into 3-row slabs and a 203x9 strip into 34-row
+# slabs, neither a divisor of the row count
+SLAB_POINTS = 300
+SLAB_GRIDS = [(101, 101), (203, 9)]
+
+
+def slab_grid(nu, nv):
+    return fixtures.make_fixture("example2", nu=nu, nv=nv, du=1e-2, dv=1e-2)
+
+
+@pytest.mark.parametrize("shape", SLAB_GRIDS)
+def test_lattice_slabs_cover_each_axis_in_order(monkeypatch, shape):
+    monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
+    lat = sf.lattice(0.0, 0.0, 1e-2, 1e-2, *shape)
+    for axis in (0, 1):
+        n, line = shape[axis], shape[1 - axis]
+        slabs = lat.slabs(axis)
+        assert [i for s in slabs for i in range(s.start, s.stop)] == list(range(n))
+        assert all((s.stop - s.start) * line >= SLAB_POINTS for s in slabs[:-1])
+        assert n % (slabs[0].stop - slabs[0].start) != 0
+
+
+def whole_grid_partials(grid):
+    """(cu, cv, projection_max) with each logarithmic derivative formed over
+    the whole grid at once, the expression the slabs cut up."""
+    reals, halves = [], []
+    for arr in (grid.p, grid.q):
+        for axis in (0, 1):
+            log = quat.qmul(quat.qconj(arr), grid.diff(arr, axis))
+            reals.append(sf.interior(np.abs(log[..., 0])).max())
+            halves.append(quat.imag(log) * nk.FLIP)
+    cu, cv = (np.concatenate(halves[k::2], axis=-1) for k in (0, 1))
+    return cu, cv, float(np.max(reals))
+
+
+@pytest.mark.parametrize("shape", SLAB_GRIDS)
+def test_slab_kernels_match_the_whole_grid(monkeypatch, shape):
+    grid = slab_grid(*shape)
+    cu, cv, real = whole_grid_partials(grid)
+    for points in (SLAB_POINTS, grid.nu * grid.nv):
+        monkeypatch.setattr(sf, "_POINTS", points)
+        gp = sf.partials(grid)
+        assert np.array_equal(gp.cu, cu) and np.array_equal(gp.cv, cv)
+        assert gp.projection_max == real
+        assert all(map(np.array_equal, gp.first_form, sf.induced_metric(cu, cv)))
+    # the trapezoid rule summed into its own output, against the formula
+    # with a separate step array and a concatenated zero row
+    for axis, h in ((0, grid.du), (1, grid.dv)):
+        g = np.moveaxis(grid.p, axis, 0)
+        steps = np.cumsum(0.5 * h * (g[1:] + g[:-1]), axis=0)
+        want = np.concatenate([np.zeros_like(g[:1]), steps], axis=0)
+        assert np.array_equal(grid.cumtrapz(grid.p, axis), np.moveaxis(want, 0, axis))
+
+
+def test_nan_in_last_slab_fails_closed(monkeypatch, capsys):
+    # a NaN on an interior row of the last slab reaches `projection_max`,
+    # and through the adaptedness gate `analyze` exits 3
+    monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
+    grid = slab_grid(203, 9)
+    last = grid.slabs(0)[-1]
+    p = grid.p.copy()
+    p[last.stop - 4, 4, 0] = np.nan
+    bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
+    assert last.start < last.stop - 4 < grid.nu - 2
+    assert np.isnan(bad.partials.projection_max)
+    monkeypatch.setattr(cli, "read_immersion_csv", lambda path: bad)
+    assert cli.main(["--command", "analyze", "--input", "grid.csv"]) == 3
+    assert capsys.readouterr().err == (
+        "input error: grid is not adapted: relative almost-complex defect nan "
+        "exceeds 5.0e-02 (real-part residual nan)\n"
+    )
