@@ -36,10 +36,11 @@ print("and anti-J-linear in its slots:  ",
       nk.gnorm(nk.tensor_G(Z, nk.apply_J(W)) + nk.apply_J(G)))
 print()
 
-print("sectional curvatures of frame planes:")
-print("  K(E1, E2) =", nk.sectional_curvature(fr[0], fr[1]), " (exact 3/4)")
-print("  K(E1, F1) =", nk.sectional_curvature(fr[0], fr[3]), " (exact 0)")
-print("  K(E1, F2) =", nk.sectional_curvature(fr[0], fr[4]))
+print("sectional curvatures of frame planes (position free):")
+e1, e2, _, f1, f2, _ = np.eye(6)  # frame coefficients of E1, E2, F1, F2
+print("  K(E1, E2) =", nk.sectional_curvature(e1, e2), " (exact 3/4)")
+print("  K(E1, F1) =", nk.sectional_curvature(e1, f1), " (exact 0)")
+print("  K(E1, F2) =", nk.sectional_curvature(e1, f2))
 print()
 
 result = nk.verify(samples=200, seed=7)

@@ -13,6 +13,9 @@ The module keeps both views:
   connection, the covariant-derivative tensors of J and P, and the frame
   brackets.
 
+The curvature has no ambient form: `curvature_coeff` and
+`sectional_curvature` act on frame coefficient vectors alone.
+
 `identity_report` cross-checks the two views against each other and checks
 the closed-form curvature against a structure-constant oracle; `verify`
 compares the residuals with thresholds.
@@ -39,7 +42,6 @@ __all__ = [
     "SQRT3",
     "Point",
     "Tangent",
-    "tangent",
     "random_point",
     "random_tangent",
     "frame",
@@ -55,7 +57,6 @@ __all__ = [
     "gnorm",
     "tensor_G",
     "tensor_H",
-    "curvature",
     "curvature_coeff",
     "curvature_oracle_table",
     "sectional_curvature",
@@ -161,32 +162,12 @@ class Tangent:
     def __sub__(self, other):
         return Tangent(self.base, self.u - other.u, self.v - other.v)
 
-    def __neg__(self):
-        return Tangent(self.base, -self.u, -self.v)
-
     def __rmul__(self, s):
         s = np.asarray(s, dtype=float)[..., None]
         return Tangent(self.base, s * self.u, s * self.v)
 
 
-_TANGENT_TOL = 1e-10
 _SAME_BASE_TOL = 1e-12
-
-
-def tangent(base, u, v):
-    """Validated constructor: checks orthogonality to the base point.
-
-    Raises ValueError when <U, p> or <V, q> exceeds `_TANGENT_TOL`; this is
-    the same condition as the quaternion p^-1 U being imaginary.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    ru = np.abs(quat.dot(u, base.p))
-    rv = np.abs(quat.dot(v, base.q))
-    worst = np.maximum(ru.max(), rv.max()) if ru.size else 0.0
-    gate(worst, _TANGENT_TOL,
-         "tangent components not orthogonal to base point: residual")
-    return Tangent(base, u, v)
 
 
 def _pushed_tangent(base, a, b):
@@ -385,15 +366,6 @@ def tensor_H(X, Y):
     return from_frame_coords(X.base, c)
 
 
-def curvature(X, Y, W):
-    """Riemann curvature R(X, Y)W of the metric: `curvature_coeff` on the
-    frame coefficients."""
-    _check_same_base(X, Y)
-    _check_same_base(X, W)
-    c = curvature_coeff(frame_coords(X), frame_coords(Y), frame_coords(W))
-    return from_frame_coords(X.base, c)
-
-
 def _mat(m, c):
     return np.einsum("ab,...b->...a", m, c)
 
@@ -434,11 +406,11 @@ def curvature_oracle_table():
     return t1 - t2 - t3
 
 
-def sectional_curvature(X, Y):
-    """Sectional curvature of span{X, Y}."""
-    num = metric(curvature(X, Y, Y), X)
-    den = metric(X, X) * metric(Y, Y) - metric(X, Y) ** 2
-    return num / den
+def sectional_curvature(x, y):
+    """Sectional curvature of the plane spanned by the frame coefficient
+    vectors `x` and `y` (position free, like `curvature_coeff`)."""
+    g = gram_product
+    return g(curvature_coeff(x, y, y), x) / (g(x, x) * g(y, y) - g(x, y) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ property rather than trusting it.  The pipeline is
 
 Tangent vectors are (..., 6) coefficient arrays in the global frame of
 `nkspace`, where g(a, b) is `gram_product(a, b)`, J a is `a @ J_MAT.T` and
-P a is `a @ P_MAT.T`.  Both grid types derive their fields and their gated
-defect once and cache them: a surface grid the partials' coefficients and
-the first fundamental form (`ImmersionGrid.partials`) and its largest
-almost-complex defect (`.almost_complex_max`), a potential grid its
-partials, Laplacian and largest equation residual (`hsystem.HSurfaceGrid`).
+P a is `a @ P_MAT.T`; the second fundamental form is the three fields
+(h_uu, h_uv, h_vv), and no grid builds an ambient `Point`.  Both grid
+types derive their fields and their gated defect once and cache them: a
+surface grid the partials' coefficients and the first fundamental form
+(`ImmersionGrid.partials`) and its largest almost-complex defect
+(`.almost_complex_max`), a potential grid its partials, Laplacian and
+largest equation residual (`hsystem.HSurfaceGrid`).
 
 Every grid window, here and in `hsystem` and `fixtures`, is one `Lattice`,
 validated once by `lattice`; grids are built over it.  It also owns the
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import quat
 from .nkspace import (
-    FLIP, J_MAT, P_MAT, SQRT3, Point, connection_term, gate, gram_product,
+    FLIP, J_MAT, P_MAT, SQRT3, connection_term, gate, gram_product,
     validate_tol_scale,
 )
 
@@ -56,7 +58,6 @@ __all__ = [
     "immersion_grid",
     "GridPartials",
     "CoefficientFields",
-    "SecondFundamentalForm",
     "interior",
     "partials",
     "almost_complex_residual",
@@ -221,10 +222,6 @@ class ImmersionGrid(Lattice):
 
     p: np.ndarray
     q: np.ndarray
-
-    @property
-    def base(self):
-        return Point(self.p, self.q)
 
     @cached_property
     def partials(self):
@@ -495,25 +492,6 @@ def _grid_covariant(lat, x_coeff, field_coeff, axis):
     return dc
 
 
-@dataclass(frozen=True)
-class SecondFundamentalForm:
-    """Normal-valued second derivatives of the immersion on the grid.
-
-    huu, huv, hvv are the frame coefficients (shape (nu, nv, 6)) of the
-    normal projections of the ambient covariant derivatives of phi_u, phi_v
-    along the coordinate directions; `unit_norm` is the largest of their
-    metric norms after normalizing both slots to unit vectors, and
-    `trace_norm` the norm of the metric trace (twice the mean curvature
-    vector).
-    """
-
-    huu: np.ndarray
-    huv: np.ndarray
-    hvv: np.ndarray
-    unit_norm: np.ndarray
-    trace_norm: np.ndarray
-
-
 def _second_form_part(grid, k):
     """h_uu, h_uv or h_vv for k = 0, 1, 2: the normal part of the ambient
     covariant derivative of phi_u, phi_v, phi_v along u, u, v."""
@@ -523,28 +501,24 @@ def _second_form_part(grid, k):
     return _normal_part(gp, w, gram_product(w, gp.cu), gram_product(w, gp.cv))
 
 
-def _unit_norm(gp, parts):
-    """Pointwise largest metric norm of h_uu, h_uv, h_vv (the iterable
-    `parts`) with both slots normalized to unit vectors; each part is
-    reduced to its norm before the next is read."""
-    E, _, G = gp.first_form
-    parts, unit = iter(parts), None
-    for scale in (E, np.sqrt(E * G), G):
-        n = _norm(next(parts)) / scale
+def _unit_norm(grid):
+    """Pointwise largest metric norm of h_uu, h_uv, h_vv with both slots
+    normalized to unit vectors; each part is reduced to its norm before the
+    next is formed."""
+    E, _, G = grid.partials.first_form
+    unit = None
+    for k, scale in enumerate((E, np.sqrt(E * G), G)):
+        n = _norm(_second_form_part(grid, k)) / scale
         unit = n if unit is None else np.maximum(unit, n, out=unit)
     return unit
 
 
 def second_fundamental_form(grid):
-    huu, huv, hvv = h = [_second_form_part(grid, k) for k in range(3)]
-    E, F, G = grid.partials.first_form
-    # the metric trace, one component at a time: no second full-grid temporary
-    trace = G[..., None] * huu
-    for k in range(6):
-        trace[..., k] -= 2.0 * F * huv[..., k]
-        trace[..., k] += E * hvv[..., k]
-    trace /= (E * G - F * F)[..., None]
-    return SecondFundamentalForm(huu, huv, hvv, _unit_norm(grid.partials, h), _norm(trace))
+    """(h_uu, h_uv, h_vv): the frame coefficients (shape (nu, nv, 6)) of the
+    normal projections of the ambient covariant derivatives of phi_u, phi_v
+    along the coordinate directions; `analyze` reduces them one at a time
+    (`_unit_norm`)."""
+    return tuple(_second_form_part(grid, k) for k in range(3))
 
 
 def classify_P_alignment(grid):
@@ -585,8 +559,7 @@ def analyze(grid, tol_scale=1.0):
     K = interior(gaussian_curvature(grid))
     K_mean, K_max_dev = float(K.mean()), float(np.abs(K - K.mean()).max())
     del K
-    parts = (_second_form_part(grid, k) for k in range(3))
-    h_max = float(interior(_unit_norm(grid.partials, parts)).max())
+    h_max = float(interior(_unit_norm(grid)).max())
     return {
         "almost_complex_max": ac_max,
         "integrability_21_max": r21,

@@ -231,6 +231,20 @@ def test_mean_curvature_requires_conformal():
         hsys.mean_curvature(stretched)
 
 
+@pytest.mark.parametrize("stretch, ok", [(9e-4, True), (9e-3, False)])
+def test_conformality_gate_near_its_tolerance(stretch, ok):
+    # the cylinder stretched along its axis by 1 + stretch deviates from
+    # conformal by about 2 * stretch: 0.5x the 3.6e-3 floor at 9e-4 passes,
+    # 4.9x at 9e-3 is refused, so a tenfold looser floor fails here
+    cyl = fixtures.make_fixture("cmc_cylinder", nu=31, nv=31)
+    hs = hsys.HSurfaceGrid(**cyl.window(), eps=cyl.eps * [1.0, 1.0, 1.0 + stretch])
+    if ok:
+        assert np.isfinite(hsys.mean_curvature(hs)).all()
+        return
+    with pytest.raises(ValueError, match=r"deviation 1\.78\de-02 exceeds 3\.6e-03$"):
+        hsys.mean_curvature(hs)
+
+
 def test_mean_curvature_rejects_nan_cell():
     hs = sphere_hs(15)
     eps = hs.eps.copy()

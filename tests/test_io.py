@@ -90,6 +90,28 @@ def test_reader_rejects_bad_input(tmp_path):
         io.read_epsilon_csv(p)
 
 
+@pytest.mark.parametrize("shift, ok", [(5e-9, True), (5e-8, False)])
+def test_axis_jitter_gate_near_its_tolerance(tmp_path, shift, ok):
+    # one whole u-column moved by `shift` at du = 0.01, where the tolerance
+    # is STEP_RTOL * du = 1e-8: 0.5x passes, 5x is refused, so a tenfold
+    # looser tolerance fails here
+    grid = fixtures.make_fixture("example2", nu=9, nv=7, du=0.01, dv=0.01)
+    path = tmp_path / "g.csv"
+    io.write_immersion_csv(path, grid)
+    header, *rows = path.read_text().splitlines()
+    column = float(grid.u_vals[4])
+    for k, row in enumerate(rows):
+        u, rest = row.split(",", 1)
+        if float(u) == column:
+            rows[k] = f"{column + shift!r},{rest}"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    if ok:
+        assert io.read_immersion_csv(path).nu == 9
+        return
+    with pytest.raises(ValueError, match=r"u axis spacing is irregular: max jitter 5\.0\d\de-08 exceeds 1\.0e-08"):
+        io.read_immersion_csv(path)
+
+
 def test_reader_refuses_a_missing_column_at_a_tiny_step(tmp_path):
     # u axis (0, 1, 2, 3, 5, ..., 9) x 1e-10: the gap left by the missing
     # column is a whole step of jitter, however small the step itself is

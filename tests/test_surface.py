@@ -45,8 +45,9 @@ def test_grid_constructor_validation():
 def test_partials_match_analytic_derivative():
     grid = small_fixture("example1")
     gp = sf.partials(grid)
-    phi_u = nk.from_frame_coords(grid.base, gp.cu)
-    phi_v = nk.from_frame_coords(grid.base, gp.cv)
+    base = nk.Point(grid.p, grid.q)
+    phi_u = nk.from_frame_coords(base, gp.cu)
+    phi_v = nk.from_frame_coords(base, gp.cv)
     # p = exp(i(u - v/sqrt3)): p_u = p i, p_v = -p i / sqrt3
     pu_exact = quat.qmul(grid.p, QI)
     pv_exact = -pu_exact / SQ3
@@ -310,33 +311,28 @@ def test_gaussian_curvature_fixture_values():
 
 def test_second_fundamental_form_example1_vanishes():
     grid = small_fixture("example1")
-    sff = sf.second_fundamental_form(grid)
-    assert sf.interior(sff.unit_norm).max() < 1e-10
-    assert sf.interior(sff.trace_norm).max() < 1e-10
+    for h in sf.second_fundamental_form(grid):
+        assert sf.interior(np.abs(h)).max() < 1e-10
+    assert sf.analyze(grid)["h_norm_max"] < 1e-10
 
 
-def test_second_fundamental_form_trace_is_the_metric_trace():
+def test_analyze_reads_the_cylinder_second_form():
     # a surface with h != 0 (the cmc_cylinder potential integrated back):
-    # the stored trace norm is that of (G huu - 2F huv + E hvv) / (EG - F^2)
+    # every h_norm_max bound elsewhere is an upper one, so this pins the
+    # reduction to the exact unit norm 1/sqrt(3)
     hs = fixtures.make_fixture("cmc_cylinder", nu=41, nv=21, du=6e-3, dv=6e-3)
     grid, _ = hsys.surface_from_epsilon(hs)
-    sff = sf.second_fundamental_form(grid)
-    E, F, G = (x[..., None] for x in grid.partials.first_form)
-    trace = (G * sff.huu - 2.0 * F * sff.huv + E * sff.hvv) / (E * G - F * F)
-    assert sf.interior(sff.unit_norm).min() > 0.1
-    want = np.sqrt(np.maximum(nk.gram_product(trace, trace), 0.0))
-    assert np.array_equal(sff.trace_norm, want)
+    assert abs(sf.analyze(grid)["h_norm_max"] - 1.0 / SQ3) < 1e-8
 
 
 def test_second_fundamental_form_symmetry_example2():
     grid = small_fixture("example2", n=31)
-    sff = sf.second_fundamental_form(grid)
     gp = sf.partials(grid)
-    base = grid.base
+    base = nk.Point(grid.p, grid.q)
     phi_u = nk.from_frame_coords(base, gp.cu)
     phi_v = nk.from_frame_coords(base, gp.cv)
     # h is normal-valued: residual inner products with the tangent plane
-    for hc in (sff.huu, sff.huv, sff.hvv):
+    for hc in sf.second_fundamental_form(grid):
         hh = nk.from_frame_coords(base, hc)
         a = np.abs(nk.metric(hh, phi_u))
         b = np.abs(nk.metric(hh, phi_v))
@@ -373,9 +369,10 @@ def test_frame_kernel_matches_ambient_operators(name):
     # random isometry image of a fixture grid (general position); lambda
     # vanishes on the round sphere, so the flat torus checks it too
     fixture = small_fixture(name, n=31)
-    moved = nk.random_isometry(np.random.default_rng(5)).apply_point(fixture.base)
+    moved = nk.random_isometry(np.random.default_rng(5)).apply_point(
+        nk.Point(fixture.p, fixture.q))
     grid = sf.immersion_grid(fixture, moved.p, moved.q)
-    base = grid.base
+    base = nk.Point(grid.p, grid.q)
     gp = grid.partials
 
     def ambient_partial(axis, step):
@@ -383,7 +380,7 @@ def test_frame_kernel_matches_ambient_operators(name):
         for arr in (grid.p, grid.q):
             raw = np.gradient(arr, step, axis=axis, edge_order=2)
             comps.append(raw - quat.dot(raw, arr)[..., None] * arr)
-        return nk.tangent(base, *comps)
+        return nk.Tangent(base, *comps)
 
     phi_u = ambient_partial(0, grid.du)
     phi_v = ambient_partial(1, grid.dv)
@@ -406,8 +403,7 @@ def test_frame_kernel_matches_ambient_operators(name):
         det = E * G - F * F
         return W - ((G * a - F * b) / det) * phi_u - ((E * b - F * a) / det) * phi_v
 
-    sff = sf.second_fundamental_form(grid)
-    for hc in (sff.huu, sff.huv, sff.hvv):
+    for hc in sf.second_fundamental_form(grid):
         normal = normal_part(nk.from_frame_coords(base, hc))
         assert np.abs(nk.frame_coords(normal) - hc).max() < 1e-12
 
