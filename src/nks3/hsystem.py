@@ -149,9 +149,7 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     """
     ac_max = require_adapted(grid, tol_scale)
     out = grid.inset(1)
-    cf = extract_coefficients(grid)
-    a, b = cf.alpha[1:-1, 1:-1], cf.beta[1:-1, 1:-1]
-    del cf  # alpha_t and beta_t go before integrating; the views keep alpha, beta
+    a, b = (c[1:-1, 1:-1] for c in extract_coefficients(grid))
     eps_uv = grid.cumtrapz(a[:, :1], 0) + grid.cumtrapz(b, 1)
     eps_vu = grid.cumtrapz(b[:1, :], 1) + grid.cumtrapz(a, 0)
     tol = _default_cert_tol(grid, tol_scale)

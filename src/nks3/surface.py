@@ -11,10 +11,13 @@ property rather than trusting it.  The pipeline is
 
 Tangent vectors are (..., 6) coefficient arrays in the global frame of
 `nkspace`, where g(a, b) is `gram_product(a, b)`, J a is `a @ J_MAT.T` and
-P a is `a @ P_MAT.T`; the second fundamental form is the three fields
-(h_uu, h_uv, h_vv), and no grid builds an ambient `Point`.  Both grid
-types derive their fields and their gated defect once and cache them: a
-surface grid the partials' coefficients and the first fundamental form
+P a is `a @ P_MAT.T`, and no grid builds an ambient `Point`.  Each analysed
+quantity has one path: `second_fundamental_form(grid, k)` forms h_uu, h_uv
+or h_vv, which `analyze` reduces one at a time, and the unrotated
+coefficient pair is read in place from the cached partials, of which
+`extract_coefficients` returns only the rotated pair.  Both grid types
+derive their fields and their gated defect once and cache them: a surface
+grid the partials' coefficients and the first fundamental form
 (`ImmersionGrid.partials`) and its largest almost-complex defect
 (`.almost_complex_max`), a potential grid its partials, Laplacian and
 largest equation residual (`hsystem.HSurfaceGrid`).
@@ -57,7 +60,6 @@ __all__ = [
     "ImmersionGrid",
     "immersion_grid",
     "GridPartials",
-    "CoefficientFields",
     "interior",
     "partials",
     "almost_complex_residual",
@@ -283,8 +285,9 @@ def partials(grid):
 
     Each derivative is taken over the whole grid, one at a time; the
     logarithmic derivatives built from it run over `Lattice.slabs` of
-    u-rows, and each slab reports the real part on its interior rows."""
-    reals = []
+    u-rows, and each slab folds its |real part| into one running-maximum
+    field (`np.maximum` keeps a NaN), reduced once on the `interior`."""
+    real = np.zeros(grid.p.shape[:-1])
     cu = np.empty(grid.p.shape[:-1] + (6,))
     cv = np.empty_like(cu)
     for half, arr in ((slice(0, 3), grid.p), (slice(3, 6), grid.q)):
@@ -292,14 +295,11 @@ def partials(grid):
             d = grid.diff(arr, axis)
             for s in grid.slabs(0):
                 log = quat.qmul(quat.qconj(arr[s]), d[s])
-                lo, hi = max(s.start, _MARGIN), min(s.stop, grid.nu - _MARGIN)
-                if lo < hi:
-                    inner = log[lo - s.start : hi - s.start, _MARGIN:-_MARGIN, 0]
-                    reals.append(np.abs(inner).max())
+                np.maximum(real[s], np.abs(log[..., 0]), out=real[s])
                 np.multiply(quat.imag(log), FLIP, out=c[s, :, half])
             del d  # one derivative alive at a time
     cu.flags.writeable = cv.flags.writeable = False
-    return GridPartials(cu, cv, float(np.max(reals)), induced_metric(cu, cv))
+    return GridPartials(cu, cv, float(interior(real).max()), induced_metric(cu, cv))
 
 
 def _norm(c):
@@ -353,24 +353,10 @@ def rotate_pair_back(alpha, beta):
     return at, bt
 
 
-@dataclass(frozen=True)
-class CoefficientFields:
-    """Logarithmic-derivative coefficient fields of an adapted immersion.
-
-    alpha_t, beta_t are the imaginary parts of p^-1 p_u, p^-1 p_v on the
-    grid (the first-factor frame coefficients, sign flip undone); (alpha,
-    beta) is that pair rotated by `_THETA`.  `GridPartials.projection_max`
-    records the largest real part dropped.
-    """
-
-    alpha_t: np.ndarray
-    beta_t: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
 def extract_coefficients(grid):
-    """Coefficient fields of an adapted grid.
+    """The rotated coefficient pair (alpha, beta) of an adapted grid: the
+    imaginary parts of p^-1 p_u, p^-1 p_v (the first-factor halves of
+    `GridPartials.cu` and `.cv`, sign flip undone) rotated by `_THETA`.
 
     Raises ValueError unless the real-part defect of the logarithmic
     derivatives stays within the grid's `Lattice.fd_floor` (a NaN defect
@@ -380,9 +366,7 @@ def extract_coefficients(grid):
     gp = grid.partials
     gate(gp.projection_max, grid.fd_floor(),
          "logarithmic derivatives are far from imaginary: real-part residual")
-    alpha_t = gp.cu[..., :3] * FLIP
-    beta_t = gp.cv[..., :3] * FLIP
-    return CoefficientFields(alpha_t, beta_t, *rotate_pair(alpha_t, beta_t))
+    return rotate_pair(gp.cu[..., :3] * FLIP, gp.cv[..., :3] * FLIP)
 
 
 def adapted_second_pair(alpha_t, beta_t):
@@ -392,28 +376,35 @@ def adapted_second_pair(alpha_t, beta_t):
     return gamma_t, delta_t
 
 
-def integrability_residuals(cf, lat):
+def integrability_residuals(grid, alpha, beta):
     """Max-norm residuals of the three first-order compatibility equations.
 
     Returns (tilde_curl, closure, divergence): the cross-product curl
     equation on the unrotated pair, and the closure and divergence equations
-    on the rotated pair.  All are second-order small on a genuine almost
-    complex surface; each residual is built in place and reduced in turn.
+    on the rotated pair (alpha, beta) of `extract_coefficients`.  All are
+    second-order small on a genuine almost complex surface; each residual is
+    built in place and reduced in turn.  The unrotated pair is read in place
+    as the first-factor halves of the grid's partials, whose sign flip of the
+    third component negates a cross product's first two components and keeps
+    the third: there the curl equation carries +2 cu x cv, and the norm of
+    its residual is bit-identical.
     """
+    gp = grid.partials
+    cu, cv = gp.cu[..., :3], gp.cv[..., :3]
 
     def stat(r):
         return float(interior(np.linalg.norm(r, axis=-1)).max())
 
-    r = lat.diff(cf.alpha_t, 1)
-    r -= lat.diff(cf.beta_t, 0)
-    r -= 2.0 * quat.cross(cf.alpha_t, cf.beta_t)
+    r = grid.diff(cu, 1)
+    r -= grid.diff(cv, 0)
+    r += 2.0 * quat.cross(cu, cv)
     tilde_curl = stat(r)
-    r = lat.diff(cf.alpha, 1)
-    r -= lat.diff(cf.beta, 0)
+    r = grid.diff(alpha, 1)
+    r -= grid.diff(beta, 0)
     closure = stat(r)
-    r = lat.diff(cf.alpha, 0)
-    r += lat.diff(cf.beta, 1)
-    r += (4.0 / SQRT3) * quat.cross(cf.alpha, cf.beta)
+    r = grid.diff(alpha, 0)
+    r += grid.diff(beta, 1)
+    r += (4.0 / SQRT3) * quat.cross(alpha, beta)
     return tilde_curl, closure, stat(r)
 
 
@@ -426,11 +417,11 @@ def lambda_field(gp):
     return 0.5 * (re + 1j * im)
 
 
-def cr_residuals(cf, lat):
+def cr_residuals(lat, alpha, beta):
     """Max residual of the two Cauchy-Riemann equations coupling the dot
     products of the rotated pair; second-order small on genuine surfaces."""
-    dot_ab = np.sum(cf.alpha * cf.beta, axis=-1)
-    gap = np.sum(cf.alpha * cf.alpha, axis=-1) - np.sum(cf.beta * cf.beta, axis=-1)
+    dot_ab = np.sum(alpha * beta, axis=-1)
+    gap = np.sum(alpha * alpha, axis=-1) - np.sum(beta * beta, axis=-1)
     r1 = lat.diff(dot_ab, 0) - 0.5 * lat.diff(gap, 1)
     r2 = lat.diff(dot_ab, 1) + 0.5 * lat.diff(gap, 0)
     stack = np.maximum(np.abs(r1), np.abs(r2))
@@ -492,9 +483,10 @@ def _grid_covariant(lat, x_coeff, field_coeff, axis):
     return dc
 
 
-def _second_form_part(grid, k):
-    """h_uu, h_uv or h_vv for k = 0, 1, 2: the normal part of the ambient
-    covariant derivative of phi_u, phi_v, phi_v along u, u, v."""
+def second_fundamental_form(grid, k):
+    """h_uu, h_uv or h_vv for k = 0, 1, 2: the frame coefficients (shape
+    (nu, nv, 6)) of the normal part of the ambient covariant derivative of
+    phi_u, phi_v, phi_v along u, u, v."""
     gp = grid.partials
     x, f, axis = ((gp.cu, gp.cu, 0), (gp.cu, gp.cv, 0), (gp.cv, gp.cv, 1))[k]
     w = _grid_covariant(grid, x, f, axis)
@@ -508,17 +500,9 @@ def _unit_norm(grid):
     E, _, G = grid.partials.first_form
     unit = None
     for k, scale in enumerate((E, np.sqrt(E * G), G)):
-        n = _norm(_second_form_part(grid, k)) / scale
+        n = _norm(second_fundamental_form(grid, k)) / scale
         unit = n if unit is None else np.maximum(unit, n, out=unit)
     return unit
-
-
-def second_fundamental_form(grid):
-    """(h_uu, h_uv, h_vv): the frame coefficients (shape (nu, nv, 6)) of the
-    normal projections of the ambient covariant derivatives of phi_u, phi_v
-    along the coordinate directions; `analyze` reduces them one at a time
-    (`_unit_norm`)."""
-    return tuple(_second_form_part(grid, k) for k in range(3))
 
 
 def classify_P_alignment(grid):
@@ -551,10 +535,10 @@ def analyze(grid, tol_scale=1.0):
     grid is not adapted (`require_adapted`).
     """
     ac_max = require_adapted(grid, tol_scale)
-    cf = extract_coefficients(grid)
-    r21, r22, r23 = integrability_residuals(cf, grid)
-    cr = cr_residuals(cf, grid)
-    del cf  # each stage keeps only its report values, so none holds a field
+    alpha, beta = extract_coefficients(grid)
+    r21, r22, r23 = integrability_residuals(grid, alpha, beta)
+    cr = cr_residuals(grid, alpha, beta)
+    del alpha, beta  # each stage keeps only its report values, so none holds a field
     lam_max = float(interior(np.abs(lambda_field(grid.partials))).max())
     K = interior(gaussian_curvature(grid))
     K_mean, K_max_dev = float(K.mean()), float(np.abs(K - K.mean()).max())

@@ -252,7 +252,7 @@ def _cylinder_form_checks(grid):
     E, F, G = sf.induced_metric(gp.cu, gp.cv)
     base = nk.Point(grid.p, grid.q)
     huu, huv, hvv = (
-        nk.from_frame_coords(base, h) for h in sf.second_fundamental_form(grid)
+        nk.from_frame_coords(base, sf.second_fundamental_form(grid, k)) for k in range(3)
     )
     sq_u = (nk.gnorm(huu) / E) ** 2
     sq_v = (nk.gnorm(hvv) / G) ** 2
@@ -335,8 +335,7 @@ def test_criterion_13_cauchy_riemann(
     failures = []
 
     def cr_of(grid):
-        cf = sf.extract_coefficients(grid)
-        return sf.cr_residuals(cf, grid)
+        return sf.cr_residuals(grid, *sf.extract_coefficients(grid))
 
     ex1_coarse = fixtures.make_fixture("example1", nu=51, nv=51, du=2e-2, dv=2e-2)
     exact = max(cr_of(ex1_coarse), cr_of(ex1))

@@ -307,6 +307,24 @@ def test_each_command_reduces_each_gated_defect_once(monkeypatch, tmp_path, comm
     assert counts == {k: n for k, n in ((_AC, ac), (_EQ, eq)) if n}
 
 
+@pytest.mark.parametrize("command, source", [("analyze", "example2"), ("from-h", "cmc_sphere")])
+def test_analysis_forms_each_second_form_part_once(monkeypatch, tmp_path, command, source):
+    # `analyze` reduces h_uu, h_uv and h_vv through the one public path, so
+    # the traced benchmark books the stage to `second_fundamental_form`
+    argv = _command_argv(tmp_path, command, source)
+    form, parts = sf.second_fundamental_form, []
+
+    def counted(grid, k):
+        parts.append(k)
+        return form(grid, k)
+
+    for module in (cli, fixtures, hsystem, io, sf):
+        if getattr(module, "second_fundamental_form", None) is form:
+            monkeypatch.setattr(module, "second_fundamental_form", counted)
+    assert cli.main(argv) == 0
+    assert parts == [0, 1, 2]
+
+
 def test_analyze_fixture(tmp_path, capsys):
     csv = tmp_path / "ex1.csv"
     run(capsys, "--command", "fixture", "--fixture", "example1",

@@ -1,0 +1,186 @@
+"""Every gate's tolerance is pinned by a near control.
+
+`nkspace.gate` is the one comparison behind every certificate and input
+check in `src/nks3`.  Each site below is driven through the public API
+twice, with `gate` wrapped to log value / tol per calling function: a near
+control that the site refuses at 1 < value/tol <= 10, so a tenfold looser
+tolerance would pass it and fail this test, and an input below it that the
+site passes at value/tol < 1.  Sites are keyed by the name of the function
+that calls `gate`, not by line, and the keys must equal the callers `ast`
+finds in `src/nks3`, so a new gate without a near control fails here.
+"""
+import ast
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+from nks3 import cli, fixtures, io, quat
+from nks3 import hsystem as hsys
+from nks3 import nkspace as nk
+from nks3 import surface as sf
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nks3"
+QI, QJ = np.eye(4)[1:3]
+
+
+def gate_callers():
+    """"<module>.<function>" of the innermost function around every
+    `gate(...)` call in `src/nks3`."""
+    sites = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) == "gate":
+                sites.add(f"{module}.{scope}")
+            visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+    return sites
+
+
+@pytest.fixture
+def ratios(monkeypatch):
+    """The list of (site, value / tol) that every `gate` call appends to
+    while the test runs."""
+    log, gate = [], nk.gate
+
+    def traced(value, tol, *args, **kwargs):
+        caller = sys._getframe(1)
+        module = caller.f_globals["__name__"].rsplit(".", 1)[-1]
+        log.append((f"{module}.{caller.f_code.co_name}", value / tol))
+        return gate(value, tol, *args, **kwargs)
+
+    for module in (cli, fixtures, hsys, io, nk, sf):
+        if getattr(module, "gate", None) is gate:
+            monkeypatch.setattr(module, "gate", traced)
+    return log
+
+
+def tangents_apart(shift):
+    """`nk.metric` of two tangents whose base points differ by `shift`
+    (tolerance 1e-12)."""
+    base = nk.Point(quat.ONE.copy(), quat.ONE.copy())
+    other = nk.Point(quat.ONE + shift * QJ, quat.ONE.copy())
+    return nk.metric(nk.Tangent(base, QI, np.zeros(4)), nk.Tangent(other, QI, np.zeros(4)))
+
+
+def jittered_csv(tmp_path, shift):
+    """Read back a du = 0.01 CSV with one whole u-column moved by `shift`
+    (tolerance STEP_RTOL * du = 1e-8)."""
+    grid = fixtures.make_fixture("example2", nu=9, nv=7, du=0.01, dv=0.01)
+    path = tmp_path / "g.csv"
+    io.write_immersion_csv(path, grid)
+    header, *rows = path.read_text().splitlines()
+    column = float(grid.u_vals[4])
+    for k, row in enumerate(rows):
+        u, rest = row.split(",", 1)
+        if float(u) == column:
+            rows[k] = f"{column + shift!r},{rest}"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return io.read_immersion_csv(path)
+
+
+def stretched_cylinder(stretch):
+    """Mean curvature of the cylinder potential 31^2 stretched along its
+    axis by 1 + `stretch` (floor 3.6e-3)."""
+    cyl = fixtures.make_fixture("cmc_cylinder", nu=31, nv=31)
+    return hsys.mean_curvature(
+        hsys.HSurfaceGrid(**cyl.window(), eps=cyl.eps * [1.0, 1.0, 1.0 + stretch]))
+
+
+def spiked_sphere(delta):
+    """`surface_from_epsilon` of the sphere potential 31^2 at h = 6e-3 with
+    `delta` added to one value: the equation residual sees ~4 delta / h^2
+    against 200 h^2."""
+    hs = fixtures.make_fixture("cmc_sphere", nu=31, nv=31)
+    eps = hs.eps.copy()
+    eps[15, 15, 0] += delta
+    return hsys.surface_from_epsilon(hsys.HSurfaceGrid(**hs.window(), eps=eps))
+
+
+def saddled_sphere(amp):
+    """`surface_from_epsilon` of the sphere potential 81^2 at h = 0.04 plus
+    `amp` (2uv, 0, u^2 - v^2), centred: the added map is harmonic, so the
+    pointwise equation residual stays inside 200 h^2 while the path
+    orderings drift apart over the wide window."""
+    hs = fixtures.make_fixture("cmc_sphere", nu=81, nv=81, du=0.04, dv=0.04)
+    u = hs.u_vals[:, None] - hs.u_vals.mean()
+    v = hs.v_vals[None, :] - hs.v_vals.mean()
+    eps = hs.eps.copy()
+    eps[..., 0] += amp * 2.0 * u * v
+    eps[..., 2] += amp * (u * u - v * v)
+    return hsys.surface_from_epsilon(hsys.HSurfaceGrid(**hs.window(), eps=eps))
+
+
+def twisted_example2(amp):
+    """example2 81^2 at h = 5e-3 with p left-multiplied by exp(amp * bump i),
+    a Gaussian bump of width 0.15 at the centre."""
+    grid = fixtures.make_fixture("example2", nu=81, nv=81, du=5e-3, dv=5e-3)
+    u = grid.u_vals[:, None] - grid.u_vals.mean()
+    v = grid.v_vals[None, :] - grid.v_vals.mean()
+    bump = np.exp(-(u * u + v * v) / (2.0 * 0.15**2))
+    twist = quat.qexp(amp * bump[..., None] * [1.0, 0.0, 0.0])
+    return sf.immersion_grid(grid, quat.qmul(twist, grid.p), grid.q)
+
+
+def turned_rows(angle):
+    """example2 41^2 at h = 5e-3 with every other u-row of p turned by
+    exp(angle i)."""
+    grid = fixtures.make_fixture("example2", nu=41, nv=41)
+    p = grid.p.copy()
+    p[::2] = quat.qmul(quat.qexp(np.array([angle, 0.0, 0.0])), p[::2])
+    return sf.immersion_grid(grid, p, grid.q)
+
+
+# site -> (near control, input below it), each a call of the public API on
+# one member of a family, at a parameter ten times apart
+CONTROLS = {
+    "nkspace._check_same_base": (
+        lambda tmp: tangents_apart(5e-12), lambda tmp: tangents_apart(5e-13)),
+    "io._recover_axis": (
+        lambda tmp: jittered_csv(tmp, 5e-8), lambda tmp: jittered_csv(tmp, 5e-9)),
+    "hsystem.mean_curvature": (
+        lambda tmp: stretched_cylinder(9e-3), lambda tmp: stretched_cylinder(9e-4)),
+    "hsystem._require_solution": (
+        lambda tmp: spiked_sphere(2e-7), lambda tmp: spiked_sphere(2e-8)),
+    "hsystem.surface_from_epsilon": (
+        lambda tmp: saddled_sphere(0.03), lambda tmp: saddled_sphere(3e-3)),
+    "hsystem.epsilon_from_surface": (
+        lambda tmp: hsys.epsilon_from_surface(twisted_example2(5e-3)),
+        lambda tmp: hsys.epsilon_from_surface(twisted_example2(5e-4))),
+    "surface.require_adapted": (
+        lambda tmp: sf.analyze(twisted_example2(2e-2)),
+        lambda tmp: sf.analyze(twisted_example2(2e-3))),
+    "surface.extract_coefficients": (
+        lambda tmp: sf.analyze(turned_rows(5e-2)), lambda tmp: sf.analyze(turned_rows(5e-3))),
+}
+
+REFUSALS = (ValueError, hsys.CertificateError)
+
+
+def test_every_gate_call_has_a_near_control():
+    assert set(CONTROLS) == gate_callers()
+
+
+@pytest.mark.parametrize("site", sorted(gate_callers()))
+def test_gate_refuses_its_near_control(site, ratios, tmp_path):
+    refused, passed = CONTROLS[site]
+    with pytest.raises(REFUSALS):
+        refused(tmp_path)
+    assert ratios[-1][0] == site
+    assert 1.0 < ratios[-1][1] <= 10.0
+    ratios.clear()
+    try:
+        passed(tmp_path)
+    except REFUSALS:
+        # the loop gate's input below it is refused later, by the equation
+        assert ratios[-1][0] != site
+    logged = [r for s, r in ratios if s == site]
+    assert logged and max(logged) < 1.0

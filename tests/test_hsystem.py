@@ -256,8 +256,9 @@ def test_mean_curvature_rejects_nan_cell():
 
 @pytest.mark.parametrize("skew", [2.0, np.nan])
 def test_surface_from_epsilon_gates_path_ordering(monkeypatch, skew):
-    # no natural input passes the equation gate and fails this one, so the
-    # v-first ordering is skewed by twice the tolerance 200 h^2, or by a NaN
+    # the v-first ordering skewed by twice the tolerance 200 h^2, or by a
+    # NaN; test_gates refuses a natural input here, a wide sphere potential
+    # plus a harmonic saddle that passes the equation gate
     hs = sphere_hs()
     tol = 200.0 * hs.du**2
     assert hsys.surface_from_epsilon(hs)[1]["compat_max"] < tol

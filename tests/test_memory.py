@@ -47,21 +47,24 @@ def peak_fields(stage):
 def test_read_then_analyze_peak(grid, tmp_path):
     path = tmp_path / "grid.csv"
     io.write_immersion_csv(path, grid)
-    # measured 7.83 fields with the second fundamental form reduced one
-    # component at a time and no trace; 8.82 before, 12.02 before the
-    # in-place kernels
-    assert peak_fields(lambda: sf.analyze(io.read_immersion_csv(path))) <= 8.3
+    # measured 7.32 fields with the coefficient pair read from the cached
+    # partials and no four-array coefficient record; 7.83 with the record,
+    # 8.82 before the second fundamental form was reduced one component at
+    # a time, 12.02 before the in-place kernels
+    assert peak_fields(lambda: sf.analyze(io.read_immersion_csv(path))) <= 7.8
 
 
 def test_epsilon_from_surface_peak(grid):
-    # measured 3.29 fields on top of the resident grid, with alpha_t and
-    # beta_t dropped before integrating; 4.25 before, 6.02 before that
+    # measured 3.29 fields on top of the resident grid, with only the
+    # rotated pair alive while integrating; 4.25 when the unrotated pair was
+    # held too, 6.02 before that
     assert peak_fields(lambda: hsys.epsilon_from_surface(grid)) <= 3.8
 
 
 def test_surface_from_epsilon_then_analyze_peak(grid):
     hs, _ = hsys.epsilon_from_surface(grid)
-    # measured 7.22 fields (8.15 before, 11.36 before that)
+    # measured 7.04 fields with no coefficient record (7.22 with it, 8.15
+    # before that, 11.36 before the in-place kernels)
     assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 7.7
 
 
@@ -85,7 +88,9 @@ def test_to_h_pipeline_peak(grid, tmp_path):
         assert cli._mean_curvature_stats(hs)["status"] == "ok"
         hsys.metric_factor_check(read, hs)
 
-    # measured 7.21 fields (8.09 before)
+    # measured 7.21 fields (8.09 before); the peak sits in
+    # `epsilon_from_surface`, where the input grid must be alive, so
+    # dropping the grid before `metric_factor_check` moves it only to 7.13
     assert peak_fields(to_h) <= 7.7
 
 
@@ -100,8 +105,8 @@ def test_strip_from_h_then_analyze_peak(tmp_path):
         grid, _ = hsys.surface_from_epsilon(io.read_epsilon_csv(path))
         sf.analyze(grid)
 
-    # in (nu, nv, 6) float64 fields of the strip: measured 6.64 (7.22
-    # before the slab kernels)
+    # in (nu, nv, 6) float64 fields of the strip: measured 6.64, with or
+    # without the coefficient record (7.22 before the slab kernels)
     assert traced_peak(from_h) / (nu * nv * 6 * 8) <= 7.1
 
 

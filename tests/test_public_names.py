@@ -46,7 +46,6 @@ NEVER_ENTERED = {
     "nkspace.random_point": "about twenty test sites and a demo draw with it",
     "nkspace.random_tangent": "about twenty test sites and a demo draw with it",
     "nkspace.sectional_curvature": "its frozen-value test and a demo read it",
-    "surface.second_fundamental_form": "bench/layers.py traces it; tests read its fields",
 }
 
 

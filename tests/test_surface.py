@@ -124,10 +124,10 @@ def test_extract_coefficients_example1_constants():
     # central stencils scale each exact coefficient by sin(ch)/(ch), so the
     # constants are recovered to O(h^2), not exactly
     grid = small_fixture("example1")
-    cf = sf.extract_coefficients(grid)
-    assert np.abs(sf.interior(cf.alpha_t) - np.array([1.0, 0, 0])).max() < 2e-5
+    alpha_t, beta_t = sf.rotate_pair_back(*sf.extract_coefficients(grid))
+    assert np.abs(sf.interior(alpha_t) - np.array([1.0, 0, 0])).max() < 2e-5
     assert (
-        np.abs(sf.interior(cf.beta_t) - np.array([-1 / SQ3, 0, 0])).max() < 1e-5
+        np.abs(sf.interior(beta_t) - np.array([-1 / SQ3, 0, 0])).max() < 1e-5
     )
     gp = grid.partials
     gamma_t, delta_t = gp.cu[..., 3:] * nk.FLIP, gp.cv[..., 3:] * nk.FLIP
@@ -136,7 +136,7 @@ def test_extract_coefficients_example1_constants():
         np.abs(sf.interior(delta_t) - np.array([-2 / SQ3, 0, 0])).max() < 5e-5
     )
     # the second-factor pair is the one adapted coordinates force
-    gamma_pred, delta_pred = sf.adapted_second_pair(cf.alpha_t, cf.beta_t)
+    gamma_pred, delta_pred = sf.adapted_second_pair(alpha_t, beta_t)
     rg = np.linalg.norm(gamma_t - gamma_pred, axis=-1)
     rd = np.linalg.norm(delta_t - delta_pred, axis=-1)
     assert max(sf.interior(rg).max(), sf.interior(rd).max()) < 5e-5
@@ -144,21 +144,22 @@ def test_extract_coefficients_example1_constants():
 
 def test_rotated_pair_example1():
     grid = small_fixture("example1")
-    cf = sf.extract_coefficients(grid)
+    alpha, beta = sf.extract_coefficients(grid)
     # rotating (1,0,0), (-1/sqrt3,0,0) by 2pi/3 gives (-1,0,0), (-1/sqrt3,0,0)
-    assert np.abs(sf.interior(cf.alpha) - np.array([-1.0, 0, 0])).max() < 2e-5
-    assert np.abs(sf.interior(cf.beta) - np.array([-1 / SQ3, 0, 0])).max() < 2e-5
-    # rotation round trip is the identity
-    at, bt = sf.rotate_pair_back(cf.alpha, cf.beta)
-    assert np.abs(at - cf.alpha_t).max() < 1e-14
-    assert np.abs(bt - cf.beta_t).max() < 1e-14
+    assert np.abs(sf.interior(alpha) - np.array([-1.0, 0, 0])).max() < 2e-5
+    assert np.abs(sf.interior(beta) - np.array([-1 / SQ3, 0, 0])).max() < 2e-5
+    # rotating back recovers the unrotated pair, the first-factor halves of
+    # the partials with the sign flip undone
+    at, bt = sf.rotate_pair_back(alpha, beta)
+    gp = grid.partials
+    assert np.abs(at - gp.cu[..., :3] * nk.FLIP).max() < 1e-14
+    assert np.abs(bt - gp.cv[..., :3] * nk.FLIP).max() < 1e-14
 
 
 def test_integrability_residuals_small_on_fixtures():
     for name, bound in (("example1", 1e-8), ("example2", 2e-5)):
         grid = small_fixture(name, n=31)
-        cf = sf.extract_coefficients(grid)
-        r21, r22, r23 = sf.integrability_residuals(cf, grid)
+        r21, r22, r23 = sf.integrability_residuals(grid, *sf.extract_coefficients(grid))
         assert max(r21, r22, r23) < bound, name
 
 
@@ -166,9 +167,27 @@ def test_integrability_halving_example2():
     res = {}
     for h in (1e-2, 5e-3):
         grid = small_fixture("example2", h=h)
-        cf = sf.extract_coefficients(grid)
-        res[h] = max(sf.integrability_residuals(cf, grid))
+        res[h] = max(sf.integrability_residuals(grid, *sf.extract_coefficients(grid)))
     assert res[1e-2] / res[5e-3] > 3.5
+
+
+@pytest.mark.parametrize("n, angle", [(41, 0.0), (61, 5e-3)])
+def test_curl_read_in_place_is_the_unrotated_pair_curl(n, angle):
+    # the curl equation on the unrotated pair, -2 alpha_t x beta_t, formed
+    # here on the partials' first-factor halves with the sign flip undone,
+    # against the residual read in place from the halves (+2 cu x cv), to
+    # the bit; on clean example2 and with every other u-row of p turned
+    grid = small_fixture("example2", n=n)
+    if angle:
+        p = grid.p.copy()
+        p[::2] = quat.qmul(quat.qexp(np.array([angle, 0.0, 0.0])), p[::2])
+        grid = sf.immersion_grid(grid, p, grid.q)
+    gp = grid.partials
+    alpha_t, beta_t = gp.cu[..., :3] * nk.FLIP, gp.cv[..., :3] * nk.FLIP
+    r = grid.diff(alpha_t, 1) - grid.diff(beta_t, 0) - 2.0 * quat.cross(alpha_t, beta_t)
+    want = float(sf.interior(np.linalg.norm(r, axis=-1)).max())
+    got = sf.integrability_residuals(grid, *sf.extract_coefficients(grid))[0]
+    assert got.hex() == want.hex()
 
 
 def test_lambda_field_example1_value():
@@ -178,8 +197,8 @@ def test_lambda_field_example1_value():
     assert np.abs(lam - target).max() < 1e-4
     # metric-level and quadratic-form routes agree: the quadratic form is
     # (1 + i sqrt3)/4 times the complex square of alpha_t - i beta_t
-    cf = sf.extract_coefficients(grid)
-    z = cf.alpha_t - 1j * cf.beta_t
+    gp = grid.partials
+    z = (gp.cu[..., :3] - 1j * gp.cv[..., :3]) * nk.FLIP
     lam_q = 0.25 * (1 + 1j * SQ3) * np.sum(z * z, axis=-1)
     assert np.abs(sf.interior(lam_q) - target).max() < 1e-4
     assert np.abs(sf.interior(lam_q) - lam).max() < 1e-4
@@ -187,8 +206,7 @@ def test_lambda_field_example1_value():
 
 def test_cr_residuals_example1_exact():
     grid = small_fixture("example1")
-    cf = sf.extract_coefficients(grid)
-    assert sf.cr_residuals(cf, grid) < 1e-10
+    assert sf.cr_residuals(grid, *sf.extract_coefficients(grid)) < 1e-10
 
 
 def test_induced_metric_example1():
@@ -311,7 +329,8 @@ def test_gaussian_curvature_fixture_values():
 
 def test_second_fundamental_form_example1_vanishes():
     grid = small_fixture("example1")
-    for h in sf.second_fundamental_form(grid):
+    for k in range(3):
+        h = sf.second_fundamental_form(grid, k)
         assert sf.interior(np.abs(h)).max() < 1e-10
     assert sf.analyze(grid)["h_norm_max"] < 1e-10
 
@@ -332,8 +351,8 @@ def test_second_fundamental_form_symmetry_example2():
     phi_u = nk.from_frame_coords(base, gp.cu)
     phi_v = nk.from_frame_coords(base, gp.cv)
     # h is normal-valued: residual inner products with the tangent plane
-    for hc in sf.second_fundamental_form(grid):
-        hh = nk.from_frame_coords(base, hc)
+    for k in range(3):
+        hh = nk.from_frame_coords(base, sf.second_fundamental_form(grid, k))
         a = np.abs(nk.metric(hh, phi_u))
         b = np.abs(nk.metric(hh, phi_v))
         assert sf.interior(np.maximum(a, b)).max() < 1e-10
@@ -403,7 +422,8 @@ def test_frame_kernel_matches_ambient_operators(name):
         det = E * G - F * F
         return W - ((G * a - F * b) / det) * phi_u - ((E * b - F * a) / det) * phi_v
 
-    for hc in sf.second_fundamental_form(grid):
+    for k in range(3):
+        hc = sf.second_fundamental_form(grid, k)
         normal = normal_part(nk.from_frame_coords(base, hc))
         assert np.abs(nk.frame_coords(normal) - hc).max() < 1e-12
 
