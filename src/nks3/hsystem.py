@@ -7,11 +7,14 @@ is a map into R^3 satisfying the quadratic second-order equation
     eps_uu + eps_vv = -(4 / sqrt3) eps_u x eps_v,
 
 and conversely a solution grid of that equation integrates back to an
-adapted surface through the rotated coefficient pair.  Both directions are
-discretized here; each emits a certificate (path-independence or
-cross-ordering compatibility residual) that callers must treat as the
-correctness signal, because sampled inputs only satisfy the compatibility
-conditions to discretization error.
+adapted surface.  The potential's gradient is the first factor's
+coefficient pair turned by `surface.TO_POTENTIAL`; the way back turns the
+gradient by `FROM_POTENTIAL` and forms the second factor's pair from the
+result with `SECOND_FACTOR`, all through `surface.rotate_pair`.  Both
+directions are discretized here; each emits a certificate
+(path-independence or cross-ordering compatibility residual) that callers
+must treat as the correctness signal, because sampled inputs only satisfy
+the compatibility conditions to discretization error.
 
 Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
 `surface.Lattice`, are built over one (`h_surface_grid(lat, eps)`), and
@@ -36,13 +39,8 @@ import numpy as np
 from . import quat
 from .nkspace import SQRT3, gate, validate_tol_scale
 from .surface import (
-    Lattice,
-    adapted_second_pair,
-    extract_coefficients,
-    immersion_grid,
-    interior,
-    require_adapted,
-    rotate_pair_back,
+    FROM_POTENTIAL, SECOND_FACTOR, Lattice, extract_coefficients,
+    immersion_grid, interior, require_adapted, rotate_pair,
 )
 
 __all__ = [
@@ -158,7 +156,7 @@ def epsilon_from_surface(grid, tol_scale=1.0):
                 "path-ordering residual", CertificateError,
                 "; the coefficient one-form is not closed to discretization order")
     del a, b, eps_vu, gap
-    hs = HSurfaceGrid(**out.window(), eps=eps_uv)
+    hs = h_surface_grid(out, eps_uv)
     eq_res = _require_solution(
         hs, tol, "; the integrated potential is not a solution surface")
     return hs, {"almost_complex_max": ac_max, "loop_max": loop,
@@ -231,8 +229,8 @@ def _stacked_pairs(hs):
     """The coefficient pairs of both quaternion factors on the inset window,
     stacked to (nu - 2, nv - 2, 2, 3): the u pair, then the v pair."""
     eu, ev = hs.partials
-    at, bt = rotate_pair_back(eu[1:-1, 1:-1], ev[1:-1, 1:-1])
-    gt, dt = adapted_second_pair(at, bt)
+    at, bt = rotate_pair(eu[1:-1, 1:-1], ev[1:-1, 1:-1], FROM_POTENTIAL)
+    gt, dt = rotate_pair(at, bt, SECOND_FACTOR)
     return np.stack([at, gt], axis=-2), np.stack([bt, dt], axis=-2)
 
 

@@ -87,8 +87,8 @@ def _recover_axis(raw, label):
     return vals, step
 
 
-def _read_rows(path, header, ncols):
-    """The recovered `Lattice` and the payload binned onto it (nu, nv, ncols - 2)."""
+def _read_rows(path, header):
+    """The recovered `Lattice` and the header's columns after u, v binned onto it."""
     with open(path) as fh:
         first = fh.readline().strip()
         if first != header:
@@ -100,9 +100,10 @@ def _read_rows(path, header, ncols):
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if not len(data):
         raise ValueError("CSV has a header but no data rows")
-    if data.shape[1] != ncols:
-        raise ValueError(f"expected {ncols} columns, got shape {data.shape}")
-    for column, finite in zip(header.split(","), np.isfinite(data).all(axis=0)):
+    columns = header.split(",")
+    if data.shape[1] != len(columns):
+        raise ValueError(f"expected {len(columns)} columns, got shape {data.shape}")
+    for column, finite in zip(columns, np.isfinite(data).all(axis=0)):
         if not finite:
             raise ValueError(f"non-finite value in column {column!r}")
     u_vals, du = _recover_axis(data[:, 0], "u")
@@ -114,7 +115,7 @@ def _read_rows(path, header, ncols):
         )
     i = np.searchsorted(u_vals, data[:, 0])
     j = np.searchsorted(v_vals, data[:, 1])
-    payload = np.full((nu, nv, ncols - 2), np.nan)
+    payload = np.full((nu, nv, len(columns) - 2), np.nan)
     payload[i, j] = data[:, 2:]
     if not np.isfinite(payload).all():
         raise ValueError("grid has missing or duplicated (u, v) cells")
@@ -122,12 +123,12 @@ def _read_rows(path, header, ncols):
 
 
 def read_immersion_csv(path):
-    lat, payload = _read_rows(path, IMMERSION_HEADER, 10)
+    lat, payload = _read_rows(path, IMMERSION_HEADER)
     return immersion_grid(lat, payload[..., :4], payload[..., 4:])
 
 
 def read_epsilon_csv(path):
-    lat, payload = _read_rows(path, EPSILON_HEADER, 5)
+    lat, payload = _read_rows(path, EPSILON_HEADER)
     return h_surface_grid(lat, payload)
 
 

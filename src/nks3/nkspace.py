@@ -352,18 +352,21 @@ def gnorm(Z):
     return np.sqrt(np.maximum(metric(Z, Z), 0.0))
 
 
+def _table_tensor(blocks, X, Y):
+    """The 2-tensor of the constant block pattern `blocks` on same-base X, Y."""
+    _check_same_base(X, Y)
+    c = _block_product(blocks, frame_coords(X), frame_coords(Y))
+    return from_frame_coords(X.base, c)
+
+
 def tensor_G(X, Y):
     """The covariant derivative of J as a 2-tensor, via its constant block pattern."""
-    _check_same_base(X, Y)
-    c = _block_product(_G_BLOCKS, frame_coords(X), frame_coords(Y))
-    return from_frame_coords(X.base, c)
+    return _table_tensor(_G_BLOCKS, X, Y)
 
 
 def tensor_H(X, Y):
     """The covariant derivative of P as a 2-tensor, via its constant block pattern."""
-    _check_same_base(X, Y)
-    c = _block_product(_H_BLOCKS, frame_coords(X), frame_coords(Y))
-    return from_frame_coords(X.base, c)
+    return _table_tensor(_H_BLOCKS, X, Y)
 
 
 def _mat(m, c):
@@ -427,19 +430,16 @@ class Isometry:
     c: np.ndarray
 
     def apply_point(self, pt):
-        ci = quat.qconj(self.c)
-        return Point(
-            quat.qmul(quat.qmul(self.a, pt.p), ci),
-            quat.qmul(quat.qmul(self.b, pt.q), ci),
-        )
+        return Point(*_sandwich(self, pt.p, pt.q))
 
     def push(self, Z):
-        ci = quat.qconj(self.c)
-        return Tangent(
-            self.apply_point(Z.base),
-            quat.qmul(quat.qmul(self.a, Z.u), ci),
-            quat.qmul(quat.qmul(self.b, Z.v), ci),
-        )
+        return Tangent(self.apply_point(Z.base), *_sandwich(self, Z.u, Z.v))
+
+
+def _sandwich(iso, x, y):
+    """(a x c^-1, b y c^-1) for the isometry `iso` = (a, b, c)."""
+    ci = quat.qconj(iso.c)
+    return quat.qmul(quat.qmul(iso.a, x), ci), quat.qmul(quat.qmul(iso.b, y), ci)
 
 
 def random_isometry(rng):
@@ -476,6 +476,11 @@ def _frame_identities(pts):
     return res
 
 
+def _coeff_max(t):
+    """Largest frame coefficient of the tangent `t`: a tangent identity's residual."""
+    return float(np.abs(frame_coords(t)).max())
+
+
 def _operator_identities(X, Y, JX, gxy):
     """The J, P and Q identities on X and Y, and the G- and H-tensor
     identities that need no third tangent.
@@ -488,58 +493,42 @@ def _operator_identities(X, Y, JX, gxy):
     metric_xy = metric(X, Y)
     usual_xy = usual_inner(X, Y)
     res = {}
-    res["j_squared"] = float(np.abs(frame_coords(apply_J(JX) + X)).max())
-    res["q_squared"] = float(np.abs(frame_coords(apply_Q(apply_Q(X)) - X)).max())
+    res["j_squared"] = _coeff_max(apply_J(JX) + X)
+    res["q_squared"] = _coeff_max(apply_Q(apply_Q(X)) - X)
     res["usual_metric_recovery"] = float(
         np.abs(
             metric(apply_Q(X), apply_Q(Y)) + metric_xy - (8.0 / 3.0) * usual_xy
         ).max()
     )
-    res["g_tensor_skew"] = float(
-        np.abs(frame_coords(gxy + tensor_G(Y, X))).max()
-    )
+    res["g_tensor_skew"] = _coeff_max(gxy + tensor_G(Y, X))
 
     JY = apply_J(Y)
     two_form = 0.5 * (usual_xy + usual_inner(JX, JY))
     res["metric_two_forms"] = float(np.abs(two_form - metric_xy).max())
     res["g_j_invariant"] = float(np.abs(metric(JX, JY) - metric_xy).max())
-    res["g_tensor_j_mix"] = float(
-        np.abs(frame_coords(tensor_G(X, JY) + apply_J(gxy))).max()
-    )
+    res["g_tensor_j_mix"] = _coeff_max(tensor_G(X, JY) + apply_J(gxy))
     hxy = tensor_H(X, Y)
     j_hxy = apply_J(hxy)
-    res["h_j_mix"] = float(
-        np.abs(frame_coords(tensor_H(X, JY) - j_hxy)).max()
-    )
+    res["h_j_mix"] = _coeff_max(tensor_H(X, JY) - j_hxy)
     del JY
 
     PY = apply_P(Y)
     p_gxy = apply_P(gxy)
-    res["g_p_mix"] = float(
-        np.abs(frame_coords(tensor_G(X, PY) + p_gxy + 2.0 * j_hxy)).max()
-    )
+    res["g_p_mix"] = _coeff_max(tensor_G(X, PY) + p_gxy + 2.0 * j_hxy)
     del j_hxy
-    res["h_p_mix"] = float(
-        np.abs(frame_coords(tensor_H(X, PY) + apply_P(hxy))).max()
-    )
+    res["h_p_mix"] = _coeff_max(tensor_H(X, PY) + apply_P(hxy))
 
     PX = apply_P(X)
-    res["h_p_first_slot"] = float(
-        np.abs(frame_coords(hxy + tensor_H(PX, Y))).max()
-    )
+    res["h_p_first_slot"] = _coeff_max(hxy + tensor_H(PX, Y))
     del hxy
     res["g_p_invariant"] = float(np.abs(metric(PX, PY) - metric_xy).max())
-    res["p_g_compat"] = float(
-        np.abs(frame_coords(p_gxy + tensor_G(PX, PY))).max()
-    )
+    res["p_g_compat"] = _coeff_max(p_gxy + tensor_G(PX, PY))
     del PY, p_gxy
-    res["p_squared"] = float(np.abs(frame_coords(apply_P(PX) - X)).max())
-    res["pj_anticommute"] = float(
-        np.abs(frame_coords(apply_P(JX) + apply_J(PX))).max()
-    )
+    res["p_squared"] = _coeff_max(apply_P(PX) - X)
+    res["pj_anticommute"] = _coeff_max(apply_P(JX) + apply_J(PX))
     qj = apply_Q(JX)
     flip = (1.0 / SQRT3) * ((-2.0) * PX + X)
-    res["q_j_product_flip"] = float(np.abs(frame_coords(qj - flip)).max())
+    res["q_j_product_flip"] = _coeff_max(qj - flip)
     return res
 
 

@@ -147,13 +147,9 @@ def cross(a, b):
 
 def random_unit(rng, shape=()):
     """Uniform random unit quaternions (normalized gaussians)."""
-    if isinstance(shape, int):
-        shape = (shape,)
     return normalize(rng.standard_normal(tuple(shape) + (4,)))
 
 
 def random_vec3(rng, shape=()):
     """Standard normal R^3 vectors."""
-    if isinstance(shape, int):
-        shape = (shape,)
     return rng.standard_normal(tuple(shape) + (3,))

@@ -22,6 +22,12 @@ grid the partials' coefficients and the first fundamental form
 (`.almost_complex_max`), a potential grid its partials, Laplacian and
 largest equation residual (`hsystem.HSurfaceGrid`).
 
+The correspondence with flat potentials is two fixed rotations of the
+first factor's coefficient pair, each one `rotate_pair(a, b, rotation)`:
+`TO_POTENTIAL` (by 2 pi / 3) turns it into the potential's gradient and
+`FROM_POTENTIAL` turns that back, and `SECOND_FACTOR` (by pi / 3) gives
+the second factor's pair that adapted coordinates force.
+
 Every grid window, here and in `hsystem` and `fixtures`, is one `Lattice`,
 validated once by `lattice`; grids are built over it.  It also owns the
 stencil and the trapezoid rule: `Lattice.diff`, `.diff2` and `.cumtrapz`
@@ -64,13 +70,15 @@ __all__ = [
     "partials",
     "almost_complex_residual",
     "require_adapted",
+    "TO_POTENTIAL",
+    "FROM_POTENTIAL",
+    "SECOND_FACTOR",
+    "rotate_pair",
     "extract_coefficients",
-    "rotate_pair_back",
     "integrability_residuals",
     "lambda_field",
     "cr_residuals",
     "induced_metric",
-    "adapted_second_pair",
     "brioschi_curvature",
     "gaussian_curvature",
     "second_fundamental_form",
@@ -78,11 +86,11 @@ __all__ = [
     "analyze",
 ]
 
-# the coefficient pair used by the flat-potential construction is the
-# logarithmic-derivative pair rotated by this fixed angle
-_THETA = 2.0 * np.pi / 3.0
-_COS_T = float(np.cos(_THETA))
-_SIN_T = float(np.sin(_THETA))
+# the (cos, sin) rotations of `rotate_pair`; SECOND_FACTOR keeps the exact
+# 0.5, where np.cos(np.pi / 3) is 0.5000000000000001
+TO_POTENTIAL = (float(np.cos(2.0 * np.pi / 3.0)), float(np.sin(2.0 * np.pi / 3.0)))
+FROM_POTENTIAL = (TO_POTENTIAL[0], -TO_POTENTIAL[1])
+SECOND_FACTOR = (0.5, SQRT3 / 2.0)
 
 # an adapted grid keeps its relative almost-complex defect below this,
 # times the caller's tol_scale
@@ -339,24 +347,16 @@ def require_adapted(grid, tol_scale):
     )
 
 
-def rotate_pair(alpha_t, beta_t):
-    """Forward rotation of the coefficient pair by the fixed angle."""
-    a = _COS_T * alpha_t + _SIN_T * beta_t
-    b = -_SIN_T * alpha_t + _COS_T * beta_t
-    return a, b
-
-
-def rotate_pair_back(alpha, beta):
-    """Inverse of `rotate_pair`."""
-    at = _COS_T * alpha - _SIN_T * beta
-    bt = _SIN_T * alpha + _COS_T * beta
-    return at, bt
+def rotate_pair(a, b, rotation):
+    """The pair (a, b) turned by `rotation` = (cos, sin): (c a + s b, -s a + c b)."""
+    c, s = rotation
+    return c * a + s * b, -s * a + c * b
 
 
 def extract_coefficients(grid):
     """The rotated coefficient pair (alpha, beta) of an adapted grid: the
     imaginary parts of p^-1 p_u, p^-1 p_v (the first-factor halves of
-    `GridPartials.cu` and `.cv`, sign flip undone) rotated by `_THETA`.
+    `GridPartials.cu` and `.cv`, sign flip undone) turned by `TO_POTENTIAL`.
 
     Raises ValueError unless the real-part defect of the logarithmic
     derivatives stays within the grid's `Lattice.fd_floor` (a NaN defect
@@ -366,14 +366,7 @@ def extract_coefficients(grid):
     gp = grid.partials
     gate(gp.projection_max, grid.fd_floor(),
          "logarithmic derivatives are far from imaginary: real-part residual")
-    return rotate_pair(gp.cu[..., :3] * FLIP, gp.cv[..., :3] * FLIP)
-
-
-def adapted_second_pair(alpha_t, beta_t):
-    """The second-factor pair (gamma_t, delta_t) that adapted coordinates force."""
-    gamma_t = (SQRT3 / 2.0) * beta_t + 0.5 * alpha_t
-    delta_t = 0.5 * beta_t - (SQRT3 / 2.0) * alpha_t
-    return gamma_t, delta_t
+    return rotate_pair(gp.cu[..., :3] * FLIP, gp.cv[..., :3] * FLIP, TO_POTENTIAL)
 
 
 def integrability_residuals(grid, alpha, beta):

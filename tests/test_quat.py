@@ -169,6 +169,6 @@ def test_qexp_one_parameter_group():
 def test_random_unit_shapes():
     rng = np.random.default_rng(1)
     assert quat.random_unit(rng).shape == (4,)
-    assert quat.random_unit(rng, 5).shape == (5, 4)
+    assert quat.random_unit(rng, (5,)).shape == (5, 4)
     assert quat.random_unit(rng, (2, 3)).shape == (2, 3, 4)
     assert np.abs(quat.norm(quat.random_unit(rng, (100,))) - 1.0).max() < 1e-14

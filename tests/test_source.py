@@ -66,7 +66,7 @@ def _scoped_callees(tree):
 _CONSTRUCTION_SITES = {
     "lattice": {"surface.py:Lattice.inset", "io.py:_read_rows", "fixtures.py:make_fixture"},
     "ImmersionGrid": {"surface.py:immersion_grid"},
-    "HSurfaceGrid": {"hsystem.py:h_surface_grid", "hsystem.py:epsilon_from_surface"},
+    "HSurfaceGrid": {"hsystem.py:h_surface_grid"},
 }
 
 

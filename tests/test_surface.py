@@ -124,7 +124,7 @@ def test_extract_coefficients_example1_constants():
     # central stencils scale each exact coefficient by sin(ch)/(ch), so the
     # constants are recovered to O(h^2), not exactly
     grid = small_fixture("example1")
-    alpha_t, beta_t = sf.rotate_pair_back(*sf.extract_coefficients(grid))
+    alpha_t, beta_t = sf.rotate_pair(*sf.extract_coefficients(grid), sf.FROM_POTENTIAL)
     assert np.abs(sf.interior(alpha_t) - np.array([1.0, 0, 0])).max() < 2e-5
     assert (
         np.abs(sf.interior(beta_t) - np.array([-1 / SQ3, 0, 0])).max() < 1e-5
@@ -136,7 +136,7 @@ def test_extract_coefficients_example1_constants():
         np.abs(sf.interior(delta_t) - np.array([-2 / SQ3, 0, 0])).max() < 5e-5
     )
     # the second-factor pair is the one adapted coordinates force
-    gamma_pred, delta_pred = sf.adapted_second_pair(alpha_t, beta_t)
+    gamma_pred, delta_pred = sf.rotate_pair(alpha_t, beta_t, sf.SECOND_FACTOR)
     rg = np.linalg.norm(gamma_t - gamma_pred, axis=-1)
     rd = np.linalg.norm(delta_t - delta_pred, axis=-1)
     assert max(sf.interior(rg).max(), sf.interior(rd).max()) < 5e-5
@@ -150,10 +150,27 @@ def test_rotated_pair_example1():
     assert np.abs(sf.interior(beta) - np.array([-1 / SQ3, 0, 0])).max() < 2e-5
     # rotating back recovers the unrotated pair, the first-factor halves of
     # the partials with the sign flip undone
-    at, bt = sf.rotate_pair_back(alpha, beta)
+    at, bt = sf.rotate_pair(alpha, beta, sf.FROM_POTENTIAL)
     gp = grid.partials
     assert np.abs(at - gp.cu[..., :3] * nk.FLIP).max() < 1e-14
     assert np.abs(bt - gp.cv[..., :3] * nk.FLIP).max() < 1e-14
+
+
+def test_pair_rotations_are_the_closed_forms():
+    # each named rotation gives the same bits as its hand-expanded formula
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, 50, 3))
+    a[0, 0], a[1, 1], b[2, 2], b[3, 0] = 0.0, -0.0, 0.0, -0.0
+    c, s = sf.TO_POTENTIAL
+    assert (c, s) == (np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3))
+    for got, want in zip(sf.rotate_pair(a, b, sf.SECOND_FACTOR),
+                         ((SQ3 / 2) * b + 0.5 * a, 0.5 * b - (SQ3 / 2) * a)):
+        assert np.array_equal(got, want)
+    for got, want in zip(sf.rotate_pair(a, b, sf.FROM_POTENTIAL),
+                         (c * a - s * b, s * a + c * b)):
+        assert np.array_equal(got, want)
+    back = sf.rotate_pair(*sf.rotate_pair(a, b, sf.TO_POTENTIAL), sf.FROM_POTENTIAL)
+    assert max(np.abs(back[0] - a).max(), np.abs(back[1] - b).max()) < 1e-15
 
 
 def test_integrability_residuals_small_on_fixtures():

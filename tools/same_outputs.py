@@ -1,0 +1,112 @@
+"""Check that two source trees of nks3 produce byte-identical outputs.
+
+    python3 tools/same_outputs.py PARENT_ROOT CHANGE_ROOT
+
+Runs the same fixed list of command line runs against both trees, each
+with PYTHONPATH=<root>/src and its own fresh work directory, so both see
+the same relative paths.  For every run it compares stdout, stderr, the
+exit code and every file the run wrote, byte for byte, and prints one
+line.  Exits 1 if any run differs, 0 if all are identical.  Standard
+library only; the work directories are removed at the end.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _grid(nu, nv, h=None):
+    args = ["--nu", str(nu), "--nv", str(nv)]
+    return args + ["--du", repr(h), "--dv", repr(h)] if h else args
+
+
+# (label, expected exit code, cli arguments); later runs read earlier outputs
+RUNS = [
+    ("fixture example2 201x201", 0,
+     ["fixture", "--fixture", "example2", *_grid(201, 201, 5e-3), "--output", "ex2.csv"]),
+    ("analyze example2", 0, ["analyze", "--input", "ex2.csv", "--output", "ex2.json"]),
+    ("to-h example2", 0, ["to-h", "--input", "ex2.csv", "--output", "ex2_h.csv"]),
+    ("from-h example2 potential", 0, ["from-h", "--input", "ex2_h.csv", "--output", "ex2_s.csv"]),
+    ("fixture example1 41x41", 0,
+     ["fixture", "--fixture", "example1", *_grid(41, 41), "--output", "ex1.csv"]),
+    ("analyze example1", 0, ["analyze", "--input", "ex1.csv", "--output", "ex1.json"]),
+    ("to-h example1", 0, ["to-h", "--input", "ex1.csv", "--output", "ex1_h.csv"]),
+    ("fixture cmc_cylinder 4001x11", 0,
+     ["fixture", "--fixture", "cmc_cylinder", *_grid(4001, 11, 6e-3), "--output", "cyl.csv"]),
+    ("from-h cmc_cylinder", 0, ["from-h", "--input", "cyl.csv", "--output", "cyl_s.csv"]),
+    ("to-h cmc_cylinder surface", 0, ["to-h", "--input", "cyl_s.csv", "--output", "cyl_h.csv"]),
+    ("analyze cmc_cylinder potential", 3, ["analyze", "--input", "cyl.csv"]),
+    ("fixture cmc_sphere", 0, ["fixture", "--fixture", "cmc_sphere", "--output", "sph.csv"]),
+    ("from-h cmc_sphere", 0, ["from-h", "--input", "sph.csv", "--output", "sph_s.csv"]),
+    ("analyze cmc_sphere surface --tol-scale 0.5", 0,
+     ["analyze", "--input", "sph_s.csv", "--tol-scale", "0.5", "--output", "sph_s.json"]),
+    ("from-h cmc_sphere --tol-scale 1e-6", 2,
+     ["from-h", "--input", "sph.csv", "--tol-scale", "1e-6", "--output", "sph_tight.csv"]),
+    ("from-h immersion csv", 3, ["from-h", "--input", "ex1.csv", "--output", "bad_s.csv"]),
+    ("verify --samples 10000 --seed 1", 0,
+     ["verify", "--samples", "10000", "--seed", "1", "--output", "verify.json"]),
+]
+
+
+def _snapshot(work):
+    return {p.name: (p.stat().st_mtime_ns, p.stat().st_size) for p in work.iterdir()}
+
+
+def _run(root, work, args):
+    """(exit code, stdout, stderr, {file name: bytes} of the files written)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root, "src").resolve()),
+               PYTHONDONTWRITEBYTECODE="1")
+    before = _snapshot(work)
+    proc = subprocess.run([sys.executable, "-m", "nks3.cli", "--command", *args],
+                          cwd=work, env=env, capture_output=True)
+    written = {name: (work / name).read_bytes()
+               for name, stat in _snapshot(work).items() if before.get(name) != stat}
+    return proc.returncode, proc.stdout, proc.stderr, written
+
+
+def _differences(a, b):
+    code_a, out_a, err_a, files_a = a
+    code_b, out_b, err_b, files_b = b
+    diffs = [what for what, x, y in (("exit code", code_a, code_b),
+                                     ("stdout", out_a, out_b),
+                                     ("stderr", err_a, err_b)) if x != y]
+    for name in sorted(files_a.keys() | files_b.keys()):
+        if files_a.get(name) != files_b.get(name):
+            diffs.append(name)
+    return diffs
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python3 tools/same_outputs.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    roots = [Path(r) for r in argv]
+    top = Path(tempfile.mkdtemp(prefix="same_outputs_"))
+    failed = 0
+    try:
+        works = [top / "parent", top / "change"]
+        for work in works:
+            work.mkdir()
+        for label, expected, args in RUNS:
+            results = [_run(root, work, args) for root, work in zip(roots, works)]
+            diffs = _differences(*results)
+            codes = {r[0] for r in results}
+            if codes != {expected}:
+                diffs.append(f"exit {sorted(codes)}, expected {expected}")
+            failed += bool(diffs)
+            verdict = "DIFFERS" if diffs else "same"
+            print(f"{verdict:<7} exit {results[1][0]}  {label}"
+                  + (": " + ", ".join(diffs) if diffs else ""), flush=True)
+    finally:
+        shutil.rmtree(top)
+    print(f"{len(RUNS) - failed} of {len(RUNS)} runs identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
