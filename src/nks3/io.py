@@ -1,11 +1,17 @@
 """Deterministic CSV and JSON serialization for grids and reports.
 
-CSV layouts are row-major in v then u (the v index varies slowest), with
-17-significant-digit decimals so that write -> read -> write round-trips to
-identical bytes.  Writers format each coordinate value once, not once per
-row it appears in.  Readers accept any row order: rows carry their own (u, v)
-coordinates and are re-binned onto the recovered `Lattice`, which is
-validated once and which the grid is built over.
+CSV layouts are row-major in v then u (the v index varies slowest).  Every
+value is written as `'%.17g' % x` writes it, 17 significant digits with
+trailing zeros dropped and exponent form below 1e-4 and from 1e17, so a
+file is byte for byte what `np.savetxt(fmt="%.17g", delimiter=",")` writes
+and write -> read -> write round-trips to identical bytes.  The writer
+formats a fixed number of grid points at a time in numpy, exactly: digits
+from an error-free product, text laid out from a table of NUL-padded
+slots; only exponent-form and non-finite values go through `%`.  Each
+coordinate value is formatted once, not once per row it appears in.
+Readers accept any row order: rows carry their own (u, v) coordinates and
+are re-binned onto the recovered `Lattice`, which is validated once and
+which the grid is built over.
 """
 
 from __future__ import annotations
@@ -34,29 +40,157 @@ IMMERSION_HEADER = "u,v,p0,p1,p2,p3,q0,q1,q2,q3"
 EPSILON_HEADER = "u,v,x,y,z"
 
 _FMT = "%.17g"
-_CHUNK_ROWS = 512
+_CHUNK_POINTS = 2048
+
+# One formatted value is a slot of six little-endian words (48 bytes) that
+# becomes text once its NUL bytes are dropped.  Byte 0 holds the separator
+# that precedes the value, 1 the sign, 2-6 the "0." and zeros of a value
+# below 1, 7-23 the 17 digits as integer digits, 24 the dot and 31-47 the
+# 17 digits again as fraction digits; bytes 25-30 stay NUL.  The digits sit
+# in words 0-2 and again in words 3-5 at the same offsets.
+_SLOT_WORDS = 6
+_DIGITS = 17
+_LOG10_2 = 0.30102999566398120
+# 10**e for e = -4 .. 17, each the double nearest to it; below 1 that
+# double lies above the power, so `x >= _POW10[e + 4]` is exact for doubles
+_POW10 = np.array([float(f"1e{e}") for e in range(-4, 18)])
+# the exact doubles 10**(16 - k) for k = -4 .. 16, index k + 4, and their
+# high and low halves for Dekker's product
+_SCALE = np.array([float(f"1e{16 - k}") for k in range(-4, 17)])
+_SPLIT = 134217729.0  # 2**27 + 1
+_SCALE_HI = _SPLIT * _SCALE - (_SPLIT * _SCALE - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+_ZEROS = 0x3030303030303030  # eight ASCII "0"
+
+
+def _slot_table():
+    """Slot templates indexed by ((sign * 21) + k + 4) * 18 + n: a value of
+    decimal exponent k in [-4, 16] whose n-th digit is its last nonzero one.
+
+    Separator, sign, "0.", zeros and dot are text; a digit byte is 0xFF
+    where that digit is written and NUL where it is not, so the template
+    ANDed with the digit words gives the slot.  Built in plain Python: a
+    broadcast numpy build first touches numpy code that no command needs
+    otherwise, 0.4 MB of resident memory in every command at import."""
+    rows = []
+    for sign in (b"", b"-"):
+        for k in range(-4, _DIGITS):
+            whole = max(k + 1, 0)
+            for n in range(_DIGITS + 1):
+                slot = bytearray(8 * _SLOT_WORDS)
+                slot[0:1 + len(sign)] = b"," + sign
+                if k < 0:
+                    slot[2:3 - k] = b"0.000"[:1 - k]
+                elif n > whole:
+                    slot[24] = ord(".")
+                slot[7:7 + whole] = b"\xff" * whole
+                slot[31 + whole:31 + n] = b"\xff" * (n - whole)
+                rows.append(slot)
+    return np.frombuffer(b"".join(rows), "<u8").reshape(-1, _SLOT_WORDS)
+
+
+_SLOTS = _slot_table()
+
+
+def _eight_digits(x):
+    """The eight ASCII digits of each integer in `x` (uint64, < 10**8), first
+    digit in the lowest byte: split 4+4, then 2+2 and 1+1 within each lane
+    by multiply-and-shift division."""
+    h = x // 10000
+    x = h | ((x - h * 10000) << 32)
+    h = ((x * 5243) >> 19) & 0x0000007F0000007F
+    x = h | ((x - h * 100) << 16)
+    h = ((x * 103) >> 10) & 0x000F000F000F000F
+    x = h | ((x - h * 10) << 8)
+    return x | _ZEROS
+
+
+def _format_slots(x):
+    """The slots, shape (x.size, 6), of `x` formatted as `'%.17g' % x` would.
+
+    For 1e-4 <= |x| < 1e17 the text is positional.  With |x| in
+    [2**(e-1), 2**e), the decimal exponent k is floor((e-1) log10 2) or one
+    more, settled against the powers of ten.  The 17 digits are the
+    round-half-even integer of |x| * 10**(16 - k), exact through Dekker's
+    error-free product: the rounded product is an even integer, so rounding
+    its error rounds the sum.  Every other value is swapped for 1.0 before
+    any arithmetic, so no floating-point warning can arise; ±0 is written
+    from zero digits, and the rest (exponent form, inf, nan) by `%` one at a
+    time.
+    """
+    x = x.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    k = np.floor((np.frexp(a)[1] - 1) * _LOG10_2).astype(np.intp)
+    k += a >= _POW10.take(k + 5)
+    k += 4
+    p = a * _SCALE.take(k)
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    s_hi, s_lo = _SCALE_HI.take(k), _SCALE_LO.take(k)
+    err = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    # the exact product is below 10**17, so it rounds up to 10**17 only from
+    # p == 1e17 with an error of at most half a unit; that carry moves the
+    # exponent (no double reaches it)
+    carry = (p == 1e17) & (err >= -0.5)
+    p[carry] = 1e16
+    err[carry] = 0.0
+    k += carry
+    d = p.astype(np.uint64) + np.rint(err).astype(np.int64).view(np.uint64)
+    d[~fast] = 0
+    lead = d // 10**16
+    d -= lead * 10**16
+    mid = d // 10**8
+    words = [_eight_digits(mid), _eight_digits(d - mid * 10**8)]
+    # n, the count of digits up to the last nonzero one, from the float
+    # exponent of the top flag of "digit above 0" (bit 6 of each byte); a
+    # first digit alone, or a zero, gives 1
+    flags = [(w + 0x0F0F0F0F0F0F0F0F) & 0x4040404040404040 for w in words]
+    top = np.frexp(flags[1].astype(np.float64) * 2.0**64 + flags[0])[1]
+    n = (top + 9) >> 3
+    slots = _SLOTS.take((np.signbit(x) * 21 + k) * (_DIGITS + 1) + n, axis=0)
+    for word, digits in enumerate([((lead + 0x30) << 56) | 0x00FFFFFFFFFFFFFF, *words] * 2):
+        slots[:, word] &= digits
+    slow = np.flatnonzero(~fast & (x != 0))
+    if len(slow):
+        text = b"".join(
+            ("," + _FMT % v).encode().ljust(8 * _SLOT_WORDS, b"\0")
+            for v in x[slow].tolist()
+        )
+        slots[slow] = np.frombuffer(text, "<u8").reshape(-1, _SLOT_WORDS)
+    return slots
 
 
 def _write_rows(path, header, lat, blocks):
     """Write one CSV over the `Lattice` `lat` with v-major rows: for each v,
     all u in order; `blocks` are indexed [u, v, component].
 
-    The bytes are those of `np.savetxt(fmt=_FMT, delimiter=",")`.  Each u
-    and v coordinate is formatted once; the payload of at most
-    `_CHUNK_ROWS` rows of one v is formatted by one `%` over a template
-    that already holds their coordinates, and written out at once.
+    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",")`.  Each u
+    and v coordinate is formatted once; the payload is formatted by
+    `_format_slots` `_CHUNK_POINTS` grid points at a time, the slots of each
+    chunk's rows laid side by side and written with their NULs dropped.  A
+    slot carries the separator before its value, so each row opens with the
+    newline that ends the previous line.
     """
-    us = [_FMT % u for u in lat.u_vals.tolist()]
-    vs = [_FMT % v for v in lat.v_vals.tolist()]
-    row = ",".join([_FMT] * sum(b.shape[-1] for b in blocks)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for j, v in enumerate(vs):
-            for i in range(0, lat.nu, _CHUNK_ROWS):
-                rows = slice(i, i + _CHUNK_ROWS)
-                template = "".join([f"{u},{v},{row}" for u in us[rows]])
-                values = np.concatenate([b[rows, j] for b in blocks], axis=-1)
-                fh.write(template % tuple(values.ravel().tolist()))
+    us = _format_slots(lat.u_vals)
+    us.view(np.uint8)[:, 0] = ord("\n")
+    vs = _format_slots(lat.v_vals)
+    width = sum(b.shape[-1] for b in blocks)
+    points = lat.nu * lat.nv
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for start in range(0, points, _CHUNK_POINTS):
+            j, i = np.divmod(np.arange(start, min(start + _CHUNK_POINTS, points)), lat.nu)
+            values = np.concatenate([b[i, j] for b in blocks], axis=-1)
+            rows = np.empty((len(i), width + 2, _SLOT_WORDS), "<u8")
+            rows[:, 0] = us.take(i, axis=0)
+            rows[:, 1] = vs.take(j, axis=0)
+            rows[:, 2:] = _format_slots(values).reshape(len(i), width, _SLOT_WORDS)
+            text = rows.view(np.uint8).ravel()
+            fh.write(text[text != 0])
+        fh.write(b"\n")
 
 
 def write_immersion_csv(path, grid):

@@ -201,6 +201,8 @@ def test_write_rows_matches_savetxt(tmp_path, nu, nv, widths):
     rng = np.random.default_rng(nu)
     blocks = [rng.standard_normal((nu, nv, w)) for w in widths]
     blocks[0][0, 0, :3] = [-0.0, 1e-300, 1e17]
+    blocks[0][1, 0, :3] = [5e-324, 9.9999999999999991e-05, 1e-4]
+    blocks[0][2, 0, 0] = 99999999999999984.0
     blocks[-1][-1, -1, -1] = 1.0 / 3.0
     rows = np.concatenate(
         [np.broadcast_to(lat.u_vals[None, :, None], (nv, nu, 1)),
@@ -215,6 +217,45 @@ def test_write_rows_matches_savetxt(tmp_path, nu, nv, widths):
     )
     io._write_rows(got, header, lat, blocks)
     assert got.read_bytes() == want.read_bytes()
+
+
+def _formatted(values):
+    """The writer's text of each value: every slot opens with its ','."""
+    text = io._format_slots(np.asarray(values, dtype=float)).view(np.uint8).ravel()
+    return text[text != 0].tobytes().decode().split(",")[1:]
+
+
+def test_format_slots_match_percent_17g():
+    # seeded draws over every path of the formatter, each against `%`
+    rng = np.random.default_rng(25)
+    decades = 10.0 ** np.arange(-30, 31)
+    powers = np.array([float(f"1e{e}") for e in range(-6, 19)])
+    j = np.arange(91)
+    values = np.concatenate([
+        # uniform values in every decade from 1e-30 to 1e30
+        (rng.uniform(1.0, 10.0, (len(decades), 300)) * decades[:, None]).ravel(),
+        # random finite bit patterns: every exponent, subnormals included
+        rng.integers(0, 0x7FF0 << 48, 320_000, dtype=np.uint64).view(np.float64),
+        # 200 ulps either side of every power of ten from 1e-6 to 1e18:
+        # the decade boundaries, where a carry would have to happen
+        (powers.view(np.int64)[:, None] + np.arange(-200, 201)).view(np.float64).ravel(),
+        # m * 2**-j, odd m: the values whose 17-digit rounding can tie
+        np.ldexp(rng.integers(0, 2**52, (len(j), 400)) * 2 + 1.0, -j[:, None]).ravel(),
+        np.ldexp(rng.integers(0, 2**20, (len(j), 100)) * 2 + 1.0, -j[:, None]).ravel(),
+        # integers up to 1e17
+        rng.integers(0, 10**17, 20_000).astype(np.float64),
+        np.arange(1000.0),
+        # zeros, subnormals, the largest double and the non-finite values
+        [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+         1.7976931348623157e308, np.inf, np.nan, 9.9999999999999991e-05,
+         1e-4, 99999999999999984.0, 1e17, 1000000000000001.25],
+    ])
+    values = np.concatenate([values * rng.choice([-1.0, 1.0], len(values)), -values[-12:]])
+    want = ["%.17g" % v for v in values.tolist()]
+    got = _formatted(values)
+    assert len(got) == len(want)
+    wrong = [(w, g) for w, g in zip(want, got) if w != g]
+    assert wrong == [], f"{len(wrong)} of {len(want)} differ, first {wrong[:5]}"
 
 
 def test_reader_leaves_numpy_ma_unimported(tmp_path):

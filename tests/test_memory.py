@@ -110,6 +110,23 @@ def test_strip_from_h_then_analyze_peak(tmp_path):
     assert traced_peak(from_h) / (nu * nv * 6 * 8) <= 7.1
 
 
+def test_write_immersion_csv_peak(grid, tmp_path):
+    # the writer formats io._CHUNK_POINTS = 2048 grid points at a time, so
+    # its peak is that of one chunk and not of the grid: measured 5.46 MB
+    # on the 10201 points (the `%` writer held 0.08 MB); a writer formatting
+    # the whole grid at once would need about five times that
+    peak = traced_peak(lambda: io.write_immersion_csv(tmp_path / "grid.csv", grid))
+    assert peak <= 6.0e6
+
+
+def test_write_epsilon_csv_strip_peak(tmp_path):
+    # chunks count grid points, not grid lines: measured 2.36 MB on a
+    # 1001x11 strip (the `%` writer held 0.23 MB)
+    hs = fixtures.make_fixture("cmc_cylinder", nu=1001, nv=11, du=6e-3, dv=6e-3)
+    peak = traced_peak(lambda: io.write_epsilon_csv(tmp_path / "strip.csv", hs))
+    assert peak <= 2.6e6
+
+
 def test_identity_report_peak():
     samples = 10000
     nk.identity_report(samples=10, seed=1)  # lazily built numpy state

@@ -168,3 +168,32 @@ def test_slab_size_is_read_only_from_its_constant():
     for call in callers:
         assert not call.keywords and len(call.args) == 1
         assert isinstance(call.args[0], ast.Constant) and call.args[0].value in (0, 1)
+
+
+def test_chunk_size_is_read_only_from_its_constant():
+    # the writer's chunk is no knob: `io._CHUNK_POINTS` is bound once, at
+    # module level, to an integer literal and read only inside `_write_rows`,
+    # whose parameters are the four it writes from and nothing else
+    trees = {path.name: _parse(path.name) for path in sorted(SRC.glob("*.py"))}
+    io = trees["io.py"]
+    binds = [
+        n for n in io.body
+        if isinstance(n, ast.Assign)
+        and [getattr(t, "id", None) for t in n.targets] == ["_CHUNK_POINTS"]
+    ]
+    assert len(binds) == 1
+    assert isinstance(binds[0].value, ast.Constant) and type(binds[0].value.value) is int
+    inside = _inside(io, "_write_rows")
+    stray = [
+        f"{name}:{n.lineno}"
+        for name, tree in trees.items() for n in ast.walk(tree)
+        if (getattr(n, "id", None) or getattr(n, "attr", None)) == "_CHUNK_POINTS"
+        and n is not binds[0].targets[0]
+        and not (isinstance(n.ctx, ast.Load) and id(n) in inside)
+    ]
+    assert stray == [], f"_CHUNK_POINTS bound or read outside _write_rows at {stray}"
+    write_rows = next(n for n in io.body
+                      if isinstance(n, ast.FunctionDef) and n.name == "_write_rows")
+    a = write_rows.args
+    assert [x.arg for x in a.posonlyargs + a.args] == ["path", "header", "lat", "blocks"]
+    assert not (a.defaults or a.kwonlyargs or a.vararg or a.kwarg)
