@@ -28,7 +28,7 @@ print("largest deviation from the fitted sphere:", dev)
 H = hsystem.mean_curvature(hs)
 print("mean curvature range:", H.min(), "to", H.max(),
       " (exact -2/sqrt(3))")
-mf = hsystem.metric_factor_check(grid, hs)
+mf = hsystem.metric_factor_check(grid.summary, hs)
 print("surface metric over potential metric:", mf["ratio_mean"],
       " (exact 2)")
 print()

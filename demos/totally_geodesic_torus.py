@@ -18,7 +18,7 @@ print("second fundamental form norm:", report["h_norm_max"],
 print("product structure alignment:", report["classification"])
 print()
 
-lam = sf.lambda_field(grid.partials)
+lam = sf.lambda_field(sf.partials(grid))
 value = lam[grid.nu // 2, grid.nv // 2]
 print("holomorphic quadratic coefficient at the center:", value)
 print("expected constant:", complex(-1.0 / 3.0, 1.0 / np.sqrt(3.0)))

@@ -96,7 +96,7 @@ def cmd_fixture(config):
         kind, check = "epsilon", {"h_equation_max": obj.h_equation_max}
     else:
         write_immersion_csv(config["output"], obj)
-        kind, check = "immersion", {"almost_complex_max": obj.almost_complex_max}
+        kind, check = "immersion", {"almost_complex_max": obj.summary.almost_complex_max}
     report = {"kind": kind, "rows": int(obj.nu * obj.nv), "self_check": check}
     return report, config["output"], 0
 
@@ -120,12 +120,15 @@ def _mean_curvature_stats(hs):
 
 
 def cmd_to_h(config):
-    grid = read_immersion_csv(config["input"])
-    hs, cert = epsilon_from_surface(grid, tol_scale=config["tol_scale"])
+    grids = [read_immersion_csv(config["input"])]
+    summary = grids[0].summary
+    # handed over as the only reference: p and q are freed after the pass
+    # that integrates them, before the potential is checked
+    hs, cert = epsilon_from_surface(grids.pop(), tol_scale=config["tol_scale"])
     report = {
         "certificate": cert,
         "mean_curvature": _mean_curvature_stats(hs),
-        "metric_factor": metric_factor_check(grid, hs),
+        "metric_factor": metric_factor_check(summary, hs),
     }
     write_epsilon_csv(config["output"], hs)
     return report, config["output"], 0

@@ -82,9 +82,8 @@ def _example2_grid(lat):
     x[..., 1] = sin_u[:, None] * np.sin(v)[None, :]
     x[..., 2] = cos_u[:, None] + 0.0 * v[None, :]
     half = np.full(x.shape[:-1] + (1,), 0.5)
-    p = np.concatenate([half, -(SQRT3 / 2.0) * x], axis=-1)
-    q = np.concatenate([half, (SQRT3 / 2.0) * x], axis=-1)
-    return immersion_grid(lat, p, q)
+    return immersion_grid(lat, np.concatenate([half, -(SQRT3 / 2.0) * x], axis=-1),
+                          np.concatenate([half, (SQRT3 / 2.0) * x], axis=-1))
 
 
 def _cmc_sphere_epsilon(lat):

@@ -18,15 +18,25 @@ the compatibility conditions to discretization error.
 
 Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
 `surface.Lattice`, are built over one (`h_surface_grid(lat, eps)`), and
-derive their fields and their gated defect once and cache them (here
-`HSurfaceGrid.h_equation_max`, which `_require_solution` gates); each
-integrator's output covers its input window inset by one cell.  The
+derive their gated defect once and cache it (here
+`HSurfaceGrid.h_equation_max`, which `_require_solution` gates, with the
+potential's partials and Laplacian; a surface grid's
+`surface.ImmersionGrid.summary`); each integrator's output covers its input
+window inset by one cell, and only its output is ever whole.
+
+`epsilon_from_surface` reads the surface grid over its
+`surface.halo_slabs`, and integrates spine-then-lines: each slab's rows of
+the u-first potential are final once the u-spine reaches them, and the
+v-first ordering it is compared against is formed slab by slab and dropped.
+The running integrals along u carry across slabs as the first element of
+each slab's sum, so `np.cumsum` adds in the order of a whole-axis sum.  The
 quaternion integrator takes the ordered products of unit step factors by a
 blocked scan (sequential inside fixed-size blocks) and never renormalizes;
-`drift_max` reports its roundoff off the unit sphere.  Each of its field
-chains runs over the `surface.Lattice.slabs` of the other axis, slabs of at
-least `surface._POINTS` grid points: a fixed constant, not a setting, that
-changes no bit of any result.
+`drift_max` reports its roundoff off the unit sphere.  Its coefficient
+stacks are filled, and each of its field chains runs, over the
+`surface.Lattice.slabs` of one axis; the v-first ordering is compared with
+the u-first one slab by slab.  Slabs hold at least `surface._POINTS` grid
+points: a fixed constant, not a setting, that changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -39,8 +49,9 @@ import numpy as np
 from . import quat
 from .nkspace import SQRT3, gate, validate_tol_scale
 from .surface import (
-    FROM_POTENTIAL, SECOND_FACTOR, Lattice, extract_coefficients,
-    immersion_grid, interior, require_adapted, rotate_pair,
+    FROM_POTENTIAL, SECOND_FACTOR, Lattice, extract_coefficients, factor_partials,
+    halo_slabs, immersion_grid, interior, require_adapted, require_imaginary,
+    rotate_pair,
 )
 
 __all__ = [
@@ -141,22 +152,51 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     The primary integration runs u-first then v; the certificate compares
     against the v-first path (a closedness check), evaluates the
     second-order equation on the result and records the input's adaptedness
-    defect.  Raises ValueError for a bad `tol_scale` or a grid that is not
-    adapted (`surface.require_adapted`), CertificateError when the paths
-    disagree or the potential misses the equation beyond discretization order.
+    defect.  Both paths are integrated in one pass over the grid's
+    `surface.halo_slabs`, so only the potential is ever whole, and the
+    function drops the grid after that pass: `to-h` hands it over and keeps
+    only its `surface.GridSummary`.  Raises
+    ValueError for a bad `tol_scale` or a grid that is not adapted
+    (`surface.require_adapted`, `surface.require_imaginary`),
+    CertificateError when the paths disagree or the potential misses the
+    equation beyond discretization order.
     """
     ac_max = require_adapted(grid, tol_scale)
     out = grid.inset(1)
-    a, b = (c[1:-1, 1:-1] for c in extract_coefficients(grid))
-    eps_uv = grid.cumtrapz(a[:, :1], 0) + grid.cumtrapz(b, 1)
-    eps_vu = grid.cumtrapz(b[:1, :], 1) + grid.cumtrapz(a, 0)
+    require_imaginary(grid)
     tol = _default_cert_tol(grid, tol_scale)
-    gap = np.subtract(eps_uv, eps_vu, out=eps_vu)
-    loop = gate(np.linalg.norm(gap, axis=-1).max(), tol,
-                "path-ordering residual", CertificateError,
+    eps = np.empty((out.nu, out.nv, 3))
+    gaps = []
+    for sub, keep, rows in halo_slabs(grid):
+        # the pair needs only p's partials: q's, E, F, G and the real parts
+        # are the construction pass's
+        shape = sub.p.shape[:-1]
+        cu, cv = np.empty(shape + (3,)), np.empty(shape + (3,))
+        factor_partials(sub, sub.p, cu, cv, np.zeros(shape))
+        a, b = extract_coefficients(cu, cv)
+        del cu, cv
+        # grid rows [lo, hi) are the slab's rows of the output window, which
+        # starts at grid row 1; sub row 0 is grid row `top`
+        lo, hi = max(rows.start, 1), min(rows.stop, grid.nu - 1)
+        top = rows.start - keep.start
+        b = b[lo - top : hi - top, 1:-1]
+        # the u-integrals of every output column, the first one the u-spine:
+        # zero on the output's first row, and on later slabs continued from
+        # the last row of the slab before, one grid row back
+        if lo == 1:
+            u_int = grid.cumtrapz(a[lo - top : hi - top, 1:-1], 0)
+            v_spine = grid.cumtrapz(b[:1], 1)
+        else:
+            u_int = grid.cumtrapz(a[lo - 1 - top : hi - top, 1:-1], 0, carry)[1:]
+        carry = u_int[-1].copy()  # u_int is overwritten below
+        eps[lo - 1 : hi - 1] = u_int[:, :1] + grid.cumtrapz(b, 1)
+        gap = np.add(v_spine, u_int, out=u_int)
+        np.subtract(eps[lo - 1 : hi - 1], gap, out=gap)
+        gaps.append(np.linalg.norm(gap, axis=-1).max())
+    del grid, sub  # a caller that passed its only reference frees p and q here
+    loop = gate(np.max(gaps), tol, "path-ordering residual", CertificateError,
                 "; the coefficient one-form is not closed to discretization order")
-    del a, b, eps_vu, gap
-    hs = h_surface_grid(out, eps_uv)
+    hs = h_surface_grid(out, eps)
     eq_res = _require_solution(
         hs, tol, "; the integrated potential is not a solution surface")
     return hs, {"almost_complex_max": ac_max, "loop_max": loop,
@@ -211,27 +251,33 @@ def _integrate_pair(c_u, c_v, lat, start):
     given, along the two path orderings (u-spine then v, v-spine then u).
 
     `c_u`, `c_v` have shape (nu, nv, k, 3) and `start` (k, 4): all k grids
-    share each chain's scan passes.  Each field chain runs over the
-    `Lattice.slabs` of the other axis and writes into its preallocated
-    output, so the chain's temporaries stay one slab wide."""
+    share each chain's scan passes.  Returns the u-first grid and an
+    iterator over (slice, v-first values) for the `Lattice.slabs(1)` of
+    v-columns, so a caller can compare the orderings one slab at a time
+    and never hold the whole v-first grid.  Each field chain runs over the
+    slabs of the other axis, so its temporaries stay one slab wide."""
     u_spine = _integrate_chain(start, c_u[:, :1], lat, 0)[:, 0]
     v_spine = _integrate_chain(start, c_v[:1], lat, 1)[0]
     ufirst = np.empty(c_u.shape[:-1] + (4,))
-    vfirst = np.empty_like(ufirst)
     for s in lat.slabs(0):
         ufirst[s] = _integrate_chain(u_spine[s], c_v[s], lat, 1)
-    for s in lat.slabs(1):
-        vfirst[:, s] = _integrate_chain(v_spine[s], c_u[:, s], lat, 0)
+    vfirst = ((s, _integrate_chain(v_spine[s], c_u[:, s], lat, 0)) for s in lat.slabs(1))
     return ufirst, vfirst
 
 
-def _stacked_pairs(hs):
-    """The coefficient pairs of both quaternion factors on the inset window,
-    stacked to (nu - 2, nv - 2, 2, 3): the u pair, then the v pair."""
-    eu, ev = hs.partials
-    at, bt = rotate_pair(eu[1:-1, 1:-1], ev[1:-1, 1:-1], FROM_POTENTIAL)
-    gt, dt = rotate_pair(at, bt, SECOND_FACTOR)
-    return np.stack([at, gt], axis=-2), np.stack([bt, dt], axis=-2)
+def _stacked_pairs(eu, ev, out):
+    """The coefficient pairs of both quaternion factors of the potential
+    with partials `eu`, `ev`, on its inset window `out`, stacked to
+    (nu - 2, nv - 2, 2, 3): the u pair, then the v pair, filled over the
+    u-slabs of `out` so each rotation's temporaries stay one slab wide."""
+    eu, ev = eu[1:-1, 1:-1], ev[1:-1, 1:-1]
+    c_u = np.empty((out.nu, out.nv, 2, 3))
+    c_v = np.empty_like(c_u)
+    for s in out.slabs(0):
+        at, bt = rotate_pair(eu[s], ev[s], FROM_POTENTIAL)
+        c_u[s, :, 0], c_v[s, :, 0] = at, bt
+        c_u[s, :, 1], c_v[s, :, 1] = rotate_pair(at, bt, SECOND_FACTOR)
+    return c_u, c_v
 
 
 def surface_from_epsilon(hs, tol_scale=1.0):
@@ -257,18 +303,25 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     out = hs.inset(1)
     tol = _default_cert_tol(hs, tol_scale)
     eq_res = _require_solution(hs, tol, "; input is not a solution surface")
-    pairs = _stacked_pairs(hs)
-    del hs  # neither the potential nor its cached fields live through the scan
+    eu, ev = hs.partials
+    del hs  # neither the potential nor its Laplacian lives through the stacking
+    pairs = _stacked_pairs(eu, ev, out)
+    del eu, ev
     ufirst, vfirst = _integrate_pair(*pairs, out, np.stack([quat.ONE, quat.ONE]))
-    del pairs
-    compat = gate(np.abs(ufirst - vfirst).max(), tol,
-                  "path-ordering disagreement", CertificateError)
-    drift = max(float(np.abs(quat.norm(x) - 1.0).max()) for x in (ufirst, vfirst))
-    del vfirst
-    grid = immersion_grid(out, ufirst[..., 0, :], ufirst[..., 1, :])
-    del ufirst  # the grid holds normalized copies
+    del pairs  # only the v-first chains hold the u pair, until their last slab
+    gaps, drifts = [], []
+    for s, v in vfirst:
+        gaps.append(np.abs(ufirst[:, s] - v).max())
+        drifts.append(np.abs(quat.norm(v) - 1.0).max())
+    compat = gate(np.max(gaps), tol, "path-ordering disagreement", CertificateError)
+    drift = max(float(np.abs(quat.norm(ufirst) - 1.0).max()), float(np.max(drifts)))
+    factors = [ufirst[..., 0, :], ufirst[..., 1, :]]
+    del ufirst
+    # the grid gets the only references to the two factors, so it frees the
+    # integrated values once it has normalized copies
+    grid = immersion_grid(out, factors.pop(0), factors.pop())
     return grid, {"h_equation_max": eq_res, "compat_max": compat,
-                  "drift_max": drift, "almost_complex_max": grid.almost_complex_max}
+                  "drift_max": drift, "almost_complex_max": grid.summary.almost_complex_max}
 
 
 def mean_curvature(hs):
@@ -311,9 +364,10 @@ def sphere_fit(points):
     return center, radius, float(np.abs(dist - radius).max())
 
 
-def metric_factor_check(grid, hs):
+def metric_factor_check(summary, hs):
     """Pointwise ratio 2E / (|eps_u|^2 + |eps_v|^2) of the surface metric
-    to the flat-potential metric.
+    to the flat-potential metric, from a surface grid's
+    `surface.GridSummary` (its window and E) and a potential grid.
 
     The correspondence makes E = G = |eps_u|^2 + |eps_v|^2 for every
     potential, so the ratio field must be the constant 2 whatever the
@@ -321,9 +375,9 @@ def metric_factor_check(grid, hs):
     windows of the same lattice; the ratio is taken on the overlap
     (`Lattice.overlap`, which raises ValueError when the steps differ).
     """
-    g_slice, h_slice = grid.overlap(hs)
+    g_slice, h_slice = summary.overlap(hs)
     eu, ev = hs.partials
-    E, _, _ = grid.partials.first_form
+    E = summary.E
     speed = np.sum(eu * eu, axis=-1) + np.sum(ev * ev, axis=-1)
     ratio_int = interior(2.0 * E[g_slice] / speed[h_slice])
     return {

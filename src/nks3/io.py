@@ -11,7 +11,10 @@ slots; only exponent-form and non-finite values go through `%`.  Each
 coordinate value is formatted once, not once per row it appears in.
 Readers accept any row order: rows carry their own (u, v) coordinates and
 are re-binned onto the recovered `Lattice`, which is validated once and
-which the grid is built over.
+which the grid is built over.  The immersion reader hands its binned payload
+to `surface.immersion_grid` and keeps no reference to it, so the payload is
+freed as soon as its normalized copy exists and never lives through the
+grid's construction pass.
 """
 
 from __future__ import annotations
@@ -258,7 +261,11 @@ def _read_rows(path, header):
 
 def read_immersion_csv(path):
     lat, payload = _read_rows(path, IMMERSION_HEADER)
-    return immersion_grid(lat, payload[..., :4], payload[..., 4:])
+    halves = [payload[..., :4], payload[..., 4:]]
+    del payload
+    # `immersion_grid` gets the only references to the payload, so it is
+    # freed once p and q are normalized, before the grid's validation pass
+    return immersion_grid(lat, halves.pop(0), halves.pop())
 
 
 def read_epsilon_csv(path):

@@ -11,16 +11,24 @@ property rather than trusting it.  The pipeline is
 
 Tangent vectors are (..., 6) coefficient arrays in the global frame of
 `nkspace`, where g(a, b) is `gram_product(a, b)`, J a is `a @ J_MAT.T` and
-P a is `a @ P_MAT.T`, and no grid builds an ambient `Point`.  Each analysed
-quantity has one path: `second_fundamental_form(grid, k)` forms h_uu, h_uv
-or h_vv, which `analyze` reduces one at a time, and the unrotated
-coefficient pair is read in place from the cached partials, of which
-`extract_coefficients` returns only the rotated pair.  Both grid types
-derive their fields and their gated defect once and cache them: a surface
-grid the partials' coefficients and the first fundamental form
-(`ImmersionGrid.partials`) and its largest almost-complex defect
-(`.almost_complex_max`), a potential grid its partials, Laplacian and
-largest equation residual (`hsystem.HSurfaceGrid`).
+P a is `a @ P_MAT.T`, and no grid builds an ambient `Point`.  The stage
+functions act on one `GridPartials`, the partials of a grid over its
+window: each analysed quantity has one path, `second_fundamental_form(gp,
+k)` forms h_uu, h_uv or h_vv, which `analyze` reduces one at a time, and
+the unrotated coefficient pair is read in place from the partials, of which
+`extract_coefficients` returns only the rotated pair.
+
+Every analysed quantity is a local stencil, so no whole-grid partials are
+formed: a grid is read over its `halo_slabs`, blocks of whole u-rows
+widened by `_MARGIN` rows on each side into sub-grids over views of p and
+q.  A kept row needs p and q two rows away (one for the partials, one for
+the derivatives of fields built from them), so a sub-grid's `interior` is
+exactly its share of the grid's: the stage functions run on each sub-grid
+as they are, and their maxima merge by `np.max` to the same bits.  The
+construction pass, cached as `ImmersionGrid.summary`, keeps what
+`immersion_grid` and the gates read and the E field; `analyze` and
+`hsystem.epsilon_from_surface` each take one more pass, and gate merged
+values only.
 
 The correspondence with flat potentials is two fixed rotations of the
 first factor's coefficient pair, each one `rotate_pair(a, b, rotation)`:
@@ -33,10 +41,9 @@ validated once by `lattice`; grids are built over it.  It also owns the
 stencil and the trapezoid rule: `Lattice.diff`, `.diff2` and `.cumtrapz`
 read the step of the axis they act along, so no caller passes a step.
 
-Kernels that would build several throwaway full-grid temporaries at once
-(`partials` here, the quaternion integrator in `hsystem`) run over the
-slabs of `Lattice.slabs`: blocks of whole grid lines of at least `_POINTS`
-points, so each temporary stays one slab wide.  `_POINTS` is a fixed
+`Lattice.slabs` cuts a grid into blocks of whole grid lines of at least
+`_POINTS` points; the halo slabs and the quaternion integrator in `hsystem`
+run over them, so each temporary stays one slab wide.  `_POINTS` is a fixed
 module constant, not a setting: every result is the same bits for any slab
 size, and no flag, parameter or environment variable reaches it.
 
@@ -64,12 +71,16 @@ __all__ = [
     "Lattice",
     "lattice",
     "ImmersionGrid",
+    "GridSummary",
     "immersion_grid",
+    "halo_slabs",
     "GridPartials",
     "interior",
     "partials",
+    "factor_partials",
     "almost_complex_residual",
     "require_adapted",
+    "require_imaginary",
     "TO_POTENTIAL",
     "FROM_POTENTIAL",
     "SECOND_FACTOR",
@@ -101,7 +112,8 @@ ADAPTED_GATE = 0.05
 STEP_RTOL = 1e-6
 
 
-# residual statistics skip this many cells at each grid edge
+# residual statistics skip this many cells at each grid edge, and a halo
+# slab reads this many rows beyond the rows it keeps
 _MARGIN = 2
 
 # the least number of grid points in one slab of `Lattice.slabs`; a slab of
@@ -190,15 +202,20 @@ class Lattice:
         out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (h * h)
         return np.moveaxis(out, 0, axis)
 
-    def cumtrapz(self, f, axis):
-        """Cumulative trapezoid integral along `axis`, starting at zero."""
+    def cumtrapz(self, f, axis, start=None):
+        """Cumulative trapezoid integral along `axis`: zero at f[0], or
+        `start` there, the last line of the integral over the lines before
+        f[0], which it continues as one integral over both would sum."""
         h = (self.du, self.dv)[axis]
         f = np.moveaxis(f, axis, 0)
         out = np.empty_like(f)
-        out[0] = 0.0
+        # -0.0 adds nothing, the sign of a zero included: the sum starts at f[1]
+        out[0] = -0.0 if start is None else start
         steps = np.add(f[1:], f[:-1], out=out[1:])
         steps *= 0.5 * h
-        np.cumsum(steps, axis=0, out=steps)
+        np.cumsum(out, axis=0, out=out)
+        if start is None:
+            out[0] = 0.0
         return np.moveaxis(out, 0, axis)
 
     def slabs(self, axis):
@@ -226,6 +243,23 @@ def lattice(u0, v0, du, dv, nu, nv):
 
 
 @dataclass(frozen=True)
+class GridSummary(Lattice):
+    """What the construction pass of an immersion grid keeps, over the
+    grid's window: its largest interior almost-complex defect and real-part
+    residual (the largest dropped real part of a logarithmic derivative),
+    the smallest interior derivative norm sqrt(min(E, G)), the smallest
+    EG - F^2 over the whole grid, and the read-only (nu, nv) field E.  A NaN
+    anywhere in a field reaches its maximum or minimum.  It holds no
+    reference to p and q, so a command can keep it past the grid."""
+
+    almost_complex_max: float
+    projection_max: float
+    speed_min: float
+    det_min: float
+    E: np.ndarray
+
+
+@dataclass(frozen=True)
 class ImmersionGrid(Lattice):
     """Points on the product manifold over a `Lattice`: `p` and `q` have
     shape (nu, nv, 4)."""
@@ -234,34 +268,88 @@ class ImmersionGrid(Lattice):
     q: np.ndarray
 
     @cached_property
-    def partials(self):
-        """The grid's one read-only `GridPartials`, computed on first use."""
-        return partials(self)
+    def summary(self):
+        """The grid's one `GridSummary`, from one pass over its `halo_slabs`,
+        computed on first use.
 
-    @cached_property
-    def almost_complex_max(self):
-        """Largest interior `almost_complex_residual`, computed on first use."""
-        return float(interior(almost_complex_residual(self.partials)).max())
+        A slab whose derivatives vanish somewhere on its interior (which
+        `immersion_grid` refuses) reads a NaN almost-complex defect in place
+        of a residual that would divide by |phi_u| = 0, so it fails every
+        gate."""
+        E = np.empty((self.nu, self.nv))
+        lows, highs = zip(*(_summary_slab(*slab, E) for slab in halo_slabs(self)))
+        E.flags.writeable = False
+        e_min, g_min, det_min = np.min(lows, axis=0)
+        ac, real = np.max(highs, axis=0)
+        return GridSummary(**self.window(), almost_complex_max=float(ac),
+                           projection_max=float(real), speed_min=_speed(e_min, g_min),
+                           det_min=det_min, E=E)
+
+
+def _summary_slab(sub, keep, rows, E):
+    """One halo slab's share of `ImmersionGrid.summary`: writes its kept
+    rows of E and returns (interior minima of E and G, smallest EG - F^2 on
+    the kept rows) and (almost-complex defect, real-part residual)."""
+    gp = partials(sub)
+    e, f, g = gp.first_form
+    E[rows] = e[keep]
+    low = (interior(e).min(), interior(g).min())
+    e, f, g = e[keep], f[keep], g[keep]
+    ac = np.nan
+    if _speed(*low) >= 1e-8:
+        ac = float(interior(almost_complex_residual(gp)).max())
+    return (*low, np.min(e * g - f * f)), (ac, gp.projection_max)
+
+
+def _speed(e_min, g_min):
+    """The smallest derivative norm from the smallest E and G; a NaN E
+    gives NaN."""
+    return np.sqrt(max(min(e_min, g_min), 0.0))
 
 
 def immersion_grid(lat, p, q):
     """Validated grid over the `Lattice` `lat` (a grid is one too).
 
     Checks that `p` and `q` have shape (lat.nu, lat.nv, 4), unit norms
-    (renormalizing within `quat.unit`'s tolerance), and that the
-    finite-difference derivatives are nonzero in the metric (immersion check).
+    (renormalizing within `quat.unit`'s tolerance), and, in the grid's
+    construction pass (`ImmersionGrid.summary`), that the finite-difference
+    derivatives are nonzero in the metric (immersion check).  Each input is
+    dropped as soon as its normalized copy exists, so a caller that passes
+    its only references (the CSV reader, the fixtures and
+    `hsystem.surface_from_epsilon` do) has them freed before that pass.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     shape = (lat.nu, lat.nv, 4)
     if p.shape != shape or q.shape != shape:
         raise ValueError(f"expected two {shape} arrays, got {p.shape} and {q.shape}")
-    grid = ImmersionGrid(**lat.window(), p=quat.unit(p), q=quat.unit(q))
-    E, _, G = grid.partials.first_form
-    slow = np.sqrt(max(min(interior(E).min(), interior(G).min()), 0.0))
+    p = quat.unit(p)
+    q = quat.unit(q)
+    grid = ImmersionGrid(**lat.window(), p=p, q=q)
+    slow = grid.summary.speed_min
     if not slow >= 1e-8:
         raise ValueError(f"grid is not an immersion (derivative norm {slow:.3e})")
     return grid
+
+
+def halo_slabs(grid):
+    """The halo slabs of an immersion grid, in order, as (sub, keep, rows).
+
+    `rows` slices the u-rows of the grid the slab keeps: one slab of
+    `Lattice.slabs(0)`, where a first or last slab of fewer than
+    `_MARGIN + 1` rows merges into its neighbour.  `sub` is the
+    `ImmersionGrid` over views of p and q on those rows widened by
+    `_MARGIN` on each side, clipped at the grid's edges, and `keep` slices
+    the kept rows out of it.  So each sub-grid has at least 5 rows and a
+    nonempty `interior`, which is exactly its share of the grid's.
+    """
+    cuts = [s.start for s in grid.slabs(0)
+            if _MARGIN < s.start < grid.nu - _MARGIN]
+    for lo, hi in zip([0, *cuts], [*cuts, grid.nu]):
+        a, b = max(lo - _MARGIN, 0), min(hi + _MARGIN, grid.nu)
+        sub = ImmersionGrid(grid.u0 + a * grid.du, grid.v0, grid.du, grid.dv,
+                            b - a, grid.nv, grid.p[a:b], grid.q[a:b])
+        yield sub, slice(lo - a, hi - a), slice(lo, hi)
 
 
 def interior(field):
@@ -270,8 +358,9 @@ def interior(field):
 
 
 @dataclass(frozen=True)
-class GridPartials:
-    """Finite-difference coordinate derivatives of an immersion grid.
+class GridPartials(Lattice):
+    """Finite-difference coordinate derivatives of an immersion grid, over
+    the grid's window.
 
     `cu` and `cv` (shape (nu, nv, 6)) are the frame coefficients of phi_u
     and phi_v: the imaginary parts of p^-1 dp and q^-1 dq, sign-flipped as
@@ -289,25 +378,45 @@ class GridPartials:
 
 def partials(grid):
     """Central-difference partial derivatives, one-sided at the edges, as
-    frame coefficients.  A NaN on the interior makes `projection_max` NaN.
-
-    Each derivative is taken over the whole grid, one at a time; the
-    logarithmic derivatives built from it run over `Lattice.slabs` of
-    u-rows, and each slab folds its |real part| into one running-maximum
-    field (`np.maximum` keeps a NaN), reduced once on the `interior`."""
+    frame coefficients, each derivative formed and folded in turn
+    (`factor_partials`); a NaN on the interior makes `projection_max` NaN
+    (`np.maximum` keeps it).  The commands take them over halo slabs only
+    (`halo_slabs`)."""
     real = np.zeros(grid.p.shape[:-1])
     cu = np.empty(grid.p.shape[:-1] + (6,))
     cv = np.empty_like(cu)
-    for half, arr in ((slice(0, 3), grid.p), (slice(3, 6), grid.q)):
-        for c, axis in ((cu, 0), (cv, 1)):
-            d = grid.diff(arr, axis)
-            for s in grid.slabs(0):
-                log = quat.qmul(quat.qconj(arr[s]), d[s])
-                np.maximum(real[s], np.abs(log[..., 0]), out=real[s])
-                np.multiply(quat.imag(log), FLIP, out=c[s, :, half])
-            del d  # one derivative alive at a time
+    factor_partials(grid, grid.p, cu[..., :3], cv[..., :3], real)
+    factor_partials(grid, grid.q, cu[..., 3:], cv[..., 3:], real)
     cu.flags.writeable = cv.flags.writeable = False
-    return GridPartials(cu, cv, float(interior(real).max()), induced_metric(cu, cv))
+    return GridPartials(**grid.window(), cu=cu, cv=cv,
+                        projection_max=float(interior(real).max()),
+                        first_form=induced_metric(cu, cv))
+
+
+def factor_partials(grid, arr, cu, cv, real):
+    """One factor's half of `partials`: writes the frame coefficients of
+    its derivatives along u and v into `cu` and `cv` (..., 3), and folds
+    the |real parts| of its logarithmic derivatives into `real`.
+    `hsystem.epsilon_from_surface` takes p's alone."""
+    for c, axis in ((cu, 0), (cv, 1)):
+        d = grid.diff(arr, axis)
+        log = quat.qmul(quat.qconj(arr), d)
+        del d
+        np.maximum(real, np.abs(log[..., 0]), out=real)
+        _flipped(quat.imag(log), out=c)
+        del log  # one derivative alive at a time
+
+
+def _flipped(x, out=None):
+    """x (..., 3) times `FLIP`, written into `out` (new when None): a copy
+    whose third component, the only one `FLIP` changes, is then multiplied
+    by it; the same bits as the broadcast product, at a third of its cost
+    on the strided halves of a frame-coefficient field."""
+    if out is None:
+        out = np.empty(x.shape)
+    out[...] = x
+    out[..., 2] *= FLIP[2]
+    return out
 
 
 def _norm(c):
@@ -322,8 +431,9 @@ def _normal_part(gp, w, a, b):
     det = E * G - F * F
     lam = (G * a - F * b) / det
     mu = (E * b - F * a) / det
-    w -= lam[..., None] * gp.cu
-    w -= mu[..., None] * gp.cv
+    for coeff, c in ((lam, gp.cu), (mu, gp.cv)):
+        for k in range(6):  # a component at a time: no (..., 6) temporary
+            w[..., k] -= coeff * c[..., k]
     return w
 
 
@@ -333,7 +443,7 @@ def almost_complex_residual(gp):
 
 
 def require_adapted(grid, tol_scale):
-    """The grid's `ImmersionGrid.almost_complex_max`, gated.
+    """The grid's `GridSummary.almost_complex_max`, gated.
 
     Raises ValueError when `tol_scale` is not finite and positive, and
     unless the defect stays below `ADAPTED_GATE * tol_scale`; a NaN defect
@@ -341,35 +451,45 @@ def require_adapted(grid, tol_scale):
     """
     limit = ADAPTED_GATE * validate_tol_scale(tol_scale)
     return gate(
-        grid.almost_complex_max, limit,
+        grid.summary.almost_complex_max, limit,
         "grid is not adapted: relative almost-complex defect",
-        why=f" (real-part residual {grid.partials.projection_max:.3e})",
+        why=f" (real-part residual {grid.summary.projection_max:.3e})",
     )
 
 
-def rotate_pair(a, b, rotation):
-    """The pair (a, b) turned by `rotation` = (cos, sin): (c a + s b, -s a + c b)."""
-    c, s = rotation
-    return c * a + s * b, -s * a + c * b
-
-
-def extract_coefficients(grid):
-    """The rotated coefficient pair (alpha, beta) of an adapted grid: the
-    imaginary parts of p^-1 p_u, p^-1 p_v (the first-factor halves of
-    `GridPartials.cu` and `.cv`, sign flip undone) turned by `TO_POTENTIAL`.
+def require_imaginary(grid):
+    """The grid's `GridSummary.projection_max`, gated at its `fd_floor`.
 
     Raises ValueError unless the real-part defect of the logarithmic
-    derivatives stays within the grid's `Lattice.fd_floor` (a NaN defect
-    fails): on a smooth unit-quaternion immersion it is O(h^2), so a larger
-    one signals a grid that is not one, or is not sampled finely enough.
+    derivatives stays within the floor (a NaN defect fails): on a smooth
+    unit-quaternion immersion it is O(h^2), so a larger one signals a grid
+    that is not one, or is not sampled finely enough.
     """
-    gp = grid.partials
-    gate(gp.projection_max, grid.fd_floor(),
-         "logarithmic derivatives are far from imaginary: real-part residual")
-    return rotate_pair(gp.cu[..., :3] * FLIP, gp.cv[..., :3] * FLIP, TO_POTENTIAL)
+    return gate(grid.summary.projection_max, grid.fd_floor(),
+                "logarithmic derivatives are far from imaginary: real-part residual")
 
 
-def integrability_residuals(grid, alpha, beta):
+def rotate_pair(a, b, rotation):
+    """The pair (a, b) turned by `rotation` = (cos, sin): (c a + s b, -s a + c b),
+    each summed into its own output."""
+    c, s = rotation
+    x = c * a
+    x += s * b
+    y = -s * a
+    y += c * b
+    return x, y
+
+
+def extract_coefficients(cu, cv):
+    """The rotated coefficient pair (alpha, beta) of an adapted grid: the
+    imaginary parts of p^-1 p_u, p^-1 p_v (the first-factor halves of the
+    frame coefficients `cu` and `cv`, sign flip undone) turned by
+    `TO_POTENTIAL`.  The commands read it only after `require_imaginary`
+    has passed the grid."""
+    return rotate_pair(_flipped(cu[..., :3]), _flipped(cv[..., :3]), TO_POTENTIAL)
+
+
+def integrability_residuals(gp, alpha, beta):
     """Max-norm residuals of the three first-order compatibility equations.
 
     Returns (tilde_curl, closure, divergence): the cross-product curl
@@ -377,36 +497,43 @@ def integrability_residuals(grid, alpha, beta):
     on the rotated pair (alpha, beta) of `extract_coefficients`.  All are
     second-order small on a genuine almost complex surface; each residual is
     built in place and reduced in turn.  The unrotated pair is read in place
-    as the first-factor halves of the grid's partials, whose sign flip of the
+    as the first-factor halves of the partials `gp`, whose sign flip of the
     third component negates a cross product's first two components and keeps
     the third: there the curl equation carries +2 cu x cv, and the norm of
     its residual is bit-identical.
     """
-    gp = grid.partials
     cu, cv = gp.cu[..., :3], gp.cv[..., :3]
 
-    def stat(r):
-        return float(interior(np.linalg.norm(r, axis=-1)).max())
+    def stat(a, b, curl, cross):
+        """Largest interior norm of a_v - b_u (curl) or a_u + b_v, plus
+        cross times a x b, built a component at a time (the components of
+        `quat.cross`) and squared and summed in the order of
+        `np.linalg.norm`, so no 3-vector temporary is alive beside a and b."""
+        square = None
+        for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+            if curl:
+                r = gp.diff(a[..., i], 1)
+                r -= gp.diff(b[..., i], 0)
+            else:
+                r = gp.diff(a[..., i], 0)
+                r += gp.diff(b[..., i], 1)
+            if cross:
+                r += cross * (a[..., j] * b[..., k] - a[..., k] * b[..., j])
+            r *= r
+            square = r if square is None else np.add(square, r, out=square)
+        return float(interior(np.sqrt(square)).max())
 
-    r = grid.diff(cu, 1)
-    r -= grid.diff(cv, 0)
-    r += 2.0 * quat.cross(cu, cv)
-    tilde_curl = stat(r)
-    r = grid.diff(alpha, 1)
-    r -= grid.diff(beta, 0)
-    closure = stat(r)
-    r = grid.diff(alpha, 0)
-    r += grid.diff(beta, 1)
-    r += (4.0 / SQRT3) * quat.cross(alpha, beta)
-    return tilde_curl, closure, stat(r)
+    return (stat(cu, cv, True, 2.0), stat(alpha, beta, True, 0.0),
+            stat(alpha, beta, False, 4.0 / SQRT3))
 
 
 def lambda_field(gp):
     """Holomorphic quadratic coefficient from the metric-level definition:
     twice its value is g(P phi_u, phi_u) - i g(P phi_u, J phi_u)."""
     pu = gp.cu @ P_MAT.T
-    re = gram_product(pu, gp.cu)
     im = -gram_product(pu, gp.cu @ J_MAT.T)
+    re = gram_product(pu, gp.cu)
+    del pu
     return 0.5 * (re + 1j * im)
 
 
@@ -431,35 +558,52 @@ def induced_metric(cu, cv):
     return efg
 
 
+def _require_metric(det_min):
+    """Raises ValueError unless the smallest EG - F^2 is at least 1e-10 (a
+    NaN is not)."""
+    if not float(det_min) >= 1e-10:
+        raise ValueError(f"metric is degenerate (min EG - F^2 = {det_min:.3e})")
+
+
 def brioschi_curvature(lat, E, F, G):
     """Gaussian curvature of a metric given by coefficient fields over `lat`.
 
     Classical Brioschi determinant formula evaluated with second-order
-    finite differences; intrinsic, so it needs only (E, F, G).
+    finite differences; intrinsic, so it needs only (E, F, G).  Raises
+    ValueError where EG - F^2 falls below 1e-10 anywhere.
     """
     det = E * G - F * F
-    if not float(np.min(det)) >= 1e-10:
-        raise ValueError(f"metric is degenerate (min EG - F^2 = {np.min(det):.3e})")
-    Eu, Ev = lat.diff(E, 0), lat.diff(E, 1)
-    Gu, Gv = lat.diff(G, 0), lat.diff(G, 1)
-    Fu, Fv = lat.diff(F, 0), lat.diff(F, 1)
-    Evv, Guu, Fuv = lat.diff2(E, 1), lat.diff2(G, 0), lat.diff(Fu, 1)
+    _require_metric(np.min(det))
+    return _brioschi(lat, E, F, G, det)
+
+
+def _brioschi(lat, E, F, G, det):
+    """The Brioschi formula over `lat`, with det = EG - F^2, unchecked.
+    Each derivative is formed inside the entry that reads it, except the
+    three that two entries read, so few are alive at once."""
+    Fu, Ev, Gu = lat.diff(F, 0), lat.diff(E, 1), lat.diff(G, 0)
 
     def det3(a, b, c, d, e, f, g, h, i):
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
-    m1 = det3(-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev,
-              Fv - 0.5 * Gu, E, F,
-              0.5 * Gv, F, G)
-    m2 = det3(0.0, 0.5 * Ev, 0.5 * Gu,
-              0.5 * Ev, E, F,
-              0.5 * Gu, F, G)
-    return (m1 - m2) / (det * det)
+    m1 = det3(-0.5 * lat.diff2(E, 1) + lat.diff(Fu, 1) - 0.5 * lat.diff2(G, 0),
+              0.5 * lat.diff(E, 0), Fu - 0.5 * Ev,
+              lat.diff(F, 1) - 0.5 * Gu, E, F,
+              0.5 * lat.diff(G, 1), F, G)
+    del Fu
+    m1 -= det3(0.0, 0.5 * Ev, 0.5 * Gu,
+               0.5 * Ev, E, F,
+               0.5 * Gu, F, G)
+    m1 /= det * det
+    return m1
 
 
-def gaussian_curvature(grid):
-    """Gaussian curvature field of the grid's induced metric."""
-    return brioschi_curvature(grid, *grid.partials.first_form)
+def gaussian_curvature(gp):
+    """Gaussian curvature field of the partials' first fundamental form, by
+    the Brioschi formula.  Unchecked: `analyze` refuses a degenerate metric
+    from the grid's `GridSummary.det_min` before it takes K."""
+    E, F, G = gp.first_form
+    return _brioschi(gp, E, F, G, E * G - F * F)
 
 
 def _grid_covariant(lat, x_coeff, field_coeff, axis):
@@ -469,50 +613,62 @@ def _grid_covariant(lat, x_coeff, field_coeff, axis):
     `x_coeff` is the direction's own coefficient field (the flow of the
     coordinate line), `field_coeff` the differentiated field's coefficients;
     the coordinate derivative is a grid stencil and the frame correction is
-    the constant connection table.
+    the constant connection table.  The derivative is added into the
+    correction a component at a time (a sum is the same either way round),
+    so no whole derivative field is held beside it.
     """
-    dc = lat.diff(field_coeff, axis)
-    dc += connection_term(x_coeff, field_coeff)
+    dc = connection_term(x_coeff, field_coeff)
+    for k in range(6):
+        dc[..., k] += lat.diff(field_coeff[..., k], axis)
     return dc
 
 
-def second_fundamental_form(grid, k):
-    """h_uu, h_uv or h_vv for k = 0, 1, 2: the frame coefficients (shape
-    (nu, nv, 6)) of the normal part of the ambient covariant derivative of
-    phi_u, phi_v, phi_v along u, u, v."""
-    gp = grid.partials
+def second_fundamental_form(gp, k):
+    """h_uu, h_uv or h_vv for k = 0, 1, 2, from the partials `gp`: the frame
+    coefficients (shape (nu, nv, 6)) of the normal part of the ambient
+    covariant derivative of phi_u, phi_v, phi_v along u, u, v."""
     x, f, axis = ((gp.cu, gp.cu, 0), (gp.cu, gp.cv, 0), (gp.cv, gp.cv, 1))[k]
-    w = _grid_covariant(grid, x, f, axis)
+    w = _grid_covariant(gp, x, f, axis)
     return _normal_part(gp, w, gram_product(w, gp.cu), gram_product(w, gp.cv))
 
 
-def _unit_norm(grid):
+def _unit_norm(gp):
     """Pointwise largest metric norm of h_uu, h_uv, h_vv with both slots
     normalized to unit vectors; each part is reduced to its norm before the
     next is formed."""
-    E, _, G = grid.partials.first_form
-    unit = None
-    for k, scale in enumerate((E, np.sqrt(E * G), G)):
-        n = _norm(second_fundamental_form(grid, k)) / scale
-        unit = n if unit is None else np.maximum(unit, n, out=unit)
+    E, _, G = gp.first_form
+    unit = _norm(second_fundamental_form(gp, 0)) / E
+    for k in (1, 2):
+        n = _norm(second_fundamental_form(gp, k))
+        n /= np.sqrt(E * G) if k == 1 else G
+        np.maximum(unit, n, out=unit)
+        del n
     return unit
 
 
-def classify_P_alignment(grid):
-    """Alignment of the almost product structure with the tangent plane.
-
-    Returns "normal" when P maps the tangent plane into the normal space
-    everywhere, "tangent" when P preserves the tangent plane everywhere,
-    "mixed" otherwise.  The tolerance scales with the squared grid step,
-    matching the finite-difference error floor.
-    """
-    gp = grid.partials
-    tol = grid.fd_floor()
+def _alignment_defects(gp):
+    """The largest interior deviations of P phi_u from the normal space and
+    from the tangent plane, each relative to |P phi_u|."""
     pu = gp.cu @ P_MAT.T
     a, b, pu_norm = gram_product(pu, gp.cu), gram_product(pu, gp.cv), _norm(pu)
     scale = pu_norm * np.sqrt(gp.first_form[0])
     normal_dev = float(interior(np.maximum(np.abs(a), np.abs(b)) / scale).max())
     tangent_dev = float(interior(_norm(_normal_part(gp, pu, a, b)) / pu_norm).max())
+    return normal_dev, tangent_dev
+
+
+def classify_P_alignment(lat, normal_dev, tangent_dev):
+    """Alignment of the almost product structure with the tangent plane,
+    from the largest deviations of P phi_u from the normal space and from
+    the tangent plane over a grid on `lat`.
+
+    Returns "normal" when P maps the tangent plane into the normal space
+    everywhere, "tangent" when P preserves the tangent plane everywhere,
+    "mixed" otherwise.  The tolerance scales with the squared grid step,
+    matching the finite-difference error floor; a NaN deviation matches
+    neither.
+    """
+    tol = lat.fd_floor()
     if normal_dev < tol:
         return "normal"
     if tangent_dev < tol:
@@ -520,23 +676,42 @@ def classify_P_alignment(grid):
     return "mixed"
 
 
+def _analysis_slab(sub, keep, rows, K):
+    """One halo slab's share of `analyze`: writes its kept rows of K and
+    returns its interior maxima, in report order, then its two P-alignment
+    deviations."""
+    gp = partials(sub)
+    alpha, beta = extract_coefficients(gp.cu, gp.cv)
+    r21, r22, r23 = integrability_residuals(gp, alpha, beta)
+    cr = cr_residuals(gp, alpha, beta)
+    del alpha, beta  # each stage keeps only its maxima, so none holds a field
+    lam = float(interior(np.abs(lambda_field(gp))).max())
+    K[rows] = gaussian_curvature(gp)[keep]
+    h = float(interior(_unit_norm(gp)).max())
+    return (r21, r22, r23, cr, lam, h, *_alignment_defects(gp))
+
+
 def analyze(grid, tol_scale=1.0):
     """Full summary report of an adapted immersion grid.
 
     The report dict uses a fixed key schema (see the CLI docs).  Raises
-    ValueError when `tol_scale` is not finite and positive, and when the
-    grid is not adapted (`require_adapted`).
+    ValueError when `tol_scale` is not finite and positive, when the grid
+    is not adapted (`require_adapted`), when its logarithmic derivatives
+    are far from imaginary (`require_imaginary`), and when its metric is
+    degenerate, all from the grid's `GridSummary` before this pass.  The
+    pass takes every field over `halo_slabs` and keeps only its maxima and
+    K, which fills one (nu, nv) buffer so that `K_mean` sums the buffer's
+    `interior` in the same order as a whole-grid field.
     """
     ac_max = require_adapted(grid, tol_scale)
-    alpha, beta = extract_coefficients(grid)
-    r21, r22, r23 = integrability_residuals(grid, alpha, beta)
-    cr = cr_residuals(grid, alpha, beta)
-    del alpha, beta  # each stage keeps only its report values, so none holds a field
-    lam_max = float(interior(np.abs(lambda_field(grid.partials))).max())
-    K = interior(gaussian_curvature(grid))
+    require_imaginary(grid)
+    _require_metric(grid.summary.det_min)
+    K = np.empty((grid.nu, grid.nv))
+    highs = [_analysis_slab(*slab, K) for slab in halo_slabs(grid)]
+    r21, r22, r23, cr, lam_max, h_max, normal_dev, tangent_dev = (
+        float(x) for x in np.max(highs, axis=0))
+    K = interior(K)
     K_mean, K_max_dev = float(K.mean()), float(np.abs(K - K.mean()).max())
-    del K
-    h_max = float(interior(_unit_norm(grid)).max())
     return {
         "almost_complex_max": ac_max,
         "integrability_21_max": r21,
@@ -547,6 +722,6 @@ def analyze(grid, tol_scale=1.0):
         "K_mean": K_mean,
         "K_max_dev": K_max_dev,
         "h_norm_max": h_max,
-        "classification": classify_P_alignment(grid),
+        "classification": classify_P_alignment(grid, normal_dev, tangent_dev),
         "grid": grid.window(),
     }

@@ -241,7 +241,7 @@ def test_criterion_09_surface_from_sphere_potential(sphere_runs):
         report["h_norm_max"] < 1e-3,
         f"h norm {report['h_norm_max']:.3e}",
     )
-    mf = hsystem.metric_factor_check(out_f, sphere_runs["fine_eps"])
+    mf = hsystem.metric_factor_check(out_f.summary, sphere_runs["fine_eps"])
     ratio_dev = abs(mf["ratio_mean"] - 2.0) + mf["ratio_max_dev"]
     _need(failures, ratio_dev < 1e-4, f"metric ratio dev {ratio_dev:.3e}")
     _finish(9, "surface from sphere potential: order, K, metric factor 2", failures)
@@ -252,7 +252,7 @@ def _cylinder_form_checks(grid):
     E, F, G = sf.induced_metric(gp.cu, gp.cv)
     base = nk.Point(grid.p, grid.q)
     huu, huv, hvv = (
-        nk.from_frame_coords(base, sf.second_fundamental_form(grid, k)) for k in range(3)
+        nk.from_frame_coords(base, sf.second_fundamental_form(gp, k)) for k in range(3)
     )
     sq_u = (nk.gnorm(huu) / E) ** 2
     sq_v = (nk.gnorm(hvv) / G) ** 2
@@ -335,7 +335,8 @@ def test_criterion_13_cauchy_riemann(
     failures = []
 
     def cr_of(grid):
-        return sf.cr_residuals(grid, *sf.extract_coefficients(grid))
+        gp = sf.partials(grid)
+        return sf.cr_residuals(gp, *sf.extract_coefficients(gp.cu, gp.cv))
 
     ex1_coarse = fixtures.make_fixture("example1", nu=51, nv=51, du=2e-2, dv=2e-2)
     exact = max(cr_of(ex1_coarse), cr_of(ex1))

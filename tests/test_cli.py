@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import pathlib
@@ -286,9 +287,10 @@ _AC, _EQ = "almost_complex_residual", "h_equation_residual"
 ])
 def test_each_command_reduces_each_gated_defect_once(monkeypatch, tmp_path, command,
                                                      source, ac, eq):
-    # every reader takes `ImmersionGrid.almost_complex_max` and
+    # every reader takes `GridSummary.almost_complex_max` and
     # `HSurfaceGrid.h_equation_max` from the grid's cache, so `from-h`'s
-    # certificate and its `analyze` share one adaptedness pass
+    # certificate and its `analyze` share one adaptedness pass (at 41^2 a
+    # surface grid is one halo slab)
     argv = _command_argv(tmp_path, command, source)
     counts = {}
 
@@ -305,6 +307,39 @@ def test_each_command_reduces_each_gated_defect_once(monkeypatch, tmp_path, comm
                 monkeypatch.setattr(module, name, counting(name, residual))
     assert cli.main(argv) == 0
     assert counts == {k: n for k, n in ((_AC, ac), (_EQ, eq)) if n}
+
+
+@pytest.mark.parametrize("command, source, passes", [
+    ("fixture", "example2", (1, 1)), ("analyze", "example2", (2, 2)),
+    ("to-h", "example2", (2, 1)), ("from-h", "cmc_sphere", (2, 2)),
+])
+def test_each_command_forms_each_rows_partials_at_most_twice(monkeypatch, tmp_path,
+                                                             command, source, passes):
+    # a surface grid is read only over halo slabs: once when it is built
+    # and checked, once more by `analyze`, or by `epsilon_from_surface`,
+    # which forms p's partials only; a row of its interior is a kept row
+    # of exactly one slab in each pass.  300-point slabs cut the 41-row
+    # input, and the 39-row output of `from-h`, into five
+    argv = _command_argv(tmp_path, command, source)
+    monkeypatch.setattr(sf, "_POINTS", 300)
+    factor_partials, calls = sf.factor_partials, []
+
+    def counted(grid, arr, *out):
+        calls.append((grid.u0, grid.du, grid.nu, arr is grid.p))
+        return factor_partials(grid, arr, *out)
+
+    for module in (cli, fixtures, hsystem, io, sf):
+        if getattr(module, "factor_partials", None) is factor_partials:
+            monkeypatch.setattr(module, "factor_partials", counted)
+    assert cli.main(argv) == 0
+    u0 = min(c[0] for c in calls)
+    for factor, n in zip((True, False), passes):
+        rows = collections.Counter()
+        for start, du, nu, _ in (c for c in calls if c[3] == factor):
+            top = round((start - u0) / du)
+            rows.update(range(top + sf._MARGIN, top + nu - sf._MARGIN))
+        assert sum(c[3] == factor for c in calls) == 5 * n
+        assert set(rows.values()) == {n}
 
 
 @pytest.mark.parametrize("command, source", [("analyze", "example2"), ("from-h", "cmc_sphere")])

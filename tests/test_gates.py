@@ -158,7 +158,7 @@ CONTROLS = {
     "surface.require_adapted": (
         lambda tmp: sf.analyze(twisted_example2(2e-2)),
         lambda tmp: sf.analyze(twisted_example2(2e-3))),
-    "surface.extract_coefficients": (
+    "surface.require_imaginary": (
         lambda tmp: sf.analyze(turned_rows(5e-2)), lambda tmp: sf.analyze(turned_rows(5e-3))),
 }
 

@@ -84,6 +84,63 @@ def test_each_command_derives_the_potential_once(monkeypatch, tmp_path, command,
     assert counts == {"diff": 2, "diff2": 2}
 
 
+def test_integrators_form_each_rows_partials_once(monkeypatch):
+    # past a surface grid's construction pass, `epsilon_from_surface` reads
+    # it in one more pass over halo slabs, forming p's partials only, and
+    # `metric_factor_check` in none (it reads the summary's E);
+    # `surface_from_epsilon` forms its output's partials, both factors,
+    # only in that grid's construction pass
+    monkeypatch.setattr(sf, "_POINTS", 300)
+    grid = fixtures.make_fixture("example2", nu=41, nv=41)
+    calls = []
+
+    def counted(sub, arr, *out):
+        calls.append((sub.u0, sub.du, sub.nu, "p" if arr is sub.p else "q"))
+        return factor_partials(sub, arr, *out)
+
+    factor_partials = sf.factor_partials
+    for module in (hsys, sf):
+        monkeypatch.setattr(module, "factor_partials", counted)
+    hs, _ = hsys.epsilon_from_surface(grid)
+    hsys.metric_factor_check(grid.summary, hs)
+    rows = collections.Counter()
+    top = min(c[0] for c in calls)
+    for u0, du, nu, _ in calls:
+        first = round((u0 - top) / du)
+        rows.update(range(first + sf._MARGIN, first + nu - sf._MARGIN))
+    assert [c[3] for c in calls] == ["p"] * 5 and set(rows.values()) == {1}
+    calls.clear()
+    back, _ = hsys.surface_from_epsilon(hs)
+    for factor in "pq":
+        sizes = [c[2] - 2 * sf._MARGIN for c in calls if c[3] == factor]
+        assert sum(sizes) == back.nu - 2 * sf._MARGIN
+        assert len(sizes) == len(list(sf.halo_slabs(back)))
+
+
+def test_potential_integrals_are_whole_axis_sums(monkeypatch):
+    # the u-integrals carried across halo slabs give the bytes of the
+    # whole-grid trapezoid sums, signed zeros included: the pair's exact
+    # zeros are made -0.0, so a carry that started at +0.0 would flip the
+    # sign of every zero the u-spine adds
+    monkeypatch.setattr(sf, "_POINTS", 300)
+    grid = fixtures.make_fixture("example1", nu=41, nv=41)
+    extract = sf.extract_coefficients
+
+    def signed(cu, cv):
+        return tuple(np.where(c == 0.0, -0.0, c) for c in extract(cu, cv))
+
+    monkeypatch.setattr(hsys, "extract_coefficients", signed)
+    hs, cert = hsys.epsilon_from_surface(grid)
+    gp = sf.partials(grid)
+    a, b = (c[1:-1, 1:-1] for c in signed(gp.cu, gp.cv))
+    eps_uv = grid.cumtrapz(a[:, :1], 0) + grid.cumtrapz(b, 1)
+    eps_vu = grid.cumtrapz(b[:1, :], 1) + grid.cumtrapz(a, 0)
+    assert len(list(sf.halo_slabs(grid))) == 5
+    assert (np.signbit(eps_uv) & (eps_uv == 0.0)).any()
+    assert hs.eps.tobytes() == eps_uv.tobytes()
+    assert cert["loop_max"] == float(np.linalg.norm(eps_uv - eps_vu, axis=-1).max())
+
+
 def test_equation_residual_line_is_zero():
     # a straight line traversed affinely: laplacian and cross product vanish
     u = np.arange(11) * 0.1
@@ -176,9 +233,10 @@ def test_from_potential_sphere():
     assert cert["compat_max"] < 1e-4
     assert cert["drift_max"] < 1e-12
     assert cert["almost_complex_max"] < 1e-4
-    K = sf.interior(sf.gaussian_curvature(grid))
+    gp = sf.partials(grid)
+    K = sf.interior(sf.gaussian_curvature(gp))
     assert np.abs(K - 2.0 / 3.0).max() < 1e-3
-    assert sf.classify_P_alignment(grid) == "normal"
+    assert sf.classify_P_alignment(grid, *sf._alignment_defects(gp)) == "normal"
 
 
 def test_from_potential_initial_point():
@@ -209,7 +267,7 @@ def test_reparametrised_cylinder_passes_real_part_gate():
     eps = np.stack([r * np.cos(w.real / r), r * np.sin(w.real / r), w.imag], axis=-1)
     lat = sf.lattice(0.2, -0.3, h, h, n, n)
     grid, _ = hsys.surface_from_epsilon(hsys.h_surface_grid(lat, eps))
-    assert 1e-4 < grid.partials.projection_max < 0.01 * grid.fd_floor()
+    assert 1e-4 < grid.summary.projection_max < 0.01 * grid.fd_floor()
     report = sf.analyze(grid)
     assert report["almost_complex_max"] < 1e-3
 
@@ -265,9 +323,11 @@ def test_surface_from_epsilon_gates_path_ordering(monkeypatch, skew):
     integrate = hsys._integrate_pair
 
     def skewed(*args):
+        # the last v-slab of the v-first ordering, compared and dropped in turn
         ufirst, vfirst = integrate(*args)
-        vfirst[-1, -1, 0, 0] += skew * tol
-        return ufirst, vfirst
+        slabs = list(vfirst)
+        slabs[-1][1][-1, -1, 0, 0] += skew * tol
+        return ufirst, iter(slabs)
 
     monkeypatch.setattr(hsys, "_integrate_pair", skewed)
     with pytest.raises(hsys.CertificateError,
@@ -323,7 +383,7 @@ def test_window_overlap_far_from_the_origin(tmp_path):
 def test_metric_factor_example2_round_trip():
     grid = fixtures.make_fixture("example2", nu=41, nv=41)
     hs, _ = hsys.epsilon_from_surface(grid)
-    out = hsys.metric_factor_check(grid, hs)
+    out = hsys.metric_factor_check(grid.summary, hs)
     assert set(out) == {"ratio_mean", "ratio_max_dev"}
     assert abs(out["ratio_mean"] - 2.0) < 1e-3
     assert out["ratio_max_dev"] < 1e-3
@@ -333,15 +393,15 @@ def test_metric_factor_rejects_step_mismatch():
     grid = fixtures.make_fixture("example1", nu=15, nv=15)
     hs = sphere_hs(15)  # step 6e-3 against the surface's 1e-2
     with pytest.raises(ValueError, match="steps differ"):
-        hsys.metric_factor_check(grid, hs)
+        hsys.metric_factor_check(grid.summary, hs)
 
 
 def test_metric_factor_example1_nonzero_lambda():
     # the ratio is 2 for every potential, not only where lambda vanishes
     grid = fixtures.make_fixture("example1", nu=15, nv=15)
-    assert sf.interior(np.abs(sf.lambda_field(grid.partials))).min() > 0.5
+    assert sf.interior(np.abs(sf.lambda_field(sf.partials(grid)))).min() > 0.5
     hs, _ = hsys.epsilon_from_surface(grid)
-    out = hsys.metric_factor_check(grid, hs)
+    out = hsys.metric_factor_check(grid.summary, hs)
     assert abs(out["ratio_mean"] - 2.0) < 1e-3
     assert out["ratio_max_dev"] < 1e-3
 
@@ -470,4 +530,8 @@ def test_integrate_pair_slabs_match_the_whole_grid(monkeypatch, shape):
     for points, count in ((300, 5), (shape[0] * shape[1], 1)):
         monkeypatch.setattr(sf, "_POINTS", points)
         assert min(len(lat.slabs(0)), len(lat.slabs(1))) >= count
-        assert all(map(np.array_equal, hsys._integrate_pair(c_u, c_v, lat, start), whole))
+        ufirst, vfirst = hsys._integrate_pair(c_u, c_v, lat, start)
+        slabs = list(vfirst)
+        assert [s for s, _ in slabs] == lat.slabs(1)
+        assert np.array_equal(ufirst, whole[0])
+        assert np.array_equal(np.concatenate([v for _, v in slabs], axis=1), whole[1])

@@ -10,6 +10,8 @@ kernel that keeps one more full-grid temporary alive fails here.  A slab of
 `surface._POINTS` points is most of a 101^2 grid and all of the 1001x11
 strip's integrator, so these bounds guard the kernels' temporaries; the slab
 loops themselves are checked bit for bit in test_surface and test_hsystem.
+At 201^2 a grid is five halo slabs, and there the bound is in p + q: a pass
+holds one slab's temporaries, so its peak no longer grows with the grid.
 """
 import tracemalloc
 
@@ -47,35 +49,42 @@ def peak_fields(stage):
 def test_read_then_analyze_peak(grid, tmp_path):
     path = tmp_path / "grid.csv"
     io.write_immersion_csv(path, grid)
-    # measured 7.32 fields with the coefficient pair read from the cached
-    # partials and no four-array coefficient record; 7.83 with the record,
-    # 8.82 before the second fundamental form was reduced one component at
-    # a time, 12.02 before the in-place kernels
-    assert peak_fields(lambda: sf.analyze(io.read_immersion_csv(path))) <= 7.8
+    # measured 5.98 fields over halo slabs, with the payload freed before
+    # the construction pass; 7.32 with whole-grid partials cached on the
+    # grid, 7.83 with a four-array coefficient record, 8.82 before the
+    # second fundamental form was reduced one component at a time, 12.02
+    # before the in-place kernels
+    assert peak_fields(lambda: sf.analyze(io.read_immersion_csv(path))) <= 6.5
 
 
 def test_epsilon_from_surface_peak(grid):
-    # measured 3.29 fields on top of the resident grid, with only the
-    # rotated pair alive while integrating; 4.25 when the unrotated pair was
-    # held too, 6.02 before that
-    assert peak_fields(lambda: hsys.epsilon_from_surface(grid)) <= 3.8
+    # measured 4.65 fields over halo slabs: at 101^2 a slab is 84 of the
+    # 101 rows, so the pass forms most of a grid's partials, which the grid
+    # no longer keeps (its whole-grid cu, cv, E, F and G were 2.5 resident
+    # fields that this peak did not count); 3.29 on top of those, 4.25 when
+    # the unrotated pair was held too, 6.02 before that
+    assert peak_fields(lambda: hsys.epsilon_from_surface(grid)) <= 5.2
 
 
 def test_surface_from_epsilon_then_analyze_peak(grid):
     hs, _ = hsys.epsilon_from_surface(grid)
-    # measured 7.04 fields with no coefficient record (7.22 with it, 8.15
-    # before that, 11.36 before the in-place kernels)
-    assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 7.7
+    # measured 5.83 fields over halo slabs, the integrated values freed
+    # once the output grid holds normalized copies; 7.04 with whole-grid
+    # partials and no coefficient record (7.22 with it, 8.15 before that,
+    # 11.36 before the in-place kernels)
+    assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 6.4
 
 
 def test_read_then_surface_from_epsilon_peak(grid, tmp_path):
     path = tmp_path / "potential.csv"
     io.write_epsilon_csv(path, hsys.epsilon_from_surface(grid)[0])
-    # measured 7.04 fields, with the potential and its cached partials and
-    # Laplacian released before the scan; 7.24 before the slab integrator,
-    # 9.16 when they are held through the scan, and 7.72 before the cache
+    # measured 5.80 fields, with the potential and its Laplacian released
+    # before the pairs are stacked slab by slab and the v-first ordering
+    # compared a slab at a time; 7.04 with whole stacks and a whole v-first
+    # grid, 7.24 before the slab integrator, 9.16 when the potential's
+    # fields are held through the scan, and 7.72 before the cache
     peak = peak_fields(lambda: hsys.surface_from_epsilon(io.read_epsilon_csv(path)))
-    assert peak <= 7.5
+    assert peak <= 6.3
 
 
 def test_to_h_pipeline_peak(grid, tmp_path):
@@ -83,15 +92,17 @@ def test_to_h_pipeline_peak(grid, tmp_path):
     io.write_immersion_csv(path, grid)
 
     def to_h():
-        read = io.read_immersion_csv(path)
-        hs, _ = hsys.epsilon_from_surface(read)
+        # as `cli.cmd_to_h`: the grid is handed over, and only its summary kept
+        grids = [io.read_immersion_csv(path)]
+        summary = grids[0].summary
+        hs, _ = hsys.epsilon_from_surface(grids.pop())
         assert cli._mean_curvature_stats(hs)["status"] == "ok"
-        hsys.metric_factor_check(read, hs)
+        hsys.metric_factor_check(summary, hs)
 
-    # measured 7.21 fields (8.09 before); the peak sits in
-    # `epsilon_from_surface`, where the input grid must be alive, so
-    # dropping the grid before `metric_factor_check` moves it only to 7.13
-    assert peak_fields(to_h) <= 7.7
+    # measured 6.15 fields, with p and q freed after the integrating pass;
+    # 7.21 with whole-grid partials and the grid held to the end (8.09
+    # before that)
+    assert peak_fields(to_h) <= 6.7
 
 
 def test_strip_from_h_then_analyze_peak(tmp_path):
@@ -105,9 +116,38 @@ def test_strip_from_h_then_analyze_peak(tmp_path):
         grid, _ = hsys.surface_from_epsilon(io.read_epsilon_csv(path))
         sf.analyze(grid)
 
-    # in (nu, nv, 6) float64 fields of the strip: measured 6.64, with or
-    # without the coefficient record (7.22 before the slab kernels)
-    assert traced_peak(from_h) / (nu * nv * 6 * 8) <= 7.1
+    # in (nu, nv, 6) float64 fields of the strip: measured 5.81 over halo
+    # slabs; 6.64 with whole-grid partials, with or without the coefficient
+    # record (7.22 before the slab kernels)
+    assert traced_peak(from_h) / (nu * nv * 6 * 8) <= 6.4
+
+
+@pytest.fixture(scope="module")
+def grid201():
+    grid = fixtures.make_fixture("example2", nu=201, nv=201, du=5e-3, dv=5e-3)
+    assert len(list(sf.halo_slabs(grid))) == 5
+    sf.analyze(grid)  # lazily built numpy state
+    return grid
+
+
+def pq_bytes(grid):
+    return grid.p.nbytes + grid.q.nbytes
+
+
+def test_analyze_peak_is_one_slab(grid201):
+    # in p + q of the grid: measured 0.998 over five halo slabs, the K
+    # buffer (0.125) included; the largest stage is `lambda_field`, which
+    # holds the slab's partials, P phi_u and J phi_u at once.  With the
+    # slab's partials kept across the next slab's it read 1.44, and with
+    # whole-grid partials cached on the grid 2.51 (at 401^2)
+    assert traced_peak(lambda: sf.analyze(grid201)) <= 1.0 * pq_bytes(grid201)
+
+
+def test_epsilon_from_surface_peak_201(grid201):
+    # in p + q: measured 2.67, in the potential's own whole-grid checks
+    # (its partials, Laplacian and equation residual), not in the pass
+    peak = traced_peak(lambda: hsys.epsilon_from_surface(grid201))
+    assert peak <= 3.05 * pq_bytes(grid201)
 
 
 def test_write_immersion_csv_peak(grid, tmp_path):

@@ -65,7 +65,7 @@ def _scoped_callees(tree):
 # callee -> the only places in src/nks3 that call it
 _CONSTRUCTION_SITES = {
     "lattice": {"surface.py:Lattice.inset", "io.py:_read_rows", "fixtures.py:make_fixture"},
-    "ImmersionGrid": {"surface.py:immersion_grid"},
+    "ImmersionGrid": {"surface.py:immersion_grid", "surface.py:halo_slabs"},
     "HSurfaceGrid": {"hsystem.py:h_surface_grid"},
 }
 
@@ -86,9 +86,10 @@ def test_windows_and_grids_are_built_only_at_their_sites():
     assert _call_sites(_CONSTRUCTION_SITES) == _CONSTRUCTION_SITES
 
 
-# residual -> the one grid property that reduces it
+# residual -> the one place that reduces it: a grid property, or for a
+# surface grid the per-slab body of its cached construction pass
 _REDUCTION_SITES = {
-    "almost_complex_residual": {"surface.py:ImmersionGrid.almost_complex_max"},
+    "almost_complex_residual": {"surface.py:_summary_slab"},
     "h_equation_residual": {"hsystem.py:HSurfaceGrid.h_equation_max"},
 }
 

@@ -18,6 +18,11 @@ def small_fixture(name, n=21, h=None):
     return fixtures.make_fixture(name, nu=n, nv=n, du=h, dv=h)
 
 
+def classify(grid):
+    """`classify_P_alignment` of a whole grid, from its partials."""
+    return sf.classify_P_alignment(grid, *sf._alignment_defects(sf.partials(grid)))
+
+
 def test_grid_constructor_validation():
     grid = small_fixture("example1")
     assert grid.nu == grid.nv == 21
@@ -57,10 +62,10 @@ def test_partials_match_analytic_derivative():
 
 
 def test_grid_with_cached_partials_is_freed_by_refcount():
-    # the cached partials hold no reference back to the grid, so dropping
-    # the grid frees it without the cycle collector
+    # the cached summary of the construction pass holds no reference back
+    # to the grid, so dropping the grid frees it without the cycle collector
     grid = small_fixture("example2")
-    grid.partials
+    grid.summary
     ref = weakref.ref(grid)
     gc.disable()
     try:
@@ -101,9 +106,9 @@ def test_nan_cell_fails_real_part_gate():
     p = grid.p.copy()
     p[7, 7, 0] = np.nan
     bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
-    assert np.isnan(bad.partials.projection_max)
+    assert np.isnan(bad.summary.projection_max)
     with pytest.raises(ValueError, match="far from imaginary"):
-        sf.extract_coefficients(bad)
+        sf.require_imaginary(bad)
 
 
 def test_finite_real_part_defect_fails_gate():
@@ -115,7 +120,7 @@ def test_finite_real_part_defect_fails_gate():
     p[::2] = quat.qmul(quat.qexp(np.array([0.05, 0.0, 0.0])), p[::2])
     bad = sf.immersion_grid(grid, p, grid.q)
     assert sf.require_adapted(bad, 1.0) < sf.ADAPTED_GATE
-    assert bad.partials.projection_max > 3.0 * bad.fd_floor()
+    assert bad.summary.projection_max > 3.0 * bad.fd_floor()
     with pytest.raises(ValueError, match="far from imaginary"):
         sf.analyze(bad)
 
@@ -123,13 +128,12 @@ def test_finite_real_part_defect_fails_gate():
 def test_extract_coefficients_example1_constants():
     # central stencils scale each exact coefficient by sin(ch)/(ch), so the
     # constants are recovered to O(h^2), not exactly
-    grid = small_fixture("example1")
-    alpha_t, beta_t = sf.rotate_pair(*sf.extract_coefficients(grid), sf.FROM_POTENTIAL)
+    gp = sf.partials(small_fixture("example1"))
+    alpha_t, beta_t = sf.rotate_pair(*sf.extract_coefficients(gp.cu, gp.cv), sf.FROM_POTENTIAL)
     assert np.abs(sf.interior(alpha_t) - np.array([1.0, 0, 0])).max() < 2e-5
     assert (
         np.abs(sf.interior(beta_t) - np.array([-1 / SQ3, 0, 0])).max() < 1e-5
     )
-    gp = grid.partials
     gamma_t, delta_t = gp.cu[..., 3:] * nk.FLIP, gp.cv[..., 3:] * nk.FLIP
     assert np.abs(sf.interior(gamma_t)).max() < 1e-12
     assert (
@@ -143,15 +147,14 @@ def test_extract_coefficients_example1_constants():
 
 
 def test_rotated_pair_example1():
-    grid = small_fixture("example1")
-    alpha, beta = sf.extract_coefficients(grid)
+    gp = sf.partials(small_fixture("example1"))
+    alpha, beta = sf.extract_coefficients(gp.cu, gp.cv)
     # rotating (1,0,0), (-1/sqrt3,0,0) by 2pi/3 gives (-1,0,0), (-1/sqrt3,0,0)
     assert np.abs(sf.interior(alpha) - np.array([-1.0, 0, 0])).max() < 2e-5
     assert np.abs(sf.interior(beta) - np.array([-1 / SQ3, 0, 0])).max() < 2e-5
     # rotating back recovers the unrotated pair, the first-factor halves of
     # the partials with the sign flip undone
     at, bt = sf.rotate_pair(alpha, beta, sf.FROM_POTENTIAL)
-    gp = grid.partials
     assert np.abs(at - gp.cu[..., :3] * nk.FLIP).max() < 1e-14
     assert np.abs(bt - gp.cv[..., :3] * nk.FLIP).max() < 1e-14
 
@@ -173,18 +176,31 @@ def test_pair_rotations_are_the_closed_forms():
     assert max(np.abs(back[0] - a).max(), np.abs(back[1] - b).max()) < 1e-15
 
 
+def test_flipped_is_the_flip_product():
+    # the copy-and-negate `_flipped` stands for `x * FLIP`, bit for bit,
+    # signed zeros included, on strided halves as partials writes them
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((7, 5, 6))
+    x[0, 0], x[1, 1] = 0.0, -0.0
+    for half in (x[..., :3], x[..., 3:]):
+        assert sf._flipped(half).tobytes() == (half * nk.FLIP).tobytes()
+        out = np.empty_like(x)
+        sf._flipped(half, out=out[..., 3:])
+        assert out[..., 3:].tobytes() == (half * nk.FLIP).tobytes()
+
+
 def test_integrability_residuals_small_on_fixtures():
     for name, bound in (("example1", 1e-8), ("example2", 2e-5)):
-        grid = small_fixture(name, n=31)
-        r21, r22, r23 = sf.integrability_residuals(grid, *sf.extract_coefficients(grid))
+        gp = sf.partials(small_fixture(name, n=31))
+        r21, r22, r23 = sf.integrability_residuals(gp, *sf.extract_coefficients(gp.cu, gp.cv))
         assert max(r21, r22, r23) < bound, name
 
 
 def test_integrability_halving_example2():
     res = {}
     for h in (1e-2, 5e-3):
-        grid = small_fixture("example2", h=h)
-        res[h] = max(sf.integrability_residuals(grid, *sf.extract_coefficients(grid)))
+        gp = sf.partials(small_fixture("example2", h=h))
+        res[h] = max(sf.integrability_residuals(gp, *sf.extract_coefficients(gp.cu, gp.cv)))
     assert res[1e-2] / res[5e-3] > 3.5
 
 
@@ -199,22 +215,21 @@ def test_curl_read_in_place_is_the_unrotated_pair_curl(n, angle):
         p = grid.p.copy()
         p[::2] = quat.qmul(quat.qexp(np.array([angle, 0.0, 0.0])), p[::2])
         grid = sf.immersion_grid(grid, p, grid.q)
-    gp = grid.partials
+    gp = sf.partials(grid)
     alpha_t, beta_t = gp.cu[..., :3] * nk.FLIP, gp.cv[..., :3] * nk.FLIP
     r = grid.diff(alpha_t, 1) - grid.diff(beta_t, 0) - 2.0 * quat.cross(alpha_t, beta_t)
     want = float(sf.interior(np.linalg.norm(r, axis=-1)).max())
-    got = sf.integrability_residuals(grid, *sf.extract_coefficients(grid))[0]
+    got = sf.integrability_residuals(gp, *sf.extract_coefficients(gp.cu, gp.cv))[0]
     assert got.hex() == want.hex()
 
 
 def test_lambda_field_example1_value():
-    grid = small_fixture("example1")
-    lam = sf.interior(sf.lambda_field(sf.partials(grid)))
+    gp = sf.partials(small_fixture("example1"))
+    lam = sf.interior(sf.lambda_field(gp))
     target = -1.0 / 3.0 + 1j / SQ3
     assert np.abs(lam - target).max() < 1e-4
     # metric-level and quadratic-form routes agree: the quadratic form is
     # (1 + i sqrt3)/4 times the complex square of alpha_t - i beta_t
-    gp = grid.partials
     z = (gp.cu[..., :3] - 1j * gp.cv[..., :3]) * nk.FLIP
     lam_q = 0.25 * (1 + 1j * SQ3) * np.sum(z * z, axis=-1)
     assert np.abs(sf.interior(lam_q) - target).max() < 1e-4
@@ -222,8 +237,8 @@ def test_lambda_field_example1_value():
 
 
 def test_cr_residuals_example1_exact():
-    grid = small_fixture("example1")
-    assert sf.cr_residuals(grid, *sf.extract_coefficients(grid)) < 1e-10
+    gp = sf.partials(small_fixture("example1"))
+    assert sf.cr_residuals(gp, *sf.extract_coefficients(gp.cu, gp.cv)) < 1e-10
 
 
 def test_induced_metric_example1():
@@ -261,6 +276,23 @@ def test_lattice_stencils_read_each_axis_step():
     assert np.abs(lat.diff2(wave, 1) + 4.0 * wave)[:, 2:-2].max() < 2e-5
     with pytest.raises(ValueError, match="at least 4 samples"):
         lat.diff2(wave[:3], 0)
+
+
+def test_cumtrapz_continues_an_integral_bit_for_bit():
+    # the bytes of the formula, signed zeros included (np.array_equal takes
+    # -0.0 for 0.0), and an integral cut in two lines and continued from the
+    # last line of the first part equals the whole
+    lat = sf.lattice(0.0, 0.0, 1e-2, 1e-2, 9, 7)
+    f = np.sin(np.arange(9 * 7 * 3)).reshape(9, 7, 3)
+    f[:, :, 1] = -0.0
+    steps = np.cumsum(0.5 * lat.du * (f[1:] + f[:-1]), axis=0)
+    want = np.concatenate([np.zeros_like(f[:1]), steps])
+    whole = lat.cumtrapz(f, 0)
+    assert whole.tobytes() == want.tobytes()
+    assert np.signbit(whole[1:, :, 1]).all()
+    head = lat.cumtrapz(f[:4], 0)
+    tail = lat.cumtrapz(f[3:], 0, head[-1])
+    assert np.concatenate([head, tail[1:]]).tobytes() == whole.tobytes()
 
 
 def test_unequal_steps_end_to_end():
@@ -337,17 +369,17 @@ def test_brioschi_round_sphere():
 
 def test_gaussian_curvature_fixture_values():
     g1 = small_fixture("example1", n=31)
-    K1 = sf.interior(sf.gaussian_curvature(g1))
+    K1 = sf.interior(sf.gaussian_curvature(sf.partials(g1)))
     assert np.abs(K1).max() < 1e-8
     g2 = small_fixture("example2", n=31)
-    K2 = sf.interior(sf.gaussian_curvature(g2))
+    K2 = sf.interior(sf.gaussian_curvature(sf.partials(g2)))
     assert np.abs(K2 - 2.0 / 3.0).max() < 1e-4
 
 
 def test_second_fundamental_form_example1_vanishes():
     grid = small_fixture("example1")
     for k in range(3):
-        h = sf.second_fundamental_form(grid, k)
+        h = sf.second_fundamental_form(sf.partials(grid), k)
         assert sf.interior(np.abs(h)).max() < 1e-10
     assert sf.analyze(grid)["h_norm_max"] < 1e-10
 
@@ -369,19 +401,19 @@ def test_second_fundamental_form_symmetry_example2():
     phi_v = nk.from_frame_coords(base, gp.cv)
     # h is normal-valued: residual inner products with the tangent plane
     for k in range(3):
-        hh = nk.from_frame_coords(base, sf.second_fundamental_form(grid, k))
+        hh = nk.from_frame_coords(base, sf.second_fundamental_form(gp, k))
         a = np.abs(nk.metric(hh, phi_u))
         b = np.abs(nk.metric(hh, phi_v))
         assert sf.interior(np.maximum(a, b)).max() < 1e-10
 
 
 def test_classify_alignment():
-    g1 = small_fixture("example1")
-    assert sf.classify_P_alignment(g1) == "tangent"
-    g2 = small_fixture("example2", n=31)
-    assert sf.classify_P_alignment(g2) == "normal"
+    assert classify(small_fixture("example1")) == "tangent"
+    assert classify(small_fixture("example2", n=31)) == "normal"
     g3 = fixtures.non_adapted_grid(sf.lattice(0.0, 0.0, 5e-2, 5e-2, 15, 15))
-    assert sf.classify_P_alignment(g3) == "mixed"
+    assert classify(g3) == "mixed"
+    # a NaN deviation matches neither alignment
+    assert sf.classify_P_alignment(g3, np.nan, np.nan) == "mixed"
 
 
 def test_analyze_report_schema_and_values():
@@ -409,7 +441,7 @@ def test_frame_kernel_matches_ambient_operators(name):
         nk.Point(fixture.p, fixture.q))
     grid = sf.immersion_grid(fixture, moved.p, moved.q)
     base = nk.Point(grid.p, grid.q)
-    gp = grid.partials
+    gp = sf.partials(grid)
 
     def ambient_partial(axis, step):
         comps = []
@@ -440,17 +472,19 @@ def test_frame_kernel_matches_ambient_operators(name):
         return W - ((G * a - F * b) / det) * phi_u - ((E * b - F * a) / det) * phi_v
 
     for k in range(3):
-        hc = sf.second_fundamental_form(grid, k)
+        hc = sf.second_fundamental_form(gp, k)
         normal = normal_part(nk.from_frame_coords(base, hc))
         assert np.abs(nk.frame_coords(normal) - hc).max() < 1e-12
 
 
 def test_grid_partials_computed_once_and_read_only():
+    # a grid caches only its construction pass; the partials a pass forms
+    # and the E field the summary keeps are read-only
     grid = small_fixture("example2")
-    gp = grid.partials
-    assert grid.partials is gp
+    assert grid.summary is grid.summary
+    gp = sf.partials(grid)
     assert gp.first_form is gp.first_form
-    for arr in (gp.cu, gp.cv) + gp.first_form:
+    for arr in (gp.cu, gp.cv, *gp.first_form, grid.summary.E):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
 
@@ -496,9 +530,9 @@ def test_lattice_window_validation_and_methods():
     with pytest.raises(ValueError, match="11x11"):
         lat.inset(3)
     # a grid's window holds the lattice fields only, not its arrays or its
-    # cached partials
+    # cached summary
     grid = small_fixture("example1")
-    assert grid.partials is not None
+    assert grid.summary is not None
     assert grid.window() == {
         "u0": 0.0, "v0": 0.0, "du": 1e-2, "dv": 1e-2, "nu": 21, "nv": 21,
     }
@@ -569,10 +603,114 @@ def test_nan_in_last_slab_fails_closed(monkeypatch, capsys):
     p[last.stop - 4, 4, 0] = np.nan
     bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
     assert last.start < last.stop - 4 < grid.nu - 2
-    assert np.isnan(bad.partials.projection_max)
+    assert np.isnan(bad.summary.projection_max)
     monkeypatch.setattr(cli, "read_immersion_csv", lambda path: bad)
     assert cli.main(["--command", "analyze", "--input", "grid.csv"]) == 3
     assert capsys.readouterr().err == (
         "input error: grid is not adapted: relative almost-complex defect nan "
         "exceeds 5.0e-02 (real-part residual nan)\n"
     )
+
+
+# the halo passes against one slab of the whole grid: every pass reads the
+# grid over `halo_slabs`, so with `_POINTS` at the grid's size each is a
+# single whole-grid pass, the reference every slab size must reproduce
+def fresh(grid):
+    """A copy of `grid` with no cached summary."""
+    return sf.ImmersionGrid(**grid.window(), p=grid.p, q=grid.q)
+
+
+def halo_outputs(grid):
+    """Everything the halo passes yield on a fresh copy of `grid`: its
+    summary, E, rotated pair (assembled from each slab's kept rows),
+    report, potential and certificate, and the potential's stacked pairs,
+    surface and certificate."""
+    grid = fresh(grid)
+    summary = grid.summary
+    pair = np.empty((2, grid.nu, grid.nv, 3))
+    for sub, keep, rows in sf.halo_slabs(grid):
+        gp = sf.partials(sub)
+        pair[:, rows] = [c[keep] for c in sf.extract_coefficients(gp.cu, gp.cv)]
+    hs, cert = hsys.epsilon_from_surface(grid)
+    back, back_cert = hsys.surface_from_epsilon(hs)
+    return {
+        "values": (summary.almost_complex_max, summary.projection_max,
+                   float(summary.speed_min), float(summary.det_min)),
+        "report": sf.analyze(grid), "cert": cert, "back_cert": back_cert,
+        "E": summary.E, "pair": pair, "eps": hs.eps,
+        "pairs": hsys._stacked_pairs(*hs.partials, hs.inset(1)),
+        "back": (back.p, back.q),
+    }
+
+
+def assert_same_outputs(got, want):
+    for key in ("values", "report", "cert", "back_cert"):
+        assert got[key] == want[key], key
+    for key in ("E", "pair", "eps"):
+        assert np.array_equal(got[key], want[key]), key
+    for key in ("pairs", "back"):
+        assert all(map(np.array_equal, got[key], want[key])), key
+
+
+def cylinder_strip_surface(nu):
+    """The surface `from-h` integrates from the cmc_cylinder strip nu x 11."""
+    hs = fixtures.make_fixture("cmc_cylinder", nu=nu, nv=11, du=6e-3, dv=6e-3)
+    return hsys.surface_from_epsilon(hs)[0]
+
+
+@pytest.mark.parametrize("grid, points, slabs", [
+    # 3-row slabs of a 101^2 grid, the last one, of 2 rows, merged
+    (lambda: slab_grid(101, 101), SLAB_POINTS, 33),
+    # the surface of the 4001x11 strip, 911-row slabs at the default size
+    (lambda: cylinder_strip_surface(4001), sf._POINTS, 5),
+    # example2 83x201 at the default size: its last slab of one row merges
+    (lambda: fixtures.make_fixture("example2", nu=83, nv=201), sf._POINTS, 2),
+], ids=["300-points", "strip", "example2-83x201"])
+def test_halo_passes_match_one_whole_grid_slab(monkeypatch, grid, points, slabs):
+    grid = grid()
+    monkeypatch.setattr(sf, "_POINTS", grid.nu * grid.nv)
+    whole = halo_outputs(grid)
+    monkeypatch.setattr(sf, "_POINTS", points)
+    assert len(list(sf.halo_slabs(grid))) == slabs
+    assert_same_outputs(halo_outputs(grid), whole)
+
+
+@pytest.mark.parametrize("shape, points", [
+    ((101, 101), SLAB_POINTS), ((83, 201), 8192), ((9, 5000), 8192),
+    ((9, 9000), 8192), ((7, 7), 8192),
+])
+def test_halo_slabs_keep_each_row_once(monkeypatch, shape, points):
+    # the kept rows tile the grid in order; every sub-grid has at least 5
+    # rows, and its interior is its kept rows' share of the grid's
+    # interior, so the first and last slab each keep at least 3 rows
+    monkeypatch.setattr(sf, "_POINTS", points)
+    grid = slab_grid(*shape)
+    kept, inner = [], []
+    for sub, keep, rows in sf.halo_slabs(grid):
+        assert np.shares_memory(sub.p, grid.p) and sub.nv == grid.nv
+        assert sub.nu >= 5 and keep.stop - keep.start == rows.stop - rows.start
+        assert np.array_equal(sub.p[keep], grid.p[rows])
+        top = rows.start - keep.start
+        inner += range(top + sf._MARGIN, top + sub.nu - sf._MARGIN)
+        kept += range(rows.start, rows.stop)
+    assert kept == list(range(grid.nu))
+    assert inner == list(range(sf._MARGIN, grid.nu - sf._MARGIN))
+
+
+@pytest.mark.parametrize("row", [5, 6, 7, 99])
+def test_nan_in_a_halo_row_fails_closed(monkeypatch, row):
+    # 3-row slabs: row 5 is the last kept row of one slab and in the halo
+    # of the next, 6 and 7 the reverse, 99 in the merged last slab; the
+    # NaN reaches both gated defects, and every command refuses the grid
+    # with the adaptedness gate's message and no RuntimeWarning (which
+    # pytest turns into an error here)
+    monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
+    grid = slab_grid(101, 101)
+    p = grid.p.copy()
+    p[row, 50, 0] = np.nan
+    bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
+    assert np.isnan(bad.summary.almost_complex_max)
+    assert np.isnan(bad.summary.projection_max)
+    for run in (sf.analyze, hsys.epsilon_from_surface):
+        with pytest.raises(ValueError, match=r"almost-complex defect nan exceeds"):
+            run(fresh(bad))

@@ -36,10 +36,19 @@ RUNS = [
      ["fixture", "--fixture", "example1", *_grid(41, 41), "--output", "ex1.csv"]),
     ("analyze example1", 0, ["analyze", "--input", "ex1.csv", "--output", "ex1.json"]),
     ("to-h example1", 0, ["to-h", "--input", "ex1.csv", "--output", "ex1_h.csv"]),
+    # 41-row slabs of 201 points leave this grid a last slab of one row
+    ("fixture example2 83x201", 0,
+     ["fixture", "--fixture", "example2", *_grid(83, 201), "--output", "ex83.csv"]),
+    ("analyze example2 83x201", 0, ["analyze", "--input", "ex83.csv", "--output", "ex83.json"]),
+    ("to-h example2 83x201", 0, ["to-h", "--input", "ex83.csv", "--output", "ex83_h.csv"]),
+    ("from-h example2 83x201 potential", 0,
+     ["from-h", "--input", "ex83_h.csv", "--output", "ex83_s.csv"]),
     ("fixture cmc_cylinder 4001x11", 0,
      ["fixture", "--fixture", "cmc_cylinder", *_grid(4001, 11, 6e-3), "--output", "cyl.csv"]),
     ("from-h cmc_cylinder", 0, ["from-h", "--input", "cyl.csv", "--output", "cyl_s.csv"]),
     ("to-h cmc_cylinder surface", 0, ["to-h", "--input", "cyl_s.csv", "--output", "cyl_h.csv"]),
+    ("analyze cmc_cylinder surface", 0,
+     ["analyze", "--input", "cyl_s.csv", "--output", "cyl_s.json"]),
     ("analyze cmc_cylinder potential", 3, ["analyze", "--input", "cyl.csv"]),
     ("fixture cmc_sphere", 0, ["fixture", "--fixture", "cmc_sphere", "--output", "sph.csv"]),
     ("from-h cmc_sphere", 0, ["from-h", "--input", "sph.csv", "--output", "sph_s.csv"]),
