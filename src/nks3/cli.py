@@ -93,7 +93,7 @@ def cmd_fixture(config):
     config.update(nu=obj.nu, nv=obj.nv, du=obj.du, dv=obj.dv)
     if isinstance(obj, HSurfaceGrid):
         write_epsilon_csv(config["output"], obj)
-        kind, check = "epsilon", {"h_equation_max": obj.h_equation_max}
+        kind, check = "epsilon", {"h_equation_max": obj.summary.h_equation_max}
     else:
         write_immersion_csv(config["output"], obj)
         kind, check = "immersion", {"almost_complex_max": obj.summary.almost_complex_max}
@@ -135,7 +135,7 @@ def cmd_to_h(config):
 
 
 def cmd_from_h(config):
-    # passed inline: the potential and its cached fields are freed before the scan
+    # passed inline: the potential is freed before the output grid is built
     grid, cert = surface_from_epsilon(
         read_epsilon_csv(config["input"]), tol_scale=config["tol_scale"]
     )

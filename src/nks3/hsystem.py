@@ -18,10 +18,13 @@ the compatibility conditions to discretization error.
 
 Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
 `surface.Lattice`, are built over one (`h_surface_grid(lat, eps)`), and
-derive their gated defect once and cache it (here
-`HSurfaceGrid.h_equation_max`, which `_require_solution` gates, with the
-potential's partials and Laplacian; a surface grid's
-`surface.ImmersionGrid.summary`); each integrator's output covers its input
+are read over the same `surface.halo_slabs`, so neither keeps a whole-grid
+derivative.  Each derives its gated defects in one cached construction
+pass: here `HSurfaceGrid.summary` (a `PotentialSummary`: the smallest
+speed, the conformality deviation `mean_curvature` gates, the equation
+residual `_require_solution` gates, and the speed field
+`metric_factor_check` reads); a surface grid's
+`surface.ImmersionGrid.summary`.  Each integrator's output covers its input
 window inset by one cell, and only its output is ever whole.
 
 `epsilon_from_surface` reads the surface grid over its
@@ -32,11 +35,14 @@ The running integrals along u carry across slabs as the first element of
 each slab's sum, so `np.cumsum` adds in the order of a whole-axis sum.  The
 quaternion integrator takes the ordered products of unit step factors by a
 blocked scan (sequential inside fixed-size blocks) and never renormalizes;
-`drift_max` reports its roundoff off the unit sphere.  Its coefficient
-stacks are filled, and each of its field chains runs, over the
-`surface.Lattice.slabs` of one axis; the v-first ordering is compared with
-the u-first one slab by slab.  Slabs hold at least `surface._POINTS` grid
-points: a fixed constant, not a setting, that changes no bit of any result.
+`drift_max` reports its roundoff off the unit sphere.  Each of its spines
+and field chains forms its coefficient pairs from a block of the potential
+with a one-cell halo (`HSurfaceGrid.pairs`), and the field chains run over
+the `surface.Lattice.slabs` of one axis; the v-first ordering is compared
+with the u-first one slab by slab.  Each scan runs over a whole line, so
+its blocked association, and with it every certificate value, is the
+whole grid's.  Slabs hold at least `surface._POINTS` grid points: a fixed
+constant, not a setting, that changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .surface import (
 
 __all__ = [
     "CertificateError",
+    "PotentialSummary",
     "HSurfaceGrid",
     "h_surface_grid",
     "h_equation_residual",
@@ -73,11 +80,30 @@ class CertificateError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class PotentialSummary:
+    """What the construction pass of a potential grid keeps: the smallest
+    interior speed e + g, the largest interior relative conformality
+    deviation max(|e - g|, |f|) / max(e, g), where (e, f, g) = (|eps_u|^2,
+    eps_u . eps_v, |eps_v|^2) (NaN on a slab whose speed falls below the
+    floor `h_surface_grid` refuses, so no division meets a zero), the
+    largest interior `h_equation_residual`, and the read-only (nu, nv)
+    speed field.  A NaN anywhere in a field reaches its minimum or
+    maximum."""
+
+    speed_min: float
+    conformal_max: float
+    h_equation_max: float
+    speed: np.ndarray
+
+
+@dataclass(frozen=True)
 class HSurfaceGrid(Lattice):
     """Values of a map eps: R^2 -> R^3 over a `Lattice` (shape (nu, nv, 3)).
 
     `partials` and `laplacian` are computed on first use and cached, so
-    `eps` must not be mutated after construction."""
+    `eps` must not be mutated after construction; the commands read them
+    only on the sub-grids of `surface.halo_slabs`, whose caches go with
+    each slab."""
 
     eps: np.ndarray
 
@@ -97,15 +123,56 @@ class HSurfaceGrid(Lattice):
         return lap
 
     @cached_property
-    def h_equation_max(self):
-        """Largest interior `h_equation_residual`, computed on first use."""
-        return float(interior(h_equation_residual(self)).max())
+    def summary(self):
+        """The grid's one `PotentialSummary`, from one pass over its
+        `surface.halo_slabs`, computed on first use."""
+        speed = np.empty((self.nu, self.nv))
+        lows, highs = zip(*(_summary_slab(*slab, speed) for slab in halo_slabs(self)))
+        speed.flags.writeable = False
+        conformal, equation = np.max(highs, axis=0)
+        return PotentialSummary(float(np.min(lows)), float(conformal), float(equation), speed)
+
+    def pairs(self, rows, cols, axis):
+        """The coefficients along `axis` of both quaternion factors on the
+        block (rows, cols) of the inset window `self.inset(1)`, stacked to
+        (..., 2, 3): the first factor's, from the gradient turned by
+        `FROM_POTENTIAL`, then the second factor's, that pair turned on by
+        `SECOND_FACTOR`.  The partials come from the block widened by one
+        cell, where every kept value is a central difference: the bits of
+        the whole grid's."""
+        block = self.eps[rows.start : rows.stop + 2, cols.start : cols.stop + 2]
+        first = rotate_pair(self.diff(block[:, 1:-1], 0)[1:-1],
+                            self.diff(block[1:-1], 1)[:, 1:-1], FROM_POTENTIAL)
+        out = np.empty(first[0].shape[:-1] + (2, 3))
+        out[..., 0, :] = first[axis]
+        out[..., 1, :] = rotate_pair(*first, SECOND_FACTOR)[axis]
+        return out
+
+
+def _summary_slab(sub, keep, rows, speed):
+    """One halo slab's share of `HSurfaceGrid.summary`: writes its kept
+    rows of the speed field and returns its interior speed minimum, and
+    its interior conformality deviation and equation residual maxima."""
+    eu, ev = sub.partials
+    e, g = np.sum(eu * eu, axis=-1), np.sum(ev * ev, axis=-1)
+    full = e + g
+    speed[rows] = full[keep]
+    low = interior(full).min()
+    conformal = np.nan
+    if low >= 1e-10:
+        e, g = interior(e), interior(g)
+        f = np.sum(interior(eu) * interior(ev), axis=-1)
+        conformal = (np.maximum(np.abs(e - g), np.abs(f)) / np.maximum(e, g)).max()
+        del f
+    del e, g, full  # none is alive beside the residual's temporaries
+    return low, (conformal, interior(h_equation_residual(sub)).max())
 
 
 def h_surface_grid(lat, eps):
     """Validated potential grid over the `Lattice` `lat`: checks that `eps`
-    has shape (lat.nu, lat.nv, 3), that every value is finite, and that the
-    first derivatives do not vanish on the interior."""
+    has shape (lat.nu, lat.nv, 3), that every value is finite, and, in the
+    grid's construction pass (`HSurfaceGrid.summary`), that the first
+    derivatives do not vanish on the interior."""
     eps = np.asarray(eps, dtype=float)
     shape = (lat.nu, lat.nv, 3)
     if eps.shape != shape:
@@ -113,9 +180,7 @@ def h_surface_grid(lat, eps):
     if not np.isfinite(eps).all():
         raise ValueError("potential grid has non-finite values")
     hs = HSurfaceGrid(**lat.window(), eps=eps)
-    eu, ev = hs.partials
-    speed = np.sum(eu * eu, axis=-1) + np.sum(ev * ev, axis=-1)
-    if not float(interior(speed).min()) >= 1e-10:
+    if not hs.summary.speed_min >= 1e-10:
         raise ValueError("derivatives vanish on the interior; not a solution surface")
     return hs
 
@@ -133,8 +198,8 @@ def _default_cert_tol(lat, tol_scale):
 
 
 def _require_solution(hs, tol, why):
-    """`hs.h_equation_max`; raises CertificateError when it exceeds `tol`."""
-    return gate(hs.h_equation_max, tol,
+    """`hs.summary.h_equation_max`; raises CertificateError when it exceeds `tol`."""
+    return gate(hs.summary.h_equation_max, tol,
                 "second-order equation residual", CertificateError, why)
 
 
@@ -246,38 +311,28 @@ def _integrate_chain(start, coeff, lat, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _integrate_pair(c_u, c_v, lat, start):
+def _integrate_pair(pairs, lat, start):
     """Integrate quaternion grids over `lat` with both coordinate derivatives
     given, along the two path orderings (u-spine then v, v-spine then u).
 
-    `c_u`, `c_v` have shape (nu, nv, k, 3) and `start` (k, 4): all k grids
-    share each chain's scan passes.  Returns the u-first grid and an
-    iterator over (slice, v-first values) for the `Lattice.slabs(1)` of
-    v-columns, so a caller can compare the orderings one slab at a time
-    and never hold the whole v-first grid.  Each field chain runs over the
-    slabs of the other axis, so its temporaries stay one slab wide."""
-    u_spine = _integrate_chain(start, c_u[:, :1], lat, 0)[:, 0]
-    v_spine = _integrate_chain(start, c_v[:1], lat, 1)[0]
-    ufirst = np.empty(c_u.shape[:-1] + (4,))
+    `pairs(rows, cols, axis)` returns the block of the derivative along
+    `axis` on those index slices of `lat`, (rows, cols, k, 3), and `start`
+    is (k, 4): all k grids share each chain's scan passes.  Each spine asks
+    for its one line, the u-first lines for the blocks of the
+    `Lattice.slabs(0)` and the v-first chains for those of the
+    `Lattice.slabs(1)`.  Returns the u-first grid and an iterator over
+    (slice, v-first values) for the slabs of v-columns, so a caller can
+    compare the orderings one slab at a time and never hold the whole
+    v-first grid."""
+    rows, cols = slice(0, lat.nu), slice(0, lat.nv)
+    u_spine = _integrate_chain(start, pairs(rows, slice(0, 1), 0), lat, 0)[:, 0]
+    v_spine = _integrate_chain(start, pairs(slice(0, 1), cols, 1), lat, 1)[0]
+    ufirst = np.empty((lat.nu, lat.nv) + start.shape)
     for s in lat.slabs(0):
-        ufirst[s] = _integrate_chain(u_spine[s], c_v[s], lat, 1)
-    vfirst = ((s, _integrate_chain(v_spine[s], c_u[:, s], lat, 0)) for s in lat.slabs(1))
+        ufirst[s] = _integrate_chain(u_spine[s], pairs(s, cols, 1), lat, 1)
+    vfirst = ((s, _integrate_chain(v_spine[s], pairs(rows, s, 0), lat, 0))
+              for s in lat.slabs(1))
     return ufirst, vfirst
-
-
-def _stacked_pairs(eu, ev, out):
-    """The coefficient pairs of both quaternion factors of the potential
-    with partials `eu`, `ev`, on its inset window `out`, stacked to
-    (nu - 2, nv - 2, 2, 3): the u pair, then the v pair, filled over the
-    u-slabs of `out` so each rotation's temporaries stay one slab wide."""
-    eu, ev = eu[1:-1, 1:-1], ev[1:-1, 1:-1]
-    c_u = np.empty((out.nu, out.nv, 2, 3))
-    c_v = np.empty_like(c_u)
-    for s in out.slabs(0):
-        at, bt = rotate_pair(eu[s], ev[s], FROM_POTENTIAL)
-        c_u[s, :, 0], c_v[s, :, 0] = at, bt
-        c_u[s, :, 1], c_v[s, :, 1] = rotate_pair(at, bt, SECOND_FACTOR)
-    return c_u, c_v
 
 
 def surface_from_epsilon(hs, tol_scale=1.0):
@@ -295,26 +350,27 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     the largest disagreement between the two path orderings of the
     quaternion integration, `drift_max` (the largest deviation of a
     quaternion norm from 1 over both orderings of both factors; it only
-    reports) and the adaptedness defect of the output.  Raises ValueError
-    for a bad `tol_scale`, CertificateError when the input fails the
-    equation residual gate or the orderings disagree beyond tolerance.
+    reports) and the adaptedness defect of the output.  The coefficient
+    pairs are formed block by block from the potential
+    (`HSurfaceGrid.pairs`), which is dropped before the output grid is
+    built.  Raises ValueError for a bad `tol_scale`, CertificateError when
+    the input fails the equation residual gate or the orderings disagree
+    beyond tolerance.
     """
     tol_scale = validate_tol_scale(tol_scale)
     out = hs.inset(1)
     tol = _default_cert_tol(hs, tol_scale)
     eq_res = _require_solution(hs, tol, "; input is not a solution surface")
-    eu, ev = hs.partials
-    del hs  # neither the potential nor its Laplacian lives through the stacking
-    pairs = _stacked_pairs(eu, ev, out)
-    del eu, ev
-    ufirst, vfirst = _integrate_pair(*pairs, out, np.stack([quat.ONE, quat.ONE]))
-    del pairs  # only the v-first chains hold the u pair, until their last slab
-    gaps, drifts = [], []
+    ufirst, vfirst = _integrate_pair(hs.pairs, out, np.stack([quat.ONE, quat.ONE]))
+    drifts = [np.abs(quat.norm(ufirst[s]) - 1.0).max() for s in out.slabs(0)]
+    gaps = []
     for s, v in vfirst:
         gaps.append(np.abs(ufirst[:, s] - v).max())
         drifts.append(np.abs(quat.norm(v) - 1.0).max())
+    # a caller that passed its only reference frees the potential here
+    del hs, vfirst, v
     compat = gate(np.max(gaps), tol, "path-ordering disagreement", CertificateError)
-    drift = max(float(np.abs(quat.norm(ufirst) - 1.0).max()), float(np.max(drifts)))
+    drift = float(np.max(drifts))
     factors = [ufirst[..., 0, :], ufirst[..., 1, :]]
     del ufirst
     # the grid gets the only references to the two factors, so it frees the
@@ -330,20 +386,20 @@ def mean_curvature(hs):
     Requires the parametrization to be conformal (equal-speed orthogonal
     derivatives) to a relative deviation on the interior that scales with
     the squared grid step; raises ValueError otherwise, since the formula
-    divides by the common speed.
+    divides by the common speed.  The deviation is the grid's
+    `PotentialSummary.conformal_max`, gated before any H is formed; H is
+    then taken over `surface.halo_slabs` into one (nu, nv) field.
     """
-    eu, ev = hs.partials
-    e2 = np.sum(eu * eu, axis=-1)
-    g2 = np.sum(ev * ev, axis=-1)
-    f = np.sum(eu * ev, axis=-1)
-    dev = np.maximum(np.abs(e2 - g2), np.abs(f)) / np.maximum(e2, g2)
-    gate(interior(dev).max(), hs.fd_floor(),
+    gate(hs.summary.conformal_max, hs.fd_floor(),
          "coordinates are not conformal: relative deviation")
-    del g2, f, dev
-    n = quat.cross(eu, ev)
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    n *= hs.laplacian
-    return np.sum(n, axis=-1) / (2.0 * e2)
+    H = np.empty((hs.nu, hs.nv))
+    for sub, keep, rows in halo_slabs(hs):
+        eu, ev = sub.partials
+        n = quat.cross(eu, ev)
+        n /= np.linalg.norm(n, axis=-1, keepdims=True)
+        n *= sub.laplacian
+        H[rows] = (np.sum(n, axis=-1) / (2.0 * np.sum(eu * eu, axis=-1)))[keep]
+    return H
 
 
 def sphere_fit(points):
@@ -376,11 +432,10 @@ def metric_factor_check(summary, hs):
     (`Lattice.overlap`, which raises ValueError when the steps differ).
     """
     g_slice, h_slice = summary.overlap(hs)
-    eu, ev = hs.partials
-    E = summary.E
-    speed = np.sum(eu * eu, axis=-1) + np.sum(ev * ev, axis=-1)
-    ratio_int = interior(2.0 * E[g_slice] / speed[h_slice])
-    return {
-        "ratio_mean": float(ratio_int.mean()),
-        "ratio_max_dev": float(np.abs(ratio_int - 2.0).max()),
-    }
+    ratio = 2.0 * summary.E[g_slice]  # one field, turned in place to |ratio - 2|
+    ratio /= hs.summary.speed[h_slice]
+    ratio = interior(ratio)
+    mean = float(ratio.mean())
+    ratio -= 2.0
+    np.abs(ratio, out=ratio)
+    return {"ratio_mean": mean, "ratio_max_dev": float(ratio.max())}

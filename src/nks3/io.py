@@ -5,7 +5,7 @@ value is written as `'%.17g' % x` writes it, 17 significant digits with
 trailing zeros dropped and exponent form below 1e-4 and from 1e17, so a
 file is byte for byte what `np.savetxt(fmt="%.17g", delimiter=",")` writes
 and write -> read -> write round-trips to identical bytes.  The writer
-formats a fixed number of grid points at a time in numpy, exactly: digits
+formats a fixed number of values at a time in numpy, exactly: digits
 from an error-free product, text laid out from a table of NUL-padded
 slots; only exponent-form and non-finite values go through `%`.  Each
 coordinate value is formatted once, not once per row it appears in.
@@ -43,7 +43,9 @@ IMMERSION_HEADER = "u,v,p0,p1,p2,p3,q0,q1,q2,q3"
 EPSILON_HEADER = "u,v,x,y,z"
 
 _FMT = "%.17g"
-_CHUNK_POINTS = 2048
+# values formatted per chunk, the u and v columns included: 1024 points of
+# an immersion grid, 2048 of a potential
+_CHUNK_VALUES = 10240
 
 # One formatted value is a slot of six little-endian words (48 bytes) that
 # becomes text once its NUL bytes are dropped.  Byte 0 holds the separator
@@ -172,20 +174,22 @@ def _write_rows(path, header, lat, blocks):
 
     The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",")`.  Each u
     and v coordinate is formatted once; the payload is formatted by
-    `_format_slots` `_CHUNK_POINTS` grid points at a time, the slots of each
-    chunk's rows laid side by side and written with their NULs dropped.  A
-    slot carries the separator before its value, so each row opens with the
-    newline that ends the previous line.
+    `_format_slots` a chunk of rows at a time, as many as hold
+    `_CHUNK_VALUES` values, the slots of each chunk's rows laid side by side
+    and written with their NULs dropped, so a chunk's temporaries are the
+    same size for every layout.  A slot carries the separator before its
+    value, so each row opens with the newline that ends the previous line.
     """
     us = _format_slots(lat.u_vals)
     us.view(np.uint8)[:, 0] = ord("\n")
     vs = _format_slots(lat.v_vals)
     width = sum(b.shape[-1] for b in blocks)
     points = lat.nu * lat.nv
+    chunk = _CHUNK_VALUES // (width + 2)
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for start in range(0, points, _CHUNK_POINTS):
-            j, i = np.divmod(np.arange(start, min(start + _CHUNK_POINTS, points)), lat.nu)
+        for start in range(0, points, chunk):
+            j, i = np.divmod(np.arange(start, min(start + chunk, points)), lat.nu)
             values = np.concatenate([b[i, j] for b in blocks], axis=-1)
             rows = np.empty((len(i), width + 2, _SLOT_WORDS), "<u8")
             rows[:, 0] = us.take(i, axis=0)

@@ -20,11 +20,12 @@ the unrotated coefficient pair is read in place from the partials, of which
 
 Every analysed quantity is a local stencil, so no whole-grid partials are
 formed: a grid is read over its `halo_slabs`, blocks of whole u-rows
-widened by `_MARGIN` rows on each side into sub-grids over views of p and
-q.  A kept row needs p and q two rows away (one for the partials, one for
-the derivatives of fields built from them), so a sub-grid's `interior` is
-exactly its share of the grid's: the stage functions run on each sub-grid
-as they are, and their maxima merge by `np.max` to the same bits.  The
+widened by `_MARGIN` rows on each side into sub-grids over views of its
+arrays (p and q, or a potential's eps in `hsystem`).  A kept row needs
+values two rows away (one for the partials, one for the derivatives of
+fields built from them), so a sub-grid's `interior` is exactly its share
+of the grid's: the stage functions run on each sub-grid as they are, and
+their maxima merge by `np.max` to the same bits.  The
 construction pass, cached as `ImmersionGrid.summary`, keeps what
 `immersion_grid` and the gates read and the E field; `analyze` and
 `hsystem.epsilon_from_surface` each take one more pass, and gate merged
@@ -54,7 +55,7 @@ edge stencils degrade the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -333,22 +334,24 @@ def immersion_grid(lat, p, q):
 
 
 def halo_slabs(grid):
-    """The halo slabs of an immersion grid, in order, as (sub, keep, rows).
+    """The halo slabs of a grid, in order, as (sub, keep, rows).
 
     `rows` slices the u-rows of the grid the slab keeps: one slab of
     `Lattice.slabs(0)`, where a first or last slab of fewer than
-    `_MARGIN + 1` rows merges into its neighbour.  `sub` is the
-    `ImmersionGrid` over views of p and q on those rows widened by
-    `_MARGIN` on each side, clipped at the grid's edges, and `keep` slices
-    the kept rows out of it.  So each sub-grid has at least 5 rows and a
-    nonempty `interior`, which is exactly its share of the grid's.
+    `_MARGIN + 1` rows merges into its neighbour.  `sub` is a grid of the
+    same type (an `ImmersionGrid` or an `hsystem.HSurfaceGrid`) over views
+    of its arrays on those rows widened by `_MARGIN` on each side, clipped
+    at the grid's edges, and `keep` slices the kept rows out of it.  So
+    each sub-grid has at least 5 rows and a nonempty `interior`, which is
+    exactly its share of the grid's.
     """
+    arrays = [f.name for f in fields(grid)[len(fields(Lattice)):]]
     cuts = [s.start for s in grid.slabs(0)
             if _MARGIN < s.start < grid.nu - _MARGIN]
     for lo, hi in zip([0, *cuts], [*cuts, grid.nu]):
         a, b = max(lo - _MARGIN, 0), min(hi + _MARGIN, grid.nu)
-        sub = ImmersionGrid(grid.u0 + a * grid.du, grid.v0, grid.du, grid.dv,
-                            b - a, grid.nv, grid.p[a:b], grid.q[a:b])
+        sub = replace(grid, u0=grid.u0 + a * grid.du, nu=b - a,
+                      **{name: getattr(grid, name)[a:b] for name in arrays})
         yield sub, slice(lo - a, hi - a), slice(lo, hi)
 
 
@@ -527,10 +530,12 @@ def integrability_residuals(gp, alpha, beta):
             stat(alpha, beta, False, 4.0 / SQRT3))
 
 
-def lambda_field(gp):
+def lambda_field(gp, pu=None):
     """Holomorphic quadratic coefficient from the metric-level definition:
-    twice its value is g(P phi_u, phi_u) - i g(P phi_u, J phi_u)."""
-    pu = gp.cu @ P_MAT.T
+    twice its value is g(P phi_u, phi_u) - i g(P phi_u, J phi_u).  `pu`,
+    P phi_u, is formed here unless the caller holds it already."""
+    if pu is None:
+        pu = gp.cu @ P_MAT.T
     im = -gram_product(pu, gp.cu @ J_MAT.T)
     re = gram_product(pu, gp.cu)
     del pu
@@ -646,11 +651,11 @@ def _unit_norm(gp):
     return unit
 
 
-def _alignment_defects(gp):
+def _alignment_defects(gp, pu, a):
     """The largest interior deviations of P phi_u from the normal space and
-    from the tangent plane, each relative to |P phi_u|."""
-    pu = gp.cu @ P_MAT.T
-    a, b, pu_norm = gram_product(pu, gp.cu), gram_product(pu, gp.cv), _norm(pu)
+    from the tangent plane, each relative to |P phi_u|, from pu = P phi_u
+    (overwritten) and a = g(P phi_u, phi_u)."""
+    b, pu_norm = gram_product(pu, gp.cv), _norm(pu)
     scale = pu_norm * np.sqrt(gp.first_form[0])
     normal_dev = float(interior(np.maximum(np.abs(a), np.abs(b)) / scale).max())
     tangent_dev = float(interior(_norm(_normal_part(gp, pu, a, b)) / pu_norm).max())
@@ -685,10 +690,16 @@ def _analysis_slab(sub, keep, rows, K):
     r21, r22, r23 = integrability_residuals(gp, alpha, beta)
     cr = cr_residuals(gp, alpha, beta)
     del alpha, beta  # each stage keeps only its maxima, so none holds a field
-    lam = float(interior(np.abs(lambda_field(gp))).max())
     K[rows] = gaussian_curvature(gp)[keep]
     h = float(interior(_unit_norm(gp)).max())
-    return (r21, r22, r23, cr, lam, h, *_alignment_defects(gp))
+    # P phi_u serves lambda and the alignment defects, and twice lambda's
+    # real part is g(P phi_u, phi_u) bit for bit: halving and doubling are
+    # exact above the subnormal range
+    pu = gp.cu @ P_MAT.T
+    lam = lambda_field(gp, pu)
+    a = 2.0 * lam.real
+    lam = float(interior(np.abs(lam)).max())
+    return (r21, r22, r23, cr, lam, h, *_alignment_defects(gp, pu, a))
 
 
 def analyze(grid, tol_scale=1.0):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nks3 import cli, fixtures, hsystem as hsys, io, quat
+from nks3 import nkspace as nk
 from nks3 import surface as sf
 from nks3.nkspace import SQRT3
 
@@ -56,32 +57,72 @@ def test_potential_fields_are_cached_and_read_only():
             field[0, 0, 0] = 0.0
 
 
+def _potential_blocks(monkeypatch):
+    """Wraps `HSurfaceGrid.diff` and `.diff2`; returns a list that gets,
+    per call, (name, axis, root array, the rows and columns of the root it
+    counts for).  A halo sub-grid's derivative counts on the sub's interior
+    rows, which tile the grid's interior rows once per pass; a block of
+    `HSurfaceGrid.pairs` counts inside its one-cell halo along the axis
+    differentiated (it has none along the other)."""
+    calls = []
+
+    def wrap(name):
+        method = getattr(hsys.HSurfaceGrid, name)
+
+        def counted(self, f, axis):
+            root = f if f.base is None else f.base
+            offset = f.__array_interface__["data"][0] - root.__array_interface__["data"][0]
+            r, c = offset // root.strides[0], offset % root.strides[0] // root.strides[1]
+            nr, nc = f.shape[:2]
+            kept = [slice(r, r + nr), slice(c, c + nc)]
+            if f is self.eps:
+                kept[0] = slice(r + sf._MARGIN, r + nr - sf._MARGIN)
+            else:
+                kept[axis] = slice(kept[axis].start + 1, kept[axis].stop - 1)
+            kept = tuple(kept)
+            calls.append((name, axis, root, kept))
+            return method(self, f, axis)
+        return counted
+
+    for name in ("diff", "diff2"):
+        monkeypatch.setattr(hsys.HSurfaceGrid, name, wrap(name))
+    return calls
+
+
+# command -> how often it forms each interior point's (partials, Laplacian)
+_DERIVATIONS = {"fixture": (1, 1), "to-h": (2, 2), "from-h": (3, 1)}
+
+
 @pytest.mark.parametrize("command, source", [
     ("to-h", "example2"), ("from-h", "cmc_sphere"), ("fixture", "cmc_sphere"),
 ])
 def test_each_command_derives_the_potential_once(monkeypatch, tmp_path, command, source):
-    # every stage reads the potential's partials and Laplacian from the
-    # grid's cache: two first and two second derivatives per command
+    # no potential keeps a whole-grid derivative: `fixture` forms each
+    # interior point's partials and Laplacian once, in the grid's
+    # construction pass; `to-h` once more for the mean curvature; `from-h`
+    # twice more for the integrator's coefficient pairs, once in the
+    # u-first lines and once in the v-first chains (its spines re-form
+    # them on the first row and column of the integrator's window, which
+    # lie in the potential's edge margin).  300-point slabs cut the 41x41
+    # potential, and the 39x39 one of `to-h`, into several of each kind
     argv = ["--command", "fixture", "--fixture", source, "--nu", "41", "--nv", "41",
             "--output", str(tmp_path / "in.csv")]
     if command != "fixture":
         assert cli.main(argv) == 0
         argv = ["--command", command, "--input", str(tmp_path / "in.csv"),
                 "--output", str(tmp_path / "out.csv")]
-    counts = collections.Counter()
-
-    def counting(name):
-        method = getattr(hsys.HSurfaceGrid, name)
-
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return method(*args, **kwargs)
-        return counted
-
-    for name in ("diff", "diff2"):
-        monkeypatch.setattr(hsys.HSurfaceGrid, name, counting(name))
+    monkeypatch.setattr(sf, "_POINTS", 300)
+    calls = _potential_blocks(monkeypatch)
     assert cli.main(argv) == 0
-    assert counts == {"diff": 2, "diff2": 2}
+    root = calls[0][2]
+    assert all(call[2] is root for call in calls)
+    assert len([call for call in calls if call[:2] == ("diff", 0)]) >= 5
+    for name, times in zip(("diff", "diff2"), _DERIVATIONS[command]):
+        for axis in (0, 1):
+            counts = np.zeros(root.shape[:2], dtype=int)
+            for _, _, _, kept in (c for c in calls if c[:2] == (name, axis)):
+                counts[kept] += 1
+            assert (sf.interior(counts) == times).all(), (name, axis)
 
 
 def test_integrators_form_each_rows_partials_once(monkeypatch):
@@ -236,7 +277,9 @@ def test_from_potential_sphere():
     gp = sf.partials(grid)
     K = sf.interior(sf.gaussian_curvature(gp))
     assert np.abs(K - 2.0 / 3.0).max() < 1e-3
-    assert sf.classify_P_alignment(grid, *sf._alignment_defects(gp)) == "normal"
+    pu = gp.cu @ nk.P_MAT.T
+    defects = sf._alignment_defects(gp, pu, nk.gram_product(pu, gp.cu))
+    assert sf.classify_P_alignment(grid, *defects) == "normal"
 
 
 def test_from_potential_initial_point():
@@ -530,7 +573,8 @@ def test_integrate_pair_slabs_match_the_whole_grid(monkeypatch, shape):
     for points, count in ((300, 5), (shape[0] * shape[1], 1)):
         monkeypatch.setattr(sf, "_POINTS", points)
         assert min(len(lat.slabs(0)), len(lat.slabs(1))) >= count
-        ufirst, vfirst = hsys._integrate_pair(c_u, c_v, lat, start)
+        ufirst, vfirst = hsys._integrate_pair(
+            lambda rows, cols, axis: (c_u, c_v)[axis][rows, cols], lat, start)
         slabs = list(vfirst)
         assert [s for s, _ in slabs] == lat.slabs(1)
         assert np.array_equal(ufirst, whole[0])

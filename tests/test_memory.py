@@ -12,6 +12,9 @@ strip's integrator, so these bounds guard the kernels' temporaries; the slab
 loops themselves are checked bit for bit in test_surface and test_hsystem.
 At 201^2 a grid is five halo slabs, and there the bound is in p + q: a pass
 holds one slab's temporaries, so its peak no longer grows with the grid.
+Potential grids are read over the same halo slabs, so the 201^2 bounds of
+`to-h` after its read, `from-h` from its read to its write, and the
+immersion writer alone cover every command's grid stages.
 """
 import tracemalloc
 
@@ -58,33 +61,34 @@ def test_read_then_analyze_peak(grid, tmp_path):
 
 
 def test_epsilon_from_surface_peak(grid):
-    # measured 4.65 fields over halo slabs: at 101^2 a slab is 84 of the
-    # 101 rows, so the pass forms most of a grid's partials, which the grid
-    # no longer keeps (its whole-grid cu, cv, E, F and G were 2.5 resident
-    # fields that this peak did not count); 3.29 on top of those, 4.25 when
-    # the unrotated pair was held too, 6.02 before that
-    assert peak_fields(lambda: hsys.epsilon_from_surface(grid)) <= 5.2
+    # measured 3.54 fields with the potential read over halo slabs (at
+    # 101^2 its 99 rows are one slab); 3.61 with its whole-grid partials
+    # cached on it; 3.29 on top of the grid's whole-grid cu, cv, E, F and
+    # G, 4.25 when the unrotated pair was held too, 6.02 before that
+    assert peak_fields(lambda: hsys.epsilon_from_surface(grid)) <= 4.04
 
 
 def test_surface_from_epsilon_then_analyze_peak(grid):
     hs, _ = hsys.epsilon_from_surface(grid)
     # measured 5.83 fields over halo slabs, the integrated values freed
-    # once the output grid holds normalized copies; 7.04 with whole-grid
+    # once the output grid holds normalized copies (5.83 too with the
+    # potential's whole-grid partials); 7.04 with whole-grid
     # partials and no coefficient record (7.22 with it, 8.15 before that,
     # 11.36 before the in-place kernels)
-    assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 6.4
+    assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 6.33
 
 
 def test_read_then_surface_from_epsilon_peak(grid, tmp_path):
     path = tmp_path / "potential.csv"
     io.write_epsilon_csv(path, hsys.epsilon_from_surface(grid)[0])
-    # measured 5.80 fields, with the potential and its Laplacian released
-    # before the pairs are stacked slab by slab and the v-first ordering
-    # compared a slab at a time; 7.04 with whole stacks and a whole v-first
+    # measured 5.41 fields, with the coefficient pairs formed block by
+    # block from the potential, which is dropped before the output grid is
+    # built; 5.80 with whole stacks of pairs, and the potential and its
+    # Laplacian released before they were filled; 7.04 with whole stacks and a whole v-first
     # grid, 7.24 before the slab integrator, 9.16 when the potential's
     # fields are held through the scan, and 7.72 before the cache
     peak = peak_fields(lambda: hsys.surface_from_epsilon(io.read_epsilon_csv(path)))
-    assert peak <= 6.3
+    assert peak <= 5.91
 
 
 def test_to_h_pipeline_peak(grid, tmp_path):
@@ -99,10 +103,10 @@ def test_to_h_pipeline_peak(grid, tmp_path):
         assert cli._mean_curvature_stats(hs)["status"] == "ok"
         hsys.metric_factor_check(summary, hs)
 
-    # measured 6.15 fields, with p and q freed after the integrating pass;
-    # 7.21 with whole-grid partials and the grid held to the end (8.09
-    # before that)
-    assert peak_fields(to_h) <= 6.7
+    # measured 5.39 fields, the read's own peak, with p and q freed after the
+    # integrating pass; 7.21 with whole-grid partials and the grid held to
+    # the end (8.09 before that)
+    assert peak_fields(to_h) <= 5.89
 
 
 def test_strip_from_h_then_analyze_peak(tmp_path):
@@ -116,10 +120,11 @@ def test_strip_from_h_then_analyze_peak(tmp_path):
         grid, _ = hsys.surface_from_epsilon(io.read_epsilon_csv(path))
         sf.analyze(grid)
 
-    # in (nu, nv, 6) float64 fields of the strip: measured 5.81 over halo
-    # slabs; 6.64 with whole-grid partials, with or without the coefficient
+    # in (nu, nv, 6) float64 fields of the strip: measured 5.29 with the
+    # potential's pairs formed block by block, 5.81 with whole stacks of
+    # pairs; 6.64 with whole-grid partials, with or without the coefficient
     # record (7.22 before the slab kernels)
-    assert traced_peak(from_h) / (nu * nv * 6 * 8) <= 6.4
+    assert traced_peak(from_h) / (nu * nv * 6 * 8) <= 5.79
 
 
 @pytest.fixture(scope="module")
@@ -136,35 +141,77 @@ def pq_bytes(grid):
 
 def test_analyze_peak_is_one_slab(grid201):
     # in p + q of the grid: measured 0.998 over five halo slabs, the K
-    # buffer (0.125) included; the largest stage is `lambda_field`, which
-    # holds the slab's partials, P phi_u and J phi_u at once.  With the
-    # slab's partials kept across the next slab's it read 1.44, and with
-    # whole-grid partials cached on the grid 2.51 (at 401^2)
+    # buffer (0.125) included, the same whether P phi_u is formed once for
+    # lambda and the alignment defects or once for each; the largest stage is
+    # lambda's, which holds the slab's partials, P phi_u and J phi_u at
+    # once.  With the slab's partials kept across the next slab's it read
+    # 1.44, and with whole-grid partials cached on the grid 2.51 (at 401^2)
     assert traced_peak(lambda: sf.analyze(grid201)) <= 1.0 * pq_bytes(grid201)
 
 
 def test_epsilon_from_surface_peak_201(grid201):
-    # in p + q: measured 2.67, in the potential's own whole-grid checks
-    # (its partials, Laplacian and equation residual), not in the pass
+    # in p + q: measured 1.24 with the potential's checks over its halo
+    # slabs; 2.67 in its whole-grid partials, Laplacian and equation residual
     peak = traced_peak(lambda: hsys.epsilon_from_surface(grid201))
-    assert peak <= 3.05 * pq_bytes(grid201)
+    assert peak <= 1.61 * pq_bytes(grid201)
+
+
+def test_to_h_peak_201(grid201, tmp_path):
+    path = tmp_path / "grid.csv"
+    io.write_immersion_csv(path, grid201)
+    # after the read, as `cli.cmd_to_h`: the grid handed over, its summary kept
+    grids = [io.read_immersion_csv(path)]
+    summary = grids[0].summary
+
+    def to_h():
+        hs, _ = hsys.epsilon_from_surface(grids.pop())
+        assert cli._mean_curvature_stats(hs)["status"] == "ok"
+        hsys.metric_factor_check(summary, hs)
+        io.write_epsilon_csv(tmp_path / "potential.csv", hs)
+
+    # in p + q: measured 1.40, with no whole-grid derivative of the
+    # potential; 2.67 when the potential cached its partials and Laplacian
+    assert traced_peak(to_h) <= 1.77 * pq_bytes(grid201)
+
+
+def test_from_h_peak_201(grid201, tmp_path):
+    path = tmp_path / "potential.csv"
+    io.write_epsilon_csv(path, hsys.epsilon_from_surface(grid201)[0])
+
+    def from_h():
+        grid, _ = hsys.surface_from_epsilon(io.read_epsilon_csv(path))
+        sf.analyze(grid)
+        io.write_immersion_csv(tmp_path / "surface.csv", grid)
+
+    # in p + q of the 201^2 grid (the output grid is 197^2): measured 2.33
+    # with the pairs formed block by block and 1024-point chunks; 3.20 with
+    # whole stacks of pairs and 2048-point chunks
+    assert traced_peak(from_h) <= 2.71 * pq_bytes(grid201)
+
+
+def test_write_immersion_csv_peak_201(grid201, tmp_path):
+    # in p + q: measured 1.06 (2.75 MB) at io._CHUNK_VALUES = 10240 values,
+    # 1024 points of 10 columns; 2.11 (5.47 MB) at 2048 points
+    peak = traced_peak(lambda: io.write_immersion_csv(tmp_path / "grid.csv", grid201))
+    assert peak <= 1.44 * pq_bytes(grid201)
 
 
 def test_write_immersion_csv_peak(grid, tmp_path):
-    # the writer formats io._CHUNK_POINTS = 2048 grid points at a time, so
-    # its peak is that of one chunk and not of the grid: measured 5.46 MB
-    # on the 10201 points (the `%` writer held 0.08 MB); a writer formatting
-    # the whole grid at once would need about five times that
+    # the writer formats io._CHUNK_VALUES = 10240 values at a time, 1024
+    # points of an immersion grid, so its peak is that of one chunk and not
+    # of the grid: measured 2.74 MB on the 10201 points (5.46 MB at 2048
+    # points a chunk; the `%` writer held 0.08 MB); a writer formatting the
+    # whole grid at once would need about ten times that
     peak = traced_peak(lambda: io.write_immersion_csv(tmp_path / "grid.csv", grid))
-    assert peak <= 6.0e6
+    assert peak <= 2.98e6
 
 
 def test_write_epsilon_csv_strip_peak(tmp_path):
-    # chunks count grid points, not grid lines: measured 2.36 MB on a
-    # 1001x11 strip (the `%` writer held 0.23 MB)
+    # chunks count values, not grid lines: measured 2.36 MB on a 1001x11
+    # strip, 2048 points of 5 columns a chunk (the `%` writer held 0.23 MB)
     hs = fixtures.make_fixture("cmc_cylinder", nu=1001, nv=11, du=6e-3, dv=6e-3)
     peak = traced_peak(lambda: io.write_epsilon_csv(tmp_path / "strip.csv", hs))
-    assert peak <= 2.6e6
+    assert peak <= 2.63e6
 
 
 def test_identity_report_peak():

@@ -18,9 +18,16 @@ def small_fixture(name, n=21, h=None):
     return fixtures.make_fixture(name, nu=n, nv=n, du=h, dv=h)
 
 
+def alignment_defects(gp):
+    """`_alignment_defects` of the partials `gp`, with P phi_u and
+    g(P phi_u, phi_u) formed here."""
+    pu = gp.cu @ nk.P_MAT.T
+    return sf._alignment_defects(gp, pu, nk.gram_product(pu, gp.cu))
+
+
 def classify(grid):
     """`classify_P_alignment` of a whole grid, from its partials."""
-    return sf.classify_P_alignment(grid, *sf._alignment_defects(sf.partials(grid)))
+    return sf.classify_P_alignment(grid, *alignment_defects(sf.partials(grid)))
 
 
 def test_grid_constructor_validation():
@@ -234,6 +241,17 @@ def test_lambda_field_example1_value():
     lam_q = 0.25 * (1 + 1j * SQ3) * np.sum(z * z, axis=-1)
     assert np.abs(sf.interior(lam_q) - target).max() < 1e-4
     assert np.abs(sf.interior(lam_q) - lam).max() < 1e-4
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_lambda_real_part_is_the_alignment_product(name):
+    # `analyze` forms P phi_u once and hands twice lambda's real part to the
+    # alignment defects as g(P phi_u, phi_u): both bit for bit
+    gp = sf.partials(small_fixture(name))
+    pu = gp.cu @ nk.P_MAT.T
+    lam = sf.lambda_field(gp, pu)
+    assert np.array_equal(lam, sf.lambda_field(gp))
+    assert np.array_equal(2.0 * lam.real, nk.gram_product(pu, gp.cu))
 
 
 def test_cr_residuals_example1_exact():
@@ -623,8 +641,8 @@ def fresh(grid):
 def halo_outputs(grid):
     """Everything the halo passes yield on a fresh copy of `grid`: its
     summary, E, rotated pair (assembled from each slab's kept rows),
-    report, potential and certificate, and the potential's stacked pairs,
-    surface and certificate."""
+    report, potential and certificate, and the potential's summary, speed
+    field, mean curvature, surface and certificate."""
     grid = fresh(grid)
     summary = grid.summary
     pair = np.empty((2, grid.nu, grid.nv, 3))
@@ -633,12 +651,14 @@ def halo_outputs(grid):
         pair[:, rows] = [c[keep] for c in sf.extract_coefficients(gp.cu, gp.cv)]
     hs, cert = hsys.epsilon_from_surface(grid)
     back, back_cert = hsys.surface_from_epsilon(hs)
+    potential = hs.summary
     return {
         "values": (summary.almost_complex_max, summary.projection_max,
-                   float(summary.speed_min), float(summary.det_min)),
+                   float(summary.speed_min), float(summary.det_min),
+                   potential.speed_min, potential.conformal_max, potential.h_equation_max),
         "report": sf.analyze(grid), "cert": cert, "back_cert": back_cert,
         "E": summary.E, "pair": pair, "eps": hs.eps,
-        "pairs": hsys._stacked_pairs(*hs.partials, hs.inset(1)),
+        "potential": (potential.speed, hsys.mean_curvature(hs)),
         "back": (back.p, back.q),
     }
 
@@ -648,7 +668,7 @@ def assert_same_outputs(got, want):
         assert got[key] == want[key], key
     for key in ("E", "pair", "eps"):
         assert np.array_equal(got[key], want[key]), key
-    for key in ("pairs", "back"):
+    for key in ("potential", "back"):
         assert all(map(np.array_equal, got[key], want[key])), key
 
 

@@ -1,0 +1,80 @@
+"""Wall time and peak RSS of the five nks3 commands at 201^2 and 401^2.
+
+    python3 tools/cli_peaks.py ROOT
+
+Runs the command chain fixture -> analyze -> to-h -> from-h, plus verify,
+on the example2 fixture at n x n points with step 1 / (n - 1), for n = 201
+and 401.  Every command is a fresh `python3 -m nks3.cli` process on
+ROOT/src, run three times in its own work directory; wall time and peak
+RSS come from `os.wait4`, and each printed figure is the smallest of the
+three.  Exits 1 if any command exits non-zero.  Standard library only; the
+work directory is removed at the end.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SIZES = (201, 401)
+REPEATS = 3
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _commands(n):
+    """(name, cli arguments) of the chain at n x n; later commands read
+    earlier outputs."""
+    h = repr(1.0 / (n - 1))
+    return [
+        ("fixture", ["fixture", "--fixture", "example2", "--nu", str(n), "--nv", str(n),
+                     "--du", h, "--dv", h, "--output", "ex.csv"]),
+        ("analyze", ["analyze", "--input", "ex.csv", "--output", "ex.json"]),
+        ("to-h", ["to-h", "--input", "ex.csv", "--output", "ex_h.csv"]),
+        ("from-h", ["from-h", "--input", "ex_h.csv", "--output", "ex_s.csv"]),
+        ("verify", ["verify", "--samples", "10000", "--output", "verify.json"]),
+    ]
+
+
+def _run(args, cwd, env):
+    """(exit code, wall seconds, peak RSS in MB) of one command."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "nks3.cli", "--command", *args],
+                            cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return proc.returncode, wall, usage.ru_maxrss / 1024.0
+
+
+def main(argv):
+    if len(argv) != 1:
+        print("usage: python3 tools/cli_peaks.py ROOT", file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=str(Path(argv[0], "src").resolve()))
+    env.update({var: str(len(os.sched_getaffinity(0))) for var in THREAD_VARS})
+    work = Path(tempfile.mkdtemp(prefix="cli_peaks_"))
+    failed = False
+    try:
+        print(f"{'n':>4}  {'command':<8}  {'wall_s':>7}  {'peak_rss_mb':>11}")
+        for n in SIZES:
+            for name, args in _commands(n):
+                runs = [_run(args, work, env) for _ in range(REPEATS)]
+                codes = {code for code, _, _ in runs}
+                failed |= codes != {0}
+                wall = min(w for _, w, _ in runs)
+                rss = min(m for _, _, m in runs)
+                note = "" if codes == {0} else f"  exit {sorted(codes)}"
+                print(f"{n:>4}  {name:<8}  {wall:>7.2f}  {rss:>11.1f}{note}", flush=True)
+    finally:
+        shutil.rmtree(work)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

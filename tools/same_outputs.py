@@ -43,6 +43,13 @@ RUNS = [
     ("to-h example2 83x201", 0, ["to-h", "--input", "ex83.csv", "--output", "ex83_h.csv"]),
     ("from-h example2 83x201 potential", 0,
      ["from-h", "--input", "ex83_h.csv", "--output", "ex83_s.csv"]),
+    # from-h integrates this potential over a 197x43 window, whose v-slabs
+    # of 42 columns of 197 points leave a last slab of one column
+    ("fixture example2 201x47", 0,
+     ["fixture", "--fixture", "example2", *_grid(201, 47), "--output", "ex47.csv"]),
+    ("to-h example2 201x47", 0, ["to-h", "--input", "ex47.csv", "--output", "ex47_h.csv"]),
+    ("from-h example2 201x47 potential", 0,
+     ["from-h", "--input", "ex47_h.csv", "--output", "ex47_s.csv"]),
     ("fixture cmc_cylinder 4001x11", 0,
      ["fixture", "--fixture", "cmc_cylinder", *_grid(4001, 11, 6e-3), "--output", "cyl.csv"]),
     ("from-h cmc_cylinder", 0, ["from-h", "--input", "cyl.csv", "--output", "cyl_s.csv"]),
