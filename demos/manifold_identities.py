@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 import nks3
+from nks3 import frame
 from nks3 import nkspace as nk
 
 rng = np.random.default_rng(7)
@@ -14,7 +15,7 @@ print("frame Gram matrix at a random point (exact values 4/3 and -2/3):")
 gram = np.array([[nk.metric(a, b) for b in fr] for a in fr])
 with np.printoptions(precision=4, suppress=True):
     print(gram)
-print("max deviation from the constant table:", np.abs(gram - nk.GRAM).max())
+print("max deviation from the constant table:", np.abs(gram - frame.GRAM).max())
 print()
 
 Z = nk.random_tangent(rng, base)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hsystem import h_surface_grid
-from .nkspace import SQRT3
+from .frame import SQRT3
 from .surface import immersion_grid, lattice
 
 __all__ = [

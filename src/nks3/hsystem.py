@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quat
-from .nkspace import SQRT3, gate, validate_tol_scale
+from .frame import SQRT3, gate, validate_tol_scale
 from .surface import (
     FROM_POTENTIAL, SECOND_FACTOR, Lattice, extract_coefficients, factor_partials,
     halo_slabs, immersion_grid, interior, require_adapted, require_imaginary,

@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from .hsystem import h_surface_grid
-from .nkspace import gate
+from .frame import gate
 from .surface import STEP_RTOL, immersion_grid, lattice
 
 __all__ = [

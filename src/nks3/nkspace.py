@@ -1,17 +1,19 @@
-"""Homogeneous nearly Kähler geometry on the product of two unit 3-spheres.
+"""The ambient identity suite of the nearly Kähler product of two unit 3-spheres.
 
 Points are pairs (p, q) of unit quaternions; a tangent vector is a pair
 (U, V) of ambient R^4 vectors with U orthogonal to p and V orthogonal to q.
-Right translation of i, j, -k through each factor gives six global frame
-fields E1, E2, E3, F1, F2, F3 that trivialize the tangent bundle, and every
-structure tensor of the geometry has constant coefficients in that frame.
-The module keeps both views:
+The six global frame fields of `frame` trivialize the tangent bundle, and
+every structure tensor of the geometry has constant coefficients in them.
+Two views are compared here:
 
-* ambient formulas for the almost complex structure J, the almost product
-  structure P, the factor sign flip Q and the metric, and
-* exact constant tables for the frame Gram matrix, the Levi-Civita
-  connection, the covariant-derivative tensors of J and P, and the frame
-  brackets.
+* ambient quaternion formulas for the almost complex structure J, the
+  almost product structure P, the factor sign flip Q and the metric,
+  defined in this module, and
+* the exact constant tables of `frame` for the frame Gram matrix, the
+  Levi-Civita connection, the covariant-derivative tensors of J and P, and
+  the frame brackets, which this module reads through its own bindings.
+
+The grid commands read `frame` alone; only `verify` imports this module.
 
 The curvature has no ambient form: `curvature_coeff` and
 `sectional_curvature` act on frame coefficient vectors alone.
@@ -37,9 +39,12 @@ from functools import cached_property
 import numpy as np
 
 from . import quat
+from .frame import (
+    _G_BLOCKS, _H_BLOCKS, BRACKET, CONN, FLIP, G_TABLE, GRAM, H_TABLE, J_MAT,
+    P_MAT, Q_MAT, SQRT3, _block_product, gate, gram_product, validate_tol_scale,
+)
 
 __all__ = [
-    "SQRT3",
     "Point",
     "Tangent",
     "random_point",
@@ -47,8 +52,6 @@ __all__ = [
     "frame",
     "frame_coords",
     "from_frame_coords",
-    "gram_product",
-    "connection_term",
     "apply_J",
     "apply_P",
     "apply_Q",
@@ -63,22 +66,8 @@ __all__ = [
     "Isometry",
     "random_isometry",
     "identity_report",
-    "gate",
-    "validate_tol_scale",
     "verify",
-    "EPSILON3",
-    "FLIP",
-    "CONN",
-    "G_TABLE",
-    "H_TABLE",
-    "BRACKET",
-    "J_MAT",
-    "P_MAT",
-    "Q_MAT",
-    "GRAM",
 ]
-
-SQRT3 = float(np.sqrt(3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +184,8 @@ def _check_same_base(Z, W):
 
 
 # ---------------------------------------------------------------------------
-# frame fields and constant structure tables
+# frame fields
 # ---------------------------------------------------------------------------
-
-# frame coefficient <-> imaginary-part sign pattern: the third frame field of
-# each factor is the right translate of -k
-FLIP = np.array([1.0, 1.0, -1.0])
 
 
 def frame_coords(Z):
@@ -224,85 +209,6 @@ def frame(base):
     """The six frame fields at `base` as a list [E1, E2, E3, F1, F2, F3]."""
     eye = np.eye(6)
     return [from_frame_coords(base, eye[k]) for k in range(6)]
-
-
-# Levi-Civita symbol: eps_ijk is component k of e_i x e_j
-EPSILON3 = np.cross(np.eye(3)[:, None], np.eye(3))
-
-
-def _block_table(blocks):
-    """A (6, 6, 6) frame table whose entry (3a + i, 3b + j, 3c + k) is
-    blocks[a][b][c] * eps_ijk: a 2x2x2 pattern over the two factors."""
-    return np.einsum("abc,ijk->aibjck", np.asarray(blocks), EPSILON3).reshape(6, 6, 6)
-
-
-_CG = 2.0 / (3.0 * SQRT3)
-# Levi-Civita connection on frame pairs, as a factor-block pattern (which
-# `connection_term` contracts) and as the frame table it expands to
-_CONN_BLOCKS = np.array(
-    [[[-1.0, 0.0], [1.0 / 3.0, -1.0 / 3.0]], [[-1.0 / 3.0, 1.0 / 3.0], [0.0, -1.0]]]
-)
-CONN = _block_table(_CONN_BLOCKS)
-# covariant derivatives of J and P as factor-block patterns, which
-# `tensor_G` and `tensor_H` contract, and as the frame tables they expand to.
-# Products read the patterns and `verify` checks the tables, so a table
-# rebuilt from perturbed blocks shows up in its table identities.
-_G_BLOCKS = np.array(
-    [[[-_CG, -2.0 * _CG], [-_CG, _CG]], [[-_CG, _CG], [2.0 * _CG, _CG]]]
-)
-_H_BLOCKS = np.array([[[1.0, 2.0], [-2.0, -1.0]], [[-1.0, -2.0], [2.0, 1.0]]]) / 3.0
-G_TABLE = _block_table(_G_BLOCKS)
-H_TABLE = _block_table(_H_BLOCKS)
-# frame brackets (each factor separately, mixed brackets vanish)
-BRACKET = _block_table([[[-2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -2.0]]])
-
-_I3 = np.eye(3)
-J_MAT = np.block(
-    [[-_I3 / SQRT3, 2.0 * _I3 / SQRT3], [-2.0 * _I3 / SQRT3, _I3 / SQRT3]]
-)
-P_MAT = np.block([[0.0 * _I3, _I3], [_I3, 0.0 * _I3]])
-Q_MAT = np.block([[-_I3, 0.0 * _I3], [0.0 * _I3, _I3]])
-GRAM = np.block(
-    [[4.0 * _I3 / 3.0, -2.0 * _I3 / 3.0], [-2.0 * _I3 / 3.0, 4.0 * _I3 / 3.0]]
-)
-
-
-def _dot(a, b):
-    return np.einsum("...i,...i->...", a, b)
-
-
-def gram_product(c1, c2):
-    """Metric value from frame coefficients: GRAM is 4/3 the identity minus
-    2/3 the swap of the two factors, so three dot products give it."""
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    swap = _dot(c1[..., :3], c2[..., 3:]) + _dot(c1[..., 3:], c2[..., :3])
-    return (4.0 * _dot(c1, c2) - 2.0 * swap) / 3.0
-
-
-def _block_product(blocks, x, y):
-    """table[a, b, k] x_a y_b for table = `_block_table(blocks)`: factor
-    block (A, B) adds blocks[A, B, C] (x_A cross y_B) to output factor C,
-    one component at a time, so no temporary is wider than one component."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (6,))
-    for a, b in np.ndindex(2, 2):
-        w = blocks[a, b]
-        xa, yb = x[..., 3 * a : 3 * a + 3], y[..., 3 * b : 3 * b + 3]
-        for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            c = xa[..., j] * yb[..., l] - xa[..., l] * yb[..., j]  # as `quat.cross`
-            for k, wc in enumerate(w):
-                if wc:
-                    out[..., 3 * k + i] += wc * c
-    return out
-
-
-def connection_term(x, y):
-    """CONN[a, b, k] x_a y_b: the frame coefficients of x_a y_b nabla_{e_a} e_b,
-    which a covariant derivative along x adds to the derivative of y's
-    coefficients."""
-    return _block_product(_CONN_BLOCKS, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -675,23 +581,6 @@ _EXACT_KEYS = (
     "g_tensor_derivative",
     "curvature_vs_oracle",
 )
-
-
-def gate(value, tol, what, error=ValueError, why=""):
-    """`value` as a float when it is at most `tol`; otherwise raises
-    `error("<what> <value> exceeds <tol><why>")`.  A NaN value fails."""
-    if not value <= tol:
-        raise error(f"{what} {value:.3e} exceeds {tol:.1e}{why}")
-    return float(value)
-
-
-def validate_tol_scale(tol_scale):
-    """`tol_scale` as a float; raises ValueError unless it is finite and
-    positive, so no tolerance multiplier can switch a gate off."""
-    value = float(tol_scale)
-    if not (np.isfinite(value) and value > 0.0):
-        raise ValueError(f"tol_scale must be finite and positive, got {tol_scale!r}")
-    return value
 
 
 def verify(samples=1000, seed=42, tol_scale=1.0):

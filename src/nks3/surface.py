@@ -10,7 +10,7 @@ property rather than trusting it.  The pipeline is
     Gaussian curvature, second fundamental form, alignment classification.
 
 Tangent vectors are (..., 6) coefficient arrays in the global frame of
-`nkspace`, where g(a, b) is `gram_product(a, b)`, J a is `a @ J_MAT.T` and
+`frame`, where g(a, b) is `gram_product(a, b)`, J a is `a @ J_MAT.T` and
 P a is `a @ P_MAT.T`, and no grid builds an ambient `Point`.  The stage
 functions act on one `GridPartials`, the partials of a grid over its
 window: each analysed quantity has one path, `second_fundamental_form(gp,
@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quat
-from .nkspace import (
+from .frame import (
     FLIP, J_MAT, P_MAT, SQRT3, connection_term, gate, gram_product,
     validate_tol_scale,
 )
@@ -366,10 +366,10 @@ class GridPartials(Lattice):
     the grid's window.
 
     `cu` and `cv` (shape (nu, nv, 6)) are the frame coefficients of phi_u
-    and phi_v: the imaginary parts of p^-1 dp and q^-1 dq, sign-flipped as
-    in `nkspace.frame_coords`.  Dropping the real parts projects the raw
-    derivatives to exact tangency; `projection_max` records the largest
-    dropped real part over the grid interior.  `first_form` is the
+    and phi_v: the imaginary parts of p^-1 dp and q^-1 dq, sign-flipped by
+    `FLIP` as in `nkspace.frame_coords`.  Dropping the real parts projects
+    the raw derivatives to exact tangency; `projection_max` records the
+    largest dropped real part over the grid interior.  `first_form` is the
     read-only (E, F, G) computed from them.
     """
 
@@ -429,11 +429,18 @@ def _norm(c):
 
 def _normal_part(gp, w, a, b):
     """Normal component of `w`, written over it, from a = g(w, phi_u) and
-    b = g(w, phi_v): the 2x2 normal equations solved on the stored (E, F, G)."""
+    b = g(w, phi_v): the 2x2 normal equations solved on the stored (E, F, G),
+    each scalar field built in place, so at most four are alive at once."""
     E, F, G = gp.first_form
-    det = E * G - F * F
-    lam = (G * a - F * b) / det
-    mu = (E * b - F * a) / det
+    det = E * G
+    det -= F * F
+    lam = G * a
+    lam -= F * b
+    lam /= det
+    mu = E * b
+    mu -= F * a
+    mu /= det
+    del det
     for coeff, c in ((lam, gp.cu), (mu, gp.cv)):
         for k in range(6):  # a component at a time: no (..., 6) temporary
             w[..., k] -= coeff * c[..., k]
@@ -658,6 +665,7 @@ def _alignment_defects(gp, pu, a):
     b, pu_norm = gram_product(pu, gp.cv), _norm(pu)
     scale = pu_norm * np.sqrt(gp.first_form[0])
     normal_dev = float(interior(np.maximum(np.abs(a), np.abs(b)) / scale).max())
+    del scale
     tangent_dev = float(interior(_norm(_normal_part(gp, pu, a, b)) / pu_norm).max())
     return normal_dev, tangent_dev
 

@@ -19,8 +19,10 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def scale_J(monkeypatch):
     """Negative-control hook: `scale_J(s)` multiplies the almost complex
-    structure by `s` in both of its forms in `nkspace`, the frame matrix
-    `J_MAT` and the ambient operator `apply_J`, for the rest of the test."""
+    structure by `s` in both of its forms as the identity suite reads them,
+    `nkspace`'s binding of the frame matrix `J_MAT` and the ambient operator
+    `apply_J`, for the rest of the test.  `frame.J_MAT`, which the grid code
+    reads, is left alone."""
     apply_J = nk.apply_J
 
     def scale(s):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import record_criterion
 from nks3 import fixtures, hsystem
+from nks3 import frame
 from nks3 import nkspace as nk
 from nks3 import surface as sf
 
@@ -93,7 +94,7 @@ def test_criterion_01_frame_metric_table():
     rng = np.random.default_rng(42)
     fr = nk.frame(nk.random_point(rng, (100,)))
     worst = max(
-        float(np.abs(nk.metric(fr[i], fr[j]) - nk.GRAM[i, j]).max())
+        float(np.abs(nk.metric(fr[i], fr[j]) - frame.GRAM[i, j]).max())
         for i in range(6)
         for j in range(6)
     )
@@ -104,14 +105,14 @@ def test_criterion_01_frame_metric_table():
 def test_criterion_02_connection_tables():
     failures = []
     expected = np.zeros((6, 6, 6))
-    expected[:3, :3, :3] = -2.0 * nk.EPSILON3
-    expected[3:, 3:, 3:] = -2.0 * nk.EPSILON3
-    bdev = float(np.abs(nk.BRACKET - expected).max())
+    expected[:3, :3, :3] = -2.0 * frame.EPSILON3
+    expected[3:, 3:, 3:] = -2.0 * frame.EPSILON3
+    bdev = float(np.abs(frame.BRACKET - expected).max())
     _need(failures, bdev < 1e-12, f"bracket table dev {bdev:.3e}")
-    torsion = nk.CONN - nk.CONN.transpose(1, 0, 2) - nk.BRACKET
+    torsion = frame.CONN - frame.CONN.transpose(1, 0, 2) - frame.BRACKET
     tdev = float(np.abs(torsion).max())
     _need(failures, tdev < 1e-12, f"torsion dev {tdev:.3e}")
-    m = np.einsum("xyk,kz->xyz", nk.CONN, nk.GRAM)
+    m = np.einsum("xyk,kz->xyz", frame.CONN, frame.GRAM)
     cdev = float(np.abs(m + m.transpose(0, 2, 1)).max())
     _need(failures, cdev < 1e-12, f"metric compatibility dev {cdev:.3e}")
     _finish(2, "connection torsion-free and metric-compatible", failures)

@@ -1,4 +1,5 @@
 import collections
+import gc
 import json
 import os
 import pathlib
@@ -395,7 +396,7 @@ def test_allocation_failure_is_an_input_error(tmp_path, capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "verify", exhausted)
+    monkeypatch.setattr(nk, "verify", exhausted)
     out = tmp_path / "report.json"
     code, rep, err = run(capsys, "--command", "verify", "--output", str(out))
     assert (code, rep, err) == (3, None, f"input error: {message}\n")
@@ -570,3 +571,83 @@ def test_from_h_writes_nothing_on_input_error(tmp_path, capsys):
     assert code == 3 and rep is None and "not adapted" in err
     assert not back.exists()
     assert not (tmp_path / "back.csv.report.json").exists()
+
+
+# the process exit path: `python -m nks3.cli` runs `cli.run`, which freezes
+# the collector after `main` returns, so that the exiting interpreter skips
+# the import-time heap; every output must be complete all the same
+
+EXIT_RUNS = {
+    "verify": (0, ["verify", "--samples", "20", "--output", "verify.json"]),
+    "from-h": (2, ["from-h", "--input", "sphere.csv", "--output", "surface.csv",
+                   "--tol-scale", "1e-6"]),
+    "analyze": (3, ["analyze", "--input", "sphere.csv", "--output", "analyze.json"]),
+}
+
+
+def _outputs(cwd):
+    return {p.name: p.read_bytes() for p in sorted(cwd.iterdir()) if p.name != "sphere.csv"}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_RUNS))
+def test_process_exit_keeps_every_output(tmp_path, capsys, monkeypatch, name):
+    # the same run through a piped `python -m nks3.cli` and in process:
+    # exit code, stdout, stderr and every written file agree byte for byte
+    code, argv = EXIT_RUNS[name]
+    sphere = fixtures.make_fixture("cmc_sphere", nu=41, nv=41)
+    here, there = tmp_path / "in_process", tmp_path / "process"
+    for cwd in (here, there):
+        cwd.mkdir()
+        io.write_epsilon_csv(cwd / "sphere.csv", sphere)
+    child = subprocess.run(
+        [sys.executable, "-m", "nks3.cli", "--command", *argv], cwd=there,
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    monkeypatch.chdir(here)
+    frozen = gc.get_freeze_count()
+    assert cli.main(["--command", *argv]) == code
+    out = capsys.readouterr()
+    assert gc.get_freeze_count() == frozen  # `main` leaves the collector alone
+    assert child.returncode == code
+    assert (child.stdout.decode(), child.stderr.decode()) == (out.out, out.err)
+    assert _outputs(there) == _outputs(here)
+    if code == 0:
+        assert child.stdout == (there / "verify.json").read_bytes()
+    else:
+        assert child.stdout == b"" and child.stderr.endswith(b"\n")
+        assert child.stderr.startswith(b"certificate failure: " if code == 2 else b"input error: ")
+
+
+def test_console_script_exits_through_run():
+    # the `nks3` script, like `python -m nks3.cli`, exits through `run`
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert re.findall(r"^nks3 = (.*)$", pyproject, re.M) == ['"nks3.cli:run"']
+
+
+# each grid command run through `cli.main` in a fresh interpreter, then
+# `verify`: the exit code of each, and whether `nks3.nkspace` is imported
+# after it
+_BOUNDARY = """
+import json, sys
+from nks3 import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    seen.append([cli.main(["--command", *argv]), "nks3.nkspace" in sys.modules])
+sys.stderr.write(json.dumps(seen))
+"""
+
+
+def test_only_verify_imports_the_identity_suite(tmp_path):
+    runs = [
+        ["fixture", "--fixture", "example2", "--nu", "21", "--nv", "21", "--output", "ex.csv"],
+        ["analyze", "--input", "ex.csv"],
+        ["to-h", "--input", "ex.csv", "--output", "ex_h.csv"],
+        ["from-h", "--input", "ex_h.csv", "--output", "ex_s.csv"],
+        ["verify", "--samples", "5"],
+    ]
+    child = subprocess.run(
+        [sys.executable, "-c", _BOUNDARY, json.dumps(runs)], cwd=tmp_path,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+    )
+    assert json.loads(child.stderr) == [[0, False]] * 4 + [[0, True]]

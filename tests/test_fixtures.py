@@ -3,7 +3,7 @@ import pytest
 
 from nks3 import cli, fixtures, hsystem, quat
 from nks3 import surface as sf
-from nks3.nkspace import SQRT3
+from nks3.frame import SQRT3
 
 
 def test_default_specs():

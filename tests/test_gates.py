@@ -1,6 +1,6 @@
 """Every gate's tolerance is pinned by a near control.
 
-`nkspace.gate` is the one comparison behind every certificate and input
+`frame.gate` is the one comparison behind every certificate and input
 check in `src/nks3`.  Each site below is driven through the public API
 twice, with `gate` wrapped to log value / tol per calling function: a near
 control that the site refuses at 1 < value/tol <= 10, so a tenfold looser
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from nks3 import cli, fixtures, io, quat
+from nks3 import cli, fixtures, frame, io, quat
 from nks3 import hsystem as hsys
 from nks3 import nkspace as nk
 from nks3 import surface as sf
@@ -49,7 +49,7 @@ def gate_callers():
 def ratios(monkeypatch):
     """The list of (site, value / tol) that every `gate` call appends to
     while the test runs."""
-    log, gate = [], nk.gate
+    log, gate = [], frame.gate
 
     def traced(value, tol, *args, **kwargs):
         caller = sys._getframe(1)

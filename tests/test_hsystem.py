@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from nks3 import cli, fixtures, hsystem as hsys, io, quat
+from nks3 import frame
 from nks3 import nkspace as nk
 from nks3 import surface as sf
-from nks3.nkspace import SQRT3
+from nks3.frame import SQRT3
 
 
 def sphere_hs(n=31, h=6e-3):
@@ -277,8 +278,8 @@ def test_from_potential_sphere():
     gp = sf.partials(grid)
     K = sf.interior(sf.gaussian_curvature(gp))
     assert np.abs(K - 2.0 / 3.0).max() < 1e-3
-    pu = gp.cu @ nk.P_MAT.T
-    defects = sf._alignment_defects(gp, pu, nk.gram_product(pu, gp.cu))
+    pu = gp.cu @ frame.P_MAT.T
+    defects = sf._alignment_defects(gp, pu, frame.gram_product(pu, gp.cu))
     assert sf.classify_P_alignment(grid, *defects) == "normal"
 
 

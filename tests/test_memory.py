@@ -52,8 +52,9 @@ def peak_fields(stage):
 def test_read_then_analyze_peak(grid, tmp_path):
     path = tmp_path / "grid.csv"
     io.write_immersion_csv(path, grid)
-    # measured 5.98 fields over halo slabs, with the payload freed before
-    # the construction pass; 7.32 with whole-grid partials cached on the
+    # measured 5.84 fields over halo slabs, with the payload freed before
+    # the construction pass (5.98 before the metric's scalar fields were
+    # built in place); 7.32 with whole-grid partials cached on the
     # grid, 7.83 with a four-array coefficient record, 8.82 before the
     # second fundamental form was reduced one component at a time, 12.02
     # before the in-place kernels
@@ -70,9 +71,10 @@ def test_epsilon_from_surface_peak(grid):
 
 def test_surface_from_epsilon_then_analyze_peak(grid):
     hs, _ = hsys.epsilon_from_surface(grid)
-    # measured 5.83 fields over halo slabs, the integrated values freed
-    # once the output grid holds normalized copies (5.83 too with the
-    # potential's whole-grid partials); 7.04 with whole-grid
+    # measured 5.69 fields over halo slabs, the integrated values freed
+    # once the output grid holds normalized copies (5.83 before the
+    # metric's scalar fields were built in place, and with the potential's
+    # whole-grid partials); 7.04 with whole-grid
     # partials and no coefficient record (7.22 with it, 8.15 before that,
     # 11.36 before the in-place kernels)
     assert peak_fields(lambda: sf.analyze(hsys.surface_from_epsilon(hs)[0])) <= 6.33
@@ -140,12 +142,14 @@ def pq_bytes(grid):
 
 
 def test_analyze_peak_is_one_slab(grid201):
-    # in p + q of the grid: measured 0.998 over five halo slabs, the K
-    # buffer (0.125) included, the same whether P phi_u is formed once for
-    # lambda and the alignment defects or once for each; the largest stage is
-    # lambda's, which holds the slab's partials, P phi_u and J phi_u at
-    # once.  With the slab's partials kept across the next slab's it read
-    # 1.44, and with whole-grid partials cached on the grid 2.51 (at 401^2)
+    # in p + q of the grid: measured 0.970 over five halo slabs, the K
+    # buffer (0.125) included, with `gram_product` and `_normal_part`
+    # building their scalar fields in place; the largest stage is then the
+    # rotated coefficient pair's (0.970), ahead of lambda's (0.944), which
+    # holds the slab's partials, P phi_u and J phi_u at once.  It read
+    # 0.998 with two more scalar fields alive in lambda's stage, 1.44 with
+    # the slab's partials kept across the next slab's, and 2.51 with
+    # whole-grid partials cached on the grid (at 401^2)
     assert traced_peak(lambda: sf.analyze(grid201)) <= 1.0 * pq_bytes(grid201)
 
 

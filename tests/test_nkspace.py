@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from nks3 import frame
 from nks3 import nkspace as nk
 from nks3 import quat
 
 QI, QJ, QK = np.eye(4)[1:]  # the imaginary units i, j, k
 
-SQ3 = nk.SQRT3
+SQ3 = frame.SQRT3
 
 
 def origin():
@@ -116,11 +117,11 @@ def test_metric_rejects_nan_base(factor):
 def test_connection_frozen_values():
     # derivative of the second frame field along the first, per factor
     # (E1, E2), (F1, F2), (E1, F2), (F1, E2) in frame indices
-    assert np.allclose(nk.CONN[0, 1], [0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(nk.CONN[3, 4], [0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
-    assert np.allclose(nk.CONN[0, 4], [0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, -1.0 / 3.0])
-    assert np.allclose(nk.CONN[3, 1], [0.0, 0.0, -1.0 / 3.0, 0.0, 0.0, 1.0 / 3.0])
-    assert np.allclose(nk.CONN[0, 0], 0.0)
+    assert np.allclose(frame.CONN[0, 1], [0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(frame.CONN[3, 4], [0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
+    assert np.allclose(frame.CONN[0, 4], [0.0, 0.0, 1.0 / 3.0, 0.0, 0.0, -1.0 / 3.0])
+    assert np.allclose(frame.CONN[3, 1], [0.0, 0.0, -1.0 / 3.0, 0.0, 0.0, 1.0 / 3.0])
+    assert np.allclose(frame.CONN[0, 0], 0.0)
 
 
 def test_structure_tensor_frozen_values():
@@ -155,7 +156,7 @@ def test_sectional_curvature_frozen_values():
 def test_curvature_symmetries_random():
     rng = np.random.default_rng(30)
     X, Y, Z, W = rng.standard_normal((4, 60, 6))
-    R, g = nk.curvature_coeff, nk.gram_product
+    R, g = nk.curvature_coeff, frame.gram_product
     r_xyzw = g(R(X, Y, Z), W)
     r_yxzw = g(R(Y, X, Z), W)
     r_xywz = g(R(X, Y, W), Z)
@@ -421,11 +422,11 @@ def test_table_product_matches_einsum(name, shapes):
     x, y = (rng.uniform(-1.0, 1.0, s) for s in shapes)
     table = getattr(nk, name)
     want = np.einsum("abk,...a,...b->...k", table, x, y)
-    got = nk._block_product(table[0::3, 1::3, 2::3], x, y)
+    got = frame._block_product(table[0::3, 1::3, 2::3], x, y)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14
     if name == "CONN":
-        assert np.array_equal(nk.connection_term(x, y), got)
+        assert np.array_equal(frame.connection_term(x, y), got)
 
 
 def _block_product_by_np_cross(blocks, x, y):
@@ -449,7 +450,7 @@ def test_block_product_bit_identical_to_np_cross_blocks(name, shapes):
     rng = np.random.default_rng(7)
     x, y = (rng.uniform(-1.0, 1.0, s) for s in shapes)
     blocks = getattr(nk, name)[0::3, 1::3, 2::3]
-    got = nk._block_product(blocks, x, y)
+    got = frame._block_product(blocks, x, y)
     assert np.array_equal(got, _block_product_by_np_cross(blocks, x, y))
 
 
@@ -457,8 +458,8 @@ def test_block_product_bit_identical_to_np_cross_blocks(name, shapes):
 def test_gram_product_matches_einsum(shapes):
     rng = np.random.default_rng(6)
     x, y = (rng.uniform(-1.0, 1.0, s) for s in shapes)
-    want = np.einsum("...a,ab,...b->...", x, nk.GRAM, y)
-    got = nk.gram_product(x, y)
+    want = np.einsum("...a,ab,...b->...", x, frame.GRAM, y)
+    got = frame.gram_product(x, y)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14
 
@@ -467,9 +468,9 @@ def test_gram_product_matches_einsum(shapes):
 def test_connection_table_fires_on_perturbed_block(monkeypatch, weight):
     # CONN rebuilt from its blocks with one weight moved: the table stays a
     # block pattern, and the frame-exact identities report it
-    blocks = nk._CONN_BLOCKS.copy()
+    blocks = frame._CONN_BLOCKS.copy()
     blocks[weight] += 1e-6
-    monkeypatch.setattr(nk, "CONN", nk._block_table(blocks))
+    monkeypatch.setattr(nk, "CONN", frame._block_table(blocks))
     result = nk.verify(samples=10, seed=1)
     assert not result["ok"]
     assert {"torsion_free", "metric_compatible"} & set(result["flagged"])
@@ -488,7 +489,7 @@ def test_verify_rejects_bad_tol_scale(tol_scale):
 
 @pytest.mark.parametrize("value", [0.0, 2.5e-3, np.float64(5e-3)])
 def test_gate_passes_values_within_tolerance(value):
-    got = nk.gate(value, 5e-3, "defect")
+    got = frame.gate(value, 5e-3, "defect")
     assert type(got) is float and got == value
 
 
@@ -499,5 +500,5 @@ class GateFailure(Exception):
 @pytest.mark.parametrize("value", [5.0000001e-3, 1.0, np.nan, np.inf])
 def test_gate_fails_above_tolerance_nan_and_inf(value):
     with pytest.raises(GateFailure) as info:
-        nk.gate(value, 5e-3, "loop defect", GateFailure, "; not closed")
+        frame.gate(value, 5e-3, "loop defect", GateFailure, "; not closed")
     assert str(info.value) == f"loop defect {value:.3e} exceeds 5.0e-03; not closed"

@@ -15,7 +15,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(nks3.__path__))
 
 
 def test_every_module_is_listed():
-    assert {"quat", "nkspace", "surface", "hsystem", "fixtures", "io", "cli"} <= set(MODULES)
+    assert {"quat", "frame", "nkspace", "surface", "hsystem", "fixtures", "io", "cli"} \
+        <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)

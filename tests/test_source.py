@@ -9,7 +9,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nks3"
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_certificates_fail_only_through_gate(path):
-    # a certificate fails only as `nkspace.gate(..., error=CertificateError)`,
+    # a certificate fails only as `frame.gate(..., error=CertificateError)`,
     # whose comparison fails closed on NaN; a hand-written raise could not
     calls = [
         node.lineno
@@ -207,3 +207,40 @@ def test_chunk_size_is_read_only_from_its_constant():
     a = write_rows.args
     assert [x.arg for x in a.posonlyargs + a.args] == ["path", "header", "lat", "blocks"]
     assert not (a.defaults or a.kwonlyargs or a.vararg or a.kwarg)
+
+
+def _imported_modules(tree):
+    """(scope, module) of every import in `tree`, the module as written
+    ("nkspace" for `from .nkspace import verify` or `from . import
+    nkspace`); the scope is as in `_scoped_calls`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((scope, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                found.append((scope, child.module))
+                found.extend((scope, a.name) for a in child.names if not child.module)
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+@pytest.mark.parametrize("name", ["quat.py", "frame.py", "surface.py", "hsystem.py",
+                                  "fixtures.py", "io.py"])
+def test_grid_modules_never_import_the_identity_suite(name):
+    # the grid stack reads the frame tables and kernels from `frame`, so no
+    # grid command compiles the ambient identity suite in `nkspace`
+    imported = [m for _, m in _imported_modules(_parse(name))]
+    assert not [m for m in imported if m and m.split(".")[-1] == "nkspace"]
+
+
+def test_cli_imports_the_identity_suite_only_to_verify():
+    found = [(s, m) for s, m in _imported_modules(_parse("cli.py"))
+             if m and m.split(".")[-1] == "nkspace"]
+    assert found == [("cmd_verify", "nkspace")]

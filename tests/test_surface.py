@@ -6,12 +6,13 @@ import pytest
 
 from nks3 import cli, fixtures, quat
 from nks3 import hsystem as hsys
+from nks3 import frame
 from nks3 import nkspace as nk
 from nks3 import surface as sf
 
 QI, QJ, QK = np.eye(4)[1:]  # the imaginary units i, j, k
 
-SQ3 = nk.SQRT3
+SQ3 = frame.SQRT3
 
 
 def small_fixture(name, n=21, h=None):
@@ -21,8 +22,8 @@ def small_fixture(name, n=21, h=None):
 def alignment_defects(gp):
     """`_alignment_defects` of the partials `gp`, with P phi_u and
     g(P phi_u, phi_u) formed here."""
-    pu = gp.cu @ nk.P_MAT.T
-    return sf._alignment_defects(gp, pu, nk.gram_product(pu, gp.cu))
+    pu = gp.cu @ frame.P_MAT.T
+    return sf._alignment_defects(gp, pu, frame.gram_product(pu, gp.cu))
 
 
 def classify(grid):
@@ -141,7 +142,7 @@ def test_extract_coefficients_example1_constants():
     assert (
         np.abs(sf.interior(beta_t) - np.array([-1 / SQ3, 0, 0])).max() < 1e-5
     )
-    gamma_t, delta_t = gp.cu[..., 3:] * nk.FLIP, gp.cv[..., 3:] * nk.FLIP
+    gamma_t, delta_t = gp.cu[..., 3:] * frame.FLIP, gp.cv[..., 3:] * frame.FLIP
     assert np.abs(sf.interior(gamma_t)).max() < 1e-12
     assert (
         np.abs(sf.interior(delta_t) - np.array([-2 / SQ3, 0, 0])).max() < 5e-5
@@ -162,8 +163,8 @@ def test_rotated_pair_example1():
     # rotating back recovers the unrotated pair, the first-factor halves of
     # the partials with the sign flip undone
     at, bt = sf.rotate_pair(alpha, beta, sf.FROM_POTENTIAL)
-    assert np.abs(at - gp.cu[..., :3] * nk.FLIP).max() < 1e-14
-    assert np.abs(bt - gp.cv[..., :3] * nk.FLIP).max() < 1e-14
+    assert np.abs(at - gp.cu[..., :3] * frame.FLIP).max() < 1e-14
+    assert np.abs(bt - gp.cv[..., :3] * frame.FLIP).max() < 1e-14
 
 
 def test_pair_rotations_are_the_closed_forms():
@@ -190,10 +191,10 @@ def test_flipped_is_the_flip_product():
     x = rng.standard_normal((7, 5, 6))
     x[0, 0], x[1, 1] = 0.0, -0.0
     for half in (x[..., :3], x[..., 3:]):
-        assert sf._flipped(half).tobytes() == (half * nk.FLIP).tobytes()
+        assert sf._flipped(half).tobytes() == (half * frame.FLIP).tobytes()
         out = np.empty_like(x)
         sf._flipped(half, out=out[..., 3:])
-        assert out[..., 3:].tobytes() == (half * nk.FLIP).tobytes()
+        assert out[..., 3:].tobytes() == (half * frame.FLIP).tobytes()
 
 
 def test_integrability_residuals_small_on_fixtures():
@@ -223,7 +224,7 @@ def test_curl_read_in_place_is_the_unrotated_pair_curl(n, angle):
         p[::2] = quat.qmul(quat.qexp(np.array([angle, 0.0, 0.0])), p[::2])
         grid = sf.immersion_grid(grid, p, grid.q)
     gp = sf.partials(grid)
-    alpha_t, beta_t = gp.cu[..., :3] * nk.FLIP, gp.cv[..., :3] * nk.FLIP
+    alpha_t, beta_t = gp.cu[..., :3] * frame.FLIP, gp.cv[..., :3] * frame.FLIP
     r = grid.diff(alpha_t, 1) - grid.diff(beta_t, 0) - 2.0 * quat.cross(alpha_t, beta_t)
     want = float(sf.interior(np.linalg.norm(r, axis=-1)).max())
     got = sf.integrability_residuals(gp, *sf.extract_coefficients(gp.cu, gp.cv))[0]
@@ -237,7 +238,7 @@ def test_lambda_field_example1_value():
     assert np.abs(lam - target).max() < 1e-4
     # metric-level and quadratic-form routes agree: the quadratic form is
     # (1 + i sqrt3)/4 times the complex square of alpha_t - i beta_t
-    z = (gp.cu[..., :3] - 1j * gp.cv[..., :3]) * nk.FLIP
+    z = (gp.cu[..., :3] - 1j * gp.cv[..., :3]) * frame.FLIP
     lam_q = 0.25 * (1 + 1j * SQ3) * np.sum(z * z, axis=-1)
     assert np.abs(sf.interior(lam_q) - target).max() < 1e-4
     assert np.abs(sf.interior(lam_q) - lam).max() < 1e-4
@@ -248,10 +249,10 @@ def test_lambda_real_part_is_the_alignment_product(name):
     # `analyze` forms P phi_u once and hands twice lambda's real part to the
     # alignment defects as g(P phi_u, phi_u): both bit for bit
     gp = sf.partials(small_fixture(name))
-    pu = gp.cu @ nk.P_MAT.T
+    pu = gp.cu @ frame.P_MAT.T
     lam = sf.lambda_field(gp, pu)
     assert np.array_equal(lam, sf.lambda_field(gp))
-    assert np.array_equal(2.0 * lam.real, nk.gram_product(pu, gp.cu))
+    assert np.array_equal(2.0 * lam.real, frame.gram_product(pu, gp.cu))
 
 
 def test_cr_residuals_example1_exact():
@@ -587,7 +588,7 @@ def whole_grid_partials(grid):
         for axis in (0, 1):
             log = quat.qmul(quat.qconj(arr), grid.diff(arr, axis))
             reals.append(sf.interior(np.abs(log[..., 0])).max())
-            halves.append(quat.imag(log) * nk.FLIP)
+            halves.append(quat.imag(log) * frame.FLIP)
     cu, cv = (np.concatenate(halves[k::2], axis=-1) for k in (0, 1))
     return cu, cv, float(np.max(reals))
 

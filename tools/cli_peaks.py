@@ -2,13 +2,18 @@
 
     python3 tools/cli_peaks.py ROOT
 
-Runs the command chain fixture -> analyze -> to-h -> from-h, plus verify,
-on the example2 fixture at n x n points with step 1 / (n - 1), for n = 201
-and 401.  Every command is a fresh `python3 -m nks3.cli` process on
-ROOT/src, run three times in its own work directory; wall time and peak
-RSS come from `os.wait4`, and each printed figure is the smallest of the
-three.  Exits 1 if any command exits non-zero.  Standard library only; the
-work directory is removed at the end.
+First prints two fixed-cost rows, commands that do almost nothing but
+start and exit: `fixture example1` at 11 x 11 points, and `verify
+--samples 1`.  Their wall time is the cost every command pays whatever its
+input: the interpreter and its site hook, numpy, the nks3 import and the
+teardown at exit; their peak RSS is the import floor.  Then runs the
+command chain fixture -> analyze -> to-h -> from-h, plus verify, on the
+example2 fixture at n x n points with step 1 / (n - 1), for n = 201 and
+401.  Every command is a fresh `python3 -m nks3.cli` process on ROOT/src,
+run three times in its own work directory; wall time and peak RSS come
+from `os.wait4`, and each printed figure is the smallest of the three.
+Exits 1 if any command exits non-zero.  Standard library only; the work
+directory is removed at the end.
 """
 
 from __future__ import annotations
@@ -24,6 +29,13 @@ from pathlib import Path
 SIZES = (201, 401)
 REPEATS = 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# (size label, name, cli arguments) of the fixed-cost rows
+FIXED = [
+    ("11", "fixture", ["fixture", "--fixture", "example1", "--nu", "11", "--nv", "11",
+                       "--output", "tiny.csv"]),
+    ("-", "verify", ["verify", "--samples", "1"]),
+]
 
 
 def _commands(n):
@@ -62,15 +74,15 @@ def main(argv):
     failed = False
     try:
         print(f"{'n':>4}  {'command':<8}  {'wall_s':>7}  {'peak_rss_mb':>11}")
-        for n in SIZES:
-            for name, args in _commands(n):
-                runs = [_run(args, work, env) for _ in range(REPEATS)]
-                codes = {code for code, _, _ in runs}
-                failed |= codes != {0}
-                wall = min(w for _, w, _ in runs)
-                rss = min(m for _, _, m in runs)
-                note = "" if codes == {0} else f"  exit {sorted(codes)}"
-                print(f"{n:>4}  {name:<8}  {wall:>7.2f}  {rss:>11.1f}{note}", flush=True)
+        rows = FIXED + [(str(n), name, args) for n in SIZES for name, args in _commands(n)]
+        for n, name, args in rows:
+            runs = [_run(args, work, env) for _ in range(REPEATS)]
+            codes = {code for code, _, _ in runs}
+            failed |= codes != {0}
+            wall = min(w for _, w, _ in runs)
+            rss = min(m for _, _, m in runs)
+            note = "" if codes == {0} else f"  exit {sorted(codes)}"
+            print(f"{n:>4}  {name:<8}  {wall:>7.3f}  {rss:>11.1f}{note}", flush=True)
     finally:
         shutil.rmtree(work)
     return 1 if failed else 0
