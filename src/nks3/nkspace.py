@@ -32,7 +32,7 @@ against the constant tables stays independent.
 
 from __future__ import annotations
 
-import copy
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,7 +117,9 @@ class Point:
 
 
 def random_point(rng, shape=()):
-    return Point(quat.random_unit(rng, shape), quat.random_unit(rng, shape))
+    """Random point: p and q are normalized standard normal quaternions,
+    drawn in that order from the numpy generator `rng`."""
+    return Point(*quat.normalize(rng.standard_normal((2, *shape, 4))))
 
 
 @dataclass(frozen=True)
@@ -168,10 +170,7 @@ def _pushed_tangent(base, a, b):
 
 def random_tangent(rng, base):
     """Random tangent: imaginary quaternions pushed to the base point."""
-    shape = np.shape(base.p)[:-1]
-    a = quat.random_vec3(rng, shape)
-    b = quat.random_vec3(rng, shape)
-    return _pushed_tangent(base, a, b)
+    return _pushed_tangent(base, *rng.standard_normal((2, *np.shape(base.p)[:-1], 3)))
 
 
 def _check_same_base(Z, W):
@@ -349,9 +348,8 @@ def _sandwich(iso, x, y):
 
 
 def random_isometry(rng):
-    return Isometry(
-        quat.random_unit(rng), quat.random_unit(rng), quat.random_unit(rng)
-    )
+    """Random isometry: a, b and c are normalized standard normal quaternions."""
+    return Isometry(*quat.normalize(rng.standard_normal((3, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -475,23 +473,44 @@ def _sampled_identities(pts, parts):
 _BLOCK = 2048
 
 
-def _block_sizes(samples):
-    return [min(_BLOCK, samples - i) for i in range(0, samples, _BLOCK)]
+_U64 = np.uint64
+_GAMMA = _U64(0x9E3779B97F4A7C15)
 
 
-def _draw_streams(rng, samples):
-    """One generator per draw (p, q, X.a, X.b, ..., W.b: the order
-    `random_point` and `random_tangent` draw in), each at the state where
-    its draw starts in the one stream of `rng`.  The pass keeps no values:
-    normal draws read the stream in order, so drawing a draw's rows block
-    by block takes the same numbers as drawing them at once.  The last
-    draw reads `rng` itself."""
-    streams = []
-    for width in (4, 4) + (3,) * 7:
-        streams.append(copy.deepcopy(rng))
-        for n in _block_sizes(samples):
-            rng.standard_normal((n, width))
-    return streams + [rng]
+def _splitmix(z):
+    """The splitmix64 finalizer on a uint64 array (arithmetic mod 2^64)."""
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
+def _stream_key(seed):
+    """The 64-bit key of a non-negative integer seed of any size: the seed
+    itself below 2^64; above, each further 64-bit word w turns the key k
+    into splitmix64(k + gamma) xor w.  Raises ValueError for a negative
+    seed."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    key = np.array([seed % 2**64], dtype=_U64)
+    for shift in range(64, seed.bit_length(), 64):
+        key = _splitmix(key + _GAMMA) ^ _U64(seed >> shift & (2**64 - 1))
+    return key
+
+
+def _draw(key, draw, start, n, width):
+    """Rows start .. start + n - 1 of draw `draw` (0 .. 9 for p, q, X.a,
+    X.b, ..., W.b) of the stream keyed by `key`, as an (n, width) array.
+
+    Component c of sample i is output 40 i + 4 draw + c + 1 of splitmix64
+    seeded with the key, so any block of rows is read directly.  Its top
+    53 bits k map to (2 k + 1 - 2^53) sqrt3 / 2^53: uniform on (-sqrt3,
+    sqrt3), of unit variance, never 0.  Only integer operations and one
+    exactly rounded product, so every platform draws the same values."""
+    count = (np.arange(start, start + n, dtype=_U64)[:, None] * _U64(40)
+             + np.arange(4 * draw + 1, 4 * draw + 1 + width, dtype=_U64))
+    top = _splitmix(count * _GAMMA + key) >> _U64(11)
+    return (top.astype(np.int64) * 2 + (1 - 2**53)) * (SQRT3 / 2**53)
 
 
 def identity_report(samples=1000, seed=42):
@@ -499,29 +518,29 @@ def identity_report(samples=1000, seed=42):
 
     Frame-exact identities are evaluated once on the constant tables.
     Sampled identities draw `samples` random points with up to four random
-    tangents each and run on blocks of `_BLOCK` (2048) samples.  Each of
-    the ten draws (p, q and the eight imaginary parts) reads its own
-    generator, started where that draw starts in the one stream, so
-    a block draws only its own rows and memory stays one block's working
-    set whatever `samples` is.  Each residual is the NaN-propagating max
-    over the blocks, so it equals the residual of a single block over all
-    samples bit for bit, and a NaN stays NaN.
+    tangents each and run on blocks of `_BLOCK` (2048) samples.  The ten
+    draws (p, q and the eight imaginary parts) are rows of one
+    counter-based stream keyed by `seed` (`_draw`), so a block reads only
+    its own rows, memory stays one block's working set whatever `samples`
+    is, and no sample depends on `_BLOCK`.  Each residual is the
+    NaN-propagating max over the blocks, so it equals the residual of a
+    single block over all samples bit for bit, and a NaN stays NaN.
 
     Returns a dict mapping identity names to max residuals.  Raises
-    ValueError when `samples` is below 1.
+    ValueError when `samples` is below 1 or `seed` is negative.
     """
     if not samples >= 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
-    rng = np.random.default_rng(seed)
+    key = _stream_key(seed)
     eye = np.eye(6)
 
     # --- sampled ambient identities -------------------------------------
-    gp, gq, *gparts = _draw_streams(rng, samples)
     res = {}
-    for n in _block_sizes(samples):
+    for start in range(0, samples, _BLOCK):
+        n = min(_BLOCK, samples - start)
         block = _sampled_identities(
-            Point(quat.random_unit(gp, (n,)), quat.random_unit(gq, (n,))),
-            [quat.random_vec3(g, (n,)) for g in gparts],
+            Point(*(quat.normalize(_draw(key, d, start, n, 4)) for d in (0, 1))),
+            [_draw(key, d, start, n, 3) for d in range(2, 10)],
         )
         res = {k: float(np.maximum(res.get(k, -np.inf), v)) for k, v in block.items()}
 

@@ -24,8 +24,6 @@ __all__ = [
     "qexp",
     "dot",
     "cross",
-    "random_unit",
-    "random_vec3",
 ]
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -143,13 +141,3 @@ def cross(a, b):
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         out[..., i] = a[..., j] * b[..., k] - a[..., k] * b[..., j]
     return out
-
-
-def random_unit(rng, shape=()):
-    """Uniform random unit quaternions (normalized gaussians)."""
-    return normalize(rng.standard_normal(tuple(shape) + (4,)))
-
-
-def random_vec3(rng, shape=()):
-    """Standard normal R^3 vectors."""
-    return rng.standard_normal(tuple(shape) + (3,))

@@ -33,6 +33,19 @@ def test_verify_default(capsys):
     assert max(rep["residual_max"].values()) < 1e-10
 
 
+def test_verify_negative_seed(capsys):
+    code, rep, err = run(capsys, "--command", "verify", "--samples", "3", "--seed", "-1")
+    assert (code, rep) == (3, None)
+    assert err == "input error: seed must be non-negative, got -1\n"
+
+
+def test_verify_seed_beyond_64_bits(capsys):
+    code, rep, _ = run(capsys, "--command", "verify", "--samples", "3",
+                       "--seed", str(2**64 + 5))
+    assert code == 0 and rep["ok"] is True
+    assert rep["config"]["seed"] == 2**64 + 5
+
+
 def test_verify_zero_samples(capsys):
     code, rep, err = run(capsys, "--command", "verify", "--samples", "0")
     assert code == 3 and rep is None
@@ -625,19 +638,20 @@ def test_console_script_exits_through_run():
 
 
 # each grid command run through `cli.main` in a fresh interpreter, then
-# `verify`: the exit code of each, and whether `nks3.nkspace` is imported
-# after it
+# `verify`: the exit code of each, and whether `nks3.nkspace` and
+# `numpy.random` are imported after it
 _BOUNDARY = """
 import json, sys
 from nks3 import cli
 seen = []
 for argv in json.loads(sys.argv[1]):
-    seen.append([cli.main(["--command", *argv]), "nks3.nkspace" in sys.modules])
+    code = cli.main(["--command", *argv])
+    seen.append([code, "nks3.nkspace" in sys.modules, "numpy.random" in sys.modules])
 sys.stderr.write(json.dumps(seen))
 """
 
 
-def test_only_verify_imports_the_identity_suite(tmp_path):
+def _fresh_interpreter_runs(tmp_path):
     runs = [
         ["fixture", "--fixture", "example2", "--nu", "21", "--nv", "21", "--output", "ex.csv"],
         ["analyze", "--input", "ex.csv"],
@@ -650,4 +664,17 @@ def test_only_verify_imports_the_identity_suite(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
     )
-    assert json.loads(child.stderr) == [[0, False]] * 4 + [[0, True]]
+    return json.loads(child.stderr)
+
+
+def test_only_verify_imports_the_identity_suite(tmp_path):
+    seen = _fresh_interpreter_runs(tmp_path)
+    assert [[code, nkspace] for code, nkspace, _ in seen] == [[0, False]] * 4 + [[0, True]]
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # verify draws its samples from its own counter stream; this pytest
+    # process has imported numpy.random already, so the check runs in a
+    # fresh interpreter
+    seen = _fresh_interpreter_runs(tmp_path)
+    assert [[code, random] for code, _, random in seen] == [[0, False]] * 5

@@ -229,66 +229,66 @@ def test_p_derivative_table_fires_on_perturbed_table(monkeypatch):
     assert abs(report["p_derivative_table"] - 1e-6) < 1e-12
 
 
-# residuals of the ambient formulas before any product was cached, as
+# residuals of the ambient formulas on the counter-stream samples, as
 # float.hex; an identity that loses an operand or is evaluated on other
 # samples moves at least one of them
 _PINNED_REPORTS = {
     (1000, 42): {
         "curvature_vs_oracle": "0x1.5555555555555p-54",
-        "frame_metric": "0x1.0000000000000p-50",
+        "frame_metric": "0x1.8000000000000p-51",
         "frame_representation": "0x1.0000000000000p-50",
-        "g_j_invariant": "0x1.0000000000000p-47",
-        "g_p_invariant": "0x1.0000000000000p-47",
-        "g_p_mix": "0x1.32be6bce083a8p-47",
+        "g_j_invariant": "0x1.4000000000000p-47",
+        "g_p_invariant": "0x1.c000000000000p-48",
+        "g_p_mix": "0x1.6d3c45e9cccc1p-48",
         "g_tensor_derivative": "0x1.0000000000000p-53",
-        "g_tensor_j_mix": "0x1.a1af643a9e69dp-48",
-        "g_tensor_metric_skew": "0x1.8000000000000p-47",
-        "g_tensor_pair_product": "0x1.4000000000000p-46",
-        "g_tensor_skew": "0x1.d9d43b5d7c590p-50",
-        "h_j_mix": "0x1.0ce216b4fbf22p-48",
-        "h_p_first_slot": "0x1.062f8310e30acp-48",
-        "h_p_mix": "0x1.eeb1f7f3d1c7fp-49",
+        "g_tensor_j_mix": "0x1.b0c2c401d1efcp-49",
+        "g_tensor_metric_skew": "0x1.0000000000000p-47",
+        "g_tensor_pair_product": "0x1.8000000000000p-46",
+        "g_tensor_skew": "0x1.c2a914d7db576p-50",
+        "h_j_mix": "0x1.eac08669abd50p-49",
+        "h_p_first_slot": "0x1.5e979fe7834a2p-49",
+        "h_p_mix": "0x1.6ec4c83376126p-49",
         "hermitian_j_parallel": "0x1.0000000000000p-53",
         "hermitian_p_parallel": "0x1.0000000000000p-53",
         "j_derivative_table": "0x1.0000000000000p-53",
-        "j_squared": "0x1.567a6986f7ea2p-48",
+        "j_squared": "0x1.2518e0b2a2fdcp-49",
         "metric_compatible": "0x0.0p+0",
         "metric_two_forms": "0x1.8000000000000p-48",
         "p_derivative_table": "0x1.0000000000000p-53",
-        "p_g_compat": "0x1.2910a9a25f77ep-48",
-        "p_squared": "0x1.8e29e80e57449p-49",
-        "pj_anticommute": "0x1.38db762f4f5e0p-50",
-        "q_j_product_flip": "0x1.81fc55f649cc4p-51",
+        "p_g_compat": "0x1.f5568eb7cdb44p-49",
+        "p_squared": "0x1.a19396a76efbap-50",
+        "pj_anticommute": "0x1.10bfac0209a99p-50",
+        "q_j_product_flip": "0x1.577518973e6eep-51",
         "q_squared": "0x0.0p+0",
         "torsion_free": "0x0.0p+0",
-        "usual_metric_recovery": "0x1.0000000000000p-47",
+        "usual_metric_recovery": "0x1.0000000000000p-48",
     },
     (10000, 1): {
         "curvature_vs_oracle": "0x1.5555555555555p-54",
         "frame_metric": "0x1.0000000000000p-50",
         "frame_representation": "0x1.4000000000000p-50",
-        "g_j_invariant": "0x1.8000000000000p-47",
-        "g_p_invariant": "0x1.8000000000000p-47",
-        "g_p_mix": "0x1.618eab4417de8p-47",
+        "g_j_invariant": "0x1.4000000000000p-47",
+        "g_p_invariant": "0x1.0000000000000p-47",
+        "g_p_mix": "0x1.bea7a3a146cdfp-48",
         "g_tensor_derivative": "0x1.0000000000000p-53",
-        "g_tensor_j_mix": "0x1.a999539d5381dp-48",
-        "g_tensor_metric_skew": "0x1.0000000000000p-46",
-        "g_tensor_pair_product": "0x1.4000000000000p-45",
-        "g_tensor_skew": "0x1.82017dd24294cp-49",
-        "h_j_mix": "0x1.53e859bb71a7bp-48",
-        "h_p_first_slot": "0x1.af68f51923c41p-48",
-        "h_p_mix": "0x1.40bed6f98e91ap-48",
+        "g_tensor_j_mix": "0x1.3196fd28000b6p-48",
+        "g_tensor_metric_skew": "0x1.8000000000000p-47",
+        "g_tensor_pair_product": "0x1.c000000000000p-46",
+        "g_tensor_skew": "0x1.0583f74807ae4p-49",
+        "h_j_mix": "0x1.110a1abd1554ap-48",
+        "h_p_first_slot": "0x1.f1d9f2ffe28cap-49",
+        "h_p_mix": "0x1.d8209b58c0a97p-49",
         "hermitian_j_parallel": "0x1.0000000000000p-53",
         "hermitian_p_parallel": "0x1.0000000000000p-53",
         "j_derivative_table": "0x1.0000000000000p-53",
-        "j_squared": "0x1.d171f37752b8fp-49",
+        "j_squared": "0x1.4b875f8f6d50cp-49",
         "metric_compatible": "0x0.0p+0",
-        "metric_two_forms": "0x1.0000000000000p-47",
+        "metric_two_forms": "0x1.8000000000000p-48",
         "p_derivative_table": "0x1.0000000000000p-53",
-        "p_g_compat": "0x1.5129201bdc63ep-48",
-        "p_squared": "0x1.5d5f694ea367dp-49",
-        "pj_anticommute": "0x1.988a57e78a9b1p-50",
-        "q_j_product_flip": "0x1.1a3f0add78251p-50",
+        "p_g_compat": "0x1.08e1edcd4c52ap-48",
+        "p_squared": "0x1.e96a80dba4845p-50",
+        "pj_anticommute": "0x1.63ec8807a6bf2p-50",
+        "q_j_product_flip": "0x1.50c5344751eb7p-51",
         "q_squared": "0x0.0p+0",
         "torsion_free": "0x0.0p+0",
         "usual_metric_recovery": "0x1.0000000000000p-48",
@@ -302,27 +302,98 @@ def test_identity_report_pinned_bit_for_bit(samples, seed):
     assert {k: v.hex() for k, v in report.items()} == _PINNED_REPORTS[samples, seed]
 
 
+def _splitmix64_stream(seed, count):
+    """The first `count` outputs of splitmix64 seeded with `seed`, in
+    Python integers: the reference generator of Steele, Lea and Flood."""
+    mask, state, out = 2**64 - 1, seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_draw_is_the_splitmix64_stream():
+    # component c of sample i in draw d is output 40 i + 4 d + c + 1,
+    # its top 53 bits k mapped to (2 k + 1 - 2^53) sqrt3 / 2^53
+    key = nk._stream_key(12345)
+    ref = _splitmix64_stream(12345, 3 * 40)
+    for d, width in ((0, 4), (1, 4), (2, 3), (9, 3)):
+        got = nk._draw(key, d, 0, 3, width)
+        want = [[(2 * (ref[40 * i + 4 * d + c] >> 11) + 1 - 2**53) * (SQ3 / 2**53)
+                 for c in range(width)] for i in range(3)]
+        assert got.tolist() == want
+
+
+def test_draw_seed_42_pinned():
+    key = nk._stream_key(42)
+    assert [v.hex() for v in nk._draw(key, 0, 0, 1, 4)[0]] == [
+        "0x1.ac71be171d026p-1", "-0x1.2d984956f92c3p+0",
+        "-0x1.88ad6ea12d534p-1", "-0x1.1458b1f782e64p-1",
+    ]
+    assert [v.hex() for v in nk._draw(key, 2, 0, 1, 3)[0]] == [
+        "-0x1.1be6c9b10e3b4p-1", "0x1.a448c9f21bfffp-2", "-0x1.05b22dbed1022p+0",
+    ]
+
+
+def test_draw_reads_any_rows_directly():
+    key = nk._stream_key(5)
+    whole = nk._draw(key, 3, 0, 50, 3)
+    assert np.array_equal(nk._draw(key, 3, 17, 20, 3), whole[17:37])
+
+
+def test_draw_is_unit_variance_and_never_zero():
+    x = nk._draw(nk._stream_key(8), 0, 0, 50000, 4)
+    assert np.all(np.abs(x) < SQ3) and np.all(x != 0.0)
+    assert abs(x.mean()) < 0.02 and abs(x.var() - 1.0) < 0.02
+
+
+def test_seeds_of_any_size_run_and_differ():
+    first = {seed: nk._draw(nk._stream_key(seed), 0, 0, 4, 4).tolist()
+             for seed in (0, 1, 2, 2**64, 2**64 + 1, 2**200)}
+    assert len({repr(v) for v in first.values()}) == len(first)
+    # below 2^64 the key is the seed itself; the next word w turns the key
+    # k into splitmix64(k + gamma) xor w, the first output of the stream k
+    assert nk._stream_key(2**64 - 1).tolist() == [2**64 - 1]
+    assert nk._stream_key(3 * 2**64 + 5).tolist() == [_splitmix64_stream(5, 1)[0] ^ 3]
+    for seed in (0, 2**64, 3 * 2**100 + 7):
+        result = nk.verify(samples=20, seed=seed)
+        assert result["ok"], (seed, result["flagged"])
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        nk.identity_report(samples=10, seed=-1)
+
+
+def test_random_point_shapes():
+    rng = np.random.default_rng(1)
+    assert nk.random_point(rng).p.shape == (4,)
+    assert nk.random_point(rng, (5,)).q.shape == (5, 4)
+    pt = nk.random_point(rng, (2, 3))
+    assert pt.p.shape == pt.q.shape == (2, 3, 4)
+    pt = nk.random_point(rng, (100,))
+    assert np.abs(quat.norm(pt.p) - 1.0).max() < 1e-14
+    assert np.abs(quat.norm(pt.q) - 1.0).max() < 1e-14
+    iso = nk.random_isometry(rng)
+    for x in (iso.a, iso.b, iso.c):
+        assert x.shape == (4,) and abs(quat.norm(x) - 1.0) < 1e-15
+    assert nk.random_tangent(rng, pt).u.shape == (100, 4)
+
+
 def _nan_in_draw(monkeypatch, index):
-    """Make every tangent draw (`quat.random_vec3`) NaN at sample `index`
-    when the draw reaches that sample.
+    """Make every tangent draw (draws 2 .. 9 of `nk._draw`) NaN at sample
+    `index` when a block's rows reach that sample."""
+    draw = nk._draw
 
-    A draw may come in several calls on one generator, one block each, so
-    the rows each generator has returned so far are counted and the NaN
-    lands in the same sample however the draw is split."""
-    draw = quat.random_vec3
-    # rows returned so far, keyed by the generator itself: a freed
-    # generator's id may come back for another
-    rows_before = {}
-
-    def patched(rng, shape=()):
-        out = draw(rng, shape)
-        start = rows_before.get(rng, 0)
-        rows_before[rng] = start + len(out)
-        if start <= index < start + len(out):
+    def patched(key, d, start, n, width):
+        out = draw(key, d, start, n, width)
+        if d >= 2 and start <= index < start + n:
             out[index - start, 0] = np.nan
         return out
 
-    monkeypatch.setattr(quat, "random_vec3", patched)
+    monkeypatch.setattr(nk, "_draw", patched)
 
 
 _B = nk._BLOCK

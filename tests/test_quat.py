@@ -51,7 +51,7 @@ def test_norm_is_multiplicative():
 def test_qinv():
     # the conjugate inverts a unit quaternion
     rng = np.random.default_rng(5)
-    p = quat.random_unit(rng, (30,))
+    p = quat.normalize(rng.standard_normal((30, 4)))
     prod = quat.qmul(p, quat.qconj(p))
     assert np.abs(prod - quat.ONE).max() < 1e-12
 
@@ -165,10 +165,3 @@ def test_qexp_one_parameter_group():
     rhs = quat.qmul(quat.qexp(0.3 * v), quat.qexp(0.4 * v))
     assert np.abs(lhs - rhs).max() < 1e-14
 
-
-def test_random_unit_shapes():
-    rng = np.random.default_rng(1)
-    assert quat.random_unit(rng).shape == (4,)
-    assert quat.random_unit(rng, (5,)).shape == (5, 4)
-    assert quat.random_unit(rng, (2, 3)).shape == (2, 3, 4)
-    assert np.abs(quat.norm(quat.random_unit(rng, (100,))) - 1.0).max() < 1e-14

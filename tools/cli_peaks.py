@@ -6,12 +6,17 @@ First prints two fixed-cost rows, commands that do almost nothing but
 start and exit: `fixture example1` at 11 x 11 points, and `verify
 --samples 1`.  Their wall time is the cost every command pays whatever its
 input: the interpreter and its site hook, numpy, the nks3 import and the
-teardown at exit; their peak RSS is the import floor.  Then runs the
+teardown at exit; the `fixture` row's peak RSS is the import floor of the
+grid commands.  `verify --samples 1` imports `nkspace` as well, but not
+`numpy.random` (it draws its samples from its own counter stream), and it
+builds no grid, so its peak RSS sits below that floor.  Then runs the
 command chain fixture -> analyze -> to-h -> from-h, plus verify, on the
 example2 fixture at n x n points with step 1 / (n - 1), for n = 201 and
 401.  Every command is a fresh `python3 -m nks3.cli` process on ROOT/src,
-run three times in its own work directory; wall time and peak RSS come
-from `os.wait4`, and each printed figure is the smallest of the three.
+run in its own work directory; wall time and peak RSS come from
+`os.wait4`.  A fixed-cost row runs 15 times and prints the median of each
+figure, because a best of three cannot resolve differences of a few
+milliseconds there; a chain row runs three times and prints the smallest.
 Exits 1 if any command exits non-zero.  Standard library only; the work
 directory is removed at the end.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -28,6 +34,7 @@ from pathlib import Path
 
 SIZES = (201, 401)
 REPEATS = 3
+FIXED_REPEATS = 15
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # (size label, name, cli arguments) of the fixed-cost rows
@@ -74,13 +81,14 @@ def main(argv):
     failed = False
     try:
         print(f"{'n':>4}  {'command':<8}  {'wall_s':>7}  {'peak_rss_mb':>11}")
-        rows = FIXED + [(str(n), name, args) for n in SIZES for name, args in _commands(n)]
-        for n, name, args in rows:
-            runs = [_run(args, work, env) for _ in range(REPEATS)]
+        rows = [(FIXED_REPEATS, statistics.median, *row) for row in FIXED]
+        rows += [(REPEATS, min, str(n), name, args) for n in SIZES for name, args in _commands(n)]
+        for repeats, pick, n, name, args in rows:
+            runs = [_run(args, work, env) for _ in range(repeats)]
             codes = {code for code, _, _ in runs}
             failed |= codes != {0}
-            wall = min(w for _, w, _ in runs)
-            rss = min(m for _, _, m in runs)
+            wall = pick(w for _, w, _ in runs)
+            rss = pick(m for _, _, m in runs)
             note = "" if codes == {0} else f"  exit {sorted(codes)}"
             print(f"{n:>4}  {name:<8}  {wall:>7.3f}  {rss:>11.1f}{note}", flush=True)
     finally:
