@@ -9,8 +9,9 @@ of the metric (`gram_product`), and the Levi-Civita connection, the
 covariant-derivative tensors of J and P and the frame brackets as
 (6, 6, 6) tables built from 2x2x2 factor-block patterns
 (`connection_term`).  The grid code in `surface`, `hsystem`, `fixtures` and
-`io` reads these alone; `nkspace` cross-checks them against the ambient
-quaternion formulas.
+`io` reads these alone, on coefficients with `FLIP` left out, where only
+the connection changes sign (see `surface`); `nkspace` cross-checks them
+against the ambient quaternion formulas.
 
 It also holds the one comparison behind every certificate and input check,
 `gate`, and the validation of the tolerance multiplier, `validate_tol_scale`.

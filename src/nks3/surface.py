@@ -9,9 +9,13 @@ property rather than trusting it.  The pipeline is
     fields -> residuals, holomorphic quadratic coefficient, induced metric,
     Gaussian curvature, second fundamental form, alignment classification.
 
-Tangent vectors are (..., 6) coefficient arrays in the global frame of
-`frame`, where g(a, b) is `gram_product(a, b)`, J a is `a @ J_MAT.T` and
-P a is `a @ P_MAT.T`, and no grid builds an ambient `Point`.  The stage
+Tangent vectors are (..., 6) coefficient arrays: the imaginary parts of
+p^-1 dp and q^-1 dq as computed, which are the coefficients in the global
+frame of `frame` with each factor's third component negated (its third
+field is the translate of -k).  g(a, b) is `gram_product(a, b)`, J a is
+`a @ J_MAT.T` and P a is `a @ P_MAT.T` on them as on frame coefficients,
+since each matrix commutes with that sign flip; only the connection, odd
+under it, changes sign.  No grid builds an ambient `Point`.  The stage
 functions act on one `GridPartials`, the partials of a grid over its
 window: each analysed quantity has one path, `second_fundamental_form(gp,
 k)` forms h_uu, h_uv or h_vv, which `analyze` reduces one at a time, and
@@ -62,8 +66,7 @@ import numpy as np
 
 from . import quat
 from .frame import (
-    FLIP, J_MAT, P_MAT, SQRT3, connection_term, gate, gram_product,
-    validate_tol_scale,
+    J_MAT, P_MAT, SQRT3, connection_term, gate, gram_product, validate_tol_scale,
 )
 
 __all__ = [
@@ -91,7 +94,6 @@ __all__ = [
     "lambda_field",
     "cr_residuals",
     "induced_metric",
-    "brioschi_curvature",
     "gaussian_curvature",
     "second_fundamental_form",
     "classify_P_alignment",
@@ -365,12 +367,12 @@ class GridPartials(Lattice):
     """Finite-difference coordinate derivatives of an immersion grid, over
     the grid's window.
 
-    `cu` and `cv` (shape (nu, nv, 6)) are the frame coefficients of phi_u
-    and phi_v: the imaginary parts of p^-1 dp and q^-1 dq, sign-flipped by
-    `FLIP` as in `nkspace.frame_coords`.  Dropping the real parts projects
-    the raw derivatives to exact tangency; `projection_max` records the
-    largest dropped real part over the grid interior.  `first_form` is the
-    read-only (E, F, G) computed from them.
+    `cu` and `cv` (shape (nu, nv, 6)) are the coefficients of phi_u and
+    phi_v: the imaginary parts of p^-1 dp and q^-1 dq as computed, with no
+    sign flip.  Dropping the real parts projects the raw derivatives to
+    exact tangency; `projection_max` records the largest dropped real part
+    over the grid interior.  `first_form` is the read-only (E, F, G)
+    computed from them.
     """
 
     cu: np.ndarray
@@ -381,7 +383,7 @@ class GridPartials(Lattice):
 
 def partials(grid):
     """Central-difference partial derivatives, one-sided at the edges, as
-    frame coefficients, each derivative formed and folded in turn
+    coefficients, each derivative formed and folded in turn
     (`factor_partials`); a NaN on the interior makes `projection_max` NaN
     (`np.maximum` keeps it).  The commands take them over halo slabs only
     (`halo_slabs`)."""
@@ -397,33 +399,21 @@ def partials(grid):
 
 
 def factor_partials(grid, arr, cu, cv, real):
-    """One factor's half of `partials`: writes the frame coefficients of
-    its derivatives along u and v into `cu` and `cv` (..., 3), and folds
-    the |real parts| of its logarithmic derivatives into `real`.
+    """One factor's half of `partials`: writes the imaginary parts of its
+    logarithmic derivatives along u and v into `cu` and `cv` (..., 3) as
+    computed, and folds their |real parts| into `real`.
     `hsystem.epsilon_from_surface` takes p's alone."""
     for c, axis in ((cu, 0), (cv, 1)):
         d = grid.diff(arr, axis)
         log = quat.qmul(quat.qconj(arr), d)
         del d
         np.maximum(real, np.abs(log[..., 0]), out=real)
-        _flipped(quat.imag(log), out=c)
+        c[...] = quat.imag(log)
         del log  # one derivative alive at a time
 
 
-def _flipped(x, out=None):
-    """x (..., 3) times `FLIP`, written into `out` (new when None): a copy
-    whose third component, the only one `FLIP` changes, is then multiplied
-    by it; the same bits as the broadcast product, at a third of its cost
-    on the strided halves of a frame-coefficient field."""
-    if out is None:
-        out = np.empty(x.shape)
-    out[...] = x
-    out[..., 2] *= FLIP[2]
-    return out
-
-
 def _norm(c):
-    """Metric norm of frame coefficients."""
+    """Metric norm of coefficients."""
     return np.sqrt(np.maximum(gram_product(c, c), 0.0))
 
 
@@ -492,11 +482,10 @@ def rotate_pair(a, b, rotation):
 
 def extract_coefficients(cu, cv):
     """The rotated coefficient pair (alpha, beta) of an adapted grid: the
-    imaginary parts of p^-1 p_u, p^-1 p_v (the first-factor halves of the
-    frame coefficients `cu` and `cv`, sign flip undone) turned by
-    `TO_POTENTIAL`.  The commands read it only after `require_imaginary`
-    has passed the grid."""
-    return rotate_pair(_flipped(cu[..., :3]), _flipped(cv[..., :3]), TO_POTENTIAL)
+    imaginary parts of p^-1 p_u, p^-1 p_v (the first-factor halves of `cu`
+    and `cv`, read as views) turned by `TO_POTENTIAL`.  The commands read
+    it only after `require_imaginary` has passed the grid."""
+    return rotate_pair(cu[..., :3], cv[..., :3], TO_POTENTIAL)
 
 
 def integrability_residuals(gp, alpha, beta):
@@ -507,10 +496,7 @@ def integrability_residuals(gp, alpha, beta):
     on the rotated pair (alpha, beta) of `extract_coefficients`.  All are
     second-order small on a genuine almost complex surface; each residual is
     built in place and reduced in turn.  The unrotated pair is read in place
-    as the first-factor halves of the partials `gp`, whose sign flip of the
-    third component negates a cross product's first two components and keeps
-    the third: there the curl equation carries +2 cu x cv, and the norm of
-    its residual is bit-identical.
+    as the first-factor halves of the partials `gp`.
     """
     cu, cv = gp.cu[..., :3], gp.cv[..., :3]
 
@@ -533,7 +519,7 @@ def integrability_residuals(gp, alpha, beta):
             square = r if square is None else np.add(square, r, out=square)
         return float(interior(np.sqrt(square)).max())
 
-    return (stat(cu, cv, True, 2.0), stat(alpha, beta, True, 0.0),
+    return (stat(cu, cv, True, -2.0), stat(alpha, beta, True, 0.0),
             stat(alpha, beta, False, 4.0 / SQRT3))
 
 
@@ -570,29 +556,13 @@ def induced_metric(cu, cv):
     return efg
 
 
-def _require_metric(det_min):
-    """Raises ValueError unless the smallest EG - F^2 is at least 1e-10 (a
-    NaN is not)."""
-    if not float(det_min) >= 1e-10:
-        raise ValueError(f"metric is degenerate (min EG - F^2 = {det_min:.3e})")
-
-
-def brioschi_curvature(lat, E, F, G):
-    """Gaussian curvature of a metric given by coefficient fields over `lat`.
-
-    Classical Brioschi determinant formula evaluated with second-order
-    finite differences; intrinsic, so it needs only (E, F, G).  Raises
-    ValueError where EG - F^2 falls below 1e-10 anywhere.
-    """
-    det = E * G - F * F
-    _require_metric(np.min(det))
-    return _brioschi(lat, E, F, G, det)
-
-
-def _brioschi(lat, E, F, G, det):
-    """The Brioschi formula over `lat`, with det = EG - F^2, unchecked.
-    Each derivative is formed inside the entry that reads it, except the
-    three that two entries read, so few are alive at once."""
+def gaussian_curvature(lat, E, F, G):
+    """Gaussian curvature of the metric (E, F, G) over `lat` by the
+    Brioschi formula with second-order finite differences; intrinsic, so it
+    needs only (E, F, G).  Unchecked: `analyze` refuses a degenerate metric
+    from the grid's `GridSummary.det_min` before it takes K.  Each
+    derivative is formed inside the entry that reads it, except the three
+    that two entries read, so few are alive at once."""
     Fu, Ev, Gu = lat.diff(F, 0), lat.diff(E, 1), lat.diff(G, 0)
 
     def det3(a, b, c, d, e, f, g, h, i):
@@ -606,37 +576,33 @@ def _brioschi(lat, E, F, G, det):
     m1 -= det3(0.0, 0.5 * Ev, 0.5 * Gu,
                0.5 * Ev, E, F,
                0.5 * Gu, F, G)
+    det = E * G - F * F
     m1 /= det * det
     return m1
 
 
-def gaussian_curvature(gp):
-    """Gaussian curvature field of the partials' first fundamental form, by
-    the Brioschi formula.  Unchecked: `analyze` refuses a degenerate metric
-    from the grid's `GridSummary.det_min` before it takes K."""
-    E, F, G = gp.first_form
-    return _brioschi(gp, E, F, G, E * G - F * F)
-
-
 def _grid_covariant(lat, x_coeff, field_coeff, axis):
-    """Frame coefficients of the ambient covariant derivative of a grid
+    """Coefficients of the ambient covariant derivative of a grid
     tangent field along the coordinate direction `axis` of `lat`.
 
     `x_coeff` is the direction's own coefficient field (the flow of the
     coordinate line), `field_coeff` the differentiated field's coefficients;
     the coordinate derivative is a grid stencil and the frame correction is
-    the constant connection table.  The derivative is added into the
+    the constant connection table, negated.  The derivative is added into the
     correction a component at a time (a sum is the same either way round),
     so no whole derivative field is held beside it.
     """
+    # each CONN entry is a block weight times one eps_ijk, so the table is
+    # odd under negating both factors' third components: raw coefficients
     dc = connection_term(x_coeff, field_coeff)
+    np.negative(dc, out=dc)
     for k in range(6):
         dc[..., k] += lat.diff(field_coeff[..., k], axis)
     return dc
 
 
 def second_fundamental_form(gp, k):
-    """h_uu, h_uv or h_vv for k = 0, 1, 2, from the partials `gp`: the frame
+    """h_uu, h_uv or h_vv for k = 0, 1, 2, from the partials `gp`: the
     coefficients (shape (nu, nv, 6)) of the normal part of the ambient
     covariant derivative of phi_u, phi_v, phi_v along u, u, v."""
     x, f, axis = ((gp.cu, gp.cu, 0), (gp.cu, gp.cv, 0), (gp.cv, gp.cv, 1))[k]
@@ -698,7 +664,7 @@ def _analysis_slab(sub, keep, rows, K):
     r21, r22, r23 = integrability_residuals(gp, alpha, beta)
     cr = cr_residuals(gp, alpha, beta)
     del alpha, beta  # each stage keeps only its maxima, so none holds a field
-    K[rows] = gaussian_curvature(gp)[keep]
+    K[rows] = gaussian_curvature(gp, *gp.first_form)[keep]
     h = float(interior(_unit_norm(gp)).max())
     # P phi_u serves lambda and the alignment defects, and twice lambda's
     # real part is g(P phi_u, phi_u) bit for bit: halving and doubling are
@@ -724,7 +690,9 @@ def analyze(grid, tol_scale=1.0):
     """
     ac_max = require_adapted(grid, tol_scale)
     require_imaginary(grid)
-    _require_metric(grid.summary.det_min)
+    det_min = grid.summary.det_min
+    if not det_min >= 1e-10:  # a NaN is not
+        raise ValueError(f"metric is degenerate (min EG - F^2 = {det_min:.3e})")
     K = np.empty((grid.nu, grid.nv))
     highs = [_analysis_slab(*slab, K) for slab in halo_slabs(grid)]
     r21, r22, r23, cr, lam_max, h_max, normal_dev, tangent_dev = (

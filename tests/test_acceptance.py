@@ -13,6 +13,10 @@ from nks3 import surface as sf
 
 SQ3 = np.sqrt(3.0)
 
+# grid coefficients are the raw imaginary parts of p^-1 dp and q^-1 dq;
+# times this they are the frame coefficients `nkspace` reads
+TO_FRAME = np.tile(frame.FLIP, 2)
+
 
 def _finish(num, title, failures):
     status = "PASS" if not failures else "FAIL"
@@ -253,7 +257,8 @@ def _cylinder_form_checks(grid):
     E, F, G = sf.induced_metric(gp.cu, gp.cv)
     base = nk.Point(grid.p, grid.q)
     huu, huv, hvv = (
-        nk.from_frame_coords(base, sf.second_fundamental_form(gp, k)) for k in range(3)
+        nk.from_frame_coords(base, sf.second_fundamental_form(gp, k) * TO_FRAME)
+        for k in range(3)
     )
     sq_u = (nk.gnorm(huu) / E) ** 2
     sq_v = (nk.gnorm(hvv) / G) ** 2
@@ -268,7 +273,7 @@ def _cylinder_form_checks(grid):
     j_res = float(
         sf.interior(nk.gnorm(huv - nk.apply_J(huu)) / E).max()
     )
-    pu = nk.apply_P(nk.from_frame_coords(base, gp.cu))
+    pu = nk.apply_P(nk.from_frame_coords(base, gp.cu * TO_FRAME))
     scale = E**1.5
     p_res = max(
         float(sf.interior(np.abs(nk.metric(h, pu)) / scale).max())

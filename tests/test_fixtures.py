@@ -36,7 +36,7 @@ def test_example1_is_adapted_and_flat():
     grid = fixtures.make_fixture("example1", nu=21, nv=21)
     gp = sf.partials(grid)
     assert sf.interior(sf.almost_complex_residual(gp)).max() < 2e-5
-    assert np.abs(sf.interior(sf.gaussian_curvature(gp))).max() < 1e-8
+    assert np.abs(sf.interior(sf.gaussian_curvature(gp, *gp.first_form))).max() < 1e-8
 
 
 def test_example2_on_sphere_product():
@@ -49,7 +49,7 @@ def test_example2_on_sphere_product():
     assert np.abs(norms - SQRT3 / 2.0).max() < 1e-14
     gp = sf.partials(grid)
     assert sf.interior(sf.almost_complex_residual(gp)).max() < 1e-4
-    K = sf.interior(sf.gaussian_curvature(gp))
+    K = sf.interior(sf.gaussian_curvature(gp, *gp.first_form))
     assert np.abs(K - 2.0 / 3.0).max() < 1e-4
 
 

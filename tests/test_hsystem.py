@@ -276,7 +276,7 @@ def test_from_potential_sphere():
     assert cert["drift_max"] < 1e-12
     assert cert["almost_complex_max"] < 1e-4
     gp = sf.partials(grid)
-    K = sf.interior(sf.gaussian_curvature(gp))
+    K = sf.interior(sf.gaussian_curvature(gp, *gp.first_form))
     assert np.abs(K - 2.0 / 3.0).max() < 1e-3
     pu = gp.cu @ frame.P_MAT.T
     defects = sf._alignment_defects(gp, pu, frame.gram_product(pu, gp.cu))

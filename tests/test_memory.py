@@ -142,14 +142,16 @@ def pq_bytes(grid):
 
 
 def test_analyze_peak_is_one_slab(grid201):
-    # in p + q of the grid: measured 0.970 over five halo slabs, the K
+    # in p + q of the grid: measured 0.944 over five halo slabs, the K
     # buffer (0.125) included, with `gram_product` and `_normal_part`
-    # building their scalar fields in place; the largest stage is then the
-    # rotated coefficient pair's (0.970), ahead of lambda's (0.944), which
-    # holds the slab's partials, P phi_u and J phi_u at once.  It read
-    # 0.998 with two more scalar fields alive in lambda's stage, 1.44 with
-    # the slab's partials kept across the next slab's, and 2.51 with
-    # whole-grid partials cached on the grid (at 401^2)
+    # building their scalar fields in place; the largest stage is then
+    # lambda's (0.944), which holds the slab's partials, P phi_u and J phi_u
+    # at once, and the rotated pair's is 0.828 now that it rotates views of
+    # the raw halves.  It read 0.970 while the pair was built from two
+    # sign-flipped copies of the halves, 0.998 with two more scalar fields
+    # alive in lambda's stage, 1.44 with the slab's partials kept across the
+    # next slab's, and 2.51 with whole-grid partials cached on the grid (at
+    # 401^2)
     assert traced_peak(lambda: sf.analyze(grid201)) <= 1.0 * pq_bytes(grid201)
 
 

@@ -40,8 +40,6 @@ def test_fixtures_public_names():
 NEVER_ENTERED = {
     "fixtures.non_adapted_grid": "the negative control of seven tests",
     "hsystem.sphere_fit": "criterion 07's reference, and a demo fits with it",
-    "surface.brioschi_curvature": "the checked Brioschi formula on closed-form metrics, "
-    "two tests' oracle; commands take K by `gaussian_curvature` per halo slab",
     "nkspace.Isometry.apply_point": "criterion 12; the planned cross-command isometry check",
     "nkspace.Isometry.push": "criterion 12; the planned cross-command isometry check",
     "nkspace.random_isometry": "criterion 12; the planned cross-command isometry check",

@@ -244,3 +244,22 @@ def test_cli_imports_the_identity_suite_only_to_verify():
     found = [(s, m) for s, m in _imported_modules(_parse("cli.py"))
              if m and m.split(".")[-1] == "nkspace"]
     assert found == [("cmd_verify", "nkspace")]
+
+
+def _mentions(tree, name):
+    """Whether `tree` imports, binds, reads or spells out `name`."""
+    return any(
+        getattr(n, "id", None) == name
+        or (isinstance(n, ast.Attribute) and n.attr == name)
+        or (isinstance(n, ast.alias) and n.name == name)
+        or (isinstance(n, ast.Constant) and n.value == name)
+        for n in ast.walk(tree)
+    )
+
+
+def test_flip_is_read_only_by_the_frame_and_the_ambient_suite():
+    # grid code keeps the raw imaginary parts of p^-1 dp and q^-1 dq; the
+    # sign flip to the paper's frame (its third field the translate of -k)
+    # lives in `frame`, and only `nkspace` converts with it
+    users = {p.name for p in SRC.glob("*.py") if _mentions(_parse(p.name), "FLIP")}
+    assert users == {"frame.py", "nkspace.py"}

@@ -14,9 +14,22 @@ QI, QJ, QK = np.eye(4)[1:]  # the imaginary units i, j, k
 
 SQ3 = frame.SQRT3
 
+# partials carry the raw imaginary parts of p^-1 dp and q^-1 dq; times this
+# they are the frame coefficients that `nkspace` reads and returns
+TO_FRAME = np.tile(frame.FLIP, 2)
+
 
 def small_fixture(name, n=21, h=None):
     return fixtures.make_fixture(name, nu=n, nv=n, du=h, dv=h)
+
+
+def moved_fixture(name, n=31):
+    """A fixture grid moved by a seeded random isometry: general position,
+    where every coefficient component is nonzero."""
+    fixture = small_fixture(name, n=n)
+    moved = nk.random_isometry(np.random.default_rng(5)).apply_point(
+        nk.Point(fixture.p, fixture.q))
+    return sf.immersion_grid(fixture, moved.p, moved.q)
 
 
 def alignment_defects(gp):
@@ -59,8 +72,8 @@ def test_partials_match_analytic_derivative():
     grid = small_fixture("example1")
     gp = sf.partials(grid)
     base = nk.Point(grid.p, grid.q)
-    phi_u = nk.from_frame_coords(base, gp.cu)
-    phi_v = nk.from_frame_coords(base, gp.cv)
+    phi_u = nk.from_frame_coords(base, gp.cu * TO_FRAME)
+    phi_v = nk.from_frame_coords(base, gp.cv * TO_FRAME)
     # p = exp(i(u - v/sqrt3)): p_u = p i, p_v = -p i / sqrt3
     pu_exact = quat.qmul(grid.p, QI)
     pv_exact = -pu_exact / SQ3
@@ -142,7 +155,7 @@ def test_extract_coefficients_example1_constants():
     assert (
         np.abs(sf.interior(beta_t) - np.array([-1 / SQ3, 0, 0])).max() < 1e-5
     )
-    gamma_t, delta_t = gp.cu[..., 3:] * frame.FLIP, gp.cv[..., 3:] * frame.FLIP
+    gamma_t, delta_t = gp.cu[..., 3:], gp.cv[..., 3:]
     assert np.abs(sf.interior(gamma_t)).max() < 1e-12
     assert (
         np.abs(sf.interior(delta_t) - np.array([-2 / SQ3, 0, 0])).max() < 5e-5
@@ -161,10 +174,10 @@ def test_rotated_pair_example1():
     assert np.abs(sf.interior(alpha) - np.array([-1.0, 0, 0])).max() < 2e-5
     assert np.abs(sf.interior(beta) - np.array([-1 / SQ3, 0, 0])).max() < 2e-5
     # rotating back recovers the unrotated pair, the first-factor halves of
-    # the partials with the sign flip undone
+    # the partials
     at, bt = sf.rotate_pair(alpha, beta, sf.FROM_POTENTIAL)
-    assert np.abs(at - gp.cu[..., :3] * frame.FLIP).max() < 1e-14
-    assert np.abs(bt - gp.cv[..., :3] * frame.FLIP).max() < 1e-14
+    assert np.abs(at - gp.cu[..., :3]).max() < 1e-14
+    assert np.abs(bt - gp.cv[..., :3]).max() < 1e-14
 
 
 def test_pair_rotations_are_the_closed_forms():
@@ -182,19 +195,6 @@ def test_pair_rotations_are_the_closed_forms():
         assert np.array_equal(got, want)
     back = sf.rotate_pair(*sf.rotate_pair(a, b, sf.TO_POTENTIAL), sf.FROM_POTENTIAL)
     assert max(np.abs(back[0] - a).max(), np.abs(back[1] - b).max()) < 1e-15
-
-
-def test_flipped_is_the_flip_product():
-    # the copy-and-negate `_flipped` stands for `x * FLIP`, bit for bit,
-    # signed zeros included, on strided halves as partials writes them
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((7, 5, 6))
-    x[0, 0], x[1, 1] = 0.0, -0.0
-    for half in (x[..., :3], x[..., 3:]):
-        assert sf._flipped(half).tobytes() == (half * frame.FLIP).tobytes()
-        out = np.empty_like(x)
-        sf._flipped(half, out=out[..., 3:])
-        assert out[..., 3:].tobytes() == (half * frame.FLIP).tobytes()
 
 
 def test_integrability_residuals_small_on_fixtures():
@@ -215,16 +215,16 @@ def test_integrability_halving_example2():
 @pytest.mark.parametrize("n, angle", [(41, 0.0), (61, 5e-3)])
 def test_curl_read_in_place_is_the_unrotated_pair_curl(n, angle):
     # the curl equation on the unrotated pair, -2 alpha_t x beta_t, formed
-    # here on the partials' first-factor halves with the sign flip undone,
-    # against the residual read in place from the halves (+2 cu x cv), to
-    # the bit; on clean example2 and with every other u-row of p turned
+    # here on the partials' first-factor halves, against the residual read
+    # in place from them, to the bit; on clean example2 and with every
+    # other u-row of p turned
     grid = small_fixture("example2", n=n)
     if angle:
         p = grid.p.copy()
         p[::2] = quat.qmul(quat.qexp(np.array([angle, 0.0, 0.0])), p[::2])
         grid = sf.immersion_grid(grid, p, grid.q)
     gp = sf.partials(grid)
-    alpha_t, beta_t = gp.cu[..., :3] * frame.FLIP, gp.cv[..., :3] * frame.FLIP
+    alpha_t, beta_t = gp.cu[..., :3], gp.cv[..., :3]
     r = grid.diff(alpha_t, 1) - grid.diff(beta_t, 0) - 2.0 * quat.cross(alpha_t, beta_t)
     want = float(sf.interior(np.linalg.norm(r, axis=-1)).max())
     got = sf.integrability_residuals(gp, *sf.extract_coefficients(gp.cu, gp.cv))[0]
@@ -238,7 +238,7 @@ def test_lambda_field_example1_value():
     assert np.abs(lam - target).max() < 1e-4
     # metric-level and quadratic-form routes agree: the quadratic form is
     # (1 + i sqrt3)/4 times the complex square of alpha_t - i beta_t
-    z = (gp.cu[..., :3] - 1j * gp.cv[..., :3]) * frame.FLIP
+    z = gp.cu[..., :3] - 1j * gp.cv[..., :3]
     lam_q = 0.25 * (1 + 1j * SQ3) * np.sum(z * z, axis=-1)
     assert np.abs(sf.interior(lam_q) - target).max() < 1e-4
     assert np.abs(sf.interior(lam_q) - lam).max() < 1e-4
@@ -366,7 +366,7 @@ def test_brioschi_cofactor_expansion_matches_linalg_det():
         E, G = 1.5 + 0.4 * wave(), 1.2 + 0.2 * wave()
         F = 0.5 * wave()
         want = _brioschi_by_linalg_det(lat, E, F, G)
-        got = sf.brioschi_curvature(lat, E, F, G)
+        got = sf.gaussian_curvature(lat, E, F, G)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -377,21 +377,44 @@ def test_brioschi_round_sphere():
     E = np.ones((41, 41))
     F = np.zeros((41, 41))
     G = (np.sin(u)[:, None] ** 2) * np.ones((1, 41))
-    K = sf.brioschi_curvature(lat, E, F, G)
+    K = sf.gaussian_curvature(lat, E, F, G)
     assert np.abs(sf.interior(K) - 1.0).max() < 1e-5
-    with pytest.raises(ValueError):
-        sf.brioschi_curvature(lat, E, E, E)  # EG - F^2 = 0
-    E[20, 20] = np.nan
-    with pytest.raises(ValueError, match="degenerate"):
-        sf.brioschi_curvature(lat, E, F, G)
+
+
+def slow_example1(scale):
+    """example1 with both circle angles scaled by `scale`: the same adapted
+    flat surface traced `1 / scale` times slower, so EG - F^2 falls as
+    scale^4 while every relative defect stays at rounding level."""
+    lat = sf.lattice(0.0, 0.0, 1e-2, 1e-2, 21, 21)
+    u, v = lat.u_vals[:, None], lat.v_vals[None, :]
+    s, t = scale * (u - v / SQ3), scale * (-2.0 * v / SQ3 + 0.0 * u)
+
+    def circle(a):
+        return np.stack([np.cos(a), np.sin(a), 0.0 * a, 0.0 * a], axis=-1)
+
+    return sf.immersion_grid(lat, circle(s), circle(t))
+
+
+def test_analyze_refuses_a_degenerate_metric():
+    # the metric gate refuses min EG - F^2 = 1.78e-12 against its 1e-10, and
+    # passes 1.44e-10 just above it; the refused grid passes every other gate
+    refused, kept = slow_example1(1e-3), slow_example1(3e-3)
+    assert 1e-12 < refused.summary.det_min < 1e-11
+    assert 1e-10 < kept.summary.det_min < 2e-10
+    with pytest.raises(ValueError, match=r"metric is degenerate \(min EG - F\^2 = 1.778e-12\)"):
+        sf.analyze(refused)
+    assert sf.require_adapted(refused, 1.0) < 1e-8
+    assert sf.require_imaginary(refused) < refused.fd_floor()
+    assert sf.analyze(kept)["classification"] == "tangent"
 
 
 def test_gaussian_curvature_fixture_values():
     g1 = small_fixture("example1", n=31)
-    K1 = sf.interior(sf.gaussian_curvature(sf.partials(g1)))
+    gp1 = sf.partials(g1)
+    K1 = sf.interior(sf.gaussian_curvature(gp1, *gp1.first_form))
     assert np.abs(K1).max() < 1e-8
-    g2 = small_fixture("example2", n=31)
-    K2 = sf.interior(sf.gaussian_curvature(sf.partials(g2)))
+    gp2 = sf.partials(small_fixture("example2", n=31))
+    K2 = sf.interior(sf.gaussian_curvature(gp2, *gp2.first_form))
     assert np.abs(K2 - 2.0 / 3.0).max() < 1e-4
 
 
@@ -416,11 +439,11 @@ def test_second_fundamental_form_symmetry_example2():
     grid = small_fixture("example2", n=31)
     gp = sf.partials(grid)
     base = nk.Point(grid.p, grid.q)
-    phi_u = nk.from_frame_coords(base, gp.cu)
-    phi_v = nk.from_frame_coords(base, gp.cv)
+    phi_u = nk.from_frame_coords(base, gp.cu * TO_FRAME)
+    phi_v = nk.from_frame_coords(base, gp.cv * TO_FRAME)
     # h is normal-valued: residual inner products with the tangent plane
     for k in range(3):
-        hh = nk.from_frame_coords(base, sf.second_fundamental_form(gp, k))
+        hh = nk.from_frame_coords(base, sf.second_fundamental_form(gp, k) * TO_FRAME)
         a = np.abs(nk.metric(hh, phi_u))
         b = np.abs(nk.metric(hh, phi_v))
         assert sf.interior(np.maximum(a, b)).max() < 1e-10
@@ -455,10 +478,7 @@ def test_frame_kernel_matches_ambient_operators(name):
     # coefficient results against the ambient quaternion operators, on a
     # random isometry image of a fixture grid (general position); lambda
     # vanishes on the round sphere, so the flat torus checks it too
-    fixture = small_fixture(name, n=31)
-    moved = nk.random_isometry(np.random.default_rng(5)).apply_point(
-        nk.Point(fixture.p, fixture.q))
-    grid = sf.immersion_grid(fixture, moved.p, moved.q)
+    grid = moved_fixture(name)
     base = nk.Point(grid.p, grid.q)
     gp = sf.partials(grid)
 
@@ -471,8 +491,8 @@ def test_frame_kernel_matches_ambient_operators(name):
 
     phi_u = ambient_partial(0, grid.du)
     phi_v = ambient_partial(1, grid.dv)
-    assert np.abs(nk.frame_coords(phi_u) - gp.cu).max() < 1e-12
-    assert np.abs(nk.frame_coords(phi_v) - gp.cv).max() < 1e-12
+    assert np.abs(nk.frame_coords(phi_u) - gp.cu * TO_FRAME).max() < 1e-12
+    assert np.abs(nk.frame_coords(phi_v) - gp.cv * TO_FRAME).max() < 1e-12
 
     E, F, G = nk.metric(phi_u, phi_u), nk.metric(phi_u, phi_v), nk.metric(phi_v, phi_v)
     for got, want in zip(gp.first_form, (E, F, G)):
@@ -492,8 +512,31 @@ def test_frame_kernel_matches_ambient_operators(name):
 
     for k in range(3):
         hc = sf.second_fundamental_form(gp, k)
-        normal = normal_part(nk.from_frame_coords(base, hc))
-        assert np.abs(nk.frame_coords(normal) - hc).max() < 1e-12
+        normal = normal_part(nk.from_frame_coords(base, hc * TO_FRAME))
+        assert np.abs(nk.frame_coords(normal) - hc * TO_FRAME).max() < 1e-12
+
+
+def test_coefficient_convention_in_general_position():
+    # the partials are the raw imaginary parts of p^-1 dp and q^-1 dq, and
+    # every stage reads them so; on a moved round sphere no component
+    # vanishes, so a third-component flip left in or dropped anywhere (the
+    # partials, the pair, the curl equation's sign, the connection's sign)
+    # fails one of these
+    grid = moved_fixture("example2")
+    gp = sf.partials(grid)
+    raw = [quat.imag(quat.qmul(quat.qconj(arr), grid.diff(arr, axis)))
+           for arr in (grid.p, grid.q) for axis in (0, 1)]
+    assert min(np.abs(sf.interior(r)).min() for r in raw) > 1e-3
+    assert np.array_equal(gp.cu, np.concatenate(raw[0::2], axis=-1))
+    assert np.array_equal(gp.cv, np.concatenate(raw[1::2], axis=-1))
+    alpha, beta = sf.extract_coefficients(gp.cu, gp.cv)
+    for got, want in zip((alpha, beta), sf.rotate_pair(raw[0], raw[1], sf.TO_POTENTIAL)):
+        assert np.array_equal(got, want)
+    # the curl and divergence equations weigh a cross product, whose sign a
+    # flip turns; the round sphere is totally geodesic, so h vanishes only
+    # with the connection's sign right
+    assert max(sf.integrability_residuals(gp, alpha, beta)) < 1e-4
+    assert sf.analyze(grid)["h_norm_max"] < 1e-4
 
 
 def test_grid_partials_computed_once_and_read_only():
@@ -588,7 +631,7 @@ def whole_grid_partials(grid):
         for axis in (0, 1):
             log = quat.qmul(quat.qconj(arr), grid.diff(arr, axis))
             reals.append(sf.interior(np.abs(log[..., 0])).max())
-            halves.append(quat.imag(log) * frame.FLIP)
+            halves.append(quat.imag(log))
     cu, cv = (np.concatenate(halves[k::2], axis=-1) for k in (0, 1))
     return cu, cv, float(np.max(reals))
 

@@ -36,6 +36,9 @@ RUNS = [
      ["fixture", "--fixture", "example1", *_grid(41, 41), "--output", "ex1.csv"]),
     ("analyze example1", 0, ["analyze", "--input", "ex1.csv", "--output", "ex1.json"]),
     ("to-h example1", 0, ["to-h", "--input", "ex1.csv", "--output", "ex1_h.csv"]),
+    # example1's third components vanish exactly, so a changed sign of zero
+    # would show as -0 in either direction's CSV
+    ("from-h example1 potential", 0, ["from-h", "--input", "ex1_h.csv", "--output", "ex1_s.csv"]),
     # 41-row slabs of 201 points leave this grid a last slab of one row
     ("fixture example2 83x201", 0,
      ["fixture", "--fixture", "example2", *_grid(83, 201), "--output", "ex83.csv"]),
@@ -59,6 +62,7 @@ RUNS = [
     ("analyze cmc_cylinder potential", 3, ["analyze", "--input", "cyl.csv"]),
     ("fixture cmc_sphere", 0, ["fixture", "--fixture", "cmc_sphere", "--output", "sph.csv"]),
     ("from-h cmc_sphere", 0, ["from-h", "--input", "sph.csv", "--output", "sph_s.csv"]),
+    ("to-h cmc_sphere surface", 0, ["to-h", "--input", "sph_s.csv", "--output", "sph_h.csv"]),
     ("analyze cmc_sphere surface --tol-scale 0.5", 0,
      ["analyze", "--input", "sph_s.csv", "--tol-scale", "0.5", "--output", "sph_s.json"]),
     ("from-h cmc_sphere --tol-scale 1e-6", 2,
