@@ -77,13 +77,15 @@ def _example2_grid(lat):
     sin_u = _sech(lat.u_vals)
     cos_u = -np.tanh(lat.u_vals)
     v = lat.v_vals
-    x = np.empty((lat.nu, lat.nv, 3))
+    p, q = np.empty((2, lat.nu, lat.nv, 4))
+    x = q[..., 1:]  # x is written into q and scaled into p and q in place
     x[..., 0] = sin_u[:, None] * np.cos(v)[None, :]
     x[..., 1] = sin_u[:, None] * np.sin(v)[None, :]
     x[..., 2] = cos_u[:, None] + 0.0 * v[None, :]
-    half = np.full(x.shape[:-1] + (1,), 0.5)
-    return immersion_grid(lat, np.concatenate([half, -(SQRT3 / 2.0) * x], axis=-1),
-                          np.concatenate([half, (SQRT3 / 2.0) * x], axis=-1))
+    p[..., 0] = q[..., 0] = 0.5
+    np.multiply(x, -(SQRT3 / 2.0), out=p[..., 1:])
+    x *= SQRT3 / 2.0
+    return immersion_grid(lat, p, q)
 
 
 def _cmc_sphere_epsilon(lat):

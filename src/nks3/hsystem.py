@@ -320,14 +320,15 @@ def _integrate_pair(pairs, lat, start):
     is (k, 4): all k grids share each chain's scan passes.  Each spine asks
     for its one line, the u-first lines for the blocks of the
     `Lattice.slabs(0)` and the v-first chains for those of the
-    `Lattice.slabs(1)`.  Returns the u-first grid and an iterator over
-    (slice, v-first values) for the slabs of v-columns, so a caller can
-    compare the orderings one slab at a time and never hold the whole
-    v-first grid."""
+    `Lattice.slabs(1)`.  Returns the u-first grid, (nu, nv, k, 4) as a view
+    of a factor-major buffer, so each grid [..., i, :] is one C-contiguous
+    block, and an iterator over (slice, v-first values) for the slabs of
+    v-columns, so a caller can compare the orderings one slab at a time and
+    never hold the whole v-first grid."""
     rows, cols = slice(0, lat.nu), slice(0, lat.nv)
     u_spine = _integrate_chain(start, pairs(rows, slice(0, 1), 0), lat, 0)[:, 0]
     v_spine = _integrate_chain(start, pairs(slice(0, 1), cols, 1), lat, 1)[0]
-    ufirst = np.empty((lat.nu, lat.nv) + start.shape)
+    ufirst = np.moveaxis(np.empty((len(start), lat.nu, lat.nv, 4)), 0, 2)
     for s in lat.slabs(0):
         ufirst[s] = _integrate_chain(u_spine[s], pairs(s, cols, 1), lat, 1)
     vfirst = ((s, _integrate_chain(v_spine[s], pairs(rows, s, 0), lat, 0))
@@ -352,10 +353,10 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     quaternion norm from 1 over both orderings of both factors; it only
     reports) and the adaptedness defect of the output.  The coefficient
     pairs are formed block by block from the potential
-    (`HSurfaceGrid.pairs`), which is dropped before the output grid is
-    built.  Raises ValueError for a bad `tol_scale`, CertificateError when
-    the input fails the equation residual gate or the orderings disagree
-    beyond tolerance.
+    (`HSurfaceGrid.pairs`), which is dropped before the output grid takes
+    over the u-first values.  Raises ValueError for a bad `tol_scale`,
+    CertificateError when the input fails the equation residual gate or the
+    orderings disagree beyond tolerance.
     """
     tol_scale = validate_tol_scale(tol_scale)
     out = hs.inset(1)
@@ -371,11 +372,8 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     del hs, vfirst, v
     compat = gate(np.max(gaps), tol, "path-ordering disagreement", CertificateError)
     drift = float(np.max(drifts))
-    factors = [ufirst[..., 0, :], ufirst[..., 1, :]]
-    del ufirst
-    # the grid gets the only references to the two factors, so it frees the
-    # integrated values once it has normalized copies
-    grid = immersion_grid(out, factors.pop(0), factors.pop())
+    # each factor is a contiguous block, which the grid normalizes in place
+    grid = immersion_grid(out, ufirst[..., 0, :], ufirst[..., 1, :])
     return grid, {"h_equation_max": eq_res, "compat_max": compat,
                   "drift_max": drift, "almost_complex_max": grid.summary.almost_complex_max}
 

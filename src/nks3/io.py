@@ -11,10 +11,10 @@ slots; only exponent-form and non-finite values go through `%`.  Each
 coordinate value is formatted once, not once per row it appears in.
 Readers accept any row order: rows carry their own (u, v) coordinates and
 are re-binned onto the recovered `Lattice`, which is validated once and
-which the grid is built over.  The immersion reader hands its binned payload
-to `surface.immersion_grid` and keeps no reference to it, so the payload is
-freed as soon as its normalized copy exists and never lives through the
-grid's construction pass.
+which the grid is built over.  Each block of columns is binned into its own
+C-contiguous array (p and q of an immersion, eps of a potential), which the
+grid constructor takes over: `surface.immersion_grid` normalizes p and q in
+place, so the read holds each grid once.
 """
 
 from __future__ import annotations
@@ -228,8 +228,9 @@ def _recover_axis(raw, label):
     return vals, step
 
 
-def _read_rows(path, header):
-    """The recovered `Lattice` and the header's columns after u, v binned onto it."""
+def _read_rows(path, header, *widths):
+    """The recovered `Lattice` and the header's columns after u, v binned
+    onto it, one C-contiguous (nu, nv, width) array per block of `widths`."""
     with open(path) as fh:
         first = fh.readline().strip()
         if first != header:
@@ -254,27 +255,27 @@ def _read_rows(path, header):
         raise ValueError(
             f"row count {data.shape[0]} does not fill a {nu} x {nv} grid"
         )
-    i = np.searchsorted(u_vals, data[:, 0])
-    j = np.searchsorted(v_vals, data[:, 1])
-    payload = np.full((nu, nv, len(columns) - 2), np.nan)
-    payload[i, j] = data[:, 2:]
-    if not np.isfinite(payload).all():
+    cells = np.searchsorted(u_vals, data[:, 0]), np.searchsorted(v_vals, data[:, 1])
+    seen = np.zeros((nu, nv), dtype=bool)
+    seen[cells] = True
+    if not seen.all():  # as many rows as cells, so a duplicate leaves one missing
         raise ValueError("grid has missing or duplicated (u, v) cells")
-    return lattice(u_vals[0], v_vals[0], du, dv, nu, nv), payload
+    blocks, start = [], 2
+    for width in widths:
+        blocks.append(np.empty((nu, nv, width)))
+        blocks[-1][cells] = data[:, start : start + width]
+        start += width
+    return lattice(u_vals[0], v_vals[0], du, dv, nu, nv), *blocks
 
 
 def read_immersion_csv(path):
-    lat, payload = _read_rows(path, IMMERSION_HEADER)
-    halves = [payload[..., :4], payload[..., 4:]]
-    del payload
-    # `immersion_grid` gets the only references to the payload, so it is
-    # freed once p and q are normalized, before the grid's validation pass
-    return immersion_grid(lat, halves.pop(0), halves.pop())
+    """`surface.immersion_grid` over the file's p and q, each binned into an
+    array of its own, which the grid normalizes in place."""
+    return immersion_grid(*_read_rows(path, IMMERSION_HEADER, 4, 4))
 
 
 def read_epsilon_csv(path):
-    lat, payload = _read_rows(path, EPSILON_HEADER)
-    return h_surface_grid(lat, payload)
+    return h_surface_grid(*_read_rows(path, EPSILON_HEADER, 3))
 
 
 def dump_report(report):

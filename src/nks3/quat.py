@@ -19,6 +19,7 @@ __all__ = [
     "norm",
     "normalize",
     "unit",
+    "unit_norm",
     "embed",
     "imag",
     "qexp",
@@ -52,8 +53,9 @@ def qconj(q):
 
 
 def norm(q):
-    """Euclidean norm of the four components."""
-    return np.linalg.norm(np.asarray(q, dtype=float), axis=-1)
+    """Euclidean norm of the four components: the bits of `np.linalg.norm(q,
+    axis=-1)`, without its (..., 4) array of squares."""
+    return np.sqrt(dot(q, q))
 
 
 def normalize(q):
@@ -75,6 +77,12 @@ def unit(q):
         ValueError: non-finite input or norm off by more than `_UNIT_TOL`.
     """
     q = np.asarray(q, dtype=float)
+    return q / unit_norm(q)[..., None]
+
+
+def unit_norm(q):
+    """The norms of the float array `q` after `unit`'s checks, which raise
+    its ValueErrors; `surface.immersion_grid` divides by them in place."""
     if q.shape[-1] != 4:
         raise ValueError(f"expected 4 trailing components, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
@@ -86,7 +94,7 @@ def unit(q):
         raise ValueError(
             f"quaternion norm deviates from 1 by {worst:.3e} (tolerance {_UNIT_TOL:.1e})"
         )
-    return q / n[..., None]
+    return n
 
 
 def embed(v):

@@ -264,8 +264,8 @@ class GridSummary(Lattice):
 
 @dataclass(frozen=True)
 class ImmersionGrid(Lattice):
-    """Points on the product manifold over a `Lattice`: `p` and `q` have
-    shape (nu, nv, 4)."""
+    """Points on the product manifold over a `Lattice`: `p` and `q` are
+    read-only unit quaternion arrays of shape (nu, nv, 4)."""
 
     p: np.ndarray
     q: np.ndarray
@@ -311,23 +311,28 @@ def _speed(e_min, g_min):
 
 
 def immersion_grid(lat, p, q):
-    """Validated grid over the `Lattice` `lat` (a grid is one too).
+    """Validated grid over the `Lattice` `lat` (a grid is one too), which
+    takes over `p` and `q`.
 
-    Checks that `p` and `q` have shape (lat.nu, lat.nv, 4), unit norms
-    (renormalizing within `quat.unit`'s tolerance), and, in the grid's
-    construction pass (`ImmersionGrid.summary`), that the finite-difference
-    derivatives are nonzero in the metric (immersion check).  Each input is
-    dropped as soon as its normalized copy exists, so a caller that passes
-    its only references (the CSV reader, the fixtures and
-    `hsystem.surface_from_epsilon` do) has them freed before that pass.
+    Checks that both have shape (lat.nu, lat.nv, 4) and pass `quat.unit`'s
+    checks before either changes, then divides each by its norms to
+    `quat.unit`'s bits: in place for a writeable, C-contiguous float64
+    array, into a copy for any other input or a q overlapping p.  The grid's
+    p and q are read-only.  Its construction pass (`ImmersionGrid.summary`)
+    checks that the finite-difference derivatives are nonzero in the metric
+    (immersion check).
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     shape = (lat.nu, lat.nv, 4)
     if p.shape != shape or q.shape != shape:
         raise ValueError(f"expected two {shape} arrays, got {p.shape} and {q.shape}")
-    p = quat.unit(p)
-    q = quat.unit(q)
+    norms = quat.unit_norm(p)[..., None], quat.unit_norm(q)[..., None]
+    if np.may_share_memory(p, q):
+        q = q.copy()
+    p, q = (np.divide(a, n, out=a if a.flags.writeable and a.flags.c_contiguous else None)
+            for a, n in zip((p, q), norms))
+    del norms  # not alive through the construction pass
+    p.flags.writeable = q.flags.writeable = False
     grid = ImmersionGrid(**lat.window(), p=p, q=q)
     slow = grid.summary.speed_min
     if not slow >= 1e-8:

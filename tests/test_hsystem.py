@@ -497,6 +497,21 @@ def test_drift_stays_at_roundoff_on_long_strip():
     assert cert["drift_max"] < 1e-12
 
 
+def test_drift_max_reads_the_v_first_chains(monkeypatch):
+    # a drift off the unit sphere that only the v-first ordering carries,
+    # far inside the ordering gate, still sets drift_max
+    hs = sphere_hs()
+    integrate = hsys._integrate_pair
+
+    def drifted(*args):
+        ufirst, vfirst = integrate(*args)
+        return ufirst, ((s, v * (1.0 + 1e-9)) for s, v in vfirst)
+
+    monkeypatch.setattr(hsys, "_integrate_pair", drifted)
+    _, cert = hsys.surface_from_epsilon(hs)
+    assert 0.9e-9 < cert["drift_max"] < 1.1e-9
+
+
 def _steps(h):
     """A lattice with step h along both axes; the chain reads only its steps."""
     return sf.lattice(0.0, 0.0, h, h, 5, 5)

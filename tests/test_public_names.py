@@ -47,6 +47,8 @@ NEVER_ENTERED = {
     "nkspace.random_point": "about twenty test sites and a demo draw with it",
     "nkspace.random_tangent": "about twenty test sites and a demo draw with it",
     "nkspace.sectional_curvature": "its frozen-value test and a demo read it",
+    "quat.unit": "the validated copy for a caller that keeps its array; bench/layers.py "
+                 "traces it, and its checks are `unit_norm`'s, which every grid enters",
 }
 
 

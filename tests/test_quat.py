@@ -122,6 +122,18 @@ def test_dot_is_np_sum_bitwise(shape_a, shape_b):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_norm_is_np_linalg_norm_bitwise():
+    # on contiguous, strided and reversed-component views, with signed zeros
+    # and magnitudes whose squares under- and overflow
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((37, 41, 4)) * rng.choice([1.0, 1e-170, 1e170], (37, 41, 1))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    with np.errstate(over="ignore", under="ignore"):
+        for v in (x, x[:, ::3], x[..., ::-1], x.reshape(-1, 4)):
+            got, want = quat.norm(v), np.linalg.norm(v, axis=-1)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_qexp_known_values():
     half_pi_i = np.array([np.pi / 2.0, 0.0, 0.0])
     assert np.allclose(quat.qexp(half_pi_i), QI, atol=1e-15)

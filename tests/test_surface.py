@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from nks3 import cli, fixtures, quat
+from nks3 import cli, fixtures, io, quat
 from nks3 import hsystem as hsys
 from nks3 import frame
 from nks3 import nkspace as nk
@@ -66,6 +66,95 @@ def test_grid_constructor_validation():
     ones[..., 0] = 1.0
     with pytest.raises(ValueError, match="not an immersion"):
         sf.immersion_grid(sf.lattice(0, 0, 1e-2, 1e-2, 8, 8), ones, ones)
+
+
+def off_unit(grid):
+    """Writeable, C-contiguous copies of the grid's p and q with norms
+    1 + 1e-7 and 1 - 1e-7, which renormalizing changes."""
+    return grid.p * (1.0 + 1e-7), grid.q * (1.0 - 1e-7)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_handed_over_arrays_are_normalized_in_place():
+    grid = small_fixture("example2")
+    p, q = off_unit(grid)
+    want = quat.unit(p.copy()), quat.unit(q.copy())
+    got = sf.immersion_grid(grid, p, q)
+    assert np.shares_memory(got.p, p) and np.shares_memory(got.q, q)
+    assert np.array_equal(bits(p), bits(want[0])) and np.array_equal(bits(q), bits(want[1]))
+    assert not (got.p.flags.writeable or got.q.flags.writeable)
+    # one array handed over as both factors is divided once
+    both = off_unit(grid)[0]
+    got = sf.immersion_grid(grid, both, both)
+    assert np.array_equal(bits(got.p), bits(want[0]))
+    assert np.array_equal(bits(got.q), bits(want[0]))
+
+
+@pytest.mark.parametrize("kind", ["read-only", "strided", "float32", "list", "grid"])
+def test_arrays_the_grid_cannot_take_over_are_copied(kind):
+    grid = small_fixture("example2")
+    p, q = off_unit(grid)
+    if kind == "read-only":
+        p.flags.writeable = False
+    elif kind == "strided":
+        p = np.concatenate([p, q], axis=-1)[..., :4]
+    elif kind == "float32":
+        p = p.astype(np.float32)
+    elif kind == "list":
+        p = p.tolist()
+    else:
+        p, q = grid.p, grid.q
+    before = bits(p).copy()
+    got = sf.immersion_grid(grid, p, q)
+    assert np.array_equal(bits(p), before)  # the caller's array is untouched
+    assert not np.shares_memory(got.p, np.asarray(p))
+    assert np.array_equal(bits(got.p), bits(quat.unit(np.asarray(p, dtype=float))))
+    assert not got.p.flags.writeable and got.p.flags.c_contiguous
+
+
+def test_refused_arrays_are_left_unmodified():
+    grid = small_fixture("example2")
+    p, q = off_unit(grid)
+    for bad, match in [(np.where(q == q.max(), np.nan, q), "must be finite"),
+                       (2.0 * q, "norm deviates")]:
+        for args in ((p, bad), (bad, q)):
+            before = [bits(a).copy() for a in args]
+            with pytest.raises(ValueError, match=match):
+                sf.immersion_grid(grid, *args)
+            assert all(np.array_equal(bits(a), b) for a, b in zip(args, before))
+    # the same p, accepted, is taken over
+    assert np.shares_memory(sf.immersion_grid(grid, p, q).p, p)
+
+
+def shuffled_immersion_csv(path, grid):
+    """The grid's CSV with its rows in a seeded random order."""
+    io.write_immersion_csv(path, grid)
+    lines = path.read_text().splitlines()
+    order = np.random.default_rng(0).permutation(len(lines) - 1)
+    path.write_text("\n".join([lines[0]] + [lines[1 + k] for k in order]) + "\n")
+    return path
+
+
+def test_every_producer_hands_over_contiguous_read_only_arrays(tmp_path):
+    ex2 = small_fixture("example2")
+    io.write_immersion_csv(tmp_path / "ex2.csv", ex2)
+    grids = {
+        "read": io.read_immersion_csv(tmp_path / "ex2.csv"),
+        "read shuffled": io.read_immersion_csv(
+            shuffled_immersion_csv(tmp_path / "shuffled.csv", ex2)),
+        "example1": small_fixture("example1"),
+        "example2": ex2,
+        "from-h": hsys.surface_from_epsilon(small_fixture("cmc_sphere"))[0],
+    }
+    assert np.array_equal(bits(grids["read shuffled"].p), bits(grids["read"].p))
+    for name, grid in grids.items():
+        for a in (grid.p, grid.q):
+            assert a.flags.c_contiguous and not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            grid.p[0, 0, 0] = 1.0
 
 
 def test_partials_match_analytic_derivative():
@@ -258,6 +347,36 @@ def test_lambda_real_part_is_the_alignment_product(name):
 def test_cr_residuals_example1_exact():
     gp = sf.partials(small_fixture("example1"))
     assert sf.cr_residuals(gp, *sf.extract_coefficients(gp.cu, gp.cv)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_cr_residuals_read_each_equation(k):
+    # alpha = (1 + s, 0, 0) and beta = (0, 1, 0) along s = u or v: their dot
+    # product vanishes and |alpha|^2 - |beta|^2 varies along s alone, so the
+    # first equation alone fails for s = v, the second alone for s = u; the
+    # stencils are exact on the quadratic, and the residual is max (1 + s)
+    lat = sf.lattice(0.0, 0.0, 0.1, 0.1, 9, 9)
+    s = np.broadcast_to((lat.u_vals[:, None], lat.v_vals[None, :])[k], (9, 9))
+    alpha = np.zeros((9, 9, 3))
+    alpha[..., 0] = 1.0 + s
+    beta = np.zeros((9, 9, 3))
+    beta[..., 1] = 1.0
+    assert sf.cr_residuals(lat, alpha, beta) == pytest.approx(1.0 + sf.interior(s).max())
+
+
+def test_alignment_reads_the_off_normal_part_along_phi_v():
+    # P phi_u replaced by phi_v less its phi_u part on the flat torus:
+    # g(P phi_u, phi_u) vanishes to roundoff, so the only off-normal part
+    # lies along phi_v
+    gp = sf.partials(small_fixture("example1"))
+    E, F, _ = gp.first_form
+    pu = gp.cv - (F / E)[..., None] * gp.cu
+    a = frame.gram_product(pu, gp.cu)
+    assert np.abs(a).max() < 1e-12
+    normal_dev, tangent_dev = sf._alignment_defects(gp, pu, a)
+    assert normal_dev == pytest.approx(1.0, rel=1e-3)  # |b| / (|P phi_u| |phi_u|)
+    assert tangent_dev < 1e-12
+    assert sf.classify_P_alignment(gp, normal_dev, tangent_dev) == "tangent"
 
 
 def test_induced_metric_example1():

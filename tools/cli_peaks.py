@@ -1,4 +1,5 @@
-"""Wall time and peak RSS of the five nks3 commands at 201^2 and 401^2.
+"""Wall time and peak RSS of the five nks3 commands at 201^2 and 401^2, and
+of the cylinder strip chain.
 
     python3 tools/cli_peaks.py ROOT
 
@@ -12,7 +13,9 @@ grid commands.  `verify --samples 1` imports `nkspace` as well, but not
 builds no grid, so its peak RSS sits below that floor.  Then runs the
 command chain fixture -> analyze -> to-h -> from-h, plus verify, on the
 example2 fixture at n x n points with step 1 / (n - 1), for n = 201 and
-401.  Every command is a fresh `python3 -m nks3.cli` process on ROOT/src,
+401, and last the strip chain of the benchmark's `cylinder_strip`
+workload, without its seeded rigid motion: fixture cmc_cylinder at 4001 x
+11 points, step 6e-3 -> from-h -> to-h on the surface that from-h wrote.  Every command is a fresh `python3 -m nks3.cli` process on ROOT/src,
 run in its own work directory; wall time and peak RSS come from
 `os.wait4`.  A fixed-cost row runs 15 times and prints the median of each
 figure, because a best of three cannot resolve differences of a few
@@ -59,6 +62,16 @@ def _commands(n):
     ]
 
 
+# the strip chain: the potential, the surface integrated back from it, and
+# the potential of that surface
+STRIP = [
+    ("fixture", ["fixture", "--fixture", "cmc_cylinder", "--nu", "4001", "--nv", "11",
+                 "--du", "6e-3", "--dv", "6e-3", "--output", "strip_h.csv"]),
+    ("from-h", ["from-h", "--input", "strip_h.csv", "--output", "strip_s.csv"]),
+    ("to-h", ["to-h", "--input", "strip_s.csv", "--output", "strip_h2.csv"]),
+]
+
+
 def _run(args, cwd, env):
     """(exit code, wall seconds, peak RSS in MB) of one command."""
     start = time.perf_counter()
@@ -80,9 +93,10 @@ def main(argv):
     work = Path(tempfile.mkdtemp(prefix="cli_peaks_"))
     failed = False
     try:
-        print(f"{'n':>4}  {'command':<8}  {'wall_s':>7}  {'peak_rss_mb':>11}")
+        print(f"{'n':>5}  {'command':<8}  {'wall_s':>7}  {'peak_rss_mb':>11}")
         rows = [(FIXED_REPEATS, statistics.median, *row) for row in FIXED]
         rows += [(REPEATS, min, str(n), name, args) for n in SIZES for name, args in _commands(n)]
+        rows += [(REPEATS, min, "strip", name, args) for name, args in STRIP]
         for repeats, pick, n, name, args in rows:
             runs = [_run(args, work, env) for _ in range(repeats)]
             codes = {code for code, _, _ in runs}
@@ -90,7 +104,7 @@ def main(argv):
             wall = pick(w for _, w, _ in runs)
             rss = pick(m for _, _, m in runs)
             note = "" if codes == {0} else f"  exit {sorted(codes)}"
-            print(f"{n:>4}  {name:<8}  {wall:>7.3f}  {rss:>11.1f}{note}", flush=True)
+            print(f"{n:>5}  {name:<8}  {wall:>7.3f}  {rss:>11.1f}{note}", flush=True)
     finally:
         shutil.rmtree(work)
     return 1 if failed else 0
