@@ -27,7 +27,7 @@ hs_back, _ = hsystem.epsilon_from_surface(back)
 
 
 def gram(h):
-    gu, gv = h.partials
+    gu, gv = h.partials()
     return np.stack(
         [np.sum(gu * gu, -1), np.sum(gu * gv, -1), np.sum(gv * gv, -1)], -1
     )

@@ -23,8 +23,6 @@ import argparse
 import gc
 import sys
 
-import numpy as np
-
 from . import __version__
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .frame import validate_tol_scale
@@ -44,7 +42,7 @@ from .io import (
     write_immersion_csv,
     write_report,
 )
-from .surface import analyze, interior
+from .surface import analyze, interior_spread
 
 VERSION_STRING = "nks3 " + __version__
 
@@ -112,15 +110,10 @@ def cmd_analyze(config):
 
 def _mean_curvature_stats(hs):
     try:
-        H = interior(mean_curvature(hs))
+        mean, dev = interior_spread(mean_curvature(hs))
     except ValueError as exc:
         return {"status": "not_conformal", "detail": str(exc)}
-    mean = float(H.mean())
-    return {
-        "status": "ok",
-        "H_mean": mean,
-        "H_max_dev": float(np.abs(H - mean).max()),
-    }
+    return {"status": "ok", "H_mean": mean, "H_max_dev": dev}
 
 
 def cmd_to_h(config):

@@ -18,14 +18,15 @@ the compatibility conditions to discretization error.
 
 Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
 `surface.Lattice`, are built over one (`h_surface_grid(lat, eps)`), and
-are read over the same `surface.halo_slabs`, so neither keeps a whole-grid
-derivative.  Each derives its gated defects in one cached construction
-pass: here `HSurfaceGrid.summary` (a `PotentialSummary`: the smallest
-speed, the conformality deviation `mean_curvature` gates, the equation
-residual `_require_solution` gates, and the speed field
-`metric_factor_check` reads); a surface grid's
-`surface.ImmersionGrid.summary`.  Each integrator's output covers its input
-window inset by one cell, and only its output is ever whole.
+are read over the same `surface.halo_slabs`.  Each holds its read-only
+values and one cached construction pass that derives its gated defects,
+and no derivative: here `HSurfaceGrid.summary` (a `PotentialSummary`: the
+smallest speed, the conformality deviation `mean_curvature` gates, the
+equation residual `_require_solution` gates, and the speed field
+`metric_factor_check` reads), whose slabs form the partials and Laplacian
+once each; a surface grid's `surface.ImmersionGrid.summary`.  Each
+integrator's output covers its input window inset by one cell, and only
+its output is ever whole.
 
 `epsilon_from_surface` reads the surface grid over its
 `surface.halo_slabs`, and integrates spine-then-lines: each slab's rows of
@@ -98,28 +99,21 @@ class PotentialSummary:
 
 @dataclass(frozen=True)
 class HSurfaceGrid(Lattice):
-    """Values of a map eps: R^2 -> R^3 over a `Lattice` (shape (nu, nv, 3)).
-
-    `partials` and `laplacian` are computed on first use and cached, so
-    `eps` must not be mutated after construction; the commands read them
-    only on the sub-grids of `surface.halo_slabs`, whose caches go with
-    each slab."""
+    """Values of a map eps: R^2 -> R^3 over a `Lattice`: `eps` is a
+    read-only array of shape (nu, nv, 3).  Its derivatives are formed on
+    each call, and the commands form them only on the sub-grids of
+    `surface.halo_slabs`."""
 
     eps: np.ndarray
 
-    @cached_property
     def partials(self):
-        """(eps_u, eps_v), read-only."""
-        eu, ev = self.diff(self.eps, 0), self.diff(self.eps, 1)
-        eu.flags.writeable = ev.flags.writeable = False
-        return eu, ev
+        """(eps_u, eps_v)."""
+        return self.diff(self.eps, 0), self.diff(self.eps, 1)
 
-    @cached_property
     def laplacian(self):
-        """eps_uu + eps_vv, read-only."""
+        """eps_uu + eps_vv."""
         lap = self.diff2(self.eps, 0)
         lap += self.diff2(self.eps, 1)
-        lap.flags.writeable = False
         return lap
 
     @cached_property
@@ -153,7 +147,7 @@ def _summary_slab(sub, keep, rows, speed):
     """One halo slab's share of `HSurfaceGrid.summary`: writes its kept
     rows of the speed field and returns its interior speed minimum, and
     its interior conformality deviation and equation residual maxima."""
-    eu, ev = sub.partials
+    eu, ev = sub.partials()
     e, g = np.sum(eu * eu, axis=-1), np.sum(ev * ev, axis=-1)
     full = e + g
     speed[rows] = full[keep]
@@ -165,13 +159,14 @@ def _summary_slab(sub, keep, rows, speed):
         conformal = (np.maximum(np.abs(e - g), np.abs(f)) / np.maximum(e, g)).max()
         del f
     del e, g, full  # none is alive beside the residual's temporaries
-    return low, (conformal, interior(h_equation_residual(sub)).max())
+    return low, (conformal, interior(h_equation_residual(eu, ev, sub.laplacian())).max())
 
 
 def h_surface_grid(lat, eps):
-    """Validated potential grid over the `Lattice` `lat`: checks that `eps`
-    has shape (lat.nu, lat.nv, 3), that every value is finite, and, in the
-    grid's construction pass (`HSurfaceGrid.summary`), that the first
+    """Validated potential grid over the `Lattice` `lat`, which takes over
+    a float64 `eps` (copies any other) and marks it read-only: checks that
+    it has shape (lat.nu, lat.nv, 3), that every value is finite, and, in
+    the construction pass (`HSurfaceGrid.summary`), that the first
     derivatives do not vanish on the interior."""
     eps = np.asarray(eps, dtype=float)
     shape = (lat.nu, lat.nv, 3)
@@ -179,17 +174,19 @@ def h_surface_grid(lat, eps):
         raise ValueError(f"expected an {shape} array, got {eps.shape}")
     if not np.isfinite(eps).all():
         raise ValueError("potential grid has non-finite values")
+    eps.flags.writeable = False
     hs = HSurfaceGrid(**lat.window(), eps=eps)
     if not hs.summary.speed_min >= 1e-10:
         raise ValueError("derivatives vanish on the interior; not a solution surface")
     return hs
 
 
-def h_equation_residual(hs):
-    """Pointwise norm of the defect of the quadratic second-order equation."""
-    defect = quat.cross(*hs.partials)
+def h_equation_residual(eu, ev, lap):
+    """Pointwise norm of the defect of the quadratic second-order equation,
+    from a potential's `HSurfaceGrid.partials` and `.laplacian`."""
+    defect = quat.cross(eu, ev)
     defect *= 4.0 / SQRT3
-    defect += hs.laplacian
+    defect += lap
     return np.linalg.norm(defect, axis=-1)
 
 
@@ -235,9 +232,8 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     for sub, keep, rows in halo_slabs(grid):
         # the pair needs only p's partials: q's, E, F, G and the real parts
         # are the construction pass's
-        shape = sub.p.shape[:-1]
-        cu, cv = np.empty(shape + (3,)), np.empty(shape + (3,))
-        factor_partials(sub, sub.p, cu, cv, np.zeros(shape))
+        cu, cv = np.empty(sub.p.shape[:-1] + (3,)), np.empty(sub.p.shape[:-1] + (3,))
+        factor_partials(sub, sub.p, cu, cv)
         a, b = extract_coefficients(cu, cv)
         del cu, cv
         # grid rows [lo, hi) are the slab's rows of the output window, which
@@ -392,10 +388,10 @@ def mean_curvature(hs):
          "coordinates are not conformal: relative deviation")
     H = np.empty((hs.nu, hs.nv))
     for sub, keep, rows in halo_slabs(hs):
-        eu, ev = sub.partials
+        eu, ev = sub.partials()
         n = quat.cross(eu, ev)
         n /= np.linalg.norm(n, axis=-1, keepdims=True)
-        n *= sub.laplacian
+        n *= sub.laplacian()
         H[rows] = (np.sum(n, axis=-1) / (2.0 * np.sum(eu * eu, axis=-1)))[keep]
     return H
 

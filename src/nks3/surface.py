@@ -80,6 +80,7 @@ __all__ = [
     "halo_slabs",
     "GridPartials",
     "interior",
+    "interior_spread",
     "partials",
     "factor_partials",
     "almost_complex_residual",
@@ -118,6 +119,9 @@ STEP_RTOL = 1e-6
 # residual statistics skip this many cells at each grid edge, and a halo
 # slab reads this many rows beyond the rows it keeps
 _MARGIN = 2
+
+# the smallest grid step whose square (`Lattice.diff2`'s divisor) is normal
+_STEP_MIN = float(np.sqrt(np.finfo(float).tiny))
 
 # the least number of grid points in one slab of `Lattice.slabs`; a slab of
 # a few rows of a long strip would run the kernels per row, far slower
@@ -231,13 +235,14 @@ class Lattice:
 
 
 def lattice(u0, v0, du, dv, nu, nv):
-    """Validated `Lattice`: a finite origin, finite steps > 0 and at least
-    5x5 points; raises ValueError otherwise."""
+    """Validated `Lattice`: a finite origin, finite steps of at least
+    `_STEP_MIN` and at least 5x5 points; raises ValueError otherwise."""
     u0, v0, du, dv = float(u0), float(v0), float(du), float(dv)
     if not (0.0 < du < np.inf and 0.0 < dv < np.inf):
-        raise ValueError(
-            f"grid steps must be finite and positive, got du={du}, dv={dv}"
-        )
+        raise ValueError(f"grid steps must be finite and positive, got du={du}, dv={dv}")
+    if min(du, dv) < _STEP_MIN:
+        raise ValueError(f"grid steps below {_STEP_MIN:.3e} have subnormal squares, "
+                         f"got du={du}, dv={dv}")
     if not (np.isfinite(u0) and np.isfinite(v0)):
         raise ValueError(f"grid origin must be finite, got u0={u0}, v0={v0}")
     if nu < 5 or nv < 5:
@@ -367,6 +372,12 @@ def interior(field):
     return field[_MARGIN:-_MARGIN, _MARGIN:-_MARGIN]
 
 
+def interior_spread(field):
+    """The `interior` mean of a scalar field and its largest deviation there."""
+    field = interior(field)
+    return float(field.mean()), float(np.abs(field - field.mean()).max())
+
+
 @dataclass(frozen=True)
 class GridPartials(Lattice):
     """Finite-difference coordinate derivatives of an immersion grid, over
@@ -388,33 +399,33 @@ class GridPartials(Lattice):
 
 def partials(grid):
     """Central-difference partial derivatives, one-sided at the edges, as
-    coefficients, each derivative formed and folded in turn
-    (`factor_partials`); a NaN on the interior makes `projection_max` NaN
-    (`np.maximum` keeps it).  The commands take them over halo slabs only
-    (`halo_slabs`)."""
-    real = np.zeros(grid.p.shape[:-1])
+    coefficients, each derivative formed in turn (`factor_partials`);
+    `projection_max` is the larger of the two factors' values, and a NaN
+    in either reaches it (`np.maximum` keeps it).  The commands take them
+    over halo slabs only (`halo_slabs`)."""
     cu = np.empty(grid.p.shape[:-1] + (6,))
     cv = np.empty_like(cu)
-    factor_partials(grid, grid.p, cu[..., :3], cv[..., :3], real)
-    factor_partials(grid, grid.q, cu[..., 3:], cv[..., 3:], real)
+    real = np.maximum(factor_partials(grid, grid.p, cu[..., :3], cv[..., :3]),
+                      factor_partials(grid, grid.q, cu[..., 3:], cv[..., 3:]))
     cu.flags.writeable = cv.flags.writeable = False
-    return GridPartials(**grid.window(), cu=cu, cv=cv,
-                        projection_max=float(interior(real).max()),
+    return GridPartials(**grid.window(), cu=cu, cv=cv, projection_max=float(real),
                         first_form=induced_metric(cu, cv))
 
 
-def factor_partials(grid, arr, cu, cv, real):
+def factor_partials(grid, arr, cu, cv):
     """One factor's half of `partials`: writes the imaginary parts of its
     logarithmic derivatives along u and v into `cu` and `cv` (..., 3) as
-    computed, and folds their |real parts| into `real`.
-    `hsystem.epsilon_from_surface` takes p's alone."""
+    computed, and returns the largest interior |real part| of either (NaN
+    when one is NaN).  `hsystem.epsilon_from_surface` takes p's alone."""
+    real = 0.0
     for c, axis in ((cu, 0), (cv, 1)):
         d = grid.diff(arr, axis)
         log = quat.qmul(quat.qconj(arr), d)
         del d
-        np.maximum(real, np.abs(log[..., 0]), out=real)
+        real = np.maximum(real, np.abs(interior(log[..., 0])).max())
         c[...] = quat.imag(log)
         del log  # one derivative alive at a time
+    return real
 
 
 def _norm(c):
@@ -702,8 +713,7 @@ def analyze(grid, tol_scale=1.0):
     highs = [_analysis_slab(*slab, K) for slab in halo_slabs(grid)]
     r21, r22, r23, cr, lam_max, h_max, normal_dev, tangent_dev = (
         float(x) for x in np.max(highs, axis=0))
-    K = interior(K)
-    K_mean, K_max_dev = float(K.mean()), float(np.abs(K - K.mean()).max())
+    K_mean, K_max_dev = interior_spread(K)
     return {
         "almost_complex_max": ac_max,
         "integrability_21_max": r21,

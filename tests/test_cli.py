@@ -374,6 +374,17 @@ def test_analysis_forms_each_second_form_part_once(monkeypatch, tmp_path, comman
     assert parts == [0, 1, 2]
 
 
+def test_fixture_refuses_a_step_whose_square_underflows(tmp_path, capsys):
+    # refused by `lattice` before any value is formed: no divide-by-zero
+    # warning, no NaN self-check and no file
+    out = tmp_path / "c.csv"
+    code, rep, err = run(capsys, "--command", "fixture", "--fixture", "cmc_cylinder",
+                         "--nu", "9", "--nv", "9", "--du", "1e-170", "--dv", "1e-170",
+                         "--output", str(out))
+    assert (code, rep) == (3, None) and "subnormal squares" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_fixture(tmp_path, capsys):
     csv = tmp_path / "ex1.csv"
     run(capsys, "--command", "fixture", "--fixture", "example1",

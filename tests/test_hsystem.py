@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ from nks3.frame import SQRT3
 
 def sphere_hs(n=31, h=6e-3):
     return fixtures.make_fixture("cmc_sphere", nu=n, nv=n, du=h, dv=h)
+
+
+def equation_residual(hs):
+    """The interior `h_equation_residual` of a whole potential grid."""
+    return sf.interior(hsys.h_equation_residual(*hs.partials(), hs.laplacian()))
 
 
 def test_h_surface_grid_validation():
@@ -47,15 +53,51 @@ def test_from_potential_nan_cell_fails_equation_gate():
         hsys.surface_from_epsilon(hsys.HSurfaceGrid(**hs.window(), eps=eps))
 
 
-def test_potential_fields_are_cached_and_read_only():
+def test_potential_derivatives_are_the_lattice_stencils_formed_per_call():
+    # a potential grid caches only its summary: `partials` and `laplacian`
+    # are the lattice's stencils, bit for bit, formed anew on each call
     hs = sphere_hs(15)
-    eu, ev = hs.partials
-    assert hs.partials is hs.partials and hs.laplacian is hs.laplacian
+    eu, ev = hs.partials()
     assert np.array_equal(eu, np.gradient(hs.eps, hs.du, axis=0, edge_order=2))
     assert np.array_equal(ev, np.gradient(hs.eps, hs.dv, axis=1, edge_order=2))
-    for field in (eu, ev, hs.laplacian):
-        with pytest.raises(ValueError, match="read-only"):
-            field[0, 0, 0] = 0.0
+    lap = hs.laplacian()
+    assert np.array_equal(lap, hs.diff2(hs.eps, 0) + hs.diff2(hs.eps, 1))
+    again = (*hs.partials(), hs.laplacian())
+    for first, second in zip((eu, ev, lap), again):
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+
+
+def test_grid_classes_cache_only_their_summary():
+    # a grid holds its window, its read-only values and one cached
+    # construction pass; every derivative is formed where a pass reads it
+    for cls in (sf.ImmersionGrid, hsys.HSurfaceGrid):
+        cached = [name for name, value in vars(cls).items()
+                  if isinstance(value, functools.cached_property)]
+        assert cached == ["summary"], cls
+
+
+def _frozen(hs):
+    assert not hs.eps.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        hs.eps[0, 0, 0] = 0.0
+
+
+def test_potential_grid_takes_over_and_freezes_eps(tmp_path):
+    # the grid keeps a float64 eps handed to it, read-only, so its cached
+    # summary cannot go stale; any other input is copied first
+    hs = sphere_hs(15)
+    eps = hs.eps.copy()
+    taken = hsys.h_surface_grid(hs, eps)
+    assert taken.eps is eps
+    _frozen(taken)
+    single = eps.astype(np.float32)
+    assert hsys.h_surface_grid(hs, single).eps is not single and single.flags.writeable
+    for name in ("cmc_sphere", "cmc_cylinder"):
+        _frozen(fixtures.make_fixture(name, nu=15, nv=15))
+    io.write_epsilon_csv(tmp_path / "eps.csv", hs)
+    _frozen(io.read_epsilon_csv(tmp_path / "eps.csv"))
+    _frozen(hsys.epsilon_from_surface(fixtures.make_fixture("example2", nu=31, nv=31))[0])
 
 
 def _potential_blocks(monkeypatch):
@@ -189,7 +231,7 @@ def test_equation_residual_line_is_zero():
     v = np.arange(11) * 0.1
     eps = (u[:, None] + 2.0 * v[None, :])[..., None] * np.array([1.0, 2.0, 2.0])
     hs = hsys.HSurfaceGrid(0.0, 0.0, 0.1, 0.1, 11, 11, eps)
-    assert sf.interior(hsys.h_equation_residual(hs)).max() < 1e-11
+    assert equation_residual(hs).max() < 1e-11
 
 
 def test_equation_residual_flags_plane():
@@ -199,13 +241,12 @@ def test_equation_residual_flags_plane():
     eps[..., 0] = u[:, None]
     eps[..., 1] = v[None, :]
     hs = hsys.HSurfaceGrid(0.0, 0.0, 0.1, 0.1, 11, 11, eps)
-    res = sf.interior(hsys.h_equation_residual(hs))
-    assert np.abs(res - 4.0 / SQRT3).max() < 1e-9
+    assert np.abs(equation_residual(hs) - 4.0 / SQRT3).max() < 1e-9
 
 
 def test_equation_residual_halving_on_sphere():
-    r1 = sf.interior(hsys.h_equation_residual(sphere_hs(15, 8e-3))).max()
-    r2 = sf.interior(hsys.h_equation_residual(sphere_hs(15, 4e-3))).max()
+    r1 = equation_residual(sphere_hs(15, 8e-3)).max()
+    r2 = equation_residual(sphere_hs(15, 4e-3)).max()
     assert r1 / r2 > 3.6
 
 

@@ -155,6 +155,24 @@ def test_analyze_peak_is_one_slab(grid201):
     assert traced_peak(lambda: sf.analyze(grid201)) <= 1.0 * pq_bytes(grid201)
 
 
+def test_immersion_summary_peak_201(grid201):
+    # the construction pass alone, on a fresh grid over the same arrays: in
+    # p + q, measured 0.883 with each factor's real parts reduced to their
+    # interior maximum as they are formed; 0.911 while both factors folded
+    # them into a whole (nu, nv) field
+    fresh = sf.ImmersionGrid(**grid201.window(), p=grid201.p, q=grid201.q)
+    assert traced_peak(lambda: fresh.summary) <= 0.897 * pq_bytes(grid201)
+
+
+def test_potential_summary_peak_201(grid201):
+    hs, _ = hsys.epsilon_from_surface(grid201)
+    fresh = hsys.HSurfaceGrid(**hs.window(), eps=hs.eps)
+    # in p + q of the 201^2 grid (the potential is 199^2): measured 0.606
+    # with each slab's partials and Laplacian formed as plain arrays and
+    # handed to the residual; 0.621 while they were cached on the sub-grid
+    assert traced_peak(lambda: fresh.summary) <= 0.614 * pq_bytes(grid201)
+
+
 def test_make_fixture_peak_201(grid201):
     # in p + q: measured 1.91, example2's p and q written in place and taken
     # over by the grid, which normalizes them in place; 2.41 with the
@@ -174,8 +192,10 @@ def test_surface_from_epsilon_peak_201(grid201):
 
 
 def test_epsilon_from_surface_peak_201(grid201):
-    # in p + q: measured 1.24 with the potential's checks over its halo
-    # slabs; 2.67 in its whole-grid partials, Laplacian and equation residual
+    # in p + q: measured 1.21 once p's partials stopped filling a discarded
+    # (nu, nv) field of real parts per slab; 1.24 with it, the potential
+    # checked over its halo slabs; 2.67 in its whole-grid partials,
+    # Laplacian and equation residual
     peak = traced_peak(lambda: hsys.epsilon_from_surface(grid201))
     assert peak <= 1.61 * pq_bytes(grid201)
 

@@ -693,6 +693,23 @@ def test_lattice_rejects_bad_steps(step):
         sf.lattice(0.0, 0.0, 1e-2, step, 9, 9)
 
 
+def test_lattice_refuses_steps_whose_square_underflows(tmp_path):
+    # `Lattice.diff2` divides by h * h, which is subnormal or zero below
+    # sqrt(tiny); the CSV readers build their window through `lattice` too
+    floor = float(np.sqrt(np.finfo(float).tiny))
+    for du, dv in ((1e-170, 1e-2), (1e-2, np.nextafter(floor, 0.0))):
+        with pytest.raises(ValueError, match="subnormal squares"):
+            sf.lattice(0.0, 0.0, du, dv, 9, 9)
+    for step in (floor, 1.5e-154):
+        lat = sf.lattice(0.0, 0.0, step, step, 9, 9)
+        assert lat.du * lat.dv >= np.finfo(float).tiny
+    path = tmp_path / "tiny.csv"
+    rows = [f"{i * 1e-170!r},{j * 1e-170!r},{i},{j},0" for i in range(9) for j in range(9)]
+    path.write_text("\n".join([io.EPSILON_HEADER, *rows]) + "\n")
+    with pytest.raises(ValueError, match="subnormal squares"):
+        io.read_epsilon_csv(path)
+
+
 def test_lattice_window_validation_and_methods():
     with pytest.raises(ValueError, match="5x5"):
         sf.lattice(0.0, 0.0, 1e-2, 1e-2, 4, 9)

@@ -4,10 +4,11 @@
 
 Runs the same fixed list of command line runs against both trees, each
 with PYTHONPATH=<root>/src and its own fresh work directory, so both see
-the same relative paths.  For every run it compares stdout, stderr, the
-exit code and every file the run wrote, byte for byte, and prints one
-line.  Exits 1 if any run differs, 0 if all are identical.  Standard
-library only; the work directories are removed at the end.
+the same relative paths; the potentials in `INPUTS` are written into both
+first.  For every run it compares stdout, stderr, the exit code and every
+file the run wrote, byte for byte, and prints one line.  Exits 1 if any
+run differs, 0 if all are identical.  Standard library only; the work
+directories are removed at the end.
 """
 
 from __future__ import annotations
@@ -24,6 +25,19 @@ def _grid(nu, nv, h=None):
     args = ["--nu", str(nu), "--nv", str(nv)]
     return args + ["--du", repr(h), "--dv", repr(h)] if h else args
 
+
+def _potential_csv(n, h, eps):
+    """The epsilon CSV text of eps(u, v) on the n x n lattice of step h."""
+    points = [(i * h, j * h) for i in range(n) for j in range(n)]
+    rows = [",".join(map(repr, (u, v, *eps(u, v)))) for u, v in points]
+    return "\n".join(["u,v,x,y,z", *rows]) + "\n"
+
+
+# file name -> CSV text, written into each work directory before the runs
+INPUTS = {
+    "const.csv": _potential_csv(7, 0.1, lambda u, v: (1.0, 2.0, 3.0)),
+    "plane.csv": _potential_csv(9, 0.05, lambda u, v: (u, v, 0.0)),
+}
 
 # (label, expected exit code, cli arguments); later runs read earlier outputs
 RUNS = [
@@ -68,6 +82,13 @@ RUNS = [
     ("from-h cmc_sphere --tol-scale 1e-6", 2,
      ["from-h", "--input", "sph.csv", "--tol-scale", "1e-6", "--output", "sph_tight.csv"]),
     ("from-h immersion csv", 3, ["from-h", "--input", "ex1.csv", "--output", "bad_s.csv"]),
+    # refused by the potential's construction pass: its derivatives vanish
+    ("from-h constant potential", 3,
+     ["from-h", "--input", "const.csv", "--output", "const_s.csv"]),
+    # refused by the equation-residual certificate: the plane's residual is
+    # 4/sqrt3, far above the 200 h^2 = 0.5 it is allowed at this step
+    ("from-h plane potential", 2,
+     ["from-h", "--input", "plane.csv", "--output", "plane_s.csv"]),
     ("verify --samples 10000 --seed 1", 0,
      ["verify", "--samples", "10000", "--seed", "1", "--output", "verify.json"]),
 ]
@@ -112,6 +133,8 @@ def main(argv):
         works = [top / "parent", top / "change"]
         for work in works:
             work.mkdir()
+            for name, text in INPUTS.items():
+                (work / name).write_text(text)
         for label, expected, args in RUNS:
             results = [_run(root, work, args) for root, work in zip(roots, works)]
             diffs = _differences(*results)
