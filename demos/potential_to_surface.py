@@ -14,7 +14,7 @@ for name in ("cmc_sphere", "cmc_cylinder"):
     print(f"{name}: potential {hs.nu} x {hs.nv} -> surface "
           f"{grid.nu} x {grid.nv}")
     print("  integration compatibility residual:", cert["compat_max"])
-    print("  adaptedness defect of the output:", cert["almost_complex_max"])
+    print("  adaptedness defect of the output:", report["almost_complex_max"])
     print("  Gaussian curvature mean:", report["K_mean"])
     print("  second fundamental form norm:", report["h_norm_max"])
     print("  classification:", report["classification"])

@@ -19,14 +19,14 @@ the compatibility conditions to discretization error.
 Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
 `surface.Lattice`, are built over one (`h_surface_grid(lat, eps)`), and
 are read over the same `surface.halo_slabs`.  Each holds its read-only
-values and one cached construction pass that derives its gated defects,
-and no derivative: here `HSurfaceGrid.summary` (a `PotentialSummary`: the
-smallest speed, the conformality deviation `mean_curvature` gates, the
-equation residual `_require_solution` gates, and the speed field
-`metric_factor_check` reads), whose slabs form the partials and Laplacian
-once each; a surface grid's `surface.ImmersionGrid.summary`.  Each
-integrator's output covers its input window inset by one cell, and only
-its output is ever whole.
+values, no derivative, and one summary pass, run on first read, that
+derives its gated defects and refuses a grid whose derivatives vanish:
+here `HSurfaceGrid.summary` (a `PotentialSummary`: the smallest speed, the
+conformality deviation `mean_curvature` gates, the equation residual
+`_require_solution` gates, and the speed field `metric_factor_check`
+reads), whose slabs form the partials and Laplacian once each; a surface
+grid's `surface.ImmersionGrid.summary`.  Each integrator's output covers
+its input window inset by one cell, and only its output is ever whole.
 
 `epsilon_from_surface` reads the surface grid over its
 `surface.halo_slabs`, and integrates spine-then-lines: each slab's rows of
@@ -82,16 +82,14 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True)
 class PotentialSummary:
-    """What the construction pass of a potential grid keeps: the smallest
-    interior speed e + g, the largest interior relative conformality
-    deviation max(|e - g|, |f|) / max(e, g), where (e, f, g) = (|eps_u|^2,
-    eps_u . eps_v, |eps_v|^2) (NaN on a slab whose speed falls below the
-    floor `h_surface_grid` refuses, so no division meets a zero), the
-    largest interior `h_equation_residual`, and the read-only (nu, nv)
-    speed field.  A NaN anywhere in a field reaches its minimum or
-    maximum."""
+    """What the summary pass of a potential grid keeps: the largest
+    interior relative conformality deviation max(|e - g|, |f|) / max(e, g),
+    where (e, f, g) = (|eps_u|^2, eps_u . eps_v, |eps_v|^2) (NaN on a slab
+    whose speed e + g falls below the floor `HSurfaceGrid.summary` refuses,
+    so no division meets a zero), the largest interior
+    `h_equation_residual`, and the read-only (nu, nv) speed field.  A NaN
+    anywhere in a field reaches its maximum."""
 
-    speed_min: float
     conformal_max: float
     h_equation_max: float
     speed: np.ndarray
@@ -119,12 +117,15 @@ class HSurfaceGrid(Lattice):
     @cached_property
     def summary(self):
         """The grid's one `PotentialSummary`, from one pass over its
-        `surface.halo_slabs`, computed on first use."""
+        `surface.halo_slabs`, computed on first use; raises ValueError unless
+        the smallest interior speed is at least 1e-10 (a NaN is not)."""
         speed = np.empty((self.nu, self.nv))
         lows, highs = zip(*(_summary_slab(*slab, speed) for slab in halo_slabs(self)))
         speed.flags.writeable = False
+        if not np.min(lows) >= 1e-10:
+            raise ValueError("derivatives vanish on the interior; not a solution surface")
         conformal, equation = np.max(highs, axis=0)
-        return PotentialSummary(float(np.min(lows)), float(conformal), float(equation), speed)
+        return PotentialSummary(float(conformal), float(equation), speed)
 
     def pairs(self, rows, cols, axis):
         """The coefficients along `axis` of both quaternion factors on the
@@ -165,9 +166,9 @@ def _summary_slab(sub, keep, rows, speed):
 def h_surface_grid(lat, eps):
     """Validated potential grid over the `Lattice` `lat`, which takes over
     a float64 `eps` (copies any other) and marks it read-only: checks that
-    it has shape (lat.nu, lat.nv, 3), that every value is finite, and, in
-    the construction pass (`HSurfaceGrid.summary`), that the first
-    derivatives do not vanish on the interior."""
+    it has shape (lat.nu, lat.nv, 3) and that every value is finite.  It
+    forms no derivative: `HSurfaceGrid.summary` checks, on first read, that
+    the first derivatives do not vanish on the interior."""
     eps = np.asarray(eps, dtype=float)
     shape = (lat.nu, lat.nv, 3)
     if eps.shape != shape:
@@ -175,10 +176,7 @@ def h_surface_grid(lat, eps):
     if not np.isfinite(eps).all():
         raise ValueError("potential grid has non-finite values")
     eps.flags.writeable = False
-    hs = HSurfaceGrid(**lat.window(), eps=eps)
-    if not hs.summary.speed_min >= 1e-10:
-        raise ValueError("derivatives vanish on the interior; not a solution surface")
-    return hs
+    return HSurfaceGrid(**lat.window(), eps=eps)
 
 
 def h_equation_residual(eu, ev, lap):
@@ -217,21 +215,21 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     defect.  Both paths are integrated in one pass over the grid's
     `surface.halo_slabs`, so only the potential is ever whole, and the
     function drops the grid after that pass: `to-h` hands it over and keeps
-    only its `surface.GridSummary`.  Raises
-    ValueError for a bad `tol_scale` or a grid that is not adapted
-    (`surface.require_adapted`, `surface.require_imaginary`),
+    only its `surface.GridSummary`, the one gated here.  Raises ValueError
+    for a bad `tol_scale`, a grid that is not an immersion (its summary) or
+    not adapted (`surface.require_adapted`, `surface.require_imaginary`),
     CertificateError when the paths disagree or the potential misses the
     equation beyond discretization order.
     """
-    ac_max = require_adapted(grid, tol_scale)
+    ac_max = require_adapted(grid.summary, tol_scale)
     out = grid.inset(1)
-    require_imaginary(grid)
+    require_imaginary(grid.summary)
     tol = _default_cert_tol(grid, tol_scale)
     eps = np.empty((out.nu, out.nv, 3))
     gaps = []
     for sub, keep, rows in halo_slabs(grid):
         # the pair needs only p's partials: q's, E, F, G and the real parts
-        # are the construction pass's
+        # are the summary pass's
         cu, cv = np.empty(sub.p.shape[:-1] + (3,)), np.empty(sub.p.shape[:-1] + (3,))
         factor_partials(sub, sub.p, cu, cv)
         a, b = extract_coefficients(cu, cv)
@@ -345,16 +343,19 @@ def surface_from_epsilon(hs, tol_scale=1.0):
 
     The certificate carries the second-order equation residual of the input,
     the largest disagreement between the two path orderings of the
-    quaternion integration, `drift_max` (the largest deviation of a
+    quaternion integration and `drift_max` (the largest deviation of a
     quaternion norm from 1 over both orderings of both factors; it only
-    reports) and the adaptedness defect of the output.  The coefficient
-    pairs are formed block by block from the potential
-    (`HSurfaceGrid.pairs`), which is dropped before the output grid takes
-    over the u-first values.  Raises ValueError for a bad `tol_scale`,
+    reports); no pass reads the output grid here, so its immersion check
+    and adaptedness defect come from its first reader (`analyze` in
+    `from-h`).  The coefficient pairs are formed block by block from the
+    potential (`HSurfaceGrid.pairs`), which is dropped before the output
+    grid takes over the u-first values.  Raises ValueError for a bad
+    `tol_scale` or a potential whose derivatives vanish (its summary),
     CertificateError when the input fails the equation residual gate or the
     orderings disagree beyond tolerance.
     """
     tol_scale = validate_tol_scale(tol_scale)
+    hs.summary  # refuses vanishing derivatives before the window is inset
     out = hs.inset(1)
     tol = _default_cert_tol(hs, tol_scale)
     eq_res = _require_solution(hs, tol, "; input is not a solution surface")
@@ -370,8 +371,7 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     drift = float(np.max(drifts))
     # each factor is a contiguous block, which the grid normalizes in place
     grid = immersion_grid(out, ufirst[..., 0, :], ufirst[..., 1, :])
-    return grid, {"h_equation_max": eq_res, "compat_max": compat,
-                  "drift_max": drift, "almost_complex_max": grid.summary.almost_complex_max}
+    return grid, {"h_equation_max": eq_res, "compat_max": compat, "drift_max": drift}
 
 
 def mean_curvature(hs):

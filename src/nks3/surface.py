@@ -29,11 +29,11 @@ arrays (p and q, or a potential's eps in `hsystem`).  A kept row needs
 values two rows away (one for the partials, one for the derivatives of
 fields built from them), so a sub-grid's `interior` is exactly its share
 of the grid's: the stage functions run on each sub-grid as they are, and
-their maxima merge by `np.max` to the same bits.  The
-construction pass, cached as `ImmersionGrid.summary`, keeps what
-`immersion_grid` and the gates read and the E field; `analyze` and
-`hsystem.epsilon_from_surface` each take one more pass, and gate merged
-values only.
+their maxima merge by `np.max` to the same bits.  Building a grid forms
+no derivative; the first pass that reads it merges the slabs' summary
+shares into its `GridSummary` and refuses a grid that is not an
+immersion: `ImmersionGrid.summary` caches that pass, and `analyze` takes
+it once, with its own stages on the same partials.
 
 The correspondence with flat potentials is two fixed rotations of the
 first factor's coefficient pair, each one `rotate_pair(a, b, rotation)`:
@@ -252,19 +252,18 @@ def lattice(u0, v0, du, dv, nu, nv):
 
 @dataclass(frozen=True)
 class GridSummary(Lattice):
-    """What the construction pass of an immersion grid keeps, over the
+    """What one pass over an immersion grid's halo slabs keeps, over the
     grid's window: its largest interior almost-complex defect and real-part
     residual (the largest dropped real part of a logarithmic derivative),
-    the smallest interior derivative norm sqrt(min(E, G)), the smallest
-    EG - F^2 over the whole grid, and the read-only (nu, nv) field E.  A NaN
-    anywhere in a field reaches its maximum or minimum.  It holds no
-    reference to p and q, so a command can keep it past the grid."""
+    the smallest EG - F^2 over the whole grid, and the read-only (nu, nv)
+    field E (None from `analyze`'s pass, which reads no E).  A NaN anywhere
+    in a field reaches its maximum or minimum.  It holds no reference to p
+    and q, so a command can keep it past the grid."""
 
     almost_complex_max: float
     projection_max: float
-    speed_min: float
     det_min: float
-    E: np.ndarray
+    E: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -277,42 +276,43 @@ class ImmersionGrid(Lattice):
 
     @cached_property
     def summary(self):
-        """The grid's one `GridSummary`, from one pass over its `halo_slabs`,
-        computed on first use.
-
-        A slab whose derivatives vanish somewhere on its interior (which
-        `immersion_grid` refuses) reads a NaN almost-complex defect in place
-        of a residual that would divide by |phi_u| = 0, so it fails every
-        gate."""
+        """The grid's one `GridSummary` with its E field, from one pass over
+        its `halo_slabs`, computed on first use.  Raises ValueError when the
+        grid is not an immersion (`_grid_summary`)."""
         E = np.empty((self.nu, self.nv))
-        lows, highs = zip(*(_summary_slab(*slab, E) for slab in halo_slabs(self)))
+        shares = [_summary_slab(partials(sub), keep, rows, E)
+                  for sub, keep, rows in halo_slabs(self)]
         E.flags.writeable = False
-        e_min, g_min, det_min = np.min(lows, axis=0)
-        ac, real = np.max(highs, axis=0)
-        return GridSummary(**self.window(), almost_complex_max=float(ac),
-                           projection_max=float(real), speed_min=_speed(e_min, g_min),
-                           det_min=det_min, E=E)
+        return _grid_summary(self, shares, E)
 
 
-def _summary_slab(sub, keep, rows, E):
-    """One halo slab's share of `ImmersionGrid.summary`: writes its kept
-    rows of E and returns (interior minima of E and G, smallest EG - F^2 on
-    the kept rows) and (almost-complex defect, real-part residual)."""
-    gp = partials(sub)
+def _summary_slab(gp, keep, rows, E=None):
+    """One halo slab's share of a `GridSummary` from its partials `gp`:
+    writes its kept rows of E into a given buffer and returns (smallest
+    interior derivative norm sqrt(min(E, G)), NaN if E's minimum is,
+    smallest EG - F^2 on the kept rows) and (almost-complex defect,
+    real-part residual); the defect is NaN where the derivatives vanish on
+    the interior, which `_grid_summary` refuses."""
     e, f, g = gp.first_form
-    E[rows] = e[keep]
-    low = (interior(e).min(), interior(g).min())
+    if E is not None:
+        E[rows] = e[keep]
+    speed = np.sqrt(max(min(interior(e).min(), interior(g).min()), 0.0))
     e, f, g = e[keep], f[keep], g[keep]
-    ac = np.nan
-    if _speed(*low) >= 1e-8:
-        ac = float(interior(almost_complex_residual(gp)).max())
-    return (*low, np.min(e * g - f * f)), (ac, gp.projection_max)
+    ac = float(almost_complex_residual(gp).max()) if speed >= 1e-8 else np.nan
+    return (speed, np.min(e * g - f * f)), (ac, gp.projection_max)
 
 
-def _speed(e_min, g_min):
-    """The smallest derivative norm from the smallest E and G; a NaN E
-    gives NaN."""
-    return np.sqrt(max(min(e_min, g_min), 0.0))
+def _grid_summary(lat, shares, E=None):
+    """The `GridSummary` over `lat` from the `_summary_slab` shares of all
+    its halo slabs; raises ValueError unless the smallest derivative norm
+    is at least 1e-8 (immersion check; a NaN is not)."""
+    lows, highs = zip(*shares)
+    speed, det_min = np.min(lows, axis=0)
+    if not speed >= 1e-8:
+        raise ValueError(f"grid is not an immersion (derivative norm {speed:.3e})")
+    ac, real = np.max(highs, axis=0)
+    return GridSummary(**lat.window(), almost_complex_max=float(ac),
+                       projection_max=float(real), det_min=det_min, E=E)
 
 
 def immersion_grid(lat, p, q):
@@ -323,9 +323,9 @@ def immersion_grid(lat, p, q):
     checks before either changes, then divides each by its norms to
     `quat.unit`'s bits: in place for a writeable, C-contiguous float64
     array, into a copy for any other input or a q overlapping p.  The grid's
-    p and q are read-only.  Its construction pass (`ImmersionGrid.summary`)
-    checks that the finite-difference derivatives are nonzero in the metric
-    (immersion check).
+    p and q are read-only.  It forms no derivative: the immersion check
+    runs where the grid is first read, in the pass that builds its
+    `GridSummary` (`ImmersionGrid.summary`, or `analyze`'s own).
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     shape = (lat.nu, lat.nv, 4)
@@ -336,13 +336,8 @@ def immersion_grid(lat, p, q):
         q = q.copy()
     p, q = (np.divide(a, n, out=a if a.flags.writeable and a.flags.c_contiguous else None)
             for a, n in zip((p, q), norms))
-    del norms  # not alive through the construction pass
     p.flags.writeable = q.flags.writeable = False
-    grid = ImmersionGrid(**lat.window(), p=p, q=q)
-    slow = grid.summary.speed_min
-    if not slow >= 1e-8:
-        raise ValueError(f"grid is not an immersion (derivative norm {slow:.3e})")
-    return grid
+    return ImmersionGrid(**lat.window(), p=p, q=q)
 
 
 def halo_slabs(grid):
@@ -454,12 +449,13 @@ def _normal_part(gp, w, a, b):
 
 
 def almost_complex_residual(gp):
-    """Pointwise metric norm of phi_v minus J phi_u, relative to |phi_u|."""
-    return _norm(gp.cv - gp.cu @ J_MAT.T) / np.sqrt(gp.first_form[0])
+    """Pointwise metric norm of phi_v minus J phi_u, relative to |phi_u|,
+    on the `interior` only, so no edge row where phi_u vanishes divides."""
+    return interior(_norm(gp.cv - gp.cu @ J_MAT.T)) / np.sqrt(interior(gp.first_form[0]))
 
 
-def require_adapted(grid, tol_scale):
-    """The grid's `GridSummary.almost_complex_max`, gated.
+def require_adapted(summary, tol_scale):
+    """The `GridSummary.almost_complex_max` of `summary`, gated.
 
     Raises ValueError when `tol_scale` is not finite and positive, and
     unless the defect stays below `ADAPTED_GATE * tol_scale`; a NaN defect
@@ -467,21 +463,21 @@ def require_adapted(grid, tol_scale):
     """
     limit = ADAPTED_GATE * validate_tol_scale(tol_scale)
     return gate(
-        grid.summary.almost_complex_max, limit,
+        summary.almost_complex_max, limit,
         "grid is not adapted: relative almost-complex defect",
-        why=f" (real-part residual {grid.summary.projection_max:.3e})",
+        why=f" (real-part residual {summary.projection_max:.3e})",
     )
 
 
-def require_imaginary(grid):
-    """The grid's `GridSummary.projection_max`, gated at its `fd_floor`.
+def require_imaginary(summary):
+    """The `GridSummary.projection_max` of `summary`, gated at its `fd_floor`.
 
     Raises ValueError unless the real-part defect of the logarithmic
     derivatives stays within the floor (a NaN defect fails): on a smooth
     unit-quaternion immersion it is O(h^2), so a larger one signals a grid
     that is not one, or is not sampled finely enough.
     """
-    return gate(grid.summary.projection_max, grid.fd_floor(),
+    return gate(summary.projection_max, summary.fd_floor(),
                 "logarithmic derivatives are far from imaginary: real-part residual")
 
 
@@ -575,8 +571,8 @@ def induced_metric(cu, cv):
 def gaussian_curvature(lat, E, F, G):
     """Gaussian curvature of the metric (E, F, G) over `lat` by the
     Brioschi formula with second-order finite differences; intrinsic, so it
-    needs only (E, F, G).  Unchecked: `analyze` refuses a degenerate metric
-    from the grid's `GridSummary.det_min` before it takes K.  Each
+    needs only (E, F, G).  Unchecked: `analyze` reports no K of a grid
+    whose `GridSummary.det_min` it refuses.  Each
     derivative is formed inside the entry that reads it, except the three
     that two entries read, so few are alive at once."""
     Fu, Ev, Gu = lat.diff(F, 0), lat.diff(E, 1), lat.diff(G, 0)
@@ -671,11 +667,10 @@ def classify_P_alignment(lat, normal_dev, tangent_dev):
     return "mixed"
 
 
-def _analysis_slab(sub, keep, rows, K):
-    """One halo slab's share of `analyze`: writes its kept rows of K and
-    returns its interior maxima, in report order, then its two P-alignment
-    deviations."""
-    gp = partials(sub)
+def _analysis_slab(gp, keep, rows, K):
+    """One halo slab's share of `analyze`, from the slab's partials `gp`:
+    writes its kept rows of K and returns its interior maxima, in report
+    order, then its two P-alignment deviations."""
     alpha, beta = extract_coefficients(gp.cu, gp.cv)
     r21, r22, r23 = integrability_residuals(gp, alpha, beta)
     cr = cr_residuals(gp, alpha, beta)
@@ -696,21 +691,37 @@ def analyze(grid, tol_scale=1.0):
     """Full summary report of an adapted immersion grid.
 
     The report dict uses a fixed key schema (see the CLI docs).  Raises
-    ValueError when `tol_scale` is not finite and positive, when the grid
-    is not adapted (`require_adapted`), when its logarithmic derivatives
-    are far from imaginary (`require_imaginary`), and when its metric is
-    degenerate, all from the grid's `GridSummary` before this pass.  The
-    pass takes every field over `halo_slabs` and keeps only its maxima and
-    K, which fills one (nu, nv) buffer so that `K_mean` sums the buffer's
-    `interior` in the same order as a whole-grid field.
+    ValueError when `tol_scale` is not finite and positive, then when the
+    grid is not an immersion (`_grid_summary`), is not adapted
+    (`require_adapted`), has logarithmic derivatives far from imaginary
+    (`require_imaginary`) or a degenerate metric.  One pass over
+    `halo_slabs` forms each slab's partials once, for its share of the
+    `GridSummary`, gated after the pass, and for its stages, which keep
+    only maxima and K: one (nu, nv) buffer, so `K_mean` sums its `interior`
+    in the same order as a whole-grid field.  A slab whose stages meet a
+    zero division, an overflow or an invalid value (a metric degenerate
+    anywhere on it, halo rows included) is held back, and analysed with its
+    partials formed again once the gates pass: a refused grid warns of
+    nothing.
     """
-    ac_max = require_adapted(grid, tol_scale)
-    require_imaginary(grid)
-    det_min = grid.summary.det_min
-    if not det_min >= 1e-10:  # a NaN is not
-        raise ValueError(f"metric is degenerate (min EG - F^2 = {det_min:.3e})")
+    validate_tol_scale(tol_scale)
     K = np.empty((grid.nu, grid.nv))
-    highs = [_analysis_slab(*slab, K) for slab in halo_slabs(grid)]
+    shares, highs, held = [], [], []
+    for sub, keep, rows in halo_slabs(grid):
+        gp = partials(sub)
+        shares.append(_summary_slab(gp, keep, rows))
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                highs.append(_analysis_slab(gp, keep, rows, K))
+        except FloatingPointError:
+            held.append((sub, keep, rows))
+        del gp  # one slab's partials alive at a time
+    summary = _grid_summary(grid, shares)
+    ac_max = require_adapted(summary, tol_scale)
+    require_imaginary(summary)
+    if not summary.det_min >= 1e-10:  # a NaN is not
+        raise ValueError(f"metric is degenerate (min EG - F^2 = {summary.det_min:.3e})")
+    highs += [_analysis_slab(partials(sub), keep, rows, K) for sub, keep, rows in held]
     r21, r22, r23, cr, lam_max, h_max, normal_dev, tangent_dev = (
         float(x) for x in np.max(highs, axis=0))
     K_mean, K_max_dev = interior_spread(K)

@@ -234,9 +234,9 @@ def test_criterion_08_degenerate_potential(ex1):
 
 def test_criterion_09_surface_from_sphere_potential(sphere_runs):
     failures = []
-    out_f, cert_f = sphere_runs["fine"]
-    _, cert_c = sphere_runs["coarse"]
-    order = _order(cert_c["almost_complex_max"], cert_f["almost_complex_max"])
+    out_f, _ = sphere_runs["fine"]
+    out_c, _ = sphere_runs["coarse"]
+    order = _order(out_c.summary.almost_complex_max, out_f.summary.almost_complex_max)
     _need(failures, order >= 1.9, f"almost complex order {order:.3f}")
     report = sf.analyze(out_f)
     kdev = abs(report["K_mean"] - 2.0 / 3.0) + report["K_max_dev"]

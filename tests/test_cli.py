@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -302,9 +303,9 @@ _AC, _EQ = "almost_complex_residual", "h_equation_residual"
 def test_each_command_reduces_each_gated_defect_once(monkeypatch, tmp_path, command,
                                                      source, ac, eq):
     # every reader takes `GridSummary.almost_complex_max` and
-    # `HSurfaceGrid.h_equation_max` from the grid's cache, so `from-h`'s
-    # certificate and its `analyze` share one adaptedness pass (at 41^2 a
-    # surface grid is one halo slab)
+    # `HSurfaceGrid.h_equation_max` from a grid's summary, and `from-h`'s
+    # certificate takes its `analyze`'s value, so they share one
+    # adaptedness pass (at 41^2 a surface grid is one halo slab)
     argv = _command_argv(tmp_path, command, source)
     counts = {}
 
@@ -324,16 +325,18 @@ def test_each_command_reduces_each_gated_defect_once(monkeypatch, tmp_path, comm
 
 
 @pytest.mark.parametrize("command, source, passes", [
-    ("fixture", "example2", (1, 1)), ("analyze", "example2", (2, 2)),
-    ("to-h", "example2", (2, 1)), ("from-h", "cmc_sphere", (2, 2)),
+    ("fixture", "example2", (1, 1)), ("analyze", "example2", (1, 1)),
+    ("to-h", "example2", (2, 1)), ("from-h", "cmc_sphere", (1, 1)),
 ])
-def test_each_command_forms_each_rows_partials_at_most_twice(monkeypatch, tmp_path,
-                                                             command, source, passes):
-    # a surface grid is read only over halo slabs: once when it is built
-    # and checked, once more by `analyze`, or by `epsilon_from_surface`,
-    # which forms p's partials only; a row of its interior is a kept row
-    # of exactly one slab in each pass.  300-point slabs cut the 41-row
-    # input, and the 39-row output of `from-h`, into five
+def test_each_command_forms_each_rows_partials_once_but_to_h_p_twice(
+        monkeypatch, tmp_path, command, source, passes):
+    # a surface grid forms no partials when it is built; it is read over
+    # halo slabs once, by the pass that builds its summary: the fixture's
+    # self-check, or `analyze`, whose one pass also feeds its stages.
+    # `to-h` reads p once more in `epsilon_from_surface`, which forms p's
+    # partials only; a row of its interior is a kept row of exactly one
+    # slab in each pass.  300-point slabs cut the 41-row input, and the
+    # 39-row output of `from-h`, into five
     argv = _command_argv(tmp_path, command, source)
     monkeypatch.setattr(sf, "_POINTS", 300)
     factor_partials, calls = sf.factor_partials, []
@@ -383,6 +386,34 @@ def test_fixture_refuses_a_step_whose_square_underflows(tmp_path, capsys):
                          "--output", str(out))
     assert (code, rep) == (3, None) and "subnormal squares" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fixture_refused_by_its_summary_writes_no_file(tmp_path, capsys):
+    # a u-step of one period leaves example1's p the same on every u-row:
+    # the grid is built, and the self-check, read before the write, refuses
+    # it at the immersion check
+    code, rep, err = run(capsys, "--command", "fixture", "--fixture", "example1",
+                         "--nu", "9", "--nv", "9", "--du", repr(2.0 * np.pi), "--dv", "0.01",
+                         "--output", str(tmp_path / "e1.csv"))
+    assert (code, rep) == (3, None) and "not an immersion" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_refuses_a_grid_that_stops_without_a_warning(tmp_path, capsys):
+    # example2 201^2 with every u-row from row 40 on equal to row 40: the
+    # first 41-row slab keeps rows whose E is positive, but its halo rows
+    # 41 and 42 have E = 0, so the almost-complex residual may divide only
+    # on the interior it reduces; the only line on stderr is the refusal
+    grid = fixtures.make_fixture("example2", nu=201, nv=201)
+    p, q = grid.p.copy(), grid.q.copy()
+    p[40:], q[40:] = p[40], q[40]
+    csv = tmp_path / "stops.csv"
+    io.write_immersion_csv(csv, sf.ImmersionGrid(**grid.window(), p=p, q=q))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep, err = run(capsys, "--command", "analyze", "--input", str(csv))
+    assert (code, rep, caught) == (3, None, [])
+    assert err == "input error: grid is not an immersion (derivative norm 0.000e+00)\n"
 
 
 def test_analyze_fixture(tmp_path, capsys):

@@ -32,8 +32,11 @@ def test_h_surface_grid_validation():
         hsys.h_surface_grid(hs, hs.eps[..., :2])  # two components
     with pytest.raises(ValueError, match=expected):
         hsys.h_surface_grid(hs, sphere_hs(11).eps)  # shaped for another window
+    # a constant potential is built, its values checked only, and its
+    # summary, the first read of its derivatives, refuses it
+    constant = hsys.h_surface_grid(sf.lattice(0, 0, 1e-2, 1e-2, 9, 9), np.zeros((9, 9, 3)))
     with pytest.raises(ValueError, match="vanish"):
-        hsys.h_surface_grid(sf.lattice(0, 0, 1e-2, 1e-2, 9, 9), np.zeros((9, 9, 3)))
+        constant.summary
 
 
 def test_h_surface_grid_rejects_non_finite():
@@ -44,13 +47,24 @@ def test_h_surface_grid_rejects_non_finite():
         hsys.h_surface_grid(hs, eps)
 
 
+def with_summary(hs, **values):
+    """A copy of the potential `hs` whose cached summary has `values`."""
+    out = hsys.HSurfaceGrid(**hs.window(), eps=hs.eps)
+    out.__dict__["summary"] = dataclasses.replace(hs.summary, **values)
+    return out
+
+
 def test_from_potential_nan_cell_fails_equation_gate():
-    # built directly, so the constructor's finiteness check is bypassed
+    # built directly, so the constructor's finiteness check is bypassed:
+    # the NaN reaches the speed, and the summary refuses the potential
+    # before the equation gate; a NaN residual fails that gate closed
     hs = sphere_hs(15)
     eps = hs.eps.copy()
     eps[7, 7, 0] = np.nan
-    with pytest.raises(hsys.CertificateError, match="not a solution"):
+    with pytest.raises(ValueError, match="vanish"):
         hsys.surface_from_epsilon(hsys.HSurfaceGrid(**hs.window(), eps=eps))
+    with pytest.raises(hsys.CertificateError, match="not a solution"):
+        hsys.surface_from_epsilon(with_summary(hs, h_equation_max=np.nan))
 
 
 def test_potential_derivatives_are_the_lattice_stencils_formed_per_call():
@@ -69,8 +83,8 @@ def test_potential_derivatives_are_the_lattice_stencils_formed_per_call():
 
 
 def test_grid_classes_cache_only_their_summary():
-    # a grid holds its window, its read-only values and one cached
-    # construction pass; every derivative is formed where a pass reads it
+    # a grid holds its window, its read-only values and one summary, cached
+    # on first read; every derivative is formed where a pass reads it
     for cls in (sf.ImmersionGrid, hsys.HSurfaceGrid):
         cached = [name for name, value in vars(cls).items()
                   if isinstance(value, functools.cached_property)]
@@ -142,7 +156,7 @@ _DERIVATIONS = {"fixture": (1, 1), "to-h": (2, 2), "from-h": (3, 1)}
 def test_each_command_derives_the_potential_once(monkeypatch, tmp_path, command, source):
     # no potential keeps a whole-grid derivative: `fixture` forms each
     # interior point's partials and Laplacian once, in the grid's
-    # construction pass; `to-h` once more for the mean curvature; `from-h`
+    # summary pass; `to-h` once more for the mean curvature; `from-h`
     # twice more for the integrator's coefficient pairs, once in the
     # u-first lines and once in the v-first chains (its spines re-form
     # them on the first row and column of the integrator's window, which
@@ -169,13 +183,14 @@ def test_each_command_derives_the_potential_once(monkeypatch, tmp_path, command,
 
 
 def test_integrators_form_each_rows_partials_once(monkeypatch):
-    # past a surface grid's construction pass, `epsilon_from_surface` reads
-    # it in one more pass over halo slabs, forming p's partials only, and
+    # past a surface grid's summary pass, `epsilon_from_surface` reads it
+    # in one more pass over halo slabs, forming p's partials only, and
     # `metric_factor_check` in none (it reads the summary's E);
-    # `surface_from_epsilon` forms its output's partials, both factors,
-    # only in that grid's construction pass
+    # `surface_from_epsilon` forms no partials of its output, whose
+    # summary pass, run on first read, forms both factors' once
     monkeypatch.setattr(sf, "_POINTS", 300)
     grid = fixtures.make_fixture("example2", nu=41, nv=41)
+    grid.summary
     calls = []
 
     def counted(sub, arr, *out):
@@ -195,6 +210,8 @@ def test_integrators_form_each_rows_partials_once(monkeypatch):
     assert [c[3] for c in calls] == ["p"] * 5 and set(rows.values()) == {1}
     calls.clear()
     back, _ = hsys.surface_from_epsilon(hs)
+    assert calls == []
+    back.summary
     for factor in "pq":
         sizes = [c[2] - 2 * sf._MARGIN for c in calls if c[3] == factor]
         assert sum(sizes) == back.nu - 2 * sf._MARGIN
@@ -285,7 +302,7 @@ def test_to_potential_certificate_failure():
     bump = np.exp(-(u * u + v * v) / (2.0 * 0.15**2))
     twist = quat.qexp(5e-3 * bump[..., None] * [1.0, 0.0, 0.0])
     bent = sf.immersion_grid(grid, quat.qmul(twist, grid.p), grid.q)
-    assert sf.require_adapted(bent, 1.0) < 0.5 * sf.ADAPTED_GATE
+    assert sf.require_adapted(bent.summary, 1.0) < 0.5 * sf.ADAPTED_GATE
     with pytest.raises(hsys.CertificateError, match="not closed"):
         hsys.epsilon_from_surface(bent)
 
@@ -294,8 +311,13 @@ def test_to_potential_rejects_nan_cell():
     grid = fixtures.make_fixture("example1", nu=15, nv=15)
     p = grid.p.copy()
     p[7, 7, 0] = np.nan
-    with pytest.raises(ValueError, match="not adapted"):
+    # the NaN reaches the derivative norm, so the immersion check refuses
+    # the grid before the adaptedness gate, which a NaN defect fails
+    with pytest.raises(ValueError, match=r"not an immersion \(derivative norm nan\)"):
         hsys.epsilon_from_surface(dataclasses.replace(grid, p=p))
+    nan_defect = dataclasses.replace(grid.summary, almost_complex_max=np.nan)
+    with pytest.raises(ValueError, match="not adapted"):
+        sf.require_adapted(nan_defect, 1.0)
 
 
 def test_integrators_reject_tiny_grids():
@@ -315,7 +337,10 @@ def test_from_potential_sphere():
     assert abs(grid.u0 - (hs.u0 + hs.du)) < 1e-15
     assert cert["compat_max"] < 1e-4
     assert cert["drift_max"] < 1e-12
-    assert cert["almost_complex_max"] < 1e-4
+    # the output's adaptedness defect is its summary's, read by `from-h`
+    # from `analyze`, not a certificate entry
+    assert "almost_complex_max" not in cert
+    assert grid.summary.almost_complex_max < 1e-4
     gp = sf.partials(grid)
     K = sf.interior(sf.gaussian_curvature(gp, *gp.first_form))
     assert np.abs(K - 2.0 / 3.0).max() < 1e-3
@@ -393,8 +418,12 @@ def test_mean_curvature_rejects_nan_cell():
     eps = hs.eps.copy()
     eps[7, 7, 0] = np.nan
     bad = hsys.HSurfaceGrid(**hs.window(), eps=eps)
-    with pytest.raises(ValueError, match="conformal"):
+    # the NaN reaches the speed first, and the summary refuses it; a NaN
+    # conformality deviation fails the conformality gate closed
+    with pytest.raises(ValueError, match="vanish"):
         hsys.mean_curvature(bad)
+    with pytest.raises(ValueError, match="conformal"):
+        hsys.mean_curvature(with_summary(hs, conformal_max=np.nan))
 
 
 @pytest.mark.parametrize("skew", [2.0, np.nan])

@@ -52,26 +52,32 @@ def peak_fields(stage):
 def test_read_then_analyze_peak(grid, tmp_path):
     path = tmp_path / "grid.csv"
     io.write_immersion_csv(path, grid)
-    # measured 5.84 fields over halo slabs, with the payload freed before
-    # the construction pass (5.98 before the metric's scalar fields were
-    # built in place); 7.32 with whole-grid partials cached on the
-    # grid, 7.83 with a four-array coefficient record, 8.82 before the
-    # second fundamental form was reduced one component at a time, 12.02
-    # before the in-place kernels
+    # measured 5.54 fields with the summary built in `analyze`'s one pass;
+    # 5.71 with a construction pass and its E field ahead of it, 5.84
+    # before the payload was freed before that pass (5.98 before the
+    # metric's scalar fields were built in place); 7.32 with whole-grid
+    # partials cached on the grid, 7.83 with a four-array coefficient
+    # record, 8.82 before the second fundamental form was reduced one
+    # component at a time, 12.02 before the in-place kernels
     assert peak_fields(lambda: sf.analyze(io.read_immersion_csv(path))) <= 6.5
 
 
 def test_epsilon_from_surface_peak(grid):
-    # measured 3.54 fields with the potential read over halo slabs (at
-    # 101^2 its 99 rows are one slab); 3.61 with its whole-grid partials
-    # cached on it; 3.29 on top of the grid's whole-grid cu, cv, E, F and
-    # G, 4.25 when the unrotated pair was held too, 6.02 before that
+    # measured 3.92 fields now that the grid's summary pass, with its E
+    # field, runs on first read, inside this call (3.40 while the fixture
+    # ran it when built; folding p's pass into it read 4.40); 3.54 fields
+    # with the potential read over halo slabs (at 101^2 its 99 rows are
+    # one slab); 3.61 with its whole-grid partials cached on it; 3.29 on
+    # top of the grid's whole-grid cu, cv, E, F and G, 4.25 when the
+    # unrotated pair was held too, 6.02 before that
     assert peak_fields(lambda: hsys.epsilon_from_surface(grid)) <= 4.04
 
 
 def test_surface_from_epsilon_then_analyze_peak(grid):
     hs, _ = hsys.epsilon_from_surface(grid)
-    # measured 5.69 fields over halo slabs, the integrated values freed
+    # measured 5.40 fields with the output's summary built in `analyze`'s
+    # one pass (5.55 with a construction pass and its E field ahead of
+    # it); 5.69 fields over halo slabs, the integrated values freed
     # once the output grid holds normalized copies (5.83 before the
     # metric's scalar fields were built in place, and with the potential's
     # whole-grid partials); 7.04 with whole-grid
@@ -155,8 +161,19 @@ def test_analyze_peak_is_one_slab(grid201):
     assert traced_peak(lambda: sf.analyze(grid201)) <= 1.0 * pq_bytes(grid201)
 
 
+def test_build_then_analyze_peak_201(grid201):
+    # in p + q: measured 0.944, `analyze`'s own peak, now that building a
+    # grid forms no derivative and `analyze` builds its summary in its one
+    # pass, with no E field; 1.070 while the construction pass kept E alive
+    # through a second pass.  The arrays are handed over writeable, so the
+    # grid normalizes them in place
+    p, q = grid201.p.copy(), grid201.q.copy()
+    assert traced_peak(lambda: sf.analyze(sf.immersion_grid(grid201, p, q))) \
+        <= 1.0 * pq_bytes(grid201)
+
+
 def test_immersion_summary_peak_201(grid201):
-    # the construction pass alone, on a fresh grid over the same arrays: in
+    # the summary pass alone, on a fresh grid over the same arrays: in
     # p + q, measured 0.883 with each factor's real parts reduced to their
     # interior maximum as they are formed; 0.911 while both factors folded
     # them into a whole (nu, nv) field
@@ -174,9 +191,11 @@ def test_potential_summary_peak_201(grid201):
 
 
 def test_make_fixture_peak_201(grid201):
-    # in p + q: measured 1.91, example2's p and q written in place and taken
-    # over by the grid, which normalizes them in place; 2.41 with the
-    # closed form concatenated from temporaries and normalized into copies
+    # in p + q: measured 1.50 now that building a grid forms no derivative
+    # (1.89 with the construction pass); 1.91, example2's p and q written
+    # in place and taken over by the grid, which normalizes them in place;
+    # 2.41 with the closed form concatenated from temporaries and
+    # normalized into copies
     peak = traced_peak(
         lambda: fixtures.make_fixture("example2", nu=201, nv=201, du=5e-3, dv=5e-3))
     assert peak <= 2.29 * pq_bytes(grid201)

@@ -94,8 +94,8 @@ def test_windows_and_grids_are_built_only_at_their_sites():
     assert _call_sites(_CONSTRUCTION_SITES) == _CONSTRUCTION_SITES
 
 
-# residual -> the one place that reduces it: the per-slab body of its
-# grid's cached construction pass
+# residual -> the one place that reduces it: the per-slab body of every
+# summary of its grid (`analyze` builds its own in its one pass)
 _REDUCTION_SITES = {
     "almost_complex_residual": {"surface.py:_summary_slab"},
     "h_equation_residual": {"hsystem.py:_summary_slab"},

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -61,11 +62,13 @@ def test_grid_constructor_validation():
         sf.immersion_grid(grid, grid.p[..., :3], grid.q)
     with pytest.raises(ValueError, match="norm deviates"):
         sf.immersion_grid(grid, 2.0 * grid.p, grid.q)
-    # constant grid is not an immersion
+    # constant grid is not an immersion: building it checks its values
+    # only, and its summary, the first read of its derivatives, refuses it
     ones = np.zeros((8, 8, 4))
     ones[..., 0] = 1.0
+    constant = sf.immersion_grid(sf.lattice(0, 0, 1e-2, 1e-2, 8, 8), ones, ones)
     with pytest.raises(ValueError, match="not an immersion"):
-        sf.immersion_grid(sf.lattice(0, 0, 1e-2, 1e-2, 8, 8), ones, ones)
+        constant.summary
 
 
 def off_unit(grid):
@@ -172,8 +175,8 @@ def test_partials_match_analytic_derivative():
 
 
 def test_grid_with_cached_partials_is_freed_by_refcount():
-    # the cached summary of the construction pass holds no reference back
-    # to the grid, so dropping the grid frees it without the cycle collector
+    # the cached summary holds no reference back to the grid, so dropping
+    # the grid frees it without the cycle collector
     grid = small_fixture("example2")
     grid.summary
     ref = weakref.ref(grid)
@@ -191,34 +194,46 @@ def test_partials_halving_is_second_order():
     errs = {}
     for h in (2e-2, 1e-2):
         grid = small_fixture("example2", n=15, h=h)
-        res = sf.almost_complex_residual(sf.partials(grid))
-        errs[h] = float(sf.interior(res).max())
+        errs[h] = float(sf.almost_complex_residual(sf.partials(grid)).max())
     assert errs[2e-2] / errs[1e-2] > 3.5
 
 
 def test_almost_complex_residual_example1_small():
     grid = small_fixture("example1")
     gp = sf.partials(grid)
-    res = sf.interior(sf.almost_complex_residual(gp))
-    assert res.max() < 2e-5
+    assert sf.almost_complex_residual(gp).max() < 2e-5
 
 
 def test_non_adapted_grid_flagged():
     grid = fixtures.non_adapted_grid(sf.lattice(0.0, 0.0, 5e-2, 5e-2, 15, 15))
     gp = sf.partials(grid)
-    assert sf.interior(sf.almost_complex_residual(gp)).max() > 0.3
+    assert sf.almost_complex_residual(gp).max() > 0.3
     with pytest.raises(ValueError, match="real-part residual"):
         sf.analyze(grid)
 
 
+def slab_shares(grid):
+    """The merged `_summary_slab` shares of `grid`'s halo slabs, which its
+    summary's immersion check reads first: (derivative norm and EG - F^2
+    minima) and (almost-complex defect, real-part residual)."""
+    lows, highs = zip(*(sf._summary_slab(sf.partials(sub), keep, rows)
+                        for sub, keep, rows in sf.halo_slabs(grid)))
+    return np.min(lows, axis=0), np.max(highs, axis=0)
+
+
 def test_nan_cell_fails_real_part_gate():
+    # a NaN cell reaches the real-part residual, whose gate fails closed;
+    # the grid's summary refuses it first, at the immersion check
     grid = small_fixture("example1", n=15)
     p = grid.p.copy()
     p[7, 7, 0] = np.nan
     bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
-    assert np.isnan(bad.summary.projection_max)
+    assert np.isnan(slab_shares(bad)[1][1])
+    with pytest.raises(ValueError, match=r"not an immersion \(derivative norm nan\)"):
+        bad.summary
+    nan_real = dataclasses.replace(grid.summary, projection_max=float("nan"))
     with pytest.raises(ValueError, match="far from imaginary"):
-        sf.require_imaginary(bad)
+        sf.require_imaginary(nan_real)
 
 
 def test_finite_real_part_defect_fails_gate():
@@ -229,7 +244,7 @@ def test_finite_real_part_defect_fails_gate():
     p = grid.p.copy()
     p[::2] = quat.qmul(quat.qexp(np.array([0.05, 0.0, 0.0])), p[::2])
     bad = sf.immersion_grid(grid, p, grid.q)
-    assert sf.require_adapted(bad, 1.0) < sf.ADAPTED_GATE
+    assert sf.require_adapted(bad.summary, 1.0) < sf.ADAPTED_GATE
     assert bad.summary.projection_max > 3.0 * bad.fd_floor()
     with pytest.raises(ValueError, match="far from imaginary"):
         sf.analyze(bad)
@@ -522,9 +537,56 @@ def test_analyze_refuses_a_degenerate_metric():
     assert 1e-10 < kept.summary.det_min < 2e-10
     with pytest.raises(ValueError, match=r"metric is degenerate \(min EG - F\^2 = 1.778e-12\)"):
         sf.analyze(refused)
-    assert sf.require_adapted(refused, 1.0) < 1e-8
-    assert sf.require_imaginary(refused) < refused.fd_floor()
+    assert sf.require_adapted(refused.summary, 1.0) < 1e-8
+    assert sf.require_imaginary(refused.summary) < refused.fd_floor()
     assert sf.analyze(kept)["classification"] == "tangent"
+
+
+def parallel_or_still(still):
+    """41^2 at step 0.025 with p = q: (cos(u + v), sin(u + v), 0, 0), whose
+    tangents phi_u = phi_v are parallel, or (cos v, 0, sin v, 0), which
+    does not move along u."""
+    lat = sf.lattice(0.0, 0.0, 0.025, 0.025, 41, 41)
+    u, v = np.meshgrid(lat.u_vals, lat.v_vals, indexing="ij")
+    zero = np.zeros_like(u)
+    p = np.stack([np.cos(v), zero, np.sin(v), zero] if still
+                 else [np.cos(u + v), np.sin(u + v), zero, zero], axis=-1)
+    return sf.immersion_grid(lat, p, p.copy())
+
+
+@pytest.mark.parametrize("points", [300, 567, 8192])
+@pytest.mark.parametrize("still, refusal", [
+    (False, r"^grid is not adapted: relative almost-complex defect 1\.414e\+00 "),
+    (True, r"^grid is not an immersion \(derivative norm 0\.000e\+00\)$"),
+], ids=["parallel", "still"])
+def test_degenerate_grid_meets_its_first_gate_only(monkeypatch, points, still,
+                                                    refusal):
+    # EG - F^2 vanishes on every row, so every slab's stages would divide
+    # by zero; they are held back, and `analyze` raises the gate's error
+    # alone, with no RuntimeWarning (which pytest turns into an error here)
+    monkeypatch.setattr(sf, "_POINTS", points)
+    with pytest.raises(ValueError, match=refusal):
+        sf.analyze(parallel_or_still(still))
+
+
+def test_held_back_slab_reports_the_same_bits(monkeypatch):
+    # a slab whose stages meet a floating-point error is analysed again
+    # once the gates pass, its partials formed anew: the report is unchanged
+    monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
+    grid = slab_grid(101, 101)
+    want = sf.analyze(grid)
+    stages, calls = sf._analysis_slab, []
+
+    def failing_once(gp, keep, rows, K):
+        calls.append(rows)
+        if len(calls) == 3:
+            raise FloatingPointError("divide by zero encountered in divide")
+        return stages(gp, keep, rows, K)
+
+    monkeypatch.setattr(sf, "_analysis_slab", failing_once)
+    assert sf.analyze(grid) == want
+    assert len(calls) == len(list(sf.halo_slabs(grid))) + 1
+    assert calls[-1] == calls[2]
 
 
 def test_gaussian_curvature_fixture_values():
@@ -619,7 +681,7 @@ def test_frame_kernel_matches_ambient_operators(name):
 
     j_u = nk.apply_J(phi_u)
     ac = nk.gnorm(phi_v - j_u) / nk.gnorm(phi_u)
-    assert np.abs(sf.almost_complex_residual(gp) - ac).max() < 1e-12
+    assert np.abs(sf.almost_complex_residual(gp) - sf.interior(ac)).max() < 1e-12
     p_u = nk.apply_P(phi_u)
     lam = 0.5 * (nk.metric(p_u, phi_u) - 1j * nk.metric(p_u, j_u))
     assert np.abs(sf.lambda_field(gp) - lam).max() < 1e-12
@@ -659,7 +721,7 @@ def test_coefficient_convention_in_general_position():
 
 
 def test_grid_partials_computed_once_and_read_only():
-    # a grid caches only its construction pass; the partials a pass forms
+    # a grid caches only its summary; the partials a pass forms
     # and the E field the summary keeps are read-only
     grid = small_fixture("example2")
     assert grid.summary is grid.summary
@@ -675,7 +737,7 @@ def test_require_adapted_rejects_bad_tol_scale(tol_scale):
     # the non-adapted control would pass an infinite limit
     grid = fixtures.non_adapted_grid(sf.lattice(-0.05, 0.0, 5e-3, 5e-3, 21, 21))
     with pytest.raises(ValueError, match="tol_scale"):
-        sf.require_adapted(grid, tol_scale)
+        sf.require_adapted(grid.summary, tol_scale)
 
 
 @pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
@@ -792,8 +854,9 @@ def test_slab_kernels_match_the_whole_grid(monkeypatch, shape):
 
 
 def test_nan_in_last_slab_fails_closed(monkeypatch, capsys):
-    # a NaN on an interior row of the last slab reaches `projection_max`,
-    # and through the adaptedness gate `analyze` exits 3
+    # a NaN on an interior row of the last slab reaches `projection_max`
+    # and the derivative norm, and through the immersion check `analyze`
+    # exits 3
     monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
     grid = slab_grid(203, 9)
     last = grid.slabs(0)[-1]
@@ -801,12 +864,11 @@ def test_nan_in_last_slab_fails_closed(monkeypatch, capsys):
     p[last.stop - 4, 4, 0] = np.nan
     bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
     assert last.start < last.stop - 4 < grid.nu - 2
-    assert np.isnan(bad.summary.projection_max)
+    assert np.isnan(slab_shares(bad)[1][1])
     monkeypatch.setattr(cli, "read_immersion_csv", lambda path: bad)
     assert cli.main(["--command", "analyze", "--input", "grid.csv"]) == 3
     assert capsys.readouterr().err == (
-        "input error: grid is not adapted: relative almost-complex defect nan "
-        "exceeds 5.0e-02 (real-part residual nan)\n"
+        "input error: grid is not an immersion (derivative norm nan)\n"
     )
 
 
@@ -834,8 +896,7 @@ def halo_outputs(grid):
     potential = hs.summary
     return {
         "values": (summary.almost_complex_max, summary.projection_max,
-                   float(summary.speed_min), float(summary.det_min),
-                   potential.speed_min, potential.conformal_max, potential.h_equation_max),
+                   float(summary.det_min), potential.conformal_max, potential.h_equation_max),
         "report": sf.analyze(grid), "cert": cert, "back_cert": back_cert,
         "E": summary.E, "pair": pair, "eps": hs.eps,
         "potential": (potential.speed, hsys.mean_curvature(hs)),
@@ -901,16 +962,15 @@ def test_halo_slabs_keep_each_row_once(monkeypatch, shape, points):
 def test_nan_in_a_halo_row_fails_closed(monkeypatch, row):
     # 3-row slabs: row 5 is the last kept row of one slab and in the halo
     # of the next, 6 and 7 the reverse, 99 in the merged last slab; the
-    # NaN reaches both gated defects, and every command refuses the grid
-    # with the adaptedness gate's message and no RuntimeWarning (which
-    # pytest turns into an error here)
+    # NaN reaches both gated defects and the derivative norm, and every
+    # command refuses the grid with the immersion check's message and no
+    # RuntimeWarning (which pytest turns into an error here)
     monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
     grid = slab_grid(101, 101)
     p = grid.p.copy()
     p[row, 50, 0] = np.nan
     bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
-    assert np.isnan(bad.summary.almost_complex_max)
-    assert np.isnan(bad.summary.projection_max)
+    assert np.isnan(slab_shares(bad)[1]).all()
     for run in (sf.analyze, hsys.epsilon_from_surface):
-        with pytest.raises(ValueError, match=r"almost-complex defect nan exceeds"):
+        with pytest.raises(ValueError, match=r"not an immersion \(derivative norm nan\)"):
             run(fresh(bad))

@@ -4,15 +4,17 @@
 
 Runs the same fixed list of command line runs against both trees, each
 with PYTHONPATH=<root>/src and its own fresh work directory, so both see
-the same relative paths; the potentials in `INPUTS` are written into both
+the same relative paths; the grids in `INPUTS` are written into both
 first.  For every run it compares stdout, stderr, the exit code and every
-file the run wrote, byte for byte, and prints one line.  Exits 1 if any
-run differs, 0 if all are identical.  Standard library only; the work
+file the run wrote, byte for byte, and prints one line.  A run whose
+stderr holds a warning in either tree differs too.  Exits 1 if any run
+differs, 0 if all are identical.  Standard library only; the work
 directories are removed at the end.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import subprocess
@@ -33,10 +35,31 @@ def _potential_csv(n, h, eps):
     return "\n".join(["u,v,x,y,z", *rows]) + "\n"
 
 
+def _immersion_csv(n, h, pq):
+    """The immersion CSV text of (p, q)(u, v) on the n x n lattice of step h."""
+    points = [(i * h, j * h) for i in range(n) for j in range(n)]
+    rows = [",".join(map(repr, (u, v, *pq(u, v)))) for u, v in points]
+    return "\n".join(["u,v,p0,p1,p2,p3,q0,q1,q2,q3", *rows]) + "\n"
+
+
+def _circle(a, axis):
+    """The unit quaternion cos(a) + sin(a) u, u the imaginary unit at
+    component `axis` (1 for i, 2 for j)."""
+    q = [math.cos(a), 0.0, 0.0, 0.0]
+    q[axis] = math.sin(a)
+    return tuple(q)
+
+
 # file name -> CSV text, written into each work directory before the runs
 INPUTS = {
     "const.csv": _potential_csv(7, 0.1, lambda u, v: (1.0, 2.0, 3.0)),
     "plane.csv": _potential_csv(9, 0.05, lambda u, v: (u, v, 0.0)),
+    # the bench's gate probe: p = exp(u i), q = exp(v j), not adapted
+    "probe.csv": _immersion_csv(41, 0.025, lambda u, v: _circle(u, 1) + _circle(v, 2)),
+    # p = q = exp(v j) does not move along u: not an immersion
+    "still.csv": _immersion_csv(41, 0.025, lambda u, v: _circle(v, 2) * 2),
+    # p = q = exp((u + v) i) has parallel tangents: EG - F^2 = 0 everywhere
+    "parallel.csv": _immersion_csv(41, 0.025, lambda u, v: _circle(u + v, 1) * 2),
 }
 
 # (label, expected exit code, cli arguments); later runs read earlier outputs
@@ -82,13 +105,22 @@ RUNS = [
     ("from-h cmc_sphere --tol-scale 1e-6", 2,
      ["from-h", "--input", "sph.csv", "--tol-scale", "1e-6", "--output", "sph_tight.csv"]),
     ("from-h immersion csv", 3, ["from-h", "--input", "ex1.csv", "--output", "bad_s.csv"]),
-    # refused by the potential's construction pass: its derivatives vanish
+    # refused by the potential's summary: its derivatives vanish
     ("from-h constant potential", 3,
      ["from-h", "--input", "const.csv", "--output", "const_s.csv"]),
     # refused by the equation-residual certificate: the plane's residual is
     # 4/sqrt3, far above the 200 h^2 = 0.5 it is allowed at this step
     ("from-h plane potential", 2,
      ["from-h", "--input", "plane.csv", "--output", "plane_s.csv"]),
+    # refused by the gates; on the still and parallel-tangent grids, where
+    # EG - F^2 = 0, `analyze`'s stages would divide by zero
+    ("analyze non-adapted probe", 3, ["analyze", "--input", "probe.csv"]),
+    ("to-h non-adapted probe", 3, ["to-h", "--input", "probe.csv", "--output", "probe_h.csv"]),
+    ("analyze still grid", 3, ["analyze", "--input", "still.csv"]),
+    ("to-h still grid", 3, ["to-h", "--input", "still.csv", "--output", "still_h.csv"]),
+    ("analyze parallel-tangent grid", 3, ["analyze", "--input", "parallel.csv"]),
+    ("to-h parallel-tangent grid", 3,
+     ["to-h", "--input", "parallel.csv", "--output", "parallel_h.csv"]),
     ("verify --samples 10000 --seed 1", 0,
      ["verify", "--samples", "10000", "--seed", "1", "--output", "verify.json"]),
 ]
@@ -141,6 +173,8 @@ def main(argv):
             codes = {r[0] for r in results}
             if codes != {expected}:
                 diffs.append(f"exit {sorted(codes)}, expected {expected}")
+            if any(b"Warning" in r[2] for r in results):
+                diffs.append("warning on stderr")
             failed += bool(diffs)
             verdict = "DIFFERS" if diffs else "same"
             print(f"{verdict:<7} exit {results[1][0]}  {label}"
