@@ -13,8 +13,8 @@ covariant-derivative tensors of J and P and the frame brackets as
 the connection changes sign (see `surface`); `nkspace` cross-checks them
 against the ambient quaternion formulas.
 
-It also holds the one comparison behind every certificate and input check,
-`gate`, and the validation of the tolerance multiplier, `validate_tol_scale`.
+It also holds the upper-bound and floor comparisons behind every check,
+`gate` and `at_least`, and the tolerance multiplier's `validate_tol_scale`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "gram_product",
     "connection_term",
     "gate",
+    "at_least",
     "validate_tol_scale",
 ]
 
@@ -138,6 +139,14 @@ def gate(value, tol, what, error=ValueError, why=""):
     `error("<what> <value> exceeds <tol><why>")`.  A NaN value fails."""
     if not value <= tol:
         raise error(f"{what} {value:.3e} exceeds {tol:.1e}{why}")
+    return float(value)
+
+
+def at_least(value, bound, what, why=""):
+    """`value` as a float when it is at least `bound`; otherwise raises
+    `ValueError("<what> <value> below <bound><why>")`.  A NaN value fails."""
+    if not value >= bound:
+        raise ValueError(f"{what} {value:.3e} below {bound:.1e}{why}")
     return float(value)
 
 

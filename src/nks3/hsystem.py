@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quat
-from .frame import SQRT3, gate, validate_tol_scale
+from .frame import SQRT3, at_least, gate, validate_tol_scale
 from .surface import (
     FROM_POTENTIAL, SECOND_FACTOR, Lattice, extract_coefficients, factor_partials,
     halo_slabs, immersion_grid, interior, require_adapted, require_imaginary,
@@ -82,11 +82,10 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True)
 class PotentialSummary:
-    """What the summary pass of a potential grid keeps: the largest
-    interior relative conformality deviation max(|e - g|, |f|) / max(e, g),
-    where (e, f, g) = (|eps_u|^2, eps_u . eps_v, |eps_v|^2) (NaN on a slab
-    whose speed e + g falls below the floor `HSurfaceGrid.summary` refuses,
-    so no division meets a zero), the largest interior
+    """What the summary pass of a potential grid keeps once every slab's
+    speed e + g has passed its floor: the largest interior relative
+    conformality deviation max(|e - g|, |f|) / max(e, g), where (e, f, g) =
+    (|eps_u|^2, eps_u . eps_v, |eps_v|^2), the largest interior
     `h_equation_residual`, and the read-only (nu, nv) speed field.  A NaN
     anywhere in a field reaches its maximum."""
 
@@ -117,13 +116,11 @@ class HSurfaceGrid(Lattice):
     @cached_property
     def summary(self):
         """The grid's one `PotentialSummary`, from one pass over its
-        `surface.halo_slabs`, computed on first use; raises ValueError unless
-        the smallest interior speed is at least 1e-10 (a NaN is not)."""
+        `surface.halo_slabs`, computed on first use; raises ValueError in
+        the first slab whose speed is below its floor (`_summary_slab`)."""
         speed = np.empty((self.nu, self.nv))
-        lows, highs = zip(*(_summary_slab(*slab, speed) for slab in halo_slabs(self)))
+        highs = [_summary_slab(*slab, speed) for slab in halo_slabs(self)]
         speed.flags.writeable = False
-        if not np.min(lows) >= 1e-10:
-            raise ValueError("derivatives vanish on the interior; not a solution surface")
         conformal, equation = np.max(highs, axis=0)
         return PotentialSummary(float(conformal), float(equation), speed)
 
@@ -145,22 +142,21 @@ class HSurfaceGrid(Lattice):
 
 
 def _summary_slab(sub, keep, rows, speed):
-    """One halo slab's share of `HSurfaceGrid.summary`: writes its kept
-    rows of the speed field and returns its interior speed minimum, and
-    its interior conformality deviation and equation residual maxima."""
+    """One halo slab's share of `HSurfaceGrid.summary`, once its interior
+    speed e + g meets the floor 1e-10 (so no division meets a zero): writes
+    its kept rows of the speed field, returns its interior maxima of the
+    conformality deviation and the equation residual."""
     eu, ev = sub.partials()
     e, g = np.sum(eu * eu, axis=-1), np.sum(ev * ev, axis=-1)
     full = e + g
+    at_least(interior(full).min(), 1e-10, "derivatives vanish on the interior: speed",
+             "; not a solution surface")
     speed[rows] = full[keep]
-    low = interior(full).min()
-    conformal = np.nan
-    if low >= 1e-10:
-        e, g = interior(e), interior(g)
-        f = np.sum(interior(eu) * interior(ev), axis=-1)
-        conformal = (np.maximum(np.abs(e - g), np.abs(f)) / np.maximum(e, g)).max()
-        del f
-    del e, g, full  # none is alive beside the residual's temporaries
-    return low, (conformal, interior(h_equation_residual(eu, ev, sub.laplacian())).max())
+    e, g = interior(e), interior(g)
+    f = np.sum(interior(eu) * interior(ev), axis=-1)
+    conformal = (np.maximum(np.abs(e - g), np.abs(f)) / np.maximum(e, g)).max()
+    del e, f, g, full  # none is alive beside the residual's temporaries
+    return conformal, interior(h_equation_residual(eu, ev, sub.laplacian())).max()
 
 
 def h_surface_grid(lat, eps):

@@ -30,10 +30,10 @@ values two rows away (one for the partials, one for the derivatives of
 fields built from them), so a sub-grid's `interior` is exactly its share
 of the grid's: the stage functions run on each sub-grid as they are, and
 their maxima merge by `np.max` to the same bits.  Building a grid forms
-no derivative; the first pass that reads it merges the slabs' summary
-shares into its `GridSummary` and refuses a grid that is not an
-immersion: `ImmersionGrid.summary` caches that pass, and `analyze` takes
-it once, with its own stages on the same partials.
+no derivative; the first pass that reads it refuses, in its first slab
+below the immersion floor, a grid that is not an immersion, and merges
+the slab shares into a `GridSummary`: `ImmersionGrid.summary` caches
+that pass, and `analyze` takes it once, with its stages on the same partials.
 
 The correspondence with flat potentials is two fixed rotations of the
 first factor's coefficient pair, each one `rotate_pair(a, b, rotation)`:
@@ -66,7 +66,7 @@ import numpy as np
 
 from . import quat
 from .frame import (
-    J_MAT, P_MAT, SQRT3, connection_term, gate, gram_product, validate_tol_scale,
+    J_MAT, P_MAT, SQRT3, at_least, connection_term, gate, gram_product, validate_tol_scale,
 )
 
 __all__ = [
@@ -252,13 +252,13 @@ def lattice(u0, v0, du, dv, nu, nv):
 
 @dataclass(frozen=True)
 class GridSummary(Lattice):
-    """What one pass over an immersion grid's halo slabs keeps, over the
-    grid's window: its largest interior almost-complex defect and real-part
-    residual (the largest dropped real part of a logarithmic derivative),
-    the smallest EG - F^2 over the whole grid, and the read-only (nu, nv)
-    field E (None from `analyze`'s pass, which reads no E).  A NaN anywhere
-    in a field reaches its maximum or minimum.  It holds no reference to p
-    and q, so a command can keep it past the grid."""
+    """What one pass over an immersion grid's halo slabs, each past its
+    immersion floor, keeps over the grid's window: its largest interior
+    almost-complex defect and real-part residual (the largest dropped real
+    part of a logarithmic derivative), the smallest EG - F^2 over the whole
+    grid, and the read-only (nu, nv) field E (None from `analyze`'s pass,
+    which reads no E).  A NaN in a field reaches its maximum or minimum.
+    It holds no reference to p and q, so a command can keep it past the grid."""
 
     almost_complex_max: float
     projection_max: float
@@ -277,8 +277,8 @@ class ImmersionGrid(Lattice):
     @cached_property
     def summary(self):
         """The grid's one `GridSummary` with its E field, from one pass over
-        its `halo_slabs`, computed on first use.  Raises ValueError when the
-        grid is not an immersion (`_grid_summary`)."""
+        its `halo_slabs`, computed on first use.  Raises ValueError in the
+        first slab that is not an immersion (`_summary_slab`)."""
         E = np.empty((self.nu, self.nv))
         shares = [_summary_slab(partials(sub), keep, rows, E)
                   for sub, keep, rows in halo_slabs(self)]
@@ -288,31 +288,27 @@ class ImmersionGrid(Lattice):
 
 def _summary_slab(gp, keep, rows, E=None):
     """One halo slab's share of a `GridSummary` from its partials `gp`:
-    writes its kept rows of E into a given buffer and returns (smallest
-    interior derivative norm sqrt(min(E, G)), NaN if E's minimum is,
-    smallest EG - F^2 on the kept rows) and (almost-complex defect,
-    real-part residual); the defect is NaN where the derivatives vanish on
-    the interior, which `_grid_summary` refuses."""
+    refuses the slab unless its interior derivative norm sqrt(min(E, G))
+    meets the immersion floor 1e-8, then writes its kept rows of E into a
+    given buffer and returns (smallest EG - F^2 on the kept rows,
+    (almost-complex defect, real-part residual))."""
     e, f, g = gp.first_form
+    low = np.maximum(np.minimum(interior(e).min(), interior(g).min()), 0.0)
+    at_least(np.sqrt(low), 1e-8, "grid is not an immersion: derivative norm")
     if E is not None:
         E[rows] = e[keep]
-    speed = np.sqrt(max(min(interior(e).min(), interior(g).min()), 0.0))
     e, f, g = e[keep], f[keep], g[keep]
-    ac = float(almost_complex_residual(gp).max()) if speed >= 1e-8 else np.nan
-    return (speed, np.min(e * g - f * f)), (ac, gp.projection_max)
+    ac = float(almost_complex_residual(gp).max())
+    return np.min(e * g - f * f), (ac, gp.projection_max)
 
 
 def _grid_summary(lat, shares, E=None):
     """The `GridSummary` over `lat` from the `_summary_slab` shares of all
-    its halo slabs; raises ValueError unless the smallest derivative norm
-    is at least 1e-8 (immersion check; a NaN is not)."""
-    lows, highs = zip(*shares)
-    speed, det_min = np.min(lows, axis=0)
-    if not speed >= 1e-8:
-        raise ValueError(f"grid is not an immersion (derivative norm {speed:.3e})")
+    its halo slabs, each past its immersion floor: it only merges."""
+    dets, highs = zip(*shares)
     ac, real = np.max(highs, axis=0)
     return GridSummary(**lat.window(), almost_complex_max=float(ac),
-                       projection_max=float(real), det_min=det_min, E=E)
+                       projection_max=float(real), det_min=np.min(dets), E=E)
 
 
 def immersion_grid(lat, p, q):
@@ -323,9 +319,9 @@ def immersion_grid(lat, p, q):
     checks before either changes, then divides each by its norms to
     `quat.unit`'s bits: in place for a writeable, C-contiguous float64
     array, into a copy for any other input or a q overlapping p.  The grid's
-    p and q are read-only.  It forms no derivative: the immersion check
-    runs where the grid is first read, in the pass that builds its
-    `GridSummary` (`ImmersionGrid.summary`, or `analyze`'s own).
+    p and q are read-only.  It forms no derivative: the immersion floor is
+    checked where the grid is first read, slab by slab in the pass that
+    builds its `GridSummary` (`ImmersionGrid.summary`, or `analyze`'s own).
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     shape = (lat.nu, lat.nv, 4)
@@ -691,18 +687,18 @@ def analyze(grid, tol_scale=1.0):
     """Full summary report of an adapted immersion grid.
 
     The report dict uses a fixed key schema (see the CLI docs).  Raises
-    ValueError when `tol_scale` is not finite and positive, then when the
-    grid is not an immersion (`_grid_summary`), is not adapted
-    (`require_adapted`), has logarithmic derivatives far from imaginary
-    (`require_imaginary`) or a degenerate metric.  One pass over
-    `halo_slabs` forms each slab's partials once, for its share of the
-    `GridSummary`, gated after the pass, and for its stages, which keep
-    only maxima and K: one (nu, nv) buffer, so `K_mean` sums its `interior`
-    in the same order as a whole-grid field.  A slab whose stages meet a
-    zero division, an overflow or an invalid value (a metric degenerate
-    anywhere on it, halo rows included) is held back, and analysed with its
-    partials formed again once the gates pass: a refused grid warns of
-    nothing.
+    ValueError when `tol_scale` is not finite and positive, in the first
+    slab that is not an immersion (`_summary_slab`, before its stages), then
+    when the grid is not adapted (`require_adapted`), has logarithmic
+    derivatives far from imaginary (`require_imaginary`) or min EG - F^2
+    below the metric floor 1e-10.  One pass over `halo_slabs` forms each
+    slab's partials once, for its share of the `GridSummary`, gated after
+    the pass, and for its stages, which keep only maxima and K: one (nu, nv)
+    buffer, so `K_mean` sums its `interior` in the same order as a
+    whole-grid field.  A slab whose stages meet a zero division, an overflow
+    or an invalid value (a metric degenerate anywhere on it, halo rows
+    included) is held back, and analysed with its partials formed again once
+    the gates pass: a refused grid warns of nothing.
     """
     validate_tol_scale(tol_scale)
     K = np.empty((grid.nu, grid.nv))
@@ -719,8 +715,7 @@ def analyze(grid, tol_scale=1.0):
     summary = _grid_summary(grid, shares)
     ac_max = require_adapted(summary, tol_scale)
     require_imaginary(summary)
-    if not summary.det_min >= 1e-10:  # a NaN is not
-        raise ValueError(f"metric is degenerate (min EG - F^2 = {summary.det_min:.3e})")
+    at_least(summary.det_min, 1e-10, "metric is degenerate: min EG - F^2")
     highs += [_analysis_slab(partials(sub), keep, rows, K) for sub, keep, rows in held]
     r21, r22, r23, cr, lam_max, h_max, normal_dev, tangent_dev = (
         float(x) for x in np.max(highs, axis=0))

@@ -403,7 +403,9 @@ def test_analyze_refuses_a_grid_that_stops_without_a_warning(tmp_path, capsys):
     # example2 201^2 with every u-row from row 40 on equal to row 40: the
     # first 41-row slab keeps rows whose E is positive, but its halo rows
     # 41 and 42 have E = 0, so the almost-complex residual may divide only
-    # on the interior it reduces; the only line on stderr is the refusal
+    # on the interior it reduces; the second slab is refused at its
+    # immersion floor, and the only line on stderr is the refusal, which
+    # names the floor
     grid = fixtures.make_fixture("example2", nu=201, nv=201)
     p, q = grid.p.copy(), grid.q.copy()
     p[40:], q[40:] = p[40], q[40]
@@ -413,7 +415,8 @@ def test_analyze_refuses_a_grid_that_stops_without_a_warning(tmp_path, capsys):
         warnings.simplefilter("always")
         code, rep, err = run(capsys, "--command", "analyze", "--input", str(csv))
     assert (code, rep, caught) == (3, None, [])
-    assert err == "input error: grid is not an immersion (derivative norm 0.000e+00)\n"
+    assert err == ("input error: grid is not an immersion: derivative norm 0.000e+00 "
+                   "below 1.0e-08\n")
 
 
 def test_analyze_fixture(tmp_path, capsys):

@@ -1,15 +1,18 @@
-"""Every gate's tolerance is pinned by a near control.
+"""Every gate's tolerance and every floor is pinned by a near control.
 
-`frame.gate` is the one comparison behind every certificate and input
-check in `src/nks3`.  Each site below is driven through the public API
-twice, with `gate` wrapped to log value / tol per calling function: a near
-control that the site refuses at 1 < value/tol <= 10, so a tenfold looser
-tolerance would pass it and fail this test, and an input below it that the
-site passes at value/tol < 1.  Sites are keyed by the name of the function
-that calls `gate`, not by line, and the keys must equal the callers `ast`
-finds in `src/nks3`, so a new gate without a near control fails here.
+`frame.gate` (an upper bound) and `frame.at_least` (a floor) are the
+comparisons behind every certificate and input check in `src/nks3`.  Each
+site below is driven through the public API twice, with both wrapped to log
+per calling function how far the value lies past the limit, value / tol for
+a gate and bound / value for a floor: a near control that the site refuses
+at 1 < ratio <= 10, so a tenfold looser limit would pass it and fail this
+test, and an input that the site passes at ratio < 1.  Sites are keyed by
+the name of the function that calls `gate` or `at_least`, not by line, and
+the keys must equal the callers `ast` finds in `src/nks3`, so a new check
+without a near control fails here.
 """
 import ast
+import operator
 import pathlib
 import sys
 
@@ -25,9 +28,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nks3"
 QI, QJ = np.eye(4)[1:3]
 
 
-def gate_callers():
+def callers(name):
     """"<module>.<function>" of the innermost function around every
-    `gate(...)` call in `src/nks3`."""
+    `name(...)` call in `src/nks3`."""
     sites = set()
 
     def visit(node, module, scope):
@@ -36,7 +39,7 @@ def gate_callers():
                 visit(child, module, child.name)
                 continue
             if isinstance(child, ast.Call) and getattr(
-                    child.func, "id", getattr(child.func, "attr", None)) == "gate":
+                    child.func, "id", getattr(child.func, "attr", None)) == name:
                 sites.add(f"{module}.{scope}")
             visit(child, module, scope)
 
@@ -45,21 +48,29 @@ def gate_callers():
     return sites
 
 
+def check_callers():
+    return callers("gate") | callers("at_least")
+
+
 @pytest.fixture
 def ratios(monkeypatch):
-    """The list of (site, value / tol) that every `gate` call appends to
-    while the test runs."""
-    log, gate = [], frame.gate
+    """The list of (site, ratio) that every `gate` call (value / tol) and
+    every `at_least` call (bound / value) appends to while the test runs."""
+    log = []
 
-    def traced(value, tol, *args, **kwargs):
-        caller = sys._getframe(1)
-        module = caller.f_globals["__name__"].rsplit(".", 1)[-1]
-        log.append((f"{module}.{caller.f_code.co_name}", value / tol))
-        return gate(value, tol, *args, **kwargs)
+    def traced(check, ratio):
+        def call(value, limit, *args, **kwargs):
+            caller = sys._getframe(1)
+            module = caller.f_globals["__name__"].rsplit(".", 1)[-1]
+            log.append((f"{module}.{caller.f_code.co_name}", ratio(value, limit)))
+            return check(value, limit, *args, **kwargs)
+        return call
 
-    for module in (cli, fixtures, hsys, io, nk, sf):
-        if getattr(module, "gate", None) is gate:
-            monkeypatch.setattr(module, "gate", traced)
+    for check, ratio in ((frame.gate, operator.truediv),
+                         (frame.at_least, lambda value, bound: bound / value)):
+        for module in (cli, fixtures, hsys, io, nk, sf):
+            if getattr(module, check.__name__, None) is check:
+                monkeypatch.setattr(module, check.__name__, traced(check, ratio))
     return log
 
 
@@ -139,6 +150,28 @@ def turned_rows(angle):
     return sf.immersion_grid(grid, p, grid.q)
 
 
+def slow_example1(scale):
+    """example1 21^2 at h = 0.01 with both circle angles scaled by `scale`:
+    the derivative norm sqrt(min(E, G)) is 1.155 scale and min EG - F^2 is
+    1.778 scale^4."""
+    lat = sf.lattice(0.0, 0.0, 1e-2, 1e-2, 21, 21)
+    u, v = lat.u_vals[:, None], lat.v_vals[None, :]
+    s, t = scale * (u - v / frame.SQRT3), scale * (-2.0 * v / frame.SQRT3 + 0.0 * u)
+
+    def circle(a):
+        return np.stack([np.cos(a), np.sin(a), 0.0 * a, 0.0 * a], axis=-1)
+
+    return sf.immersion_grid(lat, circle(s), circle(t))
+
+
+def slow_plane(scale):
+    """The plane potential scale (u, v, 0) on 9^2 at h = 0.05: its speed
+    |eps_u|^2 + |eps_v|^2 is 2 scale^2."""
+    lat = sf.lattice(0.0, 0.0, 0.05, 0.05, 9, 9)
+    u, v = np.meshgrid(lat.u_vals, lat.v_vals, indexing="ij")
+    return hsys.h_surface_grid(lat, scale * np.stack([u, v, 0.0 * u], axis=-1))
+
+
 # site -> (near control, input below it), each a call of the public API on
 # one member of a family, at a parameter ten times apart
 CONTROLS = {
@@ -160,16 +193,37 @@ CONTROLS = {
         lambda tmp: sf.analyze(twisted_example2(2e-3))),
     "surface.require_imaginary": (
         lambda tmp: sf.analyze(turned_rows(5e-2)), lambda tmp: sf.analyze(turned_rows(5e-3))),
+    "surface._summary_slab": (
+        lambda tmp: slow_example1(5e-9).summary, lambda tmp: slow_example1(5e-8).summary),
+    "surface.analyze": (
+        lambda tmp: sf.analyze(slow_example1(2e-3)),
+        lambda tmp: sf.analyze(slow_example1(2e-2))),
+    "hsystem._summary_slab": (
+        lambda tmp: slow_plane(5e-6).summary, lambda tmp: slow_plane(5e-5).summary),
 }
 
 REFUSALS = (ValueError, hsys.CertificateError)
 
 
 def test_every_gate_call_has_a_near_control():
-    assert set(CONTROLS) == gate_callers()
+    assert set(CONTROLS) == check_callers()
 
 
-@pytest.mark.parametrize("site", sorted(gate_callers()))
+def test_each_floor_is_checked_once_where_it_is_measured():
+    # the immersion floor in the slab that forms the derivatives, the speed
+    # floor in the potential's slab, the metric floor in `analyze`
+    assert callers("at_least") == {
+        "surface._summary_slab", "surface.analyze", "hsystem._summary_slab"}
+
+
+@pytest.mark.parametrize("value", [0.5, np.nan])
+def test_a_floor_refuses_below_its_bound_and_a_nan(value):
+    with pytest.raises(ValueError, match=r"^norm (5\.000e-01|nan) below 1\.0e\+00; why$"):
+        frame.at_least(value, 1.0, "norm", "; why")
+    assert frame.at_least(1.0, 1.0, "norm") == 1.0
+
+
+@pytest.mark.parametrize("site", sorted(check_callers()))
 def test_gate_refuses_its_near_control(site, ratios, tmp_path):
     refused, passed = CONTROLS[site]
     with pytest.raises(REFUSALS):

@@ -311,9 +311,9 @@ def test_to_potential_rejects_nan_cell():
     grid = fixtures.make_fixture("example1", nu=15, nv=15)
     p = grid.p.copy()
     p[7, 7, 0] = np.nan
-    # the NaN reaches the derivative norm, so the immersion check refuses
-    # the grid before the adaptedness gate, which a NaN defect fails
-    with pytest.raises(ValueError, match=r"not an immersion \(derivative norm nan\)"):
+    # the NaN reaches the derivative norm, so its slab's immersion floor
+    # refuses the grid before the adaptedness gate, which a NaN defect fails
+    with pytest.raises(ValueError, match=r"immersion: derivative norm nan below 1\.0e-08$"):
         hsys.epsilon_from_surface(dataclasses.replace(grid, p=p))
     nan_defect = dataclasses.replace(grid.summary, almost_complex_max=np.nan)
     with pytest.raises(ValueError, match="not adapted"):
@@ -418,9 +418,9 @@ def test_mean_curvature_rejects_nan_cell():
     eps = hs.eps.copy()
     eps[7, 7, 0] = np.nan
     bad = hsys.HSurfaceGrid(**hs.window(), eps=eps)
-    # the NaN reaches the speed first, and the summary refuses it; a NaN
-    # conformality deviation fails the conformality gate closed
-    with pytest.raises(ValueError, match="vanish"):
+    # the NaN reaches the speed first, and its slab's floor refuses it; a
+    # NaN conformality deviation fails the conformality gate closed
+    with pytest.raises(ValueError, match=r"vanish on the interior: speed nan below 1\.0e-10"):
         hsys.mean_curvature(bad)
     with pytest.raises(ValueError, match="conformal"):
         hsys.mean_curvature(with_summary(hs, conformal_max=np.nan))

@@ -212,24 +212,26 @@ def test_non_adapted_grid_flagged():
         sf.analyze(grid)
 
 
-def slab_shares(grid):
-    """The merged `_summary_slab` shares of `grid`'s halo slabs, which its
-    summary's immersion check reads first: (derivative norm and EG - F^2
-    minima) and (almost-complex defect, real-part residual)."""
-    lows, highs = zip(*(sf._summary_slab(sf.partials(sub), keep, rows)
-                        for sub, keep, rows in sf.halo_slabs(grid)))
-    return np.min(lows, axis=0), np.max(highs, axis=0)
+def slab_defects(grid):
+    """The almost-complex defect and real-part residual of `grid`, merged
+    over its halo slabs' partials with no immersion floor in the way."""
+    highs = [(sf.almost_complex_residual(gp).max(), gp.projection_max)
+             for gp in (sf.partials(sub) for sub, _, _ in sf.halo_slabs(grid))]
+    return np.max(highs, axis=0)
+
+
+NAN_FLOOR = r"^grid is not an immersion: derivative norm nan below 1\.0e-08$"
 
 
 def test_nan_cell_fails_real_part_gate():
     # a NaN cell reaches the real-part residual, whose gate fails closed;
-    # the grid's summary refuses it first, at the immersion check
+    # the grid's summary refuses it first, at its slab's immersion floor
     grid = small_fixture("example1", n=15)
     p = grid.p.copy()
     p[7, 7, 0] = np.nan
     bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
-    assert np.isnan(slab_shares(bad)[1][1])
-    with pytest.raises(ValueError, match=r"not an immersion \(derivative norm nan\)"):
+    assert np.isnan(slab_defects(bad)[1])
+    with pytest.raises(ValueError, match=NAN_FLOOR):
         bad.summary
     nan_real = dataclasses.replace(grid.summary, projection_max=float("nan"))
     with pytest.raises(ValueError, match="far from imaginary"):
@@ -535,7 +537,8 @@ def test_analyze_refuses_a_degenerate_metric():
     refused, kept = slow_example1(1e-3), slow_example1(3e-3)
     assert 1e-12 < refused.summary.det_min < 1e-11
     assert 1e-10 < kept.summary.det_min < 2e-10
-    with pytest.raises(ValueError, match=r"metric is degenerate \(min EG - F\^2 = 1.778e-12\)"):
+    with pytest.raises(ValueError,
+                       match=r"^metric is degenerate: min EG - F\^2 1\.778e-12 below 1\.0e-10$"):
         sf.analyze(refused)
     assert sf.require_adapted(refused.summary, 1.0) < 1e-8
     assert sf.require_imaginary(refused.summary) < refused.fd_floor()
@@ -557,7 +560,7 @@ def parallel_or_still(still):
 @pytest.mark.parametrize("points", [300, 567, 8192])
 @pytest.mark.parametrize("still, refusal", [
     (False, r"^grid is not adapted: relative almost-complex defect 1\.414e\+00 "),
-    (True, r"^grid is not an immersion \(derivative norm 0\.000e\+00\)$"),
+    (True, r"^grid is not an immersion: derivative norm 0\.000e\+00 below 1\.0e-08$"),
 ], ids=["parallel", "still"])
 def test_degenerate_grid_meets_its_first_gate_only(monkeypatch, points, still,
                                                     refusal):
@@ -855,8 +858,8 @@ def test_slab_kernels_match_the_whole_grid(monkeypatch, shape):
 
 def test_nan_in_last_slab_fails_closed(monkeypatch, capsys):
     # a NaN on an interior row of the last slab reaches `projection_max`
-    # and the derivative norm, and through the immersion check `analyze`
-    # exits 3
+    # and the derivative norm, and through that slab's immersion floor
+    # `analyze` exits 3
     monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
     grid = slab_grid(203, 9)
     last = grid.slabs(0)[-1]
@@ -864,11 +867,11 @@ def test_nan_in_last_slab_fails_closed(monkeypatch, capsys):
     p[last.stop - 4, 4, 0] = np.nan
     bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
     assert last.start < last.stop - 4 < grid.nu - 2
-    assert np.isnan(slab_shares(bad)[1][1])
+    assert np.isnan(slab_defects(bad)[1])
     monkeypatch.setattr(cli, "read_immersion_csv", lambda path: bad)
     assert cli.main(["--command", "analyze", "--input", "grid.csv"]) == 3
     assert capsys.readouterr().err == (
-        "input error: grid is not an immersion (derivative norm nan)\n"
+        "input error: grid is not an immersion: derivative norm nan below 1.0e-08\n"
     )
 
 
@@ -963,14 +966,58 @@ def test_nan_in_a_halo_row_fails_closed(monkeypatch, row):
     # 3-row slabs: row 5 is the last kept row of one slab and in the halo
     # of the next, 6 and 7 the reverse, 99 in the merged last slab; the
     # NaN reaches both gated defects and the derivative norm, and every
-    # command refuses the grid with the immersion check's message and no
+    # command refuses the grid with the immersion floor's message and no
     # RuntimeWarning (which pytest turns into an error here)
     monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
     grid = slab_grid(101, 101)
     p = grid.p.copy()
     p[row, 50, 0] = np.nan
     bad = sf.ImmersionGrid(**grid.window(), p=p, q=grid.q)
-    assert np.isnan(slab_shares(bad)[1]).all()
+    assert np.isnan(slab_defects(bad)).all()
     for run in (sf.analyze, hsys.epsilon_from_surface):
-        with pytest.raises(ValueError, match=r"not an immersion \(derivative norm nan\)"):
+        with pytest.raises(ValueError, match=NAN_FLOOR):
             run(fresh(bad))
+
+
+# the floors refuse in the slab that measures them: at 300 points a 41^2
+# grid is cut into five 8-row slabs (the last with the one leftover row),
+# and a grid that stops moving from row 30 on first fails in the fourth,
+# rows 24-31, whose row 31 has a vanishing derivative
+def count_calls(monkeypatch, owner, name):
+    """The list that every call of `owner.name` appends to while the test runs."""
+    calls, call = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or call(*args))
+    return calls
+
+
+@pytest.mark.parametrize("read", [sf.analyze, lambda grid: grid.summary],
+                         ids=["analyze", "summary"])
+def test_a_grid_is_refused_in_its_first_slab_below_the_floor(monkeypatch, read):
+    monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
+    grid = small_fixture("example2", n=41)
+    p, q = grid.p.copy(), grid.q.copy()
+    p[30:], q[30:] = p[30], q[30]
+    still = sf.immersion_grid(grid, p, q)
+    slabs = [rows for _, _, rows in sf.halo_slabs(still)]
+    assert len(slabs) == 5 and slabs[3] == slice(24, 32)
+    formed = count_calls(monkeypatch, sf, "partials")
+    with pytest.raises(ValueError,
+                       match=r"^grid is not an immersion: derivative norm 0\.000e\+00 below"):
+        read(still)
+    assert len(formed) == 4
+
+
+def test_a_potential_is_refused_in_its_first_slab_below_the_floor(monkeypatch):
+    # the potential held at one value from row 30 on: its speed vanishes
+    # from row 31 on, in the fourth slab
+    monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
+    hs = fixtures.make_fixture("cmc_sphere", nu=41, nv=41)
+    eps = hs.eps.copy()
+    eps[30:] = eps[30, 0]
+    held = hsys.h_surface_grid(hs, eps)
+    assert len(list(sf.halo_slabs(held))) == 5
+    formed = count_calls(monkeypatch, hsys.HSurfaceGrid, "partials")
+    with pytest.raises(ValueError, match=r"^derivatives vanish on the interior: speed "
+                       r"0\.000e\+00 below 1\.0e-10; not a solution surface$"):
+        held.summary
+    assert len(formed) == 4

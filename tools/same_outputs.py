@@ -60,6 +60,14 @@ INPUTS = {
     "still.csv": _immersion_csv(41, 0.025, lambda u, v: _circle(v, 2) * 2),
     # p = q = exp((u + v) i) has parallel tangents: EG - F^2 = 0 everywhere
     "parallel.csv": _immersion_csv(41, 0.025, lambda u, v: _circle(u + v, 1) * 2),
+    # example1 with both circle angles scaled by 1e-3: adapted, traced so
+    # slowly that min EG - F^2 = 1.778e-12 falls below the metric floor
+    "slow.csv": _immersion_csv(21, 0.01, lambda u, v: (
+        _circle(1e-3 * (u - v / math.sqrt(3.0)), 1) + _circle(-2e-3 * v / math.sqrt(3.0), 1))),
+    # p = exp(min(u, 85 h) i), q = exp(v j) stops moving along u at row 85,
+    # so the grid fails the immersion floor only in its second slab
+    "late.csv": _immersion_csv(101, 0.025, lambda u, v: (
+        _circle(min(u, 85 * 0.025), 1) + _circle(v, 2))),
 }
 
 # (label, expected exit code, cli arguments); later runs read earlier outputs
@@ -121,6 +129,12 @@ RUNS = [
     ("analyze parallel-tangent grid", 3, ["analyze", "--input", "parallel.csv"]),
     ("to-h parallel-tangent grid", 3,
      ["to-h", "--input", "parallel.csv", "--output", "parallel_h.csv"]),
+    # `analyze` refuses the slow grid at the metric floor, which `to-h` does
+    # not read
+    ("analyze slow grid", 3, ["analyze", "--input", "slow.csv"]),
+    ("to-h slow grid", 0, ["to-h", "--input", "slow.csv", "--output", "slow_h.csv"]),
+    ("analyze late-stopping grid", 3, ["analyze", "--input", "late.csv"]),
+    ("to-h late-stopping grid", 3, ["to-h", "--input", "late.csv", "--output", "late_h.csv"]),
     ("verify --samples 10000 --seed 1", 0,
      ["verify", "--samples", "10000", "--seed", "1", "--output", "verify.json"]),
 ]
