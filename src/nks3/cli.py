@@ -14,7 +14,8 @@ JSON (sorted keys) printed to stdout, with a ``config`` holding the command
 and exactly the flags it reads; commands whose primary output is a CSV also
 write the report next to it as ``<output>.report.json``.  Identical
 configurations produce byte-identical outputs.  Exit codes: 0 success,
-2 certificate or verification failure, 3 input error or failed allocation.
+2 certificate or verification failure, 3 input error, failed allocation or
+floating-point fault (a zero division, an overflow or an invalid value).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+
+import numpy as np
 
 from . import __version__
 from .fixtures import FIXTURE_NAMES, make_fixture
@@ -187,7 +190,8 @@ def _parse(argv):
 def main(argv=None):
     try:
         handler, config = _parse(argv)
-        report, sidecar_for, code = handler(config)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            report, sidecar_for, code = handler(config)
         report["config"] = config
         report["version"] = VERSION_STRING
         sys.stdout.write(dump_report(report))
@@ -199,7 +203,7 @@ def main(argv=None):
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, FloatingPointError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
 

@@ -41,9 +41,9 @@ def _circle(angle):
 
 
 def _sech(x):
-    """The conformal factor 1 / cosh(x) of the sphere fixtures; raises
-    ValueError where the window takes it below `POLE_MARGIN`."""
-    sech = 1.0 / np.cosh(x)
+    """The sphere fixtures' conformal factor 1 / cosh(x), |x| clamped at 710
+    so cosh cannot overflow; raises ValueError below `POLE_MARGIN`."""
+    sech = 1.0 / np.cosh(np.clip(x, -710.0, 710.0))
     if float(sech.min()) < POLE_MARGIN:
         raise ValueError(
             f"window reaches a conformal factor {sech.min():.3f}, below the "

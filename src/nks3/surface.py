@@ -691,32 +691,31 @@ def analyze(grid, tol_scale=1.0):
     slab that is not an immersion (`_summary_slab`, before its stages), then
     when the grid is not adapted (`require_adapted`), has logarithmic
     derivatives far from imaginary (`require_imaginary`) or min EG - F^2
-    below the metric floor 1e-10.  One pass over `halo_slabs` forms each
-    slab's partials once, for its share of the `GridSummary`, gated after
-    the pass, and for its stages, which keep only maxima and K: one (nu, nv)
-    buffer, so `K_mean` sums its `interior` in the same order as a
-    whole-grid field.  A slab whose stages meet a zero division, an overflow
-    or an invalid value (a metric degenerate anywhere on it, halo rows
-    included) is held back, and analysed with its partials formed again once
-    the gates pass: a refused grid warns of nothing.
+    below the metric floor 1e-10; only then does the first slab whose stages
+    met a zero division, an overflow or an invalid value raise its
+    FloatingPointError.  One pass over `halo_slabs` forms each slab's
+    partials once, for its share of the `GridSummary`, gated after the pass,
+    and for its stages, which keep only maxima and K: one (nu, nv) buffer,
+    so `K_mean` sums its `interior` in the same order as a whole-grid field.
     """
     validate_tol_scale(tol_scale)
     K = np.empty((grid.nu, grid.nv))
-    shares, highs, held = [], [], []
+    shares, highs, fault = [], [], None
     for sub, keep, rows in halo_slabs(grid):
         gp = partials(sub)
         shares.append(_summary_slab(gp, keep, rows))
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 highs.append(_analysis_slab(gp, keep, rows, K))
-        except FloatingPointError:
-            held.append((sub, keep, rows))
+        except FloatingPointError as exc:
+            fault = fault or exc
         del gp  # one slab's partials alive at a time
     summary = _grid_summary(grid, shares)
     ac_max = require_adapted(summary, tol_scale)
     require_imaginary(summary)
     at_least(summary.det_min, 1e-10, "metric is degenerate: min EG - F^2")
-    highs += [_analysis_slab(partials(sub), keep, rows, K) for sub, keep, rows in held]
+    if fault:
+        raise fault
     r21, r22, r23, cr, lam_max, h_max, normal_dev, tangent_dev = (
         float(x) for x in np.max(highs, axis=0))
     K_mean, K_max_dev = interior_spread(K)

@@ -419,6 +419,93 @@ def test_analyze_refuses_a_grid_that_stops_without_a_warning(tmp_path, capsys):
                    "below 1.0e-08\n")
 
 
+def quiet_run(capsys, *argv):
+    """`run`, asserting that no warning was issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    assert caught == []
+    return result
+
+
+def refused_once(code, rep, err):
+    """Whether a run was refused with exit 2 or 3, no report and one line."""
+    return code in (2, 3) and rep is None and err.count("\n") == 1 and err.endswith("\n")
+
+
+# a step of 1e-100 turns the rounding noise of unit values into derivatives
+# near 1e84, whose products overflow
+TINY = ["--nu", "9", "--nv", "9", "--du", "1e-100", "--dv", "1e-100"]
+
+
+@pytest.mark.parametrize("name", ["example2", "cmc_sphere"])
+def test_a_tiny_step_fixture_is_refused_at_its_fault(tmp_path, capsys, name):
+    # the self-check meets the fault: exit 3 with one line, and no CSV or
+    # sidecar
+    code, rep, err = quiet_run(capsys, "--command", "fixture", "--fixture", name, *TINY,
+                               "--output", str(tmp_path / "t.csv"))
+    assert (code, rep, err) == (3, None, "input error: overflow encountered in multiply\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, command", [
+    ("example2", "analyze"), ("example2", "to-h"), ("cmc_sphere", "from-h")])
+def test_a_tiny_step_grid_is_refused_at_its_fault(tmp_path, capsys, name, command):
+    grid = fixtures.make_fixture(name, 9, 9, 1e-100, 1e-100)
+    csv = tmp_path / "in.csv"
+    write = io.write_immersion_csv if name == "example2" else io.write_epsilon_csv
+    write(csv, grid)
+    code, rep, err = quiet_run(capsys, "--command", command, "--input", str(csv),
+                               "--output", str(tmp_path / "out.csv"))
+    assert code == 3 and refused_once(code, rep, err)
+    assert err.startswith("input error: overflow encountered in ")
+    assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+
+@pytest.mark.parametrize("name, window", [
+    ("example2", ["--nu", "1001", "--nv", "11", "--du", "2"]),
+    ("cmc_sphere", ["--nu", "11", "--nv", "1001", "--dv", "2"])])
+def test_a_window_far_past_the_poles_meets_the_margin(tmp_path, capsys, name, window):
+    # the conformal factor reaches 1 / cosh(1000), which the margin names
+    # before cosh can overflow
+    code, rep, err = quiet_run(capsys, "--command", "fixture", "--fixture", name, *window,
+                               "--output", str(tmp_path / "t.csv"))
+    assert (code, rep) == (3, None)
+    assert err == ("input error: window reaches a conformal factor 0.000, below the "
+                   "pole margin 0.2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def finite_numbers(report):
+    """Whether every number in a JSON report is finite."""
+    if isinstance(report, dict):
+        return all(finite_numbers(v) for v in report.values())
+    if isinstance(report, list):
+        return all(finite_numbers(v) for v in report)
+    return not isinstance(report, float) or np.isfinite(report)
+
+
+@pytest.mark.parametrize("step", ["1e-150", "1e-100", "1e-50", "1e-08", "1000.0"])
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_extreme_steps_either_report_finite_numbers_or_refuse(tmp_path, capsys, name,
+                                                              step):
+    # every fixture at 21^2 and each step, then the grid it writes through
+    # the commands that read it: none warns, and each run either reports
+    # only finite numbers or is refused with one line
+    def check(*argv):
+        code, rep, err = quiet_run(capsys, "--command", *argv)
+        assert (code == 0 and err == "" and finite_numbers(rep)) or refused_once(
+            code, rep, err), (argv, code, err)
+        return code
+
+    csv = str(tmp_path / "grid.csv")
+    if check("fixture", "--fixture", name, "--nu", "21", "--nv", "21",
+             "--du", step, "--dv", step, "--output", csv):
+        return
+    for command in ["from-h"] if name.startswith("cmc") else ["analyze", "to-h"]:
+        check(command, "--input", csv, "--output", str(tmp_path / f"{command}.out"))
+
+
 def test_analyze_fixture(tmp_path, capsys):
     csv = tmp_path / "ex1.csv"
     run(capsys, "--command", "fixture", "--fixture", "example1",

@@ -64,6 +64,14 @@ def test_example2_pole_margin_gate():
     fixtures.make_fixture("example2", nu=41, du=0.1)
 
 
+def test_sech_keeps_its_bits_inside_the_margin_and_stays_finite_past_it():
+    # |x| is clamped only where cosh would overflow, far past the margin
+    x = np.linspace(-2.29, 2.29, 4581)
+    assert np.array_equal(fixtures._sech(x), 1.0 / np.cosh(x))
+    with pytest.raises(ValueError, match=r"conformal factor 0\.000, below"):
+        fixtures._sech(np.array([0.0, 710.0, 1e300]))
+
+
 def equation_residual(hs):
     """The interior `h_equation_residual` of a whole potential grid."""
     return sf.interior(hsystem.h_equation_residual(*hs.partials(), hs.laplacian()))

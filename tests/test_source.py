@@ -209,6 +209,25 @@ def test_chunk_size_is_read_only_from_its_constant():
     assert not (a.defaults or a.kwonlyargs or a.vararg or a.kwarg)
 
 
+def test_no_pass_can_silence_a_floating_point_fault():
+    # `cli.main` raises every zero division, overflow and invalid value of a
+    # command; any other errstate may only raise as well, and nothing sets
+    # numpy's error state for good
+    modes, stray = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for call in _calls(_parse(path.name)):
+            if _callee(call) == "errstate":
+                assert not call.args, f"{path.name}:{call.lineno}"
+                modes.setdefault(path.name, []).extend(
+                    (k.arg, getattr(k.value, "value", None)) for k in call.keywords)
+            elif _callee(call) in ("seterr", "seterrcall"):
+                stray.append(f"{path.name}:{call.lineno}")
+    assert stray == [], f"numpy's error state set at {stray}"
+    assert {mode for found in modes.values() for _, mode in found} == {"raise"}
+    assert sorted(modes["cli.py"]) == [("divide", "raise"), ("invalid", "raise"),
+                                       ("over", "raise")]
+
+
 def _imported_modules(tree):
     """(scope, module) of every import in `tree`, the module as written
     ("nkspace" for `from .nkspace import verify` or `from . import

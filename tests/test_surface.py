@@ -564,32 +564,40 @@ def parallel_or_still(still):
 ], ids=["parallel", "still"])
 def test_degenerate_grid_meets_its_first_gate_only(monkeypatch, points, still,
                                                     refusal):
-    # EG - F^2 vanishes on every row, so every slab's stages would divide
-    # by zero; they are held back, and `analyze` raises the gate's error
-    # alone, with no RuntimeWarning (which pytest turns into an error here)
+    # EG - F^2 vanishes on every row, so every slab's stages divide by
+    # zero; the fault waits for the gates, and `analyze` raises the gate's
+    # error alone, with no RuntimeWarning (which pytest turns into an error
+    # here)
     monkeypatch.setattr(sf, "_POINTS", points)
     with pytest.raises(ValueError, match=refusal):
         sf.analyze(parallel_or_still(still))
 
 
-def test_held_back_slab_reports_the_same_bits(monkeypatch):
-    # a slab whose stages meet a floating-point error is analysed again
-    # once the gates pass, its partials formed anew: the report is unchanged
+def test_a_stage_fault_refuses_the_grid_after_its_gates(monkeypatch):
+    # a grid that passes every gate, whose third slab's stages divide by
+    # zero: every slab's partials are formed once, the gates run after the
+    # pass, and only then does the slab's FloatingPointError refuse the
+    # grid; `analyze`'s own errstate raises it where numpy would warn
     monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
     grid = slab_grid(101, 101)
-    want = sf.analyze(grid)
-    stages, calls = sf._analysis_slab, []
+    events = []
+    for name in ("partials", "_analysis_slab", "require_imaginary"):
+        call = getattr(sf, name)
+        monkeypatch.setattr(sf, name, lambda *args, call=call, name=name:
+                            events.append(name) or call(*args))
+    cr = sf.cr_residuals
 
-    def failing_once(gp, keep, rows, K):
-        calls.append(rows)
-        if len(calls) == 3:
-            raise FloatingPointError("divide by zero encountered in divide")
-        return stages(gp, keep, rows, K)
+    def faulting(lat, alpha, beta):
+        if events.count("_analysis_slab") == 3:
+            np.divide(1.0, np.zeros(1))
+        return cr(lat, alpha, beta)
 
-    monkeypatch.setattr(sf, "_analysis_slab", failing_once)
-    assert sf.analyze(grid) == want
-    assert len(calls) == len(list(sf.halo_slabs(grid))) + 1
-    assert calls[-1] == calls[2]
+    monkeypatch.setattr(sf, "cr_residuals", faulting)
+    with pytest.raises(FloatingPointError, match="^divide by zero encountered in divide$"):
+        sf.analyze(grid)
+    slabs = len(list(sf.halo_slabs(grid)))
+    assert slabs > 3
+    assert events == ["partials", "_analysis_slab"] * slabs + ["require_imaginary"]
 
 
 def test_gaussian_curvature_fixture_values():

@@ -50,6 +50,22 @@ def _circle(a, axis):
     return tuple(q)
 
 
+def _sphere_pair(u, v):
+    """example2's pair (1/2 - sqrt3/2 x, 1/2 + sqrt3/2 x) at the point
+    x = (sech u cos v, sech u sin v, -tanh u) of the unit sphere."""
+    s = math.sqrt(3.0) / 2.0
+    x = (math.cos(v) / math.cosh(u), math.sin(v) / math.cosh(u), -math.tanh(u))
+    return (0.5, *(-s * c for c in x), 0.5, *(s * c for c in x))
+
+
+def _sphere_potential(lon, mer):
+    """cmc_sphere's potential, the sphere of radius sqrt3/2 at longitude
+    `lon` and Mercator coordinate `mer`."""
+    r = math.sqrt(3.0) / 2.0
+    return (r * math.cos(lon) / math.cosh(mer), r * math.sin(lon) / math.cosh(mer),
+            r * math.tanh(mer))
+
+
 # file name -> CSV text, written into each work directory before the runs
 INPUTS = {
     "const.csv": _potential_csv(7, 0.1, lambda u, v: (1.0, 2.0, 3.0)),
@@ -68,6 +84,10 @@ INPUTS = {
     # so the grid fails the immersion floor only in its second slab
     "late.csv": _immersion_csv(101, 0.025, lambda u, v: (
         _circle(min(u, 85 * 0.025), 1) + _circle(v, 2))),
+    # example2 and cmc_sphere over 9^2 at step 1e-100: the rounding noise of
+    # their values makes derivatives near 1e84, whose products overflow
+    "tiny.csv": _immersion_csv(9, 1e-100, _sphere_pair),
+    "tiny_eps.csv": _potential_csv(9, 1e-100, _sphere_potential),
 }
 
 # (label, expected exit code, cli arguments); later runs read earlier outputs
@@ -135,6 +155,20 @@ RUNS = [
     ("to-h slow grid", 0, ["to-h", "--input", "slow.csv", "--output", "slow_h.csv"]),
     ("analyze late-stopping grid", 3, ["analyze", "--input", "late.csv"]),
     ("to-h late-stopping grid", 3, ["to-h", "--input", "late.csv", "--output", "late_h.csv"]),
+    # refused at the floating-point fault their self-check meets
+    ("fixture example2 tiny step", 3,
+     ["fixture", "--fixture", "example2", *_grid(9, 9, 1e-100), "--output", "tiny2.csv"]),
+    ("fixture cmc_sphere tiny step", 3,
+     ["fixture", "--fixture", "cmc_sphere", *_grid(9, 9, 1e-100), "--output", "tinys.csv"]),
+    ("analyze tiny-step grid", 3, ["analyze", "--input", "tiny.csv"]),
+    ("to-h tiny-step grid", 3, ["to-h", "--input", "tiny.csv", "--output", "tiny_h.csv"]),
+    ("from-h tiny-step potential", 3,
+     ["from-h", "--input", "tiny_eps.csv", "--output", "tiny_s.csv"]),
+    # u runs over [-1000, 1000]: refused at the pole margin, before cosh
+    # could overflow
+    ("fixture example2 past the poles", 3,
+     ["fixture", "--fixture", "example2", "--nu", "1001", "--nv", "11", "--du", "2",
+      "--output", "pole.csv"]),
     ("verify --samples 10000 --seed 1", 0,
      ["verify", "--samples", "10000", "--seed", "1", "--output", "verify.json"]),
 ]
