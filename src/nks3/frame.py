@@ -14,7 +14,11 @@ the connection changes sign (see `surface`); `nkspace` cross-checks them
 against the ambient quaternion formulas.
 
 It also holds the upper-bound and floor comparisons behind every check,
-`gate` and `at_least`, and the tolerance multiplier's `validate_tol_scale`.
+`gate` and `at_least`, the tolerance law of every grid gate, `tolerance`,
+and the tolerance multiplier's `validate_tol_scale`.  `tolerance` reads a
+grid's step in arclength, which relabelling (u, v) by a constant leaves
+unchanged, as it leaves each gated residual and floor ratio: no verdict
+depends on how fast a grid's parameters run.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "connection_term",
     "gate",
     "at_least",
+    "tolerance",
     "validate_tol_scale",
 ]
 
@@ -148,6 +153,20 @@ def at_least(value, bound, what, why=""):
     if not value >= bound:
         raise ValueError(f"{what} {value:.3e} below {bound:.1e}{why}")
     return float(value)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def tolerance(h_arc, tol_scale):
+    """`tol_scale` min(100 h_arc^2 + 100 eps / h_arc^2, 0.05) at the step in
+    arclength `h_arc` (`surface.Lattice.arc_step`), eps the float64 machine
+    epsilon: the error of a second-order stencil, the roundoff of a second
+    difference, and a cap where a grid is too coarse or too fine for either
+    to bound its defects.  A NaN h_arc gives a NaN tolerance, which every
+    gate fails."""
+    h2 = h_arc * h_arc
+    return tol_scale * min(100.0 * h2 + 100.0 * _EPS / max(h2, _EPS), 0.05)
 
 
 def validate_tol_scale(tol_scale):

@@ -21,11 +21,13 @@ Potential grids (`HSurfaceGrid`) and surface grids extend one window type,
 are read over the same `surface.halo_slabs`.  Each holds its read-only
 values, no derivative, and one summary pass, run on first read, that
 derives its gated defects and refuses a grid whose derivatives vanish:
-here `HSurfaceGrid.summary` (a `PotentialSummary`: the smallest speed, the
-conformality deviation `mean_curvature` gates, the equation residual
-`_require_solution` gates, and the speed field `metric_factor_check`
+here `HSurfaceGrid.summary` (a `PotentialSummary`: the conformality
+deviation `mean_curvature` gates, the equation residual `_require_solution`
+gates, the largest speed, and the speed field `metric_factor_check`
 reads), whose slabs form the partials and Laplacian once each; a surface
-grid's `surface.ImmersionGrid.summary`.  Each integrator's output covers
+grid's `surface.ImmersionGrid.summary`.  Every certificate reads
+`frame.tolerance` at its grid's `HSurfaceGrid.h_arc` or
+`surface.GridSummary.h_arc`.  Each integrator's output covers
 its input window inset by one cell, and only its output is ever whole.
 
 `epsilon_from_surface` reads the surface grid over its
@@ -54,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quat
-from .frame import SQRT3, at_least, gate, validate_tol_scale
+from .frame import SQRT3, at_least, gate, tolerance, validate_tol_scale
 from .surface import (
     FROM_POTENTIAL, SECOND_FACTOR, Lattice, extract_coefficients, factor_partials,
     halo_slabs, immersion_grid, interior, require_adapted, require_imaginary,
@@ -86,11 +88,12 @@ class PotentialSummary:
     speed e + g has passed its floor: the largest interior relative
     conformality deviation max(|e - g|, |f|) / max(e, g), where (e, f, g) =
     (|eps_u|^2, eps_u . eps_v, |eps_v|^2), the largest interior
-    `h_equation_residual`, and the read-only (nu, nv) speed field.  A NaN
-    anywhere in a field reaches its maximum."""
+    `h_equation_residual` and speed, and the read-only (nu, nv) speed
+    field.  A NaN anywhere in a field reaches its maximum."""
 
     conformal_max: float
     h_equation_max: float
+    speed_max: float
     speed: np.ndarray
 
 
@@ -121,8 +124,13 @@ class HSurfaceGrid(Lattice):
         speed = np.empty((self.nu, self.nv))
         highs = [_summary_slab(*slab, speed) for slab in halo_slabs(self)]
         speed.flags.writeable = False
-        conformal, equation = np.max(highs, axis=0)
-        return PotentialSummary(float(conformal), float(equation), speed)
+        conformal, equation, speed_max = np.max(highs, axis=0)
+        return PotentialSummary(float(conformal), float(equation), float(speed_max), speed)
+
+    @property
+    def h_arc(self):
+        """The step in arclength at the summary's largest speed."""
+        return self.arc_step(self.summary.speed_max)
 
     def pairs(self, rows, cols, axis):
         """The coefficients along `axis` of both quaternion factors on the
@@ -143,20 +151,23 @@ class HSurfaceGrid(Lattice):
 
 def _summary_slab(sub, keep, rows, speed):
     """One halo slab's share of `HSurfaceGrid.summary`, once its interior
-    speed e + g meets the floor 1e-10 (so no division meets a zero): writes
-    its kept rows of the speed field, returns its interior maxima of the
-    conformality deviation and the equation residual."""
+    speed e + g over its largest meets the floor 1e-10 (0 when all vanish,
+    so no division meets a zero): writes its kept rows of the speed field,
+    returns its interior maxima of the conformality deviation, the equation
+    residual and the speed."""
     eu, ev = sub.partials()
     e, g = np.sum(eu * eu, axis=-1), np.sum(ev * ev, axis=-1)
     full = e + g
-    at_least(interior(full).min(), 1e-10, "derivatives vanish on the interior: speed",
+    high = interior(full).max()
+    at_least(interior(full).min() / high if high != 0.0 else 0.0, 1e-10,
+             "derivatives vanish on the interior: relative speed",
              "; not a solution surface")
     speed[rows] = full[keep]
     e, g = interior(e), interior(g)
     f = np.sum(interior(eu) * interior(ev), axis=-1)
     conformal = (np.maximum(np.abs(e - g), np.abs(f)) / np.maximum(e, g)).max()
     del e, f, g, full  # none is alive beside the residual's temporaries
-    return conformal, interior(h_equation_residual(eu, ev, sub.laplacian())).max()
+    return conformal, interior(h_equation_residual(eu, ev, sub.laplacian())).max(), high
 
 
 def h_surface_grid(lat, eps):
@@ -184,12 +195,11 @@ def h_equation_residual(eu, ev, lap):
     return np.linalg.norm(defect, axis=-1)
 
 
-def _default_cert_tol(lat, tol_scale):
-    return tol_scale * 200.0 * max(lat.du, lat.dv) ** 2
-
-
-def _require_solution(hs, tol, why):
-    """`hs.summary.h_equation_max`; raises CertificateError when it exceeds `tol`."""
+def _require_solution(hs, tol_scale, why):
+    """`hs.summary.h_equation_max`; raises CertificateError when it exceeds
+    `frame.tolerance` at the grid's `HSurfaceGrid.h_arc` and `tol_scale`
+    times its largest speed, the residual's units."""
+    tol = tolerance(hs.h_arc, tol_scale) * hs.summary.speed_max
     return gate(hs.summary.h_equation_max, tol,
                 "second-order equation residual", CertificateError, why)
 
@@ -220,7 +230,7 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     ac_max = require_adapted(grid.summary, tol_scale)
     out = grid.inset(1)
     require_imaginary(grid.summary)
-    tol = _default_cert_tol(grid, tol_scale)
+    tol = tolerance(grid.summary.h_arc, tol_scale)
     eps = np.empty((out.nu, out.nv, 3))
     gaps = []
     for sub, keep, rows in halo_slabs(grid):
@@ -253,7 +263,7 @@ def epsilon_from_surface(grid, tol_scale=1.0):
                 "; the coefficient one-form is not closed to discretization order")
     hs = h_surface_grid(out, eps)
     eq_res = _require_solution(
-        hs, tol, "; the integrated potential is not a solution surface")
+        hs, tol_scale, "; the integrated potential is not a solution surface")
     return hs, {"almost_complex_max": ac_max, "loop_max": loop,
                 "h_equation_max": eq_res}
 
@@ -351,10 +361,9 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     orderings disagree beyond tolerance.
     """
     tol_scale = validate_tol_scale(tol_scale)
-    hs.summary  # refuses vanishing derivatives before the window is inset
+    tol = tolerance(hs.h_arc, tol_scale)  # its summary refuses vanishing derivatives
     out = hs.inset(1)
-    tol = _default_cert_tol(hs, tol_scale)
-    eq_res = _require_solution(hs, tol, "; input is not a solution surface")
+    eq_res = _require_solution(hs, tol_scale, "; input is not a solution surface")
     ufirst, vfirst = _integrate_pair(hs.pairs, out, np.stack([quat.ONE, quat.ONE]))
     drifts = [np.abs(quat.norm(ufirst[s]) - 1.0).max() for s in out.slabs(0)]
     gaps = []
@@ -374,13 +383,13 @@ def mean_curvature(hs):
     """Mean curvature field of a solution grid in conformal coordinates.
 
     Requires the parametrization to be conformal (equal-speed orthogonal
-    derivatives) to a relative deviation on the interior that scales with
-    the squared grid step; raises ValueError otherwise, since the formula
-    divides by the common speed.  The deviation is the grid's
-    `PotentialSummary.conformal_max`, gated before any H is formed; H is
-    then taken over `surface.halo_slabs` into one (nu, nv) field.
+    derivatives) to a relative deviation on the interior within
+    `frame.tolerance` at the grid's `h_arc`; raises ValueError otherwise,
+    since the formula divides by the common speed.  The deviation is the
+    grid's `PotentialSummary.conformal_max`, gated before any H is formed;
+    H is then taken over `surface.halo_slabs` into one (nu, nv) field.
     """
-    gate(hs.summary.conformal_max, hs.fd_floor(),
+    gate(hs.summary.conformal_max, tolerance(hs.h_arc, 1.0),
          "coordinates are not conformal: relative deviation")
     H = np.empty((hs.nu, hs.nv))
     for sub, keep, rows in halo_slabs(hs):

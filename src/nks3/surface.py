@@ -54,7 +54,8 @@ size, and no flag, parameter or environment variable reaches it.
 
 Derivatives are second-order finite differences throughout; every residual
 statistic is taken on the grid interior (two-cell margin) because one-sided
-edge stencils degrade the order.
+edge stencils degrade the order.  Every gate and the alignment
+classification read `frame.tolerance` at the grid's `GridSummary.h_arc`.
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ import numpy as np
 
 from . import quat
 from .frame import (
-    J_MAT, P_MAT, SQRT3, at_least, connection_term, gate, gram_product, validate_tol_scale,
+    J_MAT, P_MAT, SQRT3, at_least, connection_term, gate, gram_product, tolerance,
+    validate_tol_scale,
 )
 
 __all__ = [
-    "ADAPTED_GATE",
     "STEP_RTOL",
     "Lattice",
     "lattice",
@@ -106,10 +107,6 @@ __all__ = [
 TO_POTENTIAL = (float(np.cos(2.0 * np.pi / 3.0)), float(np.sin(2.0 * np.pi / 3.0)))
 FROM_POTENTIAL = (TO_POTENTIAL[0], -TO_POTENTIAL[1])
 SECOND_FACTOR = (0.5, SQRT3 / 2.0)
-
-# an adapted grid keeps its relative almost-complex defect below this,
-# times the caller's tol_scale
-ADAPTED_GATE = 0.05
 
 # two steps of one lattice agree to this fraction of the step: a CSV axis
 # written far from the origin jitters by the spacing of doubles there
@@ -186,9 +183,10 @@ class Lattice:
             raise ValueError("grids overlap on fewer than 5x5 cells")
         return tuple(map(slice, lo, hi)), tuple(map(slice, lo - off, hi - off))
 
-    def fd_floor(self):
-        """Finite-difference error floor max(1e-8, 100 h^2), h the larger step."""
-        return max(1e-8, 100.0 * max(self.du, self.dv) ** 2)
+    def arc_step(self, speed):
+        """max(du, dv) sqrt(speed): the larger step in arclength of a map
+        over the window whose largest squared speed is `speed`."""
+        return max(self.du, self.dv) * float(np.sqrt(speed))
 
     def diff(self, f, axis):
         """Central difference along `axis`, second-order one-sided at the edges."""
@@ -256,14 +254,21 @@ class GridSummary(Lattice):
     immersion floor, keeps over the grid's window: its largest interior
     almost-complex defect and real-part residual (the largest dropped real
     part of a logarithmic derivative), the smallest EG - F^2 over the whole
-    grid, and the read-only (nu, nv) field E (None from `analyze`'s pass,
-    which reads no E).  A NaN in a field reaches its maximum or minimum.
-    It holds no reference to p and q, so a command can keep it past the grid."""
+    grid, the largest interior E, and the read-only (nu, nv) field E (None
+    from `analyze`'s pass, which reads no E).  A NaN in a field reaches its
+    maximum or minimum.  It holds no reference to p and q, so a command can
+    keep it past the grid."""
 
     almost_complex_max: float
     projection_max: float
     det_min: float
+    E_max: float
     E: np.ndarray | None
+
+    @property
+    def h_arc(self):
+        """The step in arclength at the largest interior E."""
+        return self.arc_step(self.E_max)
 
 
 @dataclass(frozen=True)
@@ -288,27 +293,32 @@ class ImmersionGrid(Lattice):
 
 def _summary_slab(gp, keep, rows, E=None):
     """One halo slab's share of a `GridSummary` from its partials `gp`:
-    refuses the slab unless its interior derivative norm sqrt(min(E, G))
-    meets the immersion floor 1e-8, then writes its kept rows of E into a
-    given buffer and returns (smallest EG - F^2 on the kept rows,
-    (almost-complex defect, real-part residual))."""
+    refuses the slab unless its interior derivative norms sqrt(E), sqrt(G)
+    over their largest meet the immersion floor 1e-8 (0 when all vanish),
+    then writes its kept rows of E into a given buffer and returns
+    (smallest EG - F^2 on the kept rows, (almost-complex defect, real-part
+    residual, largest interior E))."""
     e, f, g = gp.first_form
+    e_max = interior(e).max()
+    high = np.maximum(e_max, interior(g).max())
     low = np.maximum(np.minimum(interior(e).min(), interior(g).min()), 0.0)
-    at_least(np.sqrt(low), 1e-8, "grid is not an immersion: derivative norm")
+    at_least(np.sqrt(low / high) if high != 0.0 else 0.0, 1e-8,
+             "grid is not an immersion: relative derivative norm")
     if E is not None:
         E[rows] = e[keep]
     e, f, g = e[keep], f[keep], g[keep]
     ac = float(almost_complex_residual(gp).max())
-    return np.min(e * g - f * f), (ac, gp.projection_max)
+    return np.min(e * g - f * f), (ac, gp.projection_max, e_max)
 
 
 def _grid_summary(lat, shares, E=None):
     """The `GridSummary` over `lat` from the `_summary_slab` shares of all
     its halo slabs, each past its immersion floor: it only merges."""
     dets, highs = zip(*shares)
-    ac, real = np.max(highs, axis=0)
+    ac, real, e_max = np.max(highs, axis=0)
     return GridSummary(**lat.window(), almost_complex_max=float(ac),
-                       projection_max=float(real), det_min=np.min(dets), E=E)
+                       projection_max=float(real), det_min=np.min(dets),
+                       E_max=float(e_max), E=E)
 
 
 def immersion_grid(lat, p, q):
@@ -454,10 +464,10 @@ def require_adapted(summary, tol_scale):
     """The `GridSummary.almost_complex_max` of `summary`, gated.
 
     Raises ValueError when `tol_scale` is not finite and positive, and
-    unless the defect stays below `ADAPTED_GATE * tol_scale`; a NaN defect
-    fails the gate.
+    unless the relative defect stays within `frame.tolerance` at the grid's
+    `GridSummary.h_arc` and `tol_scale`; a NaN defect fails the gate.
     """
-    limit = ADAPTED_GATE * validate_tol_scale(tol_scale)
+    limit = tolerance(summary.h_arc, validate_tol_scale(tol_scale))
     return gate(
         summary.almost_complex_max, limit,
         "grid is not adapted: relative almost-complex defect",
@@ -466,14 +476,17 @@ def require_adapted(summary, tol_scale):
 
 
 def require_imaginary(summary):
-    """The `GridSummary.projection_max` of `summary`, gated at its `fd_floor`.
+    """The `GridSummary.projection_max` of `summary`, gated.
 
     Raises ValueError unless the real-part defect of the logarithmic
-    derivatives stays within the floor (a NaN defect fails): on a smooth
-    unit-quaternion immersion it is O(h^2), so a larger one signals a grid
+    derivatives stays within `frame.tolerance` at `GridSummary.h_arc` (and
+    `tol_scale` 1) times the largest derivative norm sqrt(E_max), the
+    defect's units (a NaN defect fails): on a smooth unit-quaternion
+    immersion it is O(h_arc^2) of that norm, so a larger one signals a grid
     that is not one, or is not sampled finely enough.
     """
-    return gate(summary.projection_max, summary.fd_floor(),
+    tol = tolerance(summary.h_arc, 1.0) * np.sqrt(summary.E_max)
+    return gate(summary.projection_max, tol,
                 "logarithmic derivatives are far from imaginary: real-part residual")
 
 
@@ -644,18 +657,19 @@ def _alignment_defects(gp, pu, a):
     return normal_dev, tangent_dev
 
 
-def classify_P_alignment(lat, normal_dev, tangent_dev):
+def classify_P_alignment(h_arc, normal_dev, tangent_dev):
     """Alignment of the almost product structure with the tangent plane,
-    from the largest deviations of P phi_u from the normal space and from
-    the tangent plane over a grid on `lat`.
+    from the largest relative deviations of P phi_u from the normal space
+    and from the tangent plane over a grid whose step in arclength is
+    `h_arc` (`GridSummary.h_arc`).
 
     Returns "normal" when P maps the tangent plane into the normal space
     everywhere, "tangent" when P preserves the tangent plane everywhere,
-    "mixed" otherwise.  The tolerance scales with the squared grid step,
-    matching the finite-difference error floor; a NaN deviation matches
-    neither.
+    "mixed" otherwise.  Each deviation is compared with `frame.tolerance`
+    at `h_arc` (and `tol_scale` 1), the error a second-order stencil
+    leaves; a NaN deviation matches neither.
     """
-    tol = lat.fd_floor()
+    tol = tolerance(h_arc, 1.0)
     if normal_dev < tol:
         return "normal"
     if tangent_dev < tol:
@@ -691,12 +705,13 @@ def analyze(grid, tol_scale=1.0):
     slab that is not an immersion (`_summary_slab`, before its stages), then
     when the grid is not adapted (`require_adapted`), has logarithmic
     derivatives far from imaginary (`require_imaginary`) or min EG - F^2
-    below the metric floor 1e-10; only then does the first slab whose stages
-    met a zero division, an overflow or an invalid value raise its
-    FloatingPointError.  One pass over `halo_slabs` forms each slab's
-    partials once, for its share of the `GridSummary`, gated after the pass,
-    and for its stages, which keep only maxima and K: one (nu, nv) buffer,
-    so `K_mean` sums its `interior` in the same order as a whole-grid field.
+    over the squared largest interior E below the metric floor 1e-10; only
+    then does the first slab whose stages met a zero division, an overflow
+    or an invalid value raise its FloatingPointError.  One pass over
+    `halo_slabs` forms each slab's partials once, for its share of the
+    `GridSummary`, gated after the pass, and for its stages, which keep
+    only maxima and K: one (nu, nv) buffer, so `K_mean` sums its
+    `interior` in the same order as a whole-grid field.
     """
     validate_tol_scale(tol_scale)
     K = np.empty((grid.nu, grid.nv))
@@ -713,7 +728,8 @@ def analyze(grid, tol_scale=1.0):
     summary = _grid_summary(grid, shares)
     ac_max = require_adapted(summary, tol_scale)
     require_imaginary(summary)
-    at_least(summary.det_min, 1e-10, "metric is degenerate: min EG - F^2")
+    at_least(summary.det_min / summary.E_max / summary.E_max, 1e-10,
+             "metric is degenerate: min (EG - F^2) / E_max^2")
     if fault:
         raise fault
     r21, r22, r23, cr, lam_max, h_max, normal_dev, tangent_dev = (
@@ -729,6 +745,6 @@ def analyze(grid, tol_scale=1.0):
         "K_mean": K_mean,
         "K_max_dev": K_max_dev,
         "h_norm_max": h_max,
-        "classification": classify_P_alignment(grid, normal_dev, tangent_dev),
+        "classification": classify_P_alignment(summary.h_arc, normal_dev, tangent_dev),
         "grid": grid.window(),
     }

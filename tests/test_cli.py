@@ -415,7 +415,7 @@ def test_analyze_refuses_a_grid_that_stops_without_a_warning(tmp_path, capsys):
         warnings.simplefilter("always")
         code, rep, err = run(capsys, "--command", "analyze", "--input", str(csv))
     assert (code, rep, caught) == (3, None, [])
-    assert err == ("input error: grid is not an immersion: derivative norm 0.000e+00 "
+    assert err == ("input error: grid is not an immersion: relative derivative norm 0.000e+00 "
                    "below 1.0e-08\n")
 
 
@@ -582,7 +582,7 @@ def test_to_h_reports_non_conformal_potential_with_its_tolerance(tmp_path, capsy
     assert rep["mean_curvature"] == {
         "status": "not_conformal",
         "detail": "coordinates are not conformal: "
-                  "relative deviation 6.667e-01 exceeds 1.0e-02",
+                  "relative deviation 6.667e-01 exceeds 1.3e-02",
     }
 
 
@@ -686,7 +686,7 @@ def test_to_h_rejects_non_adapted(tmp_path, capsys):
 def test_to_h_refuses_potential_off_the_equation(tmp_path, capsys):
     # example2 81^2, h = 5e-3, every other u-row of p turned by exp(5e-4 i):
     # adapted and closed within their gates, but the potential's equation
-    # residual is four orders of magnitude above 200 h^2 = 5e-3
+    # residual is four orders of magnitude above its tolerance 5.6e-3
     grid = fixtures.make_fixture("example2", nu=81, nv=81, du=5e-3, dv=5e-3)
     p = grid.p.copy()
     p[::2] = quat.qmul(quat.qexp(np.array([5e-4, 0.0, 0.0])), p[::2])
@@ -701,18 +701,17 @@ def test_to_h_refuses_potential_off_the_equation(tmp_path, capsys):
 
 
 def test_from_h_writes_nothing_on_input_error(tmp_path, capsys):
-    # at tol_scale 0.01 a coarse potential passes from-h's certificates
-    # (residuals up to 1.1e-3 against 200 h^2 * 0.01 = 5e-3), but the
-    # recovered surface's adaptedness defect 6.9e-4 fails analyze's gate
-    # 0.05 * 0.01; no partial output may remain
+    # the cylinder potential at step 0.3, coarser than its radius 0.43,
+    # passes from-h's certificates, but the recovered surface's adaptedness
+    # defect 0.063 fails analyze's gate 0.05; no partial output may remain
     eps = tmp_path / "eps.csv"
     back = tmp_path / "back.csv"
-    code, _, _ = run(capsys, "--command", "fixture", "--fixture", "cmc_sphere",
-                     "--nu", "21", "--nv", "21", "--du", "0.05", "--dv", "0.05",
+    code, _, _ = run(capsys, "--command", "fixture", "--fixture", "cmc_cylinder",
+                     "--nu", "21", "--nv", "21", "--du", "0.3", "--dv", "0.3",
                      "--output", str(eps))
     assert code == 0
     code, rep, err = run(capsys, "--command", "from-h", "--input", str(eps),
-                         "--output", str(back), "--tol-scale", "0.01")
+                         "--output", str(back))
     assert code == 3 and rep is None and "not adapted" in err
     assert not back.exists()
     assert not (tmp_path / "back.csv.report.json").exists()

@@ -109,7 +109,7 @@ def stretched_cylinder(stretch):
 def spiked_sphere(delta):
     """`surface_from_epsilon` of the sphere potential 31^2 at h = 6e-3 with
     `delta` added to one value: the equation residual sees ~4 delta / h^2
-    against 200 h^2."""
+    against the tolerance times the speed, 8.1e-3."""
     hs = fixtures.make_fixture("cmc_sphere", nu=31, nv=31)
     eps = hs.eps.copy()
     eps[15, 15, 0] += delta
@@ -119,8 +119,8 @@ def spiked_sphere(delta):
 def saddled_sphere(amp):
     """`surface_from_epsilon` of the sphere potential 81^2 at h = 0.04 plus
     `amp` (2uv, 0, u^2 - v^2), centred: the added map is harmonic, so the
-    pointwise equation residual stays inside 200 h^2 while the path
-    orderings drift apart over the wide window."""
+    pointwise equation residual stays inside its tolerance while the path
+    orderings drift apart over the wide window (tolerance 0.05)."""
     hs = fixtures.make_fixture("cmc_sphere", nu=81, nv=81, du=0.04, dv=0.04)
     u = hs.u_vals[:, None] - hs.u_vals.mean()
     v = hs.v_vals[None, :] - hs.v_vals.mean()
@@ -130,46 +130,75 @@ def saddled_sphere(amp):
     return hsys.surface_from_epsilon(hsys.HSurfaceGrid(**hs.window(), eps=eps))
 
 
-def twisted_example2(amp):
-    """example2 81^2 at h = 5e-3 with p left-multiplied by exp(amp * bump i),
-    a Gaussian bump of width 0.15 at the centre."""
-    grid = fixtures.make_fixture("example2", nu=81, nv=81, du=5e-3, dv=5e-3)
+def twisted_example2(amp, h=5e-3, width=0.15):
+    """example2 81^2 at step `h` with p left-multiplied by
+    exp(amp * bump i), a Gaussian bump of `width` at the centre.  The
+    adaptedness defect is pointwise, while the path-ordering residual grows
+    with the bump: at h = 0.02 and width 0.7 it is 1.6 times the defect."""
+    grid = fixtures.make_fixture("example2", nu=81, nv=81, du=h, dv=h)
     u = grid.u_vals[:, None] - grid.u_vals.mean()
     v = grid.v_vals[None, :] - grid.v_vals.mean()
-    bump = np.exp(-(u * u + v * v) / (2.0 * 0.15**2))
+    bump = np.exp(-(u * u + v * v) / (2.0 * width**2))
     twist = quat.qexp(amp * bump[..., None] * [1.0, 0.0, 0.0])
     return sf.immersion_grid(grid, quat.qmul(twist, grid.p), grid.q)
 
 
-def turned_rows(angle):
-    """example2 41^2 at h = 5e-3 with every other u-row of p turned by
-    exp(angle i)."""
-    grid = fixtures.make_fixture("example2", nu=41, nv=41)
-    p = grid.p.copy()
-    p[::2] = quat.qmul(quat.qexp(np.array([angle, 0.0, 0.0])), p[::2])
-    return sf.immersion_grid(grid, p, grid.q)
-
-
-def slow_example1(scale):
-    """example1 21^2 at h = 0.01 with both circle angles scaled by `scale`:
-    the derivative norm sqrt(min(E, G)) is 1.155 scale and min EG - F^2 is
-    1.778 scale^4."""
-    lat = sf.lattice(0.0, 0.0, 1e-2, 1e-2, 21, 21)
-    u, v = lat.u_vals[:, None], lat.v_vals[None, :]
-    s, t = scale * (u - v / frame.SQRT3), scale * (-2.0 * v / frame.SQRT3 + 0.0 * u)
+def example1_points(lat, u):
+    """example1's circle pair over `lat` with u-parameters `u` (nu, 1):
+    p = exp((u - v / sqrt3) i), q = exp(-2 v / sqrt3 i)."""
+    v = lat.v_vals[None, :]
 
     def circle(a):
         return np.stack([np.cos(a), np.sin(a), 0.0 * a, 0.0 * a], axis=-1)
 
-    return sf.immersion_grid(lat, circle(s), circle(t))
+    return sf.immersion_grid(lat, circle(u - v / frame.SQRT3),
+                             circle(-2.0 * v / frame.SQRT3 + 0.0 * u))
 
 
-def slow_plane(scale):
-    """The plane potential scale (u, v, 0) on 9^2 at h = 0.05: its speed
-    |eps_u|^2 + |eps_v|^2 is 2 scale^2."""
-    lat = sf.lattice(0.0, 0.0, 0.05, 0.05, 9, 9)
+def shifted_rows(delta):
+    """example1 21^2 at h = 5e-4 with every other u-row sampled `delta` h
+    further along u: its coefficients are constant, so the grid stays
+    adapted, while each logarithmic derivative gains a real part
+    2 delta h |c|^2 (tolerance 3.9e-5)."""
+    lat = sf.lattice(0.0, 0.0, 5e-4, 5e-4, 21, 21)
+    return example1_points(lat, (lat.u_vals + delta * lat.du * (np.arange(21) % 2))[:, None])
+
+
+def cubic(x, h, delta):
+    """x (x - h) (x + h) + delta x: its central difference of step h is
+    3 x^2 + delta at every grid point, exactly delta at x = 0."""
+    return x * (x - h) * (x + h) + delta * x
+
+
+def stalled_example1(delta):
+    """example1 21^2 at h = 0.01 with u replaced by `cubic` about the
+    centre row, where the u-derivative falls to `delta` times the largest
+    derivative norm (floor 1e-8)."""
+    lat = sf.lattice(-0.1, 0.0, 1e-2, 1e-2, 21, 21)
+    return example1_points(lat, cubic(lat.u_vals, lat.du, delta)[:, None])
+
+
+def stalled_plane(delta):
+    """The potential (`cubic`(u), `cubic`(v), 0) on 9^2 at h = 0.05 about
+    the centre, whose speed falls there to 2 delta^2, delta^2 / (12 h^2)^2
+    times the largest interior speed (floor 1e-10)."""
+    lat = sf.lattice(-0.2, -0.2, 0.05, 0.05, 9, 9)
     u, v = np.meshgrid(lat.u_vals, lat.v_vals, indexing="ij")
-    return hsys.h_surface_grid(lat, scale * np.stack([u, v, 0.0 * u], axis=-1))
+    return hsys.h_surface_grid(
+        lat, np.stack([cubic(u, lat.du, delta), cubic(v, lat.dv, delta), 0.0 * u], axis=-1))
+
+
+def parallel_tangents(angle):
+    """p = q = exp(u i) exp(v w) on 21^2 at h = 0.05, w the unit imaginary
+    `angle` away from i: phi_u and phi_v meet at `angle` everywhere, so
+    (EG - F^2) / E_max^2 is sin^2(angle) (floor 1e-10).  The grid is far
+    from adapted, so `analyze` reaches the metric floor only at a
+    `tol_scale` above 1.414 / 0.05."""
+    lat = sf.lattice(0.0, 0.0, 0.05, 0.05, 21, 21)
+    u, v = np.meshgrid(lat.u_vals, lat.v_vals, indexing="ij")
+    w = np.array([np.cos(angle), np.sin(angle), 0.0])
+    p = quat.qmul(quat.qexp(u[..., None] * [1.0, 0.0, 0.0]), quat.qexp(v[..., None] * w))
+    return sf.immersion_grid(lat, p, p.copy())
 
 
 # site -> (near control, input below it), each a call of the public API on
@@ -184,22 +213,22 @@ CONTROLS = {
     "hsystem._require_solution": (
         lambda tmp: spiked_sphere(2e-7), lambda tmp: spiked_sphere(2e-8)),
     "hsystem.surface_from_epsilon": (
-        lambda tmp: saddled_sphere(0.03), lambda tmp: saddled_sphere(3e-3)),
+        lambda tmp: saddled_sphere(6e-3), lambda tmp: saddled_sphere(6e-4)),
     "hsystem.epsilon_from_surface": (
-        lambda tmp: hsys.epsilon_from_surface(twisted_example2(5e-3)),
-        lambda tmp: hsys.epsilon_from_surface(twisted_example2(5e-4))),
+        lambda tmp: hsys.epsilon_from_surface(twisted_example2(0.035, 0.02, 0.7)),
+        lambda tmp: hsys.epsilon_from_surface(twisted_example2(3.5e-3, 0.02, 0.7))),
     "surface.require_adapted": (
-        lambda tmp: sf.analyze(twisted_example2(2e-2)),
-        lambda tmp: sf.analyze(twisted_example2(2e-3))),
+        lambda tmp: sf.analyze(twisted_example2(5e-3)),
+        lambda tmp: sf.analyze(twisted_example2(5e-4))),
     "surface.require_imaginary": (
-        lambda tmp: sf.analyze(turned_rows(5e-2)), lambda tmp: sf.analyze(turned_rows(5e-3))),
+        lambda tmp: sf.analyze(shifted_rows(0.3)), lambda tmp: sf.analyze(shifted_rows(0.03))),
     "surface._summary_slab": (
-        lambda tmp: slow_example1(5e-9).summary, lambda tmp: slow_example1(5e-8).summary),
+        lambda tmp: stalled_example1(5e-9).summary, lambda tmp: stalled_example1(5e-8).summary),
     "surface.analyze": (
-        lambda tmp: sf.analyze(slow_example1(2e-3)),
-        lambda tmp: sf.analyze(slow_example1(2e-2))),
+        lambda tmp: sf.analyze(parallel_tangents(5e-6), tol_scale=100.0),
+        lambda tmp: sf.analyze(parallel_tangents(5e-5), tol_scale=100.0)),
     "hsystem._summary_slab": (
-        lambda tmp: slow_plane(5e-6).summary, lambda tmp: slow_plane(5e-5).summary),
+        lambda tmp: stalled_plane(2e-7).summary, lambda tmp: stalled_plane(2e-6).summary),
 }
 
 REFUSALS = (ValueError, hsys.CertificateError)

@@ -35,7 +35,8 @@ def test_h_surface_grid_validation():
     # a constant potential is built, its values checked only, and its
     # summary, the first read of its derivatives, refuses it
     constant = hsys.h_surface_grid(sf.lattice(0, 0, 1e-2, 1e-2, 9, 9), np.zeros((9, 9, 3)))
-    with pytest.raises(ValueError, match="vanish"):
+    with pytest.raises(ValueError, match=r"^derivatives vanish on the interior: relative "
+                                         r"speed 0\.000e\+00 below 1\.0e-10"):
         constant.summary
 
 
@@ -292,17 +293,18 @@ def test_to_potential_example1_degenerate_line():
 
 
 def test_to_potential_certificate_failure():
-    # example2 with p left-multiplied by exp(0.005 * bump * i): the grid
-    # stays adapted (defect ~0.019 against the 0.05 gate), but its
-    # coefficient one-form is not closed (path-ordering residual ~0.018
-    # against 200 h^2 = 5e-3)
-    grid = fixtures.make_fixture("example2", nu=81, nv=81, du=5e-3, dv=5e-3)
+    # example2 81^2 at h = 0.02 with p left-multiplied by
+    # exp(0.035 * bump * i), a bump of width 0.7: the grid stays adapted
+    # (defect ~0.038 against its tolerance 0.05), but its coefficient
+    # one-form is not closed over the wide bump (path-ordering residual
+    # ~0.062 against 0.05)
+    grid = fixtures.make_fixture("example2", nu=81, nv=81, du=0.02, dv=0.02)
     u = grid.u_vals[:, None] - grid.u_vals.mean()
     v = grid.v_vals[None, :] - grid.v_vals.mean()
-    bump = np.exp(-(u * u + v * v) / (2.0 * 0.15**2))
-    twist = quat.qexp(5e-3 * bump[..., None] * [1.0, 0.0, 0.0])
+    bump = np.exp(-(u * u + v * v) / (2.0 * 0.7**2))
+    twist = quat.qexp(0.035 * bump[..., None] * [1.0, 0.0, 0.0])
     bent = sf.immersion_grid(grid, quat.qmul(twist, grid.p), grid.q)
-    assert sf.require_adapted(bent.summary, 1.0) < 0.5 * sf.ADAPTED_GATE
+    assert sf.require_adapted(bent.summary, 1.0) < 0.04
     with pytest.raises(hsys.CertificateError, match="not closed"):
         hsys.epsilon_from_surface(bent)
 
@@ -313,7 +315,8 @@ def test_to_potential_rejects_nan_cell():
     p[7, 7, 0] = np.nan
     # the NaN reaches the derivative norm, so its slab's immersion floor
     # refuses the grid before the adaptedness gate, which a NaN defect fails
-    with pytest.raises(ValueError, match=r"immersion: derivative norm nan below 1\.0e-08$"):
+    with pytest.raises(ValueError,
+                       match=r"immersion: relative derivative norm nan below 1\.0e-08$"):
         hsys.epsilon_from_surface(dataclasses.replace(grid, p=p))
     nan_defect = dataclasses.replace(grid.summary, almost_complex_max=np.nan)
     with pytest.raises(ValueError, match="not adapted"):
@@ -346,7 +349,7 @@ def test_from_potential_sphere():
     assert np.abs(K - 2.0 / 3.0).max() < 1e-3
     pu = gp.cu @ frame.P_MAT.T
     defects = sf._alignment_defects(gp, pu, frame.gram_product(pu, gp.cu))
-    assert sf.classify_P_alignment(grid, *defects) == "normal"
+    assert sf.classify_P_alignment(grid.summary.h_arc, *defects) == "normal"
 
 
 def test_from_potential_initial_point():
@@ -369,7 +372,7 @@ def test_reparametrised_cylinder_passes_real_part_gate():
     # the cylinder potential composed with the conformal map z + z^2 / 2
     # solves the same equation; the surface it integrates to has a real
     # part of about 0.9 h^2 in its logarithmic derivatives, above a fixed
-    # 1e-4 but far inside the step-scaled floor 100 h^2
+    # 1e-4 but far inside the real-part tolerance
     n, h = 51, 0.6 / 50
     z = (0.2 + h * np.arange(n))[:, None] + 1j * (-0.3 + h * np.arange(n))[None, :]
     w = z + z * z / 2.0
@@ -377,7 +380,9 @@ def test_reparametrised_cylinder_passes_real_part_gate():
     eps = np.stack([r * np.cos(w.real / r), r * np.sin(w.real / r), w.imag], axis=-1)
     lat = sf.lattice(0.2, -0.3, h, h, n, n)
     grid, _ = hsys.surface_from_epsilon(hsys.h_surface_grid(lat, eps))
-    assert 1e-4 < grid.summary.projection_max < 0.01 * grid.fd_floor()
+    summary = grid.summary
+    limit = frame.tolerance(summary.h_arc, 1.0) * np.sqrt(summary.E_max)
+    assert 1e-4 < summary.projection_max < 0.01 * limit
     report = sf.analyze(grid)
     assert report["almost_complex_max"] < 1e-3
 
@@ -402,14 +407,14 @@ def test_mean_curvature_requires_conformal():
 @pytest.mark.parametrize("stretch, ok", [(9e-4, True), (9e-3, False)])
 def test_conformality_gate_near_its_tolerance(stretch, ok):
     # the cylinder stretched along its axis by 1 + stretch deviates from
-    # conformal by about 2 * stretch: 0.5x the 3.6e-3 floor at 9e-4 passes,
-    # 4.9x at 9e-3 is refused, so a tenfold looser floor fails here
+    # conformal by about 2 * stretch: 0.25x the tolerance 7.2e-3 at 9e-4
+    # passes, 2.5x at 9e-3 is refused, so a tenfold looser one fails here
     cyl = fixtures.make_fixture("cmc_cylinder", nu=31, nv=31)
     hs = hsys.HSurfaceGrid(**cyl.window(), eps=cyl.eps * [1.0, 1.0, 1.0 + stretch])
     if ok:
         assert np.isfinite(hsys.mean_curvature(hs)).all()
         return
-    with pytest.raises(ValueError, match=r"deviation 1\.78\de-02 exceeds 3\.6e-03$"):
+    with pytest.raises(ValueError, match=r"deviation 1\.78\de-02 exceeds 7\.3e-03$"):
         hsys.mean_curvature(hs)
 
 
@@ -420,7 +425,8 @@ def test_mean_curvature_rejects_nan_cell():
     bad = hsys.HSurfaceGrid(**hs.window(), eps=eps)
     # the NaN reaches the speed first, and its slab's floor refuses it; a
     # NaN conformality deviation fails the conformality gate closed
-    with pytest.raises(ValueError, match=r"vanish on the interior: speed nan below 1\.0e-10"):
+    with pytest.raises(ValueError,
+                       match=r"vanish on the interior: relative speed nan below 1\.0e-10"):
         hsys.mean_curvature(bad)
     with pytest.raises(ValueError, match="conformal"):
         hsys.mean_curvature(with_summary(hs, conformal_max=np.nan))
@@ -428,11 +434,11 @@ def test_mean_curvature_rejects_nan_cell():
 
 @pytest.mark.parametrize("skew", [2.0, np.nan])
 def test_surface_from_epsilon_gates_path_ordering(monkeypatch, skew):
-    # the v-first ordering skewed by twice the tolerance 200 h^2, or by a
-    # NaN; test_gates refuses a natural input here, a wide sphere potential
-    # plus a harmonic saddle that passes the equation gate
+    # the v-first ordering skewed by twice the tolerance, or by a NaN;
+    # test_gates refuses a natural input here, a wide sphere potential plus
+    # a harmonic saddle that passes the equation gate
     hs = sphere_hs()
-    tol = 200.0 * hs.du**2
+    tol = frame.tolerance(hs.h_arc, 1.0)
     assert hsys.surface_from_epsilon(hs)[1]["compat_max"] < tol
     integrate = hsys._integrate_pair
 
@@ -445,7 +451,7 @@ def test_surface_from_epsilon_gates_path_ordering(monkeypatch, skew):
 
     monkeypatch.setattr(hsys, "_integrate_pair", skewed)
     with pytest.raises(hsys.CertificateError,
-                       match=r"^path-ordering disagreement \S+ exceeds 7\.2e-03$"):
+                       match=r"^path-ordering disagreement \S+ exceeds 5\.4e-03$"):
         hsys.surface_from_epsilon(hs)
 
 
@@ -639,8 +645,9 @@ def test_epsilon_from_surface_gates_equation_residual():
     assert cert["h_equation_max"] < 1e-4
     with pytest.raises(hsys.CertificateError, match="second-order equation residual"):
         hsys.epsilon_from_surface(bad)
-    # the same bound as the inverse direction: 200 h^2 tol_scale
-    with pytest.raises(hsys.CertificateError, match=r"exceeds 5\.0e-03"):
+    # the bound of the inverse direction: the potential's tolerance times
+    # its largest speed
+    with pytest.raises(hsys.CertificateError, match=r"exceeds 5\.6e-03"):
         hsys.epsilon_from_surface(bad)
 
 

@@ -42,7 +42,7 @@ def alignment_defects(gp):
 
 def classify(grid):
     """`classify_P_alignment` of a whole grid, from its partials."""
-    return sf.classify_P_alignment(grid, *alignment_defects(sf.partials(grid)))
+    return sf.classify_P_alignment(grid.summary.h_arc, *alignment_defects(sf.partials(grid)))
 
 
 def test_grid_constructor_validation():
@@ -67,7 +67,8 @@ def test_grid_constructor_validation():
     ones = np.zeros((8, 8, 4))
     ones[..., 0] = 1.0
     constant = sf.immersion_grid(sf.lattice(0, 0, 1e-2, 1e-2, 8, 8), ones, ones)
-    with pytest.raises(ValueError, match="not an immersion"):
+    with pytest.raises(ValueError, match=r"^grid is not an immersion: relative derivative "
+                                         r"norm 0\.000e\+00 below 1\.0e-08$"):
         constant.summary
 
 
@@ -220,7 +221,7 @@ def slab_defects(grid):
     return np.max(highs, axis=0)
 
 
-NAN_FLOOR = r"^grid is not an immersion: derivative norm nan below 1\.0e-08$"
+NAN_FLOOR = r"^grid is not an immersion: relative derivative norm nan below 1\.0e-08$"
 
 
 def test_nan_cell_fails_real_part_gate():
@@ -239,15 +240,18 @@ def test_nan_cell_fails_real_part_gate():
 
 
 def test_finite_real_part_defect_fails_gate():
-    # example2 with every other u-row of p turned by exp(0.05 i): the rows
-    # stay on the unit sphere and the grid passes the adaptedness gate, but
-    # the logarithmic derivatives gain a real part far above the O(h^2) floor
-    grid = small_fixture("example2", n=41)
-    p = grid.p.copy()
-    p[::2] = quat.qmul(quat.qexp(np.array([0.05, 0.0, 0.0])), p[::2])
-    bad = sf.immersion_grid(grid, p, grid.q)
-    assert sf.require_adapted(bad.summary, 1.0) < sf.ADAPTED_GATE
-    assert bad.summary.projection_max > 3.0 * bad.fd_floor()
+    # example1 with every other u-row sampled 0.3 h further along u: its
+    # coefficients are constant, so the grid stays adapted to rounding
+    # level, but the logarithmic derivatives gain a real part 0.6 h |c|^2
+    # far above the O(h_arc^2) tolerance
+    lat = sf.lattice(0.0, 0.0, 5e-4, 5e-4, 21, 21)
+    u = (lat.u_vals + 0.3 * lat.du * (np.arange(21) % 2))[:, None]
+    v = lat.v_vals[None, :]
+    bad = sf.immersion_grid(lat, circle(u - v / SQ3), circle(-2.0 * v / SQ3 + 0.0 * u))
+    summary = bad.summary
+    assert sf.require_adapted(summary, 1.0) < 1e-3 * frame.tolerance(summary.h_arc, 1.0)
+    assert summary.projection_max > 3.0 * frame.tolerance(summary.h_arc, 1.0) * np.sqrt(
+        summary.E_max)
     with pytest.raises(ValueError, match="far from imaginary"):
         sf.analyze(bad)
 
@@ -385,7 +389,8 @@ def test_alignment_reads_the_off_normal_part_along_phi_v():
     # P phi_u replaced by phi_v less its phi_u part on the flat torus:
     # g(P phi_u, phi_u) vanishes to roundoff, so the only off-normal part
     # lies along phi_v
-    gp = sf.partials(small_fixture("example1"))
+    grid = small_fixture("example1")
+    gp = sf.partials(grid)
     E, F, _ = gp.first_form
     pu = gp.cv - (F / E)[..., None] * gp.cu
     a = frame.gram_product(pu, gp.cu)
@@ -393,7 +398,7 @@ def test_alignment_reads_the_off_normal_part_along_phi_v():
     normal_dev, tangent_dev = sf._alignment_defects(gp, pu, a)
     assert normal_dev == pytest.approx(1.0, rel=1e-3)  # |b| / (|P phi_u| |phi_u|)
     assert tangent_dev < 1e-12
-    assert sf.classify_P_alignment(gp, normal_dev, tangent_dev) == "tangent"
+    assert sf.classify_P_alignment(grid.summary.h_arc, normal_dev, tangent_dev) == "tangent"
 
 
 def test_induced_metric_example1():
@@ -517,32 +522,55 @@ def test_brioschi_round_sphere():
     assert np.abs(sf.interior(K) - 1.0).max() < 1e-5
 
 
+def circle(a):
+    """exp(a i) as (..., 4)."""
+    return np.stack([np.cos(a), np.sin(a), 0.0 * a, 0.0 * a], axis=-1)
+
+
 def slow_example1(scale):
     """example1 with both circle angles scaled by `scale`: the same adapted
     flat surface traced `1 / scale` times slower, so EG - F^2 falls as
     scale^4 while every relative defect stays at rounding level."""
     lat = sf.lattice(0.0, 0.0, 1e-2, 1e-2, 21, 21)
     u, v = lat.u_vals[:, None], lat.v_vals[None, :]
-    s, t = scale * (u - v / SQ3), scale * (-2.0 * v / SQ3 + 0.0 * u)
+    return sf.immersion_grid(lat, circle(scale * (u - v / SQ3)),
+                             circle(scale * (-2.0 * v / SQ3 + 0.0 * u)))
 
-    def circle(a):
-        return np.stack([np.cos(a), np.sin(a), 0.0 * a, 0.0 * a], axis=-1)
 
-    return sf.immersion_grid(lat, circle(s), circle(t))
+def test_analyze_accepts_a_slowly_traced_surface():
+    # min EG - F^2 = 1.78e-12 at scale 1e-3, but over the squared largest E
+    # it reads 1 at every speed: every gate and the classification read the
+    # same verdicts as at scale 1
+    slow, fast = sf.analyze(slow_example1(1e-3)), sf.analyze(slow_example1(1.0))
+    assert slow_example1(1e-3).summary.det_min < 2e-12
+    assert slow["classification"] == fast["classification"] == "tangent"
+    assert slow["almost_complex_max"] < 1e-8
+
+
+def parallel_tangents(angle):
+    """p = q = exp(u i) exp(v w) on 21^2 at h = 0.05, w the unit imaginary
+    `angle` away from i: (EG - F^2) / E_max^2 is sin^2(angle)."""
+    lat = sf.lattice(0.0, 0.0, 0.05, 0.05, 21, 21)
+    u, v = np.meshgrid(lat.u_vals, lat.v_vals, indexing="ij")
+    w = np.array([np.cos(angle), np.sin(angle), 0.0])
+    p = quat.qmul(quat.qexp(u[..., None] * [1.0, 0.0, 0.0]), quat.qexp(v[..., None] * w))
+    return sf.immersion_grid(lat, p, p.copy())
 
 
 def test_analyze_refuses_a_degenerate_metric():
-    # the metric gate refuses min EG - F^2 = 1.78e-12 against its 1e-10, and
-    # passes 1.44e-10 just above it; the refused grid passes every other gate
-    refused, kept = slow_example1(1e-3), slow_example1(3e-3)
-    assert 1e-12 < refused.summary.det_min < 1e-11
-    assert 1e-10 < kept.summary.det_min < 2e-10
-    with pytest.raises(ValueError,
-                       match=r"^metric is degenerate: min EG - F\^2 1\.778e-12 below 1\.0e-10$"):
-        sf.analyze(refused)
-    assert sf.require_adapted(refused.summary, 1.0) < 1e-8
-    assert sf.require_imaginary(refused.summary) < refused.fd_floor()
-    assert sf.analyze(kept)["classification"] == "tangent"
+    # tangents 5e-6 apart: (EG - F^2) / E_max^2 = 2.5e-11 is refused
+    # against its 1e-10, and 5e-5 apart (2.5e-9) pass.  Such a grid is far
+    # from adapted (defect 1.414), so only a tol_scale above 1.414 / 0.05
+    # lets `analyze` reach the floor; it passes every other gate there
+    refused, kept = parallel_tangents(5e-6), parallel_tangents(5e-5)
+    with pytest.raises(ValueError, match=r"^metric is degenerate: min \(EG - F\^2\) / "
+                                         r"E_max\^2 2\.500e-11 below 1\.0e-10$"):
+        sf.analyze(refused, tol_scale=100.0)
+    assert sf.require_adapted(refused.summary, 100.0) == pytest.approx(np.sqrt(2.0))
+    assert sf.require_imaginary(refused.summary) < 1e-14
+    assert sf.analyze(kept, tol_scale=100.0)["classification"] == "tangent"
+    with pytest.raises(ValueError, match="not adapted"):
+        sf.analyze(kept)
 
 
 def parallel_or_still(still):
@@ -560,7 +588,7 @@ def parallel_or_still(still):
 @pytest.mark.parametrize("points", [300, 567, 8192])
 @pytest.mark.parametrize("still, refusal", [
     (False, r"^grid is not adapted: relative almost-complex defect 1\.414e\+00 "),
-    (True, r"^grid is not an immersion: derivative norm 0\.000e\+00 below 1\.0e-08$"),
+    (True, r"^grid is not an immersion: relative derivative norm 0\.000e\+00 below 1\.0e-08$"),
 ], ids=["parallel", "still"])
 def test_degenerate_grid_meets_its_first_gate_only(monkeypatch, points, still,
                                                     refusal):
@@ -647,7 +675,7 @@ def test_classify_alignment():
     g3 = fixtures.non_adapted_grid(sf.lattice(0.0, 0.0, 5e-2, 5e-2, 15, 15))
     assert classify(g3) == "mixed"
     # a NaN deviation matches neither alignment
-    assert sf.classify_P_alignment(g3, np.nan, np.nan) == "mixed"
+    assert sf.classify_P_alignment(g3.summary.h_arc, np.nan, np.nan) == "mixed"
 
 
 def test_analyze_report_schema_and_values():
@@ -879,7 +907,7 @@ def test_nan_in_last_slab_fails_closed(monkeypatch, capsys):
     monkeypatch.setattr(cli, "read_immersion_csv", lambda path: bad)
     assert cli.main(["--command", "analyze", "--input", "grid.csv"]) == 3
     assert capsys.readouterr().err == (
-        "input error: grid is not an immersion: derivative norm nan below 1.0e-08\n"
+        "input error: grid is not an immersion: relative derivative norm nan below 1.0e-08\n"
     )
 
 
@@ -1010,7 +1038,8 @@ def test_a_grid_is_refused_in_its_first_slab_below_the_floor(monkeypatch, read):
     assert len(slabs) == 5 and slabs[3] == slice(24, 32)
     formed = count_calls(monkeypatch, sf, "partials")
     with pytest.raises(ValueError,
-                       match=r"^grid is not an immersion: derivative norm 0\.000e\+00 below"):
+                       match=r"^grid is not an immersion: relative derivative norm "
+                             r"0\.000e\+00 below"):
         read(still)
     assert len(formed) == 4
 
@@ -1025,7 +1054,7 @@ def test_a_potential_is_refused_in_its_first_slab_below_the_floor(monkeypatch):
     held = hsys.h_surface_grid(hs, eps)
     assert len(list(sf.halo_slabs(held))) == 5
     formed = count_calls(monkeypatch, hsys.HSurfaceGrid, "partials")
-    with pytest.raises(ValueError, match=r"^derivatives vanish on the interior: speed "
+    with pytest.raises(ValueError, match=r"^derivatives vanish on the interior: relative speed "
                        r"0\.000e\+00 below 1\.0e-10; not a solution surface$"):
         held.summary
     assert len(formed) == 4

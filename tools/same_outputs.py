@@ -76,8 +76,8 @@ INPUTS = {
     "still.csv": _immersion_csv(41, 0.025, lambda u, v: _circle(v, 2) * 2),
     # p = q = exp((u + v) i) has parallel tangents: EG - F^2 = 0 everywhere
     "parallel.csv": _immersion_csv(41, 0.025, lambda u, v: _circle(u + v, 1) * 2),
-    # example1 with both circle angles scaled by 1e-3: adapted, traced so
-    # slowly that min EG - F^2 = 1.778e-12 falls below the metric floor
+    # example1 with both circle angles scaled by 1e-3: the same surface
+    # traced 1000 times slower, which every scale-free gate accepts
     "slow.csv": _immersion_csv(21, 0.01, lambda u, v: (
         _circle(1e-3 * (u - v / math.sqrt(3.0)), 1) + _circle(-2e-3 * v / math.sqrt(3.0), 1))),
     # p = exp(min(u, 85 h) i), q = exp(v j) stops moving along u at row 85,
@@ -88,6 +88,13 @@ INPUTS = {
     # their values makes derivatives near 1e84, whose products overflow
     "tiny.csv": _immersion_csv(9, 1e-100, _sphere_pair),
     "tiny_eps.csv": _potential_csv(9, 1e-100, _sphere_potential),
+    # example2 41^2 at step 2^-8, centred on its equator, and cmc_sphere
+    # 21^2 at step 0.02, relabelled (u, v) -> s (u, v) by s = 2^-3 and 2^10:
+    # the same samples over a lattice whose steps are s times theirs
+    "fast.csv": _immersion_csv(41, 2.0**-11, lambda u, v: _sphere_pair(8.0 * u - 20 * 2.0**-8,
+                                                                       8.0 * v)),
+    "wide_eps.csv": _potential_csv(21, 0.02 * 2.0**10, lambda u, v: _sphere_potential(
+        u * 2.0**-10, v * 2.0**-10 - 10 * 0.02)),
 }
 
 # (label, expected exit code, cli arguments); later runs read earlier outputs
@@ -137,7 +144,7 @@ RUNS = [
     ("from-h constant potential", 3,
      ["from-h", "--input", "const.csv", "--output", "const_s.csv"]),
     # refused by the equation-residual certificate: the plane's residual is
-    # 4/sqrt3, far above the 200 h^2 = 0.5 it is allowed at this step
+    # 4/sqrt3, far above the 0.05 times its speed 2 it is allowed
     ("from-h plane potential", 2,
      ["from-h", "--input", "plane.csv", "--output", "plane_s.csv"]),
     # refused by the gates; on the still and parallel-tangent grids, where
@@ -149,10 +156,18 @@ RUNS = [
     ("analyze parallel-tangent grid", 3, ["analyze", "--input", "parallel.csv"]),
     ("to-h parallel-tangent grid", 3,
      ["to-h", "--input", "parallel.csv", "--output", "parallel_h.csv"]),
-    # `analyze` refuses the slow grid at the metric floor, which `to-h` does
-    # not read
-    ("analyze slow grid", 3, ["analyze", "--input", "slow.csv"]),
+    # relabelled grids keep the verdicts of the grids they relabel
+    ("analyze slow grid", 0, ["analyze", "--input", "slow.csv"]),
     ("to-h slow grid", 0, ["to-h", "--input", "slow.csv", "--output", "slow_h.csv"]),
+    ("analyze fast grid", 0, ["analyze", "--input", "fast.csv"]),
+    ("to-h fast grid", 0, ["to-h", "--input", "fast.csv", "--output", "fast_h.csv"]),
+    ("from-h wide potential", 0,
+     ["from-h", "--input", "wide_eps.csv", "--output", "wide_s.csv"]),
+    # the cylinder sampled at 1000 times its radius is aliased: refused at
+    # a certificate, since no tolerance exceeds 0.05 times tol_scale
+    ("fixture cmc_cylinder step 1000", 0,
+     ["fixture", "--fixture", "cmc_cylinder", *_grid(21, 21, 1000.0), "--output", "alias.csv"]),
+    ("from-h aliased cylinder", 2, ["from-h", "--input", "alias.csv", "--output", "alias_s.csv"]),
     ("analyze late-stopping grid", 3, ["analyze", "--input", "late.csv"]),
     ("to-h late-stopping grid", 3, ["to-h", "--input", "late.csv", "--output", "late_h.csv"]),
     # refused at the floating-point fault their self-check meets
