@@ -15,10 +15,11 @@ against the ambient quaternion formulas.
 
 It also holds the upper-bound and floor comparisons behind every check,
 `gate` and `at_least`, the tolerance law of every grid gate, `tolerance`,
-and the tolerance multiplier's `validate_tol_scale`.  `tolerance` reads a
-grid's step in arclength, which relabelling (u, v) by a constant leaves
-unchanged, as it leaves each gated residual and floor ratio: no verdict
-depends on how fast a grid's parameters run.
+and its `roundoff` term, and the tolerance multiplier's
+`validate_tol_scale`.  Both read a grid's step in arclength, which
+relabelling (u, v) by a constant leaves unchanged, as it leaves each gated
+residual and floor ratio: no verdict depends on how fast a grid's
+parameters run.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ __all__ = [
     "connection_term",
     "gate",
     "at_least",
+    "TOL_CAP",
+    "roundoff",
     "tolerance",
     "validate_tol_scale",
 ]
@@ -157,16 +160,24 @@ def at_least(value, bound, what, why=""):
 
 _EPS = float(np.finfo(float).eps)
 
+TOL_CAP = 0.05  # the largest tolerance at tol_scale 1
 
-def tolerance(h_arc, tol_scale):
-    """`tol_scale` min(100 h_arc^2 + 100 eps / h_arc^2, 0.05) at the step in
-    arclength `h_arc` (`surface.Lattice.arc_step`), eps the float64 machine
-    epsilon: the error of a second-order stencil, the roundoff of a second
-    difference, and a cap where a grid is too coarse or too fine for either
-    to bound its defects.  A NaN h_arc gives a NaN tolerance, which every
-    gate fails."""
-    h2 = h_arc * h_arc
-    return tol_scale * min(100.0 * h2 + 100.0 * _EPS / max(h2, _EPS), 0.05)
+
+def roundoff(lat, speed):
+    """100 eps / h^2, eps the float64 machine epsilon, at the larger step in
+    arclength h = max(lat.du, lat.dv) sqrt(speed) of a map whose largest
+    squared speed over the `Lattice` `lat` is `speed`: the relative roundoff
+    of a second difference."""
+    return 100.0 * _EPS / max(max(lat.du, lat.dv) ** 2 * speed, _EPS)
+
+
+def tolerance(lat, speed, tol_scale):
+    """`tol_scale` min(100 h^2 + `roundoff`, `TOL_CAP`) at the same h: the
+    error of a second-order stencil, the roundoff of a second difference,
+    and a cap where a grid is too coarse or too fine for either to bound
+    its defects.  A NaN speed gives a NaN tolerance, which every gate fails."""
+    h2 = max(lat.du, lat.dv) ** 2 * speed
+    return tol_scale * min(100.0 * h2 + roundoff(lat, speed), TOL_CAP)
 
 
 def validate_tol_scale(tol_scale):

@@ -23,12 +23,12 @@ values, no derivative, and one summary pass, run on first read, that
 derives its gated defects and refuses a grid whose derivatives vanish:
 here `HSurfaceGrid.summary` (a `PotentialSummary`: the conformality
 deviation `mean_curvature` gates, the equation residual `_require_solution`
-gates, the largest speed, and the speed field `metric_factor_check`
-reads), whose slabs form the partials and Laplacian once each; a surface
-grid's `surface.ImmersionGrid.summary`.  Every certificate reads
-`frame.tolerance` at its grid's `HSurfaceGrid.h_arc` or
-`surface.GridSummary.h_arc`.  Each integrator's output covers
-its input window inset by one cell, and only its output is ever whole.
+reports and, over the speed, gates, the largest speed, and the speed field
+`metric_factor_check` reads), whose slabs form the partials and Laplacian
+once each; a surface grid's `surface.ImmersionGrid.summary`.  Every
+certificate reads `frame.tolerance` at its grid's largest speed.  Each
+integrator's output covers its input window inset by one cell, and only
+its output is ever whole.
 
 `epsilon_from_surface` reads the surface grid over its
 `surface.halo_slabs`, and integrates spine-then-lines: each slab's rows of
@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quat
-from .frame import SQRT3, at_least, gate, tolerance, validate_tol_scale
+from .frame import SQRT3, TOL_CAP, at_least, gate, roundoff, tolerance, validate_tol_scale
 from .surface import (
     FROM_POTENTIAL, SECOND_FACTOR, Lattice, extract_coefficients, factor_partials,
     halo_slabs, immersion_grid, interior, require_adapted, require_imaginary,
@@ -88,11 +88,13 @@ class PotentialSummary:
     speed e + g has passed its floor: the largest interior relative
     conformality deviation max(|e - g|, |f|) / max(e, g), where (e, f, g) =
     (|eps_u|^2, eps_u . eps_v, |eps_v|^2), the largest interior
-    `h_equation_residual` and speed, and the read-only (nu, nv) speed
-    field.  A NaN anywhere in a field reaches its maximum."""
+    `h_equation_residual`, alone and over the speed e + g at its point,
+    the largest interior speed, and the read-only (nu, nv) speed field.  A
+    NaN anywhere in a field reaches its maximum."""
 
     conformal_max: float
     h_equation_max: float
+    h_equation_rel_max: float
     speed_max: float
     speed: np.ndarray
 
@@ -124,13 +126,7 @@ class HSurfaceGrid(Lattice):
         speed = np.empty((self.nu, self.nv))
         highs = [_summary_slab(*slab, speed) for slab in halo_slabs(self)]
         speed.flags.writeable = False
-        conformal, equation, speed_max = np.max(highs, axis=0)
-        return PotentialSummary(float(conformal), float(equation), float(speed_max), speed)
-
-    @property
-    def h_arc(self):
-        """The step in arclength at the summary's largest speed."""
-        return self.arc_step(self.summary.speed_max)
+        return PotentialSummary(*map(float, np.max(highs, axis=0)), speed)
 
     def pairs(self, rows, cols, axis):
         """The coefficients along `axis` of both quaternion factors on the
@@ -154,7 +150,7 @@ def _summary_slab(sub, keep, rows, speed):
     speed e + g over its largest meets the floor 1e-10 (0 when all vanish,
     so no division meets a zero): writes its kept rows of the speed field,
     returns its interior maxima of the conformality deviation, the equation
-    residual and the speed."""
+    residual, that residual over the speed and the speed."""
     eu, ev = sub.partials()
     e, g = np.sum(eu * eu, axis=-1), np.sum(ev * ev, axis=-1)
     full = e + g
@@ -163,11 +159,18 @@ def _summary_slab(sub, keep, rows, speed):
              "derivatives vanish on the interior: relative speed",
              "; not a solution surface")
     speed[rows] = full[keep]
+    # interior(full) without holding full: the sub-grid's interior rows are
+    # rows it keeps, just written to the speed field
+    first = rows.start - keep.start
+    inner = interior(speed[first:first + sub.nu])
     e, g = interior(e), interior(g)
     f = np.sum(interior(eu) * interior(ev), axis=-1)
     conformal = (np.maximum(np.abs(e - g), np.abs(f)) / np.maximum(e, g)).max()
     del e, f, g, full  # none is alive beside the residual's temporaries
-    return conformal, interior(h_equation_residual(eu, ev, sub.laplacian())).max(), high
+    res = interior(h_equation_residual(eu, ev, sub.laplacian()))
+    equation = res.max()
+    res /= inner
+    return conformal, equation, res.max(), high
 
 
 def h_surface_grid(lat, eps):
@@ -195,13 +198,24 @@ def h_equation_residual(eu, ev, lap):
     return np.linalg.norm(defect, axis=-1)
 
 
+def _require_resolved(hs):
+    """The grid's `frame.roundoff` at its largest speed; raises
+    CertificateError above `frame.TOL_CAP`, where second differences are
+    rounding noise, so no residual certifies the grid."""
+    return gate(roundoff(hs, hs.summary.speed_max), TOL_CAP,
+                "grid is too fine to certify: second-difference roundoff",
+                CertificateError)
+
+
 def _require_solution(hs, tol_scale, why):
-    """`hs.summary.h_equation_max`; raises CertificateError when it exceeds
-    `frame.tolerance` at the grid's `HSurfaceGrid.h_arc` and `tol_scale`
-    times its largest speed, the residual's units."""
-    tol = tolerance(hs.h_arc, tol_scale) * hs.summary.speed_max
-    return gate(hs.summary.h_equation_max, tol,
-                "second-order equation residual", CertificateError, why)
+    """`hs.summary.h_equation_max`; raises CertificateError when the grid is
+    too fine (`_require_resolved`) or its `h_equation_rel_max` exceeds
+    `frame.tolerance` at its largest speed and `tol_scale`."""
+    summary = hs.summary
+    _require_resolved(hs)
+    gate(summary.h_equation_rel_max, tolerance(hs, summary.speed_max, tol_scale),
+         "second-order equation residual over the speed", CertificateError, why)
+    return summary.h_equation_max
 
 
 def epsilon_from_surface(grid, tol_scale=1.0):
@@ -230,7 +244,7 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     ac_max = require_adapted(grid.summary, tol_scale)
     out = grid.inset(1)
     require_imaginary(grid.summary)
-    tol = tolerance(grid.summary.h_arc, tol_scale)
+    tol = tolerance(grid.summary, grid.summary.E_max, tol_scale)
     eps = np.empty((out.nu, out.nv, 3))
     gaps = []
     for sub, keep, rows in halo_slabs(grid):
@@ -357,11 +371,12 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     potential (`HSurfaceGrid.pairs`), which is dropped before the output
     grid takes over the u-first values.  Raises ValueError for a bad
     `tol_scale` or a potential whose derivatives vanish (its summary),
-    CertificateError when the input fails the equation residual gate or the
-    orderings disagree beyond tolerance.
+    CertificateError when the input is too fine to certify, fails the
+    equation residual gate or the orderings disagree beyond tolerance.
     """
     tol_scale = validate_tol_scale(tol_scale)
-    tol = tolerance(hs.h_arc, tol_scale)  # its summary refuses vanishing derivatives
+    # the summary refuses vanishing derivatives before the window is inset
+    tol = tolerance(hs, hs.summary.speed_max, tol_scale)
     out = hs.inset(1)
     eq_res = _require_solution(hs, tol_scale, "; input is not a solution surface")
     ufirst, vfirst = _integrate_pair(hs.pairs, out, np.stack([quat.ONE, quat.ONE]))
@@ -384,12 +399,12 @@ def mean_curvature(hs):
 
     Requires the parametrization to be conformal (equal-speed orthogonal
     derivatives) to a relative deviation on the interior within
-    `frame.tolerance` at the grid's `h_arc`; raises ValueError otherwise,
+    `frame.tolerance` at the grid's largest speed; raises ValueError otherwise,
     since the formula divides by the common speed.  The deviation is the
     grid's `PotentialSummary.conformal_max`, gated before any H is formed;
     H is then taken over `surface.halo_slabs` into one (nu, nv) field.
     """
-    gate(hs.summary.conformal_max, tolerance(hs.h_arc, 1.0),
+    gate(hs.summary.conformal_max, tolerance(hs, hs.summary.speed_max, 1.0),
          "coordinates are not conformal: relative deviation")
     H = np.empty((hs.nu, hs.nv))
     for sub, keep, rows in halo_slabs(hs):

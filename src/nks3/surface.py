@@ -54,8 +54,8 @@ size, and no flag, parameter or environment variable reaches it.
 
 Derivatives are second-order finite differences throughout; every residual
 statistic is taken on the grid interior (two-cell margin) because one-sided
-edge stencils degrade the order.  Every gate and the alignment
-classification read `frame.tolerance` at the grid's `GridSummary.h_arc`.
+edge stencils degrade the order.  Every gate and the classification read
+`frame.tolerance` at the grid's largest interior E.
 """
 
 from __future__ import annotations
@@ -183,11 +183,6 @@ class Lattice:
             raise ValueError("grids overlap on fewer than 5x5 cells")
         return tuple(map(slice, lo, hi)), tuple(map(slice, lo - off, hi - off))
 
-    def arc_step(self, speed):
-        """max(du, dv) sqrt(speed): the larger step in arclength of a map
-        over the window whose largest squared speed is `speed`."""
-        return max(self.du, self.dv) * float(np.sqrt(speed))
-
     def diff(self, f, axis):
         """Central difference along `axis`, second-order one-sided at the edges."""
         return np.gradient(f, (self.du, self.dv)[axis], axis=axis, edge_order=2)
@@ -264,11 +259,6 @@ class GridSummary(Lattice):
     det_min: float
     E_max: float
     E: np.ndarray | None
-
-    @property
-    def h_arc(self):
-        """The step in arclength at the largest interior E."""
-        return self.arc_step(self.E_max)
 
 
 @dataclass(frozen=True)
@@ -465,9 +455,9 @@ def require_adapted(summary, tol_scale):
 
     Raises ValueError when `tol_scale` is not finite and positive, and
     unless the relative defect stays within `frame.tolerance` at the grid's
-    `GridSummary.h_arc` and `tol_scale`; a NaN defect fails the gate.
+    `GridSummary.E_max` and `tol_scale`; a NaN defect fails the gate.
     """
-    limit = tolerance(summary.h_arc, validate_tol_scale(tol_scale))
+    limit = tolerance(summary, summary.E_max, validate_tol_scale(tol_scale))
     return gate(
         summary.almost_complex_max, limit,
         "grid is not adapted: relative almost-complex defect",
@@ -479,13 +469,12 @@ def require_imaginary(summary):
     """The `GridSummary.projection_max` of `summary`, gated.
 
     Raises ValueError unless the real-part defect of the logarithmic
-    derivatives stays within `frame.tolerance` at `GridSummary.h_arc` (and
-    `tol_scale` 1) times the largest derivative norm sqrt(E_max), the
-    defect's units (a NaN defect fails): on a smooth unit-quaternion
-    immersion it is O(h_arc^2) of that norm, so a larger one signals a grid
+    derivatives stays within `frame.tolerance` at `tol_scale` 1 times
+    sqrt(E_max), its units (a NaN defect fails): on a smooth unit-quaternion
+    immersion it is O(h^2) of that norm, so a larger one signals a grid
     that is not one, or is not sampled finely enough.
     """
-    tol = tolerance(summary.h_arc, 1.0) * np.sqrt(summary.E_max)
+    tol = tolerance(summary, summary.E_max, 1.0) * np.sqrt(summary.E_max)
     return gate(summary.projection_max, tol,
                 "logarithmic derivatives are far from imaginary: real-part residual")
 
@@ -657,19 +646,17 @@ def _alignment_defects(gp, pu, a):
     return normal_dev, tangent_dev
 
 
-def classify_P_alignment(h_arc, normal_dev, tangent_dev):
+def classify_P_alignment(summary, normal_dev, tangent_dev):
     """Alignment of the almost product structure with the tangent plane,
-    from the largest relative deviations of P phi_u from the normal space
-    and from the tangent plane over a grid whose step in arclength is
-    `h_arc` (`GridSummary.h_arc`).
+    from the largest deviations of P phi_u from the normal space and from
+    the tangent plane over the grid of the `GridSummary` `summary`.
 
     Returns "normal" when P maps the tangent plane into the normal space
     everywhere, "tangent" when P preserves the tangent plane everywhere,
-    "mixed" otherwise.  Each deviation is compared with `frame.tolerance`
-    at `h_arc` (and `tol_scale` 1), the error a second-order stencil
-    leaves; a NaN deviation matches neither.
+    "mixed" otherwise.  The tolerance is `frame.tolerance` at its E_max and
+    `tol_scale` 1; a NaN deviation matches neither.
     """
-    tol = tolerance(h_arc, 1.0)
+    tol = tolerance(summary, summary.E_max, 1.0)
     if normal_dev < tol:
         return "normal"
     if tangent_dev < tol:
@@ -705,13 +692,12 @@ def analyze(grid, tol_scale=1.0):
     slab that is not an immersion (`_summary_slab`, before its stages), then
     when the grid is not adapted (`require_adapted`), has logarithmic
     derivatives far from imaginary (`require_imaginary`) or min EG - F^2
-    over the squared largest interior E below the metric floor 1e-10; only
-    then does the first slab whose stages met a zero division, an overflow
-    or an invalid value raise its FloatingPointError.  One pass over
-    `halo_slabs` forms each slab's partials once, for its share of the
-    `GridSummary`, gated after the pass, and for its stages, which keep
-    only maxima and K: one (nu, nv) buffer, so `K_mean` sums its
-    `interior` in the same order as a whole-grid field.
+    below the metric floor 1e-10 E_max^2; only then does the first slab
+    whose stages met a zero division, an overflow or an invalid value raise
+    its FloatingPointError.  One pass over `halo_slabs` forms each slab's
+    partials once, for its share of the `GridSummary`, gated after the pass,
+    and for its stages, which keep only maxima and K: one (nu, nv) buffer,
+    so `K_mean` sums its `interior` in the same order as a whole-grid field.
     """
     validate_tol_scale(tol_scale)
     K = np.empty((grid.nu, grid.nv))
@@ -745,6 +731,6 @@ def analyze(grid, tol_scale=1.0):
         "K_mean": K_mean,
         "K_max_dev": K_max_dev,
         "h_norm_max": h_max,
-        "classification": classify_P_alignment(summary.h_arc, normal_dev, tangent_dev),
+        "classification": classify_P_alignment(summary, normal_dev, tangent_dev),
         "grid": grid.window(),
     }

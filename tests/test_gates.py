@@ -24,6 +24,8 @@ from nks3 import hsystem as hsys
 from nks3 import nkspace as nk
 from nks3 import surface as sf
 
+from families import example1_points, parallel_tangents, shifted_rows
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nks3"
 QI, QJ = np.eye(4)[1:3]
 
@@ -108,20 +110,27 @@ def stretched_cylinder(stretch):
 
 def spiked_sphere(delta):
     """`surface_from_epsilon` of the sphere potential 31^2 at h = 6e-3 with
-    `delta` added to one value: the equation residual sees ~4 delta / h^2
-    against the tolerance times the speed, 8.1e-3."""
+    `delta` added to one value: the equation residual over the speed sees
+    ~4 delta / (1.5 h^2) at the spike (tolerance 5.4e-3)."""
     hs = fixtures.make_fixture("cmc_sphere", nu=31, nv=31)
     eps = hs.eps.copy()
     eps[15, 15, 0] += delta
     return hsys.surface_from_epsilon(hsys.HSurfaceGrid(**hs.window(), eps=eps))
 
 
-def saddled_sphere(amp):
-    """`surface_from_epsilon` of the sphere potential 81^2 at h = 0.04 plus
-    `amp` (2uv, 0, u^2 - v^2), centred: the added map is harmonic, so the
-    pointwise equation residual stays inside its tolerance while the path
-    orderings drift apart over the wide window (tolerance 0.05)."""
-    hs = fixtures.make_fixture("cmc_sphere", nu=81, nv=81, du=0.04, dv=0.04)
+def fine_sphere(h):
+    """`surface_from_epsilon` of the sphere potential 21^2 at step `h`,
+    whose second-difference roundoff is 100 eps / (1.5 h^2) (cap 0.05)."""
+    return hsys.surface_from_epsilon(fixtures.make_fixture("cmc_sphere", 21, 21, h, h))
+
+
+def saddled_cylinder(amp):
+    """`surface_from_epsilon` of the cylinder potential 81^2 at h = 0.04
+    plus `amp` (2uv, 0, u^2 - v^2), centred: the added map is harmonic, so
+    the pointwise equation residual over the speed stays inside its
+    tolerance (0.88 of it at amp 6e-3) while the path orderings drift apart
+    over the wide window (tolerance 0.05)."""
+    hs = fixtures.make_fixture("cmc_cylinder", nu=81, nv=81, du=0.04, dv=0.04)
     u = hs.u_vals[:, None] - hs.u_vals.mean()
     v = hs.v_vals[None, :] - hs.v_vals.mean()
     eps = hs.eps.copy()
@@ -141,27 +150,6 @@ def twisted_example2(amp, h=5e-3, width=0.15):
     bump = np.exp(-(u * u + v * v) / (2.0 * width**2))
     twist = quat.qexp(amp * bump[..., None] * [1.0, 0.0, 0.0])
     return sf.immersion_grid(grid, quat.qmul(twist, grid.p), grid.q)
-
-
-def example1_points(lat, u):
-    """example1's circle pair over `lat` with u-parameters `u` (nu, 1):
-    p = exp((u - v / sqrt3) i), q = exp(-2 v / sqrt3 i)."""
-    v = lat.v_vals[None, :]
-
-    def circle(a):
-        return np.stack([np.cos(a), np.sin(a), 0.0 * a, 0.0 * a], axis=-1)
-
-    return sf.immersion_grid(lat, circle(u - v / frame.SQRT3),
-                             circle(-2.0 * v / frame.SQRT3 + 0.0 * u))
-
-
-def shifted_rows(delta):
-    """example1 21^2 at h = 5e-4 with every other u-row sampled `delta` h
-    further along u: its coefficients are constant, so the grid stays
-    adapted, while each logarithmic derivative gains a real part
-    2 delta h |c|^2 (tolerance 3.9e-5)."""
-    lat = sf.lattice(0.0, 0.0, 5e-4, 5e-4, 21, 21)
-    return example1_points(lat, (lat.u_vals + delta * lat.du * (np.arange(21) % 2))[:, None])
 
 
 def cubic(x, h, delta):
@@ -188,19 +176,6 @@ def stalled_plane(delta):
         lat, np.stack([cubic(u, lat.du, delta), cubic(v, lat.dv, delta), 0.0 * u], axis=-1))
 
 
-def parallel_tangents(angle):
-    """p = q = exp(u i) exp(v w) on 21^2 at h = 0.05, w the unit imaginary
-    `angle` away from i: phi_u and phi_v meet at `angle` everywhere, so
-    (EG - F^2) / E_max^2 is sin^2(angle) (floor 1e-10).  The grid is far
-    from adapted, so `analyze` reaches the metric floor only at a
-    `tol_scale` above 1.414 / 0.05."""
-    lat = sf.lattice(0.0, 0.0, 0.05, 0.05, 21, 21)
-    u, v = np.meshgrid(lat.u_vals, lat.v_vals, indexing="ij")
-    w = np.array([np.cos(angle), np.sin(angle), 0.0])
-    p = quat.qmul(quat.qexp(u[..., None] * [1.0, 0.0, 0.0]), quat.qexp(v[..., None] * w))
-    return sf.immersion_grid(lat, p, p.copy())
-
-
 # site -> (near control, input below it), each a call of the public API on
 # one member of a family, at a parameter ten times apart
 CONTROLS = {
@@ -210,10 +185,12 @@ CONTROLS = {
         lambda tmp: jittered_csv(tmp, 5e-8), lambda tmp: jittered_csv(tmp, 5e-9)),
     "hsystem.mean_curvature": (
         lambda tmp: stretched_cylinder(9e-3), lambda tmp: stretched_cylinder(9e-4)),
+    "hsystem._require_resolved": (
+        lambda tmp: fine_sphere(3e-7), lambda tmp: fine_sphere(3e-6)),
     "hsystem._require_solution": (
         lambda tmp: spiked_sphere(2e-7), lambda tmp: spiked_sphere(2e-8)),
     "hsystem.surface_from_epsilon": (
-        lambda tmp: saddled_sphere(6e-3), lambda tmp: saddled_sphere(6e-4)),
+        lambda tmp: saddled_cylinder(6e-3), lambda tmp: saddled_cylinder(6e-4)),
     "hsystem.epsilon_from_surface": (
         lambda tmp: hsys.epsilon_from_surface(twisted_example2(0.035, 0.02, 0.7)),
         lambda tmp: hsys.epsilon_from_surface(twisted_example2(3.5e-3, 0.02, 0.7))),
@@ -250,6 +227,28 @@ def test_a_floor_refuses_below_its_bound_and_a_nan(value):
     with pytest.raises(ValueError, match=r"^norm (5\.000e-01|nan) below 1\.0e\+00; why$"):
         frame.at_least(value, 1.0, "norm", "; why")
     assert frame.at_least(1.0, 1.0, "norm") == 1.0
+
+
+@pytest.mark.parametrize("delta", [1.0, 320.0, 1e3])
+def test_a_spike_cannot_raise_the_equation_tolerance(delta):
+    # a spike raises the largest speed by ~delta^2 / (4 h^2), and with it
+    # the tolerance, up to its cap; at the spike itself the residual over
+    # the speed, ~4 delta / (1.5 h^2), stays far past the cap
+    with pytest.raises(hsys.CertificateError,
+                       match="^second-order equation residual over the speed "):
+        spiked_sphere(delta)
+
+
+@pytest.mark.parametrize("angle", [1e-3, 0.1, 3.0])
+def test_a_spike_in_p_is_refused_by_the_pointwise_adaptedness(angle):
+    # example2 41^2 at h = 0.01 with p at the centre turned by `angle` about
+    # j: the spike raises the largest E, and with it the real-part bound,
+    # but the almost-complex defect, relative at each point, refuses it
+    grid = fixtures.make_fixture("example2", nu=41, nv=41, du=0.01, dv=0.01)
+    p = grid.p.copy()
+    p[20, 20] = quat.qmul(quat.qexp(np.array([0.0, angle, 0.0])), p[20, 20])
+    with pytest.raises(ValueError, match="^grid is not adapted: "):
+        sf.analyze(sf.immersion_grid(grid, p, grid.q))
 
 
 @pytest.mark.parametrize("site", sorted(check_callers()))

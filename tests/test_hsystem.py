@@ -65,7 +65,7 @@ def test_from_potential_nan_cell_fails_equation_gate():
     with pytest.raises(ValueError, match="vanish"):
         hsys.surface_from_epsilon(hsys.HSurfaceGrid(**hs.window(), eps=eps))
     with pytest.raises(hsys.CertificateError, match="not a solution"):
-        hsys.surface_from_epsilon(with_summary(hs, h_equation_max=np.nan))
+        hsys.surface_from_epsilon(with_summary(hs, h_equation_rel_max=np.nan))
 
 
 def test_potential_derivatives_are_the_lattice_stencils_formed_per_call():
@@ -349,7 +349,7 @@ def test_from_potential_sphere():
     assert np.abs(K - 2.0 / 3.0).max() < 1e-3
     pu = gp.cu @ frame.P_MAT.T
     defects = sf._alignment_defects(gp, pu, frame.gram_product(pu, gp.cu))
-    assert sf.classify_P_alignment(grid.summary.h_arc, *defects) == "normal"
+    assert sf.classify_P_alignment(grid.summary, *defects) == "normal"
 
 
 def test_from_potential_initial_point():
@@ -381,7 +381,7 @@ def test_reparametrised_cylinder_passes_real_part_gate():
     lat = sf.lattice(0.2, -0.3, h, h, n, n)
     grid, _ = hsys.surface_from_epsilon(hsys.h_surface_grid(lat, eps))
     summary = grid.summary
-    limit = frame.tolerance(summary.h_arc, 1.0) * np.sqrt(summary.E_max)
+    limit = frame.tolerance(summary, summary.E_max, 1.0) * np.sqrt(summary.E_max)
     assert 1e-4 < summary.projection_max < 0.01 * limit
     report = sf.analyze(grid)
     assert report["almost_complex_max"] < 1e-3
@@ -435,10 +435,10 @@ def test_mean_curvature_rejects_nan_cell():
 @pytest.mark.parametrize("skew", [2.0, np.nan])
 def test_surface_from_epsilon_gates_path_ordering(monkeypatch, skew):
     # the v-first ordering skewed by twice the tolerance, or by a NaN;
-    # test_gates refuses a natural input here, a wide sphere potential plus
+    # test_gates refuses a natural input here, a wide cylinder potential plus
     # a harmonic saddle that passes the equation gate
     hs = sphere_hs()
-    tol = frame.tolerance(hs.h_arc, 1.0)
+    tol = frame.tolerance(hs, hs.summary.speed_max, 1.0)
     assert hsys.surface_from_epsilon(hs)[1]["compat_max"] < tol
     integrate = hsys._integrate_pair
 
@@ -645,9 +645,9 @@ def test_epsilon_from_surface_gates_equation_residual():
     assert cert["h_equation_max"] < 1e-4
     with pytest.raises(hsys.CertificateError, match="second-order equation residual"):
         hsys.epsilon_from_surface(bad)
-    # the bound of the inverse direction: the potential's tolerance times
-    # its largest speed
-    with pytest.raises(hsys.CertificateError, match=r"exceeds 5\.6e-03"):
+    # the bound of the inverse direction, on the residual over the speed:
+    # the potential's tolerance
+    with pytest.raises(hsys.CertificateError, match=r"over the speed \S+ exceeds 3\.8e-03"):
         hsys.epsilon_from_surface(bad)
 
 

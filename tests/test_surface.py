@@ -11,6 +11,8 @@ from nks3 import frame
 from nks3 import nkspace as nk
 from nks3 import surface as sf
 
+from families import circle, parallel_tangents, shifted_rows
+
 QI, QJ, QK = np.eye(4)[1:]  # the imaginary units i, j, k
 
 SQ3 = frame.SQRT3
@@ -42,7 +44,7 @@ def alignment_defects(gp):
 
 def classify(grid):
     """`classify_P_alignment` of a whole grid, from its partials."""
-    return sf.classify_P_alignment(grid.summary.h_arc, *alignment_defects(sf.partials(grid)))
+    return sf.classify_P_alignment(grid.summary, *alignment_defects(sf.partials(grid)))
 
 
 def test_grid_constructor_validation():
@@ -244,14 +246,11 @@ def test_finite_real_part_defect_fails_gate():
     # coefficients are constant, so the grid stays adapted to rounding
     # level, but the logarithmic derivatives gain a real part 0.6 h |c|^2
     # far above the O(h_arc^2) tolerance
-    lat = sf.lattice(0.0, 0.0, 5e-4, 5e-4, 21, 21)
-    u = (lat.u_vals + 0.3 * lat.du * (np.arange(21) % 2))[:, None]
-    v = lat.v_vals[None, :]
-    bad = sf.immersion_grid(lat, circle(u - v / SQ3), circle(-2.0 * v / SQ3 + 0.0 * u))
+    bad = shifted_rows(0.3)
     summary = bad.summary
-    assert sf.require_adapted(summary, 1.0) < 1e-3 * frame.tolerance(summary.h_arc, 1.0)
-    assert summary.projection_max > 3.0 * frame.tolerance(summary.h_arc, 1.0) * np.sqrt(
-        summary.E_max)
+    tol = frame.tolerance(summary, summary.E_max, 1.0)
+    assert sf.require_adapted(summary, 1.0) < 1e-3 * tol
+    assert summary.projection_max > 3.0 * tol * np.sqrt(summary.E_max)
     with pytest.raises(ValueError, match="far from imaginary"):
         sf.analyze(bad)
 
@@ -398,7 +397,7 @@ def test_alignment_reads_the_off_normal_part_along_phi_v():
     normal_dev, tangent_dev = sf._alignment_defects(gp, pu, a)
     assert normal_dev == pytest.approx(1.0, rel=1e-3)  # |b| / (|P phi_u| |phi_u|)
     assert tangent_dev < 1e-12
-    assert sf.classify_P_alignment(grid.summary.h_arc, normal_dev, tangent_dev) == "tangent"
+    assert sf.classify_P_alignment(grid.summary, normal_dev, tangent_dev) == "tangent"
 
 
 def test_induced_metric_example1():
@@ -522,11 +521,6 @@ def test_brioschi_round_sphere():
     assert np.abs(sf.interior(K) - 1.0).max() < 1e-5
 
 
-def circle(a):
-    """exp(a i) as (..., 4)."""
-    return np.stack([np.cos(a), np.sin(a), 0.0 * a, 0.0 * a], axis=-1)
-
-
 def slow_example1(scale):
     """example1 with both circle angles scaled by `scale`: the same adapted
     flat surface traced `1 / scale` times slower, so EG - F^2 falls as
@@ -545,16 +539,6 @@ def test_analyze_accepts_a_slowly_traced_surface():
     assert slow_example1(1e-3).summary.det_min < 2e-12
     assert slow["classification"] == fast["classification"] == "tangent"
     assert slow["almost_complex_max"] < 1e-8
-
-
-def parallel_tangents(angle):
-    """p = q = exp(u i) exp(v w) on 21^2 at h = 0.05, w the unit imaginary
-    `angle` away from i: (EG - F^2) / E_max^2 is sin^2(angle)."""
-    lat = sf.lattice(0.0, 0.0, 0.05, 0.05, 21, 21)
-    u, v = np.meshgrid(lat.u_vals, lat.v_vals, indexing="ij")
-    w = np.array([np.cos(angle), np.sin(angle), 0.0])
-    p = quat.qmul(quat.qexp(u[..., None] * [1.0, 0.0, 0.0]), quat.qexp(v[..., None] * w))
-    return sf.immersion_grid(lat, p, p.copy())
 
 
 def test_analyze_refuses_a_degenerate_metric():
@@ -675,7 +659,7 @@ def test_classify_alignment():
     g3 = fixtures.non_adapted_grid(sf.lattice(0.0, 0.0, 5e-2, 5e-2, 15, 15))
     assert classify(g3) == "mixed"
     # a NaN deviation matches neither alignment
-    assert sf.classify_P_alignment(g3.summary.h_arc, np.nan, np.nan) == "mixed"
+    assert sf.classify_P_alignment(g3.summary, np.nan, np.nan) == "mixed"
 
 
 def test_analyze_report_schema_and_values():

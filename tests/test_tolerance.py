@@ -1,7 +1,8 @@
 """The one tolerance law of the grid gates, `frame.tolerance`, and what it
 promises: relabelling a grid's (u, v) by s = 2^k changes no verdict, exit
-code or scale-free value; an under-resolved grid is refused; a valid grid
-at a tiny step is not."""
+code or scale-free value; an under-resolved grid is refused, and so is a
+potential too fine for its second differences to carry information; a
+valid grid at a step above that is not."""
 import json
 
 import numpy as np
@@ -10,45 +11,36 @@ import pytest
 from nks3 import cli, fixtures, frame, io
 from nks3 import surface as sf
 
+from families import shifted_rows
+
 EPS = np.finfo(float).eps
 
 
 def test_tolerance_law_and_its_cap():
-    assert frame.tolerance(1e-2, 1.0) == pytest.approx(100.0 * 1e-4 + 100.0 * EPS / 1e-4,
-                                                       rel=1e-15)
-    assert frame.tolerance(1e-2, 0.5) == 0.5 * frame.tolerance(1e-2, 1.0)
+    lat = sf.lattice(0.0, 0.0, 1e-3, 1e-2, 5, 5)
+    # the larger step at speed 1 is the step in arclength
+    assert frame.roundoff(lat, 1.0) == pytest.approx(100.0 * EPS / 1e-4, rel=1e-15)
+    assert frame.tolerance(lat, 1.0, 1.0) == pytest.approx(
+        100.0 * 1e-4 + 100.0 * EPS / 1e-4, rel=1e-15)
+    assert frame.tolerance(lat, 1.0, 0.5) == 0.5 * frame.tolerance(lat, 1.0, 1.0)
     # too coarse and too fine for either term to bound a defect: the cap
     for h_arc in (0.1, 1e3, np.inf, 1e-7, 1e-170, 0.0):
-        assert frame.tolerance(h_arc, 2.0) == 0.1
-    # a NaN step gives a NaN tolerance, which every gate fails
-    assert np.isnan(frame.tolerance(np.nan, 1.0))
+        assert frame.tolerance(lat, (h_arc / 1e-2) ** 2, 2.0) == 2.0 * frame.TOL_CAP
+    # a NaN speed gives a NaN tolerance, which every gate fails
+    assert np.isnan(frame.tolerance(lat, np.nan, 1.0))
     with pytest.raises(ValueError, match="exceeds nan"):
-        frame.gate(0.0, frame.tolerance(np.nan, 1.0), "x")
+        frame.gate(0.0, frame.tolerance(lat, np.nan, 1.0), "x")
 
 
-def test_relabelling_leaves_the_step_in_arclength_bit_identical():
+def test_relabelling_leaves_the_tolerance_bit_identical():
     grid = fixtures.make_fixture("example2", nu=41, nv=41)
+    law = frame.tolerance(grid.summary, grid.summary.E_max, 1.0)
     for k in (-8, 0, 10):
         s = 2.0**k
         lat = sf.lattice(s * grid.u0, s * grid.v0, s * grid.du, s * grid.dv, 41, 41)
-        moved = sf.immersion_grid(lat, grid.p.copy(), grid.q.copy())
-        assert moved.summary.h_arc == grid.summary.h_arc
-        assert moved.summary.E_max == grid.summary.E_max / s**2
-
-
-def shifted_rows(delta, s):
-    """example1 21^2 at h = 5e-4 with every other u-row sampled `delta` h
-    further along u, relabelled by `s`: adapted, with a real part
-    2 delta h |c|^2 in its logarithmic derivatives that scales as 1 / s."""
-    lat = sf.lattice(0.0, 0.0, 5e-4, 5e-4, 21, 21)
-    u = (lat.u_vals + delta * lat.du * (np.arange(21) % 2))[:, None]
-    v = lat.v_vals[None, :]
-
-    def circle(a):
-        return np.stack([np.cos(a), np.sin(a), 0.0 * a, 0.0 * a], axis=-1)
-
-    p, q = circle(u - v / frame.SQRT3), circle(-2.0 * v / frame.SQRT3 + 0.0 * u)
-    return sf.immersion_grid(sf.lattice(0.0, 0.0, s * lat.du, s * lat.dv, 21, 21), p, q)
+        moved = sf.immersion_grid(lat, grid.p.copy(), grid.q.copy()).summary
+        assert moved.E_max == grid.summary.E_max / s**2
+        assert frame.tolerance(moved, moved.E_max, 1.0) == law
 
 
 @pytest.mark.parametrize("k", [-8, -2, 0, 2, 10])
@@ -109,8 +101,9 @@ def test_relabelling_changes_no_verdict_and_no_scale_free_value(tmp_path, capsys
 def test_from_h_certifies_no_surface_that_analyze_refuses(tmp_path, capsys):
     # cmc_sphere 21^2 at step 0.05: at tol_scale 0.01 the recovered
     # surface's adaptedness defect 6.9e-4 would exceed analyze's tolerance
-    # 5e-4, and the certificate already refuses the potential, at the same
-    # capped tolerance times its speed; at tol_scale 1 both accept
+    # 5e-4, and the certificate already refuses the potential, whose
+    # residual over the speed exceeds the same capped tolerance; at
+    # tol_scale 1 both accept
     eps, back = tmp_path / "eps.csv", tmp_path / "back.csv"
     assert run(capsys, "fixture", "--fixture", "cmc_sphere", "--nu", "21", "--nv", "21",
                "--du", "0.05", "--dv", "0.05", "--output", str(eps))[0] == 0
@@ -141,12 +134,32 @@ def test_an_aliased_cylinder_is_refused(tmp_path, capsys, step, code, refusal):
     assert (got, rep) == (code, None) and err.startswith(refusal)
 
 
-def test_to_h_accepts_example1_at_a_tiny_step(tmp_path, capsys):
-    # at step 1e-8 the equation residual of the potential is rounding
-    # noise, 4e-6, which the tolerance's roundoff term covers
-    csv = tmp_path / "ex1.csv"
-    assert run(capsys, "fixture", "--fixture", "example1", "--nu", "21", "--nv", "21",
-               "--du", "1e-8", "--dv", "1e-8", "--output", str(csv))[0] == 0
-    code, rep, _ = run(capsys, "to-h", "--input", str(csv),
-                       "--output", str(tmp_path / "eps.csv"))
-    assert code == 0 and rep["certificate"]["h_equation_max"] < 1e-5
+def tiny_step_run(tmp_path, capsys, name, step):
+    """`fixture` `name` at 21^2 and `step`, then the command that reads its
+    CSV (`from-h` of a potential, `to-h` of a surface)."""
+    csv, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    assert run(capsys, "fixture", "--fixture", name, "--nu", "21", "--nv", "21",
+               "--du", step, "--dv", step, "--output", str(csv))[0] == 0
+    command = "from-h" if name.startswith("cmc") else "to-h"
+    return (*run(capsys, command, "--input", str(csv), "--output", str(out)), out)
+
+
+@pytest.mark.parametrize("name, step", [
+    ("cmc_sphere", "1e-7"), ("cmc_cylinder", "1e-7"), ("example1", "1e-8")])
+def test_a_grid_too_fine_to_certify_is_refused(tmp_path, capsys, name, step):
+    # below a step in arclength of 6.7e-7 the roundoff of a second
+    # difference exceeds the cap: the equation residual would pass there
+    # while K and H are rounding noise (K_max_dev 0.42 for the sphere)
+    code, rep, err, out = tiny_step_run(tmp_path, capsys, name, step)
+    assert (code, rep) == (2, None) and not out.exists()
+    assert err.startswith("certificate failure: grid is too fine to certify: "
+                          "second-difference roundoff ")
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_a_valid_grid_at_step_1e6_is_certified(tmp_path, capsys, name):
+    # the equation residual's rounding noise, up to 6e-4 of the speed, is
+    # inside the tolerance's roundoff term, 1.5e-2
+    code, rep, _, out = tiny_step_run(tmp_path, capsys, name, "1e-6")
+    assert code == 0 and out.exists()
+    assert rep["certificate"]["h_equation_max"] < 1e-3

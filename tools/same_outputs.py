@@ -143,8 +143,8 @@ RUNS = [
     # refused by the potential's summary: its derivatives vanish
     ("from-h constant potential", 3,
      ["from-h", "--input", "const.csv", "--output", "const_s.csv"]),
-    # refused by the equation-residual certificate: the plane's residual is
-    # 4/sqrt3, far above the 0.05 times its speed 2 it is allowed
+    # refused by the equation-residual certificate: the plane's residual over
+    # its speed is 2/sqrt3, far above the 0.05 it is allowed
     ("from-h plane potential", 2,
      ["from-h", "--input", "plane.csv", "--output", "plane_s.csv"]),
     # refused by the gates; on the still and parallel-tangent grids, where
@@ -168,6 +168,10 @@ RUNS = [
     ("fixture cmc_cylinder step 1000", 0,
      ["fixture", "--fixture", "cmc_cylinder", *_grid(21, 21, 1000.0), "--output", "alias.csv"]),
     ("from-h aliased cylinder", 2, ["from-h", "--input", "alias.csv", "--output", "alias_s.csv"]),
+    # too fine to certify: a second difference at this step is rounding noise
+    ("fixture cmc_sphere step 1e-7", 0,
+     ["fixture", "--fixture", "cmc_sphere", *_grid(21, 21, 1e-7), "--output", "fine.csv"]),
+    ("from-h too-fine potential", 2, ["from-h", "--input", "fine.csv", "--output", "fine_s.csv"]),
     ("analyze late-stopping grid", 3, ["analyze", "--input", "late.csv"]),
     ("to-h late-stopping grid", 3, ["to-h", "--input", "late.csv", "--output", "late_h.csv"]),
     # refused at the floating-point fault their self-check meets
