@@ -152,7 +152,7 @@ def _summary_slab(sub, keep, rows, speed):
     returns its interior maxima of the conformality deviation, the equation
     residual, that residual over the speed and the speed."""
     eu, ev = sub.partials()
-    e, g = np.sum(eu * eu, axis=-1), np.sum(ev * ev, axis=-1)
+    e, g = quat.dot(eu, eu), quat.dot(ev, ev)
     full = e + g
     high = interior(full).max()
     at_least(interior(full).min() / high if high != 0.0 else 0.0, 1e-10,
@@ -164,7 +164,7 @@ def _summary_slab(sub, keep, rows, speed):
     first = rows.start - keep.start
     inner = interior(speed[first:first + sub.nu])
     e, g = interior(e), interior(g)
-    f = np.sum(interior(eu) * interior(ev), axis=-1)
+    f = quat.dot(interior(eu), interior(ev))
     conformal = (np.maximum(np.abs(e - g), np.abs(f)) / np.maximum(e, g)).max()
     del e, f, g, full  # none is alive beside the residual's temporaries
     res = interior(h_equation_residual(eu, ev, sub.laplacian()))

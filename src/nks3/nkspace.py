@@ -188,19 +188,32 @@ def _check_same_base(Z, W):
 
 
 def frame_coords(Z):
-    """Coefficients of a tangent vector in the global frame (..., 6)."""
+    """Coefficients of a tangent vector in the global frame (..., 6), a
+    component at a time: the imaginary parts of `Tangent.at_identity` times
+    `FLIP`."""
     a, b = Z.at_identity
     out = np.empty(np.broadcast_shapes(a.shape, b.shape)[:-1] + (6,))
-    np.multiply(quat.imag(a), FLIP, out=out[..., :3])
-    np.multiply(quat.imag(b), FLIP, out=out[..., 3:])
+    for k in range(3):
+        np.multiply(a[..., k + 1], FLIP[k], out=out[..., k])
+        np.multiply(b[..., k + 1], FLIP[k], out=out[..., k + 3])
+    return out
+
+
+def _flipped(c):
+    """The imaginary quaternion with imaginary part c * FLIP, for the 3-long
+    halves `c` of frame coefficients, filled a component at a time."""
+    out = np.empty(c.shape[:-1] + (4,))
+    out[..., 0] = 0.0
+    for k in range(3):
+        np.multiply(c[..., k], FLIP[k], out=out[..., k + 1])
     return out
 
 
 def from_frame_coords(base, coeffs):
     """Tangent vector with the given frame coefficients (..., 6) at `base`."""
     coeffs = np.asarray(coeffs, dtype=float)
-    u = quat.qmul(base.p, quat.embed(coeffs[..., :3] * FLIP))
-    v = quat.qmul(base.q, quat.embed(coeffs[..., 3:] * FLIP))
+    u = quat.qmul(base.p, _flipped(coeffs[..., :3]))
+    v = quat.qmul(base.q, _flipped(coeffs[..., 3:]))
     return Tangent(base, u, v)
 
 
@@ -368,10 +381,14 @@ def _frame_identities(pts):
     frame matrices of J, P and Q; the fields die on return."""
     fr = frame(pts)
     res = {}
-    res["frame_metric"] = float(np.max([
-        np.abs(metric(fr[aa], fr[bb]) - GRAM[aa, bb]).max()
-        for aa in range(6) for bb in range(6)
-    ]))
+    # metric is symmetric bit for bit, so each pair aa <= bb is formed once
+    # and compared with both entries of GRAM
+    gaps = []
+    for aa in range(6):
+        for bb in range(aa, 6):
+            g = metric(fr[aa], fr[bb])
+            gaps += [np.abs(g - GRAM[aa, bb]).max(), np.abs(g - GRAM[bb, aa]).max()]
+    res["frame_metric"] = float(np.max(gaps))
     res["frame_representation"] = float(np.max([
         np.abs(frame_coords(op(fr[bb])) - mat[:, bb]).max()
         for op, mat in ((apply_J, J_MAT), (apply_P, P_MAT), (apply_Q, Q_MAT))

@@ -6,6 +6,13 @@ convention ij = k.  A vector in R^3 is identified with the imaginary
 quaternion x i + y j + z k (functions `embed` / `imag`).  Everything
 broadcasts over leading axes, so the same call handles a single value, a
 sampled grid, or a batch of random draws.
+
+The kernels read whole components.  numpy runs its inner loop once per
+point when an operand's 3- or 4-long last axis cannot merge with the axis
+before it (a broadcast sign vector, a strided (..., 3) view, a last-axis
+concatenate), so each elementwise op here takes the (...,) component
+arrays a[..., k] instead, and skips broadcasting when both operands
+already share a shape.
 """
 
 from __future__ import annotations
@@ -30,7 +37,11 @@ __all__ = [
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
 _UNIT_TOL = 1e-6
-_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _shape(a, b):
+    """The broadcast shape of the arrays `a` and `b`."""
+    return a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
 
 
 def qmul(a, b):
@@ -39,17 +50,40 @@ def qmul(a, b):
     b = np.asarray(b, dtype=float)
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    out = np.empty(_shape(a, b))
+    # each component summed left to right in one contiguous temporary
+    t = aw * bw
+    t -= ax * bx
+    t -= ay * by
+    t -= az * bz
+    out[..., 0] = t
+    t = aw * bx
+    t += ax * bw
+    t += ay * bz
+    t -= az * by
+    out[..., 1] = t
+    t = aw * by
+    t -= ax * bz
+    t += ay * bw
+    t += az * bx
+    out[..., 2] = t
+    t = aw * bz
+    t += ax * by
+    t -= ay * bx
+    t += az * bw
+    out[..., 3] = t
     return out
 
 
 def qconj(q):
-    """Quaternion conjugate: negate the imaginary part."""
-    return np.asarray(q, dtype=float) * _CONJ_SIGNS
+    """Quaternion conjugate: negate the imaginary part.
+
+    The bits of `q * [1, -1, -1, -1]`, except that a NaN imaginary part
+    may come out with its sign bit flipped."""
+    q = np.asarray(q, dtype=float)
+    out = np.negative(q)
+    out[..., 0] = q[..., 0]
+    return out
 
 
 def norm(q):
@@ -100,8 +134,11 @@ def unit_norm(q):
 def embed(v):
     """R^3 vector -> imaginary quaternion (0, x, y, z)."""
     v = np.asarray(v, dtype=float)
-    w = np.zeros(v.shape[:-1] + (1,))
-    return np.concatenate([w, v], axis=-1)
+    out = np.empty(v.shape[:-1] + (4,))
+    out[..., 0] = 0.0
+    for k in range(3):
+        out[..., k + 1] = v[..., k]
+    return out
 
 
 def imag(q):
@@ -116,27 +153,31 @@ def qexp(v):
     cardinal sine.
     """
     v = np.asarray(v, dtype=float)
-    t = np.linalg.norm(v, axis=-1, keepdims=True)
+    t = np.sqrt(dot(v, v))
     scale = np.sinc(t / np.pi)
     out = np.empty(v.shape[:-1] + (4,))
-    np.cos(t, out=out[..., :1])
-    np.multiply(scale, v, out=out[..., 1:])
+    np.cos(t, out=out[..., 0])
+    for k in range(3):
+        np.multiply(scale, v[..., k], out=out[..., k + 1])
     return out
 
 
 def dot(a, b):
-    """Euclidean inner product of quaternions over the trailing axis.
+    """Euclidean inner product over the trailing axis, of quaternions or of
+    R^3 vectors.
 
     Sums the component products in order from 0.0, as
-    `np.sum(a * b, axis=-1)` does on a length-4 axis, so the two agree bit
-    for bit (the 0.0 start turns a sum of four -0.0 into +0.0) without the
-    reduction's overhead.  Operands broadcast before their components are
-    read, so a 0-d operand works.
+    `np.sum(a * b, axis=-1)` does on an axis shorter than 8, so the two
+    agree bit for bit (the 0.0 start turns a sum of -0.0 into +0.0) without
+    the reduction's overhead.  Operands of different shapes broadcast
+    before their components are read, so a 0-d operand works.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
     out = a[..., 0] * b[..., 0]
     out += 0.0
-    for k in (1, 2, 3):
+    for k in range(1, a.shape[-1]):
         out += a[..., k] * b[..., k]
     return out
 
@@ -145,7 +186,7 @@ def cross(a, b):
     """Cross product of R^3 vectors over the trailing axis (broadcasting),
     component by component as `np.cross` forms it, without its input copies."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(_shape(a, b))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         out[..., i] = a[..., j] * b[..., k] - a[..., k] * b[..., j]
     return out

@@ -548,8 +548,8 @@ def lambda_field(gp, pu=None):
 def cr_residuals(lat, alpha, beta):
     """Max residual of the two Cauchy-Riemann equations coupling the dot
     products of the rotated pair; second-order small on genuine surfaces."""
-    dot_ab = np.sum(alpha * beta, axis=-1)
-    gap = np.sum(alpha * alpha, axis=-1) - np.sum(beta * beta, axis=-1)
+    dot_ab = quat.dot(alpha, beta)
+    gap = quat.dot(alpha, alpha) - quat.dot(beta, beta)
     r1 = lat.diff(dot_ab, 0) - 0.5 * lat.diff(gap, 1)
     r2 = lat.diff(dot_ab, 1) + 0.5 * lat.diff(gap, 0)
     stack = np.maximum(np.abs(r1), np.abs(r2))

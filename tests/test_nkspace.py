@@ -427,6 +427,59 @@ def test_nan_in_second_block_gives_nan_residual(monkeypatch):
     assert report["frame_metric"] <= thresholds["frame_metric"]
 
 
+@pytest.mark.parametrize("entry", [(3, 0), (0, 3)])
+def test_frame_metric_fires_on_one_perturbed_gram_entry(monkeypatch, entry):
+    # the frame loop forms each symmetric pair once: each triangle of GRAM
+    # must still be read
+    bad = nk.GRAM.copy()
+    bad[entry] += 1e-6
+    monkeypatch.setattr(nk, "GRAM", bad)
+    result = nk.verify(samples=10, seed=1)
+    assert "frame_metric" in result["flagged"]
+    assert abs(result["residual_max"]["frame_metric"] - 1e-6) <= 1e-12
+
+
+def test_frame_metric_forms_each_symmetric_pair_once(monkeypatch):
+    pairs = []
+
+    def counted(Z, W):
+        pairs.append((Z, W))
+        return metric(Z, W)
+
+    metric = nk.metric
+    monkeypatch.setattr(nk, "metric", counted)
+    nk._frame_identities(nk.random_point(np.random.default_rng(4), (8,)))
+    assert len(pairs) == 21
+
+
+def test_metric_is_symmetric_bit_for_bit():
+    rng = np.random.default_rng(27)
+    base = nk.random_point(rng, (500,))
+    tangents = [nk.random_tangent(rng, base) for _ in range(3)]
+    tangents += [nk.from_frame_coords(base, rng.choice([0.0, -0.0, 1.5, -2.0], (500, 6)))]
+    tangents += nk.frame(base)
+    for Z in tangents:
+        for W in tangents:
+            assert np.array_equal(nk.metric(Z, W), nk.metric(W, Z))
+
+
+def test_frame_kernels_are_the_flip_broadcasts_bit_for_bit():
+    # frame_coords and from_frame_coords against the (..., 3) products with
+    # FLIP that they fill a component at a time, on draws with signed zeros
+    rng = np.random.default_rng(28)
+    base = nk.random_point(rng, (300,))
+    c = rng.standard_normal((300, 6))
+    c = np.where(rng.random(c.shape) < 0.3, rng.choice([0.0, -0.0], c.shape), c)
+    Z = nk.from_frame_coords(base, c)
+    assert np.array_equal(Z.u, quat.qmul(base.p, quat.embed(c[..., :3] * frame.FLIP)))
+    assert np.array_equal(Z.v, quat.qmul(base.q, quat.embed(c[..., 3:] * frame.FLIP)))
+    for T in (Z, nk.random_tangent(rng, base), *nk.frame(base)):
+        a, b = T.at_identity
+        want = np.concatenate([quat.imag(a) * frame.FLIP, quat.imag(b) * frame.FLIP], axis=-1)
+        got = nk.frame_coords(T)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_frame_metric_fires_on_perturbed_gram(monkeypatch):
     bad = nk.GRAM.copy()
     bad[0, 3] += 1e-6

@@ -177,3 +177,91 @@ def test_qexp_one_parameter_group():
     rhs = quat.qmul(quat.qexp(0.3 * v), quat.qexp(0.4 * v))
     assert np.abs(lhs - rhs).max() < 1e-14
 
+
+
+def _signed_draw(rng, shape):
+    """Seeded normal values with about a third of them replaced by +0.0 and
+    -0.0, so a changed sign of zero shows in the bits."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.15] = 0.0
+    x[rng.random(shape) < 0.15] = -0.0
+    return x
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _hamilton(a, b):
+    """The Hamilton product written as one expression per component, the
+    reference of `qmul`'s in-place sums."""
+    aw, ax, ay, az = (a[..., k] for k in range(4))
+    bw, bx, by, bz = (b[..., k] for k in range(4))
+    return np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                     aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx,
+                     aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+
+
+def test_qconj_is_the_sign_product_bit_for_bit():
+    rng = np.random.default_rng(21)
+    q = _signed_draw(rng, (300, 4))
+    for x in (q, q[::3], q[7], q.reshape(30, 10, 4)):
+        assert _same_bits(quat.qconj(x), x * [1.0, -1.0, -1.0, -1.0])
+    # a NaN stays NaN; negation may flip its sign bit where the product
+    # keeps it, which no output shows: CSV prints either as nan, JSON as
+    # NaN, and grids refuse non-finite input
+    nan = quat.qconj([np.nan, np.nan, -np.nan, 1.0])
+    assert np.isnan(nan[:3]).all() and nan[3] == -1.0
+
+
+def test_embed_is_the_concatenation_bit_for_bit():
+    rng = np.random.default_rng(22)
+    v = _signed_draw(rng, (40, 5, 3))
+    for x in (v, v[:, 1], v[3, 2], np.concatenate([v, v], axis=-1)[..., 2:5]):
+        want = np.concatenate([np.zeros(x.shape[:-1] + (1,)), x], axis=-1)
+        assert _same_bits(quat.embed(x), want)
+
+
+def test_qmul_same_shape_path_is_the_broadcast_path():
+    rng = np.random.default_rng(23)
+    a, b, c = _signed_draw(rng, (200, 4)), _signed_draw(rng, (200, 4)), _signed_draw(rng, 4)
+    same = quat.qmul(a, b)
+    assert _same_bits(same, _hamilton(a, b))
+    assert _same_bits(same, quat.qmul(a[None], b)[0])
+    # a (4,) operand against an (n, 4) one, both ways round
+    for x, y in ((c, b), (b, c)):
+        wide = np.broadcast_to(x, b.shape), np.broadcast_to(y, b.shape)
+        assert _same_bits(quat.qmul(x, y), quat.qmul(*wide))
+        assert _same_bits(quat.qmul(x, y), _hamilton(*wide))
+    assert _same_bits(quat.qmul(c, c), _hamilton(c, c))
+
+
+def test_dot_same_shape_path_is_the_broadcast_path():
+    rng = np.random.default_rng(24)
+    a, b, c = _signed_draw(rng, (200, 4)), _signed_draw(rng, (200, 4)), _signed_draw(rng, 4)
+    assert _same_bits(quat.dot(a, b), quat.dot(a[None], b)[0])
+    for x, y in ((c, b), (b, c)):
+        wide = np.broadcast_to(x, b.shape), np.broadcast_to(y, b.shape)
+        assert _same_bits(quat.dot(x, y), quat.dot(*wide))
+
+
+def test_dot_on_vectors_is_np_sum_bitwise():
+    # the trailing axis may hold three components: contiguous vectors and
+    # the strided halves of 6-long rows
+    rng = np.random.default_rng(25)
+    rows = _signed_draw(rng, (60, 70, 6))
+    v, w = _signed_draw(rng, (60, 70, 3)), _signed_draw(rng, (60, 70, 3))
+    for x, y in ((v, w), (rows[..., :3], rows[..., 3:]), (v, rows[..., 3:]), (v[5, 6], w)):
+        assert _same_bits(quat.dot(x, y), np.sum(x * y, axis=-1))
+    assert _same_bits(np.sqrt(quat.dot(v, v)), np.linalg.norm(v, axis=-1))
+
+
+def test_qexp_on_signed_zeros_is_the_closed_form():
+    rng = np.random.default_rng(26)
+    v = _signed_draw(rng, (90, 3))
+    v[:10] = rng.choice([0.0, -0.0], (10, 3))
+    t = np.linalg.norm(v, axis=-1, keepdims=True)
+    want = np.concatenate([np.cos(t), np.sinc(t / np.pi) * v], axis=-1)
+    assert _same_bits(quat.qexp(v), want)

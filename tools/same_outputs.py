@@ -6,8 +6,9 @@ Runs the same fixed list of command line runs against both trees, each
 with PYTHONPATH=<root>/src and its own fresh work directory, so both see
 the same relative paths; the grids in `INPUTS` are written into both
 first.  For every run it compares stdout, stderr, the exit code and every
-file the run wrote, byte for byte, and prints one line.  A run whose
-stderr holds a warning in either tree differs too.  Exits 1 if any run
+file the run wrote, byte for byte, and prints one line, then the count of
+identical runs.  A run whose stderr holds a warning in either tree
+differs too.  Exits 1 if any run
 differs, 0 if all are identical.  Standard library only; the work
 directories are removed at the end.
 """
@@ -190,6 +191,11 @@ RUNS = [
       "--output", "pole.csv"]),
     ("verify --samples 10000 --seed 1", 0,
      ["verify", "--samples", "10000", "--seed", "1", "--output", "verify.json"]),
+    # a last block of one sample, and a single sample
+    ("verify --samples 2049 --seed 7", 0,
+     ["verify", "--samples", "2049", "--seed", "7", "--output", "verify_2049.json"]),
+    ("verify --samples 1 --seed 0", 0,
+     ["verify", "--samples", "1", "--seed", "0", "--output", "verify_1.json"]),
 ]
 
 
