@@ -14,12 +14,12 @@ the connection changes sign (see `surface`); `nkspace` cross-checks them
 against the ambient quaternion formulas.
 
 It also holds the upper-bound and floor comparisons behind every check,
-`gate` and `at_least`, the tolerance law of every grid gate, `tolerance`,
-and its `roundoff` term, and the tolerance multiplier's
-`validate_tol_scale`.  Both read a grid's step in arclength, which
-relabelling (u, v) by a constant leaves unchanged, as it leaves each gated
-residual and floor ratio: no verdict depends on how fast a grid's
-parameters run.
+`gate` and `at_least`, and the one gatekeeper of every grid tolerance,
+`tolerance`: the law, after `validate_tol_scale`, or a `CertificateError`
+where its `roundoff` term exceeds `TOL_CAP`.  Both terms read a grid's
+step in arclength, which relabelling (u, v) by a constant leaves
+unchanged, as it leaves each gated residual and floor ratio: no verdict
+depends on how fast a grid's parameters run.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "GRAM",
     "gram_product",
     "connection_term",
+    "CertificateError",
     "gate",
     "at_least",
     "TOL_CAP",
@@ -142,6 +143,11 @@ def connection_term(x, y):
     return _block_product(_CONN_BLOCKS, x, y)
 
 
+class CertificateError(RuntimeError):
+    """A certificate failed: a grid is too fine for `tolerance` to bound, or
+    misses its compatibility conditions to discretization order."""
+
+
 def gate(value, tol, what, error=ValueError, why=""):
     """`value` as a float when it is at most `tol`; otherwise raises
     `error("<what> <value> exceeds <tol><why>")`.  A NaN value fails."""
@@ -174,10 +180,15 @@ def roundoff(lat, speed):
 def tolerance(lat, speed, tol_scale):
     """`tol_scale` min(100 h^2 + `roundoff`, `TOL_CAP`) at the same h: the
     error of a second-order stencil, the roundoff of a second difference,
-    and a cap where a grid is too coarse or too fine for either to bound
-    its defects.  A NaN speed gives a NaN tolerance, which every gate fails."""
+    and a cap where a grid is too coarse for either to bound its defects.
+    Raises ValueError for a bad `tol_scale`, and CertificateError where the
+    roundoff alone, or a NaN speed, exceeds the cap: too fine to certify."""
+    tol_scale = validate_tol_scale(tol_scale)
+    noise = gate(roundoff(lat, speed), TOL_CAP,
+                 "grid is too fine to certify: second-difference roundoff",
+                 CertificateError)
     h2 = max(lat.du, lat.dv) ** 2 * speed
-    return tol_scale * min(100.0 * h2 + roundoff(lat, speed), TOL_CAP)
+    return tol_scale * min(100.0 * h2 + noise, TOL_CAP)
 
 
 def validate_tol_scale(tol_scale):

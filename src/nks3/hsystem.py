@@ -26,9 +26,9 @@ deviation `mean_curvature` gates, the equation residual `_require_solution`
 reports and, over the speed, gates, the largest speed, and the speed field
 `metric_factor_check` reads), whose slabs form the partials and Laplacian
 once each; a surface grid's `surface.ImmersionGrid.summary`.  Every
-certificate reads `frame.tolerance` at its grid's largest speed.  Each
-integrator's output covers its input window inset by one cell, and only
-its output is ever whole.
+certificate reads `frame.tolerance` at its grid's largest speed, which
+refuses a grid too fine for it to bound.  Each integrator's output covers
+its input window inset by one cell, and only its output is ever whole.
 
 `epsilon_from_surface` reads the surface grid over its
 `surface.halo_slabs`, and integrates spine-then-lines: each slab's rows of
@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quat
-from .frame import SQRT3, TOL_CAP, at_least, gate, roundoff, tolerance, validate_tol_scale
+from .frame import SQRT3, CertificateError, at_least, gate, tolerance
 from .surface import (
     FROM_POTENTIAL, SECOND_FACTOR, Lattice, extract_coefficients, factor_partials,
     halo_slabs, immersion_grid, interior, require_adapted, require_imaginary,
@@ -75,11 +75,6 @@ __all__ = [
     "metric_factor_check",
     "sphere_fit",
 ]
-
-
-class CertificateError(RuntimeError):
-    """An integration self-check failed: the input does not satisfy the
-    compatibility conditions to the expected discretization order."""
 
 
 @dataclass(frozen=True)
@@ -198,21 +193,11 @@ def h_equation_residual(eu, ev, lap):
     return np.linalg.norm(defect, axis=-1)
 
 
-def _require_resolved(hs):
-    """The grid's `frame.roundoff` at its largest speed; raises
-    CertificateError above `frame.TOL_CAP`, where second differences are
-    rounding noise, so no residual certifies the grid."""
-    return gate(roundoff(hs, hs.summary.speed_max), TOL_CAP,
-                "grid is too fine to certify: second-difference roundoff",
-                CertificateError)
-
-
 def _require_solution(hs, tol_scale, why):
-    """`hs.summary.h_equation_max`; raises CertificateError when the grid is
-    too fine (`_require_resolved`) or its `h_equation_rel_max` exceeds
-    `frame.tolerance` at its largest speed and `tol_scale`."""
+    """`hs.summary.h_equation_max`; raises CertificateError when its
+    `h_equation_rel_max` exceeds `frame.tolerance` at its largest speed and
+    `tol_scale`, or the law refuses the grid as too fine."""
     summary = hs.summary
-    _require_resolved(hs)
     gate(summary.h_equation_rel_max, tolerance(hs, summary.speed_max, tol_scale),
          "second-order equation residual over the speed", CertificateError, why)
     return summary.h_equation_max
@@ -238,8 +223,9 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     only its `surface.GridSummary`, the one gated here.  Raises ValueError
     for a bad `tol_scale`, a grid that is not an immersion (its summary) or
     not adapted (`surface.require_adapted`, `surface.require_imaginary`),
-    CertificateError when the paths disagree or the potential misses the
-    equation beyond discretization order.
+    CertificateError when it is too fine for `frame.tolerance`, the paths
+    disagree or the potential misses the equation beyond discretization
+    order.
     """
     ac_max = require_adapted(grid.summary, tol_scale)
     out = grid.inset(1)
@@ -371,10 +357,10 @@ def surface_from_epsilon(hs, tol_scale=1.0):
     potential (`HSurfaceGrid.pairs`), which is dropped before the output
     grid takes over the u-first values.  Raises ValueError for a bad
     `tol_scale` or a potential whose derivatives vanish (its summary),
-    CertificateError when the input is too fine to certify, fails the
-    equation residual gate or the orderings disagree beyond tolerance.
+    CertificateError when the input is too fine for `frame.tolerance`,
+    fails the equation residual gate or the orderings disagree beyond
+    tolerance.
     """
-    tol_scale = validate_tol_scale(tol_scale)
     # the summary refuses vanishing derivatives before the window is inset
     tol = tolerance(hs, hs.summary.speed_max, tol_scale)
     out = hs.inset(1)

@@ -55,7 +55,8 @@ size, and no flag, parameter or environment variable reaches it.
 Derivatives are second-order finite differences throughout; every residual
 statistic is taken on the grid interior (two-cell margin) because one-sided
 edge stencils degrade the order.  Every gate and the classification read
-`frame.tolerance` at the grid's largest interior E.
+`frame.tolerance` at the grid's largest interior E, which refuses a grid
+too fine for it to bound.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ import numpy as np
 from . import quat
 from .frame import (
     J_MAT, P_MAT, SQRT3, at_least, connection_term, gate, gram_product, tolerance,
-    validate_tol_scale,
 )
 
 __all__ = [
@@ -453,11 +453,11 @@ def almost_complex_residual(gp):
 def require_adapted(summary, tol_scale):
     """The `GridSummary.almost_complex_max` of `summary`, gated.
 
-    Raises ValueError when `tol_scale` is not finite and positive, and
-    unless the relative defect stays within `frame.tolerance` at the grid's
-    `GridSummary.E_max` and `tol_scale`; a NaN defect fails the gate.
+    Raises ValueError unless the relative defect stays within
+    `frame.tolerance` at the grid's `GridSummary.E_max` and `tol_scale`,
+    which first refuses a bad `tol_scale` and a grid too fine for it.
     """
-    limit = tolerance(summary, summary.E_max, validate_tol_scale(tol_scale))
+    limit = tolerance(summary, summary.E_max, tol_scale)
     return gate(
         summary.almost_complex_max, limit,
         "grid is not adapted: relative almost-complex defect",
@@ -688,18 +688,18 @@ def analyze(grid, tol_scale=1.0):
     """Full summary report of an adapted immersion grid.
 
     The report dict uses a fixed key schema (see the CLI docs).  Raises
-    ValueError when `tol_scale` is not finite and positive, in the first
-    slab that is not an immersion (`_summary_slab`, before its stages), then
-    when the grid is not adapted (`require_adapted`), has logarithmic
-    derivatives far from imaginary (`require_imaginary`) or min EG - F^2
-    below the metric floor 1e-10 E_max^2; only then does the first slab
-    whose stages met a zero division, an overflow or an invalid value raise
-    its FloatingPointError.  One pass over `halo_slabs` forms each slab's
-    partials once, for its share of the `GridSummary`, gated after the pass,
-    and for its stages, which keep only maxima and K: one (nu, nv) buffer,
-    so `K_mean` sums its `interior` in the same order as a whole-grid field.
+    ValueError in the first slab that is not an immersion (`_summary_slab`,
+    before its stages), then as `require_adapted` does, for a bad
+    `tol_scale`, a grid too fine for the law or one not adapted, then when
+    its logarithmic derivatives are far from imaginary (`require_imaginary`)
+    or min EG - F^2 is below the metric floor 1e-10 E_max^2; only then does
+    the first slab whose stages met a zero division, an overflow or an
+    invalid value raise its FloatingPointError.  One pass over `halo_slabs`
+    forms each slab's partials once, for its share of the `GridSummary`,
+    gated after the pass, and for its stages, which keep only maxima and K:
+    one (nu, nv) buffer, so `K_mean` sums its `interior` in the same order
+    as a whole-grid field.
     """
-    validate_tol_scale(tol_scale)
     K = np.empty((grid.nu, grid.nv))
     shares, highs, fault = [], [], None
     for sub, keep, rows in halo_slabs(grid):

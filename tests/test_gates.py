@@ -70,7 +70,7 @@ def ratios(monkeypatch):
 
     for check, ratio in ((frame.gate, operator.truediv),
                          (frame.at_least, lambda value, bound: bound / value)):
-        for module in (cli, fixtures, hsys, io, nk, sf):
+        for module in (cli, fixtures, frame, hsys, io, nk, sf):
             if getattr(module, check.__name__, None) is check:
                 monkeypatch.setattr(module, check.__name__, traced(check, ratio))
     return log
@@ -185,7 +185,7 @@ CONTROLS = {
         lambda tmp: jittered_csv(tmp, 5e-8), lambda tmp: jittered_csv(tmp, 5e-9)),
     "hsystem.mean_curvature": (
         lambda tmp: stretched_cylinder(9e-3), lambda tmp: stretched_cylinder(9e-4)),
-    "hsystem._require_resolved": (
+    "frame.tolerance": (
         lambda tmp: fine_sphere(3e-7), lambda tmp: fine_sphere(3e-6)),
     "hsystem._require_solution": (
         lambda tmp: spiked_sphere(2e-7), lambda tmp: spiked_sphere(2e-8)),

@@ -282,3 +282,27 @@ def test_flip_is_read_only_by_the_frame_and_the_ambient_suite():
     # lives in `frame`, and only `nkspace` converts with it
     users = {p.name for p in SRC.glob("*.py") if _mentions(_parse(p.name), "FLIP")}
     assert users == {"frame.py", "nkspace.py"}
+
+
+def test_tol_scale_is_validated_only_where_it_enters():
+    # `frame.tolerance` validates it for every grid gate; the flag parser
+    # and `verify`, which read no grid, check it before any input is read
+    sites = {"validate_tol_scale": {"cli.py:_parse", "frame.py:tolerance",
+                                    "nkspace.py:verify"}}
+    assert _call_sites(sites) == sites
+
+
+def test_the_too_fine_refusal_is_worded_only_in_the_law():
+    # every gate that reads a tolerance refuses a grid too fine to certify
+    # through `frame.tolerance`, so no other module words the refusal
+    users = {p.name for p in SRC.glob("*.py") if "too fine to certify" in p.read_text()}
+    assert users == {"frame.py"}
+
+
+@pytest.mark.parametrize("name", ["surface.py", "hsystem.py"])
+def test_grid_gates_read_the_law_alone(name):
+    # the roundoff term, the cap and the multiplier's check are the law's
+    # inside: a gate reads `frame.tolerance` and nothing beneath it
+    tree = _parse(name)
+    assert [n for n in ("roundoff", "TOL_CAP", "validate_tol_scale")
+            if _mentions(tree, n)] == []

@@ -1,8 +1,8 @@
 """The one tolerance law of the grid gates, `frame.tolerance`, and what it
 promises: relabelling a grid's (u, v) by s = 2^k changes no verdict, exit
-code or scale-free value; an under-resolved grid is refused, and so is a
-potential too fine for its second differences to carry information; a
-valid grid at a step above that is not."""
+code or scale-free value; an under-resolved grid is refused, and so is any
+grid, surface or potential, too fine for its second differences to carry
+information; a valid grid at a step above that is not."""
 import json
 
 import numpy as np
@@ -23,13 +23,21 @@ def test_tolerance_law_and_its_cap():
     assert frame.tolerance(lat, 1.0, 1.0) == pytest.approx(
         100.0 * 1e-4 + 100.0 * EPS / 1e-4, rel=1e-15)
     assert frame.tolerance(lat, 1.0, 0.5) == 0.5 * frame.tolerance(lat, 1.0, 1.0)
-    # too coarse and too fine for either term to bound a defect: the cap
-    for h_arc in (0.1, 1e3, np.inf, 1e-7, 1e-170, 0.0):
+    # too coarse for either term to bound a defect: the cap
+    for h_arc in (0.1, 1e3, np.inf):
         assert frame.tolerance(lat, (h_arc / 1e-2) ** 2, 2.0) == 2.0 * frame.TOL_CAP
-    # a NaN speed gives a NaN tolerance, which every gate fails
-    assert np.isnan(frame.tolerance(lat, np.nan, 1.0))
-    with pytest.raises(ValueError, match="exceeds nan"):
-        frame.gate(0.0, frame.tolerance(lat, np.nan, 1.0), "x")
+    # too fine: the roundoff alone exceeds the cap, and no tolerance is returned
+    for h_arc in (1e-7, 1e-170, 0.0):
+        with pytest.raises(frame.CertificateError, match="^grid is too fine to certify: "
+                           r"second-difference roundoff \S+ exceeds 5\.0e-02$"):
+            frame.tolerance(lat, (h_arc / 1e-2) ** 2, 2.0)
+    # a NaN speed is refused at the law, as too fine
+    with pytest.raises(frame.CertificateError, match="roundoff nan exceeds"):
+        frame.tolerance(lat, np.nan, 1.0)
+    # and so is a tolerance multiplier that could switch a gate off
+    for tol_scale in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol_scale must be finite and positive"):
+            frame.tolerance(lat, 1.0, tol_scale)
 
 
 def test_relabelling_leaves_the_tolerance_bit_identical():
@@ -134,6 +142,9 @@ def test_an_aliased_cylinder_is_refused(tmp_path, capsys, step, code, refusal):
     assert (got, rep) == (code, None) and err.startswith(refusal)
 
 
+TOO_FINE = "certificate failure: grid is too fine to certify: second-difference roundoff "
+
+
 def tiny_step_run(tmp_path, capsys, name, step):
     """`fixture` `name` at 21^2 and `step`, then the command that reads its
     CSV (`from-h` of a potential, `to-h` of a surface)."""
@@ -152,8 +163,22 @@ def test_a_grid_too_fine_to_certify_is_refused(tmp_path, capsys, name, step):
     # while K and H are rounding noise (K_max_dev 0.42 for the sphere)
     code, rep, err, out = tiny_step_run(tmp_path, capsys, name, step)
     assert (code, rep) == (2, None) and not out.exists()
-    assert err.startswith("certificate failure: grid is too fine to certify: "
-                          "second-difference roundoff ")
+    assert err.startswith(TOO_FINE)
+
+
+@pytest.mark.parametrize("step", ["1e-7", "1e-8"])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_analyze_refuses_a_grid_too_fine_to_certify(tmp_path, capsys, name, step):
+    # K, h and lambda are second differences, rounding noise at these steps
+    # (example2 at 1e-8 would report K_max_dev 34.1 and h_norm_max 0.848,
+    # both 0 on its totally geodesic sphere): `analyze` refuses what `to-h`
+    # of the same CSV refuses, and writes no report
+    csv, report = tmp_path / "in.csv", tmp_path / "report.json"
+    assert run(capsys, "fixture", "--fixture", name, "--nu", "21", "--nv", "21",
+               "--du", step, "--dv", step, "--output", str(csv))[0] == 0
+    code, rep, err = run(capsys, "analyze", "--input", str(csv), "--output", str(report))
+    assert (code, rep) == (2, None) and not report.exists()
+    assert err.startswith(TOO_FINE)
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
@@ -163,3 +188,7 @@ def test_a_valid_grid_at_step_1e6_is_certified(tmp_path, capsys, name):
     code, rep, _, out = tiny_step_run(tmp_path, capsys, name, "1e-6")
     assert code == 0 and out.exists()
     assert rep["certificate"]["h_equation_max"] < 1e-3
+    # and `analyze` of the surface grid, read or written, accepts it: its
+    # roundoff term, at most 0.017, is below the cap
+    surface = out if name.startswith("cmc") else tmp_path / "in.csv"
+    assert run(capsys, "analyze", "--input", str(surface))[0] == 0

@@ -196,6 +196,12 @@ RUNS = [
      ["verify", "--samples", "2049", "--seed", "7", "--output", "verify_2049.json"]),
     ("verify --samples 1 --seed 0", 0,
      ["verify", "--samples", "1", "--seed", "0", "--output", "verify_1.json"]),
+    # a surface too fine to certify: every command that reads a tolerance
+    # refuses it, with the roundoff read at the surface's largest E
+    ("fixture example2 21x21 step 1e-7", 0,
+     ["fixture", "--fixture", "example2", *_grid(21, 21, 1e-7), "--output", "fine2.csv"]),
+    ("analyze too-fine grid", 2, ["analyze", "--input", "fine2.csv", "--output", "fine2.json"]),
+    ("to-h too-fine grid", 2, ["to-h", "--input", "fine2.csv", "--output", "fine2_h.csv"]),
 ]
 
 
