@@ -59,8 +59,7 @@ from . import quat
 from .frame import SQRT3, CertificateError, at_least, gate, tolerance
 from .surface import (
     FROM_POTENTIAL, SECOND_FACTOR, Lattice, extract_coefficients, factor_partials,
-    halo_slabs, immersion_grid, interior, require_adapted, require_imaginary,
-    rotate_pair,
+    halo_slabs, immersion_grid, interior, require_surface, rotate_pair,
 )
 
 __all__ = [
@@ -221,15 +220,17 @@ def epsilon_from_surface(grid, tol_scale=1.0):
     `surface.halo_slabs`, so only the potential is ever whole, and the
     function drops the grid after that pass: `to-h` hands it over and keeps
     only its `surface.GridSummary`, the one gated here.  Raises ValueError
-    for a bad `tol_scale`, a grid that is not an immersion (its summary) or
-    not adapted (`surface.require_adapted`, `surface.require_imaginary`),
-    CertificateError when it is too fine for `frame.tolerance`, the paths
-    disagree or the potential misses the equation beyond discretization
-    order.
+    for a grid that is not an immersion (its summary), one that
+    `surface.require_surface` refuses as `surface.analyze` does (a bad
+    `tol_scale` included), or one below 9x9, whose potential would leave
+    `surface_from_epsilon` no window; CertificateError when it is too fine
+    for `frame.tolerance`, the paths disagree or the potential misses the
+    equation beyond discretization order.
     """
-    ac_max = require_adapted(grid.summary, tol_scale)
+    ac_max = require_surface(grid.summary, tol_scale)
+    if min(grid.nu, grid.nv) < 9:  # the potential must leave `surface_from_epsilon` a window
+        raise ValueError(f"need at least a 9x9 grid, got {grid.nu}x{grid.nv}")
     out = grid.inset(1)
-    require_imaginary(grid.summary)
     tol = tolerance(grid.summary, grid.summary.E_max, tol_scale)
     eps = np.empty((out.nu, out.nv, 3))
     gaps = []

@@ -85,8 +85,7 @@ __all__ = [
     "partials",
     "factor_partials",
     "almost_complex_residual",
-    "require_adapted",
-    "require_imaginary",
+    "require_surface",
     "TO_POTENTIAL",
     "FROM_POTENTIAL",
     "SECOND_FACTOR",
@@ -450,33 +449,29 @@ def almost_complex_residual(gp):
     return interior(_norm(gp.cv - gp.cu @ J_MAT.T)) / np.sqrt(interior(gp.first_form[0]))
 
 
-def require_adapted(summary, tol_scale):
-    """The `GridSummary.almost_complex_max` of `summary`, gated.
+def require_surface(summary, tol_scale):
+    """The `GridSummary.almost_complex_max` of `summary`, past the checks
+    that every reader of a surface grid runs, in this order.
 
-    Raises ValueError unless the relative defect stays within
-    `frame.tolerance` at the grid's `GridSummary.E_max` and `tol_scale`,
-    which first refuses a bad `tol_scale` and a grid too fine for it.
+    Raises ValueError unless the relative almost-complex defect stays within
+    `frame.tolerance` at the grid's E_max and `tol_scale` (which first
+    refuses a bad `tol_scale` and a grid too fine for the law); unless the
+    real-part residual of the logarithmic derivatives stays within the law
+    at `tol_scale` 1 times sqrt(E_max), its units (on a smooth
+    unit-quaternion immersion it is O(h^2) of that norm, so a larger one
+    signals a grid that is not one, or is not sampled finely enough); and
+    unless min EG - F^2 meets the metric floor 1e-10 E_max^2.  A NaN fails
+    each.
     """
-    limit = tolerance(summary, summary.E_max, tol_scale)
-    return gate(
-        summary.almost_complex_max, limit,
-        "grid is not adapted: relative almost-complex defect",
-        why=f" (real-part residual {summary.projection_max:.3e})",
-    )
-
-
-def require_imaginary(summary):
-    """The `GridSummary.projection_max` of `summary`, gated.
-
-    Raises ValueError unless the real-part defect of the logarithmic
-    derivatives stays within `frame.tolerance` at `tol_scale` 1 times
-    sqrt(E_max), its units (a NaN defect fails): on a smooth unit-quaternion
-    immersion it is O(h^2) of that norm, so a larger one signals a grid
-    that is not one, or is not sampled finely enough.
-    """
-    tol = tolerance(summary, summary.E_max, 1.0) * np.sqrt(summary.E_max)
-    return gate(summary.projection_max, tol,
-                "logarithmic derivatives are far from imaginary: real-part residual")
+    ac = gate(summary.almost_complex_max, tolerance(summary, summary.E_max, tol_scale),
+              "grid is not adapted: relative almost-complex defect",
+              why=f" (real-part residual {summary.projection_max:.3e})")
+    gate(summary.projection_max,
+         tolerance(summary, summary.E_max, 1.0) * np.sqrt(summary.E_max),
+         "logarithmic derivatives are far from imaginary: real-part residual")
+    at_least(summary.det_min / summary.E_max / summary.E_max, 1e-10,
+             "metric is degenerate: min (EG - F^2) / E_max^2")
+    return ac
 
 
 def rotate_pair(a, b, rotation):
@@ -494,7 +489,7 @@ def extract_coefficients(cu, cv):
     """The rotated coefficient pair (alpha, beta) of an adapted grid: the
     imaginary parts of p^-1 p_u, p^-1 p_v (the first-factor halves of `cu`
     and `cv`, read as views) turned by `TO_POTENTIAL`.  The commands read
-    it only after `require_imaginary` has passed the grid."""
+    it only after `require_surface` has passed the grid."""
     return rotate_pair(cu[..., :3], cv[..., :3], TO_POTENTIAL)
 
 
@@ -570,7 +565,7 @@ def gaussian_curvature(lat, E, F, G):
     """Gaussian curvature of the metric (E, F, G) over `lat` by the
     Brioschi formula with second-order finite differences; intrinsic, so it
     needs only (E, F, G).  Unchecked: `analyze` reports no K of a grid
-    whose `GridSummary.det_min` it refuses.  Each
+    below the metric floor of `require_surface`.  Each
     derivative is formed inside the entry that reads it, except the three
     that two entries read, so few are alive at once."""
     Fu, Ev, Gu = lat.diff(F, 0), lat.diff(E, 1), lat.diff(G, 0)
@@ -689,16 +684,15 @@ def analyze(grid, tol_scale=1.0):
 
     The report dict uses a fixed key schema (see the CLI docs).  Raises
     ValueError in the first slab that is not an immersion (`_summary_slab`,
-    before its stages), then as `require_adapted` does, for a bad
-    `tol_scale`, a grid too fine for the law or one not adapted, then when
-    its logarithmic derivatives are far from imaginary (`require_imaginary`)
-    or min EG - F^2 is below the metric floor 1e-10 E_max^2; only then does
-    the first slab whose stages met a zero division, an overflow or an
-    invalid value raise its FloatingPointError.  One pass over `halo_slabs`
-    forms each slab's partials once, for its share of the `GridSummary`,
-    gated after the pass, and for its stages, which keep only maxima and K:
-    one (nu, nv) buffer, so `K_mean` sums its `interior` in the same order
-    as a whole-grid field.
+    before its stages), then as `require_surface` does, for a bad
+    `tol_scale`, a grid too fine for the law, not adapted, far from
+    imaginary or below the metric floor; only then does the first slab
+    whose stages met a zero division, an overflow or an invalid value raise
+    its FloatingPointError.  One pass over `halo_slabs` forms each slab's
+    partials once, for its share of the `GridSummary`, gated after the
+    pass, and for its stages, which keep only maxima and K: one (nu, nv)
+    buffer, so `K_mean` sums its `interior` in the same order as a
+    whole-grid field.
     """
     K = np.empty((grid.nu, grid.nv))
     shares, highs, fault = [], [], None
@@ -712,10 +706,7 @@ def analyze(grid, tol_scale=1.0):
             fault = fault or exc
         del gp  # one slab's partials alive at a time
     summary = _grid_summary(grid, shares)
-    ac_max = require_adapted(summary, tol_scale)
-    require_imaginary(summary)
-    at_least(summary.det_min / summary.E_max / summary.E_max, 1e-10,
-             "metric is degenerate: min (EG - F^2) / E_max^2")
+    ac_max = require_surface(summary, tol_scale)
     if fault:
         raise fault
     r21, r22, r23, cr, lam_max, h_max, normal_dev, tangent_dev = (

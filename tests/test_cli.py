@@ -15,6 +15,8 @@ from nks3 import cli, fixtures, hsystem, io, quat
 from nks3 import nkspace as nk
 from nks3 import surface as sf
 
+from families import shifted_rows
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
@@ -681,6 +683,85 @@ def test_to_h_rejects_non_adapted(tmp_path, capsys):
     assert code == 3 and rep is None
     assert "not adapted" in err
     assert not out.exists()
+
+
+def _exp_grid(n, h, p, q):
+    """The grid n x n at step h from the origin with p = exp(p(u, v)) and
+    q = exp(q(u, v)), each exponent an imaginary (n, n, 3) field."""
+    lat = sf.lattice(0.0, 0.0, h, h, n, n)
+    u, v = np.meshgrid(lat.u_vals, lat.v_vals, indexing="ij")
+    return sf.immersion_grid(lat, quat.qexp(p(u, v)), quat.qexp(q(u, v)))
+
+
+_I, _J = np.eye(3)[:2]
+
+# name -> a surface grid that the checks on its `GridSummary` refuse
+SUMMARY_REFUSALS = {
+    # the bench's gate probe, p = exp(u i), q = exp(v j): not adapted
+    "probe": lambda: fixtures.non_adapted_grid(sf.lattice(0.0, 0.0, 0.025, 0.025, 41, 41)),
+    # p = q = exp(v j) does not move along u: not an immersion
+    "still": lambda: _exp_grid(41, 0.025, lambda u, v: v[..., None] * _J,
+                               lambda u, v: v[..., None] * _J),
+    # p = exp(min(u, 85 h) i), q = exp(v j) stops moving along u at row 85,
+    # in the grid's second slab
+    "late": lambda: _exp_grid(101, 0.025, lambda u, v: np.minimum(u, 85 * 0.025)[..., None] * _I,
+                              lambda u, v: v[..., None] * _J),
+    # p = q = exp((u + v) i) has parallel tangents: EG - F^2 = 0 everywhere
+    "parallel": lambda: _exp_grid(41, 0.025, lambda u, v: (u + v)[..., None] * _I,
+                                  lambda u, v: (u + v)[..., None] * _I),
+    "shifted rows": lambda: shifted_rows(0.3),
+    "too fine": lambda: fixtures.make_fixture("example2", 21, 21, 1e-7, 1e-7),
+}
+
+
+@pytest.mark.parametrize("name, tol_scale, refusal", [
+    ("probe", "1", "input error: grid is not adapted: "),
+    ("still", "1", "input error: grid is not an immersion: "),
+    ("late", "1", "input error: grid is not an immersion: "),
+    ("parallel", "1", "input error: grid is not adapted: "),
+    ("parallel", "100", "input error: metric is degenerate: "),
+    ("shifted rows", "1", "input error: logarithmic derivatives are far from imaginary: "),
+    ("too fine", "1", "certificate failure: grid is too fine to certify: "),
+])
+def test_analyze_and_to_h_refuse_a_surface_alike(tmp_path, capsys, name, tol_scale,
+                                                 refusal):
+    # both commands check a surface grid's summary through one
+    # `surface.require_surface`, so each refusal is the same exit code and
+    # line in both, and to-h writes no potential
+    csv = tmp_path / "in.csv"
+    io.write_immersion_csv(csv, SUMMARY_REFUSALS[name]())
+    analyzed = run(capsys, "--command", "analyze", "--input", str(csv),
+                   "--tol-scale", tol_scale)
+    integrated = run(capsys, "--command", "to-h", "--input", str(csv),
+                     "--output", str(tmp_path / "eps.csv"), "--tol-scale", tol_scale)
+    assert refused_once(*analyzed) and analyzed[2].startswith(refusal)
+    assert integrated == analyzed
+    assert [f.name for f in tmp_path.iterdir()] == ["in.csv"]
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+@pytest.mark.parametrize("n", [7, 8])
+def test_to_h_refuses_a_surface_whose_potential_from_h_cannot_read(tmp_path, capsys,
+                                                                   name, n):
+    # the potential covers the surface inset by one cell and `from-h` insets
+    # it once more, so below 9x9 `to-h` would write a potential `from-h`
+    # refuses; it writes no CSV and no sidecar
+    csv = tmp_path / "in.csv"
+    io.write_immersion_csv(csv, fixtures.make_fixture(name, n, n))
+    code, rep, err = run(capsys, "--command", "to-h", "--input", str(csv),
+                         "--output", str(tmp_path / "eps.csv"))
+    assert (code, rep, err) == (3, None, f"input error: need at least a 9x9 grid, got {n}x{n}\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["in.csv"]
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_a_9x9_surface_makes_the_round_trip(tmp_path, capsys, name):
+    csv, eps = tmp_path / "in.csv", tmp_path / "eps.csv"
+    io.write_immersion_csv(csv, fixtures.make_fixture(name, 9, 9))
+    assert run(capsys, "--command", "to-h", "--input", str(csv), "--output", str(eps))[0] == 0
+    code, rep, _ = run(capsys, "--command", "from-h", "--input", str(eps),
+                       "--output", str(tmp_path / "back.csv"))
+    assert code == 0 and rep["grid"]["nu"] == rep["grid"]["nv"] == 5
 
 
 def test_to_h_refuses_potential_off_the_equation(tmp_path, capsys):

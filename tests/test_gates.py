@@ -2,18 +2,21 @@
 
 `frame.gate` (an upper bound) and `frame.at_least` (a floor) are the
 comparisons behind every certificate and input check in `src/nks3`.  Each
-site below is driven through the public API twice, with both wrapped to log
-per calling function how far the value lies past the limit, value / tol for
-a gate and bound / value for a floor: a near control that the site refuses
-at 1 < ratio <= 10, so a tenfold looser limit would pass it and fail this
-test, and an input that the site passes at ratio < 1.  Sites are keyed by
-the name of the function that calls `gate` or `at_least`, not by line, and
-the keys must equal the callers `ast` finds in `src/nks3`, so a new check
-without a near control fails here.
+check below is driven through the public API twice, with both wrapped to
+log per calling function and message how far the value lies past the
+limit, value / tol for a gate and bound / value for a floor: a near control
+that the check refuses at 1 < ratio <= 10, so a tenfold looser limit would
+pass it and fail this test, and an input that the check passes at ratio < 1.
+Checks are keyed by the name of the function that calls `gate` or
+`at_least` plus the head of the message it hands over, not by line, and the
+keys must equal the calls `ast` finds in `src/nks3`, one per call, so a new
+check without a near control fails here.
 """
 import ast
+import fnmatch
 import operator
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -30,10 +33,10 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nks3"
 QI, QJ = np.eye(4)[1:3]
 
 
-def callers(name):
-    """"<module>.<function>" of the innermost function around every
-    `name(...)` call in `src/nks3`."""
-    sites = set()
+def calls(name):
+    """("<module>.<function>", call) of every `name(...)` call in
+    `src/nks3`, the function being the innermost one around the call."""
+    found = []
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
@@ -42,30 +45,61 @@ def callers(name):
                 continue
             if isinstance(child, ast.Call) and getattr(
                     child.func, "id", getattr(child.func, "attr", None)) == name:
-                sites.add(f"{module}.{scope}")
+                found.append((f"{module}.{scope}", child))
             visit(child, module, scope)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
-    return sites
+    return found
+
+
+def callers(name):
+    """The sites of `calls(name)`."""
+    return {site for site, _ in calls(name)}
 
 
 def check_callers():
     return callers("gate") | callers("at_least")
 
 
+def head(message):
+    """A check's message up to its first colon."""
+    return message.split(":")[0]
+
+
+def check_keys():
+    """"<site>: <head>" of every `gate(...)` and `at_least(...)` call in
+    `src/nks3`, one per call: the head of its message, whose f-string
+    placeholders read as their source ("{label}")."""
+    keys = []
+    for site, call in calls("gate") + calls("at_least"):
+        what = call.args[2]
+        parts = what.values if isinstance(what, ast.JoinedStr) else [what]
+        keys.append(f"{site}: " + head("".join(
+            part.value if isinstance(part, ast.Constant) else f"{{{ast.unparse(part.value)}}}"
+            for part in parts)))
+    return keys
+
+
+def checked_by(key, site, message):
+    """Whether a check in `site` handed `message` is the one `key` names, a
+    placeholder of the key matching any text."""
+    return fnmatch.fnmatchcase(f"{site}: {head(message)}", re.sub(r"\{\w+\}", "*", key))
+
+
 @pytest.fixture
 def ratios(monkeypatch):
-    """The list of (site, ratio) that every `gate` call (value / tol) and
-    every `at_least` call (bound / value) appends to while the test runs."""
+    """The list of (site, message, ratio) that every `gate` call (value /
+    tol) and every `at_least` call (bound / value) appends to while the test
+    runs."""
     log = []
 
     def traced(check, ratio):
-        def call(value, limit, *args, **kwargs):
+        def call(value, limit, what, *args, **kwargs):
             caller = sys._getframe(1)
             module = caller.f_globals["__name__"].rsplit(".", 1)[-1]
-            log.append((f"{module}.{caller.f_code.co_name}", ratio(value, limit)))
-            return check(value, limit, *args, **kwargs)
+            log.append((f"{module}.{caller.f_code.co_name}", what, ratio(value, limit)))
+            return check(value, limit, what, *args, **kwargs)
         return call
 
     for check, ratio in ((frame.gate, operator.truediv),
@@ -176,35 +210,35 @@ def stalled_plane(delta):
         lat, np.stack([cubic(u, lat.du, delta), cubic(v, lat.dv, delta), 0.0 * u], axis=-1))
 
 
-# site -> (near control, input below it), each a call of the public API on
+# check -> (near control, input below it), each a call of the public API on
 # one member of a family, at a parameter ten times apart
 CONTROLS = {
-    "nkspace._check_same_base": (
+    "nkspace._check_same_base: tangent vectors live at different base points": (
         lambda tmp: tangents_apart(5e-12), lambda tmp: tangents_apart(5e-13)),
-    "io._recover_axis": (
+    "io._recover_axis: {label} axis spacing is irregular": (
         lambda tmp: jittered_csv(tmp, 5e-8), lambda tmp: jittered_csv(tmp, 5e-9)),
-    "hsystem.mean_curvature": (
+    "hsystem.mean_curvature: coordinates are not conformal": (
         lambda tmp: stretched_cylinder(9e-3), lambda tmp: stretched_cylinder(9e-4)),
-    "frame.tolerance": (
+    "frame.tolerance: grid is too fine to certify": (
         lambda tmp: fine_sphere(3e-7), lambda tmp: fine_sphere(3e-6)),
-    "hsystem._require_solution": (
+    "hsystem._require_solution: second-order equation residual over the speed": (
         lambda tmp: spiked_sphere(2e-7), lambda tmp: spiked_sphere(2e-8)),
-    "hsystem.surface_from_epsilon": (
+    "hsystem.surface_from_epsilon: path-ordering disagreement": (
         lambda tmp: saddled_cylinder(6e-3), lambda tmp: saddled_cylinder(6e-4)),
-    "hsystem.epsilon_from_surface": (
+    "hsystem.epsilon_from_surface: path-ordering residual": (
         lambda tmp: hsys.epsilon_from_surface(twisted_example2(0.035, 0.02, 0.7)),
         lambda tmp: hsys.epsilon_from_surface(twisted_example2(3.5e-3, 0.02, 0.7))),
-    "surface.require_adapted": (
+    "surface.require_surface: grid is not adapted": (
         lambda tmp: sf.analyze(twisted_example2(5e-3)),
         lambda tmp: sf.analyze(twisted_example2(5e-4))),
-    "surface.require_imaginary": (
+    "surface.require_surface: logarithmic derivatives are far from imaginary": (
         lambda tmp: sf.analyze(shifted_rows(0.3)), lambda tmp: sf.analyze(shifted_rows(0.03))),
-    "surface._summary_slab": (
-        lambda tmp: stalled_example1(5e-9).summary, lambda tmp: stalled_example1(5e-8).summary),
-    "surface.analyze": (
+    "surface.require_surface: metric is degenerate": (
         lambda tmp: sf.analyze(parallel_tangents(5e-6), tol_scale=100.0),
         lambda tmp: sf.analyze(parallel_tangents(5e-5), tol_scale=100.0)),
-    "hsystem._summary_slab": (
+    "surface._summary_slab: grid is not an immersion": (
+        lambda tmp: stalled_example1(5e-9).summary, lambda tmp: stalled_example1(5e-8).summary),
+    "hsystem._summary_slab: derivatives vanish on the interior": (
         lambda tmp: stalled_plane(2e-7).summary, lambda tmp: stalled_plane(2e-6).summary),
 }
 
@@ -212,14 +246,15 @@ REFUSALS = (ValueError, hsys.CertificateError)
 
 
 def test_every_gate_call_has_a_near_control():
-    assert set(CONTROLS) == check_callers()
+    assert sorted(CONTROLS) == sorted(check_keys())
 
 
 def test_each_floor_is_checked_once_where_it_is_measured():
     # the immersion floor in the slab that forms the derivatives, the speed
-    # floor in the potential's slab, the metric floor in `analyze`
+    # floor in the potential's slab, the metric floor in the summary checks
+    # that every reader of a surface grid runs
     assert callers("at_least") == {
-        "surface._summary_slab", "surface.analyze", "hsystem._summary_slab"}
+        "surface._summary_slab", "surface.require_surface", "hsystem._summary_slab"}
 
 
 @pytest.mark.parametrize("value", [0.5, np.nan])
@@ -253,16 +288,20 @@ def test_a_spike_in_p_is_refused_by_the_pointwise_adaptedness(angle):
 
 @pytest.mark.parametrize("site", sorted(check_callers()))
 def test_gate_refuses_its_near_control(site, ratios, tmp_path):
-    refused, passed = CONTROLS[site]
-    with pytest.raises(REFUSALS):
-        refused(tmp_path)
-    assert ratios[-1][0] == site
-    assert 1.0 < ratios[-1][1] <= 10.0
-    ratios.clear()
-    try:
-        passed(tmp_path)
-    except REFUSALS:
-        # the loop gate's input below it is refused later, by the equation
-        assert ratios[-1][0] != site
-    logged = [r for s, r in ratios if s == site]
-    assert logged and max(logged) < 1.0
+    keys = [key for key in CONTROLS if key.startswith(f"{site}: ")]
+    assert keys
+    for key in keys:
+        refused, passed = CONTROLS[key]
+        ratios.clear()
+        with pytest.raises(REFUSALS):
+            refused(tmp_path)
+        assert checked_by(key, *ratios[-1][:2])
+        assert 1.0 < ratios[-1][2] <= 10.0
+        ratios.clear()
+        try:
+            passed(tmp_path)
+        except REFUSALS:
+            # the loop gate's input below it is refused later, by the equation
+            assert not checked_by(key, *ratios[-1][:2])
+        logged = [r for s, what, r in ratios if checked_by(key, s, what)]
+        assert logged and max(logged) < 1.0

@@ -304,7 +304,7 @@ def test_to_potential_certificate_failure():
     bump = np.exp(-(u * u + v * v) / (2.0 * 0.7**2))
     twist = quat.qexp(0.035 * bump[..., None] * [1.0, 0.0, 0.0])
     bent = sf.immersion_grid(grid, quat.qmul(twist, grid.p), grid.q)
-    assert sf.require_adapted(bent.summary, 1.0) < 0.04
+    assert sf.require_surface(bent.summary, 1.0) < 0.04
     with pytest.raises(hsys.CertificateError, match="not closed"):
         hsys.epsilon_from_surface(bent)
 
@@ -320,12 +320,14 @@ def test_to_potential_rejects_nan_cell():
         hsys.epsilon_from_surface(dataclasses.replace(grid, p=p))
     nan_defect = dataclasses.replace(grid.summary, almost_complex_max=np.nan)
     with pytest.raises(ValueError, match="not adapted"):
-        sf.require_adapted(nan_defect, 1.0)
+        sf.require_surface(nan_defect, 1.0)
 
 
 def test_integrators_reject_tiny_grids():
+    # a surface grid is refused below 9x9, whose potential `surface_from_epsilon`
+    # could not read
     grid = fixtures.make_fixture("example1", nu=5, nv=5)
-    with pytest.raises(ValueError, match="7x7"):
+    with pytest.raises(ValueError, match=r"^need at least a 9x9 grid, got 5x5$"):
         hsys.epsilon_from_surface(grid)
     hs = sphere_hs(15)
     small = hsys.HSurfaceGrid(0, 0, hs.du, hs.dv, 5, 5, hs.eps[:5, :5])

@@ -306,3 +306,18 @@ def test_grid_gates_read_the_law_alone(name):
     tree = _parse(name)
     assert [n for n in ("roundoff", "TOL_CAP", "validate_tol_scale")
             if _mentions(tree, n)] == []
+
+
+def test_both_readers_of_a_surface_grid_run_one_refusal_sequence():
+    # `analyze` and `to-h` check a surface grid's summary through the one
+    # `surface.require_surface`, so neither can skip a check the other runs;
+    # the metric floor there is the only reader of the smallest EG - F^2
+    sites = {"require_surface": {"surface.py:analyze", "hsystem.py:epsilon_from_surface"}}
+    assert _call_sites(sites) == sites
+    trees = {path.name: _parse(path.name) for path in sorted(SRC.glob("*.py"))}
+    inside = _inside(trees["surface.py"], "require_surface")
+    reads = [(name, n) for name, tree in trees.items() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "det_min"]
+    assert reads
+    stray = [f"{name}:{n.lineno}" for name, n in reads if id(n) not in inside]
+    assert stray == [], f"det_min read outside surface.require_surface at {stray}"

@@ -238,7 +238,7 @@ def test_nan_cell_fails_real_part_gate():
         bad.summary
     nan_real = dataclasses.replace(grid.summary, projection_max=float("nan"))
     with pytest.raises(ValueError, match="far from imaginary"):
-        sf.require_imaginary(nan_real)
+        sf.require_surface(nan_real, 1.0)
 
 
 def test_finite_real_part_defect_fails_gate():
@@ -249,7 +249,7 @@ def test_finite_real_part_defect_fails_gate():
     bad = shifted_rows(0.3)
     summary = bad.summary
     tol = frame.tolerance(summary, summary.E_max, 1.0)
-    assert sf.require_adapted(summary, 1.0) < 1e-3 * tol
+    assert summary.almost_complex_max < 1e-3 * tol
     assert summary.projection_max > 3.0 * tol * np.sqrt(summary.E_max)
     with pytest.raises(ValueError, match="far from imaginary"):
         sf.analyze(bad)
@@ -550,8 +550,8 @@ def test_analyze_refuses_a_degenerate_metric():
     with pytest.raises(ValueError, match=r"^metric is degenerate: min \(EG - F\^2\) / "
                                          r"E_max\^2 2\.500e-11 below 1\.0e-10$"):
         sf.analyze(refused, tol_scale=100.0)
-    assert sf.require_adapted(refused.summary, 100.0) == pytest.approx(np.sqrt(2.0))
-    assert sf.require_imaginary(refused.summary) < 1e-14
+    assert refused.summary.almost_complex_max == pytest.approx(np.sqrt(2.0))
+    assert refused.summary.projection_max < 1e-14
     assert sf.analyze(kept, tol_scale=100.0)["classification"] == "tangent"
     with pytest.raises(ValueError, match="not adapted"):
         sf.analyze(kept)
@@ -593,7 +593,7 @@ def test_a_stage_fault_refuses_the_grid_after_its_gates(monkeypatch):
     monkeypatch.setattr(sf, "_POINTS", SLAB_POINTS)
     grid = slab_grid(101, 101)
     events = []
-    for name in ("partials", "_analysis_slab", "require_imaginary"):
+    for name in ("partials", "_analysis_slab", "require_surface"):
         call = getattr(sf, name)
         monkeypatch.setattr(sf, name, lambda *args, call=call, name=name:
                             events.append(name) or call(*args))
@@ -609,7 +609,7 @@ def test_a_stage_fault_refuses_the_grid_after_its_gates(monkeypatch):
         sf.analyze(grid)
     slabs = len(list(sf.halo_slabs(grid)))
     assert slabs > 3
-    assert events == ["partials", "_analysis_slab"] * slabs + ["require_imaginary"]
+    assert events == ["partials", "_analysis_slab"] * slabs + ["require_surface"]
 
 
 def test_gaussian_curvature_fixture_values():
@@ -757,10 +757,11 @@ def test_grid_partials_computed_once_and_read_only():
 
 @pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])
 def test_require_adapted_rejects_bad_tol_scale(tol_scale):
-    # the non-adapted control would pass an infinite limit
+    # the non-adapted control would pass an infinite limit; the adaptedness
+    # check, the first of `require_surface`, is the one that reads tol_scale
     grid = fixtures.non_adapted_grid(sf.lattice(-0.05, 0.0, 5e-3, 5e-3, 21, 21))
     with pytest.raises(ValueError, match="tol_scale"):
-        sf.require_adapted(grid.summary, tol_scale)
+        sf.require_surface(grid.summary, tol_scale)
 
 
 @pytest.mark.parametrize("tol_scale", [np.nan, np.inf, 0.0, -1.0])

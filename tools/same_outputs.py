@@ -202,6 +202,22 @@ RUNS = [
      ["fixture", "--fixture", "example2", *_grid(21, 21, 1e-7), "--output", "fine2.csv"]),
     ("analyze too-fine grid", 2, ["analyze", "--input", "fine2.csv", "--output", "fine2.json"]),
     ("to-h too-fine grid", 2, ["to-h", "--input", "fine2.csv", "--output", "fine2_h.csv"]),
+    # past the adaptedness gate, both readers of a surface grid meet the
+    # metric floor
+    ("analyze parallel-tangent grid --tol-scale 100", 3,
+     ["analyze", "--input", "parallel.csv", "--tol-scale", "100"]),
+    ("to-h parallel-tangent grid --tol-scale 100", 3,
+     ["to-h", "--input", "parallel.csv", "--tol-scale", "100", "--output", "parallel_h.csv"]),
+    # to-h writes only a potential that from-h reads, so it refuses a
+    # surface below 9x9; 9x9 is the smallest round trip
+    ("fixture example2 7x7", 0,
+     ["fixture", "--fixture", "example2", *_grid(7, 7), "--output", "ex7.csv"]),
+    ("to-h example2 7x7", 3, ["to-h", "--input", "ex7.csv", "--output", "ex7_h.csv"]),
+    ("fixture example2 9x9", 0,
+     ["fixture", "--fixture", "example2", *_grid(9, 9), "--output", "ex9.csv"]),
+    ("to-h example2 9x9", 0, ["to-h", "--input", "ex9.csv", "--output", "ex9_h.csv"]),
+    ("from-h example2 9x9 potential", 0,
+     ["from-h", "--input", "ex9_h.csv", "--output", "ex9_s.csv"]),
 ]
 
 
